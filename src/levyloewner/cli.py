@@ -392,8 +392,7 @@ def _run_phase(cfg: RunConfig, out: Path) -> list[str]:
     p = cfg.params
     z = complex(p["z"][0], p["z"][1])
     ecfg = EvolutionConfig(horizon=p["horizon"], hit_tolerance=p["hit_tolerance"] or None)
-    ests = phase_scan(p["grid"], z, p["n"], p["horizon"], cfg.seed, cfg=ecfg,
-                      workers=cfg.workers)
+    ests = phase_scan(p["grid"], z, p["n"], p["horizon"], cfg.seed, cfg=ecfg)
     write_csv(out / "phase.csv", _PHASE_HEADER, _phase_rows(ests))
     return ["phase.csv"]
 
@@ -403,8 +402,7 @@ def _run_hitprob(cfg: RunConfig, out: Path) -> list[str]:
     z = complex(p["z"][0], p["z"][1])
     params = PhaseParams(z=z, kappa=p["kappa"], alpha=p["alpha"], theta=p["theta"], beta=p["beta"])
     ecfg = EvolutionConfig(horizon=p["horizon"], hit_tolerance=p["hit_tolerance"] or None)
-    est = hitting_probability(params, p["n"], p["horizon"], cfg.seed, cfg=ecfg,
-                              workers=cfg.workers)
+    est = hitting_probability(params, p["n"], p["horizon"], cfg.seed, cfg=ecfg)
     write_csv(out / "hitprob.csv", _PHASE_HEADER, _phase_rows([est]))
     return ["hitprob.csv"]
 
@@ -419,8 +417,7 @@ def _run_slopes(cfg: RunConfig, out: Path) -> list[str]:
     if p["side"] in ("both", "near-infinity"):
         jobs.append(("near_infinity", slope_near_infinity, p["x_grid_inf"]))
     for name, fn, grid in jobs:
-        fit = fn(p["kappa"], p["alpha"], p["theta"], grid, p["n"], p["horizon"],
-                 cfg.seed, workers=cfg.workers)
+        fit = fn(p["kappa"], p["alpha"], p["theta"], grid, p["n"], p["horizon"], cfg.seed)
         fname = f"exponent_{name}.csv"
         write_csv(out / fname, ["x", "p_hat", "ci_lo", "ci_hi"],
                   zip(fit.x, fit.p_hat, fit.ci_lo, fit.ci_hi))
@@ -470,7 +467,7 @@ def _run_scalecheck(cfg: RunConfig, out: Path) -> list[str]:
     res = scaling_check(p["kappa"], p["alpha"], p["theta"], p["a"], p["statistic"], z,
                         p["horizon"], p["n"], cfg.seed,
                         theta_tilde=(None if p["theta_tilde"] < 0 else p["theta_tilde"]),
-                        exit_radius=(p["exit_radius"] or None), workers=cfg.workers)
+                        exit_radius=(p["exit_radius"] or None))
     json_dump({
         "statistic": res.statistic, "a": res.a, "theta_tilde": res.theta_tilde,
         "ks_distance": res.ks_distance, "ks_critical": res.ks_critical,
@@ -501,7 +498,7 @@ def _run_theta0_bracket(cfg: RunConfig, out: Path) -> list[str]:
     grid = [m * analytic for m in p["grid_mults"]]
     z = complex(p["z"][0], p["z"][1])
     res = theta0_bracket(p["alpha"], grid, z, p["n"], p["horizon"], cfg.seed,
-                         hit_tolerance=p["hit_tolerance"], workers=cfg.workers)
+                         hit_tolerance=p["hit_tolerance"])
     write_csv(out / "theta0_scan.csv", _PHASE_HEADER, _phase_rows(res.estimates))
     json_dump({
         "alpha": res.alpha, "theta_lo": res.theta_lo, "theta_hi": res.theta_hi,
@@ -558,7 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", type=str, default=None, help="JSON config file")
         sp.add_argument("--seed", type=str, default=None, help="64-bit master seed")
         sp.add_argument("--workers", type=str, default=None,
-                        help="worker count (default env LL_WORKERS or 1)")
+                        help="threads for the per-replica rasters of area and "
+                             "disconnect (default env LL_WORKERS or 1); other "
+                             "subcommands run on one thread.  Outputs never depend on it")
         sp.add_argument("--out", type=str, default=None, help="output directory")
         for key, (kind, _default, _validator) in SCHEMAS[name].items():
             flag = "--" + key.replace("_", "-")

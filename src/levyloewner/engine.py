@@ -25,13 +25,12 @@ Two drivers of the kernel exist: lanes sharing one concrete
 :class:`~levyloewner.drivers.DriverPath` (rasters, consistency checks), and
 independent-replica Monte Carlo with per-lane adaptive time steps and
 on-the-fly increment sampling (phase experiments).  Monte Carlo lanes are
-processed in fixed blocks of :data:`BLOCK` with one RNG stream per block, so
-results never depend on worker scheduling.
+processed in order, in fixed blocks of :data:`BLOCK` with one RNG stream per
+block.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,8 +219,7 @@ def _check_endpoint(x, y, t_now, delta, zeta, min_abs, alive):
 # ---------------------------------------------------------------------------
 
 def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=None,
-                         beta: float = 2.0, dt_safety: float = 0.1,
-                         record_trajectory: bool = False):
+                         beta: float = 2.0, record_trajectory: bool = False):
     """Evolve many tracked points along one sampled driver path.
 
     The driver is held constant between grid points (its cadlag value), the
@@ -464,14 +462,14 @@ def _run_block(spec, z0, nlanes, horizon, hit_tolerance, beta, dt_safety, dt_max
 def run_adaptive_mc(spec: DriverSpec, z0, n: int, horizon: float, *, master_seed: int,
                     tag, hit_tolerance: float | None = None, beta: float = 2.0,
                     dt_safety: float = 0.1, dt_max: float = 1e6,
-                    exit_radius: float | None = None, workers: int = 1) -> LaneResult:
+                    exit_radius: float | None = None) -> LaneResult:
     """n independent replicas of the evolution of z0 under fresh driver paths.
 
     Each replica's driver is realized on the fly along an adaptive grid
     dt = dt_safety |h|^beta / (2 beta + kappa), clipped to
     [hit_tol^beta/16, dt_max]; increments are exact marginal draws per step.
     Replicas are grouped in blocks of :data:`BLOCK`, block b drawing from the
-    stream (master_seed, *tag, b): output is independent of worker count.
+    stream (master_seed, *tag, b).
     """
     z0 = complex(z0)
     if z0 == 0:
@@ -489,17 +487,9 @@ def run_adaptive_mc(spec: DriverSpec, z0, n: int, horizon: float, *, master_seed
     tag = tuple(tag) if isinstance(tag, (tuple, list)) else (tag,)
 
     sizes = [BLOCK] * (n // BLOCK) + ([n % BLOCK] if n % BLOCK else [])
-
-    def job(b):
-        rng = stream(master_seed, *tag, "block", b)
-        return _run_block(spec, z0, sizes[b], horizon, hit_tolerance, beta,
-                          dt_safety, dt_max, rng, exit_radius)
-
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, range(len(sizes))))
-    else:
-        parts = [job(b) for b in range(len(sizes))]
+    parts = [_run_block(spec, z0, size, horizon, hit_tolerance, beta, dt_safety,
+                        dt_max, stream(master_seed, *tag, "block", b), exit_radius)
+             for b, size in enumerate(sizes)]
 
     def cat(i):
         if parts[0][i] is None:

@@ -9,7 +9,10 @@ conventions of this artifact at the documented (n, T), not claims of the
 underlying theory.
 
 Determinism: every estimator takes a master seed and derives one stream per
-(operation, cell, block); worker counts only change scheduling.
+(operation, cell, block) or per replica.  Estimators run on the calling
+thread, except the per-replica raster loops of :func:`area_fraction` and
+:func:`disconnection_frequency`, which fan out over ``workers`` threads; the
+thread count only changes scheduling, never results.
 """
 
 from __future__ import annotations
@@ -74,7 +77,10 @@ def wilson_ci(hits: int, n: int, z: float = _Z95) -> tuple[float, float]:
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # the endpoints are exact at 0 and n hits; the formula rounds around them
+    lo = 0.0 if hits == 0 else max(0.0, center - half)
+    hi = 1.0 if hits == n else min(1.0, center + half)
+    return lo, hi
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray, level: float = 0.01):
@@ -153,7 +159,7 @@ def _flag(frac_t: float, frac_2t: float, n: int) -> str:
 
 
 def hitting_probability(params: PhaseParams, n: int, horizon: float, seed: int,
-                        cfg: EvolutionConfig | None = None, workers: int = 1,
+                        cfg: EvolutionConfig | None = None,
                         tag=("hitprob",)) -> PhaseEstimate:
     """Estimate P(zeta(z) <= T) from n independent driver paths.
 
@@ -167,11 +173,17 @@ def hitting_probability(params: PhaseParams, n: int, horizon: float, seed: int,
         raise ConfigError("n >= 100 required for CI validity")
     if cfg is None:
         cfg = EvolutionConfig(horizon=horizon)
+    return _estimate(params.driver_spec(), params, n, horizon, seed, cfg, tag)
+
+
+def _estimate(spec: DriverSpec, params: PhaseParams, n: int, horizon: float,
+              seed: int, cfg: EvolutionConfig, tag,
+              declared_class: str = "n/a") -> PhaseEstimate:
+    """Run n replicas of spec to 2T and count hits by T and by 2T."""
     res = run_adaptive_mc(
-        params.driver_spec(), params.z, n, 2.0 * horizon,
+        spec, params.z, n, 2.0 * horizon,
         master_seed=seed, tag=tag, hit_tolerance=cfg.hit_tolerance,
         beta=params.beta, dt_safety=cfg.dt_safety, dt_max=cfg.dt_max,
-        workers=workers,
     )
     hits_t = int(np.nansum((res.zeta <= horizon).astype(np.int64)))
     hits_2t = int(res.hit.sum())
@@ -181,14 +193,15 @@ def hitting_probability(params: PhaseParams, n: int, horizon: float, seed: int,
         params=params, n=n, horizon=horizon, seed=seed,
         hit_fraction=frac_t, wilson=wilson_ci(hits_t, n),
         hit_fraction_2t=frac_2t, horizon_flag=_flag(frac_t, frac_2t, n),
+        declared_class=declared_class,
     )
 
 
 def phase_scan(grid: dict, z: complex, n: int, horizon: float, seed: int,
-               cfg: EvolutionConfig | None = None, workers: int = 1) -> list[PhaseEstimate]:
+               cfg: EvolutionConfig | None = None) -> list[PhaseEstimate]:
     """Cartesian sweep over grid axes drawn from {kappa, alpha, theta, beta}.
 
-    Each cell uses its own deterministic stream; cells are independent tasks.
+    Cell i draws from its own stream, tagged ("phase", i).
     """
     axes = ("kappa", "alpha", "theta", "beta")
     unknown = set(grid) - set(axes)
@@ -204,14 +217,9 @@ def phase_scan(grid: dict, z: complex, n: int, horizon: float, seed: int,
         vals = {k: (v if v is not None else defaults[k]) for k, v in zip(axes, cell)}
         return PhaseParams(z=z, **vals)
 
-    def job(i):
-        return hitting_probability(cell_params(cells[i]), n, horizon, seed,
-                                   cfg=cfg, tag=("phase", i))
-
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(job, range(len(cells))))
-    return [job(i) for i in range(len(cells))]
+    return [hitting_probability(cell_params(cell), n, horizon, seed, cfg=cfg,
+                                tag=("phase", i))
+            for i, cell in enumerate(cells)]
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +257,7 @@ def _wls_loglog(x: np.ndarray, p: np.ndarray, se: np.ndarray) -> tuple[float, fl
 
 def _exponent_fit(side: str, kappa: float, alpha: float, theta: float,
                   x_grid, n: int, horizon: float, seed: int, expected: float,
-                  use_survival: bool, workers: int = 1) -> ExponentFit:
+                  use_survival: bool) -> ExponentFit:
     if not kappa > 4:
         raise ConfigError("exponent fits require kappa > 4")
     if not 0 < alpha < 1:
@@ -258,7 +266,7 @@ def _exponent_fit(side: str, kappa: float, alpha: float, theta: float,
     rows = []
     for i, x in enumerate(x_grid):
         est = hitting_probability(PhaseParams(z=x, kappa=kappa, alpha=alpha, theta=theta),
-                                  n, horizon, seed, tag=("slope", side, i), workers=workers)
+                                  n, horizon, seed, tag=("slope", side, i))
         hits = round(est.hit_fraction * n)
         k = (n - hits) if use_survival else hits
         if k == 0 or k == n:
@@ -278,24 +286,22 @@ def _exponent_fit(side: str, kappa: float, alpha: float, theta: float,
 
 
 def slope_near_zero(kappa: float, alpha: float, theta: float, x_grid, n: int,
-                    horizon: float, seed: int, workers: int = 1) -> ExponentFit:
+                    horizon: float, seed: int) -> ExponentFit:
     """log-log fit of the survival fraction P(zeta > T) on x in (0,1];
     expected slope 1 - 4/kappa."""
     if max(x_grid) > 1.0:
         raise ConfigError("near-zero grid must lie in (0, 1]")
     return _exponent_fit("near_zero", kappa, alpha, theta, x_grid, n, horizon,
-                         seed, expected=1.0 - 4.0 / kappa, use_survival=True,
-                         workers=workers)
+                         seed, expected=1.0 - 4.0 / kappa, use_survival=True)
 
 
 def slope_near_infinity(kappa: float, alpha: float, theta: float, x_grid, n: int,
-                        horizon: float, seed: int, workers: int = 1) -> ExponentFit:
+                        horizon: float, seed: int) -> ExponentFit:
     """log-log fit of the hit fraction on x in [2, inf); expected slope alpha-1."""
     if min(x_grid) < 2.0:
         raise ConfigError("near-infinity grid must lie in [2, inf)")
     return _exponent_fit("near_infinity", kappa, alpha, theta, x_grid, n, horizon,
-                         seed, expected=alpha - 1.0, use_survival=False,
-                         workers=workers)
+                         seed, expected=alpha - 1.0, use_survival=False)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +327,7 @@ class OvershootReport:
 
 
 def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
-                            a: float, b: float, n: int, horizon: float, seed: int,
-                            dt_safety: float = 0.1):
+                            a: float, b: float, n: int, horizon: float, seed: int):
     """First exit of the real flow from {a < |x| < b}: per-replica exit side
     and position.  Continuous sub-crossings (drift, Brownian) stop exactly at
     the boundary (atoms); jump sub-crossings record the landed position."""
@@ -348,7 +353,7 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
                 tau = np.minimum(tau, d * d / kappa)
             if theta > 0:
                 tau = np.minimum(tau, d ** alpha / theta)
-            dt = np.clip(dt_safety * tau, 1e-9 * (b - a) ** 2, horizon)
+            dt = np.clip(0.1 * tau, 1e-9 * (b - a) ** 2, horizon)
             dt = np.minimum(dt, horizon - t)
             dt[~active] = 0.0
 
@@ -474,6 +479,19 @@ def overshoot_histogram(kappa: float, alpha: float, theta: float, a: float, b: f
 # cluster area fractions
 # ---------------------------------------------------------------------------
 
+def _per_replica(job, n: int, workers: int) -> list:
+    """[job(0), ..., job(n-1)], on up to ``workers`` threads.
+
+    Threads pay off only here, where each replica is one long raster run of
+    the path engine.  Each replica samples its own driver path, so results
+    do not depend on ``workers``.
+    """
+    if workers > 1 and n > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(job, range(n)))
+    return [job(i) for i in range(n)]
+
+
 @dataclass(frozen=True)
 class AreaFractionResult:
     r_list: tuple[float, ...]
@@ -514,12 +532,7 @@ def area_fraction(kappa: float, alpha: float, theta: float, r_list, resolution: 
         hit = raster.cells_hit_by(horizon)
         return [float(hit[rr <= r].mean()) for r in r_list]
 
-    if workers > 1 and n_replicas > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(job, range(n_replicas)))
-    else:
-        per_rep = [job(rep) for rep in range(n_replicas)]
-    arr = np.asarray(per_rep)
+    arr = np.asarray(_per_replica(job, n_replicas, workers))
     return AreaFractionResult(
         r_list=r_list, cells_across_min_r=resolution, horizon=horizon,
         n_replicas=n_replicas, fractions=arr.mean(axis=0),
@@ -544,8 +557,8 @@ class ScalingCheckResult:
 
 def scaling_check(kappa: float, alpha: float, theta: float, a: float, statistic: str,
                   z: complex, horizon: float, n: int, seed: int,
-                  theta_tilde: float | None = None, exit_radius: float | None = None,
-                  workers: int = 1) -> ScalingCheckResult:
+                  theta_tilde: float | None = None,
+                  exit_radius: float | None = None) -> ScalingCheckResult:
     """KS comparison of a summary statistic under the space-time rescaled
     evolution against the theta-rescaled driver.
 
@@ -569,10 +582,10 @@ def scaling_check(kappa: float, alpha: float, theta: float, a: float, statistic:
     spec_b = PhaseParams(z=z, kappa=kappa, alpha=alpha, theta=theta_tilde).driver_spec()
     res_a = run_adaptive_mc(spec_a, z / sq, n, horizon / a, master_seed=seed,
                             tag=("scale", "A", statistic), hit_tolerance=delta / sq,
-                            exit_radius=rho / sq, workers=workers)
+                            exit_radius=rho / sq)
     res_b = run_adaptive_mc(spec_b, z, n, horizon, master_seed=seed,
                             tag=("scale", "B", statistic), hit_tolerance=delta,
-                            exit_radius=rho, workers=workers)
+                            exit_radius=rho)
 
     if statistic == "hit_indicator":
         sa = res_a.hit.astype(float)
@@ -617,11 +630,7 @@ def disconnection_frequency(spec: DriverSpec, t: float, n: int, seed: int,
         raster = raster_cluster(window, resolution, path, cfg)
         return connected_components(raster, t)
 
-    if workers > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = np.asarray(list(pool.map(job, range(n))))
-    else:
-        counts = np.asarray([job(rep) for rep in range(n)])
+    counts = np.asarray(_per_replica(job, n, workers))
     k = int((counts >= 2).sum())
     return DisconnectionResult(t=t, n=n, fraction=k / n, wilson=wilson_ci(k, n),
                                component_counts=counts)
@@ -647,8 +656,7 @@ class Theta0BracketResult:
 
 
 def theta0_bracket(alpha: float, theta_grid, z: complex, n: int, horizon: float,
-                   seed: int, hit_tolerance: float = 1e-5,
-                   workers: int = 1) -> Theta0BracketResult:
+                   seed: int, hit_tolerance: float = 1e-5) -> Theta0BracketResult:
     """Locate the theta interval where the critical evolution's hit fraction
     crosses 1/2, alongside the analytic threshold.
 
@@ -667,7 +675,7 @@ def theta0_bracket(alpha: float, theta_grid, z: complex, n: int, horizon: float,
     for i, th in enumerate(thetas):
         params = PhaseParams(z=z, kappa=0.0, alpha=alpha, theta=th, beta=alpha)
         ests.append(hitting_probability(params, n, horizon, seed, cfg=cfg,
-                                        tag=("theta0", i), workers=workers))
+                                        tag=("theta0", i)))
     fr = np.asarray([e.hit_fraction for e in ests])
     above = fr >= 0.5
     if not above.any() or above.all():
@@ -689,7 +697,7 @@ def theta0_bracket(alpha: float, theta_grid, z: complex, n: int, horizon: float,
 def composite_driver_phase(alpha: float, kappa: float, cutoff: float,
                            cpp_rate: float, cpp_law: JumpLaw, declared_class: str,
                            z_list, n: int, horizon: float, seed: int,
-                           theta: float = 1.0, workers: int = 1) -> list[PhaseEstimate]:
+                           theta: float = 1.0) -> list[PhaseEstimate]:
     """Phase estimates for U = sqrt(kappa) B + theta^(1/alpha) S^cutoff + CPP.
 
     declared_class is user metadata echoed into the estimates (never
@@ -701,20 +709,13 @@ def composite_driver_phase(alpha: float, kappa: float, cutoff: float,
     comps.append(TruncatedStable(alpha, theta, cutoff))
     comps.append(CompoundPoisson(cpp_rate, cpp_law, declared_class))
     spec = DriverSpec(tuple(comps))
+    cfg = EvolutionConfig(horizon=horizon)
     out = []
     for i, z in enumerate(z_list):
         z = complex(z)
         if z == 0:
             raise ConfigError("z must be nonzero")
-        res = run_adaptive_mc(spec, z, n, 2.0 * horizon, master_seed=seed,
-                              tag=("cor", i), workers=workers)
-        hits_t = int(np.nansum((res.zeta <= horizon).astype(np.int64)))
-        hits_2t = int(res.hit.sum())
         params = PhaseParams(z=z, kappa=kappa, alpha=alpha, theta=theta)
-        out.append(PhaseEstimate(
-            params=params, n=n, horizon=horizon, seed=seed,
-            hit_fraction=hits_t / n, wilson=wilson_ci(hits_t, n),
-            hit_fraction_2t=hits_2t / n, horizon_flag=_flag(hits_t / n, hits_2t / n, n),
-            declared_class=declared_class,
-        ))
+        out.append(_estimate(spec, params, n, horizon, seed, cfg, ("cor", i),
+                             declared_class))
     return out

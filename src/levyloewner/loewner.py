@@ -103,7 +103,7 @@ def evolve_point(z0: complex, path: DriverPath, cfg: EvolutionConfig,
         raise ConfigError("z0 must be nonzero")
     out = evolve_lanes_on_path(
         np.asarray([z0], dtype=complex), path, cfg.horizon,
-        hit_tolerance=cfg.hit_tolerance, beta=beta, dt_safety=cfg.dt_safety,
+        hit_tolerance=cfg.hit_tolerance, beta=beta,
         record_trajectory=cfg.record_trajectory,
     )
     if cfg.record_trajectory:
@@ -285,8 +285,7 @@ def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig,
     zeta[near_origin] = 0.0
     todo = ~near_origin
     res = evolve_lanes_on_path(centers[todo], path, cfg.horizon,
-                               hit_tolerance=tol[todo], beta=beta,
-                               dt_safety=cfg.dt_safety)
+                               hit_tolerance=tol[todo], beta=beta)
     z = res.zeta.copy()
     z[np.isnan(z)] = np.inf
     zeta[todo] = z

@@ -2,6 +2,7 @@
 exit codes, and SVG well-formedness."""
 
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import levyloewner
 from levyloewner.cli import main, parse_config
 from levyloewner.errors import ConfigError
 
@@ -100,6 +102,10 @@ class TestDispatch:
     def test_exit_code_config_error(self, tmp_path):
         assert run_cli(tmp_path, "hitprob", "--alpha", "2.5") == 2
 
+    @pytest.mark.parametrize("workers", ["0", "x"])
+    def test_bad_worker_count_exit_2(self, tmp_path, workers):
+        assert run_cli(tmp_path, "gamma", "--workers", workers) == 2
+
     def test_exit_code_statistical_error(self, tmp_path):
         # no 1/2-crossing on a grid entirely below the critical strength
         code = main(["theta0-bracket", "--grid-mults", "0.01,0.02", "--n", "200",
@@ -175,9 +181,12 @@ class TestDeterminism:
 
 class TestExecutable:
     def test_module_entry_point(self, tmp_path):
+        # the child imports the package under test, installed or not
+        src = str(Path(levyloewner.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "levyloewner.cli", "theta0", "--alphas", "1.5",
              "--out", str(tmp_path / "cli")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
