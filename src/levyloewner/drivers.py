@@ -319,16 +319,33 @@ def standard_stable_sample(alpha: float, rng: np.random.Generator, size) -> np.n
 
     alpha = 2 is the Gaussian edge case Var = 2; alpha = 1 is standard Cauchy.
     """
+    return _stable_transform(alpha, _stable_variates(alpha, rng, size))
+
+
+def _stable_variates(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
+    """The raw draws behind :func:`standard_stable_sample`, stacked on a
+    leading axis: one normal at alpha = 2, else one uniform and (unless
+    alpha = 1) then one exponential."""
     if alpha == 2.0:
-        return np.sqrt(2.0) * rng.standard_normal(size)
-    v = (rng.random(size) - 0.5) * np.pi
+        return np.array((rng.standard_normal(size),))
+    u = rng.random(size)
+    if alpha == 1.0:
+        return np.array((u,))
+    return np.array((u, rng.standard_exponential(size)))
+
+
+def _stable_transform(alpha: float, raw: np.ndarray) -> np.ndarray:
+    """Map :func:`_stable_variates` output to S_1, entry by entry, so a
+    subset of the raw draws maps to the same subset of samples."""
+    if alpha == 2.0:
+        return np.sqrt(2.0) * raw[0]
+    v = (raw[0] - 0.5) * np.pi
     if alpha == 1.0:
         return np.tan(v)
-    w = rng.standard_exponential(size)
     return (
         np.sin(alpha * v)
         / np.cos(v) ** (1.0 / alpha)
-        * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
+        * (np.cos((1.0 - alpha) * v) / raw[1]) ** ((1.0 - alpha) / alpha)
     )
 
 

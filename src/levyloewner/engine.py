@@ -24,9 +24,14 @@ Sign flips caused by jump-type increments are jump-overs, never hits.
 Two drivers of the kernel exist: lanes sharing one concrete
 :class:`~levyloewner.drivers.DriverPath` (rasters, consistency checks), and
 independent-replica Monte Carlo with per-lane adaptive time steps and
-on-the-fly increment sampling (phase experiments).  Monte Carlo lanes are
-processed in order, in fixed blocks of :data:`BLOCK` with one RNG stream per
-block.
+on-the-fly increment sampling (phase experiments).  Monte Carlo replicas
+form fixed blocks of :data:`BLOCK` lanes with one RNG stream per block, and
+one loop advances every block in lockstep on the live lanes only.  In each
+iteration every block that has a live lane draws the same full-block
+variates it would draw alone, and the loop keeps the entries of its live
+lanes; a lane's state is dropped once it is hit or censored.  A replica's
+result therefore depends only on its block's stream and size, never on the
+other blocks.
 """
 
 from __future__ import annotations
@@ -42,14 +47,17 @@ from .drivers import (
     DriverSpec,
     Stable,
     TruncatedStable,
-    standard_stable_sample,
+    _stable_transform,
+    _stable_variates,
 )
 from .errors import ConfigError, NumericalError
 from .rng import stream
 from .stable_calculus import frac_constant
 
 BLOCK = 512
-_MAX_STEPS = 20_000_000  # per block; guards against a stuck adaptive loop
+# Lockstep iterations per Monte Carlo call, which last as long as its slowest
+# lane in any block; guards against a stuck adaptive loop.
+_MAX_STEPS = 20_000_000
 
 __all__ = ["BLOCK", "LaneResult", "default_hit_tolerance", "evolve_lanes_on_path", "run_adaptive_mc"]
 
@@ -105,10 +113,12 @@ def _recover_xy(u, c, sign_x):
     return x, y
 
 
-def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
+def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive, groups=None):
     """Advance the drift by per-lane dt on alive lanes; mark swallowed lanes.
 
-    Mutates x, y, zeta, min_abs, alive.  dt must be 0 on dead lanes.
+    Mutates x, y, zeta, min_abs, alive.  dt must be 0 on dead lanes.  For
+    beta < 2 the lanes of one group share an RK4 substep count; ``groups``
+    gives each lane's group as an ascending array, None makes one group.
     """
     act = alive & (dt > 0)
     if not act.any():
@@ -148,10 +158,18 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
             ug = u0[gen]
             cg = c[gen]
             dtg = dt[gen]
-            # substep count from the relative motion of |h|^2 over the step
+            # substep count from the largest relative motion of |h|^2 over
+            # the step in each group
             habs2 = np.hypot(ug, 2.0 * cg)
             rel = 4.0 * habs2 ** (-beta / 2.0) * dtg
-            nsub = int(min(64, max(1, np.ceil(np.max(rel) / 0.05))))
+            if groups is None:
+                peak = np.max(rel)
+            else:
+                g = groups[gen]
+                starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+                peak = np.repeat(np.maximum.reduceat(rel, starts), np.diff(np.r_[starts, g.size]))
+            nsub = np.clip(np.ceil(peak / 0.05), 1, 64)
+            ragged_from = int(np.min(nsub))  # substeps past a group's count leave it alone
             h_sub = dtg / nsub
             pow_ = (2.0 - beta) / 4.0
 
@@ -161,12 +179,14 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
             u_lo = ug.copy()
             cross_at = np.zeros_like(ug)
             found = np.zeros(ug.shape, dtype=bool)
-            for k in range(nsub):
+            for k in range(int(np.max(nsub))):
                 k1 = f(u_lo)
                 k2 = f(u_lo + 0.5 * h_sub * k1)
                 k3 = f(u_lo + 0.5 * h_sub * k2)
                 k4 = f(u_lo + h_sub * k3)
                 u_hi = u_lo + h_sub / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if k >= ragged_from:
+                    u_hi = np.where(k < nsub, u_hi, u_lo)
                 just = (~found) & (u_lo < 0) & (u_hi >= 0)
                 if just.any():
                     frac = -u_lo / np.maximum(u_hi - u_lo, 1e-300)
@@ -294,14 +314,46 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
 # engine B: independent-replica adaptive Monte Carlo
 # ---------------------------------------------------------------------------
 
+def _live_draws(rngs, n, lane, draws, dt=None):
+    """Per-lane variates of the live lanes, cut from whole-block draws.
+
+    ``lane`` holds the ascending indices of the live lanes among ``n``; lane
+    i belongs to block i // BLOCK, whose stream is ``rngs[i // BLOCK]``.
+    Every block with a live lane calls each ``draw(rng, m, dt_block)`` once,
+    in order, with m the block's size and, when ``dt`` is given, ``dt_block``
+    its per-lane dt with zeros on the dead lanes (else None).  A draw returns
+    its variates on the last axis, one per lane of the block; the entries of
+    the live lanes are kept, in lane order.  Each stream therefore advances
+    exactly as if its block ran alone.
+    """
+    blk = lane // BLOCK
+    first = np.r_[True, blk[1:] != blk[:-1]]
+    live = blk[first].tolist()
+    # where each live lane sits in the concatenation of its blocks' draws
+    at = lane - (blk - np.cumsum(first) + 1) * BLOCK
+    if dt is not None:
+        dt_all = np.zeros((len(live) - 1) * BLOCK + min(BLOCK, n - live[-1] * BLOCK))
+        dt_all[at] = dt
+    out = [[] for _ in draws]
+    for j, b in enumerate(live):
+        m = min(BLOCK, n - b * BLOCK)
+        dt_block = None if dt is None else dt_all[j * BLOCK:j * BLOCK + m]
+        for parts, draw in zip(out, draws):
+            parts.append(draw(rngs[b], m, dt_block))
+    return [np.concatenate(parts, axis=-1)[..., at] for parts in out]
+
+
 class _IncBrownian:
     is_continuous = True
 
     def __init__(self, kappa):
         self.kappa = kappa
 
-    def draw(self, rng, dt):
-        return np.sqrt(self.kappa * dt) * rng.standard_normal(dt.size)
+    def variates(self, rng, m, dt):
+        return rng.standard_normal(m)
+
+    def increments(self, raw, dt):
+        return np.sqrt(self.kappa * dt) * raw
 
 
 class _IncStable:
@@ -311,13 +363,23 @@ class _IncStable:
         self.alpha = alpha
         self.theta = theta
 
-    def draw(self, rng, dt):
-        return (self.theta * dt) ** (1.0 / self.alpha) * standard_stable_sample(self.alpha, rng, dt.size)
+    def variates(self, rng, m, dt):
+        return _stable_variates(self.alpha, rng, m)
+
+    def increments(self, raw, dt):
+        return (self.theta * dt) ** (1.0 / self.alpha) * _stable_transform(self.alpha, raw)
 
 
-class _IncTruncatedStable:
+class _IncWhole:
+    """An increment whose draw depends on dt: drawn whole for each block."""
+
     is_continuous = False
 
+    def increments(self, raw, dt):
+        return raw
+
+
+class _IncTruncatedStable(_IncWhole):
     def __init__(self, comp: TruncatedStable):
         a = comp.alpha
         eps = comp.eps
@@ -329,37 +391,35 @@ class _IncTruncatedStable:
         self.lam = 2.0 * ac * (self.eps_pow - self.cut_pow) / a
         self.small_sd_rate = np.sqrt(2.0 * ac * eps ** (2.0 - a) / (2.0 - a))
 
-    def draw(self, rng, dt):
-        du = self.small_sd_rate * np.sqrt(dt) * rng.standard_normal(dt.size)
+    def variates(self, rng, m, dt):
+        du = self.small_sd_rate * np.sqrt(dt) * rng.standard_normal(m)
         counts = rng.poisson(self.lam * dt)
         total = int(counts.sum())
         if total:
             u = rng.random(total)
             mags = (self.eps_pow - u * (self.eps_pow - self.cut_pow)) ** (-1.0 / self.alpha)
             signs = rng.choice([-1.0, 1.0], size=total)
-            lanes = np.repeat(np.arange(dt.size), counts)
-            du = du + np.bincount(lanes, weights=signs * mags, minlength=dt.size)
+            lanes = np.repeat(np.arange(m), counts)
+            du = du + np.bincount(lanes, weights=signs * mags, minlength=m)
         return self.scale * du
 
 
-class _IncCompoundPoisson:
+class _IncCompoundPoisson(_IncWhole):
     """Per-step Poisson thinning; increments have the exact CPP law over each
     step, with jump times quantized to step ends (steps are adaptive-small)."""
-
-    is_continuous = False
 
     def __init__(self, comp: CompoundPoisson):
         self.rate = comp.rate
         self.law = comp.jump_law
 
-    def draw(self, rng, dt):
+    def variates(self, rng, m, dt):
         counts = rng.poisson(self.rate * dt)
         total = int(counts.sum())
-        out = np.zeros(dt.size)
+        out = np.zeros(m)
         if total:
             sizes = self.law.sample(rng, total)
-            lanes = np.repeat(np.arange(dt.size), counts)
-            out = np.bincount(lanes, weights=sizes, minlength=dt.size)
+            lanes = np.repeat(np.arange(m), counts)
+            out = np.bincount(lanes, weights=sizes, minlength=m)
         return out
 
 
@@ -411,65 +471,20 @@ def _adaptive_tau(habs, beta, rules):
     return tau
 
 
-def _run_block(spec, z0, nlanes, horizon, hit_tolerance, beta, dt_safety, dt_max,
-               rng, exit_radius):
-    incs = _compile_increments(spec)
-    rules = _timescale_rules(spec)
-    x = np.full(nlanes, complex(z0).real)
-    y = np.full(nlanes, complex(z0).imag)
-    t = np.zeros(nlanes)
-    zeta = np.full(nlanes, np.nan)
-    alive = np.ones(nlanes, dtype=bool)
-    min_abs = np.full(nlanes, abs(complex(z0)))
-    steps = np.zeros(nlanes, dtype=np.int64)
-    exit_time = np.full(nlanes, np.nan) if exit_radius is not None else None
-
-    delta = np.full(nlanes, float(hit_tolerance))
-    dt_floor = float(hit_tolerance) ** beta / 16.0
-    if dt_floor < 1e-14 * horizon:
-        raise NumericalError(
-            f"hit tolerance {hit_tolerance} gives step floor {dt_floor} below 1e-14*T; refusing to underflow"
-        )
-    t_next = np.empty(nlanes)
-
-    it = 0
-    while alive.any():
-        it += 1
-        if it > _MAX_STEPS:
-            raise NumericalError("adaptive evolution exceeded the step budget without resolving")
-        habs = np.hypot(x, y)
-        dt = dt_safety * _adaptive_tau(habs, beta, rules)
-        np.clip(dt, dt_floor, dt_max, out=dt)
-        np.minimum(dt, horizon - t, out=dt)
-        dt[~alive] = 0.0
-        np.copyto(t_next, t + dt)
-
-        _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive)
-        for inc in incs:
-            du = inc.draw(rng, dt)
-            _apply_increment(x, y, np.where(alive, du, 0.0), inc.is_continuous,
-                             t_next, delta, zeta, min_abs, alive)
-        t[alive] = t_next[alive]
-        steps[alive] += 1
-        if exit_radius is not None:
-            fresh = alive & np.isnan(exit_time) & (np.hypot(x, y) >= exit_radius)
-            exit_time[fresh] = t[fresh]
-        alive &= t < horizon * (1.0 - 1e-12)
-
-    return zeta, x, y, min_abs, steps, exit_time
-
-
 def run_adaptive_mc(spec: DriverSpec, z0, n: int, horizon: float, *, master_seed: int,
                     tag, hit_tolerance: float | None = None, beta: float = 2.0,
                     dt_safety: float = 0.1, dt_max: float = 1e6,
                     exit_radius: float | None = None) -> LaneResult:
     """n independent replicas of the evolution of z0 under fresh driver paths.
 
-    Each replica's driver is realized on the fly along an adaptive grid
-    dt = dt_safety |h|^beta / (2 beta + kappa), clipped to
-    [hit_tol^beta/16, dt_max]; increments are exact marginal draws per step.
-    Replicas are grouped in blocks of :data:`BLOCK`, block b drawing from the
-    stream (master_seed, *tag, b).
+    Each replica's driver is realized on the fly along an adaptive grid:
+    dt = dt_safety * min(|h|^beta / (2 beta), tau_1(|h|), ...), where tau_j
+    is component j's local timescale (:func:`_timescale_rules`), clipped to
+    [hit_tol^beta/16, dt_max] and to the time left before the horizon;
+    increments are exact marginal draws per step.  Replicas are grouped in
+    blocks of :data:`BLOCK`, block b drawing from the stream
+    (master_seed, *tag, "block", b); all blocks advance together, and each
+    replica's outcome depends only on its own block's stream.
     """
     z0 = complex(z0)
     if z0 == 0:
@@ -484,18 +499,67 @@ def run_adaptive_mc(spec: DriverSpec, z0, n: int, horizon: float, *, master_seed
         raise ConfigError("horizon must be positive")
     if hit_tolerance is None:
         hit_tolerance = float(default_hit_tolerance(z0))
+    hit_tolerance = float(hit_tolerance)
+    dt_floor = hit_tolerance ** beta / 16.0
+    if dt_floor < 1e-14 * horizon:
+        raise NumericalError(
+            f"hit tolerance {hit_tolerance} gives step floor {dt_floor} below 1e-14*T; refusing to underflow"
+        )
     tag = tuple(tag) if isinstance(tag, (tuple, list)) else (tag,)
+    incs = _compile_increments(spec)
+    rules = _timescale_rules(spec)
+    draws = [inc.variates for inc in incs]
+    rngs = [stream(master_seed, *tag, "block", b) for b in range(-(-n // BLOCK))]
 
-    sizes = [BLOCK] * (n // BLOCK) + ([n % BLOCK] if n % BLOCK else [])
-    parts = [_run_block(spec, z0, size, horizon, hit_tolerance, beta, dt_safety,
-                        dt_max, stream(master_seed, *tag, "block", b), exit_radius)
-             for b, size in enumerate(sizes)]
+    res = LaneResult(z0=np.full(n, z0), zeta=np.full(n, np.nan), x=np.empty(n), y=np.empty(n),
+                     min_abs=np.empty(n), steps=np.empty(n, dtype=np.int64),
+                     hit_tolerance=np.full(n, hit_tolerance),
+                     exit_time=np.full(n, np.nan) if exit_radius is not None else None)
+    # state of the live lanes, in lane order; a lane's outcome is written to
+    # res when it dies, and its state is then dropped
+    lane = np.arange(n)
+    x = np.full(n, z0.real)
+    y = np.full(n, z0.imag)
+    t = np.zeros(n)
+    zeta = np.full(n, np.nan)
+    min_abs = np.full(n, abs(z0))
+    exit_time = np.full(n, np.nan) if exit_radius is not None else None
 
-    def cat(i):
-        if parts[0][i] is None:
-            return None
-        return np.concatenate([p[i] for p in parts])
+    it = 0
+    while lane.size:
+        it += 1
+        if it > _MAX_STEPS:
+            raise NumericalError("adaptive evolution exceeded the step budget without resolving")
+        dt = dt_safety * _adaptive_tau(np.hypot(x, y), beta, rules)
+        np.clip(dt, dt_floor, dt_max, out=dt)
+        np.minimum(dt, horizon - t, out=dt)
+        t_next = t + dt
+        raws = _live_draws(rngs, n, lane, draws, dt)
 
-    return LaneResult(z0=np.full(n, z0), zeta=cat(0), x=cat(1), y=cat(2),
-                      min_abs=cat(3), steps=cat(4),
-                      hit_tolerance=np.full(n, hit_tolerance), exit_time=cat(5))
+        alive = np.ones(lane.size, dtype=bool)
+        _drift_advance(x, y, dt, beta, t, hit_tolerance, zeta, min_abs, alive,
+                       groups=lane // BLOCK)
+        for inc, raw in zip(incs, raws):
+            _apply_increment(x, y, np.where(alive, inc.increments(raw, dt), 0.0),
+                             inc.is_continuous, t_next, hit_tolerance, zeta, min_abs, alive)
+        t = t_next
+        if exit_radius is not None:
+            fresh = alive & np.isnan(exit_time) & (np.hypot(x, y) >= exit_radius)
+            exit_time[fresh] = t[fresh]
+        alive &= t < horizon * (1.0 - 1e-12)
+
+        if not alive.all():
+            dead = ~alive
+            out = lane[dead]
+            res.zeta[out] = zeta[dead]
+            res.x[out] = x[dead]
+            res.y[out] = y[dead]
+            res.min_abs[out] = min_abs[dead]
+            # a hit lane stopped inside this iteration, a censored one after it
+            res.steps[out] = it - 1 + np.isnan(zeta[dead])
+            if exit_radius is not None:
+                res.exit_time[out] = exit_time[dead]
+                exit_time = exit_time[alive]
+            lane, x, y, t, zeta, min_abs = (a[alive] for a in (lane, x, y, t, zeta, min_abs))
+
+    return res

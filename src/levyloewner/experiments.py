@@ -9,10 +9,14 @@ conventions of this artifact at the documented (n, T), not claims of the
 underlying theory.
 
 Determinism: every estimator takes a master seed and derives one stream per
-(operation, cell, block) or per replica.  Estimators run on the calling
-thread, except the per-replica raster loops of :func:`area_fraction` and
-:func:`disconnection_frequency`, which fan out over ``workers`` threads; the
-thread count only changes scheduling, never results.
+(operation, cell, block) or per replica.  The Monte Carlo estimators and the
+annulus-exit loop of :func:`overshoot_histogram` advance all blocks of
+:data:`~levyloewner.engine.BLOCK` replicas in lockstep on the live replicas
+only; each block draws full-block variates from its own stream, so a
+replica's result never depends on the other blocks.  Estimators run on the
+calling thread, except the per-replica raster loops of :func:`area_fraction`
+and :func:`disconnection_frequency`, which fan out over ``workers`` threads;
+the thread count only changes scheduling, never results.
 """
 
 from __future__ import annotations
@@ -30,9 +34,11 @@ from .drivers import (
     JumpLaw,
     Stable,
     TruncatedStable,
+    _stable_transform,
+    _stable_variates,
     sample_driver,
 )
-from .engine import BLOCK, run_adaptive_mc
+from .engine import BLOCK, _live_draws, run_adaptive_mc
 from .errors import ConfigError, StatisticalError
 from .loewner import EvolutionConfig, connected_components, raster_cluster
 from .rng import stream
@@ -169,8 +175,6 @@ def hitting_probability(params: PhaseParams, n: int, horizon: float, seed: int,
     """
     if params.z == 0:
         raise ConfigError("z must be nonzero")
-    if n < 100:
-        raise ConfigError("n >= 100 required for CI validity")
     if cfg is None:
         cfg = EvolutionConfig(horizon=horizon)
     return _estimate(params.driver_spec(), params, n, horizon, seed, cfg, tag)
@@ -180,6 +184,8 @@ def _estimate(spec: DriverSpec, params: PhaseParams, n: int, horizon: float,
               seed: int, cfg: EvolutionConfig, tag,
               declared_class: str = "n/a") -> PhaseEstimate:
     """Run n replicas of spec to 2T and count hits by T and by 2T."""
+    if n < 100:
+        raise ConfigError("n >= 100 required for CI validity")
     res = run_adaptive_mc(
         spec, params.z, n, 2.0 * horizon,
         master_seed=seed, tag=tag, hit_tolerance=cfg.hit_tolerance,
@@ -333,73 +339,67 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
     the boundary (atoms); jump sub-crossings record the landed position."""
     if not (b > a > 0 and a < abs(x0) < b):
         raise ConfigError("need b > a > 0 and a < |x0| < b")
+    rngs = [stream(seed, "overshoot", blk, str(a), str(b)) for blk in range(-(-n // BLOCK))]
+    draws = []
+    if kappa > 0:
+        draws.append(lambda rng, m, dt: rng.standard_normal(m))
+    if theta > 0:
+        draws.append(lambda rng, m, dt: _stable_variates(alpha, rng, m))
     sides = np.zeros(n, dtype=np.int8)  # 0 censored, 1 inner, 2 outer
     positions = np.full(n, np.nan)
-    done = 0
-    blk = 0
-    while done < n:
-        m = min(BLOCK, n - done)
-        rng = stream(seed, "overshoot", blk, str(a), str(b))
-        x = np.full(m, float(x0))
-        t = np.zeros(m)
-        side = np.zeros(m, dtype=np.int8)
-        pos = np.full(m, np.nan)
-        active = np.ones(m, dtype=bool)
-        while active.any():
-            ax = np.abs(x)
-            d = np.minimum(ax - a, b - ax)
-            tau = ax * np.maximum(b - ax, 1e-12) / 2.0  # drift time to reach b
-            if kappa > 0:
-                tau = np.minimum(tau, d * d / kappa)
-            if theta > 0:
-                tau = np.minimum(tau, d ** alpha / theta)
-            dt = np.clip(0.1 * tau, 1e-9 * (b - a) ** 2, horizon)
-            dt = np.minimum(dt, horizon - t)
-            dt[~active] = 0.0
+    # state of the live replicas, in replica order; exits are written to
+    # sides/positions at once and the replica is dropped after the step
+    lane = np.arange(n)
+    x = np.full(n, float(x0))
+    t = np.zeros(n)
 
-            # drift: |x| grows, may cross b continuously -> atom at sign(x)*b
-            mask = active & (dt > 0)
-            xm = np.where(mask, np.sign(x) * np.sqrt(x * x + 4.0 * dt), x)
-            crossed = mask & (np.abs(xm) >= b)
-            pos[crossed] = np.sign(x[crossed]) * b
-            side[crossed] = 2
-            active &= ~crossed
-            x = np.where(active, xm, x)
+    def leave(mask, side, where):
+        sides[lane[mask]] = side
+        positions[lane[mask]] = where[mask]
 
-            if kappa > 0:
-                db = np.sqrt(kappa * dt) * rng.standard_normal(m)
-                mask = active & (dt > 0)
-                xb = np.where(mask, x - db, x)
-                inner = mask & ((np.abs(xb) <= a) | (np.sign(xb) != np.sign(x)))
-                outer = mask & ~inner & (np.abs(xb) >= b)
-                pos[inner] = np.sign(x[inner]) * a
-                side[inner] = 1
-                pos[outer] = np.sign(x[outer]) * b
-                side[outer] = 2
-                active &= ~(inner | outer)
-                x = np.where(active, xb, x)
+    while lane.size:
+        ax = np.abs(x)
+        d = np.minimum(ax - a, b - ax)
+        tau = ax * np.maximum(b - ax, 1e-12) / 2.0  # drift time to reach b
+        if kappa > 0:
+            tau = np.minimum(tau, d * d / kappa)
+        if theta > 0:
+            tau = np.minimum(tau, d ** alpha / theta)
+        dt = np.clip(0.1 * tau, 1e-9 * (b - a) ** 2, horizon)
+        dt = np.minimum(dt, horizon - t)
+        raws = iter(_live_draws(rngs, n, lane, draws))
+        active = dt > 0
 
-            if theta > 0:
-                from .drivers import standard_stable_sample
+        # drift: |x| grows, may cross b continuously -> atom at sign(x)*b
+        xm = np.where(active, np.sign(x) * np.sqrt(x * x + 4.0 * dt), x)
+        crossed = active & (np.abs(xm) >= b)
+        leave(crossed, 2, np.sign(x) * b)
+        active &= ~crossed
+        x = np.where(active, xm, x)
 
-                ds = (theta * dt) ** (1.0 / alpha) * standard_stable_sample(alpha, rng, m)
-                mask = active & (dt > 0)
-                xs = np.where(mask, x - ds, x)
-                inner = mask & (np.abs(xs) <= a)
-                outer = mask & ~inner & (np.abs(xs) >= b)
-                pos[inner] = xs[inner]
-                side[inner] = 1
-                pos[outer] = xs[outer]
-                side[outer] = 2
-                active &= ~(inner | outer)
-                x = np.where(active, xs, x)
+        if kappa > 0:
+            db = np.sqrt(kappa * dt) * next(raws)
+            xb = np.where(active, x - db, x)
+            inner = active & ((np.abs(xb) <= a) | (np.sign(xb) != np.sign(x)))
+            outer = active & ~inner & (np.abs(xb) >= b)
+            leave(inner, 1, np.sign(x) * a)
+            leave(outer, 2, np.sign(x) * b)
+            active &= ~(inner | outer)
+            x = np.where(active, xb, x)
 
-            t = t + dt
-            active &= t < horizon * (1 - 1e-12)
-        sides[done:done + m] = side
-        positions[done:done + m] = pos
-        done += m
-        blk += 1
+        if theta > 0:
+            ds = (theta * dt) ** (1.0 / alpha) * _stable_transform(alpha, next(raws))
+            xs = np.where(active, x - ds, x)
+            inner = active & (np.abs(xs) <= a)
+            outer = active & ~inner & (np.abs(xs) >= b)
+            leave(inner, 1, xs)
+            leave(outer, 2, xs)
+            active &= ~(inner | outer)
+            x = np.where(active, xs, x)
+
+        t = t + dt
+        active &= t < horizon * (1 - 1e-12)
+        lane, x, t = lane[active], x[active], t[active]
     return sides, positions
 
 

@@ -197,6 +197,11 @@ class TestCompositeDrivers:
                                       [1.0], 1000, 100.0, seed=63)
         assert ests[0].hit_fraction <= 0.05
 
+    def test_n_too_small_rejected(self):
+        rec = JumpLaw("two_point", {"size": 1.0})
+        with pytest.raises(ConfigError):
+            composite_driver_phase(1.5, 8.0, 1.0, 1.0, rec, "recurrent", [1.0], 10, 1.0, seed=64)
+
 
 class TestReproducibility:
     def test_hitting_probability_deterministic(self):
