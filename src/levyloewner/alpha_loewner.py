@@ -44,8 +44,8 @@ def evolve_point_beta(z0: complex, path: DriverPath, cfg: AlphaEvolutionConfig) 
     Between driver grid points the drift preserves x*y and moves x^2-y^2
     monotonically, which reduces it to a 1-d integration: exact on the axes
     and on every ray at beta = 2, Runge-Kutta elsewhere, with one substep
-    count shared by all lanes of a grid step, taken from a 0.05 bound on the
-    relative motion of |h|^2 and capped at 64.  cfg.dt_safety does not apply
+    count shared by the lanes still alive in a grid step, taken from a 0.05
+    bound on the relative motion of |h|^2 and capped at 64.  cfg.dt_safety does not apply
     (it sizes the adaptive Monte Carlo grid only).  beta = 2 reproduces
     evolve_point exactly.
     """

@@ -9,10 +9,12 @@ which preserves c = x*y and moves u = x^2 - y^2 monotonically up:
 
     du/dt = 4 (u^2 + 4c^2)^((2-beta)/4),          |h|^2 = sqrt(u^2 + 4c^2).
 
-For beta = 2 this integrates exactly (u -> u + 4 dt, the slit-map update);
-for beta < 2 lanes on the axes have the closed form |h|^beta linear in t and
-off-axis lanes take Runge-Kutta substeps on u.  A lane is swallowed within a
-drift interval exactly when u crosses 0 with sqrt(2|c|) <= delta.
+For beta = 2 this integrates exactly (u -> u + 4 dt); for beta < 2 lanes on
+the axes have the closed form |h|^beta linear in t and off-axis lanes take
+Runge-Kutta substeps on u.  The new h is then one complex square root of
+u + 2ic on the upper branch, which at beta = 2 is exactly the slit map
+h -> sqrt(h^2 + 4 dt).  A lane is swallowed within a drift interval exactly
+when u crosses 0 with sqrt(2|c|) <= delta.
 
 Driver increments shift x.  Hits are declared when
   * |h| <= delta after any sub-update (covers a ledger jump landing on the
@@ -21,15 +23,18 @@ Driver increments shift x.  Hits are declared when
     the underlying continuous path crossed zero inside the step.
 Sign flips caused by jump-type increments are jump-overs, never hits.
 
-Two drivers of the kernel exist: lanes sharing one concrete
-:class:`~levyloewner.drivers.DriverPath` (rasters, consistency checks), and
-independent-replica Monte Carlo with per-lane adaptive time steps and
-on-the-fly increment sampling (phase experiments).  Monte Carlo replicas
+Two drivers of the kernel exist, and both compute only the lanes still
+alive: a lane's outcome is written when it dies and its state is dropped.
+Engine A moves lanes sharing one concrete
+:class:`~levyloewner.drivers.DriverPath` (rasters, consistency checks) along
+its grid; a lane's result depends on its own point and tolerance only (at
+beta < 2 the RK4 substep count is shared by the live lanes of a grid step).
+Engine B runs independent-replica Monte Carlo with per-lane adaptive time
+steps and on-the-fly increment sampling (phase experiments).  Its replicas
 form fixed blocks of :data:`BLOCK` lanes with one RNG stream per block, and
-one loop advances every block in lockstep on the live lanes only.  In each
-iteration every block that has a live lane draws the same full-block
-variates it would draw alone, and the loop keeps the entries of its live
-lanes; a lane's state is dropped once it is hit or censored.  A replica's
+one loop advances every block in lockstep.  In each iteration every block
+that has a live lane draws the same full-block variates it would draw alone,
+and the loop keeps the entries of its live lanes.  A replica's
 result therefore depends only on its block's stream and size, never on the
 other blocks.
 """
@@ -93,50 +98,47 @@ class LaneResult:
 # drift kernel
 # ---------------------------------------------------------------------------
 
-def _recover_xy(u, c, sign_x):
-    """Invert u = x^2-y^2, c = x*y with y >= 0 and the given sign of x.
+def _slit_root(u, c, x, y):
+    """Set x + iy to the root of u + 2ic on the upper branch: y >= +0 and x
+    keeps its sign.  At beta = 2 this is the slit map h -> sqrt(h^2 + 4 dt)."""
+    w = np.empty(u.shape, dtype=complex)
+    w.real = u
+    np.abs(c, out=w.imag)
+    w.imag *= 2.0
+    w = np.sqrt(w)
+    np.copysign(w.real, x, out=x)
+    y[:] = w.imag
 
-    The dominant coordinate is taken from the stable square root and the other
-    from c to avoid cancellation when one coordinate is tiny.
-    """
-    habs2 = np.hypot(u, 2.0 * c)
-    pos = u >= 0
-    xs = np.sqrt(np.maximum(habs2 + u, 0.0) * 0.5)
-    ys = np.sqrt(np.maximum(habs2 - u, 0.0) * 0.5)
-    sgn = np.where(sign_x == 0, 1.0, sign_x)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        y_from_x = np.where(xs > 0, np.abs(c) / np.where(xs == 0, 1.0, xs), 0.0)
-        x_from_y = np.where(ys > 0, c / np.where(ys == 0, 1.0, ys), 0.0)
-    x = np.where(pos, sgn * xs, x_from_y)
-    y = np.where(pos, y_from_x, ys)
-    np.maximum(y, 0.0, out=y)
-    return x, y
+
+def _at(a, idx):
+    """``a[idx]`` for a per-lane array, ``a`` itself for a scalar."""
+    return a[idx] if np.ndim(a) else a
 
 
 def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive, groups=None):
-    """Advance the drift by per-lane dt on alive lanes; mark swallowed lanes.
+    """Advance the drift of every lane by dt > 0 from time t; mark swallowed
+    lanes dead.
 
-    Mutates x, y, zeta, min_abs, alive.  dt must be 0 on dead lanes.  For
-    beta < 2 the lanes of one group share an RK4 substep count; ``groups``
-    gives each lane's group as an ascending array, None makes one group.
+    Every lane must be live on entry; dt, t and delta are per-lane arrays or
+    scalars.  Mutates x, y, zeta, min_abs, alive (a swallowed lane keeps its
+    pre-drift x, y).  For beta < 2 the lanes of one group share an RK4 substep
+    count; ``groups`` gives each lane's group as an ascending array, None
+    makes one group.
     """
-    act = alive & (dt > 0)
-    if not act.any():
-        return
     u0 = x * x - y * y
     c = x * y
-    sign_x = np.sign(x)
 
     if beta == 2.0:
         u1 = u0 + 4.0 * dt
-        crossed = act & (u0 < 0) & (u1 >= 0)
-        s_star = np.where(crossed, -u0 * 0.25, 0.0)
+        cr = np.flatnonzero((u0 < 0) & (u1 >= 0))
+        s_cr = -u0[cr] * 0.25
     else:
+        dt = np.broadcast_to(dt, u0.shape)
         u1 = np.array(u0, copy=True)
         s_star = np.zeros_like(u0)
-        crossed = np.zeros_like(act)
+        crossed = np.zeros(u0.shape, dtype=bool)
 
-        on_axis = act & (c == 0.0)
+        on_axis = c == 0.0
         # real axis: |x|^beta grows linearly at rate 2 beta
         real_ax = on_axis & (u0 > 0)
         if real_ax.any():
@@ -153,7 +155,7 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive, groups=None):
             crossed[sub[hit_ax]] = True
             s_star[sub[hit_ax]] = m0[hit_ax] / (2.0 * beta)
 
-        gen = act & (c != 0.0)
+        gen = ~on_axis
         if gen.any():
             ug = u0[gen]
             cg = c[gen]
@@ -197,41 +199,63 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive, groups=None):
             crossed[sub] = found
             s_star[sub] = cross_at
             u1[sub] = u_lo
+        cr = np.flatnonzero(crossed)
+        s_cr = s_star[cr]
 
-    dip = np.where(crossed, np.sqrt(2.0 * np.abs(c)), np.inf)
-    np.minimum(min_abs, np.where(act, dip, np.inf), out=min_abs)
-    swallowed = act & crossed & (dip <= delta)
-    zeta[swallowed] = t[swallowed] + s_star[swallowed]
-    alive &= ~swallowed
-
-    move = act & ~swallowed
-    if move.any():
-        xn, yn = _recover_xy(u1, c, sign_x)
-        x[move] = xn[move]
-        y[move] = yn[move]
+    # a lane whose u crosses 0 passes |h| = sqrt(2|c|) inside the step
+    dip = np.sqrt(2.0 * np.abs(c[cr]))
+    min_abs[cr] = np.minimum(min_abs[cr], dip)
+    swallowed = dip <= _at(delta, cr)
+    dead = cr[swallowed]
+    zeta[dead] = _at(t, dead) + s_cr[swallowed]
+    alive[dead] = False
+    x_dead, y_dead = x[dead], y[dead]
+    _slit_root(u1, c, x, y)
+    x[dead], y[dead] = x_dead, y_dead
 
 
 def _apply_increment(x, y, du, is_continuous, t_next, delta, zeta, min_abs, alive):
-    """Shift x by -du on alive lanes and run hit checks. Mutates state."""
+    """Shift x by -du on alive lanes and run the hit checks at t_next.  du,
+    t_next and delta are per-lane arrays or scalars.  Mutates x, zeta,
+    min_abs, alive."""
     act = alive & (du != 0.0)
-    sign_old = np.sign(x)
-    x[act] -= du[act]
-    habs = np.hypot(x, y)
-    np.minimum(min_abs, np.where(alive, habs, np.inf), out=min_abs)
-    hit = alive & (habs <= delta)
+    flip = np.zeros_like(alive)
     if is_continuous:
-        flip = act & (y <= delta) & (np.sign(x) != sign_old) & (sign_old != 0) & (x != 0)
-        hit |= flip
-    zeta[hit] = t_next[hit]
+        # the path crossed h = 0 inside the step if x changes sign at y <= delta
+        low = np.flatnonzero(act & (y <= delta))
+        sign_old = np.sign(x[low])
+    np.subtract(x, du, out=x, where=act)
+    if is_continuous:
+        x_low = x[low]
+        flip[low] = (np.sign(x_low) != sign_old) & (sign_old != 0) & (x_low != 0)
+    _check_endpoint(x, y, t_next, delta, zeta, min_abs, alive, flip)
+
+
+def _check_endpoint(x, y, t_now, delta, zeta, min_abs, alive, hit=None):
+    """Fold |h| into min_abs and mark lanes with |h| <= delta (or ``hit``)
+    dead at t_now.  Mutates zeta, min_abs, alive."""
+    # |h| rounds to no less than max(|x|, |y|), so only lanes in that box can
+    # set a new minimum of |h| or come within delta
+    near = np.flatnonzero(alive & (np.maximum(np.abs(x), np.abs(y)) <= np.maximum(min_abs, delta)))
+    habs = np.hypot(x[near], y[near])
+    min_abs[near] = np.minimum(min_abs[near], habs)
+    if hit is None:
+        hit = np.zeros_like(alive)
+    hit[near] |= habs <= _at(delta, near)
+    np.copyto(zeta, t_now, where=hit)
     alive &= ~hit
 
 
-def _check_endpoint(x, y, t_now, delta, zeta, min_abs, alive):
-    habs = np.hypot(x, y)
-    np.minimum(min_abs, np.where(alive, habs, np.inf), out=min_abs)
-    hit = alive & (habs <= delta)
-    zeta[hit] = t_now[hit]
-    alive &= ~hit
+def _retire(res, lane, dead, x, y, zeta, min_abs, steps):
+    """Write the outcome of the lanes ``lane[dead]`` into ``res``; returns
+    their indices."""
+    out = lane[dead]
+    res.zeta[out] = zeta[dead]
+    res.x[out] = x[dead]
+    res.y[out] = y[dead]
+    res.min_abs[out] = min_abs[dead]
+    res.steps[out] = steps
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +268,10 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
 
     The driver is held constant between grid points (its cadlag value), the
     drift part of each interval is applied exactly, and the grid-step driver
-    increment lands at the step's right endpoint.  Returns a
+    increment lands at the step's right endpoint.  Each step computes the
+    live lanes only; a lane's outcome is written when it dies.  Returns a
     :class:`LaneResult` (and a trajectory array when requested: columns
-    t, Re h, Im h, U for the first lane).
+    t, Re h, Im h, U for the first lane, frozen once it dies).
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
     if np.any(z0 == 0):
@@ -255,6 +280,8 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
         raise ConfigError("tracked points must lie in the closed upper half-plane")
     if not 1.0 < beta <= 2.0:
         raise ConfigError(f"beta must lie in (1,2], got {beta}")
+    if not horizon > 0:
+        raise ConfigError(f"horizon must be positive, got {horizon}")
     if path.horizon < horizon - 1e-12:
         raise ConfigError(f"path horizon {path.horizon} shorter than requested {horizon}")
 
@@ -263,51 +290,50 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
         delta = default_hit_tolerance(z0)
     else:
         delta = np.broadcast_to(np.asarray(hit_tolerance, dtype=float), (n,)).copy()
-    if np.any(delta <= 0):
-        raise ConfigError("hit tolerance must be positive")
+    if not np.all((0.0 < delta) & (delta < np.inf)):
+        raise ConfigError("hit tolerance must be positive and finite")
 
+    res = LaneResult(z0=z0, zeta=np.full(n, np.nan), x=np.empty(n), y=np.empty(n),
+                     min_abs=np.empty(n), steps=np.empty(n, dtype=np.int64),
+                     hit_tolerance=delta)
+    # state of the live lanes, in lane order
+    lane = np.arange(n)
     x = z0.real.copy()
     y = z0.imag.copy()
     zeta = np.full(n, np.nan)
     min_abs = np.abs(z0).astype(float)
-    alive = np.ones(n, dtype=bool)
-    steps = np.zeros(n, dtype=np.int64)
-    t_arr = np.zeros(n)
+    tol = delta
 
     grid = path.grid
     values = path.values
-    jump_mask = path.jump_step_mask()
-    bracket_base = path.has_brownian
-    traj = [] if record_trajectory else None
-    if record_trajectory:
-        traj.append((0.0, x[0], y[0], 0.0))
+    continuous = path.has_brownian & ~path.jump_step_mask()
+    traj = [(0.0, x[0], y[0], 0.0)] if record_trajectory else None
 
+    it = 0
     for i in range(grid.size - 1):
         t0 = grid[i]
-        if t0 >= horizon - 1e-15 or not alive.any():
+        if t0 >= horizon - 1e-15 or not lane.size:
             break
-        was_alive = alive.copy()
+        it += 1
         t1 = min(grid[i + 1], horizon)
-        dt_full = t1 - t0
-        t_arr.fill(t0)
-        dt = np.where(alive, dt_full, 0.0)
-        _drift_advance(x, y, dt, beta, t_arr, delta, zeta, min_abs, alive)
-        t_arr.fill(t1)
-        _check_endpoint(x, y, t_arr, delta, zeta, min_abs, alive)
-        if grid[i + 1] <= horizon + 1e-15:
-            du_val = values[i + 1] - values[i]
-            du = np.where(alive, du_val, 0.0)
-            _apply_increment(x, y, du, bracket_base and not jump_mask[i],
-                             t_arr, delta, zeta, min_abs, alive)
-        steps[was_alive] += 1
+        full_step = grid[i + 1] <= horizon + 1e-15
+        du = values[i + 1] - values[i]
+        alive = np.ones(lane.size, dtype=bool)
+        _drift_advance(x, y, t1 - t0, beta, t0, tol, zeta, min_abs, alive)
+        _check_endpoint(x, y, t1, tol, zeta, min_abs, alive)
+        if full_step and du != 0.0:
+            _apply_increment(x, y, du, continuous[i], t1, tol, zeta, min_abs, alive)
         if record_trajectory:
-            traj.append((t1, x[0], y[0], values[i + 1] if grid[i + 1] <= horizon + 1e-15 else values[i]))
+            h = (x[0], y[0]) if lane[0] == 0 else (res.x[0], res.y[0])
+            traj.append((t1, *h, values[i + 1] if full_step else values[i]))
+        if not alive.all():
+            _retire(res, lane, ~alive, x, y, zeta, min_abs, it)
+            lane, x, y, zeta, min_abs, tol = (a[alive] for a in (lane, x, y, zeta, min_abs, tol))
+    _retire(res, lane, slice(None), x, y, zeta, min_abs, it)
 
-    result = LaneResult(z0=z0, zeta=zeta, x=x, y=y, min_abs=min_abs, steps=steps,
-                        hit_tolerance=delta)
     if record_trajectory:
-        return result, np.asarray(traj)
-    return result
+        return res, np.asarray(traj)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +526,8 @@ def run_adaptive_mc(spec: DriverSpec, z0, n: int, horizon: float, *, master_seed
     if hit_tolerance is None:
         hit_tolerance = float(default_hit_tolerance(z0))
     hit_tolerance = float(hit_tolerance)
+    if not 0.0 < hit_tolerance < np.inf:
+        raise ConfigError("hit tolerance must be positive and finite")
     dt_floor = hit_tolerance ** beta / 16.0
     if dt_floor < 1e-14 * horizon:
         raise NumericalError(
@@ -540,8 +568,8 @@ def run_adaptive_mc(spec: DriverSpec, z0, n: int, horizon: float, *, master_seed
         _drift_advance(x, y, dt, beta, t, hit_tolerance, zeta, min_abs, alive,
                        groups=lane // BLOCK)
         for inc, raw in zip(incs, raws):
-            _apply_increment(x, y, np.where(alive, inc.increments(raw, dt), 0.0),
-                             inc.is_continuous, t_next, hit_tolerance, zeta, min_abs, alive)
+            _apply_increment(x, y, inc.increments(raw, dt), inc.is_continuous, t_next,
+                             hit_tolerance, zeta, min_abs, alive)
         t = t_next
         if exit_radius is not None:
             fresh = alive & np.isnan(exit_time) & (np.hypot(x, y) >= exit_radius)
@@ -550,13 +578,8 @@ def run_adaptive_mc(spec: DriverSpec, z0, n: int, horizon: float, *, master_seed
 
         if not alive.all():
             dead = ~alive
-            out = lane[dead]
-            res.zeta[out] = zeta[dead]
-            res.x[out] = x[dead]
-            res.y[out] = y[dead]
-            res.min_abs[out] = min_abs[dead]
             # a hit lane stopped inside this iteration, a censored one after it
-            res.steps[out] = it - 1 + np.isnan(zeta[dead])
+            out = _retire(res, lane, dead, x, y, zeta, min_abs, it - 1 + np.isnan(zeta[dead]))
             if exit_radius is not None:
                 res.exit_time[out] = exit_time[dead]
                 exit_time = exit_time[alive]

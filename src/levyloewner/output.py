@@ -48,12 +48,6 @@ def json_dump(obj, path) -> None:
 
 def fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
-        if np.isnan(v):
-            return "nan"
-        if np.isposinf(v):
-            return "inf"
-        if np.isneginf(v):
-            return "-inf"
         return format(float(v), ".17g")
     return str(v)
 

@@ -7,8 +7,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from levyloewner.drivers import Brownian, CompoundPoisson, DriverSpec, JumpLaw, Stable, TruncatedStable
-from levyloewner.engine import BLOCK, run_adaptive_mc
+from levyloewner.drivers import (Brownian, CompoundPoisson, DriverSpec, JumpLaw, Stable, TruncatedStable,
+                                 sample_driver)
+from levyloewner.engine import BLOCK, evolve_lanes_on_path, run_adaptive_mc
+from levyloewner.errors import ConfigError
 from levyloewner.experiments import _annulus_exit_positions
 
 COMPOSITE = DriverSpec((Brownian(3.0), TruncatedStable(1.5, 1.0, 1.0),
@@ -73,3 +75,103 @@ def test_composite_driver_output_bytes_pinned(beta):
                           beta=beta, hit_tolerance=1e-2,
                           exit_radius=2.0 if beta == 2.0 else None)
     assert {f: _sha(getattr(res, f)) for f in PINNED[beta]} == PINNED[beta]
+
+
+# ---------------------------------------------------------------------------
+# engine A: lanes sharing one sampled path
+# ---------------------------------------------------------------------------
+
+def _path_lanes(first):
+    """A 24x16 raster of the window [-2,2]x[0,2.5] behind ``first``, plus
+    points on both axes (one with a negative-zero real part)."""
+    gx, gy = np.meshgrid(np.linspace(-2.0, 2.0, 24), np.linspace(0.05, 2.5, 16))
+    axes = [0.3, -0.7, 1.5, 0.4j, 1.1j, complex(-0.0, 0.8)]
+    z = np.concatenate([[first], (gx + 1j * gy).ravel(), axes])
+    return z, 0.02 * (1.0 + np.abs(z))
+
+
+# spec, beta, path horizon, grid step, lane 0, run horizon (inside the last
+# grid step for the first case)
+PATH_CASES = {
+    "bs_beta2": (DriverSpec((Brownian(2.0), Stable(1.5, 1.0))), 2.0, 1.5, 0.005, 0.1 + 0.1j, 1.4985),
+    "bs_beta1_5": (DriverSpec((Brownian(2.0), Stable(1.5, 1.0))), 1.5, 1.0, 0.01, 1.5 + 1.0j, 1.0),
+    "cpp_beta2": (DriverSpec((Brownian(0.0), CompoundPoisson(4.0, JumpLaw("two_point", {"size": 0.5})))),
+                  2.0, 3.0, 0.01, 0.3 + 0.2j, 3.0),
+}
+
+
+def _path_run(case, keep=slice(None), record_trajectory=True):
+    spec, beta, path_horizon, dt, first, horizon = PATH_CASES[case]
+    path = sample_driver(spec, path_horizon, 2026, dt=dt)
+    z, tol = _path_lanes(first)
+    return evolve_lanes_on_path(z[keep], path, horizon, hit_tolerance=tol[keep], beta=beta,
+                                record_trajectory=record_trajectory)
+
+
+# SHA-256 of engine A's output arrays and lane 0's trajectory (x86-64, numpy
+# 2.4), recorded before engine A ran on live lanes only.
+PATH_PINNED = {
+    "bs_beta2": {
+        "zeta": "a2b54abc45323b21c5e0cf3e4ee7acb0000eec4082c3d03687c7feb8ffbeef89",
+        "x": "d78d8d31f2a06ddc13009a43f8cf2898ae6ceb4dc02f798986b5e74f5405a537",
+        "y": "b6cc857bed825f0f1fd714f09be24d383231b1ac38b4cd55f24415465248a33a",
+        "min_abs": "6efcec6400478f280c6a1e6e2ec6e05df5fcfe1f0ae64c012bbaeaa770851f06",
+        "steps": "8f7147524831bc80e13227932d8ddfdd87aa030f1d6ad67891510f15a4fa4c5d",
+        "trajectory": "8e7f2afad2333a7cce647026e9abd42184c0a4847535a3c07bdb84f2e317657e",
+    },
+    "bs_beta1_5": {
+        "zeta": "c5a343663abe16825896d639f127ad621e28513ce4eafcdfa5711bb861af4b20",
+        "x": "357447b25f98aca4af677ab15bedd0146e6031aa47dcbc6644de9b0c5fe3de95",
+        "y": "221537dd9b2f93aa577a8b5dc609d3cd00c89acc5c77546ca865c5b3e6e3ff10",
+        "min_abs": "4ad30374e3094a3e0a58e45030c15a67ce8041ede738aa7424d13d3a9927bb0d",
+        "steps": "e41f653c53d23ebe3a1359da29d4dcbca64a992e5dc1dc6a4d333d2948451e90",
+        "trajectory": "1dcbde881e07e23b16af6077e09fb30f1e740d89733ab35ace6761172b1d6df1",
+    },
+    "cpp_beta2": {
+        "zeta": "559d239794bd19b9474c47c56a05f7b2c4aeec07b98079b549e4a02bb6969241",
+        "x": "935991703cb4a84a02108a73c9791798ab3e287949f7ff57aca7df797b61590a",
+        "y": "f4b97a4d349f0662c3beffd9f74e1d6b5c33b47c57f429178fb516cd81b363a3",
+        "min_abs": "4435f659d3dbdf44739846f7c62b4e47dfbb0cadc46c550e73e04ddde042b4cb",
+        "steps": "719b2fcb47e8a05e257453c651af9da49d8ada008ff4318e54f75a6a386843fc",
+        "trajectory": "978cf40868f3edd990c420e94651cfb774871c82df43c3c9217f66f497f62445",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATH_CASES))
+def test_path_output_bytes_pinned(case):
+    res, traj = _path_run(case)
+    got = {f: _sha(getattr(res, f)) for f in FIELDS}
+    got["trajectory"] = _sha(traj)
+    assert got == PATH_PINNED[case]
+
+
+def test_path_lanes_do_not_depend_on_other_lanes():
+    keep = np.r_[0, 5:385:3, 385:391]
+    full = _path_run("bs_beta2", record_trajectory=False)
+    part = _path_run("bs_beta2", keep, record_trajectory=False)
+    for f in FIELDS:
+        np.testing.assert_array_equal(getattr(full, f)[keep], getattr(part, f), err_msg=f)
+
+
+BAD_TOLERANCES = [0.0, -1e-3, np.nan, np.inf]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_path_rejects_bad_hit_tolerance(tol):
+    path = sample_driver(DRIVERS["brownian"], 1.0, 1, dt=0.01)
+    with pytest.raises(ConfigError):
+        evolve_lanes_on_path([0.5 + 0.5j, 1.0j], path, 1.0, hit_tolerance=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_mc_rejects_bad_hit_tolerance(tol):
+    with pytest.raises(ConfigError):
+        run_adaptive_mc(DRIVERS["brownian"], 1.0, 16, 1.0, master_seed=1, tag="bad", hit_tolerance=tol)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan])
+def test_path_rejects_non_positive_horizon(horizon):
+    path = sample_driver(DRIVERS["brownian"], 1.0, 1, dt=0.01)
+    with pytest.raises(ConfigError):
+        evolve_lanes_on_path([0.5 + 0.5j], path, horizon)
