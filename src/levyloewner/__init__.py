@@ -43,7 +43,6 @@ from .loewner import (
     connected_components,
     estimate_hcap,
     evolve_point,
-    evolve_real_point,
     raster_cluster,
     slit_map,
 )

@@ -84,6 +84,20 @@ def _beta_check(v):
     return v
 
 
+def _count(name, count):
+    def check(v):
+        if len(v) != count:
+            raise ConfigError(f"{name} needs exactly {count} values, got {len(v)}")
+        return v
+    return check
+
+
+def _resolution_check(v):
+    if len(v) != 2 or not all(n > 0 and n.is_integer() for n in v):
+        raise ConfigError(f"resolution must be two positive integers nx,ny, got {v}")
+    return [int(n) for n in v]
+
+
 def _choice(name, options):
     def check(v):
         if v not in options:
@@ -149,11 +163,9 @@ SCHEMAS: dict[str, dict] = {
         "alphas": ("floats", [0.5, 1.0, 1.5], None),
         "p_values": ("floats", [], None),
         "p_count": ("int", 9, _positive("p_count")),
-        "tol": ("float", 1e-10, _positive("tol")),
     },
     "theta0": {
         "alphas": ("floats", [1.1, 1.3, 1.5, 1.7, 1.9], None),
-        "tol": ("float", 1e-10, _positive("tol")),
     },
     "trace": {
         **_DRIVER_KEYS,
@@ -162,8 +174,8 @@ SCHEMAS: dict[str, dict] = {
         "beta": ("float", 2.0, _beta_check),
         "path_dt": ("float", 1e-3, _positive("path_dt")),
         "hit_tolerance": ("float", 0.0, _nonneg("hit_tolerance")),
-        "window": ("floats", [-1.5, 1.5, 0.0, 2.5], None),
-        "resolution": ("floats", [96, 80], None),
+        "window": ("floats", [-1.5, 1.5, 0.0, 2.5], _count("window", 4)),
+        "resolution": ("floats", [96, 80], _resolution_check),
     },
     "phase": {
         "grid": ("grid", {"kappa": [2.0, 8.0]}, None),
@@ -229,8 +241,8 @@ SCHEMAS: dict[str, dict] = {
         **_DRIVER_KEYS,
         "t": ("float", 1.0, _positive("t")),
         "n": ("int", 50, _positive("n")),
-        "window": ("floats", [-60.0, 60.0, 0.0, 3.0], None),
-        "resolution": ("floats", [480, 12], None),
+        "window": ("floats", [-60.0, 60.0, 0.0, 3.0], _count("window", 4)),
+        "resolution": ("floats", [480, 12], _resolution_check),
         "path_dt": ("float", 2e-3, _positive("path_dt")),
     },
     "theta0-bracket": {
@@ -332,20 +344,17 @@ def _run_gamma(cfg: RunConfig, out: Path) -> list[str]:
     p = cfg.params
     rows = []
     for a in p["alphas"]:
-        if not 0 < a < 2:
-            raise ConfigError(f"alpha must lie in (0,2) for gamma, got {a}")
         ps = p["p_values"] or [frac * (a + 1.0) / (p["p_count"] + 1) for frac in range(1, p["p_count"] + 1)]
         ac = frac_constant(a)
         for pv in ps:
-            g = gamma_coeff(a, pv, p["tol"])
-            rows.append((a, pv, g, ac, classify_power(a, pv, p["tol"]).value))
+            rows.append((a, pv, gamma_coeff(a, pv), ac, classify_power(a, pv).value))
     write_csv(out / "gamma.csv", ["alpha", "p", "gamma", "A_const", "class"], rows)
     return ["gamma.csv"]
 
 
 def _run_theta0(cfg: RunConfig, out: Path) -> list[str]:
     p = cfg.params
-    rows = [(a, theta0_value(a, p["tol"])) for a in p["alphas"]]
+    rows = [(a, theta0_value(a)) for a in p["alphas"]]
     write_csv(out / "theta0.csv", ["alpha", "theta0"], rows)
     return ["theta0.csv"]
 
@@ -363,8 +372,7 @@ def _run_trace(cfg: RunConfig, out: Path) -> list[str]:
     write_csv(out / "trajectory.csv", ["t", "re_h", "im_h", "u"], map(tuple, traj.tolist()))
     (out / "trajectory.svg").write_text(render_trajectory_svg(traj), encoding="ascii")
     write_csv(out / "driver.csv", ["t", "u", "is_jump", "jump_size"], driver_path_rows(path))
-    nx, ny = int(p["resolution"][0]), int(p["resolution"][1])
-    raster = raster_cluster(tuple(p["window"]), (nx, ny), path,
+    raster = raster_cluster(tuple(p["window"]), tuple(p["resolution"]), path,
                             EvolutionConfig(horizon=p["horizon"]), beta=p["beta"])
     write_csv(out / "cluster.csv", ["x", "y", "zeta_or_inf"], raster_rows(raster))
     (out / "cluster.svg").write_text(render_raster_svg(raster), encoding="ascii")
@@ -479,9 +487,8 @@ def _run_scalecheck(cfg: RunConfig, out: Path) -> list[str]:
 def _run_disconnect(cfg: RunConfig, out: Path) -> list[str]:
     p = cfg.params
     spec = _driver_spec_from(p)
-    nx, ny = int(p["resolution"][0]), int(p["resolution"][1])
     res = disconnection_frequency(spec, p["t"], p["n"], cfg.seed,
-                                  window=tuple(p["window"]), resolution=(nx, ny),
+                                  window=tuple(p["window"]), resolution=tuple(p["resolution"]),
                                   path_dt=p["path_dt"], workers=cfg.workers)
     write_csv(out / "components.csv", ["replica", "components"],
               enumerate(res.component_counts.tolist()))

@@ -23,7 +23,6 @@ __all__ = [
     "HittingOutcome",
     "ClusterRaster",
     "evolve_point",
-    "evolve_real_point",
     "slit_map",
     "compose_piecewise_constant",
     "estimate_hcap",
@@ -110,19 +109,6 @@ def evolve_point(z0: complex, path: DriverPath, cfg: EvolutionConfig,
         res, traj = out
         return _outcome_from_lane(res, 0, cfg.horizon, traj)
     return _outcome_from_lane(out, 0, cfg.horizon)
-
-
-def evolve_real_point(x0: float, path: DriverPath, cfg: EvolutionConfig,
-                      beta: float = 2.0) -> HittingOutcome:
-    """Real-line specialization of :func:`evolve_point` (drift 2/x).
-
-    Same hitting semantics; kept as a separate entry point for Monte Carlo
-    sweeps over boundary points.
-    """
-    x0 = float(x0)
-    if x0 == 0.0:
-        raise ConfigError("x0 must be nonzero")
-    return evolve_point(complex(x0, 0.0), path, cfg, beta=beta)
 
 
 def _sqrt_upper(a: np.ndarray, sign_real: np.ndarray) -> np.ndarray:

@@ -13,20 +13,29 @@ harmonic, and the critical driving strength of the alpha-Loewner evolution is
 
     theta0(alpha) = 2 / (A(alpha) * |gamma(alpha, 1)|),  1 < alpha < 2.
 
-Two independent integral representations of ``gamma`` are implemented
-(:func:`gamma_coeff` and :func:`gamma_coeff_alt`); their agreement is the
-primary correctness check for this module.
+The generator is minus the fractional Laplacian, whose action on |x|^b
+follows from the Fourier transform of the Riesz potentials (Kwasnicki,
+"Ten equivalent definitions of the fractional Laplacian", Fract. Calc.
+Appl. Anal. 20, 2017):
+
+    A gamma(alpha, p) = -2^alpha G(p/2) G((alpha-p+1)/2) / (G((1-p)/2) G((p-alpha)/2))
+    A gamma(alpha, 1) = 2^(alpha-1) sqrt(pi) G(alpha/2) / G((1-alpha)/2)
+
+with G the Gamma function.  :func:`gamma_coeff`, :func:`phi` and
+:func:`theta0` evaluate these closed forms; :func:`gamma_coeff_alt`
+integrates an independent representation of the integral by adaptive
+quadrature and is the oracle they are checked against.
 """
 
 from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 from scipy.special import gamma as _gamma_fn
+from scipy.special import rgamma as _rgamma
 
 from .errors import ConfigError, NumericalError
 
@@ -34,7 +43,6 @@ DEFAULT_TOL = 1e-10
 
 __all__ = [
     "DEFAULT_TOL",
-    "CoeffQuery",
     "HarmonicClass",
     "frac_constant",
     "gamma_coeff",
@@ -50,21 +58,6 @@ class HarmonicClass(enum.Enum):
     SUBHARMONIC = "subharmonic"
     HARMONIC = "harmonic"
     SUPERHARMONIC = "superharmonic"
-
-
-@dataclass(frozen=True)
-class CoeffQuery:
-    """A validated (alpha, p) pair with quadrature tolerance."""
-
-    alpha: float
-    p: float
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        _check_p(self.alpha, self.p)
-        if self.tol <= 0:
-            raise ConfigError("quadrature tolerance must be positive")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -113,56 +106,33 @@ def _endpoint_quads(pieces, tol: float, what: str) -> float:
     return total
 
 
-def _gamma_primary_integral(alpha: float, p: float, tol: float) -> float:
-    """int_0^1 (v^(p-2) + v^(-alpha)) ((1-v)^q - (1+v)^q) dv with q = alpha-p.
+def _a_gamma(alpha: float, p: float) -> float:
+    """A(alpha) * gamma(alpha, p) in closed form (module docstring).
 
-    Both endpoints are flattened by power substitutions v = w^(1/m) (resp.
-    1-v = w^(1/r)); exponents are combined analytically so the cancellation
-    at v -> 0 (bracket ~ -2q v) never meets an overflowing power.
+    rgamma vanishes exactly at the pole of Gamma, so p = alpha gives an exact
+    zero; adding 0.0 turns a -0.0 into +0.0.
     """
-    q = alpha - p
-    m = min(p, 2.0 - alpha, 1.0)
-    r = min(1.0 + q, 1.0)
-
-    def bracket_over_v(v):
-        # ((1-v)^q - (1+v)^q)/v, stable at small v via its Taylor expansion
-        if v < 1e-4:
-            return -2.0 * q - q * (q - 1.0) * (q - 2.0) / 3.0 * v * v
-        return ((1.0 - v) ** q - (1.0 + v) ** q) / v
-
-    def left(w):
-        v = w ** (1.0 / m)
-        return (w ** (p / m - 1.0) + w ** ((2.0 - alpha) / m - 1.0)) * bracket_over_v(v) / m
-
-    def right(w):
-        s = w ** (1.0 / r)
-        v = 1.0 - s
-        amp = v ** (p - 2.0) + v ** (-alpha)
-        return amp / r * (w ** ((q + 1.0) / r - 1.0) - (2.0 - s) ** q * w ** (1.0 / r - 1.0))
-
-    return _endpoint_quads([(left, 0.5 ** m), (right, 0.5 ** r)], tol,
-                           f"gamma({alpha},{p})")
+    _check_alpha(alpha)
+    _check_p(alpha, p)
+    if p == 1.0:
+        return (2.0 ** (alpha - 1.0) * np.sqrt(np.pi) * _gamma_fn(alpha / 2.0)
+                * _rgamma((1.0 - alpha) / 2.0))
+    return -(2.0 ** alpha * _gamma_fn(p / 2.0) * _gamma_fn((alpha - p + 1.0) / 2.0)
+             * _rgamma((1.0 - p) / 2.0) * _rgamma((p - alpha) / 2.0)) + 0.0
 
 
-def gamma_coeff(alpha: float, p: float, tol: float = DEFAULT_TOL) -> float:
-    """Coefficient integral, primary representation.
+def gamma_coeff(alpha: float, p: float) -> float:
+    """The coefficient integral gamma(alpha, p), in closed form.
 
     For p != 1:
 
         gamma(alpha,p) = (p-1)/alpha * int_0^inf v^(p-2) (|v-1|^(alpha-p) - (v+1)^(alpha-p)) dv
 
-    and for p = 1 the same with v^(-1) in place of (p-1) v^(p-2).  The half
-    line is folded onto (0,1) by v -> 1/v, giving one integrand family with
-    integrable singularities at both endpoints (guaranteed by
-    0 < p < alpha+1 and alpha < 2), handled by explicit power substitutions.
+    and for p = 1 the same with v^(-1) in place of (p-1) v^(p-2).  Evaluated
+    as the Gamma-function ratio of the module docstring divided by A(alpha);
+    exactly 0 at p = alpha.
     """
-    _check_alpha(alpha)
-    _check_p(alpha, p)
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
-    pref = 1.0 / alpha if p == 1.0 else (p - 1.0) / alpha
-    scale = max(abs(pref), 1e-3)
-    return pref * _gamma_primary_integral(alpha, p, tol / scale)
+    return _a_gamma(alpha, p) / frac_constant(alpha)
 
 
 def gamma_coeff_alt(alpha: float, p: float, tol: float = DEFAULT_TOL) -> float:
@@ -227,33 +197,31 @@ def gamma_coeff_alt(alpha: float, p: float, tol: float = DEFAULT_TOL) -> float:
                            f"gamma_alt({alpha},{p})")
 
 
-def frac_laplacian_power(alpha: float, p: float, x: float, tol: float = DEFAULT_TOL) -> float:
+def frac_laplacian_power(alpha: float, p: float, x: float) -> float:
     """Generator of the standard stable process applied to w_p at x != 0."""
     if x == 0:
         raise ConfigError("x must be nonzero; w_p is singular at the origin")
-    _check_alpha(alpha)
-    _check_p(alpha, p)
-    return frac_constant(alpha) * gamma_coeff(alpha, p, tol) * abs(x) ** (p - alpha - 1.0)
+    return _a_gamma(alpha, p) * abs(x) ** (p - alpha - 1.0)
 
 
-def classify_power(alpha: float, p: float, tol: float = DEFAULT_TOL) -> HarmonicClass:
-    """Sign classification of w_p, with a 10*tol dead band declared harmonic.
-
-    The exact zero occurs only at p = alpha; the dead band keeps quadrature
-    roundoff from being reported as a strict sign.
-    """
-    g = gamma_coeff(alpha, p, tol)
-    if abs(g) < 10.0 * tol:
+def classify_power(alpha: float, p: float) -> HarmonicClass:
+    """Sign classification of w_p; harmonic exactly when gamma is 0 (p = alpha)."""
+    g = gamma_coeff(alpha, p)
+    if g == 0.0:
         return HarmonicClass.HARMONIC
     return HarmonicClass.SUBHARMONIC if g > 0 else HarmonicClass.SUPERHARMONIC
 
 
-def phi(alpha: float, p: float, tol: float = DEFAULT_TOL) -> float:
+def phi(alpha: float, p: float) -> float:
     """Critical-strength curve phi(p) = 2(1-p) / (A(alpha) gamma(alpha,p)).
 
     Defined for 1 < alpha < 2 and p in (0, alpha); strictly increasing with
-    phi(1) = theta0(alpha).  Near p = 1 both numerator and gamma vanish
-    linearly; within 1e-7 of p = 1 the continuous limit value is used.
+    phi(1) = theta0(alpha).  With (1-p) G((1-p)/2) = 2 G((3-p)/2) the zeros of
+    numerator and denominator at p = 1 cancel:
+
+        phi(p) = -4 G((3-p)/2) G((p-alpha)/2) / (2^alpha G(p/2) G((alpha-p+1)/2)),
+
+    which is continuous through p = 1.
     """
     if not 1 < alpha < 2:
         raise ConfigError(f"phi requires alpha in (1,2), got {alpha}")
@@ -261,24 +229,16 @@ def phi(alpha: float, p: float, tol: float = DEFAULT_TOL) -> float:
         if p == alpha:
             raise ConfigError("phi is undefined at p = alpha (gamma vanishes)")
         raise ConfigError(f"phi requires p in (0, alpha)=(0,{alpha}), got {p}")
-    if abs(p - 1.0) < 1e-7:
-        return theta0(alpha, tol)
-    g = gamma_coeff(alpha, p, tol)
-    if abs(g) <= 1e3 * tol:
-        raise NumericalError(
-            f"gamma({alpha},{p})={g} too close to zero to evaluate phi stably"
-        )
-    return 2.0 * (1.0 - p) / (frac_constant(alpha) * g)
+    return (-4.0 * _gamma_fn((3.0 - p) / 2.0) * _gamma_fn((p - alpha) / 2.0)
+            / (2.0 ** alpha * _gamma_fn(p / 2.0) * _gamma_fn((alpha - p + 1.0) / 2.0)))
 
 
-def theta0(alpha: float, tol: float = DEFAULT_TOL) -> float:
-    """Critical driving strength 2 / (A(alpha) |gamma(alpha,1)|), 1 < alpha < 2.
+def theta0(alpha: float) -> float:
+    """Critical driving strength 2 / (A(alpha) |gamma(alpha,1)|), 1 < alpha < 2:
 
-    Error budget: the quadrature contributes |dtheta0/dgamma| * tol
-    = theta0/|gamma| * tol in absolute terms; with tol = 1e-10 and
-    |gamma(alpha,1)| > 0.4 on (1,2) the relative error stays below 1e-9.
+        theta0(alpha) = 2^(2-alpha) |G((1-alpha)/2)| / (sqrt(pi) G(alpha/2)).
     """
     if not 1 < alpha < 2:
         raise ConfigError(f"theta0 requires alpha in (1,2), got {alpha}")
-    g = gamma_coeff(alpha, 1.0, tol)
-    return 2.0 / (frac_constant(alpha) * abs(g))
+    return (2.0 ** (2.0 - alpha) * abs(_gamma_fn((1.0 - alpha) / 2.0))
+            / (np.sqrt(np.pi) * _gamma_fn(alpha / 2.0)))

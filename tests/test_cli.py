@@ -126,6 +126,28 @@ class TestDispatch:
         cfg_file.write_text(json.dumps({"bogus_key": 1}))
         assert main(["theta0", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("sub", ["gamma", "theta0"])
+    def test_coefficients_take_no_tolerance(self, tmp_path, sub):
+        # gamma and theta0 are closed forms: there is no quadrature tolerance
+        cfg_file = tmp_path / "tol.json"
+        cfg_file.write_text(json.dumps({"tol": 1e-10}))
+        assert main([sub, "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--window=-1,1,0"],
+        ["trace", "--window=-1,1,0,1,5"],
+        ["trace", "--resolution", "4"],
+        ["trace", "--resolution", "5.7,4"],
+        ["trace", "--resolution", "4,4,4"],
+        ["disconnect", "--window=-1,1"],
+        ["disconnect", "--resolution", "10"],
+        ["disconnect", "--resolution", "10.5,4"],
+    ])
+    def test_bad_window_or_resolution_exit_2(self, tmp_path, argv):
+        small = (["--horizon", "0.1", "--path-dt", "0.01"] if argv[0] == "trace"
+                 else ["--t", "0.1", "--n", "1", "--path-dt", "0.01"])
+        assert run_cli(tmp_path, *argv, *small) == 2
+
 
 class TestDeterminism:
     def _collect(self, out_dir: Path) -> dict:

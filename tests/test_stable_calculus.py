@@ -1,7 +1,10 @@
-"""Coefficient quadratures: closed forms, dual representations, sign
-classification, the critical-strength curve, and the Monte Carlo generator
-link between quadrature and sampling."""
+"""Coefficient layer: the closed forms against the quadrature oracle and
+mpmath, sign classification, the critical-strength curve, and the Monte
+Carlo generator link between the coefficient and sampling."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +23,29 @@ from levyloewner.stable_calculus import (
     theta0,
 )
 
-# frozen by the dual-quadrature run recorded in the acceptance suite
+# theta0(1.5) = 3.19153824321146..., frozen to ten digits from the quadrature
+# oracle, so it checks the closed form against a number it did not produce
 THETA0_15_REFERENCE = 3.1915382432
+
+
+def _mp_a_gamma(alpha, p):
+    """A(alpha) gamma(alpha, p) from the Gamma-function identity at 30 digits."""
+    a, p = mpmath.mpf(alpha), mpmath.mpf(p)
+    if p == 1:
+        return (2 ** (a - 1) * mpmath.sqrt(mpmath.pi) * mpmath.gamma(a / 2)
+                * mpmath.rgamma((1 - a) / 2))
+    return (-(2 ** a) * mpmath.gamma(p / 2) * mpmath.gamma((a - p + 1) / 2)
+            * mpmath.rgamma((1 - p) / 2) * mpmath.rgamma((p - a) / 2))
+
+
+def _mp_frac_constant(alpha):
+    a = mpmath.mpf(alpha)
+    return (a * 2 ** (a - 1) / mpmath.sqrt(mpmath.pi)
+            * mpmath.gamma((1 + a) / 2) / mpmath.gamma(1 - a / 2))
+
+
+def _rel(got, want):
+    return float(abs(mpmath.mpf(got) - want) / (abs(want) or 1))
 
 
 class TestFracConstant:
@@ -47,8 +71,10 @@ class TestFracConstant:
 
 class TestGammaCoeff:
     def test_zero_at_p_equal_alpha(self):
-        for a in (0.3, 0.7, 1.1, 1.5, 1.9):
-            assert gamma_coeff(a, a) == pytest.approx(0.0, abs=1e-8)
+        for a in (0.3, 0.7, 1.0, 1.1, 1.5, 1.9):
+            g = gamma_coeff(a, a)
+            assert g == 0.0 and math.copysign(1.0, g) == 1.0  # exact, written as 0, not -0
+            assert classify_power(a, a) is HarmonicClass.HARMONIC
             assert gamma_coeff_alt(a, a) == pytest.approx(0.0, abs=1e-8)
 
     def test_superharmonic_range_above_one(self):
@@ -77,6 +103,41 @@ class TestGammaCoeff:
             gamma_coeff(1.5, 0.0)
         with pytest.raises(ConfigError):
             gamma_coeff(1.5, 2.5)
+
+
+class TestMpmathOracle:
+    """The float64 evaluation against 30-digit mpmath.  phi and theta0 are
+    referenced through their definitions 2(1-p)/(A gamma) and
+    2/(A |gamma(alpha,1)|), not through the simplified forms the code uses."""
+
+    @pytest.fixture(autouse=True)
+    def _digits(self):
+        with mpmath.workdps(30):
+            yield
+
+    @pytest.mark.parametrize("alpha,p", [
+        (1.5, 1.0), (0.5, 1.0), (1.9, 1.0), (1.5, 1.2), (0.5, 0.7), (1.2, 0.3),
+        (0.3, 0.05), (1.5, 1.5), (1.5, 1.5 + 1e-7), (1.5, 2.5 - 1e-6), (1.9, 2.9 - 1e-9),
+        (1.2, 1.0 - 1e-7), (1.9, 1.0 + 1e-8),
+    ])
+    def test_gamma_coeff(self, alpha, p):
+        want = _mp_a_gamma(alpha, p) / _mp_frac_constant(alpha)
+        assert _rel(gamma_coeff(alpha, p), want) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.1, 1.5, 1.9, 1.99])
+    def test_theta0(self, alpha):
+        want = 2 / abs(_mp_a_gamma(alpha, 1.0))  # 2 / (A |gamma(alpha, 1)|)
+        assert _rel(theta0(alpha), want) <= 1e-13
+
+    @pytest.mark.parametrize("alpha,p", [
+        (1.5, 0.3), (1.5, 1.0), (1.5, 1.49), (1.9, 1.0 - 1e-12), (1.1, 1.0 + 1e-3),
+    ])
+    def test_phi(self, alpha, p):
+        if p == 1.0:
+            want = 2 / abs(_mp_a_gamma(alpha, 1.0))  # phi(1) = theta0
+        else:
+            want = 2 * (1 - mpmath.mpf(p)) / _mp_a_gamma(alpha, p)
+        assert _rel(phi(alpha, p), want) <= 1e-13
 
 
 class TestFracLaplacianPower:
@@ -138,6 +199,14 @@ class TestPhiTheta0:
     def test_phi_at_one_is_theta0(self):
         assert phi(1.5, 1.0) == pytest.approx(theta0(1.5), rel=1e-12)
 
+    @pytest.mark.parametrize("alpha,p,want", [
+        (1.2, 1.0 - 1e-7, 7.0489577141078120),  # 30-digit mpmath values
+        (1.9, 1.0 + 1e-8, 2.1054296257319200),
+    ])
+    def test_phi_continuous_through_one(self, alpha, p, want):
+        # phi(p) - phi(1) is O(|p-1|); a value snapped to theta0 is off by 5e-7
+        assert phi(alpha, p) == pytest.approx(want, rel=1e-13)
+
     def test_theta0_positive(self):
         for a in (1.1, 1.5, 1.9):
             assert theta0(a) > 0
@@ -145,9 +214,9 @@ class TestPhiTheta0:
     def test_theta0_dual_quadrature_reference(self):
         a = 1.5
         ac = frac_constant(a)
-        via_primary = 2.0 / (ac * abs(gamma_coeff(a, 1.0)))
+        via_closed_form = 2.0 / (ac * abs(gamma_coeff(a, 1.0)))
         via_alt = 2.0 / (ac * abs(gamma_coeff_alt(a, 1.0)))
-        assert via_primary == pytest.approx(via_alt, rel=1e-6)
+        assert via_closed_form == pytest.approx(via_alt, rel=1e-6)
         assert theta0(a) == pytest.approx(THETA0_15_REFERENCE, rel=1e-6)
 
     def test_domain_errors(self):
@@ -174,15 +243,3 @@ class TestGeneratorLink:
         expected = th * frac_laplacian_power(alpha, p, x)
         # 3 combined standard errors plus the O(t) Taylor remainder
         assert abs(est - expected) <= 3.0 * se + 0.5 * t * abs(expected) + 5e-4 * abs(expected)
-
-
-class TestCoeffQuery:
-    def test_validates_domain(self):
-        from levyloewner.stable_calculus import CoeffQuery
-
-        q = CoeffQuery(alpha=1.5, p=1.2)
-        assert q.tol == 1e-10
-        with pytest.raises(ConfigError):
-            CoeffQuery(alpha=1.5, p=2.6)
-        with pytest.raises(ConfigError):
-            CoeffQuery(alpha=1.5, p=1.2, tol=-1.0)
