@@ -30,18 +30,22 @@ Engine A moves lanes sharing one concrete
 its grid; a lane's result depends on its own point and tolerance only (at
 beta < 2 the RK4 substep count is shared by the live lanes of a grid step).
 Engine B runs independent-replica Monte Carlo with per-lane adaptive time
-steps and on-the-fly increment sampling (phase experiments).  Its replicas
-form fixed blocks of :data:`BLOCK` lanes with one RNG stream per block, and
-one loop advances every block in lockstep.  In each iteration every block
-that has a live lane draws the same full-block variates it would draw alone,
-and the loop keeps the entries of its live lanes.  A replica's
-result therefore depends only on its block's stream and size, never on the
-other blocks.
+steps and on-the-fly increment sampling (phase experiments).  A cell (driver,
+start point, stream tag, hit tolerance) has n replicas in fixed blocks of
+:data:`BLOCK` lanes with one RNG stream per (cell tag, block), and one loop
+advances every block of every cell of an experiment in lockstep; cells whose
+drivers differ only in Brownian kappa and stable theta share it, holding
+those coefficients, z0 and the tolerance per lane.  In each iteration every
+block that has a live lane draws the same full-block variates it would draw
+alone, and the loop keeps the entries of its live lanes.  A replica's result
+therefore depends only on its block's stream and size, never on the other
+blocks or cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +58,7 @@ from .drivers import (
     TruncatedStable,
     _stable_transform,
     _stable_variates,
+    truncated_stable_variance_rate,
 )
 from .errors import ConfigError, NumericalError
 from .rng import stream
@@ -64,7 +69,8 @@ BLOCK = 512
 # lane in any block; guards against a stuck adaptive loop.
 _MAX_STEPS = 20_000_000
 
-__all__ = ["BLOCK", "LaneResult", "default_hit_tolerance", "evolve_lanes_on_path", "run_adaptive_mc"]
+__all__ = ["BLOCK", "Cell", "LaneResult", "default_hit_tolerance", "evolve_lanes_on_path",
+           "run_adaptive_cells", "run_adaptive_mc"]
 
 
 def default_hit_tolerance(z0) -> np.ndarray:
@@ -340,60 +346,66 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
 # engine B: independent-replica adaptive Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _live_draws(rngs, n, lane, draws, dt=None):
+def _live_draws(blocks, lane, dt=None):
     """Per-lane variates of the live lanes, cut from whole-block draws.
 
-    ``lane`` holds the ascending indices of the live lanes among ``n``; lane
-    i belongs to block i // BLOCK, whose stream is ``rngs[i // BLOCK]``.
-    Every block with a live lane calls each ``draw(rng, m, dt_block)`` once,
-    in order, with m the block's size and, when ``dt`` is given, ``dt_block``
-    its per-lane dt with zeros on the dead lanes (else None).  A draw returns
-    its variates on the last axis, one per lane of the block; the entries of
-    the live lanes are kept, in lane order.  Each stream therefore advances
-    exactly as if its block ran alone.
+    ``lane`` holds the ascending indices of the live lanes; lane i sits at
+    position i % BLOCK of block i // BLOCK, and ``blocks[b]`` is block b's
+    (stream, size m, draws).  Every block with a live lane calls each of its
+    ``draw(rng, m, dt_block)`` once, in order, with ``dt_block`` its per-lane
+    dt with zeros on the dead lanes when ``dt`` is given (else None).  A draw
+    returns its variates on the last axis, one per lane of the block; the
+    entries of the live lanes are kept, in lane order.  Each stream therefore
+    advances exactly as if its block ran alone.
     """
     blk = lane // BLOCK
     first = np.r_[True, blk[1:] != blk[:-1]]
     live = blk[first].tolist()
+    sizes = np.array([blocks[b][1] for b in live])
+    start = np.cumsum(sizes) - sizes
     # where each live lane sits in the concatenation of its blocks' draws
-    at = lane - (blk - np.cumsum(first) + 1) * BLOCK
+    at = start[np.cumsum(first) - 1] + lane % BLOCK
     if dt is not None:
-        dt_all = np.zeros((len(live) - 1) * BLOCK + min(BLOCK, n - live[-1] * BLOCK))
+        dt_all = np.zeros(start[-1] + sizes[-1])
         dt_all[at] = dt
-    out = [[] for _ in draws]
+    out = [[] for _ in blocks[live[0]][2]]
     for j, b in enumerate(live):
-        m = min(BLOCK, n - b * BLOCK)
-        dt_block = None if dt is None else dt_all[j * BLOCK:j * BLOCK + m]
+        rng, m, draws = blocks[b]
+        dt_block = None if dt is None else dt_all[start[j]:start[j] + m]
         for parts, draw in zip(out, draws):
-            parts.append(draw(rngs[b], m, dt_block))
+            parts.append(draw(rng, m, dt_block))
     return [np.concatenate(parts, axis=-1)[..., at] for parts in out]
 
 
+# An increment's timescale is |h|^tau_pow / coef, or coef when tau_pow is None;
+# a loop holds coef per lane and passes it back to ``increments``.
+
 class _IncBrownian:
     is_continuous = True
+    tau_pow = 2.0
 
-    def __init__(self, kappa):
-        self.kappa = kappa
+    def __init__(self, comp: Brownian):
+        self.coef = comp.kappa
 
     def variates(self, rng, m, dt):
         return rng.standard_normal(m)
 
-    def increments(self, raw, dt):
-        return np.sqrt(self.kappa * dt) * raw
+    def increments(self, raw, dt, kappa):
+        return np.sqrt(kappa * dt) * raw
 
 
 class _IncStable:
     is_continuous = False
 
-    def __init__(self, alpha, theta):
-        self.alpha = alpha
-        self.theta = theta
+    def __init__(self, comp: Stable):
+        self.alpha = self.tau_pow = comp.alpha
+        self.coef = comp.theta
 
     def variates(self, rng, m, dt):
         return _stable_variates(self.alpha, rng, m)
 
-    def increments(self, raw, dt):
-        return (self.theta * dt) ** (1.0 / self.alpha) * _stable_transform(self.alpha, raw)
+    def increments(self, raw, dt, theta):
+        return (theta * dt) ** (1.0 / self.alpha) * _stable_transform(self.alpha, raw)
 
 
 class _IncWhole:
@@ -401,14 +413,17 @@ class _IncWhole:
 
     is_continuous = False
 
-    def increments(self, raw, dt):
+    def increments(self, raw, dt, coef):
         return raw
 
 
 class _IncTruncatedStable(_IncWhole):
+    tau_pow = 2.0
+
     def __init__(self, comp: TruncatedStable):
         a = comp.alpha
         eps = comp.eps
+        self.coef = truncated_stable_variance_rate(a, comp.theta, comp.cutoff)
         self.scale = comp.theta ** (1.0 / a)
         self.alpha = a
         self.eps_pow = eps ** -a
@@ -434,7 +449,10 @@ class _IncCompoundPoisson(_IncWhole):
     """Per-step Poisson thinning; increments have the exact CPP law over each
     step, with jump times quantized to step ends (steps are adaptive-small)."""
 
+    tau_pow = None
+
     def __init__(self, comp: CompoundPoisson):
+        self.coef = 0.2 / comp.rate
         self.rate = comp.rate
         self.law = comp.jump_law
 
@@ -454,9 +472,9 @@ def _compile_increments(spec: DriverSpec):
     for comp in spec.components:
         if isinstance(comp, Brownian):
             if comp.kappa > 0:
-                incs.append(_IncBrownian(comp.kappa))
+                incs.append(_IncBrownian(comp))
         elif isinstance(comp, Stable):
-            incs.append(_IncStable(comp.alpha, comp.theta))
+            incs.append(_IncStable(comp))
         elif isinstance(comp, TruncatedStable):
             incs.append(_IncTruncatedStable(comp))
         elif isinstance(comp, CompoundPoisson):
@@ -466,35 +484,36 @@ def _compile_increments(spec: DriverSpec):
     return incs
 
 
-def _timescale_rules(spec: DriverSpec):
-    """Per-component local timescales tau(|h|): the time over which a
-    component's increment grows to the order of |h|.  The adaptive step is
-    dt_safety times the smallest of these and the drift timescale, which keeps
-    every per-step displacement a fixed fraction of |h| at all scales."""
-    rules = []
-    for comp in spec.components:
-        if isinstance(comp, Brownian):
-            if comp.kappa > 0:
-                rules.append(("pow", 2.0, comp.kappa))
-        elif isinstance(comp, Stable):
-            rules.append(("pow", comp.alpha, comp.theta))
-        elif isinstance(comp, TruncatedStable):
-            from .drivers import truncated_stable_variance_rate
-
-            rules.append(("pow", 2.0, truncated_stable_variance_rate(comp.alpha, comp.theta, comp.cutoff)))
-        elif isinstance(comp, CompoundPoisson):
-            rules.append(("const", 0.2 / comp.rate, None))
-    return rules
+def _loop_key(spec: DriverSpec) -> str:
+    """What the cells of one loop must share: every component parameter but
+    Brownian kappa and stable theta, the only ones that enter an increment and
+    its timescale as a factor that can be held per lane."""
+    return repr([("Brownian", c.kappa > 0) if isinstance(c, Brownian)
+                 else ("Stable", c.alpha) if isinstance(c, Stable) else c
+                 for c in spec.components])
 
 
-def _adaptive_tau(habs, beta, rules):
+def _adaptive_tau(habs, beta, incs, coef):
+    """Local timescale min(|h|^beta / (2 beta), tau_1(|h|), ...), where tau_j
+    is the time over which component j's increment grows to the order of |h|
+    (``coef[j]`` holds its coefficient per lane).  The adaptive step is
+    dt_safety times this, which keeps every per-step displacement a fixed
+    fraction of |h| at all scales."""
     tau = habs ** beta / (2.0 * beta)
-    for kind, a, b in rules:
-        if kind == "pow":
-            np.minimum(tau, habs ** a / b, out=tau)
-        else:
-            np.minimum(tau, a, out=tau)
+    for inc, c in zip(incs, coef):
+        np.minimum(tau, c if inc.tau_pow is None else habs ** inc.tau_pow / c, out=tau)
     return tau
+
+
+class Cell(NamedTuple):
+    """One Monte Carlo cell: replicas of z0 under ``spec`` whose block b draws
+    from the stream (master_seed, *tag, "block", b).  A hit tolerance of None
+    is :func:`default_hit_tolerance` of z0."""
+
+    spec: DriverSpec
+    z0: complex
+    tag: object
+    hit_tolerance: float | None = None
 
 
 def run_adaptive_mc(spec: DriverSpec, z0, n: int, horizon: float, *, master_seed: int,
@@ -505,71 +524,97 @@ def run_adaptive_mc(spec: DriverSpec, z0, n: int, horizon: float, *, master_seed
 
     Each replica's driver is realized on the fly along an adaptive grid:
     dt = dt_safety * min(|h|^beta / (2 beta), tau_1(|h|), ...), where tau_j
-    is component j's local timescale (:func:`_timescale_rules`), clipped to
+    is component j's local timescale (:func:`_adaptive_tau`), clipped to
     [hit_tol^beta/16, dt_max] and to the time left before the horizon;
     increments are exact marginal draws per step.  Replicas are grouped in
     blocks of :data:`BLOCK`, block b drawing from the stream
     (master_seed, *tag, "block", b); all blocks advance together, and each
-    replica's outcome depends only on its own block's stream.
+    replica's outcome depends only on its own block's stream.  This is the
+    one-cell case of :func:`run_adaptive_cells`.
     """
-    z0 = complex(z0)
-    if z0 == 0:
-        raise ConfigError("z0 must be nonzero")
-    if z0.imag < 0:
-        raise ConfigError("z0 must lie in the closed upper half-plane")
+    return run_adaptive_cells([Cell(spec, z0, tag, hit_tolerance)], n, horizon,
+                              master_seed=master_seed, beta=beta, dt_safety=dt_safety,
+                              dt_max=dt_max, exit_radius=exit_radius)[0]
+
+
+def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed: int,
+                       beta: float = 2.0, dt_safety: float = 0.1, dt_max: float = 1e6,
+                       exit_radius: float | None = None) -> list[LaneResult]:
+    """:func:`run_adaptive_mc` for n replicas of each :class:`Cell`, advanced
+    in one lockstep loop; returns one result per cell, in order.
+
+    The cells' drivers may differ in Brownian kappa and stable theta only
+    (:func:`_loop_key`); the loop holds those coefficients, z0 and the hit
+    tolerance per lane.  Each block keeps its (cell tag, block) stream, so
+    every cell's result is the one it gets alone.
+    """
     if not 1.0 < beta <= 2.0:
         raise ConfigError(f"beta must lie in (1,2], got {beta}")
     if n < 1:
         raise ConfigError("n must be at least 1")
     if not horizon > 0:
         raise ConfigError("horizon must be positive")
-    if hit_tolerance is None:
-        hit_tolerance = float(default_hit_tolerance(z0))
-    hit_tolerance = float(hit_tolerance)
-    if not 0.0 < hit_tolerance < np.inf:
+    if len({_loop_key(c.spec) for c in cells}) != 1:
+        raise ConfigError("the cells of one loop may differ in Brownian kappa and stable theta only")
+    z0 = np.array([complex(c.z0) for c in cells])
+    if np.any(z0 == 0):
+        raise ConfigError("z0 must be nonzero")
+    if np.any(z0.imag < 0):
+        raise ConfigError("z0 must lie in the closed upper half-plane")
+    tol = np.array([float(default_hit_tolerance(z) if c.hit_tolerance is None else c.hit_tolerance)
+                    for z, c in zip(z0, cells)])
+    if not np.all((0.0 < tol) & (tol < np.inf)):
         raise ConfigError("hit tolerance must be positive and finite")
-    dt_floor = hit_tolerance ** beta / 16.0
-    if dt_floor < 1e-14 * horizon:
-        raise NumericalError(
-            f"hit tolerance {hit_tolerance} gives step floor {dt_floor} below 1e-14*T; refusing to underflow"
-        )
-    tag = tuple(tag) if isinstance(tag, (tuple, list)) else (tag,)
-    incs = _compile_increments(spec)
-    rules = _timescale_rules(spec)
-    draws = [inc.variates for inc in incs]
-    rngs = [stream(master_seed, *tag, "block", b) for b in range(-(-n // BLOCK))]
+    floor = [d ** beta / 16.0 for d in tol.tolist()]
+    if min(floor) < 1e-14 * horizon:
+        raise NumericalError(f"hit tolerance {tol.min()} gives step floor {min(floor)} below 1e-14*T; "
+                             "refusing to underflow")
 
-    res = LaneResult(z0=np.full(n, z0), zeta=np.full(n, np.nan), x=np.empty(n), y=np.empty(n),
-                     min_abs=np.empty(n), steps=np.empty(n, dtype=np.int64),
-                     hit_tolerance=np.full(n, hit_tolerance),
-                     exit_time=np.full(n, np.nan) if exit_radius is not None else None)
+    k = len(cells)
+    nb = -(-n // BLOCK)
+    # replica i of cell c is lane c * stride + i, so lane // BLOCK is the
+    # (cell, block) of a lane; each cell's last block may be partial
+    stride = nb * BLOCK
+    cell_incs = [_compile_increments(c.spec) for c in cells]
+    incs = cell_incs[0]
+    tags = [tuple(c.tag) if isinstance(c.tag, (tuple, list)) else (c.tag,) for c in cells]
+    blocks = [(stream(master_seed, *tag, "block", b), min(BLOCK, n - b * BLOCK),
+               [inc.variates for inc in ci])
+              for tag, ci in zip(tags, cell_incs) for b in range(nb)]
+
+    res = LaneResult(z0=np.repeat(z0, stride), zeta=np.full(k * stride, np.nan),
+                     x=np.empty(k * stride), y=np.empty(k * stride), min_abs=np.empty(k * stride),
+                     steps=np.empty(k * stride, dtype=np.int64), hit_tolerance=np.repeat(tol, stride),
+                     exit_time=np.full(k * stride, np.nan) if exit_radius is not None else None)
     # state of the live lanes, in lane order; a lane's outcome is written to
     # res when it dies, and its state is then dropped
-    lane = np.arange(n)
-    x = np.full(n, z0.real)
-    y = np.full(n, z0.imag)
-    t = np.zeros(n)
-    zeta = np.full(n, np.nan)
-    min_abs = np.full(n, abs(z0))
-    exit_time = np.full(n, np.nan) if exit_radius is not None else None
+    lane = (stride * np.arange(k)[:, None] + np.arange(n)).ravel()
+    x = np.repeat(z0.real, n)
+    y = np.repeat(z0.imag, n)
+    t = np.zeros(k * n)
+    zeta = np.full(k * n, np.nan)
+    min_abs = np.repeat([abs(z) for z in z0.tolist()], n)
+    delta = np.repeat(tol, n)
+    dt_floor = np.repeat(floor, n)
+    coef = np.repeat(np.array([[inc.coef for inc in ci] for ci in cell_incs]).reshape(k, -1).T, n, axis=1)
+    exit_time = np.full(k * n, np.nan) if exit_radius is not None else None
 
     it = 0
     while lane.size:
         it += 1
         if it > _MAX_STEPS:
             raise NumericalError("adaptive evolution exceeded the step budget without resolving")
-        dt = dt_safety * _adaptive_tau(np.hypot(x, y), beta, rules)
+        dt = dt_safety * _adaptive_tau(np.hypot(x, y), beta, incs, coef)
         np.clip(dt, dt_floor, dt_max, out=dt)
         np.minimum(dt, horizon - t, out=dt)
         t_next = t + dt
-        raws = _live_draws(rngs, n, lane, draws, dt)
+        raws = _live_draws(blocks, lane, dt)
 
         alive = np.ones(lane.size, dtype=bool)
-        _drift_advance(x, y, dt, beta, t, hit_tolerance, zeta, min_abs, alive,
-                       groups=lane // BLOCK)
-        for inc, raw in zip(incs, raws):
-            _apply_increment(x, y, inc.increments(raw, dt), inc.is_continuous, t_next,
-                             hit_tolerance, zeta, min_abs, alive)
+        _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive, groups=lane // BLOCK)
+        for inc, raw, c in zip(incs, raws, coef):
+            _apply_increment(x, y, inc.increments(raw, dt, c), inc.is_continuous, t_next,
+                             delta, zeta, min_abs, alive)
         t = t_next
         if exit_radius is not None:
             fresh = alive & np.isnan(exit_time) & (np.hypot(x, y) >= exit_radius)
@@ -583,6 +628,10 @@ def run_adaptive_mc(spec: DriverSpec, z0, n: int, horizon: float, *, master_seed
             if exit_radius is not None:
                 res.exit_time[out] = exit_time[dead]
                 exit_time = exit_time[alive]
-            lane, x, y, t, zeta, min_abs = (a[alive] for a in (lane, x, y, t, zeta, min_abs))
+            lane, x, y, t, zeta, min_abs, delta, dt_floor = (
+                a[alive] for a in (lane, x, y, t, zeta, min_abs, delta, dt_floor))
+            coef = coef[:, alive]
 
-    return res
+    arrays = [getattr(res, f.name) for f in fields(LaneResult)]
+    return [LaneResult(*(a if a is None else a[c * stride:c * stride + n] for a in arrays))
+            for c in range(k)]

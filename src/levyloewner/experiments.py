@@ -12,11 +12,15 @@ Determinism: every estimator takes a master seed and derives one stream per
 (operation, cell, block) or per replica.  The Monte Carlo estimators and the
 annulus-exit loop of :func:`overshoot_histogram` advance all blocks of
 :data:`~levyloewner.engine.BLOCK` replicas in lockstep on the live replicas
-only; each block draws full-block variates from its own stream, so a
-replica's result never depends on the other blocks.  Estimators run on the
-calling thread, except the per-replica raster loops of :func:`area_fraction`
-and :func:`disconnection_frequency`, which fan out over ``workers`` threads;
-the thread count only changes scheduling, never results.
+only, and the cells of one experiment (the theta grid of
+:func:`theta0_bracket`, the cells of :func:`phase_scan`, the start points of
+the slope fits and of :func:`composite_driver_phase`) share that loop; each
+block draws full-block variates from its own (cell tag, block) stream, so a
+replica's result never depends on the other blocks or cells.  Estimators run
+on the calling thread, except the per-replica raster loops of
+:func:`area_fraction` and :func:`disconnection_frequency`, which fan out over
+``workers`` threads; the thread count only changes scheduling, never
+results.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .drivers import (
     _stable_variates,
     sample_driver,
 )
-from .engine import BLOCK, _live_draws, run_adaptive_mc
+from .engine import BLOCK, Cell, _live_draws, _loop_key, run_adaptive_cells, run_adaptive_mc
 from .errors import ConfigError, StatisticalError
 from .loewner import EvolutionConfig, connected_components, raster_cluster
 from .rng import stream
@@ -171,43 +175,52 @@ def hitting_probability(params: PhaseParams, n: int, horizon: float, seed: int,
 
     Censoring at the horizon is reported, never treated as survival-forever:
     the estimate is of P(zeta <= T) and the horizon flag compares against the
-    paired 2T fractions as the convergence diagnostic.
+    paired 2T fractions as the convergence diagnostic.  ``cfg`` supplies the
+    hit tolerance and the step controls; its horizon must equal ``horizon``.
     """
-    if params.z == 0:
-        raise ConfigError("z must be nonzero")
-    if cfg is None:
-        cfg = EvolutionConfig(horizon=horizon)
-    return _estimate(params.driver_spec(), params, n, horizon, seed, cfg, tag)
+    return _estimates([(params.driver_spec(), params, tag)], n, horizon, seed, cfg)[0]
 
 
-def _estimate(spec: DriverSpec, params: PhaseParams, n: int, horizon: float,
-              seed: int, cfg: EvolutionConfig, tag,
-              declared_class: str = "n/a") -> PhaseEstimate:
-    """Run n replicas of spec to 2T and count hits by T and by 2T."""
+def _estimates(cells, n: int, horizon: float, seed: int, cfg: EvolutionConfig | None,
+               declared_class: str = "n/a") -> list[PhaseEstimate]:
+    """Run n replicas of each cell (spec, params, tag) to 2T and count hits by
+    T and by 2T; one engine call per beta and loop key, estimates in input
+    order."""
     if n < 100:
         raise ConfigError("n >= 100 required for CI validity")
-    res = run_adaptive_mc(
-        spec, params.z, n, 2.0 * horizon,
-        master_seed=seed, tag=tag, hit_tolerance=cfg.hit_tolerance,
-        beta=params.beta, dt_safety=cfg.dt_safety, dt_max=cfg.dt_max,
-    )
-    hits_t = int(np.nansum((res.zeta <= horizon).astype(np.int64)))
-    hits_2t = int(res.hit.sum())
-    frac_t = hits_t / n
-    frac_2t = hits_2t / n
-    return PhaseEstimate(
-        params=params, n=n, horizon=horizon, seed=seed,
-        hit_fraction=frac_t, wilson=wilson_ci(hits_t, n),
-        hit_fraction_2t=frac_2t, horizon_flag=_flag(frac_t, frac_2t, n),
-        declared_class=declared_class,
-    )
+    if cfg is None:
+        cfg = EvolutionConfig(horizon=horizon)
+    if cfg.horizon != horizon:
+        raise ConfigError(f"cfg.horizon {cfg.horizon} differs from horizon {horizon}")
+    groups: dict[tuple, list[int]] = {}
+    for i, (spec, params, _) in enumerate(cells):
+        groups.setdefault((params.beta, _loop_key(spec)), []).append(i)
+    out = [None] * len(cells)
+    for (beta, _), group in groups.items():
+        results = run_adaptive_cells(
+            [Cell(spec, params.z, tag, cfg.hit_tolerance) for spec, params, tag in (cells[i] for i in group)],
+            n, 2.0 * horizon, master_seed=seed, beta=beta,
+            dt_safety=cfg.dt_safety, dt_max=cfg.dt_max,
+        )
+        for i, res in zip(group, results):
+            hits_t = int(np.nansum((res.zeta <= horizon).astype(np.int64)))
+            frac_t = hits_t / n
+            frac_2t = int(res.hit.sum()) / n
+            out[i] = PhaseEstimate(
+                params=cells[i][1], n=n, horizon=horizon, seed=seed,
+                hit_fraction=frac_t, wilson=wilson_ci(hits_t, n),
+                hit_fraction_2t=frac_2t, horizon_flag=_flag(frac_t, frac_2t, n),
+                declared_class=declared_class,
+            )
+    return out
 
 
 def phase_scan(grid: dict, z: complex, n: int, horizon: float, seed: int,
                cfg: EvolutionConfig | None = None) -> list[PhaseEstimate]:
     """Cartesian sweep over grid axes drawn from {kappa, alpha, theta, beta}.
 
-    Cell i draws from its own stream, tagged ("phase", i).
+    Cell i draws from its own streams, tagged ("phase", i); the cells run
+    together, one engine call per beta and driver family.
     """
     axes = ("kappa", "alpha", "theta", "beta")
     unknown = set(grid) - set(axes)
@@ -223,9 +236,9 @@ def phase_scan(grid: dict, z: complex, n: int, horizon: float, seed: int,
         vals = {k: (v if v is not None else defaults[k]) for k, v in zip(axes, cell)}
         return PhaseParams(z=z, **vals)
 
-    return [hitting_probability(cell_params(cell), n, horizon, seed, cfg=cfg,
-                                tag=("phase", i))
-            for i, cell in enumerate(cells)]
+    params = [cell_params(cell) for cell in cells]
+    return _estimates([(p.driver_spec(), p, ("phase", i)) for i, p in enumerate(params)],
+                      n, horizon, seed, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +282,11 @@ def _exponent_fit(side: str, kappa: float, alpha: float, theta: float,
     if not 0 < alpha < 1:
         raise ConfigError("exponent fits require alpha in (0,1)")
     x_grid = np.asarray(sorted(float(v) for v in x_grid))
+    params = [PhaseParams(z=x, kappa=kappa, alpha=alpha, theta=theta) for x in x_grid]
+    ests = _estimates([(p.driver_spec(), p, ("slope", side, i)) for i, p in enumerate(params)],
+                      n, horizon, seed, None)
     rows = []
-    for i, x in enumerate(x_grid):
-        est = hitting_probability(PhaseParams(z=x, kappa=kappa, alpha=alpha, theta=theta),
-                                  n, horizon, seed, tag=("slope", side, i))
+    for x, est in zip(x_grid, ests):
         hits = round(est.hit_fraction * n)
         k = (n - hits) if use_survival else hits
         if k == 0 or k == n:
@@ -339,12 +353,13 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
     the boundary (atoms); jump sub-crossings record the landed position."""
     if not (b > a > 0 and a < abs(x0) < b):
         raise ConfigError("need b > a > 0 and a < |x0| < b")
-    rngs = [stream(seed, "overshoot", blk, str(a), str(b)) for blk in range(-(-n // BLOCK))]
     draws = []
     if kappa > 0:
         draws.append(lambda rng, m, dt: rng.standard_normal(m))
     if theta > 0:
         draws.append(lambda rng, m, dt: _stable_variates(alpha, rng, m))
+    blocks = [(stream(seed, "overshoot", blk, str(a), str(b)), min(BLOCK, n - blk * BLOCK), draws)
+              for blk in range(-(-n // BLOCK))]
     sides = np.zeros(n, dtype=np.int8)  # 0 censored, 1 inner, 2 outer
     positions = np.full(n, np.nan)
     # state of the live replicas, in replica order; exits are written to
@@ -367,7 +382,7 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
             tau = np.minimum(tau, d ** alpha / theta)
         dt = np.clip(0.1 * tau, 1e-9 * (b - a) ** 2, horizon)
         dt = np.minimum(dt, horizon - t)
-        raws = iter(_live_draws(rngs, n, lane, draws))
+        raws = iter(_live_draws(blocks, lane))
         active = dt > 0
 
         # drift: |x| grows, may cross b continuously -> atom at sign(x)*b
@@ -671,11 +686,9 @@ def theta0_bracket(alpha: float, theta_grid, z: complex, n: int, horizon: float,
     if len(thetas) < 2:
         raise ConfigError("theta grid needs at least two points")
     cfg = EvolutionConfig(horizon=horizon, hit_tolerance=hit_tolerance)
-    ests = []
-    for i, th in enumerate(thetas):
-        params = PhaseParams(z=z, kappa=0.0, alpha=alpha, theta=th, beta=alpha)
-        ests.append(hitting_probability(params, n, horizon, seed, cfg=cfg,
-                                        tag=("theta0", i)))
+    params = [PhaseParams(z=z, kappa=0.0, alpha=alpha, theta=th, beta=alpha) for th in thetas]
+    ests = _estimates([(p.driver_spec(), p, ("theta0", i)) for i, p in enumerate(params)],
+                      n, horizon, seed, cfg)
     fr = np.asarray([e.hit_fraction for e in ests])
     above = fr >= 0.5
     if not above.any() or above.all():
@@ -709,13 +722,6 @@ def composite_driver_phase(alpha: float, kappa: float, cutoff: float,
     comps.append(TruncatedStable(alpha, theta, cutoff))
     comps.append(CompoundPoisson(cpp_rate, cpp_law, declared_class))
     spec = DriverSpec(tuple(comps))
-    cfg = EvolutionConfig(horizon=horizon)
-    out = []
-    for i, z in enumerate(z_list):
-        z = complex(z)
-        if z == 0:
-            raise ConfigError("z must be nonzero")
-        params = PhaseParams(z=z, kappa=kappa, alpha=alpha, theta=theta)
-        out.append(_estimate(spec, params, n, horizon, seed, cfg, ("cor", i),
-                             declared_class))
-    return out
+    cells = [(spec, PhaseParams(z=complex(z), kappa=kappa, alpha=alpha, theta=theta), ("cor", i))
+             for i, z in enumerate(z_list)]
+    return _estimates(cells, n, horizon, seed, None, declared_class)

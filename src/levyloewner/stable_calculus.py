@@ -89,7 +89,8 @@ def frac_constant(alpha: float) -> float:
 
 def _endpoint_quads(pieces, tol: float, what: str) -> float:
     """Sum adaptive quadratures of stretched endpoint pieces, each given as
-    (fn, hi); raise with diagnostics when the error budget is exceeded."""
+    (fn, hi); raise with diagnostics when the estimated error exceeds the
+    budget tol * max(1, |value|)."""
     total = 0.0
     err_total = 0.0
     with warnings.catch_warnings():
@@ -99,9 +100,10 @@ def _endpoint_quads(pieces, tol: float, what: str) -> float:
                                       epsrel=1e-13, limit=400)
             total += val
             err_total += err
-    if not np.isfinite(total) or err_total > tol:
+    budget = tol * max(1.0, abs(total))
+    if not np.isfinite(total) or err_total > budget:
         raise NumericalError(
-            f"quadrature for {what} did not converge: value={total}, abserr={err_total}, requested {tol}"
+            f"quadrature for {what} did not converge: value={total}, abserr={err_total}, requested {budget}"
         )
     return total
 
@@ -145,7 +147,9 @@ def gamma_coeff_alt(alpha: float, p: float, tol: float = DEFAULT_TOL) -> float:
     and for p = 1 the first two factors are replaced by (1-u^(alpha-1)) ln u.
     Near u = 1 the doubly-vanishing product is evaluated through expm1
     against the (1-u)^(-1-alpha) blow-up; near u = 0 the product is expanded
-    into explicit powers of u.
+    into explicit powers of u.  The estimated quadrature error must stay
+    within tol * max(1, |gamma|): relative to the value once |gamma| > 1,
+    since gamma grows like 1/(alpha+1-p) as p -> alpha+1.
     """
     _check_alpha(alpha)
     _check_p(alpha, p)

@@ -1,7 +1,8 @@
-"""Monte Carlo engine: block independence of the replica streams and pinned
-output bytes on the composite-driver paths that the golden CLI artifacts do
-not reach."""
+"""Monte Carlo engine: block and cell independence of the replica streams and
+pinned output bytes on the composite-driver paths that the golden CLI
+artifacts do not reach."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from levyloewner.drivers import (Brownian, CompoundPoisson, DriverSpec, JumpLaw, Stable, TruncatedStable,
                                  sample_driver)
-from levyloewner.engine import BLOCK, evolve_lanes_on_path, run_adaptive_mc
+from levyloewner.engine import BLOCK, Cell, LaneResult, evolve_lanes_on_path, run_adaptive_cells, run_adaptive_mc
 from levyloewner.errors import ConfigError
 from levyloewner.experiments import _annulus_exit_positions
 
@@ -34,6 +35,48 @@ def test_first_block_does_not_depend_on_later_blocks(driver, beta, exit_radius):
     fields = FIELDS + (("exit_time",) if exit_radius is not None else ())
     for f in fields:
         np.testing.assert_array_equal(getattr(many, f)[:BLOCK], getattr(one, f), err_msg=f)
+
+
+# Cells of multi-cell calls: Brownian+stable cells that differ in kappa, theta,
+# z0 and hit tolerance, and composite cells that differ in kappa and z0.
+CELL_FAMILIES = {
+    "brownian_stable": [
+        Cell(DriverSpec((Brownian(2.0), Stable(1.5, 1.0))), 0.5 + 0.3j, ("cell", 0), 1e-2),
+        Cell(DriverSpec((Brownian(8.0), Stable(1.5, 0.5))), -0.2 + 0.6j, ("cell", 1), 3e-2),
+        Cell(DriverSpec((Brownian(4.0), Stable(1.5, 2.0))), 0.1 + 0.05j, "cell2", None),
+    ],
+    "composite": [
+        Cell(COMPOSITE, 0.5 + 0.3j, ("cell", 0), 1e-2),
+        Cell(DriverSpec((Brownian(6.0),) + COMPOSITE.components[1:]), 0.2 + 0.4j, ("cell", 1), 2e-2),
+    ],
+}
+
+
+@pytest.mark.parametrize("exit_radius", [None, 2.0])
+@pytest.mark.parametrize("beta", [2.0, 1.5])
+@pytest.mark.parametrize("family", sorted(CELL_FAMILIES))
+def test_cells_of_one_call_equal_cells_run_alone(family, beta, exit_radius):
+    # 700 replicas: each cell's second block is partial
+    cells = CELL_FAMILIES[family]
+    kw = dict(master_seed=9, beta=beta, exit_radius=exit_radius)
+    together = run_adaptive_cells(cells, 700, 0.5, **kw)
+    assert len(together) == len(cells)
+    for cell, res in zip(cells, together):
+        alone = run_adaptive_mc(cell.spec, cell.z0, 700, 0.5, tag=cell.tag,
+                                hit_tolerance=cell.hit_tolerance, **kw)
+        for f in dataclasses.fields(LaneResult):
+            a, b = getattr(res, f.name), getattr(alone, f.name)
+            if b is None:
+                assert a is None, f.name
+            else:
+                np.testing.assert_array_equal(a, b, err_msg=f"{cell.tag} {f.name}")
+
+
+@pytest.mark.parametrize("other", [DriverSpec((Stable(1.2, 1.0),)), DriverSpec((Stable(1.5, 1.0),)), COMPOSITE])
+def test_cells_of_other_driver_families_rejected(other):
+    cells = CELL_FAMILIES["brownian_stable"][:1] + [Cell(other, 0.5 + 0.3j, "other")]
+    with pytest.raises(ConfigError):
+        run_adaptive_cells(cells, 100, 0.5, master_seed=9)
 
 
 def test_annulus_exit_first_block_does_not_depend_on_later_blocks():
@@ -75,6 +118,14 @@ def test_composite_driver_output_bytes_pinned(beta):
                           beta=beta, hit_tolerance=1e-2,
                           exit_radius=2.0 if beta == 2.0 else None)
     assert {f: _sha(getattr(res, f)) for f in PINNED[beta]} == PINNED[beta]
+
+
+def test_annulus_exit_output_bytes_pinned():
+    # Brownian and stable parts, three blocks with a partial last one (x86-64,
+    # numpy 2.4); the loop shares its block draws with engine B.
+    sides, pos = _annulus_exit_positions(1.0, 0.5, 1.0, 1.5, 1.0, 2.0, 1300, 50.0, 11)
+    assert _sha(sides) == "910267f6aa05fe1b34768299c997f89764fa7a5b035ac3303849e5262e085460"
+    assert _sha(pos) == "d08bca6e48275eb8a77865133d78d5bef42331a824a6b2e74239fc0c3335f0c4"
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from levyloewner.experiments import (
     theta0_bracket,
     wilson_ci,
 )
+from levyloewner.loewner import EvolutionConfig
 from levyloewner.rng import stream
 from levyloewner.stable_calculus import theta0
 
@@ -98,6 +99,13 @@ class TestHittingProbability:
         with pytest.raises(ConfigError):
             hitting_probability(PhaseParams(z=0.0, kappa=8.0), 200, 1.0, seed=6)
 
+    def test_config_horizon_must_match(self):
+        cfg = EvolutionConfig(horizon=50.0)
+        with pytest.raises(ConfigError, match="horizon"):
+            hitting_probability(PhaseParams(z=1.0, kappa=8.0), 200, 1.0, 3, cfg=cfg)
+        with pytest.raises(ConfigError, match="horizon"):
+            phase_scan({"kappa": [8.0]}, 1.0, 200, 1.0, 3, cfg=cfg)
+
 
 class TestPhaseScan:
     def test_single_cell_matches_hitting_probability(self):
@@ -107,6 +115,18 @@ class TestPhaseScan:
                                      300, 5.0, seed=7, tag=("phase", 0))
         assert len(ests) == 1
         assert ests[0].hit_fraction == direct.hit_fraction
+
+    def test_cells_match_hitting_probability_across_groups(self):
+        # one engine call per beta and driver family (kappa = 0 drops the
+        # Brownian part); beta is the inner axis, so the calls interleave
+        grid = {"kappa": [0.0, 2.0, 8.0], "theta": [1.0], "beta": [2.0, 1.5]}
+        ests = phase_scan(grid, 1.0, 200, 2.0, seed=8)
+        cells = [(k, b) for k in grid["kappa"] for b in grid["beta"]]
+        assert len(ests) == len(cells)
+        for i, (kappa, beta) in enumerate(cells):
+            direct = hitting_probability(PhaseParams(z=1.0, kappa=kappa, theta=1.0, beta=beta),
+                                         200, 2.0, seed=8, tag=("phase", i))
+            assert ests[i] == direct
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):

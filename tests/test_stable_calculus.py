@@ -98,6 +98,12 @@ class TestGammaCoeff:
             for p in np.linspace(0.08, a + 0.92, 20):
                 assert gamma_coeff(a, p) == pytest.approx(gamma_coeff_alt(a, p), abs=1e-8), (a, p)
 
+    @pytest.mark.parametrize("p", [2.499, 2.4999])
+    def test_alt_near_alpha_plus_one(self, p):
+        # gamma ~ 1/(alpha+1-p): 2.0e3 and 2.0e4 here, so the quadrature's
+        # error budget is relative to the value
+        assert gamma_coeff_alt(1.5, p) == pytest.approx(gamma_coeff(1.5, p), rel=1e-9)
+
     def test_domain_errors(self):
         with pytest.raises(ConfigError):
             gamma_coeff(1.5, 0.0)
