@@ -5,19 +5,16 @@ Subpackages by concern:
 * :mod:`levyloewner.drivers` -- driving-process specs and samplers
 * :mod:`levyloewner.stable_calculus` -- generator constants, gamma(alpha,p),
   harmonicity classification, phi and theta0
-* :mod:`levyloewner.loewner` -- the chordal flow, hitting detection, slit
+* :mod:`levyloewner.loewner` -- the chordal and index-beta flow along a
+  sampled path (beta in :class:`EvolutionConfig`), hitting detection, slit
   maps, capacity, rasters
-* :mod:`levyloewner.alpha_loewner` -- the index-beta evolution
+* :mod:`levyloewner.alpha_loewner` -- the index-beta null-driver closed form
+  and driver-path rescaling
 * :mod:`levyloewner.experiments` -- Monte Carlo phase estimators
 * :mod:`levyloewner.cli` -- command-line front end and file outputs
 """
 
-from .alpha_loewner import (
-    AlphaEvolutionConfig,
-    closed_form_null_driver,
-    evolve_point_beta,
-    scaled_path,
-)
+from .alpha_loewner import closed_form_null_driver, scaled_path
 from .drivers import (
     Brownian,
     CompoundPoisson,

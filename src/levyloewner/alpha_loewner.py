@@ -1,65 +1,25 @@
-"""The beta-evolution dh = 2|h|^(2-beta)/h dt - dU, 1 < beta <= 2.
+"""Closed forms and path rescaling for the beta-evolution
+dh = 2|h|^(2-beta)/h dt - dU, 1 < beta <= 2.
 
 At beta = 2 this is the chordal Loewner flow; for beta < 2 the drift makes
 the growing family self-similar of index beta instead of 2, so a stable
 driver with matching index alpha = beta produces an evolution whose law is
-invariant under z -> a^(1/alpha) z, t -> a t.  Hitting semantics are the same
-as in :mod:`levyloewner.loewner`.
+invariant under z -> a^(1/alpha) z, t -> a t.  The evolution itself is
+:func:`levyloewner.loewner.evolve_point` with ``EvolutionConfig(beta=...)``;
+this module holds the null-driver oracle and the rescaled driver path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .drivers import DriverPath
-from .engine import evolve_lanes_on_path
 from .errors import ConfigError
-from .loewner import EvolutionConfig, HittingOutcome, _outcome_from_lane
 
 __all__ = [
-    "AlphaEvolutionConfig",
-    "evolve_point_beta",
     "closed_form_null_driver",
     "scaled_path",
 ]
-
-
-@dataclass(frozen=True)
-class AlphaEvolutionConfig(EvolutionConfig):
-    """EvolutionConfig plus the drift exponent beta in (1, 2]."""
-
-    beta: float = 2.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 1.0 < self.beta <= 2.0:
-            raise ConfigError(f"beta must lie in (1,2], got {self.beta}")
-
-
-def evolve_point_beta(z0: complex, path: DriverPath, cfg: AlphaEvolutionConfig) -> HittingOutcome:
-    """Track one point under the beta-drift along a sampled driver path.
-
-    Between driver grid points the drift preserves x*y and moves x^2-y^2
-    monotonically, which reduces it to a 1-d integration: exact on the axes
-    and on every ray at beta = 2, Runge-Kutta elsewhere, with one substep
-    count shared by the lanes still alive in a grid step, taken from a 0.05
-    bound on the relative motion of |h|^2 and capped at 64.  cfg.dt_safety does not apply
-    (it sizes the adaptive Monte Carlo grid only).  beta = 2 reproduces
-    evolve_point exactly.
-    """
-    if z0 == 0:
-        raise ConfigError("z0 must be nonzero")
-    out = evolve_lanes_on_path(
-        np.asarray([z0], dtype=complex), path, cfg.horizon,
-        hit_tolerance=cfg.hit_tolerance, beta=cfg.beta,
-        record_trajectory=cfg.record_trajectory,
-    )
-    if cfg.record_trajectory:
-        res, traj = out
-        return _outcome_from_lane(res, 0, cfg.horizon, traj)
-    return _outcome_from_lane(out, 0, cfg.horizon)
 
 
 def closed_form_null_driver(x: float, beta: float, t: float) -> float:

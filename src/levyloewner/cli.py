@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .alpha_loewner import AlphaEvolutionConfig, evolve_point_beta
 from .drivers import Brownian, CompoundPoisson, DriverSpec, JumpLaw, Stable, sample_driver
 from .errors import ConfigError, LevyLoewnerError
 from .experiments import (
@@ -34,7 +33,7 @@ from .experiments import (
     theta0_bracket,
     PhaseParams,
 )
-from .loewner import EvolutionConfig, raster_cluster
+from .loewner import EvolutionConfig, evolve_point, raster_cluster
 from .output import (
     driver_path_rows,
     json_dump,
@@ -364,16 +363,15 @@ def _run_trace(cfg: RunConfig, out: Path) -> list[str]:
     spec = _driver_spec_from(p)
     path = sample_driver(spec, p["horizon"], cfg.seed, replica=0, dt=p["path_dt"])
     z0 = complex(p["z0"][0], p["z0"][1])
-    ecfg = AlphaEvolutionConfig(horizon=p["horizon"], beta=p["beta"],
-                                hit_tolerance=p["hit_tolerance"] or None,
-                                record_trajectory=True)
-    outcome = evolve_point_beta(z0, path, ecfg)
+    ecfg = EvolutionConfig(p["horizon"], hit_tolerance=p["hit_tolerance"] or None, beta=p["beta"])
+    outcome = evolve_point(z0, path, ecfg)
     traj = outcome.trajectory
     write_csv(out / "trajectory.csv", ["t", "re_h", "im_h", "u"], map(tuple, traj.tolist()))
     (out / "trajectory.svg").write_text(render_trajectory_svg(traj), encoding="ascii")
     write_csv(out / "driver.csv", ["t", "u", "is_jump", "jump_size"], driver_path_rows(path))
+    # the raster keeps its geometry-aware cell tolerance
     raster = raster_cluster(tuple(p["window"]), tuple(p["resolution"]), path,
-                            EvolutionConfig(horizon=p["horizon"]), beta=p["beta"])
+                            EvolutionConfig(p["horizon"], beta=p["beta"]))
     write_csv(out / "cluster.csv", ["x", "y", "zeta_or_inf"], raster_rows(raster))
     (out / "cluster.svg").write_text(render_raster_svg(raster), encoding="ascii")
     summary = {
@@ -399,8 +397,8 @@ def _phase_rows(estimates):
 def _run_phase(cfg: RunConfig, out: Path) -> list[str]:
     p = cfg.params
     z = complex(p["z"][0], p["z"][1])
-    ecfg = EvolutionConfig(horizon=p["horizon"], hit_tolerance=p["hit_tolerance"] or None)
-    ests = phase_scan(p["grid"], z, p["n"], p["horizon"], cfg.seed, cfg=ecfg)
+    ests = phase_scan(p["grid"], z, p["n"], p["horizon"], cfg.seed,
+                      hit_tolerance=p["hit_tolerance"] or None)
     write_csv(out / "phase.csv", _PHASE_HEADER, _phase_rows(ests))
     return ["phase.csv"]
 
@@ -409,8 +407,8 @@ def _run_hitprob(cfg: RunConfig, out: Path) -> list[str]:
     p = cfg.params
     z = complex(p["z"][0], p["z"][1])
     params = PhaseParams(z=z, kappa=p["kappa"], alpha=p["alpha"], theta=p["theta"], beta=p["beta"])
-    ecfg = EvolutionConfig(horizon=p["horizon"], hit_tolerance=p["hit_tolerance"] or None)
-    est = hitting_probability(params, p["n"], p["horizon"], cfg.seed, cfg=ecfg)
+    est = hitting_probability(params, p["n"], p["horizon"], cfg.seed,
+                              hit_tolerance=p["hit_tolerance"] or None)
     write_csv(out / "hitprob.csv", _PHASE_HEADER, _phase_rows([est]))
     return ["hitprob.csv"]
 

@@ -1,4 +1,4 @@
-"""Vectorized evolution kernels shared by the Loewner and beta-evolution APIs.
+"""Vectorized evolution kernels of the path API and the Monte Carlo estimators.
 
 State per lane is h = x + iy in the closed upper half plane.  Between driver
 increments h follows the pure drift
@@ -68,6 +68,8 @@ BLOCK = 512
 # Lockstep iterations per Monte Carlo call, which last as long as its slowest
 # lane in any block; guards against a stuck adaptive loop.
 _MAX_STEPS = 20_000_000
+# Upper clip of the adaptive Monte Carlo step.
+_DT_MAX = 1e6
 
 __all__ = ["BLOCK", "Cell", "LaneResult", "default_hit_tolerance", "evolve_lanes_on_path",
            "run_adaptive_cells", "run_adaptive_mc"]
@@ -518,14 +520,14 @@ class Cell(NamedTuple):
 
 def run_adaptive_mc(spec: DriverSpec, z0, n: int, horizon: float, *, master_seed: int,
                     tag, hit_tolerance: float | None = None, beta: float = 2.0,
-                    dt_safety: float = 0.1, dt_max: float = 1e6,
-                    exit_radius: float | None = None) -> LaneResult:
+                    dt_safety: float = 0.1, exit_radius: float | None = None) -> LaneResult:
     """n independent replicas of the evolution of z0 under fresh driver paths.
 
     Each replica's driver is realized on the fly along an adaptive grid:
-    dt = dt_safety * min(|h|^beta / (2 beta), tau_1(|h|), ...), where tau_j
-    is component j's local timescale (:func:`_adaptive_tau`), clipped to
-    [hit_tol^beta/16, dt_max] and to the time left before the horizon;
+    dt = dt_safety * min(|h|^beta / (2 beta), tau_1(|h|), ...) with
+    0 < dt_safety < 1, where tau_j is component j's local timescale
+    (:func:`_adaptive_tau`), clipped to [hit_tol^beta/16, 1e6] and to the
+    time left before the horizon;
     increments are exact marginal draws per step.  Replicas are grouped in
     blocks of :data:`BLOCK`, block b drawing from the stream
     (master_seed, *tag, "block", b); all blocks advance together, and each
@@ -534,11 +536,11 @@ def run_adaptive_mc(spec: DriverSpec, z0, n: int, horizon: float, *, master_seed
     """
     return run_adaptive_cells([Cell(spec, z0, tag, hit_tolerance)], n, horizon,
                               master_seed=master_seed, beta=beta, dt_safety=dt_safety,
-                              dt_max=dt_max, exit_radius=exit_radius)[0]
+                              exit_radius=exit_radius)[0]
 
 
 def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed: int,
-                       beta: float = 2.0, dt_safety: float = 0.1, dt_max: float = 1e6,
+                       beta: float = 2.0, dt_safety: float = 0.1,
                        exit_radius: float | None = None) -> list[LaneResult]:
     """:func:`run_adaptive_mc` for n replicas of each :class:`Cell`, advanced
     in one lockstep loop; returns one result per cell, in order.
@@ -554,6 +556,8 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         raise ConfigError("n must be at least 1")
     if not horizon > 0:
         raise ConfigError("horizon must be positive")
+    if not 0 < dt_safety < 1:
+        raise ConfigError(f"dt_safety must lie in (0,1), got {dt_safety}")
     if len({_loop_key(c.spec) for c in cells}) != 1:
         raise ConfigError("the cells of one loop may differ in Brownian kappa and stable theta only")
     z0 = np.array([complex(c.z0) for c in cells])
@@ -605,7 +609,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         if it > _MAX_STEPS:
             raise NumericalError("adaptive evolution exceeded the step budget without resolving")
         dt = dt_safety * _adaptive_tau(np.hypot(x, y), beta, incs, coef)
-        np.clip(dt, dt_floor, dt_max, out=dt)
+        np.clip(dt, dt_floor, _DT_MAX, out=dt)
         np.minimum(dt, horizon - t, out=dt)
         t_next = t + dt
         raws = _live_draws(blocks, lane, dt)

@@ -42,7 +42,8 @@ from .drivers import (
     _stable_variates,
     sample_driver,
 )
-from .engine import BLOCK, Cell, _live_draws, _loop_key, run_adaptive_cells, run_adaptive_mc
+from .engine import (BLOCK, Cell, _live_draws, _loop_key, default_hit_tolerance,
+                     run_adaptive_cells, run_adaptive_mc)
 from .errors import ConfigError, StatisticalError
 from .loewner import EvolutionConfig, connected_components, raster_cluster
 from .rng import stream
@@ -169,38 +170,33 @@ def _flag(frac_t: float, frac_2t: float, n: int) -> str:
 
 
 def hitting_probability(params: PhaseParams, n: int, horizon: float, seed: int,
-                        cfg: EvolutionConfig | None = None,
+                        hit_tolerance: float | None = None,
                         tag=("hitprob",)) -> PhaseEstimate:
     """Estimate P(zeta(z) <= T) from n independent driver paths.
 
     Censoring at the horizon is reported, never treated as survival-forever:
     the estimate is of P(zeta <= T) and the horizon flag compares against the
-    paired 2T fractions as the convergence diagnostic.  ``cfg`` supplies the
-    hit tolerance and the step controls; its horizon must equal ``horizon``.
+    paired 2T fractions as the convergence diagnostic.  The evolution runs at
+    params.beta; hit_tolerance=None is the default 1e-4*(1+|z|).
     """
-    return _estimates([(params.driver_spec(), params, tag)], n, horizon, seed, cfg)[0]
+    return _estimates([(params.driver_spec(), params, tag)], n, horizon, seed, hit_tolerance)[0]
 
 
-def _estimates(cells, n: int, horizon: float, seed: int, cfg: EvolutionConfig | None,
+def _estimates(cells, n: int, horizon: float, seed: int, hit_tolerance: float | None,
                declared_class: str = "n/a") -> list[PhaseEstimate]:
     """Run n replicas of each cell (spec, params, tag) to 2T and count hits by
     T and by 2T; one engine call per beta and loop key, estimates in input
     order."""
     if n < 100:
         raise ConfigError("n >= 100 required for CI validity")
-    if cfg is None:
-        cfg = EvolutionConfig(horizon=horizon)
-    if cfg.horizon != horizon:
-        raise ConfigError(f"cfg.horizon {cfg.horizon} differs from horizon {horizon}")
     groups: dict[tuple, list[int]] = {}
     for i, (spec, params, _) in enumerate(cells):
         groups.setdefault((params.beta, _loop_key(spec)), []).append(i)
     out = [None] * len(cells)
     for (beta, _), group in groups.items():
         results = run_adaptive_cells(
-            [Cell(spec, params.z, tag, cfg.hit_tolerance) for spec, params, tag in (cells[i] for i in group)],
+            [Cell(spec, params.z, tag, hit_tolerance) for spec, params, tag in (cells[i] for i in group)],
             n, 2.0 * horizon, master_seed=seed, beta=beta,
-            dt_safety=cfg.dt_safety, dt_max=cfg.dt_max,
         )
         for i, res in zip(group, results):
             hits_t = int(np.nansum((res.zeta <= horizon).astype(np.int64)))
@@ -216,8 +212,9 @@ def _estimates(cells, n: int, horizon: float, seed: int, cfg: EvolutionConfig | 
 
 
 def phase_scan(grid: dict, z: complex, n: int, horizon: float, seed: int,
-               cfg: EvolutionConfig | None = None) -> list[PhaseEstimate]:
-    """Cartesian sweep over grid axes drawn from {kappa, alpha, theta, beta}.
+               hit_tolerance: float | None = None) -> list[PhaseEstimate]:
+    """Cartesian sweep over grid axes drawn from {kappa, alpha, theta, beta};
+    hit_tolerance as in :func:`hitting_probability`.
 
     Cell i draws from its own streams, tagged ("phase", i); the cells run
     together, one engine call per beta and driver family.
@@ -238,7 +235,7 @@ def phase_scan(grid: dict, z: complex, n: int, horizon: float, seed: int,
 
     params = [cell_params(cell) for cell in cells]
     return _estimates([(p.driver_spec(), p, ("phase", i)) for i, p in enumerate(params)],
-                      n, horizon, seed, cfg)
+                      n, horizon, seed, hit_tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +588,7 @@ def scaling_check(kappa: float, alpha: float, theta: float, a: float, statistic:
     z = complex(z)
     sq = np.sqrt(a)
     rho = exit_radius if exit_radius is not None else 4.0 * abs(z)
-    delta = 1e-4 * (1.0 + abs(z))
+    delta = default_hit_tolerance(z)
 
     spec_a = PhaseParams(z=z, kappa=kappa, alpha=alpha, theta=theta).driver_spec()
     spec_b = PhaseParams(z=z, kappa=kappa, alpha=alpha, theta=theta_tilde).driver_spec()
@@ -685,10 +682,9 @@ def theta0_bracket(alpha: float, theta_grid, z: complex, n: int, horizon: float,
     thetas = tuple(sorted(float(v) for v in theta_grid))
     if len(thetas) < 2:
         raise ConfigError("theta grid needs at least two points")
-    cfg = EvolutionConfig(horizon=horizon, hit_tolerance=hit_tolerance)
     params = [PhaseParams(z=z, kappa=0.0, alpha=alpha, theta=th, beta=alpha) for th in thetas]
     ests = _estimates([(p.driver_spec(), p, ("theta0", i)) for i, p in enumerate(params)],
-                      n, horizon, seed, cfg)
+                      n, horizon, seed, hit_tolerance)
     fr = np.asarray([e.hit_fraction for e in ests])
     above = fr >= 0.5
     if not above.any() or above.all():

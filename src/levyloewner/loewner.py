@@ -1,9 +1,11 @@
-"""Chordal Loewner flow: per-point evolution with hitting detection, exact
-slit-map composition for piecewise-constant drivers, capacity estimation, and
-cluster rasterization.
+"""Chordal Loewner flow and its index-beta variant along a sampled path:
+per-point evolution with hitting detection, exact slit-map composition for
+piecewise-constant drivers, capacity estimation, and cluster rasterization.
 
-The flow of a point z is h_t(z) = g_t(z) - U(t) with dh = 2/h dt - dU.  A
-point dies (is swallowed into the cluster) at zeta(z), the first time h
+The flow of a point z is h_t(z) = g_t(z) - U(t) with
+dh = 2|h|^(2-beta)/h dt - dU, 1 < beta <= 2; beta = 2 is the chordal Loewner
+flow dh = 2/h dt - dU, and :attr:`EvolutionConfig.beta` selects the exponent.
+A point dies (is swallowed into the cluster) at zeta(z), the first time h
 reaches 0 continuously or a driver jump lands on the pre-jump position; both
 events are thickened to the tolerance delta_hit in simulation.
 """
@@ -34,28 +36,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Discretization controls for the per-point flow.
+    """Controls of the flow along a sampled path: the horizon, the hit
+    tolerance and the drift exponent beta in (1, 2] (2 = chordal Loewner).
 
-    hit_tolerance=None resolves to the default 1e-4*(1+|z0|) per point.
-    dt_max/dt_safety control the adaptive Monte Carlo grid (engine B); for a
-    pre-sampled path the grid is the path's own.
+    hit_tolerance=None resolves to the default 1e-4*(1+|z0|) per point, and
+    to the geometry-aware :func:`raster_cell_tolerance` per raster cell.  The
+    time grid is the path's own.
     """
 
     horizon: float
     hit_tolerance: float | None = None
-    dt_max: float = 1e6
-    dt_safety: float = 0.1
-    record_trajectory: bool = False
+    beta: float = 2.0
 
     def __post_init__(self):
         if not self.horizon > 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
-        if self.hit_tolerance is not None and not self.hit_tolerance > 0:
-            raise ConfigError("hit_tolerance must be positive")
-        if not 0 < self.dt_safety < 1:
-            raise ConfigError(f"dt_safety must lie in (0,1), got {self.dt_safety}")
-        if not self.dt_max > 0:
-            raise ConfigError("dt_max must be positive")
+        if self.hit_tolerance is not None and not 0 < self.hit_tolerance < np.inf:
+            raise ConfigError("hit_tolerance must be positive and finite")
+        if not 1.0 < self.beta <= 2.0:
+            raise ConfigError(f"beta must lie in (1,2], got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -68,47 +67,39 @@ class HittingOutcome:
     steps_taken: int
     min_abs_h: float
     h_final: complex | None = None
-    trajectory: np.ndarray | None = None  # rows (t, Re h, Im h, U) when recorded
+    trajectory: np.ndarray | None = None  # rows (t, Re h, Im h, U)
 
     @property
     def hit(self) -> bool:
         return self.zeta is not None
 
 
-def _outcome_from_lane(res, idx: int, horizon: float, trajectory=None) -> HittingOutcome:
-    hit = not np.isnan(res.zeta[idx])
-    return HittingOutcome(
-        z0=complex(res.z0[idx]),
-        zeta=float(res.zeta[idx]) if hit else None,
-        censored_at=None if hit else horizon,
-        steps_taken=int(res.steps[idx]),
-        min_abs_h=float(res.min_abs[idx]),
-        h_final=None if hit else complex(res.x[idx], res.y[idx]),
-        trajectory=trajectory,
-    )
-
-
-def evolve_point(z0: complex, path: DriverPath, cfg: EvolutionConfig,
-                 beta: float = 2.0) -> HittingOutcome:
+def evolve_point(z0: complex, path: DriverPath, cfg: EvolutionConfig) -> HittingOutcome:
     """Track one point of the closed upper half-plane along a sampled path.
 
-    The driver is held at its cadlag value between grid points and the drift
-    is integrated exactly there, so all discretization error lives in the
-    path's grid.  Hits: |h| <= delta at a check point, an exact within-step
-    collapse, a jump landing within delta of the pre-jump h, or a continuous
-    sign crossing of Re h while Im h <= delta (Brownian content only).
+    The driver is held at its cadlag value between grid points.  Between
+    them the drift is exact at beta = 2 and on the axes, and Runge-Kutta off
+    the axes at beta < 2 (see :mod:`levyloewner.engine`), so at beta = 2 all
+    discretization error lives in the path's grid.  Hits: |h| <= delta at a
+    check point, an exact within-step collapse, a jump landing within delta
+    of the pre-jump h, or a continuous sign crossing of Re h while
+    Im h <= delta (Brownian content only).  The outcome carries the
+    trajectory.
     """
-    if z0 == 0:
-        raise ConfigError("z0 must be nonzero")
-    out = evolve_lanes_on_path(
+    res, traj = evolve_lanes_on_path(
         np.asarray([z0], dtype=complex), path, cfg.horizon,
-        hit_tolerance=cfg.hit_tolerance, beta=beta,
-        record_trajectory=cfg.record_trajectory,
+        hit_tolerance=cfg.hit_tolerance, beta=cfg.beta, record_trajectory=True,
     )
-    if cfg.record_trajectory:
-        res, traj = out
-        return _outcome_from_lane(res, 0, cfg.horizon, traj)
-    return _outcome_from_lane(out, 0, cfg.horizon)
+    hit = not np.isnan(res.zeta[0])
+    return HittingOutcome(
+        z0=complex(res.z0[0]),
+        zeta=float(res.zeta[0]) if hit else None,
+        censored_at=None if hit else cfg.horizon,
+        steps_taken=int(res.steps[0]),
+        min_abs_h=float(res.min_abs[0]),
+        h_final=None if hit else complex(res.x[0], res.y[0]),
+        trajectory=traj,
+    )
 
 
 def _sqrt_upper(a: np.ndarray, sign_real: np.ndarray) -> np.ndarray:
@@ -243,13 +234,12 @@ class ClusterRaster:
         return self.zeta <= t
 
 
-def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig,
-                   beta: float = 2.0, cell_tolerance=None) -> ClusterRaster:
-    """Evolve the center of every window cell along one path.
+def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig) -> ClusterRaster:
+    """Evolve the center of every window cell along one path under cfg.beta.
 
     Cells within the hit tolerance of the origin are marked hit at 0+ by
-    convention.  The default per-cell tolerance is the geometry-aware
-    :func:`raster_cell_tolerance`; pass a scalar to override.
+    convention.  cfg.hit_tolerance=None gives each cell the geometry-aware
+    :func:`raster_cell_tolerance`; a number is used for every cell.
     """
     x0, x1, y0, y1 = map(float, window)
     nx, ny = map(int, resolution)
@@ -261,17 +251,17 @@ def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig,
     ys = y0 + ch * (np.arange(ny) + 0.5)
     gx, gy = np.meshgrid(xs, ys)
     centers = (gx + 1j * gy).ravel()
-    if cell_tolerance is None:
+    if cfg.hit_tolerance is None:
         tol = raster_cell_tolerance(cw, ch, gy.ravel())
     else:
-        tol = np.broadcast_to(np.asarray(cell_tolerance, dtype=float), centers.shape).copy()
+        tol = np.full(centers.shape, float(cfg.hit_tolerance))
 
     near_origin = np.abs(centers) <= tol
     zeta = np.full(centers.size, np.inf)
     zeta[near_origin] = 0.0
     todo = ~near_origin
     res = evolve_lanes_on_path(centers[todo], path, cfg.horizon,
-                               hit_tolerance=tol[todo], beta=beta)
+                               hit_tolerance=tol[todo], beta=cfg.beta)
     z = res.zeta.copy()
     z[np.isnan(z)] = np.inf
     zeta[todo] = z

@@ -14,7 +14,7 @@ import time
 import numpy as np
 from scipy.special import gammainc
 
-from levyloewner.alpha_loewner import AlphaEvolutionConfig, closed_form_null_driver, evolve_point_beta
+from levyloewner.alpha_loewner import closed_form_null_driver
 from levyloewner.drivers import (
     Brownian,
     CompoundPoisson,
@@ -82,8 +82,8 @@ def test_criterion_02_closed_form_solver_oracles():
 
     err_beta = 0.0
     for x, horizon, beta in ((1.0, 1.0, 1.5), (2.0, 3.0, 1.2), (0.3, 0.5, 1.8)):
-        out = evolve_point_beta(complex(x, 0.0), null_path(horizon),
-                                AlphaEvolutionConfig(horizon=horizon, beta=beta))
+        out = evolve_point(complex(x, 0.0), null_path(horizon),
+                           EvolutionConfig(horizon=horizon, beta=beta))
         err_beta = max(err_beta, abs(out.h_final.real - closed_form_null_driver(x, beta, horizon)))
 
     err_red = 0.0
@@ -91,7 +91,7 @@ def test_criterion_02_closed_form_solver_oracles():
         path = sample_stable(1.5, 1.0, uniform_grid(1.0, 1e-2), stream(seed, "acc2"))
         z = 0.6 + 0.8j
         a = evolve_point(z, path, EvolutionConfig(horizon=1.0))
-        b = evolve_point_beta(z, path, AlphaEvolutionConfig(horizon=1.0, beta=2.0))
+        b = evolve_point(z, path, EvolutionConfig(horizon=1.0, beta=2.0))
         if a.hit:
             err_red = max(err_red, abs(a.zeta - b.zeta))
         else:
@@ -225,11 +225,10 @@ def test_criterion_09_theta0_transition():
     alpha = 1.5
     th0 = theta0(alpha)
     x, horizon, n, tol = 0.5, 4000.0, 2000, 1e-5
-    cfg = EvolutionConfig(horizon=horizon, hit_tolerance=tol)
     low = hitting_probability(PhaseParams(z=x, alpha=alpha, theta=0.25 * th0, beta=alpha),
-                              n, horizon, SEED, cfg=cfg, tag=("acc9", "low"))
+                              n, horizon, SEED, hit_tolerance=tol, tag=("acc9", "low"))
     high = hitting_probability(PhaseParams(z=x, alpha=alpha, theta=4.0 * th0, beta=alpha),
-                               n, horizon, SEED, cfg=cfg, tag=("acc9", "high"))
+                               n, horizon, SEED, hit_tolerance=tol, tag=("acc9", "high"))
     bracket = theta0_bracket(alpha, [m * th0 for m in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)],
                              x, n, horizon, SEED, hit_tolerance=tol)
     elapsed = time.time() - t0

@@ -4,12 +4,7 @@ null-driver closed forms, rescaled paths, and the self-similar coupling."""
 import numpy as np
 import pytest
 
-from levyloewner.alpha_loewner import (
-    AlphaEvolutionConfig,
-    closed_form_null_driver,
-    evolve_point_beta,
-    scaled_path,
-)
+from levyloewner.alpha_loewner import closed_form_null_driver, scaled_path
 from levyloewner.drivers import DriverSpec, Stable, sample_brownian, sample_stable, uniform_grid
 from levyloewner.engine import run_adaptive_mc
 from levyloewner.errors import ConfigError
@@ -47,23 +42,23 @@ class TestNullDriverIntegrator:
         for x in (1e-2, 0.1, 1.0, 10.0, 100.0):
             for horizon in (0.1, 1.0, 10.0):
                 path = null_path(horizon, dt=horizon / 16)
-                cfg = AlphaEvolutionConfig(horizon=horizon, beta=1.5)
-                out = evolve_point_beta(complex(x, 0.0), path, cfg)
+                cfg = EvolutionConfig(horizon=horizon, beta=1.5)
+                out = evolve_point(complex(x, 0.0), path, cfg)
                 expected = closed_form_null_driver(x, 1.5, horizon)
                 assert abs(out.h_final.real - expected) / expected < 1e-8
 
     def test_imaginary_axis_hit_time(self):
-        cfg = AlphaEvolutionConfig(horizon=1.0, beta=1.5)
-        out = evolve_point_beta(1j, null_path(1.0), cfg)
+        cfg = EvolutionConfig(horizon=1.0, beta=1.5)
+        out = evolve_point(1j, null_path(1.0), cfg)
         assert out.hit
         assert out.zeta == pytest.approx(1.0 / 3.0, abs=1e-5)
 
     def test_interior_point_against_refined_reference(self):
         # off-axis accuracy: compare against the same flow on a 64x finer grid
         z = 0.8 + 0.9j
-        cfg = AlphaEvolutionConfig(horizon=1.0, beta=1.3)
-        coarse = evolve_point_beta(z, null_path(1.0, dt=0.25), cfg)
-        fine = evolve_point_beta(z, null_path(1.0, dt=0.25 / 64), cfg)
+        cfg = EvolutionConfig(horizon=1.0, beta=1.3)
+        coarse = evolve_point(z, null_path(1.0, dt=0.25), cfg)
+        fine = evolve_point(z, null_path(1.0, dt=0.25 / 64), cfg)
         assert abs(coarse.h_final - fine.h_final) / abs(fine.h_final) < 1e-7
 
 
@@ -73,7 +68,7 @@ class TestBetaTwoReduction:
             path = sample_stable(1.5, 1.0, uniform_grid(1.0, 1e-2), stream(seed, "red"))
             z = 0.6 + 0.8j
             a = evolve_point(z, path, EvolutionConfig(horizon=1.0))
-            b = evolve_point_beta(z, path, AlphaEvolutionConfig(horizon=1.0, beta=2.0))
+            b = evolve_point(z, path, EvolutionConfig(horizon=1.0, beta=2.0))
             assert (a.zeta is None) == (b.zeta is None)
             if a.zeta is not None:
                 assert a.zeta == pytest.approx(b.zeta, abs=1e-8)
@@ -125,8 +120,8 @@ class TestScaledPath:
 class TestDriftInvariants:
     def test_im_h_nonincreasing_beta(self):
         path = sample_stable(1.2, 1.0, uniform_grid(1.0, 1e-2), stream(41, "imb"))
-        cfg = AlphaEvolutionConfig(horizon=1.0, beta=1.5, record_trajectory=True)
-        out = evolve_point_beta(0.5 + 1.5j, path, cfg)
+        cfg = EvolutionConfig(horizon=1.0, beta=1.5)
+        out = evolve_point(0.5 + 1.5j, path, cfg)
         assert np.all(np.diff(out.trajectory[:, 2]) <= 1e-15)
 
     def test_grid_refinement_invariance(self):
@@ -143,9 +138,9 @@ class TestDriftInvariants:
             vals2 = path.values_at(grid2)
             fine = DriverPath(grid2, vals2, path.jump_times, path.jump_sizes,
                               "refined", is_piecewise_constant=True)
-            cfg = AlphaEvolutionConfig(horizon=2.0, beta=1.6, hit_tolerance=tol)
-            a = evolve_point_beta(0.5 + 0.7j, path, cfg)
-            b = evolve_point_beta(0.5 + 0.7j, fine, cfg)
+            cfg = EvolutionConfig(horizon=2.0, beta=1.6, hit_tolerance=tol)
+            a = evolve_point(0.5 + 0.7j, path, cfg)
+            b = evolve_point(0.5 + 0.7j, fine, cfg)
             if a.hit and b.hit:
                 assert abs(a.zeta - b.zeta) < tol
             elif not a.hit and not b.hit:

@@ -221,6 +221,12 @@ def test_mc_rejects_bad_hit_tolerance(tol):
         run_adaptive_mc(DRIVERS["brownian"], 1.0, 16, 1.0, master_seed=1, tag="bad", hit_tolerance=tol)
 
 
+@pytest.mark.parametrize("dt_safety", [0.0, -0.1, 1.0, np.nan])
+def test_mc_rejects_dt_safety_outside_zero_one(dt_safety):
+    with pytest.raises(ConfigError, match="dt_safety"):
+        run_adaptive_mc(DRIVERS["brownian"], 1.0, 16, 1e-6, master_seed=1, tag="bad", dt_safety=dt_safety)
+
+
 @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan])
 def test_path_rejects_non_positive_horizon(horizon):
     path = sample_driver(DRIVERS["brownian"], 1.0, 1, dt=0.01)

@@ -17,7 +17,6 @@ from levyloewner.experiments import (
     theta0_bracket,
     wilson_ci,
 )
-from levyloewner.loewner import EvolutionConfig
 from levyloewner.rng import stream
 from levyloewner.stable_calculus import theta0
 
@@ -98,13 +97,6 @@ class TestHittingProbability:
     def test_z_zero_rejected(self):
         with pytest.raises(ConfigError):
             hitting_probability(PhaseParams(z=0.0, kappa=8.0), 200, 1.0, seed=6)
-
-    def test_config_horizon_must_match(self):
-        cfg = EvolutionConfig(horizon=50.0)
-        with pytest.raises(ConfigError, match="horizon"):
-            hitting_probability(PhaseParams(z=1.0, kappa=8.0), 200, 1.0, 3, cfg=cfg)
-        with pytest.raises(ConfigError, match="horizon"):
-            phase_scan({"kappa": [8.0]}, 1.0, 200, 1.0, 3, cfg=cfg)
 
 
 class TestPhaseScan:

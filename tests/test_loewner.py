@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from levyloewner.drivers import (
+    Brownian,
+    DriverSpec,
     JumpLaw,
     sample_brownian,
     sample_compound_poisson,
+    sample_driver,
     sample_stable,
     uniform_grid,
 )
@@ -190,11 +193,32 @@ class TestRaster:
                                 EvolutionConfig(horizon=1.0))
         assert connected_components(raster, 1.0) == 0
 
+    def test_scalar_hit_tolerance_used_for_every_cell(self):
+        path = sample_driver(DriverSpec((Brownian(4.0),)), 1.0, 3, dt=1e-3)
+        window = (-1.5, 1.5, 0.0, 2.5)
+        default = raster_cluster(window, (30, 25), path, EvolutionConfig(horizon=1.0))
+        wide = raster_cluster(window, (30, 25), path, EvolutionConfig(horizon=1.0, hit_tolerance=0.5))
+        assert np.all(wide.cell_tolerance == 0.5)
+        assert not np.array_equal(wide.cells_hit_by(1.0), default.cells_hit_by(1.0))
+
+
+class TestConfig:
+    @pytest.mark.parametrize("beta", [1.0, 2.5, np.nan])
+    def test_rejects_beta_outside_one_two(self, beta):
+        with pytest.raises(ConfigError, match="beta"):
+            EvolutionConfig(horizon=1.0, beta=beta)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan, np.inf])
+    def test_rejects_hit_tolerance_not_positive_finite(self, tol):
+        # a raster cell within an infinite tolerance of 0 would be marked hit at 0+
+        with pytest.raises(ConfigError, match="hit_tolerance"):
+            EvolutionConfig(horizon=1.0, hit_tolerance=tol)
+
 
 class TestInvariants:
     def test_im_h_nonincreasing(self):
         path = sample_stable(1.2, 1.0, uniform_grid(1.0, 1e-3), stream(11, "imh"))
-        cfg = EvolutionConfig(horizon=1.0, record_trajectory=True)
+        cfg = EvolutionConfig(horizon=1.0)
         out = evolve_point(0.5 + 1.5j, path, cfg)
         ys = out.trajectory[:, 2]
         assert np.all(np.diff(ys) <= 1e-15)
