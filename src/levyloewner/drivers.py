@@ -319,33 +319,16 @@ def standard_stable_sample(alpha: float, rng: np.random.Generator, size) -> np.n
 
     alpha = 2 is the Gaussian edge case Var = 2; alpha = 1 is standard Cauchy.
     """
-    return _stable_transform(alpha, _stable_variates(alpha, rng, size))
-
-
-def _stable_variates(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
-    """The raw draws behind :func:`standard_stable_sample`, stacked on a
-    leading axis: one normal at alpha = 2, else one uniform and (unless
-    alpha = 1) then one exponential."""
     if alpha == 2.0:
-        return np.array((rng.standard_normal(size),))
-    u = rng.random(size)
-    if alpha == 1.0:
-        return np.array((u,))
-    return np.array((u, rng.standard_exponential(size)))
-
-
-def _stable_transform(alpha: float, raw: np.ndarray) -> np.ndarray:
-    """Map :func:`_stable_variates` output to S_1, entry by entry, so a
-    subset of the raw draws maps to the same subset of samples."""
-    if alpha == 2.0:
-        return np.sqrt(2.0) * raw[0]
-    v = (raw[0] - 0.5) * np.pi
+        return np.sqrt(2.0) * rng.standard_normal(size)
+    v = (rng.random(size) - 0.5) * np.pi
     if alpha == 1.0:
         return np.tan(v)
+    w = rng.standard_exponential(size)
     return (
         np.sin(alpha * v)
         / np.cos(v) ** (1.0 / alpha)
-        * (np.cos((1.0 - alpha) * v) / raw[1]) ** ((1.0 - alpha) / alpha)
+        * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
     )
 
 
@@ -396,39 +379,41 @@ def sample_truncated_stable(alpha: float, theta: float, cutoff: float, grid: np.
     comp = TruncatedStable(alpha, theta, cutoff, small_jump_eps)
     grid = _check_grid(grid)
     dt = np.diff(grid)
-    eps = comp.eps
+    inc, step_of_jump, jumps = _truncated_stable_steps(comp, rng, dt)
+    values = np.concatenate(([0.0], np.cumsum(inc)))
+
+    if ledger_threshold is None:
+        ledger_threshold = _ledger_threshold(
+            truncated_stable_variance_rate(alpha, theta, cutoff) * dt.max())
+    # step_of_jump ascends, so the ledger is in time order
+    big = np.abs(jumps) > ledger_threshold
+    return DriverPath(grid, values, grid[1:][step_of_jump[big]], jumps[big], tag)
+
+
+def _truncated_stable_steps(comp: TruncatedStable, rng: np.random.Generator, dt: np.ndarray):
+    """Increments of ``comp`` over steps of length dt, with the step index and
+    size of each simulated cloud jump: (inc, step_of_jump, jumps)."""
+    alpha, eps = comp.alpha, comp.eps
     a_const = frac_constant(alpha)
-    scale = theta ** (1.0 / alpha)
+    scale = comp.theta ** (1.0 / alpha)
 
     # Gaussian stand-in for jumps below eps
     small_var_rate = 2.0 * a_const * eps ** (2.0 - alpha) / (2.0 - alpha)
     inc = scale * np.sqrt(small_var_rate * dt) * rng.standard_normal(dt.size)
 
     # compound Poisson cloud on (eps, cutoff]
-    lam = 2.0 * a_const * (eps ** -alpha - cutoff ** -alpha) / alpha
+    lam = 2.0 * a_const * (eps ** -alpha - comp.cutoff ** -alpha) / alpha
     counts = rng.poisson(lam * dt)
     total = int(counts.sum())
+    step_of_jump = np.repeat(np.arange(dt.size), counts)
+    jumps = np.empty(0)
     if total:
         u = rng.random(total)
-        mags = (eps ** -alpha - u * (eps ** -alpha - cutoff ** -alpha)) ** (-1.0 / alpha)
+        mags = (eps ** -alpha - u * (eps ** -alpha - comp.cutoff ** -alpha)) ** (-1.0 / alpha)
         signs = rng.choice([-1.0, 1.0], size=total)
         jumps = scale * signs * mags
-        step_of_jump = np.repeat(np.arange(dt.size), counts)
         inc = inc + np.bincount(step_of_jump, weights=jumps, minlength=dt.size)
-    values = np.concatenate(([0.0], np.cumsum(inc)))
-
-    if ledger_threshold is None:
-        ledger_threshold = _ledger_threshold(
-            truncated_stable_variance_rate(alpha, theta, cutoff) * dt.max())
-    jt: list[float] = []
-    js: list[float] = []
-    if total:
-        big = np.abs(jumps) > ledger_threshold
-        jt = list(grid[1:][step_of_jump[big]])
-        js = list(jumps[big])
-    order = np.argsort(jt, kind="stable") if jt else []
-    return DriverPath(grid, values, np.asarray(jt)[order] if len(jt) else np.empty(0),
-                      np.asarray(js)[order] if len(js) else np.empty(0), tag)
+    return inc, step_of_jump, jumps
 
 
 def sample_compound_poisson(rate: float, jump_law: JumpLaw, horizon: float,

@@ -10,11 +10,11 @@ which preserves c = x*y and moves u = x^2 - y^2 monotonically up:
     du/dt = 4 (u^2 + 4c^2)^((2-beta)/4),          |h|^2 = sqrt(u^2 + 4c^2).
 
 For beta = 2 this integrates exactly (u -> u + 4 dt); for beta < 2 lanes on
-the axes have the closed form |h|^beta linear in t and off-axis lanes take
-Runge-Kutta substeps on u.  The new h is then one complex square root of
-u + 2ic on the upper branch, which at beta = 2 is exactly the slit map
-h -> sqrt(h^2 + 4 dt).  A lane is swallowed within a drift interval exactly
-when u crosses 0 with sqrt(2|c|) <= delta.
+the axes have the closed form |h|^beta linear in t and each off-axis lane
+takes its own number of Runge-Kutta substeps on u.  The new h is then one
+complex square root of u + 2ic on the upper branch, which at beta = 2 is
+exactly the slit map h -> sqrt(h^2 + 4 dt).  A lane is swallowed within a
+drift interval exactly when u crosses 0 with sqrt(2|c|) <= delta.
 
 Driver increments shift x.  Hits are declared when
   * |h| <= delta after any sub-update (covers a ledger jump landing on the
@@ -27,8 +27,7 @@ Two drivers of the kernel exist, and both compute only the lanes still
 alive: a lane's outcome is written when it dies and its state is dropped.
 Engine A moves lanes sharing one concrete
 :class:`~levyloewner.drivers.DriverPath` (rasters, consistency checks) along
-its grid; a lane's result depends on its own point and tolerance only (at
-beta < 2 the RK4 substep count is shared by the live lanes of a grid step).
+its grid; a lane's result depends on its own point and tolerance only.
 Engine B runs independent-replica Monte Carlo with per-lane adaptive time
 steps and on-the-fly increment sampling (phase experiments).  A cell (driver,
 start point, stream tag, hit tolerance) has n replicas in fixed blocks of
@@ -36,10 +35,9 @@ start point, stream tag, hit tolerance) has n replicas in fixed blocks of
 advances every block of every cell of an experiment in lockstep; cells whose
 drivers differ only in Brownian kappa and stable theta share it, holding
 those coefficients, z0 and the tolerance per lane.  In each iteration every
-block that has a live lane draws the same full-block variates it would draw
-alone, and the loop keeps the entries of its live lanes.  A replica's result
-therefore depends only on its block's stream and size, never on the other
-blocks or cells.
+block that has a live lane draws its live lanes' variates from its stream,
+in lane order.  A replica's result therefore depends only on its own state
+and its block's stream, never on the other blocks or cells.
 """
 
 from __future__ import annotations
@@ -56,13 +54,12 @@ from .drivers import (
     DriverSpec,
     Stable,
     TruncatedStable,
-    _stable_transform,
-    _stable_variates,
+    _truncated_stable_steps,
+    standard_stable_sample,
     truncated_stable_variance_rate,
 )
 from .errors import ConfigError, NumericalError
 from .rng import stream
-from .stable_calculus import frac_constant
 
 BLOCK = 512
 # Lockstep iterations per Monte Carlo call, which last as long as its slowest
@@ -123,15 +120,14 @@ def _at(a, idx):
     return a[idx] if np.ndim(a) else a
 
 
-def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive, groups=None):
+def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
     """Advance the drift of every lane by dt > 0 from time t; mark swallowed
     lanes dead.
 
     Every lane must be live on entry; dt, t and delta are per-lane arrays or
     scalars.  Mutates x, y, zeta, min_abs, alive (a swallowed lane keeps its
-    pre-drift x, y).  For beta < 2 the lanes of one group share an RK4 substep
-    count; ``groups`` gives each lane's group as an ascending array, None
-    makes one group.
+    pre-drift x, y).  For beta < 2 each off-axis lane takes its own RK4
+    substep count, so its result depends on its own state only.
     """
     u0 = x * x - y * y
     c = x * y
@@ -163,50 +159,42 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive, groups=None):
             crossed[sub[hit_ax]] = True
             s_star[sub[hit_ax]] = m0[hit_ax] / (2.0 * beta)
 
-        gen = ~on_axis
-        if gen.any():
-            ug = u0[gen]
-            cg = c[gen]
-            dtg = dt[gen]
-            # substep count from the largest relative motion of |h|^2 over
-            # the step in each group
-            habs2 = np.hypot(ug, 2.0 * cg)
-            rel = 4.0 * habs2 ** (-beta / 2.0) * dtg
-            if groups is None:
-                peak = np.max(rel)
-            else:
-                g = groups[gen]
-                starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
-                peak = np.repeat(np.maximum.reduceat(rel, starts), np.diff(np.r_[starts, g.size]))
-            nsub = np.clip(np.ceil(peak / 0.05), 1, 64)
-            ragged_from = int(np.min(nsub))  # substeps past a group's count leave it alone
-            h_sub = dtg / nsub
+        sub = np.flatnonzero(~on_axis)
+        if sub.size:
+            # substep count from the relative motion of |h|^2 over the step;
+            # lanes in descending count order, so the lanes still stepping at
+            # substep k are the first width[k]
+            rel = 4.0 * np.hypot(u0[sub], 2.0 * c[sub]) ** (-beta / 2.0) * dt[sub]
+            nsub = np.clip(np.ceil(rel / 0.05), 1, 64)
+            order = np.argsort(-nsub)
+            sub, nsub = sub[order], nsub[order]
+            width = np.searchsorted(-nsub, -np.arange(1, nsub[0] + 1), side="right")
+            h_sub = dt[sub] / nsub
+            c2 = 4.0 * c[sub] * c[sub]
             pow_ = (2.0 - beta) / 4.0
 
-            def f(u):
-                return 4.0 * (u * u + 4.0 * cg * cg) ** pow_
+            def f(v, cw):
+                return 4.0 * (v * v + cw) ** pow_
 
-            u_lo = ug.copy()
-            cross_at = np.zeros_like(ug)
-            found = np.zeros(ug.shape, dtype=bool)
-            for k in range(int(np.max(nsub))):
-                k1 = f(u_lo)
-                k2 = f(u_lo + 0.5 * h_sub * k1)
-                k3 = f(u_lo + 0.5 * h_sub * k2)
-                k4 = f(u_lo + h_sub * k3)
-                u_hi = u_lo + h_sub / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if k >= ragged_from:
-                    u_hi = np.where(k < nsub, u_hi, u_lo)
-                just = (~found) & (u_lo < 0) & (u_hi >= 0)
-                if just.any():
-                    frac = -u_lo / np.maximum(u_hi - u_lo, 1e-300)
-                    cross_at = np.where(just, (k + frac) * h_sub, cross_at)
-                    found |= just
-                u_lo = u_hi
-            sub = np.where(gen)[0]
+            u = u0[sub]
+            cross_at = np.zeros_like(u)
+            found = np.zeros(u.shape, dtype=bool)
+            for k, w in enumerate(width.tolist()):
+                u_lo, h, cw = u[:w], h_sub[:w], c2[:w]
+                k1 = f(u_lo, cw)
+                k2 = f(u_lo + 0.5 * h * k1, cw)
+                k3 = f(u_lo + 0.5 * h * k2, cw)
+                k4 = f(u_lo + h * k3, cw)
+                u_hi = u_lo + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                just = np.flatnonzero(~found[:w] & (u_lo < 0) & (u_hi >= 0))
+                if just.size:
+                    frac = -u_lo[just] / np.maximum(u_hi[just] - u_lo[just], 1e-300)
+                    cross_at[just] = (k + frac) * h[just]
+                    found[just] = True
+                u[:w] = u_hi
             crossed[sub] = found
             s_star[sub] = cross_at
-            u1[sub] = u_lo
+            u1[sub] = u
         cr = np.flatnonzero(crossed)
         s_cr = s_star[cr]
 
@@ -277,7 +265,8 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
     The driver is held constant between grid points (its cadlag value), the
     drift part of each interval is applied exactly, and the grid-step driver
     increment lands at the step's right endpoint.  Each step computes the
-    live lanes only; a lane's outcome is written when it dies.  Returns a
+    live lanes only; a lane's outcome is written when it dies, and depends on
+    its own point and tolerance only, at every beta.  Returns a
     :class:`LaneResult` (and a trajectory array when requested: columns
     t, Re h, Im h, U for the first lane, frozen once it dies).
     """
@@ -349,34 +338,25 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
 # ---------------------------------------------------------------------------
 
 def _live_draws(blocks, lane, dt=None):
-    """Per-lane variates of the live lanes, cut from whole-block draws.
+    """Per-lane variates of the live lanes, drawn block by block.
 
-    ``lane`` holds the ascending indices of the live lanes; lane i sits at
-    position i % BLOCK of block i // BLOCK, and ``blocks[b]`` is block b's
-    (stream, size m, draws).  Every block with a live lane calls each of its
-    ``draw(rng, m, dt_block)`` once, in order, with ``dt_block`` its per-lane
-    dt with zeros on the dead lanes when ``dt`` is given (else None).  A draw
-    returns its variates on the last axis, one per lane of the block; the
-    entries of the live lanes are kept, in lane order.  Each stream therefore
-    advances exactly as if its block ran alone.
+    ``lane`` holds the ascending indices of the live lanes; lane i belongs to
+    block i // BLOCK, and ``blocks[b]`` is block b's (stream, draws).  Every
+    block with a live lane calls each of its ``draw(rng, m, dt_block)`` once,
+    in order, with m its live-lane count and ``dt_block`` its slice of ``dt``
+    (None when ``dt`` is).  A draw returns m variates, which are concatenated
+    in lane order; a block's stream therefore advances by its own live lanes
+    only.
     """
     blk = lane // BLOCK
-    first = np.r_[True, blk[1:] != blk[:-1]]
-    live = blk[first].tolist()
-    sizes = np.array([blocks[b][1] for b in live])
-    start = np.cumsum(sizes) - sizes
-    # where each live lane sits in the concatenation of its blocks' draws
-    at = start[np.cumsum(first) - 1] + lane % BLOCK
-    if dt is not None:
-        dt_all = np.zeros(start[-1] + sizes[-1])
-        dt_all[at] = dt
-    out = [[] for _ in blocks[live[0]][2]]
-    for j, b in enumerate(live):
-        rng, m, draws = blocks[b]
-        dt_block = None if dt is None else dt_all[start[j]:start[j] + m]
+    cut = np.flatnonzero(np.r_[True, blk[1:] != blk[:-1], True]).tolist()
+    out = [[] for _ in blocks[blk[0]][1]]
+    for lo, hi in zip(cut[:-1], cut[1:]):
+        rng, draws = blocks[blk[lo]]
+        dt_block = None if dt is None else dt[lo:hi]
         for parts, draw in zip(out, draws):
-            parts.append(draw(rng, m, dt_block))
-    return [np.concatenate(parts, axis=-1)[..., at] for parts in out]
+            parts.append(draw(rng, hi - lo, dt_block))
+    return [np.concatenate(parts) for parts in out]
 
 
 # An increment's timescale is |h|^tau_pow / coef, or coef when tau_pow is None;
@@ -404,14 +384,15 @@ class _IncStable:
         self.coef = comp.theta
 
     def variates(self, rng, m, dt):
-        return _stable_variates(self.alpha, rng, m)
+        return standard_stable_sample(self.alpha, rng, m)
 
     def increments(self, raw, dt, theta):
-        return (theta * dt) ** (1.0 / self.alpha) * _stable_transform(self.alpha, raw)
+        return (theta * dt) ** (1.0 / self.alpha) * raw
 
 
 class _IncWhole:
-    """An increment whose draw depends on dt: drawn whole for each block."""
+    """An increment whose draw depends on dt: drawn whole, from each live
+    lane's dt."""
 
     is_continuous = False
 
@@ -423,28 +404,11 @@ class _IncTruncatedStable(_IncWhole):
     tau_pow = 2.0
 
     def __init__(self, comp: TruncatedStable):
-        a = comp.alpha
-        eps = comp.eps
-        self.coef = truncated_stable_variance_rate(a, comp.theta, comp.cutoff)
-        self.scale = comp.theta ** (1.0 / a)
-        self.alpha = a
-        self.eps_pow = eps ** -a
-        self.cut_pow = comp.cutoff ** -a
-        ac = frac_constant(a)
-        self.lam = 2.0 * ac * (self.eps_pow - self.cut_pow) / a
-        self.small_sd_rate = np.sqrt(2.0 * ac * eps ** (2.0 - a) / (2.0 - a))
+        self.comp = comp
+        self.coef = truncated_stable_variance_rate(comp.alpha, comp.theta, comp.cutoff)
 
     def variates(self, rng, m, dt):
-        du = self.small_sd_rate * np.sqrt(dt) * rng.standard_normal(m)
-        counts = rng.poisson(self.lam * dt)
-        total = int(counts.sum())
-        if total:
-            u = rng.random(total)
-            mags = (self.eps_pow - u * (self.eps_pow - self.cut_pow)) ** (-1.0 / self.alpha)
-            signs = rng.choice([-1.0, 1.0], size=total)
-            lanes = np.repeat(np.arange(m), counts)
-            du = du + np.bincount(lanes, weights=signs * mags, minlength=m)
-        return self.scale * du
+        return _truncated_stable_steps(self.comp, rng, dt)[0]
 
 
 class _IncCompoundPoisson(_IncWhole):
@@ -582,8 +546,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     cell_incs = [_compile_increments(c.spec) for c in cells]
     incs = cell_incs[0]
     tags = [tuple(c.tag) if isinstance(c.tag, (tuple, list)) else (c.tag,) for c in cells]
-    blocks = [(stream(master_seed, *tag, "block", b), min(BLOCK, n - b * BLOCK),
-               [inc.variates for inc in ci])
+    blocks = [(stream(master_seed, *tag, "block", b), [inc.variates for inc in ci])
               for tag, ci in zip(tags, cell_incs) for b in range(nb)]
 
     res = LaneResult(z0=np.repeat(z0, stride), zeta=np.full(k * stride, np.nan),
@@ -615,7 +578,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         raws = _live_draws(blocks, lane, dt)
 
         alive = np.ones(lane.size, dtype=bool)
-        _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive, groups=lane // BLOCK)
+        _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive)
         for inc, raw, c in zip(incs, raws, coef):
             _apply_increment(x, y, inc.increments(raw, dt, c), inc.is_continuous, t_next,
                              delta, zeta, min_abs, alive)

@@ -15,9 +15,9 @@ annulus-exit loop of :func:`overshoot_histogram` advance all blocks of
 only, and the cells of one experiment (the theta grid of
 :func:`theta0_bracket`, the cells of :func:`phase_scan`, the start points of
 the slope fits and of :func:`composite_driver_phase`) share that loop; each
-block draws full-block variates from its own (cell tag, block) stream, so a
-replica's result never depends on the other blocks or cells.  Estimators run
-on the calling thread, except the per-replica raster loops of
+block draws its live replicas' variates from its own (cell tag, block)
+stream, so a replica's result never depends on the other blocks or cells.
+Estimators run on the calling thread, except the per-replica raster loops of
 :func:`area_fraction` and :func:`disconnection_frequency`, which fan out over
 ``workers`` threads; the thread count only changes scheduling, never
 results.
@@ -38,9 +38,8 @@ from .drivers import (
     JumpLaw,
     Stable,
     TruncatedStable,
-    _stable_transform,
-    _stable_variates,
     sample_driver,
+    standard_stable_sample,
 )
 from .engine import (BLOCK, Cell, _live_draws, _loop_key, default_hit_tolerance,
                      run_adaptive_cells, run_adaptive_mc)
@@ -354,9 +353,8 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
     if kappa > 0:
         draws.append(lambda rng, m, dt: rng.standard_normal(m))
     if theta > 0:
-        draws.append(lambda rng, m, dt: _stable_variates(alpha, rng, m))
-    blocks = [(stream(seed, "overshoot", blk, str(a), str(b)), min(BLOCK, n - blk * BLOCK), draws)
-              for blk in range(-(-n // BLOCK))]
+        draws.append(lambda rng, m, dt: standard_stable_sample(alpha, rng, m))
+    blocks = [(stream(seed, "overshoot", blk, str(a), str(b)), draws) for blk in range(-(-n // BLOCK))]
     sides = np.zeros(n, dtype=np.int8)  # 0 censored, 1 inner, 2 outer
     positions = np.full(n, np.nan)
     # state of the live replicas, in replica order; exits are written to
@@ -400,7 +398,7 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
             x = np.where(active, xb, x)
 
         if theta > 0:
-            ds = (theta * dt) ** (1.0 / alpha) * _stable_transform(alpha, next(raws))
+            ds = (theta * dt) ** (1.0 / alpha) * next(raws)
             xs = np.where(active, x - ds, x)
             inner = active & (np.abs(xs) <= a)
             outer = active & ~inner & (np.abs(xs) >= b)

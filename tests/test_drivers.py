@@ -1,6 +1,8 @@
 """Driver samplers: marginal laws, jump ledgers, composition, determinism,
 stationarity and stable scaling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -139,6 +141,38 @@ class TestTruncatedStable:
     def test_cutoff_domain(self):
         with pytest.raises(ConfigError):
             sample_truncated_stable(0.8, 1.0, -1.0, uniform_grid(1.0, 0.1), stream(14, "tsd"))
+
+    # SHA-256 of each array of one path per (alpha, cutoff) (x86-64, numpy
+    # 2.4), recorded before engine B shared the sampler's draw code; any change
+    # to its draw order or float expressions moves them.
+    PINNED = {
+        (0.8, 1.0): {
+            "grid": "13fb3b2065c2462ffcac49450fcdf346a4300eb66ec2d295feffe1a263f9035d",
+            "values": "1e8b5922c6e0926d8247c72440e356e853da2cb8d05fd184f32d1bcf87ba42a7",
+            "jump_times": "0c1e710aaf6714f0821c147721fe3b05bc4838acd63a227ec109e383f36bc48f",
+            "jump_sizes": "fbdb92991d1c129e784ffea86a74641cecfda01278a384d4bd1d6c8bc448ec66",
+        },
+        (1.5, 0.3): {
+            "grid": "13fb3b2065c2462ffcac49450fcdf346a4300eb66ec2d295feffe1a263f9035d",
+            "values": "c6370bde403c0a01208e3defd6ce74a77fda004f60184498cc6491cf819dd9ab",
+            "jump_times": "27e40cad2022b35f8176fe6738027f19defd8039d2cdb79757ae18e4a337b3a4",
+            "jump_sizes": "fe3581041f010d3990838f9231a65b0ad6c64e544bd898c3bd93fd3cdb731d9f",
+        },
+        (1.9, 5.0): {
+            "grid": "13fb3b2065c2462ffcac49450fcdf346a4300eb66ec2d295feffe1a263f9035d",
+            "values": "c8ec6667aada859f465c0f012671f6ef5706f6c7fd483c2d90d7be230df44dac",
+            "jump_times": "be8f208955b77efaf76593c292aced4b78bd09ab32c5426b9e9a11ce75b6f2a0",
+            "jump_sizes": "c42ec2b643d231c8a39537a356270ba7d2e0ec7b43c11bcab9cb28187441fba4",
+        },
+    }
+
+    @pytest.mark.parametrize("alpha, cutoff", sorted(PINNED))
+    def test_path_bytes_pinned(self, alpha, cutoff):
+        path = sample_truncated_stable(alpha, 1.0, cutoff, uniform_grid(2.0, 0.01),
+                                       stream(31, "tspin", alpha, cutoff), ledger_threshold=0.2)
+        got = {f: hashlib.sha256(np.ascontiguousarray(getattr(path, f)).tobytes()).hexdigest()
+               for f in self.PINNED[alpha, cutoff]}
+        assert got == self.PINNED[alpha, cutoff]
 
 
 class TestCompoundPoisson:

@@ -93,21 +93,24 @@ def _sha(arr) -> str:
 
 # SHA-256 of each output array of a two-block composite-driver run (x86-64,
 # numpy 2.4); any change to the streams, the step rule or the kernels moves them.
+# Recorded when each block began drawing its live lanes' variates only, the
+# truncated-stable increments came from the path sampler's own draw code and
+# each beta < 2 lane took its own RK4 substep count.
 PINNED = {
     2.0: {
-        "zeta": "34a32ad0f76edf895b1ae23760991b05718d06d79217d8fc80d358412d170d36",
-        "x": "36129c6bd3a0ff9619dfae5b57250ece16e7a865d783fc4296d5ff342cc73c4a",
-        "y": "f128920fc6e7707851c97ce7200c1d5e199b3a59a34b50bb18e9b19068e2aaf0",
-        "min_abs": "28f0759fb10e739698e317a7bd4b5eddac10db3d5c3ab1e074c0ebc664dfac42",
-        "steps": "67b2f6d420f3ad449d390f5d3c874cd4e0bcedeafbeb76f292734b16d5f7003e",
-        "exit_time": "912a700763b49effcd697762a8e1ebaa25d345151f81078cd3b876f1758c534b",
+        "zeta": "8226d426fd807e42ac6c8287db0837b3ffd98805266d3c04a06c62dbcde2d120",
+        "x": "be51fce9feb9a7dcfaddd031dcd5a3e9bd07eeb9b8b91b84dadfac86c9ad79dd",
+        "y": "55b1068b36a56bc4f6cc7e572fc15bf27b0212667408f8ec25f2a65c5102d5eb",
+        "min_abs": "fcded9fb803493eb243f17aa454f91148578a77bbe5b4cbb80c10801888c5281",
+        "steps": "c680da660b7687979eac24ea4a682224fce02baee94cbccec1749d60ad6cde71",
+        "exit_time": "6288dda272d740f98a19b026536e64358bc5a9ac0f96601ee98cf75d1d3435d3",
     },
     1.5: {
-        "zeta": "2f8b062e208d5307ce6949382e6331ad2b70d6d706753ada1d91a3f02e3aeb95",
-        "x": "b554a9d7c8db619b286882165f449a7f3030878c0b24cbdb20276c3c5c10c6fd",
-        "y": "9e431914bca475e1552614cb62dd8b8820f23af003b93309662bf98ca86a255f",
-        "min_abs": "9e4cd873503f76efd4318b553bb754f8c5a9a6d69aef396bd04fbe6c73471090",
-        "steps": "f7a6a93aa28dd86653b292c021135b737674e7268ede99fdd9a5db29bc820b66",
+        "zeta": "a643293f3b62f79cf5173d27d36e498f19d3284419d07d81e5f84fb9d65bcc6b",
+        "x": "5bc36660c9cf39791dced3cb0fd391aeb2438fc7367b150a43d9397f523a602c",
+        "y": "3f505f240114e15806a2c8e727f420468bee090a0be67d70dee4fefc75966101",
+        "min_abs": "aea9d6b43b83a89cfedbe45bf6d6f0e05a742cba627d8ac7a1a1bb000ff62d34",
+        "steps": "2ffdc14ad1ea14856de74ea079918db94de4df121a4d103ac9688d50f22dfbc9",
     },
 }
 
@@ -122,10 +125,11 @@ def test_composite_driver_output_bytes_pinned(beta):
 
 def test_annulus_exit_output_bytes_pinned():
     # Brownian and stable parts, three blocks with a partial last one (x86-64,
-    # numpy 2.4); the loop shares its block draws with engine B.
+    # numpy 2.4); the loop shares its block draws with engine B.  Recorded when
+    # each block began drawing its live replicas' variates only.
     sides, pos = _annulus_exit_positions(1.0, 0.5, 1.0, 1.5, 1.0, 2.0, 1300, 50.0, 11)
-    assert _sha(sides) == "910267f6aa05fe1b34768299c997f89764fa7a5b035ac3303849e5262e085460"
-    assert _sha(pos) == "d08bca6e48275eb8a77865133d78d5bef42331a824a6b2e74239fc0c3335f0c4"
+    assert _sha(sides) == "b3be58b5e3909b09d642776f757b4c0f5bfe5d5bc17f108279b80325fdb392a3"
+    assert _sha(pos) == "03cf309c6269efed50bd114db79356c6277d9c8ebe14c42a2c7129ca9baa18b6"
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +164,9 @@ def _path_run(case, keep=slice(None), record_trajectory=True):
 
 
 # SHA-256 of engine A's output arrays and lane 0's trajectory (x86-64, numpy
-# 2.4), recorded before engine A ran on live lanes only.
+# 2.4), recorded before engine A ran on live lanes only; bs_beta1_5 re-recorded
+# when each beta < 2 lane took its own RK4 substep count (its bytes now equal
+# those of each lane run alone before that change).
 PATH_PINNED = {
     "bs_beta2": {
         "zeta": "a2b54abc45323b21c5e0cf3e4ee7acb0000eec4082c3d03687c7feb8ffbeef89",
@@ -171,12 +177,12 @@ PATH_PINNED = {
         "trajectory": "8e7f2afad2333a7cce647026e9abd42184c0a4847535a3c07bdb84f2e317657e",
     },
     "bs_beta1_5": {
-        "zeta": "c5a343663abe16825896d639f127ad621e28513ce4eafcdfa5711bb861af4b20",
-        "x": "357447b25f98aca4af677ab15bedd0146e6031aa47dcbc6644de9b0c5fe3de95",
-        "y": "221537dd9b2f93aa577a8b5dc609d3cd00c89acc5c77546ca865c5b3e6e3ff10",
-        "min_abs": "4ad30374e3094a3e0a58e45030c15a67ce8041ede738aa7424d13d3a9927bb0d",
+        "zeta": "4ea1786224bc9f57b4ecc01b6e3c1d3712fe6c1834cd60f8706a7960211a4413",
+        "x": "6cb9e0318493f38a8c741bc31dfaca3a4440187a9e432e9c3d4b6f00bd53128f",
+        "y": "70707b485b3cfc06ae042d83c32a9495691d88b47a6af6e247763059fe20f906",
+        "min_abs": "0b0300a1772e2342b2e718beaff9586ea1f666270173125fc931c4b0f8f59d0c",
         "steps": "e41f653c53d23ebe3a1359da29d4dcbca64a992e5dc1dc6a4d333d2948451e90",
-        "trajectory": "1dcbde881e07e23b16af6077e09fb30f1e740d89733ab35ace6761172b1d6df1",
+        "trajectory": "d7839afe81829e466a4ec81e96a6dfb37b797076a43ccae898e11d6be2b8258c",
     },
     "cpp_beta2": {
         "zeta": "559d239794bd19b9474c47c56a05f7b2c4aeec07b98079b549e4a02bb6969241",
@@ -197,10 +203,11 @@ def test_path_output_bytes_pinned(case):
     assert got == PATH_PINNED[case]
 
 
-def test_path_lanes_do_not_depend_on_other_lanes():
+@pytest.mark.parametrize("case", ["bs_beta2", "bs_beta1_5"])
+def test_path_lanes_do_not_depend_on_other_lanes(case):
     keep = np.r_[0, 5:385:3, 385:391]
-    full = _path_run("bs_beta2", record_trajectory=False)
-    part = _path_run("bs_beta2", keep, record_trajectory=False)
+    full = _path_run(case, record_trajectory=False)
+    part = _path_run(case, keep, record_trajectory=False)
     for f in FIELDS:
         np.testing.assert_array_equal(getattr(full, f)[keep], getattr(part, f), err_msg=f)
 
