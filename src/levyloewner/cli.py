@@ -105,14 +105,20 @@ def _choice(name, options):
     return check
 
 
+def _as_int(raw):
+    """``int(raw)``; a bool or a fractional float is an error, not truncated."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError("expected an integer")
+    return int(raw)
+
+
 def _parse_typed(key, kind, raw):
     """Convert a raw config/flag value to its schema type."""
     try:
         if kind == "float":
             return float(raw)
         if kind == "int":
-            v = int(raw)
-            return v
+            return _as_int(raw)
         if kind == "str":
             return str(raw)
         if kind == "floats":
@@ -298,13 +304,13 @@ def parse_config(subcommand: str, mapping: dict) -> RunConfig:
     for key, (kind, default, _validator) in schema.items():
         params.setdefault(key, default)
     try:
-        seed = int(seed)
+        seed = _as_int(seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"seed must be an integer, got {seed!r}") from exc
     if workers is None:
         workers = os.environ.get("LL_WORKERS", "1")
     try:
-        workers = int(workers)
+        workers = _as_int(workers)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"workers must be a positive integer, got {workers!r}") from exc
     if workers < 1:

@@ -242,8 +242,8 @@ class DriverPath:
         values = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         jt = np.asarray(self.jump_times, dtype=float)
         js = np.asarray(self.jump_sizes, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape:
-            raise ConfigError("grid and values must be 1-d arrays of equal length")
+        if grid.ndim != 1 or grid.shape != values.shape or not grid.size:
+            raise ConfigError("grid and values must be non-empty 1-d arrays of equal length")
         if grid[0] != 0.0 or values[0] != 0.0:
             raise ConfigError("paths start at (t=0, U=0)")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
@@ -438,7 +438,7 @@ def sample_compound_poisson(rate: float, jump_law: JumpLaw, horizon: float,
         grid = uniq
         times = uniq[1:-1]
         sizes = agg[1:-1]
-    values = np.concatenate(([0.0], np.cumsum(sizes), [0.0][:0]))
+    values = np.concatenate(([0.0], np.cumsum(sizes)))
     values = np.concatenate((values, [values[-1]]))  # flat to the horizon
     return DriverPath(grid, values, times, sizes, tag, is_piecewise_constant=True)
 

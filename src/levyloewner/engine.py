@@ -29,15 +29,17 @@ Engine A moves lanes sharing one concrete
 :class:`~levyloewner.drivers.DriverPath` (rasters, consistency checks) along
 its grid; a lane's result depends on its own point and tolerance only.
 Engine B runs independent-replica Monte Carlo with per-lane adaptive time
-steps and on-the-fly increment sampling (phase experiments).  A cell (driver,
-start point, stream tag, hit tolerance) has n replicas in fixed blocks of
-:data:`BLOCK` lanes with one RNG stream per (cell tag, block), and one loop
-advances every block of every cell of an experiment in lockstep; cells whose
-drivers differ only in Brownian kappa and stable theta share it, holding
-those coefficients, z0 and the tolerance per lane.  In each iteration every
-block that has a live lane draws its live lanes' variates from its stream,
-in lane order.  A replica's result therefore depends only on its own state
-and its block's stream, never on the other blocks or cells.
+steps and on-the-fly increment sampling (phase experiments).  In both engines
+compound Poisson jumps land at their exact event times: engine A's paths put
+them on the grid, and engine B ends a lane's step at its next jump.  A cell
+(driver, start point, stream tag, hit tolerance) has n replicas in fixed
+blocks of :data:`BLOCK` lanes with one RNG stream per (cell tag, block), and
+one loop advances every block of every cell of an experiment in lockstep;
+cells whose drivers differ only in Brownian kappa and stable theta share it,
+holding those coefficients, z0 and the tolerance per lane.  In each iteration
+every block that has a live lane draws its live lanes' variates from its
+stream, in lane order.  A replica's result therefore depends only on its own
+state and its block's stream, never on the other blocks or cells.
 """
 
 from __future__ import annotations
@@ -359,8 +361,8 @@ def _live_draws(blocks, lane, dt=None):
     return [np.concatenate(parts) for parts in out]
 
 
-# An increment's timescale is |h|^tau_pow / coef, or coef when tau_pow is None;
-# a loop holds coef per lane and passes it back to ``increments``.
+# An increment's timescale is |h|^tau_pow / coef; a loop holds coef per lane
+# and passes it back to ``increments``.
 
 class _IncBrownian:
     is_continuous = True
@@ -390,17 +392,10 @@ class _IncStable:
         return (theta * dt) ** (1.0 / self.alpha) * raw
 
 
-class _IncWhole:
-    """An increment whose draw depends on dt: drawn whole, from each live
-    lane's dt."""
+class _IncTruncatedStable:
+    """Its draw depends on dt: drawn whole, from each live lane's dt."""
 
     is_continuous = False
-
-    def increments(self, raw, dt, coef):
-        return raw
-
-
-class _IncTruncatedStable(_IncWhole):
     tau_pow = 2.0
 
     def __init__(self, comp: TruncatedStable):
@@ -410,31 +405,21 @@ class _IncTruncatedStable(_IncWhole):
     def variates(self, rng, m, dt):
         return _truncated_stable_steps(self.comp, rng, dt)[0]
 
+    def increments(self, raw, dt, coef):
+        return raw
 
-class _IncCompoundPoisson(_IncWhole):
-    """Per-step Poisson thinning; increments have the exact CPP law over each
-    step, with jump times quantized to step ends (steps are adaptive-small)."""
 
-    tau_pow = None
-
-    def __init__(self, comp: CompoundPoisson):
-        self.coef = 0.2 / comp.rate
-        self.rate = comp.rate
-        self.law = comp.jump_law
-
-    def variates(self, rng, m, dt):
-        counts = rng.poisson(self.rate * dt)
-        total = int(counts.sum())
-        out = np.zeros(m)
-        if total:
-            sizes = self.law.sample(rng, total)
-            lanes = np.repeat(np.arange(m), counts)
-            out = np.bincount(lanes, weights=sizes, minlength=m)
-        return out
+def _jump_clock(comp: CompoundPoisson):
+    """The draws of a compound Poisson part.  Each iteration draws every live
+    lane a fresh Exp(rate) wait (exact, as the law is memoryless) and a jump
+    size; a wait shorter than the lane's step ends the step with the jump."""
+    return (lambda rng, m, dt: rng.exponential(1.0 / comp.rate, m),
+            lambda rng, m, dt: comp.jump_law.sample(rng, m))
 
 
 def _compile_increments(spec: DriverSpec):
-    incs = []
+    """The increments and the jump clocks of a driver, in component order."""
+    incs, clocks = [], []
     for comp in spec.components:
         if isinstance(comp, Brownian):
             if comp.kappa > 0:
@@ -444,10 +429,10 @@ def _compile_increments(spec: DriverSpec):
         elif isinstance(comp, TruncatedStable):
             incs.append(_IncTruncatedStable(comp))
         elif isinstance(comp, CompoundPoisson):
-            incs.append(_IncCompoundPoisson(comp))
+            clocks.append(_jump_clock(comp))
         else:  # pragma: no cover
             raise ConfigError(f"unknown component {comp!r}")
-    return incs
+    return incs, clocks
 
 
 def _loop_key(spec: DriverSpec) -> str:
@@ -464,10 +449,11 @@ def _adaptive_tau(habs, beta, incs, coef):
     is the time over which component j's increment grows to the order of |h|
     (``coef[j]`` holds its coefficient per lane).  The adaptive step is
     dt_safety times this, which keeps every per-step displacement a fixed
-    fraction of |h| at all scales."""
+    fraction of |h| at all scales.  A compound Poisson part has no timescale:
+    its jump clock ends a step at the exact time of the jump."""
     tau = habs ** beta / (2.0 * beta)
     for inc, c in zip(incs, coef):
-        np.minimum(tau, c if inc.tau_pow is None else habs ** inc.tau_pow / c, out=tau)
+        np.minimum(tau, habs ** inc.tau_pow / c, out=tau)
     return tau
 
 
@@ -491,12 +477,13 @@ def run_adaptive_mc(spec: DriverSpec, z0, n: int, horizon: float, *, master_seed
     dt = dt_safety * min(|h|^beta / (2 beta), tau_1(|h|), ...) with
     0 < dt_safety < 1, where tau_j is component j's local timescale
     (:func:`_adaptive_tau`), clipped to [hit_tol^beta/16, 1e6] and to the
-    time left before the horizon;
-    increments are exact marginal draws per step.  Replicas are grouped in
-    blocks of :data:`BLOCK`, block b drawing from the stream
-    (master_seed, *tag, "block", b); all blocks advance together, and each
-    replica's outcome depends only on its own block's stream.  This is the
-    one-cell case of :func:`run_adaptive_cells`.
+    time left before the horizon; increments are exact marginal draws per
+    step.  A compound Poisson part ends a lane's step at its next jump (a
+    fresh exponential wait per step), so its jumps land at their exact event
+    times.  Replicas are grouped in blocks of :data:`BLOCK`, block b drawing
+    from the stream (master_seed, *tag, "block", b); all blocks advance
+    together, and each replica's outcome depends only on its own block's
+    stream.  This is the one-cell case of :func:`run_adaptive_cells`.
     """
     return run_adaptive_cells([Cell(spec, z0, tag, hit_tolerance)], n, horizon,
                               master_seed=master_seed, beta=beta, dt_safety=dt_safety,
@@ -543,11 +530,14 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     # replica i of cell c is lane c * stride + i, so lane // BLOCK is the
     # (cell, block) of a lane; each cell's last block may be partial
     stride = nb * BLOCK
-    cell_incs = [_compile_increments(c.spec) for c in cells]
-    incs = cell_incs[0]
+    compiled = [_compile_increments(c.spec) for c in cells]
+    incs, clocks = compiled[0]
     tags = [tuple(c.tag) if isinstance(c.tag, (tuple, list)) else (c.tag,) for c in cells]
     blocks = [(stream(master_seed, *tag, "block", b), [inc.variates for inc in ci])
-              for tag, ci in zip(tags, cell_incs) for b in range(nb)]
+              for tag, (ci, _) in zip(tags, compiled) for b in range(nb)]
+    # per iteration each clock draws a (wait, jump size) pair per live lane from
+    # the lane's block stream, before the draws that depend on the step
+    clock_blocks = [(rng, [d for clk in clocks for d in clk]) for rng, _ in blocks]
 
     res = LaneResult(z0=np.repeat(z0, stride), zeta=np.full(k * stride, np.nan),
                      x=np.empty(k * stride), y=np.empty(k * stride), min_abs=np.empty(k * stride),
@@ -563,7 +553,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     min_abs = np.repeat([abs(z) for z in z0.tolist()], n)
     delta = np.repeat(tol, n)
     dt_floor = np.repeat(floor, n)
-    coef = np.repeat(np.array([[inc.coef for inc in ci] for ci in cell_incs]).reshape(k, -1).T, n, axis=1)
+    coef = np.repeat(np.array([[inc.coef for inc in ci] for ci, _ in compiled]).reshape(k, -1).T, n, axis=1)
     exit_time = np.full(k * n, np.nan) if exit_radius is not None else None
 
     it = 0
@@ -574,6 +564,10 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         dt = dt_safety * _adaptive_tau(np.hypot(x, y), beta, incs, coef)
         np.clip(dt, dt_floor, _DT_MAX, out=dt)
         np.minimum(dt, horizon - t, out=dt)
+        clock = _live_draws(clock_blocks, lane) if clocks else []
+        waits, sizes = clock[::2], clock[1::2]
+        for wait in waits:
+            np.minimum(dt, wait, out=dt)
         t_next = t + dt
         raws = _live_draws(blocks, lane, dt)
 
@@ -581,6 +575,10 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive)
         for inc, raw, c in zip(incs, raws, coef):
             _apply_increment(x, y, inc.increments(raw, dt, c), inc.is_continuous, t_next,
+                             delta, zeta, min_abs, alive)
+        # a lane whose wait ended its step jumps at the step's end
+        for wait, size in zip(waits, sizes):
+            _apply_increment(x, y, np.where(wait == dt, size, 0.0), False, t_next,
                              delta, zeta, min_abs, alive)
         t = t_next
         if exit_radius is not None:

@@ -126,6 +126,18 @@ class TestDispatch:
         cfg_file.write_text(json.dumps({"bogus_key": 1}))
         assert main(["theta0", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("sub, mapping", [
+        ("hitprob", {"n": 2000.5}),
+        ("hitprob", {"n": True}),
+        ("theta0", {"seed": 1.5}),
+        ("theta0", {"workers": 2.7}),
+    ])
+    def test_config_integer_not_truncated_exit_2(self, tmp_path, sub, mapping):
+        # a JSON fraction or boolean for an integer key is an error, not int()
+        cfg_file = tmp_path / "int.json"
+        cfg_file.write_text(json.dumps(mapping))
+        assert main([sub, "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+
     @pytest.mark.parametrize("sub", ["gamma", "theta0"])
     def test_coefficients_take_no_tolerance(self, tmp_path, sub):
         # gamma and theta0 are closed forms: there is no quadrature tolerance

@@ -298,3 +298,5 @@ class TestSpecInvariants:
         with pytest.raises(ConfigError):
             DriverPath(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                        np.array([0.5]), np.array([1.0]), "t")  # jump off the grid
+        with pytest.raises(ConfigError):
+            DriverPath(np.empty(0), np.empty(0), np.empty(0), np.empty(0), "t")  # empty grid

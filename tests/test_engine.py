@@ -93,24 +93,25 @@ def _sha(arr) -> str:
 
 # SHA-256 of each output array of a two-block composite-driver run (x86-64,
 # numpy 2.4); any change to the streams, the step rule or the kernels moves them.
-# Recorded when each block began drawing its live lanes' variates only, the
-# truncated-stable increments came from the path sampler's own draw code and
-# each beta < 2 lane took its own RK4 substep count.
+# Re-recorded when the compound Poisson part became a jump clock: each live lane
+# draws a fresh exponential wait and a jump size per iteration, the step ends
+# at the wait when it comes first, and the jump lands at its exact event time
+# (before, the jumps were thinned per step onto step ends of at most 0.02/rate).
 PINNED = {
     2.0: {
-        "zeta": "8226d426fd807e42ac6c8287db0837b3ffd98805266d3c04a06c62dbcde2d120",
-        "x": "be51fce9feb9a7dcfaddd031dcd5a3e9bd07eeb9b8b91b84dadfac86c9ad79dd",
-        "y": "55b1068b36a56bc4f6cc7e572fc15bf27b0212667408f8ec25f2a65c5102d5eb",
-        "min_abs": "fcded9fb803493eb243f17aa454f91148578a77bbe5b4cbb80c10801888c5281",
-        "steps": "c680da660b7687979eac24ea4a682224fce02baee94cbccec1749d60ad6cde71",
-        "exit_time": "6288dda272d740f98a19b026536e64358bc5a9ac0f96601ee98cf75d1d3435d3",
+        "zeta": "f17fca178a827441d1ee50e5b5fa51cf3a0032a2987b9c10cb7bea09709211d8",
+        "x": "c033d3cc676d88fae625cdbb97e7e1c416f7c6286cc7be4c8a8b7d2b1cc2685d",
+        "y": "05ac3f16ab23fdb657593448c3a69e9f0ed7394bf63bc0afdf83da8a1bfcb4b3",
+        "min_abs": "8522a0712c86a61b712aff1ed62649d112f1f57103138dd0ceda48999164a2ba",
+        "steps": "0be8278f342f593344692a4b0ea0e867da868720d24e0827bc511df83ae7910f",
+        "exit_time": "4c7ad3e8645d60d8d168195eb005376365bc53579ad25e9dc9c4cf571bd0682a",
     },
     1.5: {
-        "zeta": "a643293f3b62f79cf5173d27d36e498f19d3284419d07d81e5f84fb9d65bcc6b",
-        "x": "5bc36660c9cf39791dced3cb0fd391aeb2438fc7367b150a43d9397f523a602c",
-        "y": "3f505f240114e15806a2c8e727f420468bee090a0be67d70dee4fefc75966101",
-        "min_abs": "aea9d6b43b83a89cfedbe45bf6d6f0e05a742cba627d8ac7a1a1bb000ff62d34",
-        "steps": "2ffdc14ad1ea14856de74ea079918db94de4df121a4d103ac9688d50f22dfbc9",
+        "zeta": "92592147e1674f78227b30844ae69ca91ab9f0cd8a6719eaf26985b0c6cbd9a9",
+        "x": "59488101f9cd0b6fe3e392b94f8e569e4abbd9089ee39ff372761a5ddd5d10d1",
+        "y": "03e010e2f379bc8f8c43ce2dbc17124d8a04df23ec3b6a53ddb9c8011ee6949d",
+        "min_abs": "82cdd13f024c3d57f638692adfbe7859536438ab4f267d246e74bc66103cbf37",
+        "steps": "af49d09c9ed4e0f2a8a71722ecaa7bfcb86aac4ad0a1f458df50cd482dc44ac1",
     },
 }
 
@@ -121,6 +122,21 @@ def test_composite_driver_output_bytes_pinned(beta):
                           beta=beta, hit_tolerance=1e-2,
                           exit_radius=2.0 if beta == 2.0 else None)
     assert {f: _sha(getattr(res, f)) for f in PINNED[beta]} == PINNED[beta]
+
+
+def test_compound_poisson_jumps_at_exact_event_times():
+    # From 10i the drift keeps |h| near 10 up to T = 2, and the first jump of
+    # size 50 throws |h| past 20, so exit_time is the first event time of a
+    # rate-1 Poisson clock: Exp(1), censored at T with probability e^-2.  The
+    # Kolmogorov distance must stay below its 1% critical value 1.628/sqrt(n).
+    spec = DriverSpec((CompoundPoisson(1.0, JumpLaw("two_point", {"size": 50.0})),))
+    n, horizon = 50_000, 2.0
+    res = run_adaptive_mc(spec, 10j, n, horizon, master_seed=7, tag="clock", exit_radius=20.0)
+    t = np.sort(res.exit_time[~np.isnan(res.exit_time)])
+    cdf = -np.expm1(-t)
+    i = np.arange(1, t.size + 1)
+    dist = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n), abs(t.size / n + np.expm1(-horizon)))
+    assert dist < 1.628 / np.sqrt(n)
 
 
 def test_annulus_exit_output_bytes_pinned():
