@@ -10,6 +10,7 @@ error, 4 statistical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .drivers import Brownian, CompoundPoisson, DriverSpec, JumpLaw, Stable, sample_driver
+from .drivers import DriverSpec, sample_driver
 from .errors import ConfigError, LevyLoewnerError
 from .experiments import (
     area_fraction,
@@ -322,23 +323,7 @@ def parse_config(subcommand: str, mapping: dict) -> RunConfig:
 
 
 def _driver_spec_from(params: dict) -> DriverSpec:
-    comps: list = []
-    if params["kappa"] > 0:
-        comps.append(Brownian(params["kappa"]))
-    if params["theta"] > 0:
-        if params.get("trunc_cutoff", 0.0) > 0:
-            from .drivers import TruncatedStable
-
-            comps.append(TruncatedStable(params["alpha"], params["theta"], params["trunc_cutoff"]))
-        else:
-            comps.append(Stable(params["alpha"], params["theta"]))
-    if params.get("cpp_rate", 0.0) > 0:
-        comps.append(CompoundPoisson(params["cpp_rate"],
-                                     JumpLaw("two_point", {"size": params["cpp_size"]}),
-                                     params.get("cpp_class", "unspecified")))
-    if not comps:
-        comps.append(Brownian(0.0))
-    return DriverSpec(tuple(comps))
+    return DriverSpec.from_params(**{k: params[k] for k in _DRIVER_KEYS if k in params})
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +519,9 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def _version_string() -> str:
+    """Package version plus the git revision, read once per process."""
     try:
         rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
                              capture_output=True, text=True, timeout=5,

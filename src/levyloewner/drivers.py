@@ -170,6 +170,24 @@ class DriverSpec:
         if len(self.components) == 0:
             raise ConfigError("DriverSpec needs at least one component")
 
+    @classmethod
+    def from_params(cls, kappa: float = 0.0, alpha: float = 1.5, theta: float = 0.0,
+                    trunc_cutoff: float = 0.0, cpp_rate: float = 0.0, cpp_size: float = 1.0,
+                    cpp_class: str = "unspecified") -> DriverSpec:
+        """sqrt(kappa) B + theta^(1/alpha) S (truncated at trunc_cutoff when
+        positive) + a two-point CPP(cpp_rate, +-cpp_size), keeping the parts
+        with positive strength; U == 0 (Brownian(0)) when none is."""
+        comps: list = []
+        if kappa > 0:
+            comps.append(Brownian(kappa))
+        if theta > 0:
+            comps.append(TruncatedStable(alpha, theta, trunc_cutoff) if trunc_cutoff > 0
+                         else Stable(alpha, theta))
+        if cpp_rate > 0:
+            comps.append(CompoundPoisson(cpp_rate, JumpLaw("two_point", {"size": cpp_size}),
+                                         cpp_class))
+        return cls(tuple(comps) or (Brownian(0.0),))
+
     @property
     def kappa_total(self) -> float:
         return sum(c.kappa for c in self.components if isinstance(c, Brownian))

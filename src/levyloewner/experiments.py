@@ -36,7 +36,6 @@ from .drivers import (
     CompoundPoisson,
     DriverSpec,
     JumpLaw,
-    Stable,
     TruncatedStable,
     sample_driver,
     standard_stable_sample,
@@ -130,14 +129,7 @@ class PhaseParams:
     beta: float = 2.0
 
     def driver_spec(self) -> DriverSpec:
-        comps: list = []
-        if self.kappa > 0:
-            comps.append(Brownian(self.kappa))
-        if self.theta > 0:
-            comps.append(Stable(self.alpha, self.theta))
-        if not comps:
-            comps.append(Brownian(0.0))  # degenerate U == 0
-        return DriverSpec(tuple(comps))
+        return DriverSpec.from_params(self.kappa, self.alpha, self.theta)
 
 
 @dataclass(frozen=True)

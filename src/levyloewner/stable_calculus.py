@@ -25,17 +25,19 @@ with G the Gamma function.  :func:`gamma_coeff`, :func:`phi` and
 :func:`theta0` evaluate these closed forms; :func:`gamma_coeff_alt`
 integrates an independent representation of the integral by adaptive
 quadrature and is the oracle they are checked against.
+
+Importing this module loads numpy only: ``scipy.special`` loads on the first
+Gamma-function evaluation (coefficients, theta0, truncated-stable drivers)
+and ``scipy.integrate`` only for the :func:`gamma_coeff_alt` oracle.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as _gamma_fn
-from scipy.special import rgamma as _rgamma
 
 from .errors import ConfigError, NumericalError
 
@@ -60,6 +62,14 @@ class HarmonicClass(enum.Enum):
     SUPERHARMONIC = "superharmonic"
 
 
+@functools.cache
+def _special():
+    """scipy.special's (gamma, rgamma), imported once, on first use."""
+    from scipy.special import gamma, rgamma
+
+    return gamma, rgamma
+
+
 def _check_alpha(alpha: float) -> None:
     if not 0 < alpha < 2:
         raise ConfigError(f"alpha must lie in (0,2), got {alpha}")
@@ -78,12 +88,13 @@ def frac_constant(alpha: float) -> float:
     Positive on (0,2); the Gamma pole at alpha=2 bounds the domain.
     """
     _check_alpha(alpha)
+    gamma_fn, _ = _special()
     return (
         alpha
         * 2.0 ** (alpha - 1.0)
         / np.sqrt(np.pi)
-        * _gamma_fn((1.0 + alpha) / 2.0)
-        / _gamma_fn(1.0 - alpha / 2.0)
+        * gamma_fn((1.0 + alpha) / 2.0)
+        / gamma_fn(1.0 - alpha / 2.0)
     )
 
 
@@ -91,6 +102,8 @@ def _endpoint_quads(pieces, tol: float, what: str) -> float:
     """Sum adaptive quadratures of stretched endpoint pieces, each given as
     (fn, hi); raise with diagnostics when the estimated error exceeds the
     budget tol * max(1, |value|)."""
+    from scipy import integrate
+
     total = 0.0
     err_total = 0.0
     with warnings.catch_warnings():
@@ -116,11 +129,12 @@ def _a_gamma(alpha: float, p: float) -> float:
     """
     _check_alpha(alpha)
     _check_p(alpha, p)
+    gamma_fn, rgamma = _special()
     if p == 1.0:
-        return (2.0 ** (alpha - 1.0) * np.sqrt(np.pi) * _gamma_fn(alpha / 2.0)
-                * _rgamma((1.0 - alpha) / 2.0))
-    return -(2.0 ** alpha * _gamma_fn(p / 2.0) * _gamma_fn((alpha - p + 1.0) / 2.0)
-             * _rgamma((1.0 - p) / 2.0) * _rgamma((p - alpha) / 2.0)) + 0.0
+        return (2.0 ** (alpha - 1.0) * np.sqrt(np.pi) * gamma_fn(alpha / 2.0)
+                * rgamma((1.0 - alpha) / 2.0))
+    return -(2.0 ** alpha * gamma_fn(p / 2.0) * gamma_fn((alpha - p + 1.0) / 2.0)
+             * rgamma((1.0 - p) / 2.0) * rgamma((p - alpha) / 2.0)) + 0.0
 
 
 def gamma_coeff(alpha: float, p: float) -> float:
@@ -233,8 +247,9 @@ def phi(alpha: float, p: float) -> float:
         if p == alpha:
             raise ConfigError("phi is undefined at p = alpha (gamma vanishes)")
         raise ConfigError(f"phi requires p in (0, alpha)=(0,{alpha}), got {p}")
-    return (-4.0 * _gamma_fn((3.0 - p) / 2.0) * _gamma_fn((p - alpha) / 2.0)
-            / (2.0 ** alpha * _gamma_fn(p / 2.0) * _gamma_fn((alpha - p + 1.0) / 2.0)))
+    gamma_fn, _ = _special()
+    return (-4.0 * gamma_fn((3.0 - p) / 2.0) * gamma_fn((p - alpha) / 2.0)
+            / (2.0 ** alpha * gamma_fn(p / 2.0) * gamma_fn((alpha - p + 1.0) / 2.0)))
 
 
 def theta0(alpha: float) -> float:
@@ -244,5 +259,6 @@ def theta0(alpha: float) -> float:
     """
     if not 1 < alpha < 2:
         raise ConfigError(f"theta0 requires alpha in (1,2), got {alpha}")
-    return (2.0 ** (2.0 - alpha) * abs(_gamma_fn((1.0 - alpha) / 2.0))
-            / (np.sqrt(np.pi) * _gamma_fn(alpha / 2.0)))
+    gamma_fn, _ = _special()
+    return (2.0 ** (2.0 - alpha) * abs(gamma_fn((1.0 - alpha) / 2.0))
+            / (np.sqrt(np.pi) * gamma_fn(alpha / 2.0)))

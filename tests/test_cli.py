@@ -224,3 +224,21 @@ class TestExecutable:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def test_version_string_once_per_process(tmp_path, monkeypatch):
+    real_run = subprocess.run
+    git_calls = []
+
+    def counting_run(args, *a, **kw):
+        if args and args[0] == "git":
+            git_calls.append(args)
+        return real_run(args, *a, **kw)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    for name in ("a", "b"):
+        assert run_cli(tmp_path / name, "theta0", "--alphas", "1.5") == 0
+    assert len(git_calls) <= 1
+    versions = {json.loads((tmp_path / name / "manifest.json").read_text())["version"]
+                for name in ("a", "b")}
+    assert len(versions) == 1

@@ -2,13 +2,19 @@
 mpmath, sign classification, the critical-strength curve, and the Monte
 Carlo generator link between the coefficient and sampling."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import levyloewner
 from levyloewner.errors import ConfigError
 from levyloewner.drivers import standard_stable_sample
 from levyloewner.rng import stream
@@ -249,3 +255,40 @@ class TestGeneratorLink:
         expected = th * frac_laplacian_power(alpha, p, x)
         # 3 combined standard errors plus the O(t) Taylor remainder
         assert abs(est - expected) <= 3.0 * se + 0.5 * t * abs(expected) + 5e-4 * abs(expected)
+
+
+def _fresh_interpreter(code: str):
+    """Run code in a new interpreter importing the package under test and
+    return the JSON it prints."""
+    src = str(Path(levyloewner.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestImportPolicy:
+    """Importing the package loads numpy only; scipy.special binds on the
+    first Gamma evaluation and scipy.integrate only for the oracle."""
+
+    def test_cli_import_loads_no_scipy(self):
+        loaded = _fresh_interpreter(
+            "import levyloewner.cli\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))")
+        assert loaded == []
+
+    def test_closed_forms_leave_integrate_unloaded(self):
+        state = _fresh_interpreter(
+            "from levyloewner.stable_calculus import frac_constant, gamma_coeff, theta0\n"
+            "theta0(1.5); gamma_coeff(1.5, 0.7); frac_constant(1.5)\n"
+            "print(json.dumps({m: m in sys.modules for m in ('scipy.special', 'scipy.integrate')}))")
+        assert state == {"scipy.special": True, "scipy.integrate": False}
+
+    def test_oracle_in_fresh_interpreter(self):
+        got = _fresh_interpreter(
+            "from levyloewner.stable_calculus import gamma_coeff_alt\n"
+            "print(json.dumps([gamma_coeff_alt(1.5, 0.7), 'scipy.integrate' in sys.modules]))")
+        assert got[0] == pytest.approx(gamma_coeff(1.5, 0.7), abs=1e-8)
+        assert got[1]
