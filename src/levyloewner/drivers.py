@@ -336,17 +336,38 @@ def standard_stable_sample(alpha: float, rng: np.random.Generator, size) -> np.n
     """Draw S_1 with E exp(i lam S_1) = exp(-|lam|^alpha) (CMS inversion).
 
     alpha = 2 is the Gaussian edge case Var = 2; alpha = 1 is standard Cauchy.
+    The sample is :func:`_stable_map` of the raw draws :func:`_stable_draws`,
+    taken in order from ``rng``; the map is elementwise, so raw draws of
+    several streams may be concatenated and mapped at once.
     """
+    if not 0 < alpha <= 2:
+        raise ConfigError(f"alpha must lie in (0,2], got {alpha}")
+    return _stable_map(alpha, *(draw(rng, size) for draw in _stable_draws(alpha)))
+
+
+def _stable_draws(alpha: float) -> tuple:
+    """The generator draws of a standard stable sample, in stream order, each
+    called as ``draw(rng, size)``: a normal at alpha = 2, a uniform at
+    alpha = 1, else a uniform and then an exponential."""
     if alpha == 2.0:
-        return np.sqrt(2.0) * rng.standard_normal(size)
-    v = (rng.random(size) - 0.5) * np.pi
+        return (np.random.Generator.standard_normal,)
+    if alpha == 1.0:
+        return (np.random.Generator.random,)
+    return (np.random.Generator.random, np.random.Generator.standard_exponential)
+
+
+def _stable_map(alpha: float, *raw: np.ndarray) -> np.ndarray:
+    """The Chambers-Mallows-Stuck map of the raw draws of :func:`_stable_draws`
+    to standard stable variates, elementwise."""
+    if alpha == 2.0:
+        return np.sqrt(2.0) * raw[0]
+    v = (raw[0] - 0.5) * np.pi
     if alpha == 1.0:
         return np.tan(v)
-    w = rng.standard_exponential(size)
     return (
         np.sin(alpha * v)
         / np.cos(v) ** (1.0 / alpha)
-        * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
+        * (np.cos((1.0 - alpha) * v) / raw[1]) ** ((1.0 - alpha) / alpha)
     )
 
 

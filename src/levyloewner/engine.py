@@ -37,9 +37,13 @@ blocks of :data:`BLOCK` lanes with one RNG stream per (cell tag, block), and
 one loop advances every block of every cell of an experiment in lockstep;
 cells whose drivers differ only in Brownian kappa and stable theta share it,
 holding those coefficients, z0 and the tolerance per lane.  In each iteration
-every block that has a live lane draws its live lanes' variates from its
-stream, in lane order.  A replica's result therefore depends only on its own
-state and its block's stream, never on the other blocks or cells.
+every block that has a live lane draws its live lanes' raw variates (uniforms,
+exponentials, normals) from its own stream, in lane order, and each map from
+raw variates to increments (the Chambers-Mallows-Stuck map of a stable part)
+then runs once over all live lanes; a truncated stable part, whose draw count
+depends on the data and on dt, draws its increments whole.  A replica's
+result therefore depends only on its own state and its block's stream, never
+on the other blocks or cells.
 """
 
 from __future__ import annotations
@@ -56,8 +60,9 @@ from .drivers import (
     DriverSpec,
     Stable,
     TruncatedStable,
+    _stable_draws,
+    _stable_map,
     _truncated_stable_steps,
-    standard_stable_sample,
     truncated_stable_variance_rate,
 )
 from .errors import ConfigError, NumericalError
@@ -340,42 +345,48 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
 # ---------------------------------------------------------------------------
 
 def _live_draws(blocks, lane, dt=None):
-    """Per-lane variates of the live lanes, drawn block by block.
+    """Per-lane raw variates of the live lanes, drawn block by block.
 
     ``lane`` holds the ascending indices of the live lanes; lane i belongs to
     block i // BLOCK, and ``blocks[b]`` is block b's (stream, draws).  Every
     block with a live lane calls each of its ``draw(rng, m, dt_block)`` once,
     in order, with m its live-lane count and ``dt_block`` its slice of ``dt``
-    (None when ``dt`` is).  A draw returns m variates, which are concatenated
-    in lane order; a block's stream therefore advances by its own live lanes
-    only.
+    (None when ``dt`` is).  A draw returns m variates; each draw's variates
+    are concatenated in lane order, so one map can then turn them into
+    increments for all live lanes at once, while a block's stream advances by
+    its own live lanes only.
     """
-    blk = lane // BLOCK
-    cut = np.flatnonzero(np.r_[True, blk[1:] != blk[:-1], True]).tolist()
-    out = [[] for _ in blocks[blk[0]][1]]
-    for lo, hi in zip(cut[:-1], cut[1:]):
-        rng, draws = blocks[blk[lo]]
+    cut = np.searchsorted(lane, BLOCK * np.arange(len(blocks) + 1)).tolist()
+    out = [[] for _ in blocks[0][1]]
+    for (rng, draws), lo, hi in zip(blocks, cut[:-1], cut[1:]):
+        if lo == hi:
+            continue
         dt_block = None if dt is None else dt[lo:hi]
         for parts, draw in zip(out, draws):
             parts.append(draw(rng, hi - lo, dt_block))
     return [np.concatenate(parts) for parts in out]
 
 
-# An increment's timescale is |h|^tau_pow / coef; a loop holds coef per lane
-# and passes it back to ``increments``.
+def _counted(draw):
+    """A block draw ``draw(rng, m, dt)`` of a ``draw(rng, m)`` that needs no dt."""
+    return lambda rng, m, dt: draw(rng, m)
+
+
+# An increment declares its per-block raw ``draws`` and maps their variates,
+# concatenated over the live lanes, once per iteration.  Its timescale is
+# |h|^tau_pow / coef; a loop holds coef per lane and passes it back to
+# ``increments``.
 
 class _IncBrownian:
     is_continuous = True
     tau_pow = 2.0
+    draws = (lambda rng, m, dt: rng.standard_normal(m),)
 
     def __init__(self, comp: Brownian):
         self.coef = comp.kappa
 
-    def variates(self, rng, m, dt):
-        return rng.standard_normal(m)
-
     def increments(self, raw, dt, kappa):
-        return np.sqrt(kappa * dt) * raw
+        return np.sqrt(kappa * dt) * raw[0]
 
 
 class _IncStable:
@@ -384,29 +395,25 @@ class _IncStable:
     def __init__(self, comp: Stable):
         self.alpha = self.tau_pow = comp.alpha
         self.coef = comp.theta
-
-    def variates(self, rng, m, dt):
-        return standard_stable_sample(self.alpha, rng, m)
+        self.draws = tuple(_counted(d) for d in _stable_draws(comp.alpha))
 
     def increments(self, raw, dt, theta):
-        return (theta * dt) ** (1.0 / self.alpha) * raw
+        return (theta * dt) ** (1.0 / self.alpha) * _stable_map(self.alpha, *raw)
 
 
 class _IncTruncatedStable:
-    """Its draw depends on dt: drawn whole, from each live lane's dt."""
+    """Its draw count depends on the data and on dt: drawn whole per block,
+    from each live lane's dt."""
 
     is_continuous = False
     tau_pow = 2.0
 
     def __init__(self, comp: TruncatedStable):
-        self.comp = comp
         self.coef = truncated_stable_variance_rate(comp.alpha, comp.theta, comp.cutoff)
-
-    def variates(self, rng, m, dt):
-        return _truncated_stable_steps(self.comp, rng, dt)[0]
+        self.draws = (lambda rng, m, dt: _truncated_stable_steps(comp, rng, dt)[0],)
 
     def increments(self, raw, dt, coef):
-        return raw
+        return raw[0]
 
 
 def _jump_clock(comp: CompoundPoisson):
@@ -533,7 +540,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     compiled = [_compile_increments(c.spec) for c in cells]
     incs, clocks = compiled[0]
     tags = [tuple(c.tag) if isinstance(c.tag, (tuple, list)) else (c.tag,) for c in cells]
-    blocks = [(stream(master_seed, *tag, "block", b), [inc.variates for inc in ci])
+    blocks = [(stream(master_seed, *tag, "block", b), [d for inc in ci for d in inc.draws])
               for tag, (ci, _) in zip(tags, compiled) for b in range(nb)]
     # per iteration each clock draws a (wait, jump size) pair per live lane from
     # the lane's block stream, before the draws that depend on the step
@@ -569,11 +576,12 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         for wait in waits:
             np.minimum(dt, wait, out=dt)
         t_next = t + dt
-        raws = _live_draws(blocks, lane, dt)
+        raws = iter(_live_draws(blocks, lane, dt))
 
         alive = np.ones(lane.size, dtype=bool)
         _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive)
-        for inc, raw, c in zip(incs, raws, coef):
+        for inc, c in zip(incs, coef):
+            raw = [next(raws) for _ in inc.draws]
             _apply_increment(x, y, inc.increments(raw, dt, c), inc.is_continuous, t_next,
                              delta, zeta, min_abs, alive)
         # a lane whose wait ended its step jumps at the step's end

@@ -15,8 +15,10 @@ annulus-exit loop of :func:`overshoot_histogram` advance all blocks of
 only, and the cells of one experiment (the theta grid of
 :func:`theta0_bracket`, the cells of :func:`phase_scan`, the start points of
 the slope fits and of :func:`composite_driver_phase`) share that loop; each
-block draws its live replicas' variates from its own (cell tag, block)
-stream, so a replica's result never depends on the other blocks or cells.
+block draws its live replicas' raw variates from its own (cell tag, block)
+stream, and each map from raw variates to increments (the stable part's
+Chambers-Mallows-Stuck map) runs once per iteration over all live replicas,
+so a replica's result never depends on the other blocks or cells.
 Estimators run on the calling thread, except the per-replica raster loops of
 :func:`area_fraction` and :func:`disconnection_frequency`, which fan out over
 ``workers`` threads; the thread count only changes scheduling, never
@@ -37,10 +39,11 @@ from .drivers import (
     DriverSpec,
     JumpLaw,
     TruncatedStable,
+    _stable_draws,
+    _stable_map,
     sample_driver,
-    standard_stable_sample,
 )
-from .engine import (BLOCK, Cell, _live_draws, _loop_key, default_hit_tolerance,
+from .engine import (BLOCK, Cell, _counted, _live_draws, _loop_key, default_hit_tolerance,
                      run_adaptive_cells, run_adaptive_mc)
 from .errors import ConfigError, StatisticalError
 from .loewner import EvolutionConfig, connected_components, raster_cluster
@@ -345,7 +348,7 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
     if kappa > 0:
         draws.append(lambda rng, m, dt: rng.standard_normal(m))
     if theta > 0:
-        draws.append(lambda rng, m, dt: standard_stable_sample(alpha, rng, m))
+        draws += [_counted(d) for d in _stable_draws(alpha)]
     blocks = [(stream(seed, "overshoot", blk, str(a), str(b)), draws) for blk in range(-(-n // BLOCK))]
     sides = np.zeros(n, dtype=np.int8)  # 0 censored, 1 inner, 2 outer
     positions = np.full(n, np.nan)
@@ -390,7 +393,7 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
             x = np.where(active, xb, x)
 
         if theta > 0:
-            ds = (theta * dt) ** (1.0 / alpha) * next(raws)
+            ds = (theta * dt) ** (1.0 / alpha) * _stable_map(alpha, *raws)
             xs = np.where(active, x - ds, x)
             inner = active & (np.abs(xs) <= a)
             outer = active & ~inner & (np.abs(xs) >= b)

@@ -13,6 +13,8 @@ from levyloewner.drivers import (
     DriverSpec,
     JumpLaw,
     Stable,
+    _stable_draws,
+    _stable_map,
     compose_drivers,
     sample_brownian,
     sample_compound_poisson,
@@ -88,6 +90,29 @@ class TestStable:
         tail = np.array([np.mean(s > x) for x in xs])
         slope = np.polyfit(np.log(xs), np.log(tail), 1)[0]
         assert slope == pytest.approx(-alpha, abs=0.15)
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
+    def test_sample_is_raw_draws_then_one_map(self, alpha):
+        # per-block samples equal per-block raw draws mapped once over their
+        # concatenation, bit for bit, and advance each stream alike
+        sizes = (1, 7, 9, 513)
+        whole = [standard_stable_sample(alpha, stream(9, "split", b), m) for b, m in enumerate(sizes)]
+        rngs = [stream(9, "split", b) for b in range(len(sizes))]
+        raw = [[draw(rng, m) for draw in _stable_draws(alpha)] for rng, m in zip(rngs, sizes)]
+        mapped = _stable_map(alpha, *(np.concatenate(parts) for parts in zip(*raw)))
+        assert np.concatenate(whole).tobytes() == mapped.tobytes()
+        for b, rng in enumerate(rngs):
+            ref = stream(9, "split", b)
+            standard_stable_sample(alpha, ref, sizes[b])
+            np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 2.5, np.nan])
+    def test_alpha_outside_domain_rejected_before_drawing(self, alpha):
+        rng = stream(10, "sdomain")
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError):
+            standard_stable_sample(alpha, rng, 10)
+        np.testing.assert_equal(rng.bit_generator.state, state)
 
     def test_ledger_attribution(self):
         grid = uniform_grid(1.0, 0.01)

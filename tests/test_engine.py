@@ -1,6 +1,6 @@
-"""Monte Carlo engine: block and cell independence of the replica streams and
-pinned output bytes on the composite-driver paths that the golden CLI
-artifacts do not reach."""
+"""Monte Carlo engine: block and cell independence of the replica streams,
+pinned output bytes on the pure-stable and composite-driver paths that the
+golden CLI artifacts do not reach, and one stable map per lockstep iteration."""
 
 import dataclasses
 import hashlib
@@ -8,8 +8,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from levyloewner import engine
 from levyloewner.drivers import (Brownian, CompoundPoisson, DriverSpec, JumpLaw, Stable, TruncatedStable,
-                                 sample_driver)
+                                 _stable_map, sample_driver)
 from levyloewner.engine import BLOCK, Cell, LaneResult, evolve_lanes_on_path, run_adaptive_cells, run_adaptive_mc
 from levyloewner.errors import ConfigError
 from levyloewner.experiments import _annulus_exit_positions
@@ -122,6 +123,51 @@ def test_composite_driver_output_bytes_pinned(beta):
                           beta=beta, hit_tolerance=1e-2,
                           exit_radius=2.0 if beta == 2.0 else None)
     assert {f: _sha(getattr(res, f)) for f in PINNED[beta]} == PINNED[beta]
+
+
+# SHA-256 over the output arrays of a two-cell pure-stable run whose cells
+# differ in theta, 700 replicas each so that each cell's second block is
+# partial (x86-64, numpy 2.4).  alpha = 1, 1.5 and 2 take the tan, CMS and
+# Gaussian branches of the stable map.  Recorded while each block still drew
+# whole stable samples, before the map moved to one call per iteration.
+STABLE_PINNED = {
+    (1.0, 2.0): "d5557b1e49a1bc8beac9738cf49330689bd3de751e01a0b7574435dbdc92c2ad",
+    (1.0, 1.5): "b89f82511656d010ee8cf69679628d3e3ee919c84bcc08b084250a37f0fb0113",
+    (1.5, 2.0): "2c3c4f17d593955d292d1d44dbab881ed873db40c948c3afe988268971afc37c",
+    (1.5, 1.5): "c92672045824559d96cc31f6bcacd908c2d273eda07b0f0554642127d2cce731",
+    (2.0, 2.0): "3aa15398f2608ceba6127aaf1caf0434666b944f1dbd09f0cf9ba1e58bc98c47",
+    (2.0, 1.5): "404900d9784281a989ddd1aecd45be5b9d19b3fc1245a1479b609c2962a6eabe",
+}
+
+
+def _stable_cells(alpha, thetas):
+    return [Cell(DriverSpec((Stable(alpha, theta),)), 0.2 + 0.1j, ("pin-stable", theta), 1e-2)
+            for theta in thetas]
+
+
+@pytest.mark.parametrize("alpha, beta", sorted(STABLE_PINNED))
+def test_stable_cells_output_bytes_pinned(alpha, beta):
+    digest = hashlib.sha256()
+    for res in run_adaptive_cells(_stable_cells(alpha, (0.5, 2.0)), 700, 1.0, master_seed=2027, beta=beta):
+        for f in FIELDS:
+            digest.update(np.ascontiguousarray(getattr(res, f)).tobytes())
+    assert digest.hexdigest() == STABLE_PINNED[(alpha, beta)]
+
+
+def test_stable_map_runs_once_per_iteration(monkeypatch):
+    # 3 cells x 2 blocks: the map runs once per lockstep iteration over every
+    # live lane, not once per live block
+    calls = []
+
+    def counted(alpha, *raw):
+        calls.append(raw[0].size)
+        return _stable_map(alpha, *raw)
+
+    monkeypatch.setattr(engine, "_stable_map", counted)
+    res = run_adaptive_cells(_stable_cells(1.5, (0.5, 1.0, 2.0)), 700, 1.0, master_seed=3)
+    iterations = max(int((r.steps + r.hit).max()) for r in res)
+    assert len(calls) == iterations
+    assert calls[0] == 3 * 700
 
 
 def test_compound_poisson_jumps_at_exact_event_times():
