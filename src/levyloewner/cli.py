@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -113,26 +114,34 @@ def _as_int(raw):
     return int(raw)
 
 
+def _as_float(raw) -> float:
+    """``float(raw)``; NaN and infinities are errors, as no parameter takes them."""
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError("expected a finite number")
+    return v
+
+
 def _parse_typed(key, kind, raw):
     """Convert a raw config/flag value to its schema type."""
     try:
         if kind == "float":
-            return float(raw)
+            return _as_float(raw)
         if kind == "int":
             return _as_int(raw)
         if kind == "str":
             return str(raw)
         if kind == "floats":
             if isinstance(raw, str):
-                return [float(tok) for tok in raw.split(",") if tok != ""]
-            return [float(v) for v in raw]
+                return [_as_float(tok) for tok in raw.split(",") if tok != ""]
+            return [_as_float(v) for v in raw]
         if kind == "point":  # "re" | "re,im" | [re, im] | number
             if isinstance(raw, str):
-                parts = [float(tok) for tok in raw.split(",")]
+                parts = [_as_float(tok) for tok in raw.split(",")]
             elif isinstance(raw, (list, tuple)):
-                parts = [float(v) for v in raw]
+                parts = [_as_float(v) for v in raw]
             else:
-                parts = [float(raw)]
+                parts = [_as_float(raw)]
             if len(parts) == 1:
                 return [parts[0], 0.0]
             if len(parts) == 2:
@@ -140,16 +149,16 @@ def _parse_typed(key, kind, raw):
             raise ValueError("expected re or re,im")
         if kind == "grid":  # "axis=v1,v2" strings or {axis: [..]}
             if isinstance(raw, dict):
-                return {str(k): [float(v) for v in vs] for k, vs in raw.items()}
+                return {str(k): [_as_float(v) for v in vs] for k, vs in raw.items()}
             items = raw if isinstance(raw, (list, tuple)) else [raw]
             out = {}
             for item in items:
                 axis, _, vals = str(item).partition("=")
                 if not vals:
                     raise ValueError(f"grid item {item!r} is not axis=v1,v2,...")
-                out[axis.strip()] = [float(tok) for tok in vals.split(",") if tok != ""]
+                out[axis.strip()] = [_as_float(tok) for tok in vals.split(",") if tok != ""]
             return out
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
     raise ConfigError(f"unknown schema kind {kind}")  # pragma: no cover
 

@@ -106,8 +106,8 @@ class Brownian:
     kappa: float
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ConfigError(f"kappa must be nonnegative, got {self.kappa}")
+        if not 0 <= self.kappa < np.inf:
+            raise ConfigError(f"kappa must be nonnegative and finite, got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,8 @@ class Stable:
     def __post_init__(self):
         if not 0 < self.alpha <= 2:
             raise ConfigError(f"alpha must lie in (0,2], got {self.alpha}")
-        if not self.theta > 0:
-            raise ConfigError(f"theta must be positive, got {self.theta}")
+        if not 0 < self.theta < np.inf:
+            raise ConfigError(f"theta must be positive and finite, got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,8 @@ class TruncatedStable:
     def __post_init__(self):
         if not 0 < self.alpha < 2:
             raise ConfigError(f"truncated stable needs alpha in (0,2), got {self.alpha}")
-        if not self.theta > 0:
-            raise ConfigError(f"theta must be positive, got {self.theta}")
+        if not 0 < self.theta < np.inf:
+            raise ConfigError(f"theta must be positive and finite, got {self.theta}")
         if not self.cutoff > 0:
             raise ConfigError(f"jump cutoff must be positive, got {self.cutoff}")
         if self.small_jump_eps is not None and not 0 < self.small_jump_eps < self.cutoff:
@@ -151,8 +151,8 @@ class CompoundPoisson:
     declared_class: str = "unspecified"  # user metadata, never inferred
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ConfigError(f"rate must be positive, got {self.rate}")
+        if not 0 < self.rate < np.inf:
+            raise ConfigError(f"rate must be positive and finite, got {self.rate}")
         if self.declared_class not in ("recurrent", "transient", "unspecified"):
             raise ConfigError(
                 f"declared_class must be recurrent/transient/unspecified, got {self.declared_class!r}"
@@ -176,7 +176,11 @@ class DriverSpec:
                     cpp_class: str = "unspecified") -> DriverSpec:
         """sqrt(kappa) B + theta^(1/alpha) S (truncated at trunc_cutoff when
         positive) + a two-point CPP(cpp_rate, +-cpp_size), keeping the parts
-        with positive strength; U == 0 (Brownian(0)) when none is."""
+        with positive strength; U == 0 (Brownian(0)) when none is.  A NaN or
+        infinite strength is an error, not a part dropped."""
+        for name, v in (("kappa", kappa), ("theta", theta), ("cpp_rate", cpp_rate)):
+            if not -np.inf < v < np.inf:
+                raise ConfigError(f"{name} must be finite, got {v}")
         comps: list = []
         if kappa > 0:
             comps.append(Brownian(kappa))

@@ -44,11 +44,20 @@ then runs once over all live lanes; a truncated stable part, whose draw count
 depends on the data and on dt, draws its increments whole.  A replica's
 result therefore depends only on its own state and its block's stream, never
 on the other blocks or cells.
+
+The flow kernels pay per event, not per lane.  Each runs a fixed number of
+elementwise passes over the live lanes; past those, work scales with the
+lanes something happened to, held as index sets: the lanes near 0 (hit
+checks), the lanes low enough to cross h = 0 (flip rule), and the lanes whose
+u crosses 0 in the drift (swallow bookkeeping).  A step in which no lane is
+near, low or crossing does no bookkeeping at all, and a step of real-axis
+lanes takes the real root.  Both engines hold the live state in one array,
+one row per quantity, so that dropping the lanes that died is one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -110,9 +119,16 @@ class LaneResult:
 # drift kernel
 # ---------------------------------------------------------------------------
 
-def _slit_root(u, c, x, y):
+def _slit_root(u, c, x, y, real=False):
     """Set x + iy to the root of u + 2ic on the upper branch: y >= +0 and x
-    keeps its sign.  At beta = 2 this is the slit map h -> sqrt(h^2 + 4 dt)."""
+    keeps its sign.  At beta = 2 this is the slit map h -> sqrt(h^2 + 4 dt).
+    ``real`` says that every c is 0 and every u positive: the root is then
+    sqrt(u) + 0i, taken without the complex square root, which gives the same
+    bits there."""
+    if real:
+        np.copysign(np.sqrt(u), x, out=x)
+        y[:] = 0.0
+        return
     w = np.empty(u.shape, dtype=complex)
     w.real = u
     np.abs(c, out=w.imag)
@@ -134,131 +150,158 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
     Every lane must be live on entry; dt, t and delta are per-lane arrays or
     scalars.  Mutates x, y, zeta, min_abs, alive (a swallowed lane keeps its
     pre-drift x, y).  For beta < 2 each off-axis lane takes its own RK4
-    substep count, so its result depends on its own state only.
+    substep count, so its result depends on its own state only.  Beyond the
+    elementwise update, work scales with the lanes that cross u = 0: the
+    crossing and swallow bookkeeping runs only when some lane crosses, which
+    a real-axis lane never does, and the beta < 2 axis and off-axis groups
+    are updated by index.
     """
     u0 = x * x - y * y
     c = x * y
+    crossings = []  # (lanes, time into the step at which u crosses 0)
 
     if beta == 2.0:
         u1 = u0 + 4.0 * dt
-        cr = np.flatnonzero((u0 < 0) & (u1 >= 0))
-        s_cr = -u0[cr] * 0.25
+        neg = u0 < 0
+        if neg.any():
+            cr = (neg & (u1 >= 0)).nonzero()[0]
+            crossings.append((cr, -u0[cr] * 0.25))
+            real = False
+        else:
+            real = not c.any()
     else:
-        dt = np.broadcast_to(dt, u0.shape)
-        u1 = np.array(u0, copy=True)
-        s_star = np.zeros_like(u0)
-        crossed = np.zeros(u0.shape, dtype=bool)
-
         on_axis = c == 0.0
         # real axis: |x|^beta grows linearly at rate 2 beta
-        real_ax = on_axis & (u0 > 0)
-        if real_ax.any():
-            m = u0[real_ax] ** (beta / 2.0) + 2.0 * beta * dt[real_ax]
-            u1[real_ax] = m ** (2.0 / beta)
-        # imaginary axis: y^beta shrinks linearly; crossing time is exact
-        imag_ax = on_axis & (u0 < 0)
-        if imag_ax.any():
-            m0 = (-u0[imag_ax]) ** (beta / 2.0)
-            m = m0 - 2.0 * beta * dt[imag_ax]
-            hit_ax = m <= 0.0
-            sub = np.where(imag_ax)[0]
-            u1[sub] = np.where(hit_ax, 0.0, -np.maximum(m, 0.0) ** (2.0 / beta))
-            crossed[sub[hit_ax]] = True
-            s_star[sub[hit_ax]] = m0[hit_ax] / (2.0 * beta)
+        ra = (on_axis & (u0 > 0)).nonzero()[0]
+        real = ra.size == u0.size
+        if real:
+            u1 = (u0 ** (beta / 2.0) + 2.0 * beta * dt) ** (2.0 / beta)
+        else:
+            u1 = u0.copy()
+            if ra.size:
+                u1[ra] = (u0[ra] ** (beta / 2.0) + 2.0 * beta * _at(dt, ra)) ** (2.0 / beta)
+            # imaginary axis: y^beta shrinks linearly; crossing time is exact
+            ia = (on_axis & (u0 < 0)).nonzero()[0]
+            if ia.size:
+                m0 = (-u0[ia]) ** (beta / 2.0)
+                m = m0 - 2.0 * beta * _at(dt, ia)
+                hit_ax = m <= 0.0
+                u1[ia] = np.where(hit_ax, 0.0, -np.maximum(m, 0.0) ** (2.0 / beta))
+                crossings.append((ia[hit_ax], m0[hit_ax] / (2.0 * beta)))
+            sub = (~on_axis).nonzero()[0]
+            if sub.size:
+                _rk4_drift(u0, c, dt, beta, sub, u1, crossings)
 
-        sub = np.flatnonzero(~on_axis)
-        if sub.size:
-            # substep count from the relative motion of |h|^2 over the step;
-            # lanes in descending count order, so the lanes still stepping at
-            # substep k are the first width[k]
-            rel = 4.0 * np.hypot(u0[sub], 2.0 * c[sub]) ** (-beta / 2.0) * dt[sub]
-            nsub = np.clip(np.ceil(rel / 0.05), 1, 64)
-            order = np.argsort(-nsub)
-            sub, nsub = sub[order], nsub[order]
-            width = np.searchsorted(-nsub, -np.arange(1, nsub[0] + 1), side="right")
-            h_sub = dt[sub] / nsub
-            c2 = 4.0 * c[sub] * c[sub]
-            pow_ = (2.0 - beta) / 4.0
+    dead = None
+    if crossings:
+        cr, s_cr = crossings[0] if len(crossings) == 1 else map(np.concatenate, zip(*crossings))
+        if cr.size:
+            # a lane whose u crosses 0 passes |h| = sqrt(2|c|) inside the step
+            dip = np.sqrt(2.0 * np.abs(c[cr]))
+            min_abs[cr] = np.minimum(min_abs[cr], dip)
+            swallowed = dip <= _at(delta, cr)
+            dead = cr[swallowed]
+            zeta[dead] = _at(t, dead) + s_cr[swallowed]
+            alive[dead] = False
+            x_dead, y_dead = x[dead], y[dead]
+    _slit_root(u1, c, x, y, real)
+    if dead is not None:
+        x[dead], y[dead] = x_dead, y_dead
 
-            def f(v, cw):
-                return 4.0 * (v * v + cw) ** pow_
 
-            u = u0[sub]
-            cross_at = np.zeros_like(u)
-            found = np.zeros(u.shape, dtype=bool)
-            for k, w in enumerate(width.tolist()):
-                u_lo, h, cw = u[:w], h_sub[:w], c2[:w]
-                k1 = f(u_lo, cw)
-                k2 = f(u_lo + 0.5 * h * k1, cw)
-                k3 = f(u_lo + 0.5 * h * k2, cw)
-                k4 = f(u_lo + h * k3, cw)
-                u_hi = u_lo + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                just = np.flatnonzero(~found[:w] & (u_lo < 0) & (u_hi >= 0))
-                if just.size:
-                    frac = -u_lo[just] / np.maximum(u_hi[just] - u_lo[just], 1e-300)
-                    cross_at[just] = (k + frac) * h[just]
-                    found[just] = True
-                u[:w] = u_hi
-            crossed[sub] = found
-            s_star[sub] = cross_at
-            u1[sub] = u
-        cr = np.flatnonzero(crossed)
-        s_cr = s_star[cr]
+def _rk4_drift(u0, c, dt, beta, sub, u1, crossings):
+    """Set u1 of the off-axis lanes ``sub`` to u at the end of the step, each
+    lane by its own RK4 substep count; append their crossings of u = 0 to
+    ``crossings``."""
+    # substep count from the relative motion of |h|^2 over the step; lanes in
+    # descending count order, so the lanes still stepping at substep k are the
+    # first width[k]
+    rel = 4.0 * np.hypot(u0[sub], 2.0 * c[sub]) ** (-beta / 2.0) * _at(dt, sub)
+    nsub = np.minimum(np.maximum(np.ceil(rel / 0.05), 1), 64)
+    order = np.argsort(-nsub)
+    sub, nsub = sub[order], nsub[order]
+    width = np.searchsorted(-nsub, -np.arange(1, nsub[0] + 1), side="right")
+    h_sub = _at(dt, sub) / nsub
+    c2 = 4.0 * c[sub] * c[sub]
+    pow_ = (2.0 - beta) / 4.0
 
-    # a lane whose u crosses 0 passes |h| = sqrt(2|c|) inside the step
-    dip = np.sqrt(2.0 * np.abs(c[cr]))
-    min_abs[cr] = np.minimum(min_abs[cr], dip)
-    swallowed = dip <= _at(delta, cr)
-    dead = cr[swallowed]
-    zeta[dead] = _at(t, dead) + s_cr[swallowed]
-    alive[dead] = False
-    x_dead, y_dead = x[dead], y[dead]
-    _slit_root(u1, c, x, y)
-    x[dead], y[dead] = x_dead, y_dead
+    def f(v, cw):
+        return 4.0 * (v * v + cw) ** pow_
+
+    u = u0[sub]
+    for k, w in enumerate(width.tolist()):
+        u_lo, h, cw = u[:w], h_sub[:w], c2[:w]
+        k1 = f(u_lo, cw)
+        k2 = f(u_lo + 0.5 * h * k1, cw)
+        k3 = f(u_lo + 0.5 * h * k2, cw)
+        k4 = f(u_lo + h * k3, cw)
+        u_hi = u_lo + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # u only increases, so a lane crosses 0 in one substep at most
+        just = ((u_lo < 0) & (u_hi >= 0)).nonzero()[0]
+        if just.size:
+            frac = -u_lo[just] / np.maximum(u_hi[just] - u_lo[just], 1e-300)
+            crossings.append((sub[just], (k + frac) * h[just]))
+        u[:w] = u_hi
+    u1[sub] = u
 
 
 def _apply_increment(x, y, du, is_continuous, t_next, delta, zeta, min_abs, alive):
     """Shift x by -du on alive lanes and run the hit checks at t_next.  du,
     t_next and delta are per-lane arrays or scalars.  Mutates x, zeta,
-    min_abs, alive."""
-    act = alive & (du != 0.0)
-    flip = np.zeros_like(alive)
+    min_abs, alive.
+
+    Beyond the shift itself, work scales with the lanes low enough to cross
+    h = 0 (y <= delta, for a continuous increment) and with the lanes near 0
+    (:func:`_check_endpoint`); no full-length hit mask is built."""
+    flip = None
     if is_continuous:
         # the path crossed h = 0 inside the step if x changes sign at y <= delta
-        low = np.flatnonzero(act & (y <= delta))
-        sign_old = np.sign(x[low])
-    np.subtract(x, du, out=x, where=act)
-    if is_continuous:
-        x_low = x[low]
-        flip[low] = (np.sign(x_low) != sign_old) & (sign_old != 0) & (x_low != 0)
+        low = ((y <= delta) & alive).nonzero()[0]
+        x_old = x[low]
+    np.subtract(x, du, out=x, where=alive)
+    if is_continuous and low.size:
+        flip = low[np.sign(x_old) * np.sign(x[low]) < 0]
     _check_endpoint(x, y, t_next, delta, zeta, min_abs, alive, flip)
 
 
-def _check_endpoint(x, y, t_now, delta, zeta, min_abs, alive, hit=None):
-    """Fold |h| into min_abs and mark lanes with |h| <= delta (or ``hit``)
-    dead at t_now.  Mutates zeta, min_abs, alive."""
+def _check_endpoint(x, y, t_now, delta, zeta, min_abs, alive, flip=None):
+    """Fold |h| into min_abs and mark the lanes with |h| <= delta, and the
+    live lanes of the index array ``flip``, dead at t_now.  Mutates zeta,
+    min_abs, alive.
+
+    One box test runs over every lane; the rest works on the index set of the
+    near lanes, and returns early when there is none."""
     # |h| rounds to no less than max(|x|, |y|), so only lanes in that box can
     # set a new minimum of |h| or come within delta
-    near = np.flatnonzero(alive & (np.maximum(np.abs(x), np.abs(y)) <= np.maximum(min_abs, delta)))
-    habs = np.hypot(x[near], y[near])
-    min_abs[near] = np.minimum(min_abs[near], habs)
-    if hit is None:
-        hit = np.zeros_like(alive)
-    hit[near] |= habs <= _at(delta, near)
-    np.copyto(zeta, t_now, where=hit)
-    alive &= ~hit
+    box = np.abs(x)
+    np.maximum(box, np.abs(y), out=box)
+    near = ((box <= np.maximum(min_abs, delta)) & alive).nonzero()[0]
+    if near.size:
+        habs = np.hypot(x[near], y[near])
+        min_abs[near] = np.minimum(min_abs[near], habs)
+        hit = near[habs <= _at(delta, near)]
+        if hit.size:
+            zeta[hit] = _at(t_now, hit)
+            alive[hit] = False
+    if flip is not None and flip.size:
+        zeta[flip] = _at(t_now, flip)
+        alive[flip] = False
 
 
-def _retire(res, lane, dead, x, y, zeta, min_abs, steps):
-    """Write the outcome of the lanes ``lane[dead]`` into ``res``; returns
-    their indices."""
-    out = lane[dead]
-    res.zeta[out] = zeta[dead]
-    res.x[out] = x[dead]
-    res.y[out] = y[dead]
-    res.min_abs[out] = min_abs[dead]
-    res.steps[out] = steps
-    return out
+def _retire(state, alive, out):
+    """Write the outcome of the lanes that died into ``out`` and drop them.
+
+    ``state`` holds the live lanes, one row per quantity and one column per
+    lane: first the rows of ``out``, then the lane index (exact as a float).
+    Copies the outcome rows of the columns where ``alive`` is False into
+    ``out`` at their lane index; returns the state of the live lanes and the
+    lane indices of the dead ones."""
+    k = len(out)
+    dead = (~alive).nonzero()[0]
+    done = state[k].take(dead).astype(np.intp)
+    for row, outcome in zip(out, state[:k].take(dead, axis=1)):
+        row[done] = outcome
+    return state.take(alive.nonzero()[0], axis=1), done
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +340,17 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
     if not np.all((0.0 < delta) & (delta < np.inf)):
         raise ConfigError("hit tolerance must be positive and finite")
 
-    res = LaneResult(z0=z0, zeta=np.full(n, np.nan), x=np.empty(n), y=np.empty(n),
-                     min_abs=np.empty(n), steps=np.empty(n, dtype=np.int64),
-                     hit_tolerance=delta)
-    # state of the live lanes, in lane order
-    lane = np.arange(n)
-    x = z0.real.copy()
-    y = z0.imag.copy()
-    zeta = np.full(n, np.nan)
-    min_abs = np.abs(z0).astype(float)
-    tol = delta
+    # state of the live lanes, in lane order (see _retire)
+    state = np.empty((6, n))
+    zeta, x, y, min_abs, lane, tol = state
+    zeta[:] = np.nan
+    x[:] = z0.real
+    y[:] = z0.imag
+    min_abs[:] = np.abs(z0)
+    tol[:] = delta
+    lane[:] = np.arange(n)
+    out = np.empty((4, n))
+    steps = np.empty(n, dtype=np.int64)
 
     grid = path.grid
     values = path.values
@@ -328,12 +372,15 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
         if full_step and du != 0.0:
             _apply_increment(x, y, du, continuous[i], t1, tol, zeta, min_abs, alive)
         if record_trajectory:
-            h = (x[0], y[0]) if lane[0] == 0 else (res.x[0], res.y[0])
+            h = (x[0], y[0]) if lane[0] == 0 else (out[1, 0], out[2, 0])
             traj.append((t1, *h, values[i + 1] if full_step else values[i]))
         if not alive.all():
-            _retire(res, lane, ~alive, x, y, zeta, min_abs, it)
-            lane, x, y, zeta, min_abs, tol = (a[alive] for a in (lane, x, y, zeta, min_abs, tol))
-    _retire(res, lane, slice(None), x, y, zeta, min_abs, it)
+            state, done = _retire(state, alive, out)
+            steps[done] = it
+            zeta, x, y, min_abs, lane, tol = state
+    _, done = _retire(state, np.zeros(lane.size, dtype=bool), out)
+    steps[done] = it
+    res = LaneResult(z0, *out, steps, delta)
 
     if record_trajectory:
         return res, np.asarray(traj)
@@ -344,19 +391,19 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
 # engine B: independent-replica adaptive Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _live_draws(blocks, lane, dt=None):
+def _live_draws(blocks, cut, dt=None):
     """Per-lane raw variates of the live lanes, drawn block by block.
 
-    ``lane`` holds the ascending indices of the live lanes; lane i belongs to
-    block i // BLOCK, and ``blocks[b]`` is block b's (stream, draws).  Every
-    block with a live lane calls each of its ``draw(rng, m, dt_block)`` once,
-    in order, with m its live-lane count and ``dt_block`` its slice of ``dt``
-    (None when ``dt`` is).  A draw returns m variates; each draw's variates
-    are concatenated in lane order, so one map can then turn them into
-    increments for all live lanes at once, while a block's stream advances by
-    its own live lanes only.
+    ``blocks[b]`` is block b's (stream, draws), and its live lanes are the
+    positions ``cut[b]:cut[b + 1]`` of the live-lane arrays (lanes in
+    ascending order, so ``cut`` is a ``searchsorted`` of the block bounds).
+    Every block with a live lane calls each of its ``draw(rng, m, dt_block)``
+    once, in order, with m its live-lane count and ``dt_block`` its slice of
+    ``dt`` (None when ``dt`` is).  A draw returns m variates; each draw's
+    variates are concatenated in lane order, so one map can then turn them
+    into increments for all live lanes at once, while a block's stream
+    advances by its own live lanes only.
     """
-    cut = np.searchsorted(lane, BLOCK * np.arange(len(blocks) + 1)).tolist()
     out = [[] for _ in blocks[0][1]]
     for (rng, draws), lo, hi in zip(blocks, cut[:-1], cut[1:]):
         if lo == hi:
@@ -364,7 +411,7 @@ def _live_draws(blocks, lane, dt=None):
         dt_block = None if dt is None else dt[lo:hi]
         for parts, draw in zip(out, draws):
             parts.append(draw(rng, hi - lo, dt_block))
-    return [np.concatenate(parts) for parts in out]
+    return [parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in out]
 
 
 def _counted(draw):
@@ -537,6 +584,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     # replica i of cell c is lane c * stride + i, so lane // BLOCK is the
     # (cell, block) of a lane; each cell's last block may be partial
     stride = nb * BLOCK
+    bounds = BLOCK * np.arange(k * nb + 1.0)  # block b's lanes lie in [bounds[b], bounds[b + 1])
     compiled = [_compile_increments(c.spec) for c in cells]
     incs, clocks = compiled[0]
     tags = [tuple(c.tag) if isinstance(c.tag, (tuple, list)) else (c.tag,) for c in cells]
@@ -546,65 +594,66 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     # the lane's block stream, before the draws that depend on the step
     clock_blocks = [(rng, [d for clk in clocks for d in clk]) for rng, _ in blocks]
 
-    res = LaneResult(z0=np.repeat(z0, stride), zeta=np.full(k * stride, np.nan),
-                     x=np.empty(k * stride), y=np.empty(k * stride), min_abs=np.empty(k * stride),
-                     steps=np.empty(k * stride, dtype=np.int64), hit_tolerance=np.repeat(tol, stride),
-                     exit_time=np.full(k * stride, np.nan) if exit_radius is not None else None)
-    # state of the live lanes, in lane order; a lane's outcome is written to
-    # res when it dies, and its state is then dropped
-    lane = (stride * np.arange(k)[:, None] + np.arange(n)).ravel()
-    x = np.repeat(z0.real, n)
-    y = np.repeat(z0.imag, n)
-    t = np.zeros(k * n)
-    zeta = np.full(k * n, np.nan)
-    min_abs = np.repeat([abs(z) for z in z0.tolist()], n)
-    delta = np.repeat(tol, n)
-    dt_floor = np.repeat(floor, n)
-    coef = np.repeat(np.array([[inc.coef for inc in ci] for ci, _ in compiled]).reshape(k, -1).T, n, axis=1)
-    exit_time = np.full(k * n, np.nan) if exit_radius is not None else None
+    # state of the live lanes, in lane order (see _retire)
+    state = np.empty((9 + len(incs), k * n))
+    zeta, x, y, min_abs, exit_time, lane, t, delta, dt_floor, *coef = state
+    zeta[:] = exit_time[:] = np.nan
+    x[:] = np.repeat(z0.real, n)
+    y[:] = np.repeat(z0.imag, n)
+    min_abs[:] = np.repeat([abs(z) for z in z0.tolist()], n)
+    t[:] = 0.0
+    delta[:] = np.repeat(tol, n)
+    dt_floor[:] = np.repeat(floor, n)
+    lane[:] = (stride * np.arange(k)[:, None] + np.arange(n)).ravel()
+    for row, c in zip(coef, zip(*([inc.coef for inc in ci] for ci, _ in compiled))):
+        row[:] = np.repeat(c, n)
+    out = np.empty((5, k * stride))  # zeta, x, y, min_abs, exit_time
+    steps = np.empty(k * stride, dtype=np.int64)
+    t_end = horizon * (1.0 - 1e-12)
 
     it = 0
     while lane.size:
         it += 1
         if it > _MAX_STEPS:
             raise NumericalError("adaptive evolution exceeded the step budget without resolving")
-        dt = dt_safety * _adaptive_tau(np.hypot(x, y), beta, incs, coef)
-        np.clip(dt, dt_floor, _DT_MAX, out=dt)
+        # hypot(x, 0) is |x| to the bit, and far dearer; phase lanes stay on
+        # the real axis
+        dt = _adaptive_tau(np.hypot(x, y) if y.any() else np.abs(x), beta, incs, coef)
+        dt *= dt_safety
+        np.maximum(dt, dt_floor, out=dt)
         np.minimum(dt, horizon - t, out=dt)
-        clock = _live_draws(clock_blocks, lane) if clocks else []
+        if horizon > _DT_MAX:  # else horizon - t is the tighter cap
+            np.minimum(dt, _DT_MAX, out=dt)
+        cut = lane.searchsorted(bounds).tolist()
+        clock = _live_draws(clock_blocks, cut) if clocks else []
         waits, sizes = clock[::2], clock[1::2]
         for wait in waits:
             np.minimum(dt, wait, out=dt)
-        t_next = t + dt
-        raws = iter(_live_draws(blocks, lane, dt))
+        raws = iter(_live_draws(blocks, cut, dt))
 
         alive = np.ones(lane.size, dtype=bool)
         _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive)
+        t += dt  # the increments land at the step's end
         for inc, c in zip(incs, coef):
             raw = [next(raws) for _ in inc.draws]
-            _apply_increment(x, y, inc.increments(raw, dt, c), inc.is_continuous, t_next,
+            _apply_increment(x, y, inc.increments(raw, dt, c), inc.is_continuous, t,
                              delta, zeta, min_abs, alive)
         # a lane whose wait ended its step jumps at the step's end
         for wait, size in zip(waits, sizes):
-            _apply_increment(x, y, np.where(wait == dt, size, 0.0), False, t_next,
+            _apply_increment(x, y, np.where(wait == dt, size, 0.0), False, t,
                              delta, zeta, min_abs, alive)
-        t = t_next
         if exit_radius is not None:
-            fresh = alive & np.isnan(exit_time) & (np.hypot(x, y) >= exit_radius)
+            fresh = (alive & np.isnan(exit_time) & (np.hypot(x, y) >= exit_radius)).nonzero()[0]
             exit_time[fresh] = t[fresh]
-        alive &= t < horizon * (1.0 - 1e-12)
+        alive &= t < t_end
 
         if not alive.all():
-            dead = ~alive
+            state, done = _retire(state, alive, out)
             # a hit lane stopped inside this iteration, a censored one after it
-            out = _retire(res, lane, dead, x, y, zeta, min_abs, it - 1 + np.isnan(zeta[dead]))
-            if exit_radius is not None:
-                res.exit_time[out] = exit_time[dead]
-                exit_time = exit_time[alive]
-            lane, x, y, t, zeta, min_abs, delta, dt_floor = (
-                a[alive] for a in (lane, x, y, t, zeta, min_abs, delta, dt_floor))
-            coef = coef[:, alive]
+            steps[done] = it - 1 + np.isnan(out[0, done])
+            zeta, x, y, min_abs, exit_time, lane, t, delta, dt_floor, *coef = state
 
-    arrays = [getattr(res, f.name) for f in fields(LaneResult)]
-    return [LaneResult(*(a if a is None else a[c * stride:c * stride + n] for a in arrays))
-            for c in range(k)]
+    z0s, tols = np.repeat(z0, stride), np.repeat(tol, stride)
+    return [LaneResult(z0s[sl], *out[:4, sl], steps[sl], tols[sl],
+                       out[4, sl] if exit_radius is not None else None)
+            for sl in (slice(c * stride, c * stride + n) for c in range(k))]

@@ -350,6 +350,7 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
     if theta > 0:
         draws += [_counted(d) for d in _stable_draws(alpha)]
     blocks = [(stream(seed, "overshoot", blk, str(a), str(b)), draws) for blk in range(-(-n // BLOCK))]
+    bounds = BLOCK * np.arange(len(blocks) + 1)
     sides = np.zeros(n, dtype=np.int8)  # 0 censored, 1 inner, 2 outer
     positions = np.full(n, np.nan)
     # state of the live replicas, in replica order; exits are written to
@@ -357,10 +358,11 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
     lane = np.arange(n)
     x = np.full(n, float(x0))
     t = np.zeros(n)
+    dt_floor = 1e-9 * (b - a) ** 2
 
-    def leave(mask, side, where):
-        sides[lane[mask]] = side
-        positions[lane[mask]] = where[mask]
+    def leave(idx, side, where):
+        sides[lane[idx]] = side
+        positions[lane[idx]] = where
 
     while lane.size:
         ax = np.abs(x)
@@ -370,41 +372,45 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
             tau = np.minimum(tau, d * d / kappa)
         if theta > 0:
             tau = np.minimum(tau, d ** alpha / theta)
-        dt = np.clip(0.1 * tau, 1e-9 * (b - a) ** 2, horizon)
-        dt = np.minimum(dt, horizon - t)
-        raws = iter(_live_draws(blocks, lane))
-        active = dt > 0
+        # horizon - t, positive for a live replica, caps dt below horizon too
+        dt = np.maximum(0.1 * tau, dt_floor)
+        np.minimum(dt, horizon - t, out=dt)
+        raws = iter(_live_draws(blocks, lane.searchsorted(bounds).tolist()))
+        # every sub-update moves every replica; one that exits is marked
+        # inactive, its exit written, and its x no longer read
+        active = np.ones(lane.size, dtype=bool)
 
         # drift: |x| grows, may cross b continuously -> atom at sign(x)*b
-        xm = np.where(active, np.sign(x) * np.sqrt(x * x + 4.0 * dt), x)
-        crossed = active & (np.abs(xm) >= b)
-        leave(crossed, 2, np.sign(x) * b)
-        active &= ~crossed
-        x = np.where(active, xm, x)
+        sign = np.sign(x)
+        x = sign * np.sqrt(x * x + 4.0 * dt)
+        out = (np.abs(x) >= b).nonzero()[0]
+        if out.size:
+            leave(out, 2, sign[out] * b)
+            active[out] = False
 
         if kappa > 0:
-            db = np.sqrt(kappa * dt) * next(raws)
-            xb = np.where(active, x - db, x)
-            inner = active & ((np.abs(xb) <= a) | (np.sign(xb) != np.sign(x)))
-            outer = active & ~inner & (np.abs(xb) >= b)
-            leave(inner, 1, np.sign(x) * a)
-            leave(outer, 2, np.sign(x) * b)
-            active &= ~(inner | outer)
-            x = np.where(active, xb, x)
+            xb = x - np.sqrt(kappa * dt) * next(raws)
+            inner = (np.abs(xb) <= a) | (np.sign(xb) != np.sign(x))
+            out = ((inner | (np.abs(xb) >= b)) & active).nonzero()[0]
+            if out.size:
+                inner = inner[out]
+                leave(out, np.where(inner, 1, 2), np.sign(x[out]) * np.where(inner, a, b))
+                active[out] = False
+            x = xb
 
         if theta > 0:
-            ds = (theta * dt) ** (1.0 / alpha) * _stable_map(alpha, *raws)
-            xs = np.where(active, x - ds, x)
-            inner = active & (np.abs(xs) <= a)
-            outer = active & ~inner & (np.abs(xs) >= b)
-            leave(inner, 1, xs)
-            leave(outer, 2, xs)
-            active &= ~(inner | outer)
-            x = np.where(active, xs, x)
+            x = x - (theta * dt) ** (1.0 / alpha) * _stable_map(alpha, *raws)
+            ax = np.abs(x)
+            inner = ax <= a
+            out = ((inner | (ax >= b)) & active).nonzero()[0]
+            if out.size:
+                leave(out, np.where(inner[out], 1, 2), x[out])
+                active[out] = False
 
-        t = t + dt
+        t += dt
         active &= t < horizon * (1 - 1e-12)
-        lane, x, t = lane[active], x[active], t[active]
+        if not active.all():
+            lane, x, t = lane[active], x[active], t[active]
     return sides, positions
 
 
@@ -531,7 +537,8 @@ def area_fraction(kappa: float, alpha: float, theta: float, r_list, resolution: 
 
     def job(rep):
         path = sample_driver(spec, horizon, seed, replica=rep, dt=path_dt)
-        raster = raster_cluster((-rmax, rmax, 0.0, rmax), (nx, ny), path, cfg)
+        # the fractions read only the cells within rmax, so only those evolve
+        raster = raster_cluster((-rmax, rmax, 0.0, rmax), (nx, ny), path, cfg, radius=rmax)
         gx, gy = np.meshgrid(raster.xs, raster.ys)
         rr = np.hypot(gx, gy)
         hit = raster.cells_hit_by(horizon)

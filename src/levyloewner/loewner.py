@@ -212,7 +212,7 @@ class ClusterRaster:
 
     window: tuple[float, float, float, float]  # (x0, x1, y0, y1)
     resolution: tuple[int, int]                # (nx, ny)
-    zeta: np.ndarray                           # shape (ny, nx); inf = censored
+    zeta: np.ndarray                           # shape (ny, nx); inf = censored, NaN = not evolved
     horizon: float
     cell_tolerance: np.ndarray
 
@@ -234,12 +234,15 @@ class ClusterRaster:
         return self.zeta <= t
 
 
-def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig) -> ClusterRaster:
+def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig,
+                   radius: float | None = None) -> ClusterRaster:
     """Evolve the center of every window cell along one path under cfg.beta.
 
     Cells within the hit tolerance of the origin are marked hit at 0+ by
     convention.  cfg.hit_tolerance=None gives each cell the geometry-aware
-    :func:`raster_cell_tolerance`; a number is used for every cell.
+    :func:`raster_cell_tolerance`; a number is used for every cell.  With a
+    ``radius``, only the cells whose center has ``np.hypot(x, y) <= radius``
+    are evolved; the others read NaN, hit at no time.
     """
     x0, x1, y0, y1 = map(float, window)
     nx, ny = map(int, resolution)
@@ -260,6 +263,10 @@ def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig) -
     zeta = np.full(centers.size, np.inf)
     zeta[near_origin] = 0.0
     todo = ~near_origin
+    if radius is not None:
+        outside = np.hypot(gx, gy).ravel() > radius
+        zeta[outside] = np.nan
+        todo &= ~outside
     res = evolve_lanes_on_path(centers[todo], path, cfg.horizon,
                                hit_tolerance=tol[todo], beta=cfg.beta)
     z = res.zeta.copy()

@@ -161,6 +161,26 @@ class TestDispatch:
         assert run_cli(tmp_path, *argv, *small) == 2
 
 
+    @pytest.mark.parametrize("argv", [
+        ["hitprob", "--kappa", "nan"],
+        ["hitprob", "--kappa", "inf"],
+        ["hitprob", "--theta", "nan"],
+        ["hitprob", "--horizon=-inf"],
+        ["hitprob", "--z", "nan,1"],
+        ["phase", "--grid", "kappa=2,nan"],
+        ["scalecheck", "--exit-radius", "nan"],
+        ["area", "--r-list", "nan,1"],
+        ["theta0", "--alphas", "1.5,inf"],
+    ])
+    def test_non_finite_value_exit_2(self, tmp_path, argv):
+        assert run_cli(tmp_path, *argv) == 2
+
+    def test_non_finite_config_value_exit_2(self, tmp_path):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"kappa": float("nan")}))
+        assert main(["hitprob", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+
+
 class TestDeterminism:
     def _collect(self, out_dir: Path) -> dict:
         blobs = {}

@@ -13,6 +13,7 @@ from levyloewner.drivers import (
     DriverSpec,
     JumpLaw,
     Stable,
+    TruncatedStable,
     _stable_draws,
     _stable_map,
     compose_drivers,
@@ -270,6 +271,24 @@ class TestCompose:
 
 
 class TestSpecInvariants:
+    @pytest.mark.parametrize("make", [
+        lambda v: Brownian(v), lambda v: Stable(1.5, v), lambda v: TruncatedStable(1.5, v, 1.0),
+        lambda v: CompoundPoisson(v, JumpLaw("two_point", {"size": 1.0})),
+    ])
+    @pytest.mark.parametrize("strength", [np.nan, np.inf, -1.0])
+    def test_component_rejects_bad_strength(self, make, strength):
+        with pytest.raises(ConfigError):
+            make(strength)
+
+    @pytest.mark.parametrize("strength", [
+        {"kappa": np.nan}, {"kappa": np.inf}, {"theta": np.nan}, {"theta": np.inf},
+        {"cpp_rate": np.nan}, {"cpp_rate": np.inf}, {"kappa": 2.0, "theta": np.nan},
+    ])
+    def test_from_params_rejects_non_finite_strength(self, strength):
+        # a NaN strength fails every "> 0" test, so it was dropped silently
+        with pytest.raises(ConfigError):
+            DriverSpec.from_params(**strength)
+
     def test_stationarity_of_increments(self):
         # same-size increment samples from disjoint windows agree in law
         spec = DriverSpec((Brownian(1.0), Stable(1.3, 0.5)))

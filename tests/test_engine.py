@@ -1,6 +1,7 @@
 """Monte Carlo engine: block and cell independence of the replica streams,
-pinned output bytes on the pure-stable and composite-driver paths that the
-golden CLI artifacts do not reach, and one stable map per lockstep iteration."""
+pinned output bytes on the pure-stable, composite-driver and real-axis paths
+that the golden CLI artifacts do not reach, and one stable map per lockstep
+iteration."""
 
 import dataclasses
 import hashlib
@@ -140,6 +141,14 @@ STABLE_PINNED = {
 }
 
 
+def _digest(results, fields=FIELDS) -> str:
+    digest = hashlib.sha256()
+    for res in results:
+        for f in fields:
+            digest.update(np.ascontiguousarray(getattr(res, f)).tobytes())
+    return digest.hexdigest()
+
+
 def _stable_cells(alpha, thetas):
     return [Cell(DriverSpec((Stable(alpha, theta),)), 0.2 + 0.1j, ("pin-stable", theta), 1e-2)
             for theta in thetas]
@@ -147,11 +156,38 @@ def _stable_cells(alpha, thetas):
 
 @pytest.mark.parametrize("alpha, beta", sorted(STABLE_PINNED))
 def test_stable_cells_output_bytes_pinned(alpha, beta):
-    digest = hashlib.sha256()
-    for res in run_adaptive_cells(_stable_cells(alpha, (0.5, 2.0)), 700, 1.0, master_seed=2027, beta=beta):
-        for f in FIELDS:
-            digest.update(np.ascontiguousarray(getattr(res, f)).tobytes())
-    assert digest.hexdigest() == STABLE_PINNED[(alpha, beta)]
+    results = run_adaptive_cells(_stable_cells(alpha, (0.5, 2.0)), 700, 1.0, master_seed=2027, beta=beta)
+    assert _digest(results) == STABLE_PINNED[(alpha, beta)]
+
+
+# SHA-256 over the output arrays of runs that start on the real axis, where a
+# lane stays, like every lane of `phase`, `hitprob` and `theta0-bracket`
+# (x86-64, numpy 2.4): the flip rule of a Brownian part, the real-axis root at
+# beta = 2 and the beta < 2 real-axis drift.  700 replicas, so that each
+# cell's second block is partial.  Recorded before the flow kernels moved to
+# index sets.
+AXIS_PINNED = {
+    "kappa_stable": "4055118b18471d946314b6037e9b92ffca128797d0d8e7012a85a46f219a50c3",
+    "bessel": "70a18089bab7b4d1a7effc5b653878404b054dd436084afc966793e1eb31c6a3",
+    "theta0": "89a2631c81bbe4d54db3713a57a330722cf10156caf6dbb5884117a882aa41b8",
+}
+
+
+def _axis_run(case):
+    if case == "kappa_stable":
+        cells = [Cell(DriverSpec((Brownian(k), Stable(1.5, 1.0))), 1.0, ("pin-axis", k)) for k in (2.0, 8.0)]
+        return _digest(run_adaptive_cells(cells, 700, 20.0, master_seed=2028))
+    if case == "bessel":
+        res = run_adaptive_mc(DriverSpec((Brownian(8.0),)), 1.0, 700, 20.0, master_seed=2028,
+                              tag="pin-bessel", exit_radius=4.0)
+        return _digest([res], FIELDS + ("exit_time",))
+    cells = [Cell(DriverSpec((Stable(1.5, th),)), 0.5, ("pin-theta0", th), 1e-5) for th in (0.5, 1.0, 2.0)]
+    return _digest(run_adaptive_cells(cells, 700, 50.0, master_seed=2028, beta=1.5))
+
+
+@pytest.mark.parametrize("case", sorted(AXIS_PINNED))
+def test_real_axis_output_bytes_pinned(case):
+    assert _axis_run(case) == AXIS_PINNED[case]
 
 
 def test_stable_map_runs_once_per_iteration(monkeypatch):

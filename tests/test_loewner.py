@@ -201,6 +201,19 @@ class TestRaster:
         assert np.all(wide.cell_tolerance == 0.5)
         assert not np.array_equal(wide.cells_hit_by(1.0), default.cells_hit_by(1.0))
 
+    def test_radius_evolves_only_the_cells_within_it(self):
+        # each cell's zeta depends on its own center only, so trimming the
+        # window to a half-disk leaves the cells inside bit for bit as they are
+        path = sample_driver(DriverSpec((Brownian(4.0),)), 1.0, 3, dt=1e-3)
+        window, cfg = (-1.5, 1.5, 0.0, 1.5), EvolutionConfig(horizon=1.0)
+        full = raster_cluster(window, (30, 15), path, cfg)
+        trimmed = raster_cluster(window, (30, 15), path, cfg, radius=1.5)
+        gx, gy = np.meshgrid(full.xs, full.ys)
+        inside = np.hypot(gx, gy) <= 1.5
+        np.testing.assert_array_equal(trimmed.zeta[inside], full.zeta[inside])
+        assert np.isnan(trimmed.zeta[~inside]).all() and (~inside).any()
+        assert full.cells_hit_by(1.0)[inside].any()
+
 
 class TestConfig:
     @pytest.mark.parametrize("beta", [1.0, 2.5, np.nan])
