@@ -41,11 +41,12 @@ for name, spec in families.items():
     path = sample_driver(spec, HORIZON, SEED, replica=0, dt=1e-3)
     u = path.values
     print(f"{name:28s} grid={path.grid.size:5d}  U(T)={u[-1]: .3f}  "
-          f"range=[{u.min(): .2f},{u.max(): .2f}]  ledger jumps={path.jump_times.size}")
-    if path.jump_times.size:
-        biggest = np.argmax(np.abs(path.jump_sizes))
-        print(f"{'':28s} biggest ledger jump {path.jump_sizes[biggest]:+.3f} "
-              f"at t={path.jump_times[biggest]:.3f}")
+          f"range=[{u.min(): .2f},{u.max(): .2f}]")
+    d_jump = path.increments()[1]
+    if d_jump.any():
+        biggest = np.argmax(np.abs(d_jump))
+        print(f"{'':28s} largest jump-part increment {d_jump[biggest]:+.3f} "
+              f"at t={path.grid[biggest + 1]:.3f}")
 
 print("\nSame seed, same replica -> bit-identical paths; different replica -> fresh path:")
 p_a = sample_driver(families["stable alpha=1.5 theta=1"], HORIZON, SEED, replica=0)

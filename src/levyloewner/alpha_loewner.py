@@ -39,8 +39,8 @@ def scaled_path(path: DriverPath, a: float, alpha: float, new_horizon: float | N
     """The rescaled driver t -> a^(-1/alpha) U(a t) on the shrunk grid.
 
     For an alpha-stable driver this has the same law as U itself, which is
-    what makes the index-alpha evolution self-similar.  Jump sizes scale by
-    a^(-1/alpha), jump times by 1/a.
+    what makes the index-alpha evolution self-similar.  Values, and those of
+    the continuous part, scale by a^(-1/alpha), times by 1/a.
     """
     if not a > 0:
         raise ConfigError("a must be positive")
@@ -55,15 +55,12 @@ def scaled_path(path: DriverPath, a: float, alpha: float, new_horizon: float | N
     keep = path.grid <= a * new_horizon * (1.0 + 1e-15)
     grid = path.grid[keep] / a
     values = path.values[keep] * a ** (-1.0 / alpha)
+    cont = path.continuous[keep] * a ** (-1.0 / alpha)
     if grid[-1] < new_horizon:
         grid = np.append(grid, new_horizon)
         values = np.append(values, values[-1])
-    jkeep = path.jump_times <= a * new_horizon * (1.0 + 1e-15)
+        cont = np.append(cont, cont[-1])
     return DriverPath(
-        grid, values,
-        path.jump_times[jkeep] / a,
-        path.jump_sizes[jkeep] * a ** (-1.0 / alpha),
-        seed_tag=f"{path.seed_tag}|scaled(a={a},alpha={alpha})",
-        has_brownian=path.has_brownian,
+        grid, values, f"{path.seed_tag}|scaled(a={a},alpha={alpha})", cont,
         is_piecewise_constant=path.is_piecewise_constant,
     )

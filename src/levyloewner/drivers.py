@@ -2,9 +2,9 @@
 compound Poisson, and sums of these.
 
 A :class:`DriverSpec` describes the process; sampling it on a time grid
-yields an immutable :class:`DriverPath` carrying the grid values, an explicit
-ledger of large jumps (used by the evolution engine for swallow detection),
-and the identifier of the RNG stream that produced it.
+yields an immutable :class:`DriverPath` carrying the grid values, the values
+of its continuous (Brownian) part, and the identifier of the RNG stream that
+produced it.
 
 Conventions
 -----------
@@ -197,39 +197,10 @@ class DriverSpec:
         return sum(c.kappa for c in self.components if isinstance(c, Brownian))
 
     @property
-    def has_brownian(self) -> bool:
-        """True Brownian content; governs continuous-crossing hit semantics."""
-        return self.kappa_total > 0
-
-    @property
     def is_piecewise_constant(self) -> bool:
         return all(isinstance(c, CompoundPoisson)
                    or (isinstance(c, Brownian) and c.kappa == 0)
                    for c in self.components)
-
-    def step_variance_proxy(self, dt: float) -> float:
-        """Scale^2 proxy of one grid increment; the jump-ledger threshold is
-        10 times its square root at the coarsest step."""
-        proxy = 0.0
-        for c in self.components:
-            if isinstance(c, Brownian):
-                proxy += c.kappa * dt
-            elif isinstance(c, Stable):
-                proxy += (c.theta * dt) ** (2.0 / c.alpha)
-            elif isinstance(c, TruncatedStable):
-                proxy += truncated_stable_variance_rate(c.alpha, c.theta, c.cutoff) * dt
-            elif isinstance(c, CompoundPoisson):
-                law = c.jump_law
-                if law.name == "two_point":
-                    m2 = law.params["size"] ** 2
-                elif law.name == "gaussian":
-                    m2 = law.params["scale"] ** 2
-                elif law.name == "uniform":
-                    m2 = law.params["half_width"] ** 2 / 3.0
-                else:  # pareto second moment may diverge; use its scale
-                    m2 = law.params["scale"] ** 2
-                proxy += c.rate * dt * m2
-        return proxy
 
 
 def truncated_stable_variance_rate(alpha: float, theta: float, cutoff: float) -> float:
@@ -246,45 +217,35 @@ def truncated_stable_variance_rate(alpha: float, theta: float, cutoff: float) ->
 class DriverPath:
     """One realization of the driver on a time grid.
 
-    ``jump_times``/``jump_sizes`` list the explicitly simulated jumps with
-    magnitude above the ledger threshold; each ledger time coincides with a
-    grid point (jumps inside a step are attributed to its right endpoint).
+    ``continuous`` holds the values of the path's continuous (Brownian) part
+    on the grid (None, the default, stands for zero); the rest of ``values``
+    is the jump part (stable, truncated stable and compound Poisson).
     """
 
     grid: np.ndarray
     values: np.ndarray
-    jump_times: np.ndarray
-    jump_sizes: np.ndarray
     seed_tag: str
-    has_brownian: bool = False
+    continuous: np.ndarray | None = None
     is_piecewise_constant: bool = False
 
     def __post_init__(self):
         grid = np.ascontiguousarray(np.asarray(self.grid, dtype=float))
         values = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        jt = np.asarray(self.jump_times, dtype=float)
-        js = np.asarray(self.jump_sizes, dtype=float)
+        cont = (np.zeros(values.shape) if self.continuous is None
+                else np.ascontiguousarray(np.asarray(self.continuous, dtype=float)))
         if grid.ndim != 1 or grid.shape != values.shape or not grid.size:
             raise ConfigError("grid and values must be non-empty 1-d arrays of equal length")
-        if grid[0] != 0.0 or values[0] != 0.0:
+        if cont.shape != grid.shape:
+            raise ConfigError("the continuous part must have one value per grid point")
+        if grid[0] != 0.0 or values[0] != 0.0 or cont[0] != 0.0:
             raise ConfigError("paths start at (t=0, U=0)")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ConfigError("grid must be strictly increasing")
-        if jt.shape != js.shape:
-            raise ConfigError("jump_times and jump_sizes must have equal length")
-        if jt.size:
-            if jt.min() < 0 or jt.max() > grid[-1]:
-                raise ConfigError("ledger jumps must lie inside [0, horizon]")
-            idx = np.searchsorted(grid, jt)
-            on_grid = (idx < grid.size) & (grid[np.minimum(idx, grid.size - 1)] == jt)
-            if not np.all(on_grid):
-                raise ConfigError("every ledger jump time must coincide with a grid point")
-        for arr in (grid, values, jt, js):
+        for arr in (grid, values, cont):
             arr.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "jump_times", jt)
-        object.__setattr__(self, "jump_sizes", js)
+        object.__setattr__(self, "continuous", cont)
 
     @property
     def horizon(self) -> float:
@@ -298,21 +259,15 @@ class DriverPath:
         idx = np.searchsorted(self.grid, times, side="right") - 1
         return self.values[np.clip(idx, 0, self.grid.size - 1)]
 
-    def jump_step_mask(self) -> np.ndarray:
-        """Boolean mask over grid steps; True where step i ends in a ledger jump."""
-        mask = np.zeros(self.grid.size - 1, dtype=bool)
-        if self.jump_times.size:
-            idx = np.searchsorted(self.grid, self.jump_times) - 1
-            mask[np.clip(idx, 0, mask.size - 1)] = True
-        return mask
+    def increments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per grid step, the increment of the continuous part and that of
+        the jump part (the total's increment minus the continuous one)."""
+        dc = np.diff(self.continuous)
+        return dc, np.diff(self.values) - dc
 
     def negated(self) -> "DriverPath":
         """Path of -U; same law for the symmetric drivers built here."""
-        return replace(
-            self,
-            values=-np.asarray(self.values),
-            jump_sizes=-np.asarray(self.jump_sizes),
-        )
+        return replace(self, values=-self.values, continuous=-self.continuous)
 
 
 def uniform_grid(horizon: float, dt: float) -> np.ndarray:
@@ -328,12 +283,6 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0 or not np.all(np.diff(grid) > 0):
         raise ConfigError("grid must be strictly increasing from 0 with at least one step")
     return grid
-
-
-def _ledger_threshold(step_proxy: float) -> float:
-    # 10 sigma of the coarsest step: small increments need no identity,
-    # swallowing-by-jump detection only needs the big ones.
-    return 10.0 * np.sqrt(max(step_proxy, 0.0))
 
 
 def standard_stable_sample(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
@@ -384,17 +333,12 @@ def sample_brownian(kappa: float, grid: np.ndarray, rng: np.random.Generator,
     dt = np.diff(grid)
     inc = np.sqrt(kappa * dt) * rng.standard_normal(dt.size) if kappa > 0 else np.zeros(dt.size)
     values = np.concatenate(([0.0], np.cumsum(inc)))
-    return DriverPath(grid, values, np.empty(0), np.empty(0), tag,
-                      has_brownian=kappa > 0, is_piecewise_constant=kappa == 0)
+    return DriverPath(grid, values, tag, continuous=values, is_piecewise_constant=kappa == 0)
 
 
 def sample_stable(alpha: float, theta: float, grid: np.ndarray, rng: np.random.Generator,
-                  ledger_threshold: float | None = None, tag: str = "stable") -> DriverPath:
-    """theta^(1/alpha) S on the grid; increments exact from the marginal law.
-
-    Grid increments exceeding the ledger threshold in magnitude are recorded
-    as jumps at the step's right endpoint.
-    """
+                  tag: str = "stable") -> DriverPath:
+    """theta^(1/alpha) S on the grid; increments exact from the marginal law."""
     if not 0 < alpha <= 2:
         raise ConfigError(f"alpha must lie in (0,2], got {alpha}")
     if not theta > 0:
@@ -402,35 +346,23 @@ def sample_stable(alpha: float, theta: float, grid: np.ndarray, rng: np.random.G
     grid = _check_grid(grid)
     dt = np.diff(grid)
     inc = (theta * dt) ** (1.0 / alpha) * standard_stable_sample(alpha, rng, dt.size)
-    values = np.concatenate(([0.0], np.cumsum(inc)))
-    if ledger_threshold is None:
-        ledger_threshold = _ledger_threshold((theta * dt.max()) ** (2.0 / alpha))
-    big = np.abs(inc) > ledger_threshold
-    return DriverPath(grid, values, grid[1:][big], inc[big], tag)
+    return DriverPath(grid, np.concatenate(([0.0], np.cumsum(inc))), tag)
 
 
 def sample_truncated_stable(alpha: float, theta: float, cutoff: float, grid: np.ndarray,
                             rng: np.random.Generator, small_jump_eps: float | None = None,
-                            ledger_threshold: float | None = None,
                             tag: str = "truncated_stable") -> DriverPath:
     """theta^(1/alpha) S^c: the stable process with jumps |x| > cutoff removed.
 
     Jumps of the standard process with |x| in (eps, cutoff] are simulated as a
     compound Poisson cloud with Levy density A(alpha)|x|^{-alpha-1}; the
     sub-eps dust is replaced by a Gaussian with the matching second moment.
+    The whole process, dust included, is the path's jump part.
     """
     comp = TruncatedStable(alpha, theta, cutoff, small_jump_eps)
     grid = _check_grid(grid)
-    dt = np.diff(grid)
-    inc, step_of_jump, jumps = _truncated_stable_steps(comp, rng, dt)
-    values = np.concatenate(([0.0], np.cumsum(inc)))
-
-    if ledger_threshold is None:
-        ledger_threshold = _ledger_threshold(
-            truncated_stable_variance_rate(alpha, theta, cutoff) * dt.max())
-    # step_of_jump ascends, so the ledger is in time order
-    big = np.abs(jumps) > ledger_threshold
-    return DriverPath(grid, values, grid[1:][step_of_jump[big]], jumps[big], tag)
+    inc = _truncated_stable_steps(comp, rng, np.diff(grid))[0]
+    return DriverPath(grid, np.concatenate(([0.0], np.cumsum(inc))), tag)
 
 
 def _truncated_stable_steps(comp: TruncatedStable, rng: np.random.Generator, dt: np.ndarray):
@@ -462,7 +394,7 @@ def _truncated_stable_steps(comp: TruncatedStable, rng: np.random.Generator, dt:
 def sample_compound_poisson(rate: float, jump_law: JumpLaw, horizon: float,
                             rng: np.random.Generator, tag: str = "cpp") -> DriverPath:
     """Exact event-driven compound Poisson path: Poisson(rate*horizon) jumps at
-    uniform times, all entered into the grid and the jump ledger."""
+    uniform times, each entered into the grid."""
     if not rate > 0:
         raise ConfigError(f"rate must be positive, got {rate}")
     if not horizon > 0:
@@ -483,12 +415,12 @@ def sample_compound_poisson(rate: float, jump_law: JumpLaw, horizon: float,
         sizes = agg[1:-1]
     values = np.concatenate(([0.0], np.cumsum(sizes)))
     values = np.concatenate((values, [values[-1]]))  # flat to the horizon
-    return DriverPath(grid, values, times, sizes, tag, is_piecewise_constant=True)
+    return DriverPath(grid, values, tag, is_piecewise_constant=True)
 
 
 def compose_drivers(paths: list[DriverPath]) -> DriverPath:
-    """Sum independent paths on a common horizon: refined grid, summed values,
-    merged jump ledgers."""
+    """Sum independent paths on a common horizon: refined grid, summed values
+    and summed continuous parts."""
     if not paths:
         raise ConfigError("compose_drivers needs at least one path")
     horizons = {round(p.horizon, 12) for p in paths}
@@ -500,21 +432,21 @@ def compose_drivers(paths: list[DriverPath]) -> DriverPath:
     for p in paths[1:]:
         grid = np.union1d(grid, p.grid)
     values = np.zeros(grid.size)
+    cont = np.zeros(grid.size)
     for p in paths:
-        values += p.values_at(grid)
-    jt = np.concatenate([p.jump_times for p in paths])
-    js = np.concatenate([p.jump_sizes for p in paths])
-    order = np.argsort(jt, kind="stable")
+        # cadlag step evaluation, as in values_at: every grid point lies in
+        # [0, p.horizon]
+        idx = np.searchsorted(p.grid, grid, side="right") - 1
+        values += p.values[idx]
+        cont += p.continuous[idx]
     return DriverPath(
-        grid, values, jt[order], js[order],
-        seed_tag="+".join(p.seed_tag for p in paths),
-        has_brownian=any(p.has_brownian for p in paths),
+        grid, values, "+".join(p.seed_tag for p in paths), cont,
         is_piecewise_constant=all(p.is_piecewise_constant for p in paths),
     )
 
 
 def sample_driver(spec: DriverSpec, horizon: float, master_seed: int, replica: int = 0,
-                  dt: float = 1e-3, ledger_threshold: float | None = None) -> DriverPath:
+                  dt: float = 1e-3) -> DriverPath:
     """Sample every component of ``spec`` on a shared uniform grid (compound
     Poisson components keep their exact event times) and compose.
 
@@ -523,8 +455,6 @@ def sample_driver(spec: DriverSpec, horizon: float, master_seed: int, replica: i
     parallel sweep can never change the result.
     """
     grid = uniform_grid(horizon, dt)
-    if ledger_threshold is None:
-        ledger_threshold = _ledger_threshold(spec.step_variance_proxy(float(np.diff(grid).max())))
     parts = []
     for j, comp in enumerate(spec.components):
         rng = stream(master_seed, "driver", replica, j)
@@ -532,10 +462,10 @@ def sample_driver(spec: DriverSpec, horizon: float, master_seed: int, replica: i
         if isinstance(comp, Brownian):
             parts.append(sample_brownian(comp.kappa, grid, rng, tag))
         elif isinstance(comp, Stable):
-            parts.append(sample_stable(comp.alpha, comp.theta, grid, rng, ledger_threshold, tag))
+            parts.append(sample_stable(comp.alpha, comp.theta, grid, rng, tag))
         elif isinstance(comp, TruncatedStable):
             parts.append(sample_truncated_stable(comp.alpha, comp.theta, comp.cutoff, grid, rng,
-                                                 comp.small_jump_eps, ledger_threshold, tag))
+                                                 comp.small_jump_eps, tag))
         elif isinstance(comp, CompoundPoisson):
             parts.append(sample_compound_poisson(comp.rate, comp.jump_law, horizon, rng, tag))
         else:  # pragma: no cover

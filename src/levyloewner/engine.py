@@ -16,12 +16,13 @@ complex square root of u + 2ic on the upper branch, which at beta = 2 is
 exactly the slit map h -> sqrt(h^2 + 4 dt).  A lane is swallowed within a
 drift interval exactly when u crosses 0 with sqrt(2|c|) <= delta.
 
-Driver increments shift x.  Hits are declared when
-  * |h| <= delta after any sub-update (covers a ledger jump landing on the
-    pre-jump position within tolerance), or
-  * a continuous (Brownian) sub-increment flips the sign of x while y <= delta:
-    the underlying continuous path crossed zero inside the step.
-Sign flips caused by jump-type increments are jump-overs, never hits.
+Driver increments shift x at the end of a step, one sub-increment per part
+of the driver, the continuous (Brownian) part first.  A hit is declared when
+  * |h| <= delta after a sub-increment (a jump landing within tolerance of 0
+    included), or
+  * the continuous sub-increment flips the sign of x while y <= delta: the
+    continuous path crossed zero inside the step.
+A sign flip by a jump sub-increment is a jump over 0, never a hit.
 
 Two drivers of the kernel exist, and both compute only the lanes still
 alive: a lane's outcome is written when it dies and its state is dropped.
@@ -44,6 +45,13 @@ then runs once over all live lanes; a truncated stable part, whose draw count
 depends on the data and on dt, draws its increments whole.  A replica's
 result therefore depends only on its own state and its block's stream, never
 on the other blocks or cells.
+
+Both engines apply the hit rule above and differ in two ways only.  Engine
+A also checks |h| <= delta after the drift, as the exact composer
+``compose_piecewise_constant`` does, and engine B does not.  Engine A lands
+a grid step's whole jump part (the path's increment less its continuous
+part's) as one sub-increment, while engine B lands its stable and compound
+Poisson parts as separate ones.
 
 The flow kernels pay per event, not per lane.  Each runs a fixed number of
 elementwise passes over the live lanes; past those, work scales with the
@@ -133,7 +141,7 @@ def _slit_root(u, c, x, y, real=False):
     w.real = u
     np.abs(c, out=w.imag)
     w.imag *= 2.0
-    w = np.sqrt(w)
+    np.sqrt(w, out=w)
     np.copysign(w.real, x, out=x)
     y[:] = w.imag
 
@@ -213,13 +221,19 @@ def _rk4_drift(u0, c, dt, beta, sub, u1, crossings):
     """Set u1 of the off-axis lanes ``sub`` to u at the end of the step, each
     lane by its own RK4 substep count; append their crossings of u = 0 to
     ``crossings``."""
-    # substep count from the relative motion of |h|^2 over the step; lanes in
-    # descending count order, so the lanes still stepping at substep k are the
-    # first width[k]
-    rel = 4.0 * np.hypot(u0[sub], 2.0 * c[sub]) ** (-beta / 2.0) * _at(dt, sub)
+    # substep count from the relative motion rel of |h|^2 over the step; lanes
+    # in descending count order, so the lanes still stepping at substep k are
+    # the first width[k].  rel <= 0.05 (one substep) once |h|^2 >= (80 dt)^(2 /
+    # beta), and |h|^2 = hypot(u0, 2c) >= max(|u0|, 2|c|): a lane whose bound
+    # clears that by a margin far above rounding skips the hypot and the power
+    bound = np.maximum(np.abs(u0[sub]), 2.0 * np.abs(c[sub]))
+    one = bound >= 1.000001 * (80.0 * np.max(dt)) ** (2.0 / beta)
+    many = sub[~one]
+    rel = 4.0 * np.hypot(u0[many], 2.0 * c[many]) ** (-beta / 2.0) * _at(dt, many)
     nsub = np.minimum(np.maximum(np.ceil(rel / 0.05), 1), 64)
     order = np.argsort(-nsub)
-    sub, nsub = sub[order], nsub[order]
+    sub = np.concatenate((many[order], sub[one]))
+    nsub = np.concatenate((nsub[order], np.ones(sub.size - many.size)))
     width = np.searchsorted(-nsub, -np.arange(1, nsub[0] + 1), side="right")
     h_sub = _at(dt, sub) / nsub
     c2 = 4.0 * c[sub] * c[sub]
@@ -245,10 +259,10 @@ def _rk4_drift(u0, c, dt, beta, sub, u1, crossings):
     u1[sub] = u
 
 
-def _apply_increment(x, y, du, is_continuous, t_next, delta, zeta, min_abs, alive):
+def _apply_increment(x, y, du, is_continuous, t_next, delta, zeta, min_abs, alive, reach=None):
     """Shift x by -du on alive lanes and run the hit checks at t_next.  du,
-    t_next and delta are per-lane arrays or scalars.  Mutates x, zeta,
-    min_abs, alive.
+    t_next and delta are per-lane arrays or scalars; ``reach`` is passed to
+    :func:`_check_endpoint`.  Mutates x, zeta, min_abs, alive.
 
     Beyond the shift itself, work scales with the lanes low enough to cross
     h = 0 (y <= delta, for a continuous increment) and with the lanes near 0
@@ -258,24 +272,31 @@ def _apply_increment(x, y, du, is_continuous, t_next, delta, zeta, min_abs, aliv
         # the path crossed h = 0 inside the step if x changes sign at y <= delta
         low = ((y <= delta) & alive).nonzero()[0]
         x_old = x[low]
-    np.subtract(x, du, out=x, where=alive)
+    if alive.all():  # a masked subtract costs three plain ones
+        x -= du
+    else:
+        np.subtract(x, du, out=x, where=alive)
     if is_continuous and low.size:
         flip = low[np.sign(x_old) * np.sign(x[low]) < 0]
-    _check_endpoint(x, y, t_next, delta, zeta, min_abs, alive, flip)
+    _check_endpoint(x, y, t_next, delta, zeta, min_abs, alive, flip, reach)
 
 
-def _check_endpoint(x, y, t_now, delta, zeta, min_abs, alive, flip=None):
+def _check_endpoint(x, y, t_now, delta, zeta, min_abs, alive, flip=None, reach=None):
     """Fold |h| into min_abs and mark the lanes with |h| <= delta, and the
     live lanes of the index array ``flip``, dead at t_now.  Mutates zeta,
     min_abs, alive.
 
     One box test runs over every lane; the rest works on the index set of the
-    near lanes, and returns early when there is none."""
+    near lanes, and returns early when there is none.  ``reach`` may hold
+    max(min_abs, delta) from earlier in the step: min_abs only falls, so a
+    stale value only adds near lanes whose minimum stays put."""
     # |h| rounds to no less than max(|x|, |y|), so only lanes in that box can
-    # set a new minimum of |h| or come within delta
+    # set a new minimum of |h| or come within delta; y >= +0 on every lane
     box = np.abs(x)
-    np.maximum(box, np.abs(y), out=box)
-    near = ((box <= np.maximum(min_abs, delta)) & alive).nonzero()[0]
+    np.maximum(box, y, out=box)
+    if reach is None:
+        reach = np.maximum(min_abs, delta)
+    near = ((box <= reach) & alive).nonzero()[0]
     if near.size:
         habs = np.hypot(x[near], y[near])
         min_abs[near] = np.minimum(min_abs[near], habs)
@@ -313,10 +334,11 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
     """Evolve many tracked points along one sampled driver path.
 
     The driver is held constant between grid points (its cadlag value), the
-    drift part of each interval is applied exactly, and the grid-step driver
-    increment lands at the step's right endpoint.  Each step computes the
-    live lanes only; a lane's outcome is written when it dies, and depends on
-    its own point and tolerance only, at every beta.  Returns a
+    drift part of each interval is applied exactly, and the step's increment
+    lands at its right endpoint as two sub-increments: the continuous part's,
+    then the jump part's (:meth:`DriverPath.increments`).  Each step computes
+    the live lanes only; a lane's outcome is written when it dies, and depends
+    on its own point and tolerance only, at every beta.  Returns a
     :class:`LaneResult` (and a trajectory array when requested: columns
     t, Re h, Im h, U for the first lane, frozen once it dies).
     """
@@ -354,7 +376,7 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
 
     grid = path.grid
     values = path.values
-    continuous = path.has_brownian & ~path.jump_step_mask()
+    d_cont, d_jump = path.increments()
     traj = [(0.0, x[0], y[0], 0.0)] if record_trajectory else None
 
     it = 0
@@ -365,12 +387,15 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
         it += 1
         t1 = min(grid[i + 1], horizon)
         full_step = grid[i + 1] <= horizon + 1e-15
-        du = values[i + 1] - values[i]
         alive = np.ones(lane.size, dtype=bool)
+        reach = np.maximum(min_abs, tol)
         _drift_advance(x, y, t1 - t0, beta, t0, tol, zeta, min_abs, alive)
-        _check_endpoint(x, y, t1, tol, zeta, min_abs, alive)
-        if full_step and du != 0.0:
-            _apply_increment(x, y, du, continuous[i], t1, tol, zeta, min_abs, alive)
+        _check_endpoint(x, y, t1, tol, zeta, min_abs, alive, reach=reach)
+        if full_step:
+            if d_cont[i] != 0.0:
+                _apply_increment(x, y, d_cont[i], True, t1, tol, zeta, min_abs, alive, reach)
+            if d_jump[i] != 0.0:
+                _apply_increment(x, y, d_jump[i], False, t1, tol, zeta, min_abs, alive, reach)
         if record_trajectory:
             h = (x[0], y[0]) if lane[0] == 0 else (out[1, 0], out[2, 0])
             traj.append((t1, *h, values[i + 1] if full_step else values[i]))

@@ -60,11 +60,12 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def driver_path_rows(path: DriverPath):
-    """Rows (t, U, is_jump, jump_size) for the driver-path CSV dump."""
-    jumps = dict(zip(path.jump_times.tolist(), path.jump_sizes.tolist()))
-    for t, u in zip(path.grid.tolist(), path.values.tolist()):
-        size = jumps.get(t)
-        yield (t, u, 1 if size is not None else 0, size if size is not None else 0.0)
+    """Rows (t, U, is_jump, jump_size) for the driver-path CSV dump:
+    jump_size is the jump part's increment over the step that ends at t (0 at
+    t = 0), and is_jump says whether it is nonzero."""
+    jump = np.concatenate(([0.0], path.increments()[1]))
+    for t, u, size in zip(path.grid.tolist(), path.values.tolist(), jump.tolist()):
+        yield (t, u, int(size != 0.0), size)
 
 
 def raster_rows(raster: ClusterRaster):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from levyloewner.alpha_loewner import closed_form_null_driver, scaled_path
-from levyloewner.drivers import DriverSpec, Stable, sample_brownian, sample_stable, uniform_grid
+from levyloewner.drivers import DriverSpec, Stable, compose_drivers, sample_brownian, sample_stable, uniform_grid
 from levyloewner.engine import run_adaptive_mc
 from levyloewner.errors import ConfigError
 from levyloewner.experiments import ks_two_sample
@@ -84,12 +84,15 @@ class TestScaledPath:
         assert np.allclose(q.values, path.values)
 
     def test_jump_rescaling(self):
-        path = sample_stable(0.8, 1.0, uniform_grid(2.0, 0.01), stream(6, "spj"))
+        path = compose_drivers([sample_stable(0.8, 1.0, uniform_grid(2.0, 0.01), stream(6, "spj")),
+                                sample_brownian(1.0, uniform_grid(2.0, 0.01), stream(6, "spb"))])
         a = 4.0
         q = scaled_path(path, a, 0.8)
         assert q.horizon == pytest.approx(path.horizon / a)
-        assert np.allclose(q.jump_times, path.jump_times / a)
-        assert np.allclose(q.jump_sizes, path.jump_sizes * a ** (-1.0 / 0.8))
+        assert np.allclose(q.grid, path.grid / a)
+        # both parts scale by a^(-1/alpha), so the jump part's increments do too
+        for got, want in zip(q.increments(), path.increments()):
+            assert np.allclose(got, want * a ** (-1.0 / 0.8))
 
     def test_horizon_shortfall(self):
         path = sample_stable(1.5, 1.0, uniform_grid(1.0, 0.05), stream(7, "sph"))
@@ -136,8 +139,7 @@ class TestDriftInvariants:
             mids = 0.5 * (path.grid[:-1] + path.grid[1:])
             grid2 = np.sort(np.concatenate([path.grid, mids]))
             vals2 = path.values_at(grid2)
-            fine = DriverPath(grid2, vals2, path.jump_times, path.jump_sizes,
-                              "refined", is_piecewise_constant=True)
+            fine = DriverPath(grid2, vals2, "refined", is_piecewise_constant=True)
             cfg = EvolutionConfig(horizon=2.0, beta=1.6, hit_tolerance=tol)
             a = evolve_point(0.5 + 0.7j, path, cfg)
             b = evolve_point(0.5 + 0.7j, fine, cfg)

@@ -13,7 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 import levyloewner
 from levyloewner.cli import main, parse_config
+from levyloewner.drivers import JumpLaw, sample_brownian, sample_compound_poisson, uniform_grid
 from levyloewner.errors import ConfigError
+from levyloewner.output import driver_path_rows
+from levyloewner.rng import stream
 
 
 class TestParseConfig:
@@ -90,6 +93,17 @@ class TestDispatch:
         ET.fromstring((out / "trajectory.svg").read_text())
         outcome = json.loads((out / "outcome.json").read_text())
         assert outcome["zeta"] == pytest.approx(0.25, abs=1e-6)
+
+    def test_driver_csv_marks_the_jump_part(self):
+        # a compound Poisson path marks exactly its events, each with its size
+        cpp = sample_compound_poisson(3.0, JumpLaw("two_point", {"size": 0.5}), 4.0, stream(3, "csv"))
+        rows = list(driver_path_rows(cpp))
+        assert len(rows) > 2
+        assert [t for t, _, is_jump, _ in rows if is_jump] == cpp.grid[1:-1].tolist()
+        assert all(abs(abs(size) - 0.5) < 1e-12 for _, _, is_jump, size in rows if is_jump)
+        # a Brownian path has no jump part
+        brownian = sample_brownian(2.0, uniform_grid(1.0, 0.01), stream(4, "csv"))
+        assert not any(is_jump or size for _, _, is_jump, size in driver_path_rows(brownian))
 
     def test_phase_two_rows(self, tmp_path):
         out = tmp_path / "p"

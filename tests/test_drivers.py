@@ -1,5 +1,5 @@
-"""Driver samplers: marginal laws, jump ledgers, composition, determinism,
-stationarity and stable scaling."""
+"""Driver samplers: marginal laws, continuous and jump parts, composition,
+determinism, stationarity and stable scaling."""
 
 import hashlib
 
@@ -16,6 +16,7 @@ from levyloewner.drivers import (
     TruncatedStable,
     _stable_draws,
     _stable_map,
+    _truncated_stable_steps,
     compose_drivers,
     sample_brownian,
     sample_compound_poisson,
@@ -43,7 +44,7 @@ class TestBrownian:
     def test_zero_kappa_is_null_path(self):
         path = sample_brownian(0.0, uniform_grid(2.0, 0.1), stream(1, "b0"))
         assert np.all(path.values == 0.0)
-        assert path.jump_times.size == 0
+        assert np.array_equal(path.continuous, path.values)
 
     def test_increment_variance(self):
         # variance oracle: kappa * dt with standard error of the sample variance
@@ -115,16 +116,6 @@ class TestStable:
             standard_stable_sample(alpha, rng, 10)
         np.testing.assert_equal(rng.bit_generator.state, state)
 
-    def test_ledger_attribution(self):
-        grid = uniform_grid(1.0, 0.01)
-        path = sample_stable(0.6, 1.0, grid, stream(8, "sledger"))
-        assert path.jump_times.size > 0
-        # ledger times are grid points (right endpoints of their steps)
-        assert np.all(np.isin(path.jump_times, grid))
-        idx = np.searchsorted(grid, path.jump_times)
-        incs = np.diff(path.values)
-        assert np.allclose(incs[idx - 1], path.jump_sizes)
-
     def test_domain(self):
         with pytest.raises(ConfigError):
             sample_stable(2.5, 1.0, uniform_grid(1.0, 0.1), stream(9, "sbad"))
@@ -143,10 +134,12 @@ class TestTruncatedStable:
         d = stats.ks_2samp(u_trunc, u_exact).statistic
         assert d < ks_crit(n, n)
 
-    def test_no_ledger_jump_exceeds_cutoff(self):
-        path = sample_truncated_stable(0.8, 1.0, 1.0, uniform_grid(5.0, 0.01), stream(12, "tsc"))
-        if path.jump_sizes.size:
-            assert np.max(np.abs(path.jump_sizes)) <= 1.0 + 1e-12
+    def test_no_cloud_jump_exceeds_cutoff(self):
+        # theta = 1, so the cloud's jumps are those of the standard process
+        comp = TruncatedStable(0.8, 1.0, 1.0)
+        _, _, jumps = _truncated_stable_steps(comp, stream(12, "tsc"), np.diff(uniform_grid(5.0, 0.01)))
+        assert jumps.size > 0
+        assert np.max(np.abs(jumps)) <= 1.0 + 1e-12
 
     def test_variance_matches_levy_integral(self):
         # oracle: direct integration of x^2 A |x|^(-alpha-1) over (-c, c)
@@ -170,32 +163,27 @@ class TestTruncatedStable:
 
     # SHA-256 of each array of one path per (alpha, cutoff) (x86-64, numpy
     # 2.4), recorded before engine B shared the sampler's draw code; any change
-    # to its draw order or float expressions moves them.
+    # to its draw order or float expressions moves them.  A truncated stable
+    # path has no continuous part, so these are all its sampled arrays.
     PINNED = {
         (0.8, 1.0): {
             "grid": "13fb3b2065c2462ffcac49450fcdf346a4300eb66ec2d295feffe1a263f9035d",
             "values": "1e8b5922c6e0926d8247c72440e356e853da2cb8d05fd184f32d1bcf87ba42a7",
-            "jump_times": "0c1e710aaf6714f0821c147721fe3b05bc4838acd63a227ec109e383f36bc48f",
-            "jump_sizes": "fbdb92991d1c129e784ffea86a74641cecfda01278a384d4bd1d6c8bc448ec66",
         },
         (1.5, 0.3): {
             "grid": "13fb3b2065c2462ffcac49450fcdf346a4300eb66ec2d295feffe1a263f9035d",
             "values": "c6370bde403c0a01208e3defd6ce74a77fda004f60184498cc6491cf819dd9ab",
-            "jump_times": "27e40cad2022b35f8176fe6738027f19defd8039d2cdb79757ae18e4a337b3a4",
-            "jump_sizes": "fe3581041f010d3990838f9231a65b0ad6c64e544bd898c3bd93fd3cdb731d9f",
         },
         (1.9, 5.0): {
             "grid": "13fb3b2065c2462ffcac49450fcdf346a4300eb66ec2d295feffe1a263f9035d",
             "values": "c8ec6667aada859f465c0f012671f6ef5706f6c7fd483c2d90d7be230df44dac",
-            "jump_times": "be8f208955b77efaf76593c292aced4b78bd09ab32c5426b9e9a11ce75b6f2a0",
-            "jump_sizes": "c42ec2b643d231c8a39537a356270ba7d2e0ec7b43c11bcab9cb28187441fba4",
         },
     }
 
     @pytest.mark.parametrize("alpha, cutoff", sorted(PINNED))
     def test_path_bytes_pinned(self, alpha, cutoff):
         path = sample_truncated_stable(alpha, 1.0, cutoff, uniform_grid(2.0, 0.01),
-                                       stream(31, "tspin", alpha, cutoff), ledger_threshold=0.2)
+                                       stream(31, "tspin", alpha, cutoff))
         got = {f: hashlib.sha256(np.ascontiguousarray(getattr(path, f)).tobytes()).hexdigest()
                for f in self.PINNED[alpha, cutoff]}
         assert got == self.PINNED[alpha, cutoff]
@@ -210,7 +198,8 @@ class TestCompoundPoisson:
     def test_event_count_mean(self):
         law = JumpLaw("gaussian", {"scale": 1.0})
         rng = stream(16, "cppn")
-        counts = np.array([sample_compound_poisson(2.0, law, 10.0, rng).jump_times.size
+        # every event is an interior grid point
+        counts = np.array([sample_compound_poisson(2.0, law, 10.0, rng).grid.size - 2
                            for _ in range(10_000)])
         se = counts.std(ddof=1) / np.sqrt(counts.size)
         assert abs(counts.mean() - 20.0) <= 3.0 * se
@@ -226,8 +215,10 @@ class TestCompoundPoisson:
         law = JumpLaw("uniform", {"half_width": 2.0})
         path = sample_compound_poisson(5.0, law, 4.0, stream(18, "cppl"))
         assert path.is_piecewise_constant
-        assert np.all(np.isin(path.jump_times, path.grid))
-        assert path.jump_times.size == path.grid.size - 2  # all events ledgered
+        d_cont, d_jump = path.increments()
+        assert not d_cont.any()
+        # one jump lands at each interior grid point; flat to the horizon
+        assert np.all(d_jump[:-1] != 0.0) and d_jump[-1] == 0.0
 
     def test_unknown_law_rejected(self):
         with pytest.raises(ConfigError):
@@ -255,13 +246,17 @@ class TestCompose:
         se = 4.0 * np.sqrt(2.0 / (finals.size - 1))
         assert abs(var - 4.0) <= 3.0 * se
 
-    def test_ledger_union(self):
-        law = JumpLaw("two_point", {"size": 3.0})
-        p1 = sample_compound_poisson(2.0, law, 2.0, stream(23, "cmp5"))
-        p2 = sample_compound_poisson(2.0, law, 2.0, stream(24, "cmp6"))
-        q = compose_drivers([p1, p2])
-        assert q.jump_times.size == p1.jump_times.size + p2.jump_times.size
-        assert q.is_piecewise_constant
+    def test_continuous_part_is_the_brownian_sum(self):
+        grid = uniform_grid(2.0, 0.1)
+        b1 = sample_brownian(1.0, grid, stream(23, "cmp5"))
+        b2 = sample_brownian(2.0, grid, stream(24, "cmp6"))
+        s = sample_stable(1.5, 1.0, grid, stream(27, "cmp9"))
+        cpp = sample_compound_poisson(2.0, JumpLaw("two_point", {"size": 3.0}), 2.0, stream(28, "cmp10"))
+        q = compose_drivers([b1, s, cpp, b2])
+        assert np.array_equal(q.continuous, b1.values_at(q.grid) + b2.values_at(q.grid))
+        assert np.allclose(q.values - q.continuous, s.values_at(q.grid) + cpp.values_at(q.grid))
+        assert not q.is_piecewise_constant
+        assert compose_drivers([cpp, cpp.negated()]).is_piecewise_constant
 
     def test_horizon_mismatch_rejected(self):
         p1 = sample_brownian(1.0, uniform_grid(1.0, 0.1), stream(25, "cmp7"))
@@ -321,7 +316,7 @@ class TestSpecInvariants:
         p2 = sample_driver(spec, 3.0, 777, replica=5, dt=0.01)
         assert np.array_equal(p1.values, p2.values)
         assert np.array_equal(p1.grid, p2.grid)
-        assert np.array_equal(p1.jump_sizes, p2.jump_sizes)
+        assert np.array_equal(p1.continuous, p2.continuous)
         assert p1.seed_tag == p2.seed_tag
         p3 = sample_driver(spec, 3.0, 777, replica=6, dt=0.01)
         assert not np.array_equal(p1.values, p3.values)
@@ -337,10 +332,15 @@ class TestSpecInvariants:
     def test_path_invariants_enforced(self):
         from levyloewner.drivers import DriverPath
 
+        grid, values = np.array([0.0, 1.0]), np.array([0.0, 1.0])
         with pytest.raises(ConfigError):
-            DriverPath(np.array([0.0, 1.0]), np.array([0.5, 1.0]), np.empty(0), np.empty(0), "t")
+            DriverPath(grid, np.array([0.5, 1.0]), "t")
         with pytest.raises(ConfigError):
-            DriverPath(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                       np.array([0.5]), np.array([1.0]), "t")  # jump off the grid
+            DriverPath(np.empty(0), np.empty(0), "t")  # empty grid
         with pytest.raises(ConfigError):
-            DriverPath(np.empty(0), np.empty(0), np.empty(0), np.empty(0), "t")  # empty grid
+            DriverPath(grid, values, "t", continuous=np.zeros(3))  # wrong shape
+        with pytest.raises(ConfigError):
+            DriverPath(grid, values, "t", continuous=np.array([0.5, 1.0]))  # nonzero start
+        path = DriverPath(grid, values, "t")
+        assert np.array_equal(path.continuous, np.zeros(2))
+        assert not path.continuous.flags.writeable

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from levyloewner import engine
-from levyloewner.drivers import (Brownian, CompoundPoisson, DriverSpec, JumpLaw, Stable, TruncatedStable,
-                                 _stable_map, sample_driver)
+from levyloewner.drivers import (Brownian, CompoundPoisson, DriverPath, DriverSpec, JumpLaw, Stable,
+                                 TruncatedStable, _stable_map, sample_driver)
 from levyloewner.engine import BLOCK, Cell, LaneResult, evolve_lanes_on_path, run_adaptive_cells, run_adaptive_mc
 from levyloewner.errors import ConfigError
 from levyloewner.experiments import _annulus_exit_positions
@@ -246,6 +246,8 @@ def _path_lanes(first):
 # spec, beta, path horizon, grid step, lane 0, run horizon (inside the last
 # grid step for the first case)
 PATH_CASES = {
+    "brownian_beta2": (DriverSpec((Brownian(4.0),)), 2.0, 1.5, 0.005, 0.1 + 0.1j, 1.4985),
+    "stable_beta1_5": (DriverSpec((Stable(1.5, 1.0),)), 1.5, 1.0, 0.01, 1.5 + 1.0j, 1.0),
     "bs_beta2": (DriverSpec((Brownian(2.0), Stable(1.5, 1.0))), 2.0, 1.5, 0.005, 0.1 + 0.1j, 1.4985),
     "bs_beta1_5": (DriverSpec((Brownian(2.0), Stable(1.5, 1.0))), 1.5, 1.0, 0.01, 1.5 + 1.0j, 1.0),
     "cpp_beta2": (DriverSpec((Brownian(0.0), CompoundPoisson(4.0, JumpLaw("two_point", {"size": 0.5})))),
@@ -264,23 +266,43 @@ def _path_run(case, keep=slice(None), record_trajectory=True):
 # SHA-256 of engine A's output arrays and lane 0's trajectory (x86-64, numpy
 # 2.4), recorded before engine A ran on live lanes only; bs_beta1_5 re-recorded
 # when each beta < 2 lane took its own RK4 substep count (its bytes now equal
-# those of each lane run alone before that change).
+# those of each lane run alone before that change).  brownian_beta2 and
+# stable_beta1_5 were recorded before engine A split each grid step into its
+# continuous and jump parts, which leaves them, and cpp_beta2, unchanged; the
+# mixed bs_* cases were re-recorded then (hit lanes: bs_beta2 31 -> 36,
+# bs_beta1_5 22 -> 25).
 PATH_PINNED = {
+    "brownian_beta2": {
+        "zeta": "3e720f238650f79309515889537152524ae41e57019a105b477ed45079f051a4",
+        "x": "36a80fb0422ba38ad89e9c3afeffb1dee3dacc65b4264ec0206a11c180de72c7",
+        "y": "b023b817fd3be944949f5d6306edb5c2de30f72e8e87f161b665c3f6f3652667",
+        "min_abs": "576abf3eb3219a9513fdd364663816663d0c13d45d3ec589807f077dccc3c87d",
+        "steps": "8121ae4bf3a0bd3a608b50a3a582581a8b3bd06aebdf5d082af5608c1601c683",
+        "trajectory": "8542913eefe6cf7aafa4767365f12d92dd93d6e10229fc2937a209789e7c5f19",
+    },
+    "stable_beta1_5": {
+        "zeta": "504da7f069f2ce1d1b7352e2af6c97b6596340a2d4cac3600cfa45bf262902e1",
+        "x": "554876487e7b2756809e82b7a64529642e086ceeaf169c5a5df5a1b44b61635f",
+        "y": "f9a8b4cd0529d321b7635b405d1e6138956dfef0b34db94bbbee6d9f94b4ba12",
+        "min_abs": "d389530ad2569a54c0be32086ecb3e4f4c419271cc4b7abdead474ea6bde59a6",
+        "steps": "3c7ae0d179c595639946b17e42c5b346b328f1ca2a46bc60fed2fc851649eb4b",
+        "trajectory": "dba9119cc34bfb1e478499d32eb5e1f0a6c9ff3f299b2ff86558275bb75887c8",
+    },
     "bs_beta2": {
-        "zeta": "a2b54abc45323b21c5e0cf3e4ee7acb0000eec4082c3d03687c7feb8ffbeef89",
-        "x": "d78d8d31f2a06ddc13009a43f8cf2898ae6ceb4dc02f798986b5e74f5405a537",
-        "y": "b6cc857bed825f0f1fd714f09be24d383231b1ac38b4cd55f24415465248a33a",
-        "min_abs": "6efcec6400478f280c6a1e6e2ec6e05df5fcfe1f0ae64c012bbaeaa770851f06",
-        "steps": "8f7147524831bc80e13227932d8ddfdd87aa030f1d6ad67891510f15a4fa4c5d",
+        "zeta": "178285fac54b664e1f7a0243ac41c0e2418928a64222e9bb907705c266656ccf",
+        "x": "2d4c4654b7694166b75a8a082f89577ad1c9a4bf5a8f808e835ac5f552de2d0c",
+        "y": "3eb89463b9fec05eed7fe818dad76a771b6ee6bcc0220d295660212893bf8de0",
+        "min_abs": "8cc2a56dd1985afa55f2c1f872cccd926f1e3b798b1d3ff098f580ab75673dc6",
+        "steps": "a4e722ec820161109765735ad085ce5da840bb3eb3b472862598a37f5ad58032",
         "trajectory": "8e7f2afad2333a7cce647026e9abd42184c0a4847535a3c07bdb84f2e317657e",
     },
     "bs_beta1_5": {
-        "zeta": "4ea1786224bc9f57b4ecc01b6e3c1d3712fe6c1834cd60f8706a7960211a4413",
-        "x": "6cb9e0318493f38a8c741bc31dfaca3a4440187a9e432e9c3d4b6f00bd53128f",
-        "y": "70707b485b3cfc06ae042d83c32a9495691d88b47a6af6e247763059fe20f906",
-        "min_abs": "0b0300a1772e2342b2e718beaff9586ea1f666270173125fc931c4b0f8f59d0c",
-        "steps": "e41f653c53d23ebe3a1359da29d4dcbca64a992e5dc1dc6a4d333d2948451e90",
-        "trajectory": "d7839afe81829e466a4ec81e96a6dfb37b797076a43ccae898e11d6be2b8258c",
+        "zeta": "cb06b9ec2b8296936ab301a946beb8b41640d0719ebd685041633f0be07613f0",
+        "x": "e628d10ad1538d5fa8b69a53ef0d28bae8f48bc04cf84a8741c1cddf63c159b3",
+        "y": "5e7743f718f3d2e783096623f1c0228d1bf36953fc842aca627353fef4ef7a11",
+        "min_abs": "f83a2362d750db56f1ae8333f140f41fa60f903c5b3d19144dd5d871029f9d46",
+        "steps": "b747e2543c3cd5b8d441aafd0acf241951588f01ca2d03a6d3251dc05a7feb89",
+        "trajectory": "d268c0b55eaae2bc77d2a5b9df33b7c6b5506e2e646c193dac2972b02ac848ff",
     },
     "cpp_beta2": {
         "zeta": "559d239794bd19b9474c47c56a05f7b2c4aeec07b98079b549e4a02bb6969241",
@@ -299,6 +321,21 @@ def test_path_output_bytes_pinned(case):
     got = {f: _sha(getattr(res, f)) for f in FIELDS}
     got["trajectory"] = _sha(traj)
     assert got == PATH_PINNED[case]
+
+
+# One step of a lane at y <= delta whose continuous part moves x = 0.5 by
+# d_cont and whose jump part then moves it by d_jump: a crossing of 0 by the
+# continuous part is a hit even when the jump undoes it, and a crossing by the
+# jump part is not.  A hit lane stops where the continuous part took it.
+@pytest.mark.parametrize("beta", [2.0, 1.5])
+@pytest.mark.parametrize("d_cont, d_jump, hit, x_end", [(1.0, -0.9, True, -0.5),
+                                                        (0.05, 0.9, False, -0.45)])
+def test_only_the_continuous_part_crosses_zero(d_cont, d_jump, hit, x_end, beta):
+    path = DriverPath(np.array([0.0, 1e-6]), np.array([0.0, d_cont + d_jump]), "one-step",
+                      continuous=np.array([0.0, d_cont]))
+    res = evolve_lanes_on_path([0.5 + 0.001j], path, path.horizon, hit_tolerance=0.01, beta=beta)
+    assert res.hit[0] == hit
+    assert res.x[0] == pytest.approx(x_end, abs=1e-4)
 
 
 @pytest.mark.parametrize("case", ["bs_beta2", "bs_beta1_5"])

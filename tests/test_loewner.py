@@ -112,12 +112,8 @@ class TestComposition:
         from levyloewner.drivers import DriverPath
 
         grid = np.array([0.0, 0.5, 1.0, 1.5])
-        two = DriverPath(grid, np.array([0.0, 1.0, 2.0, 2.0]),
-                         np.array([0.5, 1.0]), np.array([1.0, 1.0]), "two",
-                         is_piecewise_constant=True)
-        one = DriverPath(grid, np.array([0.0, 0.0, 2.0, 2.0]),
-                         np.array([1.0]), np.array([2.0]), "one",
-                         is_piecewise_constant=True)
+        two = DriverPath(grid, np.array([0.0, 1.0, 2.0, 2.0]), "two", is_piecewise_constant=True)
+        one = DriverPath(grid, np.array([0.0, 0.0, 2.0, 2.0]), "one", is_piecewise_constant=True)
         z = 0.8 + 0.9j
         g2, _ = compose_piecewise_constant(z, two)
         g1, _ = compose_piecewise_constant(z, one)
@@ -179,9 +175,7 @@ class TestRaster:
 
         # hold at 0 for t in [0,1), jump to 30, grow there until t=2
         grid = np.array([0.0, 1.0, 2.0])
-        path = DriverPath(grid, np.array([0.0, 30.0, 30.0]),
-                          np.array([1.0]), np.array([30.0]), "jump",
-                          is_piecewise_constant=True)
+        path = DriverPath(grid, np.array([0.0, 30.0, 30.0]), "jump", is_piecewise_constant=True)
         raster = raster_cluster((-3.0, 33.0, 0.0, 2.5), (144, 10), path,
                                 EvolutionConfig(horizon=2.0))
         assert connected_components(raster, 2.0) == 2
