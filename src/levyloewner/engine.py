@@ -11,10 +11,11 @@ which preserves c = x*y and moves u = x^2 - y^2 monotonically up:
 
 For beta = 2 this integrates exactly (u -> u + 4 dt); for beta < 2 lanes on
 the axes have the closed form |h|^beta linear in t and each off-axis lane
-takes its own number of Runge-Kutta substeps on u.  The new h is then one
-complex square root of u + 2ic on the upper branch, which at beta = 2 is
-exactly the slit map h -> sqrt(h^2 + 4 dt).  A lane is swallowed within a
-drift interval exactly when u crosses 0 with sqrt(2|c|) <= delta.
+takes its own number of Runge-Kutta substeps on u.  The new h is then the
+square root of u + 2ic on the upper branch, which at beta = 2 is exactly the
+slit map h -> sqrt(h^2 + 4 dt); it is taken in real arithmetic, to the bits
+of the complex square root.  A lane is swallowed within a drift interval
+exactly when u crosses 0 with sqrt(2|c|) <= delta.
 
 Driver increments shift x at the end of a step, one sub-increment per part
 of the driver, the continuous (Brownian) part first.  A hit is declared when
@@ -59,8 +60,14 @@ lanes something happened to, held as index sets: the lanes near 0 (hit
 checks), the lanes low enough to cross h = 0 (flip rule), and the lanes whose
 u crosses 0 in the drift (swallow bookkeeping).  A step in which no lane is
 near, low or crossing does no bookkeeping at all, and a step of real-axis
-lanes takes the real root.  Both engines hold the live state in one array,
-one row per quantity, so that dropping the lanes that died is one call.
+lanes takes the real root.  Engine A runs one box test per grid step, right
+after the drift: the step's sub-increments move x by at most the scalar
+|d_cont| + |d_jump|, so a lane outside max(|x|, y) <= (max(min_abs, delta)
++ |d_cont| + |d_jump|) * 1.000001 can fail no hit check and no flip rule of
+the step.  Its three endpoint checks and its sub-increments run on the
+gathered candidates only, and every other lane takes two scalar subtracts.
+Both engines hold the live state in one array, one row per quantity, so
+that dropping the lanes that died is one call.
 """
 
 from __future__ import annotations
@@ -130,13 +137,51 @@ class LaneResult:
 def _slit_root(u, c, x, y, real=False):
     """Set x + iy to the root of u + 2ic on the upper branch: y >= +0 and x
     keeps its sign.  At beta = 2 this is the slit map h -> sqrt(h^2 + 4 dt).
+
+    The root is taken in real arithmetic, in the form of the platform's
+    complex square root, so its bits are those of ``np.sqrt`` of u + 2i|c|:
+    with d = hypot(u, 2|c|), the larger part is big = sqrt((d + |u|) / 2) and
+    the smaller (2|c| / big) / 2, and the real part is the larger one when
+    u > 0.  Lanes with u = 0 take the complex root, and so does every lane
+    when some |u| or 2|c| exceeds 2e307 or some d falls below 1e-300: that
+    root rescales near the limits.
     ``real`` says that every c is 0 and every u positive: the root is then
-    sqrt(u) + 0i, taken without the complex square root, which gives the same
-    bits there."""
+    sqrt(u) + 0i."""
     if real:
         np.copysign(np.sqrt(u), x, out=x)
         y[:] = 0.0
         return
+    a = np.abs(c)
+    a *= 2.0
+    lo = u.min()
+    if not (-lo <= 2e307 and u.max() <= 2e307 and a.max() <= 2e307):
+        _complex_root(u, c, x, y)
+        return
+    big = np.hypot(u, a)
+    if not big.min() >= 1e-300:
+        _complex_root(u, c, x, y)
+        return
+    pos = lo > 0.0
+    big += u if pos else np.abs(u)
+    big *= 0.5
+    np.sqrt(big, out=big)
+    small = np.divide(a, big, out=a)
+    small *= 0.5
+    if not pos:  # the imaginary part is the larger one where u < 0
+        neg = (u < 0.0).nonzero()[0]
+        big[neg], small[neg] = small[neg], big[neg]
+    np.copysign(big, x, out=x)
+    y[:] = small
+    if not pos:
+        zero = (u == 0.0).nonzero()[0]
+        if zero.size:
+            x_zero, y_zero = x[zero], y[zero]
+            _complex_root(u[zero], c[zero], x_zero, y_zero)
+            x[zero], y[zero] = x_zero, y_zero
+
+
+def _complex_root(u, c, x, y):
+    """:func:`_slit_root` by the complex square root."""
     w = np.empty(u.shape, dtype=complex)
     w.real = u
     np.abs(c, out=w.imag)
@@ -185,7 +230,7 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
         if real:
             u1 = (u0 ** (beta / 2.0) + 2.0 * beta * dt) ** (2.0 / beta)
         else:
-            u1 = u0.copy()
+            u1 = _rk4_drift(u0, c, dt, beta, (~on_axis).nonzero()[0], crossings)
             if ra.size:
                 u1[ra] = (u0[ra] ** (beta / 2.0) + 2.0 * beta * _at(dt, ra)) ** (2.0 / beta)
             # imaginary axis: y^beta shrinks linearly; crossing time is exact
@@ -196,9 +241,6 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
                 hit_ax = m <= 0.0
                 u1[ia] = np.where(hit_ax, 0.0, -np.maximum(m, 0.0) ** (2.0 / beta))
                 crossings.append((ia[hit_ax], m0[hit_ax] / (2.0 * beta)))
-            sub = (~on_axis).nonzero()[0]
-            if sub.size:
-                _rk4_drift(u0, c, dt, beta, sub, u1, crossings)
 
     dead = None
     if crossings:
@@ -217,34 +259,32 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
         x[dead], y[dead] = x_dead, y_dead
 
 
-def _rk4_drift(u0, c, dt, beta, sub, u1, crossings):
-    """Set u1 of the off-axis lanes ``sub`` to u at the end of the step, each
-    lane by its own RK4 substep count; append their crossings of u = 0 to
-    ``crossings``."""
-    # substep count from the relative motion rel of |h|^2 over the step; lanes
-    # in descending count order, so the lanes still stepping at substep k are
-    # the first width[k].  rel <= 0.05 (one substep) once |h|^2 >= (80 dt)^(2 /
-    # beta), and |h|^2 = hypot(u0, 2c) >= max(|u0|, 2|c|): a lane whose bound
-    # clears that by a margin far above rounding skips the hypot and the power
-    bound = np.maximum(np.abs(u0[sub]), 2.0 * np.abs(c[sub]))
-    one = bound >= 1.000001 * (80.0 * np.max(dt)) ** (2.0 / beta)
-    many = sub[~one]
-    rel = 4.0 * np.hypot(u0[many], 2.0 * c[many]) ** (-beta / 2.0) * _at(dt, many)
-    nsub = np.minimum(np.maximum(np.ceil(rel / 0.05), 1), 64)
-    order = np.argsort(-nsub)
-    sub = np.concatenate((many[order], sub[one]))
-    nsub = np.concatenate((nsub[order], np.ones(sub.size - many.size)))
-    width = np.searchsorted(-nsub, -np.arange(1, nsub[0] + 1), side="right")
-    h_sub = _at(dt, sub) / nsub
-    c2 = 4.0 * c[sub] * c[sub]
+def _rk4_drift(u0, c, dt, beta, sub, crossings):
+    """u at the end of the step: u0 on every lane but the off-axis lanes
+    ``sub``, which each take their own RK4 substep count; append their
+    crossings of u = 0 to ``crossings``."""
+    whole = sub.size == u0.size
+    u, cs, dts = (u0, c, dt) if whole else (u0[sub], c[sub], _at(dt, sub))
+    # substep count from the relative motion rel of |h|^2 over the step.
+    # rel <= 0.05 (one substep) once |h|^2 >= (80 dt)^(2 / beta), and |h|^2 =
+    # hypot(u0, 2c) >= max(|u0|, 2|c|): a lane whose bound clears that by a
+    # margin far above rounding skips the hypot and the power
+    bound = np.maximum(np.abs(u), 2.0 * np.abs(cs))
+    many = (bound < 1.000001 * (80.0 * np.max(dt)) ** (2.0 / beta)).nonzero()[0]
+    h = dts
+    if many.size:
+        rel = 4.0 * np.hypot(u[many], 2.0 * cs[many]) ** (-beta / 2.0) * _at(dts, many)
+        nsub = np.minimum(np.maximum(np.ceil(rel / 0.05), 1), 64)
+        h = np.array(np.broadcast_to(dts, u.shape))
+        h[many] /= nsub
+    c2 = 4.0 * cs * cs
     pow_ = (2.0 - beta) / 4.0
 
     def f(v, cw):
         return 4.0 * (v * v + cw) ** pow_
 
-    u = u0[sub]
-    for k, w in enumerate(width.tolist()):
-        u_lo, h, cw = u[:w], h_sub[:w], c2[:w]
+    def substep(k, lanes, u_lo, h, cw):
+        """RK4 substep k of the lanes ``lanes``."""
         k1 = f(u_lo, cw)
         k2 = f(u_lo + 0.5 * h * k1, cw)
         k3 = f(u_lo + 0.5 * h * k2, cw)
@@ -254,9 +294,28 @@ def _rk4_drift(u0, c, dt, beta, sub, u1, crossings):
         just = ((u_lo < 0) & (u_hi >= 0)).nonzero()[0]
         if just.size:
             frac = -u_lo[just] / np.maximum(u_hi[just] - u_lo[just], 1e-300)
-            crossings.append((sub[just], (k + frac) * h[just]))
-        u[:w] = u_hi
-    u1[sub] = u
+            crossings.append((lanes[just], (k + frac) * _at(h, just)))
+        return u_hi
+
+    # the first substep over every lane without a gather, then the lanes that
+    # take more, in descending count order: the lanes still stepping at
+    # substep k are the first width[k - 1]
+    u_hi = substep(0, sub, u, h, c2)
+    if many.size and nsub.max() > 1:
+        more = nsub > 1
+        nsub = nsub[more]
+        order = np.argsort(-nsub)
+        nsub, more = nsub[order], many[more][order]
+        width = np.searchsorted(-nsub, -np.arange(2, nsub[0] + 1), side="right")
+        lanes, u_m, h_m, c_m = sub[more], u_hi[more], h[more], c2[more]
+        for k, w in enumerate(width.tolist(), start=1):
+            u_m[:w] = substep(k, lanes, u_m[:w], h_m[:w], c_m[:w])
+        u_hi[more] = u_m
+    if whole:
+        return u_hi
+    u1 = u0.copy()
+    u1[sub] = u_hi
+    return u1
 
 
 def _apply_increment(x, y, du, is_continuous, t_next, delta, zeta, min_abs, alive, reach=None):
@@ -286,10 +345,11 @@ def _check_endpoint(x, y, t_now, delta, zeta, min_abs, alive, flip=None, reach=N
     live lanes of the index array ``flip``, dead at t_now.  Mutates zeta,
     min_abs, alive.
 
-    One box test runs over every lane; the rest works on the index set of the
-    near lanes, and returns early when there is none.  ``reach`` may hold
-    max(min_abs, delta) from earlier in the step: min_abs only falls, so a
-    stale value only adds near lanes whose minimum stays put."""
+    One box test runs over the lanes given (every live lane in engine B, the
+    candidates of a step's box test in engine A); the rest works on the index
+    set of the near lanes, and returns early when there is none.  ``reach``
+    may hold max(min_abs, delta) from earlier in the step: min_abs only
+    falls, so a stale value only adds near lanes whose minimum stays put."""
     # |h| rounds to no less than max(|x|, |y|), so only lanes in that box can
     # set a new minimum of |h| or come within delta; y >= +0 on every lane
     box = np.abs(x)
@@ -307,6 +367,38 @@ def _check_endpoint(x, y, t_now, delta, zeta, min_abs, alive, flip=None, reach=N
     if flip is not None and flip.size:
         zeta[flip] = _at(t_now, flip)
         alive[flip] = False
+
+
+def _land_step(x, y, dc, dj, t1, delta, zeta, min_abs, alive):
+    """Engine A's end of a grid step at t1, after the drift: the endpoint
+    check, then the continuous sub-increment dc and the jump sub-increment dj
+    with their checks.  Mutates x, zeta, min_abs, alive.
+
+    One box test finds the candidates, the lanes that a check of the step can
+    touch (see the module docstring); the checks run on those alone, and
+    every other lane takes the two subtracts."""
+    box = np.abs(x)
+    np.maximum(box, y, out=box)
+    wide = np.maximum(min_abs, delta)
+    wide += abs(dc) + abs(dj)
+    wide *= 1.000001  # covers the rounding of the subtracts
+    cand = (box <= wide).nonzero()[0]
+    del box, wide  # freed before the gathers
+    if cand.size:
+        cx, cy, cz, cm, ct, ca = x[cand], y[cand], zeta[cand], min_abs[cand], delta[cand], alive[cand]
+    # lanes swallowed in the drift keep their place
+    where = True if alive.all() else alive
+    for d in (dc, dj):
+        if d != 0.0:
+            np.subtract(x, d, out=x, where=where)
+    if cand.size:
+        reach = np.maximum(cm, ct)
+        _check_endpoint(cx, cy, t1, ct, cz, cm, ca, reach=reach)
+        if dc != 0.0:
+            _apply_increment(cx, cy, dc, True, t1, ct, cz, cm, ca, reach)
+        if dj != 0.0:
+            _apply_increment(cx, cy, dj, False, t1, ct, cz, cm, ca, reach)
+        x[cand], zeta[cand], min_abs[cand], alive[cand] = cx, cz, cm, ca
 
 
 def _retire(state, alive, out):
@@ -388,14 +480,9 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
         t1 = min(grid[i + 1], horizon)
         full_step = grid[i + 1] <= horizon + 1e-15
         alive = np.ones(lane.size, dtype=bool)
-        reach = np.maximum(min_abs, tol)
         _drift_advance(x, y, t1 - t0, beta, t0, tol, zeta, min_abs, alive)
-        _check_endpoint(x, y, t1, tol, zeta, min_abs, alive, reach=reach)
-        if full_step:
-            if d_cont[i] != 0.0:
-                _apply_increment(x, y, d_cont[i], True, t1, tol, zeta, min_abs, alive, reach)
-            if d_jump[i] != 0.0:
-                _apply_increment(x, y, d_jump[i], False, t1, tol, zeta, min_abs, alive, reach)
+        dc, dj = (d_cont[i], d_jump[i]) if full_step else (0.0, 0.0)
+        _land_step(x, y, dc, dj, t1, tol, zeta, min_abs, alive)
         if record_trajectory:
             h = (x[0], y[0]) if lane[0] == 0 else (out[1, 0], out[2, 0])
             traj.append((t1, *h, values[i + 1] if full_step else values[i]))
@@ -422,40 +509,38 @@ def _live_draws(blocks, cut, dt=None):
     ``blocks[b]`` is block b's (stream, draws), and its live lanes are the
     positions ``cut[b]:cut[b + 1]`` of the live-lane arrays (lanes in
     ascending order, so ``cut`` is a ``searchsorted`` of the block bounds).
-    Every block with a live lane calls each of its ``draw(rng, m, dt_block)``
-    once, in order, with m its live-lane count and ``dt_block`` its slice of
-    ``dt`` (None when ``dt`` is).  A draw returns m variates; each draw's
-    variates are concatenated in lane order, so one map can then turn them
-    into increments for all live lanes at once, while a block's stream
-    advances by its own live lanes only.
+    Each draw has one buffer over all live lanes, and every block with a live
+    lane fills its slice of each buffer once, in draw order, so one map can
+    then turn the variates into increments for all live lanes at once, while
+    a block's stream advances by its own live lanes only.  A draw is a pair
+    (draw, whole): a generator method that fills its ``out=`` slice, or, when
+    ``whole``, a function ``draw(rng, m, dt_block)`` that returns the m
+    variates of a block with m live lanes from its slice of ``dt``.
     """
-    out = [[] for _ in blocks[0][1]]
+    out = [np.empty(cut[-1]) for _ in blocks[0][1]]
     for (rng, draws), lo, hi in zip(blocks, cut[:-1], cut[1:]):
         if lo == hi:
             continue
-        dt_block = None if dt is None else dt[lo:hi]
-        for parts, draw in zip(out, draws):
-            parts.append(draw(rng, hi - lo, dt_block))
-    return [parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in out]
+        for buf, (draw, whole) in zip(out, draws):
+            if whole:
+                buf[lo:hi] = draw(rng, hi - lo, None if dt is None else dt[lo:hi])
+            else:
+                draw(rng, out=buf[lo:hi])
+    return out
 
 
-def _counted(draw):
-    """A block draw ``draw(rng, m, dt)`` of a ``draw(rng, m)`` that needs no dt."""
-    return lambda rng, m, dt: draw(rng, m)
-
-
-# An increment declares its per-block raw ``draws`` and maps their variates,
-# concatenated over the live lanes, once per iteration.  Its timescale is
+# An increment declares its per-block raw ``draws`` (see _live_draws) and maps
+# their variates over all live lanes once per iteration.  Its timescale is
 # |h|^tau_pow / coef; a loop holds coef per lane and passes it back to
 # ``increments``.
 
 class _IncBrownian:
     is_continuous = True
     tau_pow = 2.0
-    draws = (lambda rng, m, dt: rng.standard_normal(m),)
 
     def __init__(self, comp: Brownian):
         self.coef = comp.kappa
+        self.draws = ((np.random.Generator.standard_normal, False),)
 
     def increments(self, raw, dt, kappa):
         return np.sqrt(kappa * dt) * raw[0]
@@ -467,7 +552,7 @@ class _IncStable:
     def __init__(self, comp: Stable):
         self.alpha = self.tau_pow = comp.alpha
         self.coef = comp.theta
-        self.draws = tuple(_counted(d) for d in _stable_draws(comp.alpha))
+        self.draws = tuple((d, False) for d in _stable_draws(comp.alpha))
 
     def increments(self, raw, dt, theta):
         return (theta * dt) ** (1.0 / self.alpha) * _stable_map(self.alpha, *raw)
@@ -482,7 +567,7 @@ class _IncTruncatedStable:
 
     def __init__(self, comp: TruncatedStable):
         self.coef = truncated_stable_variance_rate(comp.alpha, comp.theta, comp.cutoff)
-        self.draws = (lambda rng, m, dt: _truncated_stable_steps(comp, rng, dt)[0],)
+        self.draws = ((lambda rng, m, dt: _truncated_stable_steps(comp, rng, dt)[0], True),)
 
     def increments(self, raw, dt, coef):
         return raw[0]
@@ -490,10 +575,11 @@ class _IncTruncatedStable:
 
 def _jump_clock(comp: CompoundPoisson):
     """The draws of a compound Poisson part.  Each iteration draws every live
-    lane a fresh Exp(rate) wait (exact, as the law is memoryless) and a jump
-    size; a wait shorter than the lane's step ends the step with the jump."""
-    return (lambda rng, m, dt: rng.exponential(1.0 / comp.rate, m),
-            lambda rng, m, dt: comp.jump_law.sample(rng, m))
+    lane a fresh Exp(rate) wait (exact, as the law is memoryless; a standard
+    exponential the loop scales by 1 / rate) and a jump size; a wait shorter
+    than the lane's step ends the step with the jump."""
+    return ((np.random.Generator.standard_exponential, False),
+            (lambda rng, m, dt: comp.jump_law.sample(rng, m), True))
 
 
 def _compile_increments(spec: DriverSpec):
@@ -508,7 +594,7 @@ def _compile_increments(spec: DriverSpec):
         elif isinstance(comp, TruncatedStable):
             incs.append(_IncTruncatedStable(comp))
         elif isinstance(comp, CompoundPoisson):
-            clocks.append(_jump_clock(comp))
+            clocks.append(comp)
         else:  # pragma: no cover
             raise ConfigError(f"unknown component {comp!r}")
     return incs, clocks
@@ -530,9 +616,10 @@ def _adaptive_tau(habs, beta, incs, coef):
     dt_safety times this, which keeps every per-step displacement a fixed
     fraction of |h| at all scales.  A compound Poisson part has no timescale:
     its jump clock ends a step at the exact time of the jump."""
-    tau = habs ** beta / (2.0 * beta)
+    h_beta = habs ** beta
+    tau = h_beta / (2.0 * beta)
     for inc, c in zip(incs, coef):
-        np.minimum(tau, habs ** inc.tau_pow / c, out=tau)
+        np.minimum(tau, (h_beta if inc.tau_pow == beta else habs ** inc.tau_pow) / c, out=tau)
     return tau
 
 
@@ -617,7 +704,8 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
               for tag, (ci, _) in zip(tags, compiled) for b in range(nb)]
     # per iteration each clock draws a (wait, jump size) pair per live lane from
     # the lane's block stream, before the draws that depend on the step
-    clock_blocks = [(rng, [d for clk in clocks for d in clk]) for rng, _ in blocks]
+    clock_blocks = [(rng, [d for comp in clocks for d in _jump_clock(comp)]) for rng, _ in blocks]
+    wait_scales = [1.0 / comp.rate for comp in clocks]
 
     # state of the live lanes, in lane order (see _retire)
     state = np.empty((9 + len(incs), k * n))
@@ -652,7 +740,8 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         cut = lane.searchsorted(bounds).tolist()
         clock = _live_draws(clock_blocks, cut) if clocks else []
         waits, sizes = clock[::2], clock[1::2]
-        for wait in waits:
+        for wait, scale in zip(waits, wait_scales):
+            wait *= scale  # as Generator.exponential scales its variates
             np.minimum(dt, wait, out=dt)
         raws = iter(_live_draws(blocks, cut, dt))
 

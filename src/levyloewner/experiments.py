@@ -43,7 +43,7 @@ from .drivers import (
     _stable_map,
     sample_driver,
 )
-from .engine import (BLOCK, Cell, _counted, _live_draws, _loop_key, default_hit_tolerance,
+from .engine import (BLOCK, Cell, _live_draws, _loop_key, default_hit_tolerance,
                      run_adaptive_cells, run_adaptive_mc)
 from .errors import ConfigError, StatisticalError
 from .loewner import EvolutionConfig, connected_components, raster_cluster
@@ -346,9 +346,9 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
         raise ConfigError("need b > a > 0 and a < |x0| < b")
     draws = []
     if kappa > 0:
-        draws.append(lambda rng, m, dt: rng.standard_normal(m))
+        draws.append((np.random.Generator.standard_normal, False))
     if theta > 0:
-        draws += [_counted(d) for d in _stable_draws(alpha)]
+        draws += [(d, False) for d in _stable_draws(alpha)]
     blocks = [(stream(seed, "overshoot", blk, str(a), str(b)), draws) for blk in range(-(-n // BLOCK))]
     bounds = BLOCK * np.arange(len(blocks) + 1)
     sides = np.zeros(n, dtype=np.int8)  # 0 censored, 1 inner, 2 outer

@@ -70,9 +70,10 @@ def driver_path_rows(path: DriverPath):
 
 def raster_rows(raster: ClusterRaster):
     """Rows (x, y, zeta_or_inf) in row-major order."""
-    for j, y in enumerate(raster.ys.tolist()):
-        for i, x in enumerate(raster.xs.tolist()):
-            yield (x, y, raster.zeta[j, i])
+    xs = raster.xs.tolist()
+    for y, zeta in zip(raster.ys.tolist(), raster.zeta.tolist()):
+        for x, z in zip(xs, zeta):
+            yield (x, y, z)
 
 
 _VIRIDIS = [

@@ -11,11 +11,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
+
 import levyloewner
 from levyloewner.cli import main, parse_config
 from levyloewner.drivers import JumpLaw, sample_brownian, sample_compound_poisson, uniform_grid
 from levyloewner.errors import ConfigError
-from levyloewner.output import driver_path_rows
+from levyloewner.loewner import ClusterRaster
+from levyloewner.output import driver_path_rows, fmt, raster_rows, write_csv
 from levyloewner.rng import stream
 
 
@@ -104,6 +107,17 @@ class TestDispatch:
         # a Brownian path has no jump part
         brownian = sample_brownian(2.0, uniform_grid(1.0, 0.01), stream(4, "csv"))
         assert not any(is_jump or size for _, _, is_jump, size in driver_path_rows(brownian))
+
+    def test_raster_rows_print_as_numpy_scalars(self, tmp_path):
+        # raster_rows yields tolist() floats; cluster.csv must print as the numpy scalars do
+        zeta = np.array([[np.nan, np.inf, -0.0, 0.0, 5e-324],
+                         [1.0 / 3.0, 1e300, -2.2250738585072014e-308 / 3, 12.0, 0.1]])
+        raster = ClusterRaster((-1.0, 2.0, 0.0, 0.7), (5, 2), zeta, 12.0, np.zeros_like(zeta))
+        write_csv(tmp_path / "c.csv", ["x", "y", "zeta_or_inf"], raster_rows(raster))
+        expect = ["x,y,zeta_or_inf"] + [
+            ",".join(map(fmt, (raster.xs[i], raster.ys[j], zeta[j, i])))
+            for j in range(2) for i in range(5)]
+        assert (tmp_path / "c.csv").read_text(encoding="ascii") == "\n".join(expect) + "\n"
 
     def test_phase_two_rows(self, tmp_path):
         out = tmp_path / "p"

@@ -5,6 +5,8 @@ iteration."""
 
 import dataclasses
 import hashlib
+import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +232,89 @@ def test_annulus_exit_output_bytes_pinned():
     assert _sha(pos) == "03cf309c6269efed50bd114db79356c6277d9c8ebe14c42a2c7129ca9baa18b6"
 
 
+# Off-axis lanes that cross exit_radius = 1.5 in the band max(|x|, y) < 1.5 <=
+# |x| + y, where only hypot decides (x86-64, numpy 2.4); recorded while the
+# exit check ran hypot on every live lane.
+EXIT_PINNED = {
+    2.0: {"zeta": "f471f2879029adf0ab3f86d3fdc6356227ed2900efdfdd86479be96b1e0500b0",
+          "x": "2e7304b406210f5899e744c63693f405671ba7f0b1f2ee63951ba0ac92414d90",
+          "y": "9fbc0f2bec4af1077c9a6139a14ad82de962b6ee27832d5c1e0db3ec53ff457a",
+          "min_abs": "11a567145b8ac40b85ed7a9bf29de4ea2f754f09bc4a6bb1d39e9734a6b2c3e7",
+          "steps": "6332939c702d6cbda9098bab9556f787fdebd314c44eb911ebf12c74011ea6a7",
+          "exit_time": "c05b4f06c2b9bd13230c08a203fbcb504b33f72ae62d0b126d5de139d0e840ee"},
+    1.5: {"zeta": "89a1681552d67f6dcb92e2752a507ea60e4961e19990d361b6e89cd78943286c",
+          "x": "b20b8fbcfcc2bc132ac12574fd893527abd5bddd57eed7ce41d14d85c615107b",
+          "y": "8997ce0e7cfdd2a08c6b668b380ef4e8b8f415e81a2e91c3d316769f657d24ba",
+          "min_abs": "bd313d7448e5c6a6edac2df74d19ab5b1c32bf259dd60c7dd50bc25443a5fda1",
+          "steps": "3f8cb5c11e7b529658b9a60e58e3851da663d9bab7022172a3f8bb23acba0a78",
+          "exit_time": "9cfe626f9bcca0aec82e5b615f593a01bcb0566c25af1b56e15040d640e9a0b2"},
+}
+
+
+@pytest.mark.parametrize("beta", sorted(EXIT_PINNED))
+def test_off_axis_exit_time_bytes_pinned(beta):
+    res = run_adaptive_mc(DriverSpec((Brownian(2.0), Stable(1.5, 1.0))), 0.5 + 0.5j, 600, 2.0,
+                          master_seed=2026, tag=("pin-exit", beta), beta=beta, exit_radius=1.5)
+    assert {f: _sha(getattr(res, f)) for f in EXIT_PINNED[beta]} == EXIT_PINNED[beta]
+
+
+# ---------------------------------------------------------------------------
+# the slit-map root
+# ---------------------------------------------------------------------------
+
+def _root_states(rng, n, scale):
+    """n states (u, c, x) with |u| and |c| spread over 1e-3..1e3 times scale,
+    both signs of u and x (x = -0.0 included), and some u = 0 and c = 0."""
+    def spread():
+        return scale * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    u = np.where(rng.random(n) < 0.5, -1.0, 1.0) * spread()
+    c = np.where(rng.random(n) < 0.5, -1.0, 1.0) * spread()
+    x = np.where(rng.random(n) < 0.5, -1.0, 1.0) * spread()
+    u[:8], c[8:16], x[16:24] = 0.0, 0.0, -0.0
+    return u, c, x
+
+
+def _assert_root_is_complex_sqrt(u, c, x):
+    w = np.empty(u.shape, dtype=complex)
+    w.real = u
+    w.imag = 2.0 * np.abs(c)
+    ref = np.sqrt(w)
+    got_x, got_y = x.copy(), np.full(u.shape, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        engine._slit_root(u, c, got_x, got_y)
+    # bit for bit, signed zeros included
+    np.testing.assert_array_equal(got_x.view(np.int64), np.copysign(ref.real, x).view(np.int64))
+    np.testing.assert_array_equal(got_y.view(np.int64), ref.imag.view(np.int64))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100, 1e150])
+def test_slit_root_is_the_complex_square_root(scale):
+    rng = np.random.default_rng(int(np.log10(scale)) + 200)
+    u, c, x = _root_states(rng, 2000, scale)
+    _assert_root_is_complex_sqrt(u, c, x)  # mixed signs of u, and u = 0
+    pos = u > 0
+    _assert_root_is_complex_sqrt(u[pos], c[pos], x[pos])  # every u > 0
+
+
+def test_slit_root_near_the_limits():
+    # around the bounds where the real-arithmetic root hands over to the
+    # complex one: |u| or 2|c| near 2e307, hypot(u, 2|c|) near 1e-300, and
+    # subnormal parts
+    us = [0.0, 5e-324, 1e-310, 7e-301, 1e-300, 1.5e-300, 1.0, 1.9e307, 2e307, 2.1e307, 4e307, 1.7e308]
+    cs = [0.0, 5e-324, 1e-310, 3.5e-301, 5e-301, 1.0, 0.95e307, 1e307, 1.05e307, 8e307]
+    states = np.array([(su * u, c, sx) for u, c in itertools.product(us, cs)
+                       for su in (1.0, -1.0) for sx in (0.5, -0.0)])
+    u, c, x = states.T
+    for i in range(u.size):  # each state alone takes its own branch
+        _assert_root_is_complex_sqrt(u[i:i + 1], c[i:i + 1], x[i:i + 1])
+    _assert_root_is_complex_sqrt(u, c, x)
+    rng = np.random.default_rng(3)
+    u_r, c_r, x_r = _root_states(rng, 500, 1.0)
+    for i in range(0, u.size, 37):  # one such state among ordinary ones
+        _assert_root_is_complex_sqrt(np.append(u_r, u[i]), np.append(c_r, c[i]), np.append(x_r, x[i]))
+
+
 # ---------------------------------------------------------------------------
 # engine A: lanes sharing one sampled path
 # ---------------------------------------------------------------------------
@@ -252,6 +337,13 @@ PATH_CASES = {
     "bs_beta1_5": (DriverSpec((Brownian(2.0), Stable(1.5, 1.0))), 1.5, 1.0, 0.01, 1.5 + 1.0j, 1.0),
     "cpp_beta2": (DriverSpec((Brownian(0.0), CompoundPoisson(4.0, JumpLaw("two_point", {"size": 0.5})))),
                   2.0, 3.0, 0.01, 0.3 + 0.2j, 3.0),
+    # about a third of the live lanes lie in the near box at each check
+    "k4_stable_beta1_5": (DriverSpec((Brownian(4.0), Stable(1.5, 1.0))), 1.5, 1.0, 0.01, 1.5 + 1.0j, 1.0),
+    # a step's |d_cont| + |d_jump| (median 0.55) of the order of the lanes' |h|
+    "big_steps_beta2": (DriverSpec((Brownian(40.0), CompoundPoisson(10.0, JumpLaw("two_point", {"size": 1.0})))),
+                        2.0, 1.0, 0.01, 0.3 + 0.2j, 1.0),
+    "big_steps_beta1_5": (DriverSpec((Brownian(40.0), CompoundPoisson(10.0, JumpLaw("two_point", {"size": 1.0})))),
+                          1.5, 1.0, 0.01, 0.3 + 0.2j, 1.0),
 }
 
 
@@ -270,7 +362,9 @@ def _path_run(case, keep=slice(None), record_trajectory=True):
 # stable_beta1_5 were recorded before engine A split each grid step into its
 # continuous and jump parts, which leaves them, and cpp_beta2, unchanged; the
 # mixed bs_* cases were re-recorded then (hit lanes: bs_beta2 31 -> 36,
-# bs_beta1_5 22 -> 25).
+# bs_beta1_5 22 -> 25).  k4_stable_beta1_5 and the big_steps cases (hit lanes
+# 37, 73, 53) were recorded before each grid step ran one box test that gates
+# all of its hit checks.
 PATH_PINNED = {
     "brownian_beta2": {
         "zeta": "3e720f238650f79309515889537152524ae41e57019a105b477ed45079f051a4",
@@ -311,6 +405,30 @@ PATH_PINNED = {
         "min_abs": "4435f659d3dbdf44739846f7c62b4e47dfbb0cadc46c550e73e04ddde042b4cb",
         "steps": "719b2fcb47e8a05e257453c651af9da49d8ada008ff4318e54f75a6a386843fc",
         "trajectory": "978cf40868f3edd990c420e94651cfb774871c82df43c3c9217f66f497f62445",
+    },
+    "k4_stable_beta1_5": {
+        "zeta": "4c9d43977b3f79283bcd88375135951cdf1b1fbc80db55163c3fc0e6b320e3a4",
+        "x": "fce9cbe00500181740a4bbcd6b1ac748c81d34d7b7eaf0fb8316d12c11b31ede",
+        "y": "6f69a89a220235239da0f976eb0567e1a34795cf5bab4f220a4fdc59ec55ae49",
+        "min_abs": "8beba856b29873be062138cdfb7435637b5363f223ded7106172f6590ab05d48",
+        "steps": "fc21d2a4c9bbca55976b471e97fcbb08baa39d85b6746d11765e927b371bb9c1",
+        "trajectory": "2bf33e234b8f49aee6437b3d54bc50b27b72e68a3dc9179af0b1bdbe09d53dac",
+    },
+    "big_steps_beta2": {
+        "zeta": "311064ee62afb80b0cccf210f9adbcc1d227dc08abded4039159c4bbda244fbf",
+        "x": "d415ead2901e10425d86d4a7b72bb226eb48ab1aef325d4316e0cd683873b55c",
+        "y": "5dc7bd224fc412ddc6e2ad8115c172d55163c360cbb5331862c6e95e71007401",
+        "min_abs": "475da19cb5a2d4b552ef47fa8370b7bd58b382ea166c7775dd77109a57169761",
+        "steps": "45d0018831b190b1b71bf695999004b2cbb5d0ea5d9dfd939416b7591defe4a8",
+        "trajectory": "5821914161c39401e56561530d04dc95d7a0a2d1fe3aa018fec8e792110c04be",
+    },
+    "big_steps_beta1_5": {
+        "zeta": "f4c0ff8e18d8150510991263c7058015f56309a50efcc79df82f769268a55456",
+        "x": "b6652224b39c745dae00631fa7049a969a78381d21b1e277df02912ad16bcfee",
+        "y": "8716b55bbfb8340eca58c0a4ff4c24859746672d53c6cebd99b3feba1079a051",
+        "min_abs": "b316a8bee1eea318f982fc57a23e2ae42b88c109adfdbd28030cea96f325bb41",
+        "steps": "eda0b5533f3e98db8e5d7c8a609a98b16f86cc54d43530003a847f046a911a89",
+        "trajectory": "f30aa59f1d89fa26dab0b00294510c894859ca0baaaaab05734e5462a5d75bec",
     },
 }
 
