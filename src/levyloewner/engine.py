@@ -60,11 +60,14 @@ lanes something happened to, held as index sets: the lanes near 0 (hit
 checks), the lanes low enough to cross h = 0 (flip rule), and the lanes whose
 u crosses 0 in the drift (swallow bookkeeping).  A step in which no lane is
 near, low or crossing does no bookkeeping at all, and a step of real-axis
-lanes takes the real root.  Engine A runs one box test per grid step, right
-after the drift: the step's sub-increments move x by at most the scalar
-|d_cont| + |d_jump|, so a lane outside max(|x|, y) <= (max(min_abs, delta)
-+ |d_cont| + |d_jump|) * 1.000001 can fail no hit check and no flip rule of
-the step.  Its three endpoint checks and its sub-increments run on the
+lanes takes the real root.  An engine-B loop whose cells all start on the real
+axis keeps every lane there until it dies (the drift keeps c = 0, and each
+sub-increment moves x only), so it runs real-axis kernels with the same bits;
+engine B rebuilds its block bookkeeping only after a lane died.  Engine A runs
+one box test per grid step, right after the drift: the step's sub-increments
+move x by at most the scalar |d_cont| + |d_jump|, so a lane outside
+max(|x|, y) <= (max(min_abs, delta) + |d_cont| + |d_jump|) * 1.000001 can
+fail no hit check and no flip rule of the step.  Its three endpoint checks and its sub-increments run on the
 gathered candidates only, and every other lane takes two scalar subtracts.
 Both engines hold the live state in one array, one row per quantity, so
 that dropping the lanes that died is one call.
@@ -72,6 +75,7 @@ that dropping the lanes that died is one call.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -216,12 +220,12 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
     if beta == 2.0:
         u1 = u0 + 4.0 * dt
         neg = u0 < 0
-        if neg.any():
+        if np.count_nonzero(neg):
             cr = (neg & (u1 >= 0)).nonzero()[0]
             crossings.append((cr, -u0[cr] * 0.25))
             real = False
         else:
-            real = not c.any()
+            real = not np.count_nonzero(c)
     else:
         on_axis = c == 0.0
         # real axis: |x|^beta grows linearly at rate 2 beta
@@ -257,6 +261,17 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
     _slit_root(u1, c, x, y, real)
     if dead is not None:
         x[dead], y[dead] = x_dead, y_dead
+
+
+def _axis_drift(x, dt, beta):
+    """:func:`_drift_advance` on the real axis, where x*x > 0 and c = 0: u
+    takes the real closed form, no lane is swallowed and only x moves."""
+    u = x * x
+    if beta == 2.0:
+        u += 4.0 * dt
+    else:  # |x|^beta grows linearly at rate 2 beta
+        u = (u ** (beta / 2.0) + 2.0 * beta * dt) ** (2.0 / beta)
+    np.copysign(np.sqrt(u, out=u), x, out=x)
 
 
 def _rk4_drift(u0, c, dt, beta, sub, crossings):
@@ -331,7 +346,7 @@ def _apply_increment(x, y, du, is_continuous, t_next, delta, zeta, min_abs, aliv
         # the path crossed h = 0 inside the step if x changes sign at y <= delta
         low = ((y <= delta) & alive).nonzero()[0]
         x_old = x[low]
-    if alive.all():  # a masked subtract costs three plain ones
+    if np.count_nonzero(alive) == alive.size:  # a masked subtract costs three plain ones
         x -= du
     else:
         np.subtract(x, du, out=x, where=alive)
@@ -367,6 +382,28 @@ def _check_endpoint(x, y, t_now, delta, zeta, min_abs, alive, flip=None, reach=N
     if flip is not None and flip.size:
         zeta[flip] = _at(t_now, flip)
         alive[flip] = False
+
+
+def _axis_increment(x, du, is_continuous, t_now, delta, zeta, min_abs, alive, died):
+    """:func:`_apply_increment` on the real axis, given whether a lane died
+    earlier in the step (it keeps its x, min_abs <= |x| and zeta at t_now, so
+    one pass of |h| = hypot(x, 0) = |x| checks all lanes); returns whether one
+    has.  As y = 0 <= delta, x * sign(x before) <= delta is the flip rule or
+    |x| <= delta."""
+    if is_continuous:
+        s = np.sign(x)
+    if died:
+        np.subtract(x, du, out=x, where=alive)
+    else:
+        x -= du
+    ax = np.abs(x)
+    np.minimum(min_abs, ax, out=min_abs)
+    hit = (x * s if is_continuous else ax) <= delta
+    if not np.count_nonzero(hit):
+        return died
+    np.copyto(zeta, t_now, where=hit)
+    alive[hit] = False
+    return True
 
 
 def _land_step(x, y, dc, dj, t1, delta, zeta, min_abs, alive):
@@ -503,12 +540,22 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
 # engine B: independent-replica adaptive Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _live_draws(blocks, cut, dt=None):
-    """Per-lane raw variates of the live lanes, drawn block by block.
+def _draw_plan(blocks, lane, bounds):
+    """What :func:`_live_draws` draws for the ascending live lanes ``lane``:
+    their count, the draws per block, and a call (j, draw, whole, stream, lo,
+    hi) for draw j of each block b (of lanes [bounds[b], bounds[b + 1]), with
+    stream and draws ``blocks[b]``) whose live lanes ``lane[lo:hi]`` exist."""
+    cut = lane.searchsorted(bounds).tolist()
+    return lane.size, len(blocks[0][1]), [
+        (j, draw, whole, rng, lo, hi)
+        for (rng, draws), lo, hi in zip(blocks, cut[:-1], cut[1:]) if lo < hi
+        for j, (draw, whole) in enumerate(draws)]
 
-    ``blocks[b]`` is block b's (stream, draws), and its live lanes are the
-    positions ``cut[b]:cut[b + 1]`` of the live-lane arrays (lanes in
-    ascending order, so ``cut`` is a ``searchsorted`` of the block bounds).
+
+def _live_draws(plan, dt=None):
+    """Per-lane raw variates of the live lanes, drawn block by block as
+    ``plan`` (:func:`_draw_plan`) lists.
+
     Each draw has one buffer over all live lanes, and every block with a live
     lane fills its slice of each buffer once, in draw order, so one map can
     then turn the variates into increments for all live lanes at once, while
@@ -517,15 +564,13 @@ def _live_draws(blocks, cut, dt=None):
     ``whole``, a function ``draw(rng, m, dt_block)`` that returns the m
     variates of a block with m live lanes from its slice of ``dt``.
     """
-    out = [np.empty(cut[-1]) for _ in blocks[0][1]]
-    for (rng, draws), lo, hi in zip(blocks, cut[:-1], cut[1:]):
-        if lo == hi:
-            continue
-        for buf, (draw, whole) in zip(out, draws):
-            if whole:
-                buf[lo:hi] = draw(rng, hi - lo, None if dt is None else dt[lo:hi])
-            else:
-                draw(rng, out=buf[lo:hi])
+    m, k, calls = plan
+    out = [np.empty(m) for _ in range(k)]
+    for j, draw, whole, rng, lo, hi in calls:
+        if whole:
+            out[j][lo:hi] = draw(rng, hi - lo, None if dt is None else dt[lo:hi])
+        else:
+            draw(rng, out=out[j][lo:hi])
     return out
 
 
@@ -609,17 +654,19 @@ def _loop_key(spec: DriverSpec) -> str:
                  for c in spec.components])
 
 
-def _adaptive_tau(habs, beta, incs, coef):
+def _adaptive_tau(habs, beta, incs, coef, div):
     """Local timescale min(|h|^beta / (2 beta), tau_1(|h|), ...), where tau_j
     is the time over which component j's increment grows to the order of |h|
-    (``coef[j]`` holds its coefficient per lane).  The adaptive step is
-    dt_safety times this, which keeps every per-step displacement a fixed
-    fraction of |h| at all scales.  A compound Poisson part has no timescale:
-    its jump clock ends a step at the exact time of the jump."""
-    h_beta = habs ** beta
-    tau = h_beta / (2.0 * beta)
+    (``coef[j]`` holds its coefficient per lane; ``div`` folds the terms in
+    |h|^beta, see run_adaptive_cells).  The adaptive step is dt_safety times
+    this, which keeps every per-step displacement a fixed fraction of |h| at
+    all scales.  A compound Poisson part has no timescale: its jump clock ends
+    a step at the exact time of the jump."""
+    tau = np.power(habs, beta)  # the bits of habs ** beta, which maps only 0.5 to sqrt
+    tau /= div
     for inc, c in zip(incs, coef):
-        np.minimum(tau, (h_beta if inc.tau_pow == beta else habs ** inc.tau_pow) / c, out=tau)
+        if inc.tau_pow != beta:
+            np.minimum(tau, habs ** inc.tau_pow / c, out=tau)
     return tau
 
 
@@ -665,16 +712,20 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     The cells' drivers may differ in Brownian kappa and stable theta only
     (:func:`_loop_key`); the loop holds those coefficients, z0 and the hit
     tolerance per lane.  Each block keeps its (cell tag, block) stream, so
-    every cell's result is the one it gets alone.
+    every cell's result is the one it gets alone.  When every z0 is real the
+    lanes never leave the real axis, and the loop runs real-axis kernels to
+    the same bits; the live blocks and mask are rebuilt only after a death.
     """
     if not 1.0 < beta <= 2.0:
         raise ConfigError(f"beta must lie in (1,2], got {beta}")
     if n < 1:
         raise ConfigError("n must be at least 1")
-    if not horizon > 0:
-        raise ConfigError("horizon must be positive")
+    if not 0 < horizon < np.inf:
+        raise ConfigError(f"horizon must be positive and finite, got {horizon}")
     if not 0 < dt_safety < 1:
         raise ConfigError(f"dt_safety must lie in (0,1), got {dt_safety}")
+    if exit_radius is not None and not exit_radius > 0:
+        raise ConfigError(f"exit_radius must be positive, got {exit_radius}")
     if len({_loop_key(c.spec) for c in cells}) != 1:
         raise ConfigError("the cells of one loop may differ in Brownian kappa and stable theta only")
     z0 = np.array([complex(c.z0) for c in cells])
@@ -707,12 +758,15 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     clock_blocks = [(rng, [d for comp in clocks for d in _jump_clock(comp)]) for rng, _ in blocks]
     wait_scales = [1.0 / comp.rate for comp in clocks]
 
+    # real-axis kernels need x*x > 0: a live lane has |x| > delta, or |z0|
+    axis = not z0.imag.any() and min(np.abs(z0).min(), tol.min()) ** 2 > 0
+
     # state of the live lanes, in lane order (see _retire)
-    state = np.empty((9 + len(incs), k * n))
-    zeta, x, y, min_abs, exit_time, lane, t, delta, dt_floor, *coef = state
+    state = np.empty((10 + len(incs), k * n))
+    zeta, x, y, min_abs, exit_time, lane, t, delta, dt_floor, tau_div, *coef = state
     zeta[:] = exit_time[:] = np.nan
     x[:] = np.repeat(z0.real, n)
-    y[:] = np.repeat(z0.imag, n)
+    y[:] = 0.0 if axis else np.repeat(z0.imag, n)  # a first drift turns -0.0 into +0.0
     min_abs[:] = np.repeat([abs(z) for z in z0.tolist()], n)
     t[:] = 0.0
     delta[:] = np.repeat(tol, n)
@@ -720,52 +774,67 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     lane[:] = (stride * np.arange(k)[:, None] + np.arange(n)).ravel()
     for row, c in zip(coef, zip(*([inc.coef for inc in ci] for ci, _ in compiled))):
         row[:] = np.repeat(c, n)
+    # min(h / a, h / b) = h / max(a, b): rounded division is monotone in b
+    tau_div[:] = 2.0 * beta
+    for inc, row in zip(incs, coef):
+        if inc.tau_pow == beta:
+            np.maximum(tau_div, row, out=tau_div)
     out = np.empty((5, k * stride))  # zeta, x, y, min_abs, exit_time
     steps = np.empty(k * stride, dtype=np.int64)
     t_end = horizon * (1.0 - 1e-12)
 
     it = 0
+    died = True
     while lane.size:
         it += 1
         if it > _MAX_STEPS:
             raise NumericalError("adaptive evolution exceeded the step budget without resolving")
-        # hypot(x, 0) is |x| to the bit, and far dearer; phase lanes stay on
-        # the real axis
-        dt = _adaptive_tau(np.hypot(x, y) if y.any() else np.abs(x), beta, incs, coef)
+        if died:  # the live blocks and the mask change only when lanes die
+            clock_plan, plan = (_draw_plan(b, lane, bounds) for b in (clock_blocks, blocks))
+            alive = np.ones(lane.size, dtype=bool)
+        # hypot(x, 0) is |x| to the bit, and far dearer
+        habs = np.abs(x) if axis or not np.count_nonzero(y) else np.hypot(x, y)
+        dt = _adaptive_tau(habs, beta, incs, coef, tau_div)
         dt *= dt_safety
         np.maximum(dt, dt_floor, out=dt)
         np.minimum(dt, horizon - t, out=dt)
         if horizon > _DT_MAX:  # else horizon - t is the tighter cap
             np.minimum(dt, _DT_MAX, out=dt)
-        cut = lane.searchsorted(bounds).tolist()
-        clock = _live_draws(clock_blocks, cut) if clocks else []
+        clock = _live_draws(clock_plan) if clocks else []
         waits, sizes = clock[::2], clock[1::2]
         for wait, scale in zip(waits, wait_scales):
             wait *= scale  # as Generator.exponential scales its variates
             np.minimum(dt, wait, out=dt)
-        raws = iter(_live_draws(blocks, cut, dt))
+        raws = iter(_live_draws(plan, dt))
 
-        alive = np.ones(lane.size, dtype=bool)
-        _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive)
+        if axis:
+            _axis_drift(x, dt, beta)
+        else:
+            _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive)
         t += dt  # the increments land at the step's end
-        for inc, c in zip(incs, coef):
-            raw = [next(raws) for _ in inc.draws]
-            _apply_increment(x, y, inc.increments(raw, dt, c), inc.is_continuous, t,
-                             delta, zeta, min_abs, alive)
-        # a lane whose wait ended its step jumps at the step's end
-        for wait, size in zip(waits, sizes):
-            _apply_increment(x, y, np.where(wait == dt, size, 0.0), False, t,
-                             delta, zeta, min_abs, alive)
+        # the sub-increments, then a jump where a lane's wait ended its step;
+        # each is made as it lands, so that one is held at a time
+        subs = itertools.chain(
+            ((inc.increments([next(raws) for _ in inc.draws], dt, c), inc.is_continuous)
+             for inc, c in zip(incs, coef)),
+            ((np.where(wait == dt, size, 0.0), False) for wait, size in zip(waits, sizes)))
+        died = False
+        for du, is_continuous in subs:
+            if axis:
+                died = _axis_increment(x, du, is_continuous, t, delta, zeta, min_abs, alive, died)
+            else:
+                _apply_increment(x, y, du, is_continuous, t, delta, zeta, min_abs, alive)
         if exit_radius is not None:
             fresh = (alive & np.isnan(exit_time) & (np.hypot(x, y) >= exit_radius)).nonzero()[0]
             exit_time[fresh] = t[fresh]
         alive &= t < t_end
 
-        if not alive.all():
+        died = np.count_nonzero(alive) < lane.size
+        if died:
             state, done = _retire(state, alive, out)
             # a hit lane stopped inside this iteration, a censored one after it
             steps[done] = it - 1 + np.isnan(out[0, done])
-            zeta, x, y, min_abs, exit_time, lane, t, delta, dt_floor, *coef = state
+            zeta, x, y, min_abs, exit_time, lane, t, delta, dt_floor, tau_div, *coef = state
 
     z0s, tols = np.repeat(z0, stride), np.repeat(tol, stride)
     return [LaneResult(z0s[sl], *out[:4, sl], steps[sl], tols[sl],

@@ -43,7 +43,7 @@ from .drivers import (
     _stable_map,
     sample_driver,
 )
-from .engine import (BLOCK, Cell, _live_draws, _loop_key, default_hit_tolerance,
+from .engine import (BLOCK, Cell, _draw_plan, _live_draws, _loop_key, default_hit_tolerance,
                      run_adaptive_cells, run_adaptive_mc)
 from .errors import ConfigError, StatisticalError
 from .loewner import EvolutionConfig, connected_components, raster_cluster
@@ -364,7 +364,13 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
         sides[lane[idx]] = side
         positions[lane[idx]] = where
 
+    dropped = True
     while lane.size:
+        if dropped:  # the live blocks and the mask change only when replicas exit
+            plan = _draw_plan(blocks, lane, bounds)
+            # every sub-update moves every replica; one that exits is marked
+            # inactive, its exit written, and its x no longer read
+            active = np.ones(lane.size, dtype=bool)
         ax = np.abs(x)
         d = np.minimum(ax - a, b - ax)
         tau = ax * np.maximum(b - ax, 1e-12) / 2.0  # drift time to reach b
@@ -375,10 +381,7 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
         # horizon - t, positive for a live replica, caps dt below horizon too
         dt = np.maximum(0.1 * tau, dt_floor)
         np.minimum(dt, horizon - t, out=dt)
-        raws = iter(_live_draws(blocks, lane.searchsorted(bounds).tolist()))
-        # every sub-update moves every replica; one that exits is marked
-        # inactive, its exit written, and its x no longer read
-        active = np.ones(lane.size, dtype=bool)
+        raws = iter(_live_draws(plan))
 
         # drift: |x| grows, may cross b continuously -> atom at sign(x)*b
         sign = np.sign(x)
@@ -409,7 +412,8 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
 
         t += dt
         active &= t < horizon * (1 - 1e-12)
-        if not active.all():
+        dropped = np.count_nonzero(active) < lane.size
+        if dropped:
             lane, x, t = lane[active], x[active], t[active]
     return sides, positions
 

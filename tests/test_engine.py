@@ -4,8 +4,10 @@ that the golden CLI artifacts do not reach, and one stable map per lockstep
 iteration."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -174,6 +176,17 @@ AXIS_PINNED = {
     "theta0": "89a2631c81bbe4d54db3713a57a330722cf10156caf6dbb5884117a882aa41b8",
 }
 
+# More runs that start on the real axis (x86-64, numpy 2.4), recorded before
+# real-axis loops took real-axis arithmetic: a loop whose cells mix a real and
+# an off-axis z0, which therefore keeps the general path; a composite cell,
+# whose jump clock lands its jumps on the axis; and the flip rule at beta =
+# 1.5.  700 replicas each.
+AXIS_PINNED.update({
+    "mixed_z0": "69427d1d5ddd811ae11da30d2909d6e41e9f92c13f44cf9dcec96fc247aba7c7",
+    "composite": "381f9ae085c602c016a5db582202d3b1cc93b7bfb4c2b89b9a387f92e827f6d5",
+    "kappa_stable_beta1_5": "fc7d9b755a7007ac619f8cdf18f55ad690251e466721e10061af3b986686fe35",
+})
+
 
 def _axis_run(case):
     if case == "kappa_stable":
@@ -183,6 +196,17 @@ def _axis_run(case):
         res = run_adaptive_mc(DriverSpec((Brownian(8.0),)), 1.0, 700, 20.0, master_seed=2028,
                               tag="pin-bessel", exit_radius=4.0)
         return _digest([res], FIELDS + ("exit_time",))
+    if case == "mixed_z0":
+        cells = [Cell(DriverSpec((Brownian(8.0), Stable(1.5, 1.0))), 1.0, ("pin-mixed", 0)),
+                 Cell(DriverSpec((Brownian(4.0), Stable(1.5, 0.5))), 0.5 + 0.3j, ("pin-mixed", 1))]
+        return _digest(run_adaptive_cells(cells, 700, 20.0, master_seed=2028))
+    if case == "composite":
+        res = run_adaptive_mc(COMPOSITE, 1.0, 700, 5.0, master_seed=2028, tag="pin-axis-composite",
+                              exit_radius=4.0)
+        return _digest([res], FIELDS + ("exit_time",))
+    if case == "kappa_stable_beta1_5":
+        cells = [Cell(DriverSpec((Brownian(k), Stable(1.5, 1.0))), 1.0, ("pin-axis-beta", k)) for k in (2.0, 8.0)]
+        return _digest(run_adaptive_cells(cells, 700, 20.0, master_seed=2028, beta=1.5))
     cells = [Cell(DriverSpec((Stable(1.5, th),)), 0.5, ("pin-theta0", th), 1e-5) for th in (0.5, 1.0, 2.0)]
     return _digest(run_adaptive_cells(cells, 700, 50.0, master_seed=2028, beta=1.5))
 
@@ -206,6 +230,40 @@ def test_stable_map_runs_once_per_iteration(monkeypatch):
     iterations = max(int((r.steps + r.hit).max()) for r in res)
     assert len(calls) == iterations
     assert calls[0] == 3 * 700
+
+
+def test_death_free_iteration_call_budget():
+    # Python-level calls (profiler "call" and "c_call" events) per lockstep
+    # iteration in which no lane dies, on one real-axis block: a guard on the
+    # fixed cost per iteration that needs no timer.  The count includes
+    # numpy's Python wrappers (such as _methods._all and numeric.ones), so it
+    # depends on the numpy version, as the byte pins do (numpy 2.4); ufunc
+    # operators do not show.  It read 47-53 (53 at most) before real-axis
+    # loops took real-axis arithmetic and rebuilt their block bookkeeping only
+    # after a death.  An iteration runs from one _live_draws call to the next.
+    iterations, calls, died = [], 0, False
+
+    def profile(frame, event, arg):
+        nonlocal calls, died
+        if event == "call" and frame.f_code is engine._live_draws.__code__:
+            iterations.append((calls, died))
+            calls, died = 0, False
+        if event in ("call", "c_call"):
+            calls += 1
+            died = died or (event == "call" and frame.f_code is engine._retire.__code__)
+
+    cell = Cell(DriverSpec((Brownian(8.0), Stable(1.5, 1.0))), 1.0, "budget")
+    gc.collect()  # no finalizer of another test's garbage runs inside the count
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        run_adaptive_cells([cell], 256, 5.0, master_seed=1)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    death_free = [c for c, d in iterations[1:] if not d]
+    assert len(death_free) > 100
+    assert max(death_free) <= 31
 
 
 def test_compound_poisson_jumps_at_exact_event_times():
@@ -479,6 +537,19 @@ def test_path_rejects_bad_hit_tolerance(tol):
 def test_mc_rejects_bad_hit_tolerance(tol):
     with pytest.raises(ConfigError):
         run_adaptive_mc(DRIVERS["brownian"], 1.0, 16, 1.0, master_seed=1, tag="bad", hit_tolerance=tol)
+
+
+@pytest.mark.parametrize("exit_radius", [0.0, -1.0, np.nan])
+def test_mc_rejects_bad_exit_radius(exit_radius):
+    # 0 or below would mark every lane as exited at its first step, NaN none
+    with pytest.raises(ConfigError, match="exit_radius"):
+        run_adaptive_mc(DRIVERS["brownian"], 1.0, 16, 1.0, master_seed=1, tag="bad", exit_radius=exit_radius)
+
+
+@pytest.mark.parametrize("horizon", [np.inf, 0.0, -1.0, np.nan])
+def test_mc_rejects_bad_horizon(horizon):
+    with pytest.raises(ConfigError, match="horizon"):
+        run_adaptive_mc(DRIVERS["brownian"], 1.0, 16, horizon, master_seed=1, tag="bad")
 
 
 @pytest.mark.parametrize("dt_safety", [0.0, -0.1, 1.0, np.nan])
