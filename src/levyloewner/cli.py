@@ -35,7 +35,7 @@ from .experiments import (
     theta0_bracket,
     PhaseParams,
 )
-from .loewner import EvolutionConfig, evolve_point, raster_cluster
+from .loewner import EvolutionConfig, raster_cluster
 from .output import (
     driver_path_rows,
     json_dump,
@@ -363,15 +363,16 @@ def _run_trace(cfg: RunConfig, out: Path) -> list[str]:
     spec = _driver_spec_from(p)
     path = sample_driver(spec, p["horizon"], cfg.seed, replica=0, dt=p["path_dt"])
     z0 = complex(p["z0"][0], p["z0"][1])
-    ecfg = EvolutionConfig(p["horizon"], hit_tolerance=p["hit_tolerance"] or None, beta=p["beta"])
-    outcome = evolve_point(z0, path, ecfg)
+    # the raster keeps its geometry-aware cell tolerance; the point rides in
+    # its engine call with its own
+    raster = raster_cluster(tuple(p["window"]), tuple(p["resolution"]), path,
+                            EvolutionConfig(p["horizon"], beta=p["beta"]),
+                            track=(z0, p["hit_tolerance"] or None))
+    outcome = raster.tracked
     traj = outcome.trajectory
     write_csv(out / "trajectory.csv", ["t", "re_h", "im_h", "u"], map(tuple, traj.tolist()))
     (out / "trajectory.svg").write_text(render_trajectory_svg(traj), encoding="ascii")
     write_csv(out / "driver.csv", ["t", "u", "is_jump", "jump_size"], driver_path_rows(path))
-    # the raster keeps its geometry-aware cell tolerance
-    raster = raster_cluster(tuple(p["window"]), tuple(p["resolution"]), path,
-                            EvolutionConfig(p["horizon"], beta=p["beta"]))
     write_csv(out / "cluster.csv", ["x", "y", "zeta_or_inf"], raster_rows(raster))
     (out / "cluster.svg").write_text(render_raster_svg(raster), encoding="ascii")
     summary = {

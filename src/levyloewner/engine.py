@@ -67,10 +67,18 @@ engine B rebuilds its block bookkeeping only after a lane died.  Engine A runs
 one box test per grid step, right after the drift: the step's sub-increments
 move x by at most the scalar |d_cont| + |d_jump|, so a lane outside
 max(|x|, y) <= (max(min_abs, delta) + |d_cont| + |d_jump|) * 1.000001 can
-fail no hit check and no flip rule of the step.  Its three endpoint checks and its sub-increments run on the
-gathered candidates only, and every other lane takes two scalar subtracts.
-Both engines hold the live state in one array, one row per quantity, so
-that dropping the lanes that died is one call.
+fail no hit check and no flip rule of the step, and takes two scalar
+subtracts.  A lane that keeps no running minimum of |h| (``track_min``, as
+for raster cells) holds min_abs = 0, so its box reaches only its tolerance
+plus the step's shifts.  The gathered candidates take the step's three
+check points (after the drift, after the continuous sub-increment with the
+flip rule, after the jump sub-increment) in one elementwise pass each, with
+no further box test or index set: a candidate outside a check's near box
+max(|x|, y) <= max(min_abs, delta) has hypot(x, y) >= that box, so folding
+its |h| into min_abs changes nothing and cannot hit.
+:func:`_check_endpoint` and :func:`_apply_increment` serve engine B's
+off-axis loops only.  Both engines hold the live state in one array, one row
+per quantity, so that dropping the lanes that died is one call.
 """
 
 from __future__ import annotations
@@ -120,7 +128,7 @@ class LaneResult:
     zeta: np.ndarray        # hit time; NaN when censored
     x: np.ndarray           # final h (meaningful for censored lanes)
     y: np.ndarray
-    min_abs: np.ndarray
+    min_abs: np.ndarray     # running minimum of |h|; 0 where not kept (track_min)
     steps: np.ndarray
     hit_tolerance: np.ndarray
     exit_time: np.ndarray | None = None  # first |h| >= exit_radius, if tracked
@@ -211,7 +219,7 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
     elementwise update, work scales with the lanes that cross u = 0: the
     crossing and swallow bookkeeping runs only when some lane crosses, which
     a real-axis lane never does, and the beta < 2 axis and off-axis groups
-    are updated by index.
+    are updated by index when some lane sits on an axis.
     """
     u0 = x * x - y * y
     c = x * y
@@ -226,6 +234,9 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
             real = False
         else:
             real = not np.count_nonzero(c)
+    elif not np.count_nonzero(c == 0.0):  # every lane off the axes
+        u1 = _rk4_drift(u0, c, dt, beta, None, crossings)
+        real = False
     else:
         on_axis = c == 0.0
         # real axis: |x|^beta grows linearly at rate 2 beta
@@ -276,9 +287,9 @@ def _axis_drift(x, dt, beta):
 
 def _rk4_drift(u0, c, dt, beta, sub, crossings):
     """u at the end of the step: u0 on every lane but the off-axis lanes
-    ``sub``, which each take their own RK4 substep count; append their
-    crossings of u = 0 to ``crossings``."""
-    whole = sub.size == u0.size
+    ``sub`` (None: every lane), which each take their own RK4 substep count;
+    append their crossings of u = 0 to ``crossings``."""
+    whole = sub is None
     u, cs, dts = (u0, c, dt) if whole else (u0[sub], c[sub], _at(dt, sub))
     # substep count from the relative motion rel of |h|^2 over the step.
     # rel <= 0.05 (one substep) once |h|^2 >= (80 dt)^(2 / beta), and |h|^2 =
@@ -295,21 +306,34 @@ def _rk4_drift(u0, c, dt, beta, sub, crossings):
     c2 = 4.0 * cs * cs
     pow_ = (2.0 - beta) / 4.0
 
-    def f(v, cw):
-        return 4.0 * (v * v + cw) ** pow_
-
     def substep(k, lanes, u_lo, h, cw):
-        """RK4 substep k of the lanes ``lanes``."""
-        k1 = f(u_lo, cw)
-        k2 = f(u_lo + 0.5 * h * k1, cw)
-        k3 = f(u_lo + 0.5 * h * k2, cw)
-        k4 = f(u_lo + h * k3, cw)
-        u_hi = u_lo + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        """RK4 substep k of the lanes ``lanes`` (None: all).
+
+        A stage takes g = (v*v + cw)^pow_, the slope du/dt over 4; the 4 and
+        the 1/2 ride on the step scalars 2h, 4h and 4 fl(h/6) instead.  Those
+        scalings by powers of two are exact (and 4g cannot overflow, as
+        g <= DBL_MAX^(1/4)), so every product, and u_hi, keeps the bits of the
+        slope's form u_lo + h/6 (k1 + 2k2 + 2k3 + k4) with k = 4g."""
+        h2, h4, h6 = 2.0 * h, 4.0 * h, 4.0 * (h / 6.0)
+        g, v, acc = np.empty_like(u_lo), np.empty_like(u_lo), np.zeros_like(u_lo)
+        arg = u_lo
+        for scale, weight in ((h2, 1.0), (h2, 2.0), (h4, 2.0), (None, 1.0)):
+            np.multiply(arg, arg, out=g)
+            g += cw
+            np.power(g, pow_, out=g)
+            if scale is not None:  # the next stage's argument
+                arg = np.multiply(scale, g, out=v)
+                arg += u_lo
+            if weight != 1.0:
+                g *= weight
+            acc += g  # ((g1 + 2 g2) + 2 g3) + g4
+        acc *= h6
+        u_hi = np.add(u_lo, acc, out=acc)
         # u only increases, so a lane crosses 0 in one substep at most
         just = ((u_lo < 0) & (u_hi >= 0)).nonzero()[0]
         if just.size:
             frac = -u_lo[just] / np.maximum(u_hi[just] - u_lo[just], 1e-300)
-            crossings.append((lanes[just], (k + frac) * _at(h, just)))
+            crossings.append((just if lanes is None else lanes[just], (k + frac) * _at(h, just)))
         return u_hi
 
     # the first substep over every lane without a gather, then the lanes that
@@ -322,7 +346,7 @@ def _rk4_drift(u0, c, dt, beta, sub, crossings):
         order = np.argsort(-nsub)
         nsub, more = nsub[order], many[more][order]
         width = np.searchsorted(-nsub, -np.arange(2, nsub[0] + 1), side="right")
-        lanes, u_m, h_m, c_m = sub[more], u_hi[more], h[more], c2[more]
+        lanes, u_m, h_m, c_m = more if whole else sub[more], u_hi[more], h[more], c2[more]
         for k, w in enumerate(width.tolist(), start=1):
             u_m[:w] = substep(k, lanes, u_m[:w], h_m[:w], c_m[:w])
         u_hi[more] = u_m
@@ -333,10 +357,10 @@ def _rk4_drift(u0, c, dt, beta, sub, crossings):
     return u1
 
 
-def _apply_increment(x, y, du, is_continuous, t_next, delta, zeta, min_abs, alive, reach=None):
+def _apply_increment(x, y, du, is_continuous, t_next, delta, zeta, min_abs, alive):
     """Shift x by -du on alive lanes and run the hit checks at t_next.  du,
-    t_next and delta are per-lane arrays or scalars; ``reach`` is passed to
-    :func:`_check_endpoint`.  Mutates x, zeta, min_abs, alive.
+    t_next and delta are per-lane arrays or scalars.  Mutates x, zeta,
+    min_abs, alive.
 
     Beyond the shift itself, work scales with the lanes low enough to cross
     h = 0 (y <= delta, for a continuous increment) and with the lanes near 0
@@ -352,26 +376,21 @@ def _apply_increment(x, y, du, is_continuous, t_next, delta, zeta, min_abs, aliv
         np.subtract(x, du, out=x, where=alive)
     if is_continuous and low.size:
         flip = low[np.sign(x_old) * np.sign(x[low]) < 0]
-    _check_endpoint(x, y, t_next, delta, zeta, min_abs, alive, flip, reach)
+    _check_endpoint(x, y, t_next, delta, zeta, min_abs, alive, flip)
 
 
-def _check_endpoint(x, y, t_now, delta, zeta, min_abs, alive, flip=None, reach=None):
+def _check_endpoint(x, y, t_now, delta, zeta, min_abs, alive, flip=None):
     """Fold |h| into min_abs and mark the lanes with |h| <= delta, and the
     live lanes of the index array ``flip``, dead at t_now.  Mutates zeta,
     min_abs, alive.
 
-    One box test runs over the lanes given (every live lane in engine B, the
-    candidates of a step's box test in engine A); the rest works on the index
-    set of the near lanes, and returns early when there is none.  ``reach``
-    may hold max(min_abs, delta) from earlier in the step: min_abs only
-    falls, so a stale value only adds near lanes whose minimum stays put."""
+    One box test runs over every live lane; the rest works on the index set
+    of the near lanes, and returns early when there is none."""
     # |h| rounds to no less than max(|x|, |y|), so only lanes in that box can
     # set a new minimum of |h| or come within delta; y >= +0 on every lane
     box = np.abs(x)
     np.maximum(box, y, out=box)
-    if reach is None:
-        reach = np.maximum(min_abs, delta)
-    near = ((box <= reach) & alive).nonzero()[0]
+    near = ((box <= np.maximum(min_abs, delta)) & alive).nonzero()[0]
     if near.size:
         habs = np.hypot(x[near], y[near])
         min_abs[near] = np.minimum(min_abs[near], habs)
@@ -412,8 +431,11 @@ def _land_step(x, y, dc, dj, t1, delta, zeta, min_abs, alive):
     with their checks.  Mutates x, zeta, min_abs, alive.
 
     One box test finds the candidates, the lanes that a check of the step can
-    touch (see the module docstring); the checks run on those alone, and
-    every other lane takes the two subtracts."""
+    touch (see the module docstring), and every other lane takes the two
+    subtracts.  The candidates take the step's check points in turn, one pass
+    each: |h| is folded into min_abs on the lanes still live, which die at
+    |h| <= delta (or by the flip rule) and keep the x of the check that
+    stopped them."""
     box = np.abs(x)
     np.maximum(box, y, out=box)
     wide = np.maximum(min_abs, delta)
@@ -422,20 +444,42 @@ def _land_step(x, y, dc, dj, t1, delta, zeta, min_abs, alive):
     cand = (box <= wide).nonzero()[0]
     del box, wide  # freed before the gathers
     if cand.size:
-        cx, cy, cz, cm, ct, ca = x[cand], y[cand], zeta[cand], min_abs[cand], delta[cand], alive[cand]
+        cx, cy, cm, ct, was = x[cand], y[cand], min_abs[cand], delta[cand], alive[cand]
     # lanes swallowed in the drift keep their place
     where = True if alive.all() else alive
     for d in (dc, dj):
         if d != 0.0:
             np.subtract(x, d, out=x, where=where)
-    if cand.size:
-        reach = np.maximum(cm, ct)
-        _check_endpoint(cx, cy, t1, ct, cz, cm, ca, reach=reach)
-        if dc != 0.0:
-            _apply_increment(cx, cy, dc, True, t1, ct, cz, cm, ca, reach)
-        if dj != 0.0:
-            _apply_increment(cx, cy, dj, False, t1, ct, cz, cm, ca, reach)
-        x[cand], zeta[cand], min_abs[cand], alive[cand] = cx, cz, cm, ca
+    if not cand.size:
+        return
+    live = was.copy()
+    habs = np.empty(cand.size)
+    keep = np.empty(cand.size, dtype=bool)
+    # the check points: after the drift, then after dc (with the flip rule)
+    # and after dj where they move x
+    for d, continuous in ((None, False), (dc, True), (dj, False)):
+        if d == 0.0:
+            continue
+        if continuous:
+            # x - dc has the sign of the exact difference, so x changes sign
+            # exactly when it lies strictly between 0 and dc
+            lo, hi = (0.0, d) if d > 0.0 else (d, 0.0)
+            no_flip = (cx <= lo) | (cx >= hi) | (cy > ct)
+        if d is not None:
+            np.subtract(cx, d, out=cx, where=live)
+        # a lane outside the near box max(|x|, y) <= max(min_abs, delta) has
+        # hypot >= that box, so the fold and the test leave it as it is
+        np.hypot(cx, cy, out=habs)
+        np.minimum(cm, habs, out=cm, where=live)
+        np.greater(habs, ct, out=keep)
+        if continuous:
+            keep &= no_flip
+        live &= keep
+    x[cand], min_abs[cand] = cx, cm
+    dead = cand[was != live]
+    if dead.size:
+        zeta[dead] = t1
+        alive[dead] = False
 
 
 def _retire(state, alive, out):
@@ -459,7 +503,7 @@ def _retire(state, alive, out):
 # ---------------------------------------------------------------------------
 
 def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=None,
-                         beta: float = 2.0, record_trajectory: bool = False):
+                         beta: float = 2.0, record_trajectory: bool = False, track_min=True):
     """Evolve many tracked points along one sampled driver path.
 
     The driver is held constant between grid points (its cadlag value), the
@@ -470,6 +514,12 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
     on its own point and tolerance only, at every beta.  Returns a
     :class:`LaneResult` (and a trajectory array when requested: columns
     t, Re h, Im h, U for the first lane, frozen once it dies).
+
+    ``track_min`` (a bool, or one per lane) says which lanes keep the running
+    minimum of |h| in min_abs; the others read 0 there.  Nothing else
+    depends on it, but a lane that keeps no minimum enters a grid step's box
+    test only within its tolerance plus the step's reach, not at every new
+    minimum of |h| near the hull.
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
     if np.any(z0 == 0):
@@ -497,7 +547,7 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
     zeta[:] = np.nan
     x[:] = z0.real
     y[:] = z0.imag
-    min_abs[:] = np.abs(z0)
+    min_abs[:] = np.where(track_min, np.abs(z0), 0.0)
     tol[:] = delta
     lane[:] = np.arange(n)
     out = np.empty((4, n))

@@ -349,7 +349,7 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
         draws.append((np.random.Generator.standard_normal, False))
     if theta > 0:
         draws += [(d, False) for d in _stable_draws(alpha)]
-    blocks = [(stream(seed, "overshoot", blk, str(a), str(b)), draws) for blk in range(-(-n // BLOCK))]
+    blocks = [(stream(seed, "overshoot", blk, float(a), float(b)), draws) for blk in range(-(-n // BLOCK))]
     bounds = BLOCK * np.arange(len(blocks) + 1)
     sides = np.zeros(n, dtype=np.int8)  # 0 censored, 1 inner, 2 outer
     positions = np.full(n, np.nan)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import DriverPath
-from .engine import evolve_lanes_on_path
+from .engine import default_hit_tolerance, evolve_lanes_on_path
 from .errors import ConfigError
 
 __all__ = [
@@ -90,15 +90,22 @@ def evolve_point(z0: complex, path: DriverPath, cfg: EvolutionConfig) -> Hitting
         np.asarray([z0], dtype=complex), path, cfg.horizon,
         hit_tolerance=cfg.hit_tolerance, beta=cfg.beta, record_trajectory=True,
     )
+    return _lane0_outcome(res, traj, cfg.horizon)
+
+
+def _lane0_outcome(res, traj, horizon: float) -> HittingOutcome:
+    """The outcome of lane 0 of an engine-A run that recorded its trajectory:
+    the rows up to the step that stopped the lane, as a run of lane 0 alone
+    records them."""
     hit = not np.isnan(res.zeta[0])
     return HittingOutcome(
         z0=complex(res.z0[0]),
         zeta=float(res.zeta[0]) if hit else None,
-        censored_at=None if hit else cfg.horizon,
+        censored_at=None if hit else horizon,
         steps_taken=int(res.steps[0]),
         min_abs_h=float(res.min_abs[0]),
         h_final=None if hit else complex(res.x[0], res.y[0]),
-        trajectory=traj,
+        trajectory=traj[:res.steps[0] + 1],
     )
 
 
@@ -208,13 +215,15 @@ def raster_cell_tolerance(cell_w: float, cell_h: float, centers_y: np.ndarray) -
 class ClusterRaster:
     """zeta-values of the flow over a rectangular window of the closed upper
     half-plane; thresholding zeta <= t yields the cluster raster at time t
-    (nested in t by construction)."""
+    (nested in t by construction).  ``tracked`` holds the outcome of a point
+    evolved alongside the cells, as :func:`evolve_point` gives it."""
 
     window: tuple[float, float, float, float]  # (x0, x1, y0, y1)
     resolution: tuple[int, int]                # (nx, ny)
     zeta: np.ndarray                           # shape (ny, nx); inf = censored, NaN = not evolved
     horizon: float
     cell_tolerance: np.ndarray
+    tracked: HittingOutcome | None = None      # the point of raster_cluster(track=...), if any
 
     @property
     def xs(self) -> np.ndarray:
@@ -235,7 +244,7 @@ class ClusterRaster:
 
 
 def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig,
-                   radius: float | None = None) -> ClusterRaster:
+                   radius: float | None = None, track=None) -> ClusterRaster:
     """Evolve the center of every window cell along one path under cfg.beta.
 
     Cells within the hit tolerance of the origin are marked hit at 0+ by
@@ -243,6 +252,15 @@ def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig,
     :func:`raster_cell_tolerance`; a number is used for every cell.  With a
     ``radius``, only the cells whose center has ``np.hypot(x, y) <= radius``
     are evolved; the others read NaN, hit at no time.
+
+    ``track`` = (z0, hit tolerance or None) evolves z0 in the same engine
+    call, as one more lane with that tolerance (None: the per-point default),
+    and returns its outcome, trajectory included, as ``tracked``: it equals
+    ``evolve_point(z0, path, EvolutionConfig(cfg.horizon, tolerance,
+    cfg.beta))``, since a lane's result depends on its own point and
+    tolerance only.  The cells keep no running minimum of |h|, which they
+    do not report; that spares the hit checks of the cells at a new minimum
+    near the hull (``track_min`` of :func:`evolve_lanes_on_path`).
     """
     x0, x1, y0, y1 = map(float, window)
     nx, ny = map(int, resolution)
@@ -267,14 +285,26 @@ def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig,
         outside = np.hypot(gx, gy).ravel() > radius
         zeta[outside] = np.nan
         todo &= ~outside
-    res = evolve_lanes_on_path(centers[todo], path, cfg.horizon,
-                               hit_tolerance=tol[todo], beta=cfg.beta)
-    z = res.zeta.copy()
+    lanes, lane_tol = centers[todo], tol[todo]
+    k = int(track is not None)  # the tracked point, if any, is lane 0
+    if k:
+        z_track, tol_track = track
+        lanes = np.concatenate([[z_track], lanes])
+        lane_tol = np.concatenate([[default_hit_tolerance(z_track) if tol_track is None else tol_track],
+                                   lane_tol])
+    # a cell reads zeta only, so only the tracked point keeps min |h|
+    res = evolve_lanes_on_path(lanes, path, cfg.horizon, hit_tolerance=lane_tol, beta=cfg.beta,
+                               record_trajectory=bool(k), track_min=np.arange(lanes.size) < k)
+    tracked = None
+    if k:
+        res, traj = res
+        tracked = _lane0_outcome(res, traj, cfg.horizon)
+    z = res.zeta[k:].copy()
     z[np.isnan(z)] = np.inf
     zeta[todo] = z
     return ClusterRaster(window=(x0, x1, y0, y1), resolution=(nx, ny),
                          zeta=zeta.reshape(ny, nx), horizon=cfg.horizon,
-                         cell_tolerance=tol.reshape(ny, nx))
+                         cell_tolerance=tol.reshape(ny, nx), tracked=tracked)
 
 
 def connected_components(raster: ClusterRaster, t: float) -> int:

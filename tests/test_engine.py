@@ -523,6 +523,25 @@ def test_path_lanes_do_not_depend_on_other_lanes(case):
         np.testing.assert_array_equal(getattr(full, f)[keep], getattr(part, f), err_msg=f)
 
 
+@pytest.mark.parametrize("case", sorted(PATH_CASES))
+def test_lanes_without_a_running_minimum_keep_their_hits(case):
+    # track_min narrows the box test of the lanes that keep no minimum of |h|
+    # to their tolerance plus the step's reach; that moves no hit, no x, y or
+    # step count, and the lanes that keep a minimum keep its bits
+    full, traj = _path_run(case)
+    spec, beta, path_horizon, dt, first, horizon = PATH_CASES[case]
+    z, tol = _path_lanes(first)
+    keep = np.arange(z.size) % 7 == 0
+    part, part_traj = evolve_lanes_on_path(z, sample_driver(spec, path_horizon, 2026, dt=dt), horizon,
+                                           hit_tolerance=tol, beta=beta, record_trajectory=True,
+                                           track_min=keep)
+    for f in ("zeta", "x", "y", "steps"):
+        np.testing.assert_array_equal(getattr(part, f), getattr(full, f), err_msg=f)
+    np.testing.assert_array_equal(part_traj, traj)
+    assert part.min_abs[keep].tobytes() == full.min_abs[keep].tobytes()
+    assert not part.min_abs[~keep].any()
+
+
 BAD_TOLERANCES = [0.0, -1e-3, np.nan, np.inf]
 
 
@@ -563,3 +582,105 @@ def test_path_rejects_non_positive_horizon(horizon):
     path = sample_driver(DRIVERS["brownian"], 1.0, 1, dt=0.01)
     with pytest.raises(ConfigError):
         evolve_lanes_on_path([0.5 + 0.5j], path, horizon)
+
+
+def _one_step(z0, dt, d_cont, d_jump, tol):
+    """One grid step [0, dt] of one lane at beta = 2: the engine's outcome
+    and, in the documented order, the drift's end state and the step's
+    exact sub-increments."""
+    path = DriverPath(np.array([0.0, dt]), np.array([0.0, d_cont + d_jump]), "one-step",
+                      continuous=np.array([0.0, d_cont]))
+    dc, dj = (float(d[0]) for d in path.increments())
+    res = evolve_lanes_on_path([z0], path, dt, hit_tolerance=tol)
+    # the drift: u + 2ic -> u + 4 dt + 2ic, rooted on the upper branch
+    x, y = z0.real, z0.imag
+    w = np.sqrt(complex(x * x - y * y + 4.0 * dt, 2.0 * abs(x * y)))
+    return res, float(np.copysign(w.real, x)), w.imag, dc, dj
+
+
+def _lane(res):
+    return float(res.zeta[0]), float(res.x[0]), float(res.min_abs[0])
+
+
+def test_landing_order_swallowed_in_the_drift():
+    # u = x^2 - y^2 crosses 0 at s = -u / 4 with |h| = sqrt(2|c|) <= delta:
+    # the lane dies there with its pre-drift x and takes none of the checks
+    z0 = 0.001 + 0.05j
+    res, *_ = _one_step(z0, 1e-3, 0.3, 0.2, 0.02)
+    u, c = z0.real ** 2 - z0.imag ** 2, z0.real * z0.imag
+    assert _lane(res) == (-u * 0.25, z0.real, min(abs(z0), np.sqrt(2.0 * abs(c))))
+
+
+def test_landing_order_hit_right_after_the_drift():
+    # u stays below 0 and |h| shrinks to 0.011 <= delta: the check after the
+    # drift stops the lane before either sub-increment moves it
+    z0 = 0.001 + 0.03j
+    res, x1, y1, _, _ = _one_step(z0, 2e-4, 0.5, 0.2, 0.02)
+    assert np.hypot(x1, y1) <= 0.02
+    assert _lane(res) == (2e-4, x1, min(abs(z0), np.hypot(x1, y1)))
+
+
+def test_landing_order_continuous_flip_that_the_jump_undoes():
+    # at y <= delta the continuous part takes x = 0.5 across 0: a hit at the
+    # step's end, with x where the continuous part left it
+    z0 = 0.5 + 0.001j
+    res, x1, y1, dc, dj = _one_step(z0, 1e-6, 1.0, -0.9, 0.01)
+    x2 = x1 - dc
+    assert x1 > 0 > x2 and x2 - dj > 0
+    assert _lane(res) == (1e-6, x2, min(abs(z0), np.hypot(x1, y1), np.hypot(x2, y1)))
+
+
+def test_landing_order_hit_only_after_the_jump():
+    z0 = 0.5 + 0.001j
+    res, x1, y1, dc, dj = _one_step(z0, 1e-6, 0.1, 0.4, 0.01)
+    x2 = x1 - dc
+    x3 = x2 - dj
+    assert min(np.hypot(x1, y1), np.hypot(x2, y1)) > 0.01 >= np.hypot(x3, y1)
+    assert _lane(res) == (1e-6, x3, min(abs(z0), np.hypot(x1, y1), np.hypot(x2, y1),
+                                        np.hypot(x3, y1)))
+
+
+def test_landing_order_new_minimum_without_a_hit():
+    z0 = 0.5 + 0.05j
+    res, x1, y1, dc, dj = _one_step(z0, 1e-6, 0.2, 0.25, 0.01)
+    x3 = x1 - dc - dj
+    assert np.hypot(x3, y1) < np.hypot(x1 - dc, y1) < abs(z0) < np.hypot(x1, y1)
+    zeta, x, min_abs = _lane(res)
+    assert np.isnan(zeta)
+    assert (x, min_abs) == (x3, np.hypot(x3, y1))
+
+
+def test_path_grid_step_call_budget():
+    # Python-level calls (profiler "call" and "c_call" events) per grid step
+    # of engine A on a beta = 2 raster of 4,096 lanes around a Brownian hull,
+    # which has lanes in the box test's reach at every step: a guard on the
+    # fixed cost per step that needs no timer.  As in the engine-B budget
+    # above, the count includes numpy's Python wrappers, so it depends on the
+    # numpy version (numpy 2.4).  It read 58.5 on average (51-71) before a
+    # step's three check points ran as one pass each over the candidates,
+    # with no per-check box test, gather or scatter, and reads 46.1 (39-53)
+    # since.  A step runs from one _drift_advance call to the next.
+    path = sample_driver(DriverSpec((Brownian(4.0),)), 0.5, 7, dt=1e-3)
+    gx, gy = np.meshgrid(np.linspace(-1.5, 1.5, 64), np.linspace(0.02, 2.0, 64))
+    z = (gx + 1j * gy).ravel()
+    per_step, calls = [], 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is engine._drift_advance.__code__:
+            per_step.append(calls)
+            calls = 0
+        if event in ("call", "c_call"):
+            calls += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        evolve_lanes_on_path(z, path, 0.5, hit_tolerance=0.02)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    steps = per_step[1:]
+    assert len(steps) == 499
+    assert sum(steps) / len(steps) <= 50

@@ -159,6 +159,13 @@ class TestOvershoot:
         frac = np.count_nonzero(sides == 1) / n
         assert abs(frac - exact) <= 3.0 * np.sqrt(exact * (1.0 - exact) / n)
 
+    def test_integer_and_float_radii_draw_the_same_streams(self):
+        # the block streams are tagged by the radii's values, not their text
+        ints = _annulus_exit_positions(8.0, 1.5, 1.0, 1.2, 1, 4, 700, 50.0, seed=5)
+        floats = _annulus_exit_positions(8.0, 1.5, 1.0, 1.2, 1.0, 4.0, 700, 50.0, seed=5)
+        for got, want in zip(ints, floats):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestDisconnection:
     def test_brownian_control_connected(self):

@@ -1,6 +1,8 @@
 """Flow solver: closed-form oracles, slit-map branch, exact composition,
 capacity normalization, rasters, components, and structural invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from levyloewner.drivers import (
     Brownian,
     DriverSpec,
     JumpLaw,
+    Stable,
     sample_brownian,
     sample_compound_poisson,
     sample_driver,
@@ -207,6 +210,29 @@ class TestRaster:
         np.testing.assert_array_equal(trimmed.zeta[inside], full.zeta[inside])
         assert np.isnan(trimmed.zeta[~inside]).all() and (~inside).any()
         assert full.cells_hit_by(1.0)[inside].any()
+
+    @pytest.mark.parametrize("beta", [2.0, 1.5])
+    @pytest.mark.parametrize("z0, tol, hit", [(0.6j, 0.02, True), (2.5 + 2.0j, None, False)])
+    def test_tracked_point_equals_evolve_point(self, beta, z0, tol, hit):
+        # the tracked point is one more lane of the raster's engine call; a
+        # lane depends on its own point and tolerance only, so the raster
+        # keeps its bytes and the point gets evolve_point's outcome
+        path = sample_driver(DriverSpec((Brownian(4.0), Stable(1.5, 1.0))), 1.0, 5, dt=2e-3)
+        window, cfg = (-1.5, 1.5, 0.0, 2.5), EvolutionConfig(horizon=1.0, beta=beta)
+        plain = raster_cluster(window, (30, 25), path, cfg)
+        raster = raster_cluster(window, (30, 25), path, cfg, track=(z0, tol))
+        assert plain.tracked is None
+        assert raster.zeta.tobytes() == plain.zeta.tobytes()
+        assert raster.cell_tolerance.tobytes() == plain.cell_tolerance.tobytes()
+        alone = evolve_point(z0, path, EvolutionConfig(horizon=1.0, hit_tolerance=tol, beta=beta))
+        got = raster.tracked
+        assert got.hit == hit
+        # a hit point stops before the raster's lanes do
+        assert (got.steps_taken < path.grid.size - 1) == hit
+        assert got.trajectory.shape == alone.trajectory.shape
+        assert got.trajectory.tobytes() == alone.trajectory.tobytes()
+        # repr keeps every bit of a float, and tells -0.0 from 0.0
+        assert repr(dataclasses.replace(got, trajectory=None)) == repr(dataclasses.replace(alone, trajectory=None))
 
 
 class TestConfig:

@@ -1,0 +1,130 @@
+"""In-process A/B of two checkouts of levyloewner on one benchmark workload.
+
+    python3 tools/ab_inprocess.py --base ../parent --workload cluster_raster --rounds 10
+
+Loads the package from ``<base>/src`` and from ``<head>/src`` (default: this
+checkout) side by side in one process, and runs the ops of one workload of
+``perfbench/ops.py`` (``WORKLOADS``, or ``criterion13`` for its byte cases)
+through ``levyloewner.cli.main`` on each, alternating which side runs first.
+Round r runs every op at seed ``--seed + r`` on both sides, so the rounds
+cover several inputs.  Every artifact but ``manifest.json`` must be byte-
+identical between the sides; the script stops at the first difference.  It
+prints, per op, the median process CPU time of each side, the median of the
+per-round ratios head / base, and the rounds the head won.
+
+Interleaving the sides in one process makes a paired comparison that machine
+drift moves much less than separate benchmark runs do.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+PKG = "levyloewner"
+
+
+def _owned(name: str) -> bool:
+    return name == PKG or name.startswith(PKG + ".")
+
+
+def load(root: Path) -> dict:
+    """Import every module of the package under ``root/src``; return them,
+    keyed by module name, with sys.modules left free of the package."""
+    for name in [m for m in sys.modules if _owned(m)]:
+        del sys.modules[name]
+    sys.path.insert(0, str(root / "src"))
+    try:
+        pkg = importlib.import_module(PKG)
+        for mod in Path(pkg.__file__).parent.glob("*.py"):
+            if mod.stem not in ("__init__", "__main__"):
+                importlib.import_module(f"{PKG}.{mod.stem}")
+    finally:
+        sys.path.pop(0)
+    mods = {m: sys.modules.pop(m) for m in list(sys.modules) if _owned(m)}
+    if not Path(mods[PKG].__file__).is_relative_to(root / "src"):
+        raise SystemExit(f"{PKG} was not loaded from {root / 'src'}")
+    return mods
+
+
+def activate(mods: dict) -> None:
+    """Make ``mods`` the package seen by imports made while an op runs."""
+    for name in [m for m in sys.modules if _owned(m)]:
+        del sys.modules[name]
+    sys.modules.update(mods)
+
+
+def digests(out: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+
+def run_op(mods: dict, argv: list[str], seed: int, out: Path) -> tuple[float, dict[str, str]]:
+    activate(mods)
+    c0 = time.process_time()
+    rc = mods[f"{PKG}.cli"].main(argv + ["--seed", str(seed), "--out", str(out)])
+    cpu = time.process_time() - c0
+    if rc:
+        raise SystemExit(f"{' '.join(argv)} returned {rc}")
+    return cpu, digests(out)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", type=Path, required=True, help="checkout to compare against")
+    ap.add_argument("--head", type=Path, default=HERE, help="checkout under test (default: this one)")
+    ap.add_argument("--workload", required=True, help="a workload of perfbench/ops.py, or criterion13")
+    ap.add_argument("--rounds", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+
+    sides = {"base": load(args.base.resolve()), "head": load(args.head.resolve())}
+    activate(sides["head"])
+    sys.path.insert(0, str(args.head.resolve() / "perfbench"))
+    import ops  # the op lists; imports the head's package
+    sys.path.pop(0)
+    if args.workload == "criterion13":
+        op_list, warm = ops.CRITERION13, []
+    else:
+        op_list, warm = ops.WORKLOADS[args.workload], ops.WARMUP[args.workload]
+    names = [f"{i}-{a[0]}" for i, a in enumerate(op_list)]
+
+    cpu = {side: {n: [] for n in names} for side in sides}
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        work = Path(tmp)
+        for side, mods in sides.items():  # lazy imports and first-call costs, untimed
+            for i, a in enumerate(warm):
+                run_op(mods, a, 0, work / side / "warm" / str(i))
+        for r in range(args.rounds):
+            seed = args.seed + r
+            order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+            for name, a in zip(names, op_list):
+                got = {}
+                for side in order:
+                    t, got[side] = run_op(sides[side], a, seed, work / side / str(r) / name)
+                    cpu[side][name].append(t)
+                if got["base"] != got["head"]:
+                    diff = sorted(k for k in got["base"].keys() | got["head"].keys()
+                                  if got["base"].get(k) != got["head"].get(k))
+                    raise SystemExit(f"round {r} (seed {seed}) {name}: artifacts differ: {diff}")
+            print(f"round {r} (seed {seed}): artifacts identical", flush=True)
+
+    print(f"\n{'op':<20} {'base s':>9} {'head s':>9} {'ratio':>7} {'wins':>7}")
+    for name in names:
+        b, h = cpu["base"][name], cpu["head"][name]
+        ratios = [y / x for x, y in zip(b, h)]
+        wins = sum(y < x for x, y in zip(b, h))
+        print(f"{name:<20} {statistics.median(b):9.3f} {statistics.median(h):9.3f} "
+              f"{statistics.median(ratios):7.3f} {wins:>3}/{len(b):<3}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
