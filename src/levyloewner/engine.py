@@ -68,9 +68,10 @@ one box test per grid step, right after the drift: the step's sub-increments
 move x by at most the scalar |d_cont| + |d_jump|, so a lane outside
 max(|x|, y) <= (max(min_abs, delta) + |d_cont| + |d_jump|) * 1.000001 can
 fail no hit check and no flip rule of the step, and takes two scalar
-subtracts.  A lane that keeps no running minimum of |h| (``track_min``, as
-for raster cells) holds min_abs = 0, so its box reaches only its tolerance
-plus the step's shifts.  The gathered candidates take the step's three
+subtracts.  A lane that reports zeta only (``zeta_only``, as raster cells
+do) keeps no running minimum of |h| and holds min_abs = 0, so its box
+reaches only its tolerance plus the step's shifts.  The gathered candidates
+take the step's three
 check points (after the drift, after the continuous sub-increment with the
 flip rule, after the jump sub-increment) in one elementwise pass each, with
 no further box test or index set: a candidate outside a check's near box
@@ -79,6 +80,37 @@ its |h| into min_abs changes nothing and cannot hit.
 :func:`_check_endpoint` and :func:`_apply_increment` serve engine B's
 off-axis loops only.  Both engines hold the live state in one array, one row
 per quantity, so that dropping the lanes that died is one call.
+
+Engine A holds the whole path in advance, so it also retires the zeta-only
+lanes that the rest of the path can no longer hit.  For x > 0 every drift
+raises u = x^2 - y^2 at fixed c: by 4 dt at beta = 2, by the real-axis
+closed form, and by RK4 stages of positive slope at beta < 2.  As
+x^2 = (u + |u + 2ic|) / 2 rises with u, the drift never lowers x, so
+X = x + U never decreases while x > 0 (a sub-increment moves U, not X).  Let
+[lo_i, hi_i], 0 included, be the range relative to U at the end of grid
+step i of the driver at every later check point: the later grid values and
+the values after a continuous sub-increment, values[j] + d_cont[j].  A lane
+with x > hi_i + delta then has x >= x_i - hi_i > delta at every later check
+point, so |h| >= x > delta, x keeps its sign (no flip rule), and a swallow,
+which needs |x| = y where u = 0, finds sqrt(2|c|) = sqrt(2) x > delta there.
+The case x < lo_i - delta mirrors it.  This holds for any positive increment
+of u, so it needs no RK4 accuracy.  After each full grid step but the last,
+a zeta-only lane with |x - m_i| - delta > w_i + slack_i (m_i and w_i the
+midpoint and half-width of [lo_i, hi_i]) is therefore retired as censored:
+its zeta is NaN, as the full run gives it, and its x and y read NaN, as its
+final h was not computed.
+
+The slack covers rounding, in units u = 2^-53.  A later grid step lowers x
+by at most 16 u of x (the drift's squares, hypot, root and division about
+12; each subtract 1), and the path's own differences (d_cont, d_jump, the
+range, the midpoint) shift the reference by at most 8 u V per step, V the
+largest |values| or |continuous| of the steps run.  Over N steps left, with
+s = 16 N u, K <= 4 V bounding |lo_i| and |hi_i|, and D the largest
+tolerance, a margin of 4 s (K + D) + 8 N u V suffices: it exceeds
+s (x + K) + 8 N u V while x <= 3 (K + D), and beyond that
+x - hi_i - delta > 2x/3 does.  That margin is at most
+N (264 u V + 64 u D) <= N 2^-44 (V + D); slack_i takes N + 1 steps, the
+test's own rounding counted: 1.4e-10 of V + D at 2,400 steps.
 """
 
 from __future__ import annotations
@@ -122,14 +154,18 @@ def default_hit_tolerance(z0) -> np.ndarray:
 
 @dataclass
 class LaneResult:
-    """Per-lane outcome arrays of one evolution run."""
+    """Per-lane outcome arrays of one evolution run.
+
+    A zeta-only lane of engine A that the rest of the path could no longer
+    hit was retired early: its zeta is NaN, its x and y read NaN (its final
+    h was not computed) and ``steps`` counts the steps it took."""
 
     z0: np.ndarray
     zeta: np.ndarray        # hit time; NaN when censored
-    x: np.ndarray           # final h (meaningful for censored lanes)
+    x: np.ndarray           # final h (meaningful for censored lanes; NaN once retired)
     y: np.ndarray
-    min_abs: np.ndarray     # running minimum of |h|; 0 where not kept (track_min)
-    steps: np.ndarray
+    min_abs: np.ndarray     # running minimum of |h|; 0 on zeta-only lanes
+    steps: np.ndarray       # grid or loop steps the lane took
     hit_tolerance: np.ndarray
     exit_time: np.ndarray | None = None  # first |h| >= exit_radius, if tracked
 
@@ -502,8 +538,26 @@ def _retire(state, alive, out):
 # engine A: lanes sharing one concrete path
 # ---------------------------------------------------------------------------
 
+def _reach_bounds(path: DriverPath, horizon: float, n_steps: int, tol_max: float):
+    """Per grid step i < n_steps - 1 of a run, the midpoint m_i and the
+    half-width plus slack w_i + slack_i of the range [lo_i, hi_i], relative
+    to U at the end of step i, of the driver at every later check point of
+    the run (see the module docstring)."""
+    values, d_cont = path.values[:n_steps + 1], path.increments()[0][:n_steps]
+    after = values[:-1] + d_cont  # the driver after a continuous sub-increment
+    hi = np.maximum(np.maximum(values[:-1], values[1:]), after)
+    lo = np.minimum(np.minimum(values[:-1], values[1:]), after)
+    if path.grid[n_steps] > horizon + 1e-15:  # a partial last step lands nothing
+        hi[-1] = lo[-1] = values[-2]
+    hi = np.maximum.accumulate(hi[:0:-1])[::-1]  # over the steps after step i
+    lo = np.minimum.accumulate(lo[:0:-1])[::-1]
+    size = max(np.abs(values).max(), np.abs(path.continuous[:n_steps + 1]).max()) + tol_max
+    slack = np.arange(n_steps, 1, -1) * (2.0 ** -44 * size)
+    return 0.5 * (hi + lo) - values[1:-1], 0.5 * (hi - lo) + slack
+
+
 def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=None,
-                         beta: float = 2.0, record_trajectory: bool = False, track_min=True):
+                         beta: float = 2.0, record_trajectory: bool = False, zeta_only=False):
     """Evolve many tracked points along one sampled driver path.
 
     The driver is held constant between grid points (its cadlag value), the
@@ -515,11 +569,13 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
     :class:`LaneResult` (and a trajectory array when requested: columns
     t, Re h, Im h, U for the first lane, frozen once it dies).
 
-    ``track_min`` (a bool, or one per lane) says which lanes keep the running
-    minimum of |h| in min_abs; the others read 0 there.  Nothing else
-    depends on it, but a lane that keeps no minimum enters a grid step's box
-    test only within its tolerance plus the step's reach, not at every new
-    minimum of |h| near the hull.
+    ``zeta_only`` (a bool, or one per lane) marks the lanes whose zeta alone
+    is read.  Their zeta and hits equal the full run's bit for bit, but they
+    keep no running minimum of |h| (min_abs reads 0), so they enter a grid
+    step's box test only within their tolerance plus the step's reach; and
+    once the rest of the path can no longer hit one, it is retired as
+    censored, with x and y NaN and ``steps`` the steps it took (see the
+    module docstring).  The other lanes keep every output.
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
     if np.any(z0 == 0):
@@ -540,22 +596,34 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
         delta = np.broadcast_to(np.asarray(hit_tolerance, dtype=float), (n,)).copy()
     if not np.all((0.0 < delta) & (delta < np.inf)):
         raise ConfigError("hit tolerance must be positive and finite")
-
-    # state of the live lanes, in lane order (see _retire)
-    state = np.empty((6, n))
-    zeta, x, y, min_abs, lane, tol = state
-    zeta[:] = np.nan
-    x[:] = z0.real
-    y[:] = z0.imag
-    min_abs[:] = np.where(track_min, np.abs(z0), 0.0)
-    tol[:] = delta
-    lane[:] = np.arange(n)
-    out = np.empty((4, n))
-    steps = np.empty(n, dtype=np.int64)
+    zeta_only = np.asarray(zeta_only)
+    if zeta_only.dtype != bool or zeta_only.shape not in ((), (n,)):
+        raise ConfigError("zeta_only must be a bool or one bool per lane")
+    zeta_only = np.broadcast_to(zeta_only, (n,))
 
     grid = path.grid
     values = path.values
     d_cont, d_jump = path.increments()
+    n_steps = int(np.count_nonzero(grid[:-1] < horizon - 1e-15))
+    retiring = zeta_only.any() and n_steps > 1
+    if retiring:
+        mid, half = _reach_bounds(path, horizon, n_steps, delta.max())
+        dist, near = np.empty(n), np.empty(n, dtype=bool)  # the test's buffers
+
+    # state of the live lanes, in lane order (see _retire); with a last row
+    # when only some lanes are zeta-only: their reach, delta or +inf
+    state = np.empty((6 + (retiring and not zeta_only.all()), n))
+    zeta, x, y, min_abs, lane, tol, *reach = state
+    zeta[:] = np.nan
+    x[:] = z0.real
+    y[:] = z0.imag
+    min_abs[:] = np.where(zeta_only, 0.0, np.abs(z0))
+    tol[:] = delta
+    lane[:] = np.arange(n)
+    if reach:
+        reach[0][:] = np.where(zeta_only, delta, np.inf)
+    out = np.empty((4, n))
+    steps = np.empty(n, dtype=np.int64)
     traj = [(0.0, x[0], y[0], 0.0)] if record_trajectory else None
 
     it = 0
@@ -573,10 +641,20 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
         if record_trajectory:
             h = (x[0], y[0]) if lane[0] == 0 else (out[1, 0], out[2, 0])
             traj.append((t1, *h, values[i + 1] if full_step else values[i]))
+        if retiring and i < n_steps - 1:
+            # |x - m_i| - delta > w_i + slack_i: out of reach of the later path
+            d, keep = dist[:lane.size], near[:lane.size]
+            np.subtract(x, mid[i], out=d)
+            np.abs(d, out=d)
+            d -= reach[0] if reach else tol
+            np.less_equal(d, half[i], out=keep)
+            alive &= keep
         if not alive.all():
             state, done = _retire(state, alive, out)
             steps[done] = it
-            zeta, x, y, min_abs, lane, tol = state
+            if retiring:  # the retired lanes are the censored ones that died
+                out[1:3, done[np.isnan(out[0, done])]] = np.nan
+            zeta, x, y, min_abs, lane, tol, *reach = state
     _, done = _retire(state, np.zeros(lane.size, dtype=bool), out)
     steps[done] = it
     res = LaneResult(z0, *out, steps, delta)

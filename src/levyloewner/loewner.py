@@ -258,9 +258,11 @@ def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig,
     and returns its outcome, trajectory included, as ``tracked``: it equals
     ``evolve_point(z0, path, EvolutionConfig(cfg.horizon, tolerance,
     cfg.beta))``, since a lane's result depends on its own point and
-    tolerance only.  The cells keep no running minimum of |h|, which they
-    do not report; that spares the hit checks of the cells at a new minimum
-    near the hull (``track_min`` of :func:`evolve_lanes_on_path`).
+    tolerance only.  The cells report zeta only (``zeta_only`` of
+    :func:`evolve_lanes_on_path`): they keep no running minimum of |h|,
+    which spares their hit checks at a new minimum near the hull, and stop
+    being evolved once the rest of the path can no longer hit them.  The
+    tracked point keeps every output.
     """
     x0, x1, y0, y1 = map(float, window)
     nx, ny = map(int, resolution)
@@ -292,9 +294,8 @@ def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig,
         lanes = np.concatenate([[z_track], lanes])
         lane_tol = np.concatenate([[default_hit_tolerance(z_track) if tol_track is None else tol_track],
                                    lane_tol])
-    # a cell reads zeta only, so only the tracked point keeps min |h|
     res = evolve_lanes_on_path(lanes, path, cfg.horizon, hit_tolerance=lane_tol, beta=cfg.beta,
-                               record_trajectory=bool(k), track_min=np.arange(lanes.size) < k)
+                               record_trajectory=bool(k), zeta_only=np.arange(lanes.size) >= k)
     tracked = None
     if k:
         res, traj = res

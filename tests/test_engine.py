@@ -525,21 +525,110 @@ def test_path_lanes_do_not_depend_on_other_lanes(case):
 
 @pytest.mark.parametrize("case", sorted(PATH_CASES))
 def test_lanes_without_a_running_minimum_keep_their_hits(case):
-    # track_min narrows the box test of the lanes that keep no minimum of |h|
-    # to their tolerance plus the step's reach; that moves no hit, no x, y or
-    # step count, and the lanes that keep a minimum keep its bits
+    # zeta-only lanes keep no minimum of |h| and are retired once the rest of
+    # the path can no longer hit them: zeta and hits equal the full run's bit
+    # for bit; a lane not retired keeps x, y and its step count, a retired one
+    # reads NaN x and y, took fewer steps and was censored in the full run;
+    # the other lanes keep their minima, and lane 0 its trajectory
     full, traj = _path_run(case)
     spec, beta, path_horizon, dt, first, horizon = PATH_CASES[case]
     z, tol = _path_lanes(first)
     keep = np.arange(z.size) % 7 == 0
     part, part_traj = evolve_lanes_on_path(z, sample_driver(spec, path_horizon, 2026, dt=dt), horizon,
                                            hit_tolerance=tol, beta=beta, record_trajectory=True,
-                                           track_min=keep)
-    for f in ("zeta", "x", "y", "steps"):
-        np.testing.assert_array_equal(getattr(part, f), getattr(full, f), err_msg=f)
+                                           zeta_only=~keep)
+    assert part.zeta.tobytes() == full.zeta.tobytes()
+    np.testing.assert_array_equal(part.hit, full.hit)
+    retired = np.isnan(part.x)
+    assert retired.any() and not retired[keep].any()
+    assert np.isnan(part.y[retired]).all() and not full.hit[retired].any()
+    assert (part.steps[retired] < full.steps[retired]).all()
+    for f in ("x", "y", "steps"):
+        np.testing.assert_array_equal(getattr(part, f)[~retired], getattr(full, f)[~retired], err_msg=f)
     np.testing.assert_array_equal(part_traj, traj)
     assert part.min_abs[keep].tobytes() == full.min_abs[keep].tobytes()
     assert not part.min_abs[~keep].any()
+
+
+def _zeta_only_run(path, z0, tol, horizon=None, beta=2.0):
+    """The full run of the lanes z0 and the run with every lane zeta-only,
+    whose zeta must equal the full run's bit for bit."""
+    horizon = path.horizon if horizon is None else horizon
+    full = evolve_lanes_on_path(z0, path, horizon, hit_tolerance=tol, beta=beta)
+    part = evolve_lanes_on_path(z0, path, horizon, hit_tolerance=tol, beta=beta, zeta_only=True)
+    assert part.zeta.tobytes() == full.zeta.tobytes()
+    assert not full.hit[np.isnan(part.x)].any()
+    return full, part
+
+
+@pytest.mark.parametrize("beta", [2.0, 1.5])
+def test_retirement_sees_a_continuous_excursion_the_jump_undoes(beta):
+    # the continuous part goes 0 -> 1 in the second step and its jump part
+    # back to 0: every grid value is 0, but x = 0.5 flips sign at y <= delta,
+    # a hit; only the value after the continuous sub-increment keeps that lane
+    # from retiring after the first step, while x = 1.5 stays right of 1 + delta
+    path = DriverPath(np.array([0.0, 1e-6, 2e-6]), np.zeros(3), "excursion",
+                      continuous=np.array([0.0, 0.0, 1.0]))
+    full, part = _zeta_only_run(path, [0.5 + 0.01j, 1.5 + 0.01j], 0.02, beta=beta)
+    assert full.hit.tolist() == [True, False]
+    assert part.steps.tolist() == [2, 1] and np.isnan(part.x[1]) and np.isnan(part.y[1])
+
+
+def _edge_path(sign):
+    """Two steps of 1e-9: in the second the continuous part goes 0 -> -2^40
+    and the jump part to 1 (mirrored for sign -1), so a lane's x takes the
+    ulp of 2^40 once; the range after the first step is [-2^40, 1] and the
+    slack (1 step left + 1) 2^-44 (V + D) with V = 2^40 and D = 1/4."""
+    path = DriverPath(np.array([0.0, 1e-9, 2e-9]), np.array([0.0, 0.0, 1.0]), "edge",
+                      continuous=np.array([0.0, 0.0, -2.0 ** 40]))
+    return (path if sign > 0 else path.negated()), 2.0 * 2.0 ** -44 * (2.0 ** 40 + 0.25)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("beta", [2.0, 1.5])
+def test_retirement_edge_is_tolerance_plus_slack(beta, sign):
+    # 1.25 + 2^-14 lies right of hi + delta = 1.25, but rounds to 2^40 + 1.25
+    # on the way and lands at |x| = delta: a hit, inside the slack, that a
+    # test without it would retire; just inside 1.25 + slack a lane stays,
+    # just outside it is retired, and both are censored (the case x < lo
+    # mirrors x > hi)
+    path, slack = _edge_path(sign)
+    x0 = np.array([1.25 + 2.0 ** -14, 1.25 + 0.99 * slack, 1.25 + 1.01 * slack])
+    full, part = _zeta_only_run(path, sign * x0, 0.25, beta=beta)
+    assert full.hit.tolist() == [True, False, False]
+    assert np.isnan(part.x).tolist() == [False, False, True]
+    assert part.steps.tolist() == [2, 2, 1]
+
+
+def test_retirement_with_the_horizon_inside_the_last_grid_step():
+    # the run stops at 0.025, inside the third step, so the path's last value
+    # 3 never lands: after the first step every later value is 0, and lanes
+    # at x = 1 and x = 3 (beyond the unused value) retire there; the one on
+    # the imaginary axis is swallowed at t = 0.0225, in the partial step
+    path = DriverPath(np.array([0.0, 0.01, 0.02, 0.03]), np.array([0.0, 0.0, 0.0, 3.0]), "partial")
+    full, part = _zeta_only_run(path, [1.0 + 0.1j, 3.0 + 0.01j, 1e-4 + 0.3j], 0.02, horizon=0.025)
+    assert full.hit.tolist() == [False, False, True]
+    assert full.zeta[2] == pytest.approx(0.0225)
+    assert full.steps.tolist() == [3, 3, 3]
+    assert part.steps.tolist() == [1, 1, 3] and np.isnan(part.x[:2]).all()
+
+
+def test_retiring_every_lane_ends_the_run():
+    # a null driver on 100 steps leaves no lane within reach of the origin:
+    # all retire after the first step, where the loop ends
+    path = DriverPath(np.linspace(0.0, 1.0, 101), np.zeros(101), "null")
+    z0 = [2.0 + 0.5j, -2.0 + 0.5j, 3.0, -0.5 + 0.1j]
+    full, part = _zeta_only_run(path, z0, 0.01)
+    assert not full.hit.any() and (full.steps == 100).all()
+    assert (part.steps == 1).all() and np.isnan(part.x).all() and np.isnan(part.y).all()
+    assert not part.min_abs.any()
+
+
+@pytest.mark.parametrize("flag", ["yes", 1, None, [True], np.ones(3, dtype=bool), np.ones((2, 1), dtype=bool)])
+def test_path_rejects_bad_zeta_only(flag):
+    path = sample_driver(DRIVERS["brownian"], 1.0, 1, dt=0.01)
+    with pytest.raises(ConfigError, match="zeta_only"):
+        evolve_lanes_on_path([0.5 + 0.5j, 1.0j], path, 1.0, zeta_only=flag)
 
 
 BAD_TOLERANCES = [0.0, -1e-3, np.nan, np.inf]

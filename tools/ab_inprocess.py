@@ -10,7 +10,9 @@ Round r runs every op at seed ``--seed + r`` on both sides, so the rounds
 cover several inputs.  Every artifact but ``manifest.json`` must be byte-
 identical between the sides; the script stops at the first difference.  It
 prints, per op, the median process CPU time of each side, the median of the
-per-round ratios head / base, and the rounds the head won.
+per-round ratios head / base, the rounds the head won, and each side's
+engine-A lane-steps over all rounds: the sum of ``LaneResult.steps`` over the
+op's ``evolve_lanes_on_path`` calls, a deterministic count.
 
 Interleaving the sides in one process makes a paired comparison that machine
 drift moves much less than separate benchmark runs do.
@@ -19,6 +21,7 @@ drift moves much less than separate benchmark runs do.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib
 import statistics
@@ -54,6 +57,25 @@ def load(root: Path) -> dict:
     return mods
 
 
+def count_lane_steps(mods: dict) -> list[int]:
+    """Bind a counting wrapper of engine A's entry point in every module of
+    ``mods`` that binds the function; returns the one-item list to which each
+    call adds the steps its lanes took."""
+    fn = mods[f"{PKG}.engine"].evolve_lanes_on_path
+    total = [0]
+
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        res = fn(*args, **kwargs)
+        total[0] += int((res[0] if isinstance(res, tuple) else res).steps.sum())
+        return res
+
+    for mod in mods.values():
+        if getattr(mod, "evolve_lanes_on_path", None) is fn:
+            mod.evolve_lanes_on_path = counted
+    return total
+
+
 def activate(mods: dict) -> None:
     """Make ``mods`` the package seen by imports made while an op runs."""
     for name in [m for m in sys.modules if _owned(m)]:
@@ -86,6 +108,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     sides = {"base": load(args.base.resolve()), "head": load(args.head.resolve())}
+    counters = {side: count_lane_steps(mods) for side, mods in sides.items()}
     activate(sides["head"])
     sys.path.insert(0, str(args.head.resolve() / "perfbench"))
     import ops  # the op lists; imports the head's package
@@ -97,6 +120,7 @@ def main(argv=None) -> int:
     names = [f"{i}-{a[0]}" for i, a in enumerate(op_list)]
 
     cpu = {side: {n: [] for n in names} for side in sides}
+    lane_steps = {side: dict.fromkeys(names, 0) for side in sides}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         work = Path(tmp)
         for side, mods in sides.items():  # lazy imports and first-call costs, untimed
@@ -108,21 +132,25 @@ def main(argv=None) -> int:
             for name, a in zip(names, op_list):
                 got = {}
                 for side in order:
+                    before = counters[side][0]
                     t, got[side] = run_op(sides[side], a, seed, work / side / str(r) / name)
                     cpu[side][name].append(t)
+                    lane_steps[side][name] += counters[side][0] - before
                 if got["base"] != got["head"]:
                     diff = sorted(k for k in got["base"].keys() | got["head"].keys()
                                   if got["base"].get(k) != got["head"].get(k))
                     raise SystemExit(f"round {r} (seed {seed}) {name}: artifacts differ: {diff}")
             print(f"round {r} (seed {seed}): artifacts identical", flush=True)
 
-    print(f"\n{'op':<20} {'base s':>9} {'head s':>9} {'ratio':>7} {'wins':>7}")
+    print(f"\n{'op':<20} {'base s':>9} {'head s':>9} {'ratio':>7} {'wins':>7} "
+          f"{'base lane-steps':>16} {'head lane-steps':>16}")
     for name in names:
         b, h = cpu["base"][name], cpu["head"][name]
         ratios = [y / x for x, y in zip(b, h)]
         wins = sum(y < x for x, y in zip(b, h))
         print(f"{name:<20} {statistics.median(b):9.3f} {statistics.median(h):9.3f} "
-              f"{statistics.median(ratios):7.3f} {wins:>3}/{len(b):<3}")
+              f"{statistics.median(ratios):7.3f} {wins:>3}/{len(b):<3} "
+              f"{lane_steps['base'][name]:>16,} {lane_steps['head'][name]:>16,}")
     return 0
 
 
