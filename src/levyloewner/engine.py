@@ -45,7 +45,11 @@ raw variates to increments (the Chambers-Mallows-Stuck map of a stable part)
 then runs once over all live lanes; a truncated stable part, whose draw count
 depends on the data and on dt, draws its increments whole.  A replica's
 result therefore depends only on its own state and its block's stream, never
-on the other blocks or cells.
+on the other blocks or cells.  A generator call costs microseconds whatever
+its width, so blocks are wide: BLOCK is 2048, and a cell of every engine-B
+subcommand's default n (2000) is one block, which draws each kind of variate
+in one call per iteration.  Prefix stability holds at block granularity: the
+first BLOCK replicas of a cell are the same for every n >= BLOCK.
 
 Both engines apply the hit rule above and differ in two ways only.  Engine
 A also checks |h| <= delta after the drift, as the exact composer
@@ -136,7 +140,9 @@ from .drivers import (
 from .errors import ConfigError, NumericalError
 from .rng import stream
 
-BLOCK = 512
+# Replicas per stream block: one block per cell at the default n of 2000 (see
+# the module docstring).
+BLOCK = 2048
 # Lockstep iterations per Monte Carlo call, which last as long as its slowest
 # lane in any block; guards against a stuck adaptive loop.
 _MAX_STEPS = 20_000_000
@@ -889,10 +895,19 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     # real-axis kernels need x*x > 0: a live lane has |x| > delta, or |z0|
     axis = not z0.imag.any() and min(np.abs(z0).min(), tol.min()) ** 2 > 0
 
-    # state of the live lanes, in lane order (see _retire)
-    state = np.empty((10 + len(incs), k * n))
-    zeta, x, y, min_abs, exit_time, lane, t, delta, dt_floor, tau_div, *coef = state
-    zeta[:] = exit_time[:] = np.nan
+    # state of the live lanes, in lane order (see _retire): the rows of out,
+    # exit_time among them only when it is tracked, then the lane and its inputs
+    track = exit_radius is not None
+    out = np.empty((4 + track, k * stride))  # zeta, x, y, min_abs[, exit_time]
+    state = np.empty((len(out) + 6 + len(incs), k * n))
+
+    def rows(state):
+        return (*state[:4], state[4] if track else None, *state[len(out):])
+
+    zeta, x, y, min_abs, exit_time, lane, t, delta, dt_floor, tau_div, *coef = rows(state)
+    zeta[:] = np.nan
+    if track:
+        exit_time[:] = np.nan
     x[:] = np.repeat(z0.real, n)
     y[:] = 0.0 if axis else np.repeat(z0.imag, n)  # a first drift turns -0.0 into +0.0
     min_abs[:] = np.repeat([abs(z) for z in z0.tolist()], n)
@@ -907,7 +922,6 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     for inc, row in zip(incs, coef):
         if inc.tau_pow == beta:
             np.maximum(tau_div, row, out=tau_div)
-    out = np.empty((5, k * stride))  # zeta, x, y, min_abs, exit_time
     steps = np.empty(k * stride, dtype=np.int64)
     t_end = horizon * (1.0 - 1e-12)
 
@@ -918,7 +932,9 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         if it > _MAX_STEPS:
             raise NumericalError("adaptive evolution exceeded the step budget without resolving")
         if died:  # the live blocks and the mask change only when lanes die
-            clock_plan, plan = (_draw_plan(b, lane, bounds) for b in (clock_blocks, blocks))
+            plan = _draw_plan(blocks, lane, bounds)
+            if clocks:
+                clock_plan = _draw_plan(clock_blocks, lane, bounds)
             alive = np.ones(lane.size, dtype=bool)
         # hypot(x, 0) is |x| to the bit, and far dearer
         habs = np.abs(x) if axis or not np.count_nonzero(y) else np.hypot(x, y)
@@ -952,7 +968,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
                 died = _axis_increment(x, du, is_continuous, t, delta, zeta, min_abs, alive, died)
             else:
                 _apply_increment(x, y, du, is_continuous, t, delta, zeta, min_abs, alive)
-        if exit_radius is not None:
+        if track:
             fresh = (alive & np.isnan(exit_time) & (np.hypot(x, y) >= exit_radius)).nonzero()[0]
             exit_time[fresh] = t[fresh]
         alive &= t < t_end
@@ -962,9 +978,9 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
             state, done = _retire(state, alive, out)
             # a hit lane stopped inside this iteration, a censored one after it
             steps[done] = it - 1 + np.isnan(out[0, done])
-            zeta, x, y, min_abs, exit_time, lane, t, delta, dt_floor, tau_div, *coef = state
+            zeta, x, y, min_abs, exit_time, lane, t, delta, dt_floor, tau_div, *coef = rows(state)
 
     z0s, tols = np.repeat(z0, stride), np.repeat(tol, stride)
     return [LaneResult(z0s[sl], *out[:4, sl], steps[sl], tols[sl],
-                       out[4, sl] if exit_radius is not None else None)
+                       out[4, sl] if track else None)
             for sl in (slice(c * stride, c * stride + n) for c in range(k))]

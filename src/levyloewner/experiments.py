@@ -18,7 +18,11 @@ the slope fits and of :func:`composite_driver_phase`) share that loop; each
 block draws its live replicas' raw variates from its own (cell tag, block)
 stream, and each map from raw variates to increments (the stable part's
 Chambers-Mallows-Stuck map) runs once per iteration over all live replicas,
-so a replica's result never depends on the other blocks or cells.
+so a replica's result never depends on the other blocks or cells.  Blocks
+hold 2048 replicas, so that each cell at the default n of 2000 is one block
+and draws each kind of variate in one generator call per iteration (the
+annulus-exit loop's 10,000 replicas take five); the first block's replicas do
+not depend on n.
 Estimators run on the calling thread, except the per-replica raster loops of
 :func:`area_fraction` and :func:`disconnection_frequency`, which fan out over
 ``workers`` threads; the thread count only changes scheduling, never

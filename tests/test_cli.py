@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 import levyloewner
+from levyloewner import cli
 from levyloewner.cli import main, parse_config
 from levyloewner.drivers import JumpLaw, sample_brownian, sample_compound_poisson, uniform_grid
 from levyloewner.errors import ConfigError
@@ -290,3 +291,24 @@ def test_version_string_once_per_process(tmp_path, monkeypatch):
     versions = {json.loads((tmp_path / name / "manifest.json").read_text())["version"]
                 for name in ("a", "b")}
     assert len(versions) == 1
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    # main reuses one parser; build_parser still returns a fresh one
+    builds = []
+    real_build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        for name in ("a", "b"):
+            assert run_cli(tmp_path / name, "theta0", "--alphas", "1.5") == 0
+        assert run_cli(tmp_path / "c", "gamma", "--alphas", "1.5", "--p-values", "0.5") == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert real_build() is not real_build()

@@ -36,7 +36,7 @@ FIELDS = ("zeta", "x", "y", "min_abs", "steps")
 def test_first_block_does_not_depend_on_later_blocks(driver, beta, exit_radius):
     kw = dict(master_seed=5, tag=("indep", driver), beta=beta, hit_tolerance=1e-2,
               exit_radius=exit_radius)
-    many = run_adaptive_mc(DRIVERS[driver], 0.5 + 0.3j, 1100, 0.5, **kw)
+    many = run_adaptive_mc(DRIVERS[driver], 0.5 + 0.3j, BLOCK + 588, 0.5, **kw)
     one = run_adaptive_mc(DRIVERS[driver], 0.5 + 0.3j, BLOCK, 0.5, **kw)
     fields = FIELDS + (("exit_time",) if exit_radius is not None else ())
     for f in fields:
@@ -62,13 +62,14 @@ CELL_FAMILIES = {
 @pytest.mark.parametrize("beta", [2.0, 1.5])
 @pytest.mark.parametrize("family", sorted(CELL_FAMILIES))
 def test_cells_of_one_call_equal_cells_run_alone(family, beta, exit_radius):
-    # 700 replicas: each cell's second block is partial
+    # BLOCK + 188 replicas: each cell's second block is partial
+    n = BLOCK + 188
     cells = CELL_FAMILIES[family]
     kw = dict(master_seed=9, beta=beta, exit_radius=exit_radius)
-    together = run_adaptive_cells(cells, 700, 0.5, **kw)
+    together = run_adaptive_cells(cells, n, 0.5, **kw)
     assert len(together) == len(cells)
     for cell, res in zip(cells, together):
-        alone = run_adaptive_mc(cell.spec, cell.z0, 700, 0.5, tag=cell.tag,
+        alone = run_adaptive_mc(cell.spec, cell.z0, n, 0.5, tag=cell.tag,
                                 hit_tolerance=cell.hit_tolerance, **kw)
         for f in dataclasses.fields(LaneResult):
             a, b = getattr(res, f.name), getattr(alone, f.name)
@@ -87,7 +88,7 @@ def test_cells_of_other_driver_families_rejected(other):
 
 def test_annulus_exit_first_block_does_not_depend_on_later_blocks():
     args = (1.0, 0.5, 1.0, 1.5, 1.0, 2.0)
-    sides_many, pos_many = _annulus_exit_positions(*args, 1300, 50.0, 11)
+    sides_many, pos_many = _annulus_exit_positions(*args, BLOCK + 788, 50.0, 11)
     sides_one, pos_one = _annulus_exit_positions(*args, BLOCK, 50.0, 11)
     np.testing.assert_array_equal(sides_many[:BLOCK], sides_one)
     np.testing.assert_array_equal(pos_many[:BLOCK], pos_one)
@@ -217,8 +218,8 @@ def test_real_axis_output_bytes_pinned(case):
 
 
 def test_stable_map_runs_once_per_iteration(monkeypatch):
-    # 3 cells x 2 blocks: the map runs once per lockstep iteration over every
-    # live lane, not once per live block
+    # 3 cells of one block each: the map runs once per lockstep iteration over
+    # every live lane, not once per live block
     calls = []
 
     def counted(alpha, *raw):
@@ -230,6 +231,28 @@ def test_stable_map_runs_once_per_iteration(monkeypatch):
     iterations = max(int((r.steps + r.hit).max()) for r in res)
     assert len(calls) == iterations
     assert calls[0] == 3 * 700
+
+
+def test_one_generator_call_per_draw_kind_per_live_cell(monkeypatch):
+    # Two real-axis cells at the engine-B subcommands' default n, which fits in
+    # one block: each lockstep iteration makes at most one generator call per
+    # draw kind (a normal, and the stable part's uniform and exponential) per
+    # cell that still has a live lane.
+    n = 2000
+    calls = []  # (draw kinds, generator calls) of each _live_draws call
+
+    def counted(plan, dt=None, live_draws=engine._live_draws):
+        calls.append((plan[1], len(plan[2])))
+        return live_draws(plan, dt)
+
+    monkeypatch.setattr(engine, "_live_draws", counted)
+    cells = [Cell(DriverSpec((Brownian(k), Stable(1.5, 1.0))), 1.0, ("draw-budget", k)) for k in (2.0, 8.0)]
+    res = run_adaptive_cells(cells, n, 5.0, master_seed=4)
+    last = [int((r.steps + r.hit).max()) for r in res]  # a cell's last live iteration
+    assert len(calls) == max(last) > 100
+    for i, (kinds, made) in enumerate(calls, start=1):
+        assert kinds == 3
+        assert made <= kinds * sum(i <= m for m in last), f"iteration {i}"
 
 
 def test_death_free_iteration_call_budget():

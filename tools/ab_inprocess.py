@@ -14,6 +14,12 @@ per-round ratios head / base, the rounds the head won, and each side's
 engine-A lane-steps over all rounds: the sum of ``LaneResult.steps`` over the
 op's ``evolve_lanes_on_path`` calls, a deterministic count.
 
+``--stream-change`` times a deliberate change of the random streams: it skips
+the byte check and prints, per op, each side's engine-B lane-steps over all
+rounds (the sum of ``LaneResult.steps`` over its ``run_adaptive_cells``
+calls) and its CPU ns per engine-B lane-step.  A new stream moves the work
+with the sample, so time alone does not compare the sides.
+
 Interleaving the sides in one process makes a paired comparison that machine
 drift moves much less than separate benchmark runs do.
 """
@@ -57,23 +63,30 @@ def load(root: Path) -> dict:
     return mods
 
 
-def count_lane_steps(mods: dict) -> list[int]:
-    """Bind a counting wrapper of engine A's entry point in every module of
-    ``mods`` that binds the function; returns the one-item list to which each
-    call adds the steps its lanes took."""
-    fn = mods[f"{PKG}.engine"].evolve_lanes_on_path
+def count_lane_steps(mods: dict, name: str, results) -> list[int]:
+    """Bind a counting wrapper of the engine function ``name`` in every module
+    of ``mods`` that binds it; returns the one-item list to which each call
+    adds the steps taken by the lanes of the ``LaneResult``s that
+    ``results(returned value)`` lists."""
+    fn = getattr(mods[f"{PKG}.engine"], name)
     total = [0]
 
     @functools.wraps(fn)
     def counted(*args, **kwargs):
         res = fn(*args, **kwargs)
-        total[0] += int((res[0] if isinstance(res, tuple) else res).steps.sum())
+        total[0] += sum(int(r.steps.sum()) for r in results(res))
         return res
 
     for mod in mods.values():
-        if getattr(mod, "evolve_lanes_on_path", None) is fn:
-            mod.evolve_lanes_on_path = counted
+        if getattr(mod, name, None) is fn:
+            setattr(mod, name, counted)
     return total
+
+
+ENGINES = {  # engine: (entry point, its LaneResults)
+    "A": ("evolve_lanes_on_path", lambda res: [res[0] if isinstance(res, tuple) else res]),
+    "B": ("run_adaptive_cells", lambda res: res),
+}
 
 
 def activate(mods: dict) -> None:
@@ -105,10 +118,13 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, help="a workload of perfbench/ops.py, or criterion13")
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--stream-change", action="store_true",
+                    help="skip the byte check; print engine-B lane-steps and CPU ns per lane-step")
     args = ap.parse_args(argv)
 
     sides = {"base": load(args.base.resolve()), "head": load(args.head.resolve())}
-    counters = {side: count_lane_steps(mods) for side, mods in sides.items()}
+    counters = {side: {e: count_lane_steps(mods, *ENGINES[e]) for e in ENGINES}
+                for side, mods in sides.items()}
     activate(sides["head"])
     sys.path.insert(0, str(args.head.resolve() / "perfbench"))
     import ops  # the op lists; imports the head's package
@@ -120,7 +136,7 @@ def main(argv=None) -> int:
     names = [f"{i}-{a[0]}" for i, a in enumerate(op_list)]
 
     cpu = {side: {n: [] for n in names} for side in sides}
-    lane_steps = {side: dict.fromkeys(names, 0) for side in sides}
+    lane_steps = {side: {e: dict.fromkeys(names, 0) for e in ENGINES} for side in sides}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         work = Path(tmp)
         for side, mods in sides.items():  # lazy imports and first-call costs, untimed
@@ -132,25 +148,34 @@ def main(argv=None) -> int:
             for name, a in zip(names, op_list):
                 got = {}
                 for side in order:
-                    before = counters[side][0]
+                    before = {e: c[0] for e, c in counters[side].items()}
                     t, got[side] = run_op(sides[side], a, seed, work / side / str(r) / name)
                     cpu[side][name].append(t)
-                    lane_steps[side][name] += counters[side][0] - before
-                if got["base"] != got["head"]:
+                    for e, c in counters[side].items():
+                        lane_steps[side][e][name] += c[0] - before[e]
+                if not args.stream_change and got["base"] != got["head"]:
                     diff = sorted(k for k in got["base"].keys() | got["head"].keys()
                                   if got["base"].get(k) != got["head"].get(k))
                     raise SystemExit(f"round {r} (seed {seed}) {name}: artifacts differ: {diff}")
-            print(f"round {r} (seed {seed}): artifacts identical", flush=True)
+            print(f"round {r} (seed {seed}): "
+                  + ("timed" if args.stream_change else "artifacts identical"), flush=True)
 
-    print(f"\n{'op':<20} {'base s':>9} {'head s':>9} {'ratio':>7} {'wins':>7} "
-          f"{'base lane-steps':>16} {'head lane-steps':>16}")
+    engine = "B" if args.stream_change else "A"
+    extra = "".join(f" {side + ' ' + engine + ' lane-steps':>18}" for side in sides)
+    if args.stream_change:
+        extra += "".join(f" {side + ' ns/step':>13}" for side in sides)
+    print(f"\n{'op':<20} {'base s':>9} {'head s':>9} {'ratio':>7} {'wins':>7}{extra}")
     for name in names:
         b, h = cpu["base"][name], cpu["head"][name]
         ratios = [y / x for x, y in zip(b, h)]
         wins = sum(y < x for x, y in zip(b, h))
+        steps = {side: lane_steps[side][engine][name] for side in sides}
+        extra = "".join(f" {steps[side]:>18,}" for side in sides)
+        if args.stream_change:
+            extra += "".join(f" {1e9 * sum(cpu[side][name]) / steps[side] if steps[side] else float('nan'):>13.1f}"
+                             for side in sides)
         print(f"{name:<20} {statistics.median(b):9.3f} {statistics.median(h):9.3f} "
-              f"{statistics.median(ratios):7.3f} {wins:>3}/{len(b):<3} "
-              f"{lane_steps['base'][name]:>16,} {lane_steps['head'][name]:>16,}")
+              f"{statistics.median(ratios):7.3f} {wins:>3}/{len(b):<3}{extra}")
     return 0
 
 
