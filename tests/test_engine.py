@@ -98,27 +98,27 @@ def _sha(arr) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
-# SHA-256 of each output array of a two-block composite-driver run (x86-64,
-# numpy 2.4); any change to the streams, the step rule or the kernels moves them.
-# Re-recorded when the compound Poisson part became a jump clock: each live lane
-# draws a fresh exponential wait and a jump size per iteration, the step ends
-# at the wait when it comes first, and the jump lands at its exact event time
-# (before, the jumps were thinned per step onto step ends of at most 0.02/rate).
+# SHA-256 of each output array of a composite-driver run (x86-64, numpy 2.4);
+# any change to the streams, the step rule or the kernels moves them.  The
+# compound Poisson part is a jump clock: each live lane draws a fresh
+# exponential wait and a jump size per iteration, the step ends at the wait
+# when it comes first, and the jump lands at its exact event time.  Recorded
+# at 2048-replica blocks, where the run is one block.
 PINNED = {
     2.0: {
-        "zeta": "f17fca178a827441d1ee50e5b5fa51cf3a0032a2987b9c10cb7bea09709211d8",
-        "x": "c033d3cc676d88fae625cdbb97e7e1c416f7c6286cc7be4c8a8b7d2b1cc2685d",
-        "y": "05ac3f16ab23fdb657593448c3a69e9f0ed7394bf63bc0afdf83da8a1bfcb4b3",
-        "min_abs": "8522a0712c86a61b712aff1ed62649d112f1f57103138dd0ceda48999164a2ba",
-        "steps": "0be8278f342f593344692a4b0ea0e867da868720d24e0827bc511df83ae7910f",
-        "exit_time": "4c7ad3e8645d60d8d168195eb005376365bc53579ad25e9dc9c4cf571bd0682a",
+        "zeta": "8eb0ef944fb6becc9248043ef09bab2b1487d8319a3966852ae12c0e0e131dc2",
+        "x": "f33c6f2e448ecd71f26a083940eb906abb3b0139ee53bb99752f2abe514a2c5a",
+        "y": "289920b4aa3e1d7de016a172d80e96da574d9f7b3f308f2f1d976310c449ef87",
+        "min_abs": "58600b04e5ec8dea7b570adff72a460fa718bbfccd69dd8943d2f5b3c26a2e1e",
+        "steps": "a2499e60d33d40bc2c59f14be164189171830cb43ec22b87b724b05ff2923528",
+        "exit_time": "dc07e76db2dfc0f19872dd965f09001e50e2c732afb5306f417f74bf73478acb",
     },
     1.5: {
-        "zeta": "92592147e1674f78227b30844ae69ca91ab9f0cd8a6719eaf26985b0c6cbd9a9",
-        "x": "59488101f9cd0b6fe3e392b94f8e569e4abbd9089ee39ff372761a5ddd5d10d1",
-        "y": "03e010e2f379bc8f8c43ce2dbc17124d8a04df23ec3b6a53ddb9c8011ee6949d",
-        "min_abs": "82cdd13f024c3d57f638692adfbe7859536438ab4f267d246e74bc66103cbf37",
-        "steps": "af49d09c9ed4e0f2a8a71722ecaa7bfcb86aac4ad0a1f458df50cd482dc44ac1",
+        "zeta": "8de29ad80816624285fc4e884311b0a97eb6bb13a38f2c073deedc37234e3cea",
+        "x": "0317962826b123a8cc424ad94fe9ef2f73abc4db258cee8f6b3b3fe4cdaeac7b",
+        "y": "3dc79807d72e878af657679074929c792319d49edd030bccfb7f04fe265929dc",
+        "min_abs": "1a15da6f2834a0c0f975ad73da8badfe1e5f0f88932e717deefee8617a909219",
+        "steps": "de2dfb788f4f31ab6c151375a9358af8db2a30e758b27cc1e6b59d24ad700954",
     },
 }
 
@@ -132,17 +132,16 @@ def test_composite_driver_output_bytes_pinned(beta):
 
 
 # SHA-256 over the output arrays of a two-cell pure-stable run whose cells
-# differ in theta, 700 replicas each so that each cell's second block is
-# partial (x86-64, numpy 2.4).  alpha = 1, 1.5 and 2 take the tan, CMS and
-# Gaussian branches of the stable map.  Recorded while each block still drew
-# whole stable samples, before the map moved to one call per iteration.
+# differ in theta, 700 replicas each (x86-64, numpy 2.4).  alpha = 1, 1.5 and
+# 2 take the tan, CMS and Gaussian branches of the stable map.  Recorded at
+# 2048-replica blocks, one per cell.
 STABLE_PINNED = {
-    (1.0, 2.0): "d5557b1e49a1bc8beac9738cf49330689bd3de751e01a0b7574435dbdc92c2ad",
-    (1.0, 1.5): "b89f82511656d010ee8cf69679628d3e3ee919c84bcc08b084250a37f0fb0113",
-    (1.5, 2.0): "2c3c4f17d593955d292d1d44dbab881ed873db40c948c3afe988268971afc37c",
-    (1.5, 1.5): "c92672045824559d96cc31f6bcacd908c2d273eda07b0f0554642127d2cce731",
-    (2.0, 2.0): "3aa15398f2608ceba6127aaf1caf0434666b944f1dbd09f0cf9ba1e58bc98c47",
-    (2.0, 1.5): "404900d9784281a989ddd1aecd45be5b9d19b3fc1245a1479b609c2962a6eabe",
+    (1.0, 2.0): "a2e28c46838d376619bb2c1c3b7952e3d854cd87882a773b23c1841297d3b220",
+    (1.0, 1.5): "59aade8e8ad1089ee3b912288e45147a725645d61523ffabf0948c6bdde2c066",
+    (1.5, 2.0): "9a82fa35a9369d15e60a201b577e53a1fe1686bce8afb4b36484dbeda3677df4",
+    (1.5, 1.5): "106a9a55b19503bf934322d600ea3262c855017132945c61be2d6d7624f1275e",
+    (2.0, 2.0): "20f199d7c3277451c403565ca84efd77ad670dbb5933a4e587a06ac8060450b3",
+    (2.0, 1.5): "596df517d99b47e23699ff9f19932d1212c7cdba08b4eeab503bacd47eb4bdcc",
 }
 
 
@@ -168,24 +167,22 @@ def test_stable_cells_output_bytes_pinned(alpha, beta):
 # SHA-256 over the output arrays of runs that start on the real axis, where a
 # lane stays, like every lane of `phase`, `hitprob` and `theta0-bracket`
 # (x86-64, numpy 2.4): the flip rule of a Brownian part, the real-axis root at
-# beta = 2 and the beta < 2 real-axis drift.  700 replicas, so that each
-# cell's second block is partial.  Recorded before the flow kernels moved to
-# index sets.
+# beta = 2 and the beta < 2 real-axis drift.  700 replicas per cell, one
+# 2048-replica block.
 AXIS_PINNED = {
-    "kappa_stable": "4055118b18471d946314b6037e9b92ffca128797d0d8e7012a85a46f219a50c3",
-    "bessel": "70a18089bab7b4d1a7effc5b653878404b054dd436084afc966793e1eb31c6a3",
-    "theta0": "89a2631c81bbe4d54db3713a57a330722cf10156caf6dbb5884117a882aa41b8",
+    "kappa_stable": "3d7685b53073944d67cfc532cc01548c38fb944f60289169acd792284a18b228",
+    "bessel": "dd696fa9d724ae32e2907ad5f9d790c07d36f83a602406bff29e44a67af671e5",
+    "theta0": "1e12ca7f5376756db8446dcbf22f652e1763d56bdc00fee0214c243188724929",
 }
 
-# More runs that start on the real axis (x86-64, numpy 2.4), recorded before
-# real-axis loops took real-axis arithmetic: a loop whose cells mix a real and
-# an off-axis z0, which therefore keeps the general path; a composite cell,
-# whose jump clock lands its jumps on the axis; and the flip rule at beta =
-# 1.5.  700 replicas each.
+# More runs that start on the real axis (x86-64, numpy 2.4): a loop whose cells
+# mix a real and an off-axis z0, which therefore keeps the general path; a
+# composite cell, whose jump clock lands its jumps on the axis; and the flip
+# rule at beta = 1.5.  700 replicas each.
 AXIS_PINNED.update({
-    "mixed_z0": "69427d1d5ddd811ae11da30d2909d6e41e9f92c13f44cf9dcec96fc247aba7c7",
-    "composite": "381f9ae085c602c016a5db582202d3b1cc93b7bfb4c2b89b9a387f92e827f6d5",
-    "kappa_stable_beta1_5": "fc7d9b755a7007ac619f8cdf18f55ad690251e466721e10061af3b986686fe35",
+    "mixed_z0": "ea1fbd6c27dcfd861a18c8f091c162973760a8c89b685ac9142a9cf3e0fd2803",
+    "composite": "3ef46a35665221ab622f052e5f41a6ca0a3b53e8b672265efde21e36aa366029",
+    "kappa_stable_beta1_5": "ac38ab2774e4def9d19ced0899ec235f43cd6c41df7722e5e2648e635a26c8eb",
 })
 
 
@@ -305,30 +302,29 @@ def test_compound_poisson_jumps_at_exact_event_times():
 
 
 def test_annulus_exit_output_bytes_pinned():
-    # Brownian and stable parts, three blocks with a partial last one (x86-64,
-    # numpy 2.4); the loop shares its block draws with engine B.  Recorded when
-    # each block began drawing its live replicas' variates only.
+    # Brownian and stable parts (x86-64, numpy 2.4); the loop shares its block
+    # draws with engine B.  Recorded at 2048-replica blocks, where 1300
+    # replicas are one block.
     sides, pos = _annulus_exit_positions(1.0, 0.5, 1.0, 1.5, 1.0, 2.0, 1300, 50.0, 11)
-    assert _sha(sides) == "b3be58b5e3909b09d642776f757b4c0f5bfe5d5bc17f108279b80325fdb392a3"
-    assert _sha(pos) == "03cf309c6269efed50bd114db79356c6277d9c8ebe14c42a2c7129ca9baa18b6"
+    assert _sha(sides) == "9181507a9db99584563067e75f4df1df5b548053e20856ecf7655f213ef7c703"
+    assert _sha(pos) == "69ad557fe18601e971a0f73c663fbc1c6f9ca91e6b28d43f755ce856b285e63a"
 
 
 # Off-axis lanes that cross exit_radius = 1.5 in the band max(|x|, y) < 1.5 <=
-# |x| + y, where only hypot decides (x86-64, numpy 2.4); recorded while the
-# exit check ran hypot on every live lane.
+# |x| + y, where only hypot decides (x86-64, numpy 2.4).
 EXIT_PINNED = {
-    2.0: {"zeta": "f471f2879029adf0ab3f86d3fdc6356227ed2900efdfdd86479be96b1e0500b0",
-          "x": "2e7304b406210f5899e744c63693f405671ba7f0b1f2ee63951ba0ac92414d90",
-          "y": "9fbc0f2bec4af1077c9a6139a14ad82de962b6ee27832d5c1e0db3ec53ff457a",
-          "min_abs": "11a567145b8ac40b85ed7a9bf29de4ea2f754f09bc4a6bb1d39e9734a6b2c3e7",
-          "steps": "6332939c702d6cbda9098bab9556f787fdebd314c44eb911ebf12c74011ea6a7",
-          "exit_time": "c05b4f06c2b9bd13230c08a203fbcb504b33f72ae62d0b126d5de139d0e840ee"},
-    1.5: {"zeta": "89a1681552d67f6dcb92e2752a507ea60e4961e19990d361b6e89cd78943286c",
-          "x": "b20b8fbcfcc2bc132ac12574fd893527abd5bddd57eed7ce41d14d85c615107b",
-          "y": "8997ce0e7cfdd2a08c6b668b380ef4e8b8f415e81a2e91c3d316769f657d24ba",
-          "min_abs": "bd313d7448e5c6a6edac2df74d19ab5b1c32bf259dd60c7dd50bc25443a5fda1",
-          "steps": "3f8cb5c11e7b529658b9a60e58e3851da663d9bab7022172a3f8bb23acba0a78",
-          "exit_time": "9cfe626f9bcca0aec82e5b615f593a01bcb0566c25af1b56e15040d640e9a0b2"},
+    2.0: {"zeta": "ddaa54f2400dd0b0d9654c9f32cb2c41f1d7bd2b7abcafc4a65ecd89a0fa15a6",
+          "x": "8477b1c8604024e317bef5d44e8225c263103aab0f10135c75035198fa2e764f",
+          "y": "1515adfef1090fcc0c81e009328989edef72598de9c21e9259b017fd7d8802fb",
+          "min_abs": "7aa78811888646c0d2e9dea8048b30b6466ce15501e9021e208dea5ff21b4009",
+          "steps": "0cce803cf687dddcebff392d33bbe53b76ba1e7a243556b5185c4f564c95d94b",
+          "exit_time": "3ff2e1ac857036136c3359db68648ab93ba0d7e364f1313e3c1aa56837aa412c"},
+    1.5: {"zeta": "06a3d55e7d28eb162052ba80df5040aad91dbe1a8238615b821004bc927a624a",
+          "x": "43ccf6da58ae22830d6ec590d65970f7548c13317bfe919f09cac5e6105a296c",
+          "y": "a00dd87f9023ef5d413bbfe7ac0ff0ac4acdabe4fc3be1b9875b616c726298d3",
+          "min_abs": "8c43aadfda1da3cb04819e11ff39b3aff7dfa33058d86c02a5e4c6dadb8bd616",
+          "steps": "466ab4f796a0dd159704e32b95786cbe35fed4d3b10a0f0eaa2b381166cb7b1d",
+          "exit_time": "51191f9de24ed16ba88181fb4ea150e4c1e5b415964ded2ffd5cae16bff8fc4c"},
 }
 
 
