@@ -185,8 +185,16 @@ AXIS_PINNED.update({
     "kappa_stable_beta1_5": "ac38ab2774e4def9d19ced0899ec235f43cd6c41df7722e5e2648e635a26c8eb",
 })
 
+# Two cells of two blocks each, the second partial (x86-64, numpy 2.4): the
+# block bookkeeping of cells larger than one block, which every other pin and
+# every engine-B subcommand's default n leave out.
+AXIS_PINNED["two_blocks"] = "45098f1145492c7bf40ff9cad361ec04c6c583e1a46e7ebb83b50f1b86d1a310"
+
 
 def _axis_run(case):
+    if case == "two_blocks":
+        cells = [Cell(DriverSpec((Brownian(k), Stable(1.5, 1.0))), 1.0, ("pin-blocks", k)) for k in (2.0, 8.0)]
+        return _digest(run_adaptive_cells(cells, BLOCK + 188, 20.0, master_seed=2028))
     if case == "kappa_stable":
         cells = [Cell(DriverSpec((Brownian(k), Stable(1.5, 1.0))), 1.0, ("pin-axis", k)) for k in (2.0, 8.0)]
         return _digest(run_adaptive_cells(cells, 700, 20.0, master_seed=2028))

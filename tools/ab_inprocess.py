@@ -122,9 +122,9 @@ def main(argv=None) -> int:
                     help="skip the byte check; print engine-B lane-steps and CPU ns per lane-step")
     args = ap.parse_args(argv)
 
+    engine = "B" if args.stream_change else "A"
     sides = {"base": load(args.base.resolve()), "head": load(args.head.resolve())}
-    counters = {side: {e: count_lane_steps(mods, *ENGINES[e]) for e in ENGINES}
-                for side, mods in sides.items()}
+    counters = {side: count_lane_steps(mods, *ENGINES[engine]) for side, mods in sides.items()}
     activate(sides["head"])
     sys.path.insert(0, str(args.head.resolve() / "perfbench"))
     import ops  # the op lists; imports the head's package
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
     names = [f"{i}-{a[0]}" for i, a in enumerate(op_list)]
 
     cpu = {side: {n: [] for n in names} for side in sides}
-    lane_steps = {side: {e: dict.fromkeys(names, 0) for e in ENGINES} for side in sides}
+    lane_steps = {side: dict.fromkeys(names, 0) for side in sides}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         work = Path(tmp)
         for side, mods in sides.items():  # lazy imports and first-call costs, untimed
@@ -148,11 +148,10 @@ def main(argv=None) -> int:
             for name, a in zip(names, op_list):
                 got = {}
                 for side in order:
-                    before = {e: c[0] for e, c in counters[side].items()}
+                    before = counters[side][0]
                     t, got[side] = run_op(sides[side], a, seed, work / side / str(r) / name)
                     cpu[side][name].append(t)
-                    for e, c in counters[side].items():
-                        lane_steps[side][e][name] += c[0] - before[e]
+                    lane_steps[side][name] += counters[side][0] - before
                 if not args.stream_change and got["base"] != got["head"]:
                     diff = sorted(k for k in got["base"].keys() | got["head"].keys()
                                   if got["base"].get(k) != got["head"].get(k))
@@ -160,7 +159,6 @@ def main(argv=None) -> int:
             print(f"round {r} (seed {seed}): "
                   + ("timed" if args.stream_change else "artifacts identical"), flush=True)
 
-    engine = "B" if args.stream_change else "A"
     extra = "".join(f" {side + ' ' + engine + ' lane-steps':>18}" for side in sides)
     if args.stream_change:
         extra += "".join(f" {side + ' ns/step':>13}" for side in sides)
@@ -169,7 +167,7 @@ def main(argv=None) -> int:
         b, h = cpu["base"][name], cpu["head"][name]
         ratios = [y / x for x, y in zip(b, h)]
         wins = sum(y < x for x, y in zip(b, h))
-        steps = {side: lane_steps[side][engine][name] for side in sides}
+        steps = {side: lane_steps[side][name] for side in sides}
         extra = "".join(f" {steps[side]:>18,}" for side in sides)
         if args.stream_change:
             extra += "".join(f" {1e9 * sum(cpu[side][name]) / steps[side] if steps[side] else float('nan'):>13.1f}"
