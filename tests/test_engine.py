@@ -190,6 +190,16 @@ AXIS_PINNED.update({
 # every engine-B subcommand's default n leave out.
 AXIS_PINNED["two_blocks"] = "45098f1145492c7bf40ff9cad361ec04c6c583e1a46e7ebb83b50f1b86d1a310"
 
+# Off-axis runs from just above the axis (y = delta) whose driver lists its
+# stable part before its Brownian part (x86-64, numpy 2.4): the flip rule at a
+# sub-increment that is not the step's first.  Lanes die by the flip rule 55
+# times at beta = 2 and 134 times at beta = 1.5, and by |h| <= delta 86 and
+# 245 times.
+AXIS_PINNED.update({
+    "stable_first": "d4ae8942da124aeef10c0d463fb57d89c34ebbdbed462dd316aee1813f0609d5",
+    "stable_first_beta1_5": "ba78f3be4e3f394276f6bd11bca3036f0ca7eaa8eed70c47c0b8f18882189275",
+})
+
 
 def _axis_run(case):
     if case == "two_blocks":
@@ -210,6 +220,11 @@ def _axis_run(case):
         res = run_adaptive_mc(COMPOSITE, 1.0, 700, 5.0, master_seed=2028, tag="pin-axis-composite",
                               exit_radius=4.0)
         return _digest([res], FIELDS + ("exit_time",))
+    if case.startswith("stable_first"):
+        beta = 1.5 if case.endswith("beta1_5") else 2.0
+        res = run_adaptive_mc(DriverSpec((Stable(1.5, 1.0), Brownian(2.0))), 0.3 + 0.01j, 700, 2.0,
+                              master_seed=2029, tag=("pin-order", beta), hit_tolerance=1e-2, beta=beta)
+        return _digest([res])
     if case == "kappa_stable_beta1_5":
         cells = [Cell(DriverSpec((Brownian(k), Stable(1.5, 1.0))), 1.0, ("pin-axis-beta", k)) for k in (2.0, 8.0)]
         return _digest(run_adaptive_cells(cells, 700, 20.0, master_seed=2028, beta=1.5))
