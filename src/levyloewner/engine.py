@@ -60,30 +60,29 @@ Poisson parts as separate ones.
 
 The flow kernels pay per event, not per lane.  Each runs a fixed number of
 elementwise passes over the live lanes; past those, work scales with the
-lanes something happened to, held as index sets: the lanes near 0 (hit
-checks), the lanes low enough to cross h = 0 (flip rule), and the lanes whose
-u crosses 0 in the drift (swallow bookkeeping).  A step in which no lane is
-near, low or crossing does no bookkeeping at all, and a step of real-axis
-lanes takes the real root.  An engine-B loop whose cells all start on the real
-axis keeps every lane there until it dies (the drift keeps c = 0, and each
-sub-increment moves x only), so it runs real-axis kernels with the same bits;
-engine B rebuilds its block bookkeeping only after a lane died.  Engine A runs
-one box test per grid step, right after the drift: the step's sub-increments
-move x by at most the scalar |d_cont| + |d_jump|, so a lane outside
-max(|x|, y) <= (max(min_abs, delta) + |d_cont| + |d_jump|) * 1.000001 can
-fail no hit check and no flip rule of the step, and takes two scalar
-subtracts.  A lane that reports zeta only (``zeta_only``, as raster cells
-do) keeps no running minimum of |h| and holds min_abs = 0, so its box
-reaches only its tolerance plus the step's shifts.  The gathered candidates
-take the step's three
-check points (after the drift, after the continuous sub-increment with the
-flip rule, after the jump sub-increment) in one elementwise pass each, with
-no further box test or index set: a candidate outside a check's near box
+lanes something happened to, held as index sets: the candidates of a step's
+box test (hit checks and flip rule) and the lanes whose u crosses 0 in the
+drift (swallow bookkeeping).  A step with no candidate and no crossing does
+no bookkeeping at all, and a step of real-axis lanes takes the real root.
+
+Both engines end a step in one kernel, :func:`_land_step`, which runs one box
+test right after the drift.  The step's sub-increments move a lane's x by at
+most the sum of their |d| (a scalar in engine A, one per lane in engine B),
+so a lane outside max(|x|, y) <= (max(min_abs, delta) + sum |d|) * 1.000001
+can fail no hit check and no flip rule of the step, and takes the subtracts
+only.  A lane that reports zeta only (``zeta_only``, as raster cells do)
+keeps no running minimum of |h| and holds min_abs = 0, so its box reaches
+only its tolerance plus the step's shifts.  The gathered candidates take the
+step's check points in one elementwise pass each, with no further box test
+or index set: a candidate outside a check's near box
 max(|x|, y) <= max(min_abs, delta) has hypot(x, y) >= that box, so folding
-its |h| into min_abs changes nothing and cannot hit.
-:func:`_check_endpoint` and :func:`_apply_increment` serve engine B's
-off-axis loops only.  Both engines hold the live state in one array, one row
-per quantity, so that dropping the lanes that died is one call.
+its |h| into min_abs changes nothing and cannot hit.  An engine-B loop whose
+cells all start on the real axis keeps every lane there until it dies (the
+drift keeps c = 0, and each sub-increment moves x only), so it runs the
+real-axis kernels :func:`_axis_drift` and :func:`_axis_increment` with the
+same bits; engine B rebuilds its block bookkeeping only after a lane died.
+Both engines hold the live state in one array, one row per quantity, so that
+dropping the lanes that died is one call.
 
 Engine A holds the whole path in advance, so it also retires the zeta-only
 lanes that the rest of the path can no longer hit.  For x > 0 every drift
@@ -119,7 +118,6 @@ test's own rounding counted: 1.4e-10 of V + D at 2,400 steps.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -399,54 +397,9 @@ def _rk4_drift(u0, c, dt, beta, sub, crossings):
     return u1
 
 
-def _apply_increment(x, y, du, is_continuous, t_next, delta, zeta, min_abs, alive):
-    """Shift x by -du on alive lanes and run the hit checks at t_next.  du,
-    t_next and delta are per-lane arrays or scalars.  Mutates x, zeta,
-    min_abs, alive.
-
-    Beyond the shift itself, work scales with the lanes low enough to cross
-    h = 0 (y <= delta, for a continuous increment) and with the lanes near 0
-    (:func:`_check_endpoint`); no full-length hit mask is built."""
-    flip = None
-    if is_continuous:
-        # the path crossed h = 0 inside the step if x changes sign at y <= delta
-        low = ((y <= delta) & alive).nonzero()[0]
-        x_old = x[low]
-    if np.count_nonzero(alive) == alive.size:  # a masked subtract costs three plain ones
-        x -= du
-    else:
-        np.subtract(x, du, out=x, where=alive)
-    if is_continuous and low.size:
-        flip = low[np.sign(x_old) * np.sign(x[low]) < 0]
-    _check_endpoint(x, y, t_next, delta, zeta, min_abs, alive, flip)
-
-
-def _check_endpoint(x, y, t_now, delta, zeta, min_abs, alive, flip=None):
-    """Fold |h| into min_abs and mark the lanes with |h| <= delta, and the
-    live lanes of the index array ``flip``, dead at t_now.  Mutates zeta,
-    min_abs, alive.
-
-    One box test runs over every live lane; the rest works on the index set
-    of the near lanes, and returns early when there is none."""
-    # |h| rounds to no less than max(|x|, |y|), so only lanes in that box can
-    # set a new minimum of |h| or come within delta; y >= +0 on every lane
-    box = np.abs(x)
-    np.maximum(box, y, out=box)
-    near = ((box <= np.maximum(min_abs, delta)) & alive).nonzero()[0]
-    if near.size:
-        habs = np.hypot(x[near], y[near])
-        min_abs[near] = np.minimum(min_abs[near], habs)
-        hit = near[habs <= _at(delta, near)]
-        if hit.size:
-            zeta[hit] = _at(t_now, hit)
-            alive[hit] = False
-    if flip is not None and flip.size:
-        zeta[flip] = _at(t_now, flip)
-        alive[flip] = False
-
-
 def _axis_increment(x, du, is_continuous, t_now, delta, zeta, min_abs, alive, died):
-    """:func:`_apply_increment` on the real axis, given whether a lane died
+    """One check point of :func:`_land_step` on the real axis: shift x by -du
+    on the live lanes and run the checks at t_now, given whether a lane died
     earlier in the step (it keeps its x, min_abs <= |x| and zeta at t_now, so
     one pass of |h| = hypot(x, 0) = |x| checks all lanes); returns whether one
     has.  As y = 0 <= delta, x * sign(x before) <= delta is the flip rule or
@@ -467,47 +420,52 @@ def _axis_increment(x, du, is_continuous, t_now, delta, zeta, min_abs, alive, di
     return True
 
 
-def _land_step(x, y, dc, dj, t1, delta, zeta, min_abs, alive):
-    """Engine A's end of a grid step at t1, after the drift: the endpoint
-    check, then the continuous sub-increment dc and the jump sub-increment dj
-    with their checks.  Mutates x, zeta, min_abs, alive.
+def _land_step(x, y, subs, t1, delta, zeta, min_abs, alive):
+    """The end of a step at t1, after the drift: the check points ``subs`` in
+    order, each a pair (d, continuous).  d None checks |h| where it is;
+    otherwise d, a numpy scalar or one value per lane, is a sub-increment that
+    moves x by -d before its check, with the flip rule when ``continuous``.
+    t1 is a scalar or one value per lane.  Mutates x, zeta, min_abs, alive.
 
     One box test finds the candidates, the lanes that a check of the step can
-    touch (see the module docstring), and every other lane takes the two
-    subtracts.  The candidates take the step's check points in turn, one pass
+    touch (see the module docstring), and every other lane takes the
+    subtracts only.  The candidates take the check points in turn, one pass
     each: |h| is folded into min_abs on the lanes still live, which die at
     |h| <= delta (or by the flip rule) and keep the x of the check that
     stopped them."""
     box = np.abs(x)
     np.maximum(box, y, out=box)
     wide = np.maximum(min_abs, delta)
-    wide += abs(dc) + abs(dj)
+    reach = 0.0  # how far the step's sub-increments move x
+    for d, _ in subs:
+        if d is not None:
+            reach = reach + abs(d)
+    wide += reach
     wide *= 1.000001  # covers the rounding of the subtracts
     cand = (box <= wide).nonzero()[0]
-    del box, wide  # freed before the gathers
+    del box, wide, reach  # freed before the gathers
     if cand.size:
         cx, cy, cm, ct, was = x[cand], y[cand], min_abs[cand], delta[cand], alive[cand]
     # lanes swallowed in the drift keep their place
     where = True if alive.all() else alive
-    for d in (dc, dj):
-        if d != 0.0:
+    for d, _ in subs:
+        if d is not None:
             np.subtract(x, d, out=x, where=where)
     if not cand.size:
         return
     live = was.copy()
     habs = np.empty(cand.size)
     keep = np.empty(cand.size, dtype=bool)
-    # the check points: after the drift, then after dc (with the flip rule)
-    # and after dj where they move x
-    for d, continuous in ((None, False), (dc, True), (dj, False)):
-        if d == 0.0:
-            continue
-        if continuous:
-            # x - dc has the sign of the exact difference, so x changes sign
-            # exactly when it lies strictly between 0 and dc
-            lo, hi = (0.0, d) if d > 0.0 else (d, 0.0)
-            no_flip = (cx <= lo) | (cx >= hi) | (cy > ct)
+    for d, continuous in subs:
         if d is not None:
+            if d.ndim:
+                d = d[cand]
+            if continuous:
+                # x - d has the sign of the exact difference, so x changes
+                # sign exactly when it lies strictly between 0 and d
+                lo, hi = ((np.minimum(d, 0.0), np.maximum(d, 0.0)) if d.ndim
+                          else (0.0, d) if d > 0.0 else (d, 0.0))
+                no_flip = (cx <= lo) | (cx >= hi) | (cy > ct)
             np.subtract(cx, d, out=cx, where=live)
         # a lane outside the near box max(|x|, y) <= max(min_abs, delta) has
         # hypot >= that box, so the fold and the test leave it as it is
@@ -520,7 +478,7 @@ def _land_step(x, y, dc, dj, t1, delta, zeta, min_abs, alive):
     x[cand], min_abs[cand] = cx, cm
     dead = cand[was != live]
     if dead.size:
-        zeta[dead] = t1
+        zeta[dead] = _at(t1, dead)
         alive[dead] = False
 
 
@@ -642,8 +600,13 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
         full_step = grid[i + 1] <= horizon + 1e-15
         alive = np.ones(lane.size, dtype=bool)
         _drift_advance(x, y, t1 - t0, beta, t0, tol, zeta, min_abs, alive)
-        dc, dj = (d_cont[i], d_jump[i]) if full_step else (0.0, 0.0)
-        _land_step(x, y, dc, dj, t1, tol, zeta, min_abs, alive)
+        subs = [(None, False)]  # the check after the drift, then the sub-increments that move x
+        if full_step:
+            if d_cont[i] != 0.0:
+                subs.append((d_cont[i], True))
+            if d_jump[i] != 0.0:
+                subs.append((d_jump[i], False))
+        _land_step(x, y, subs, t1, tol, zeta, min_abs, alive)
         if record_trajectory:
             h = (x[0], y[0]) if lane[0] == 0 else (out[1, 0], out[2, 0])
             traj.append((t1, *h, values[i + 1] if full_step else values[i]))
@@ -956,18 +919,16 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         else:
             _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive)
         t += dt  # the increments land at the step's end
-        # the sub-increments, then a jump where a lane's wait ended its step;
-        # each is made as it lands, so that one is held at a time
-        subs = itertools.chain(
-            ((inc.increments([next(raws) for _ in inc.draws], dt, c), inc.is_continuous)
-             for inc, c in zip(incs, coef)),
-            ((np.where(wait == dt, size, 0.0), False) for wait, size in zip(waits, sizes)))
-        died = False
-        for du, is_continuous in subs:
-            if axis:
+        # the sub-increments, then a jump where a lane's wait ended its step
+        subs = [(inc.increments([next(raws) for _ in inc.draws], dt, c), inc.is_continuous)
+                for inc, c in zip(incs, coef)]
+        subs += [(np.where(wait == dt, size, 0.0), False) for wait, size in zip(waits, sizes)]
+        if axis:
+            died = False
+            for du, is_continuous in subs:
                 died = _axis_increment(x, du, is_continuous, t, delta, zeta, min_abs, alive, died)
-            else:
-                _apply_increment(x, y, du, is_continuous, t, delta, zeta, min_abs, alive)
+        else:
+            _land_step(x, y, subs, t, delta, zeta, min_abs, alive)
         if track:
             fresh = (alive & np.isnan(exit_time) & (np.hypot(x, y) >= exit_radius)).nonzero()[0]
             exit_time[fresh] = t[fresh]

@@ -47,7 +47,7 @@ from .drivers import (
     _stable_map,
     sample_driver,
 )
-from .engine import (BLOCK, Cell, _draw_plan, _live_draws, _loop_key, default_hit_tolerance,
+from .engine import (BLOCK, Cell, _axis_drift, _draw_plan, _live_draws, _loop_key, default_hit_tolerance,
                      run_adaptive_cells, run_adaptive_mc)
 from .errors import ConfigError, StatisticalError
 from .loewner import EvolutionConfig, connected_components, raster_cluster
@@ -388,11 +388,10 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
         raws = iter(_live_draws(plan))
 
         # drift: |x| grows, may cross b continuously -> atom at sign(x)*b
-        sign = np.sign(x)
-        x = sign * np.sqrt(x * x + 4.0 * dt)
+        _axis_drift(x, dt, 2.0)
         out = (np.abs(x) >= b).nonzero()[0]
         if out.size:
-            leave(out, 2, sign[out] * b)
+            leave(out, 2, np.copysign(b, x[out]))
             active[out] = False
 
         if kappa > 0:

@@ -275,15 +275,11 @@ def test_one_generator_call_per_draw_kind_per_live_cell(monkeypatch):
         assert made <= kinds * sum(i <= m for m in last), f"iteration {i}"
 
 
-def test_death_free_iteration_call_budget():
-    # Python-level calls (profiler "call" and "c_call" events) per lockstep
-    # iteration in which no lane dies, on one real-axis block: a guard on the
-    # fixed cost per iteration that needs no timer.  The count includes
-    # numpy's Python wrappers (such as _methods._all and numeric.ones), so it
-    # depends on the numpy version, as the byte pins do (numpy 2.4); ufunc
-    # operators do not show.  It read 47-53 (53 at most) before real-axis
-    # loops took real-axis arithmetic and rebuilt their block bookkeeping only
-    # after a death.  An iteration runs from one _live_draws call to the next.
+def _death_free_calls(z0):
+    """Python-level calls (profiler "call" and "c_call" events) of each
+    lockstep iteration in which no lane dies, on one block of 256 replicas of
+    kappa = 8 + S(1.5, 1) from z0.  An iteration runs from one _live_draws
+    call to the next."""
     iterations, calls, died = [], 0, False
 
     def profile(frame, event, arg):
@@ -295,7 +291,7 @@ def test_death_free_iteration_call_budget():
             calls += 1
             died = died or (event == "call" and frame.f_code is engine._retire.__code__)
 
-    cell = Cell(DriverSpec((Brownian(8.0), Stable(1.5, 1.0))), 1.0, "budget")
+    cell = Cell(DriverSpec((Brownian(8.0), Stable(1.5, 1.0))), z0, "budget")
     gc.collect()  # no finalizer of another test's garbage runs inside the count
     gc.disable()
     sys.setprofile(profile)
@@ -304,9 +300,27 @@ def test_death_free_iteration_call_budget():
     finally:
         sys.setprofile(None)
         gc.enable()
-    death_free = [c for c, d in iterations[1:] if not d]
-    assert len(death_free) > 100
-    assert max(death_free) <= 31
+    return [c for c, d in iterations[1:] if not d]
+
+
+def test_death_free_iteration_call_budget():
+    # Calls per death-free iteration (_death_free_calls): a guard on the fixed
+    # cost per iteration that needs no timer.  The count includes numpy's
+    # Python wrappers (such as _methods._all and numeric.ones), so it depends
+    # on the numpy version, as the byte pins do (numpy 2.4); ufunc operators
+    # do not show.  On the real axis it read 47-53 (53 at most) before
+    # real-axis loops took real-axis arithmetic and rebuilt their block
+    # bookkeeping only after a death, and 31 before an off-axis step landed
+    # through one kernel call; it reads 29 since.
+    axis = _death_free_calls(1.0)
+    assert len(axis) > 100
+    assert max(axis) <= 31
+    # Off the axis it read 58-72 (mean 63.7) while each sub-increment ran its
+    # own box test and index sets, and reads 50-61 (mean 54.5) since a step
+    # lands through engine A's kernel, one box test per step.
+    off_axis = _death_free_calls(0.5 + 0.3j)
+    assert len(off_axis) > 100
+    assert max(off_axis) <= 62
 
 
 def test_compound_poisson_jumps_at_exact_event_times():
