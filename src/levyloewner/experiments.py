@@ -47,8 +47,8 @@ from .drivers import (
     _stable_map,
     sample_driver,
 )
-from .engine import (BLOCK, Cell, _axis_drift, _draw_plan, _live_draws, _loop_key, default_hit_tolerance,
-                     run_adaptive_cells, run_adaptive_mc)
+from .engine import (BLOCK, Cell, _axis_drift, _draw_plan, _live_draws, _loop_key,
+                     default_hit_tolerance, run_adaptive_cells, run_adaptive_mc)
 from .errors import ConfigError, StatisticalError
 from .loewner import EvolutionConfig, connected_components, raster_cluster
 from .rng import stream

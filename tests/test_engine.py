@@ -310,8 +310,9 @@ def test_death_free_iteration_call_budget():
     # on the numpy version, as the byte pins do (numpy 2.4); ufunc operators
     # do not show.  On the real axis it read 47-53 (53 at most) before
     # real-axis loops took real-axis arithmetic and rebuilt their block
-    # bookkeeping only after a death, and 31 before an off-axis step landed
-    # through one kernel call; it reads 29 since.
+    # bookkeeping only after a death, and 31 while a step made its
+    # sub-increments one at a time as they landed; it reads 29 since a step
+    # makes them in one list.
     axis = _death_free_calls(1.0)
     assert len(axis) > 100
     assert max(axis) <= 31
