@@ -1,9 +1,12 @@
 """Monte Carlo estimator plumbing: confidence intervals, KS helper,
 estimator invariants, scan/bracket logic, and reproducibility."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from levyloewner import experiments
 from levyloewner.drivers import DriverSpec, JumpLaw, CompoundPoisson, Brownian, Stable
 from levyloewner.errors import ConfigError, StatisticalError
 from levyloewner.experiments import (
@@ -256,3 +259,37 @@ class TestNumericalGuards:
         with pytest.raises(NumericalError, match="refusing to underflow"):
             run_adaptive_mc(spec, 1.0, 100, 1.0, master_seed=1, tag=("uf",),
                             hit_tolerance=1e-8)
+
+
+class TestScalingCheck:
+    # SHA-256 of the two samples scaling_check hands to ks_two_sample, sample A
+    # then sample B (x86-64, numpy 2.4).  They pin its wiring: the stream tags,
+    # sample A's start z/sqrt(a), tolerance delta/sqrt(a), exit radius
+    # rho/sqrt(a) and horizon T/a, and the rescaling of its statistic.
+    CASES = {
+        "im_h": ((4.0, 1.5, 1.0, 3.0, "im_h", 0.5 + 1j, 4.0, 500, 31), {}),
+        "exit_time": ((4.0, 0.5, 1.0, 2.0, "exit_time", 1j, 8.0, 500, 31), {"exit_radius": 3.0}),
+    }
+    PINNED = {
+        "im_h": ("9af1698750f067df2bbc370b26ef23f68dc09fa514d10918ade7247339e93076",
+                 "3e86e21006cf10367f035747d716cbd3a30c76081cc2d4ff12dedbc699d8068b"),
+        "exit_time": ("c22b7f4fc85d69b978c93b996fba3c577b76aafc054f02e21c66c506a42c1c72",
+                      "93e32e624c6db5e179e3d82250aae4cec3895af4183a114bfb01b1d6c3c1b6b1"),
+    }
+
+    @pytest.mark.parametrize("statistic", sorted(CASES))
+    def test_samples_pinned(self, statistic, monkeypatch):
+        seen = []
+        ks = experiments.ks_two_sample
+
+        def capture(a, b):
+            seen.append((a, b))
+            return ks(a, b)
+
+        monkeypatch.setattr(experiments, "ks_two_sample", capture)
+        args, kw = self.CASES[statistic]
+        experiments.scaling_check(*args, **kw)
+        (a, b), = seen
+        assert a.size == b.size == 500
+        assert tuple(hashlib.sha256(np.ascontiguousarray(s).tobytes()).hexdigest()
+                     for s in (a, b)) == self.PINNED[statistic]
