@@ -148,12 +148,28 @@ _MAX_STEPS = 20_000_000
 _DT_MAX = 1e6
 
 __all__ = ["BLOCK", "Cell", "LaneResult", "default_hit_tolerance", "evolve_lanes_on_path",
-           "run_adaptive_cells", "run_adaptive_mc"]
+           "run_adaptive_cells"]
 
 
 def default_hit_tolerance(z0) -> np.ndarray:
     """Spec default 1e-4 * (1 + |z0|)."""
     return 1e-4 * (1.0 + np.abs(z0))
+
+
+def _check_start(z0, delta, beta):
+    """Refuse what neither engine can evolve: beta outside (1, 2], a start
+    point z0 that is not finite, is 0 or lies below the real axis, and a hit
+    tolerance delta (resolved per lane) that is not positive and finite."""
+    if not 1.0 < beta <= 2.0:
+        raise ConfigError(f"beta must lie in (1,2], got {beta}")
+    if not np.isfinite(z0).all():
+        raise ConfigError("z0 must be finite")
+    if np.any(z0 == 0):
+        raise ConfigError("z0 must be nonzero")
+    if np.any(z0.imag < 0):
+        raise ConfigError("z0 must lie in the closed upper half-plane")
+    if not np.all((0.0 < delta) & (delta < np.inf)):
+        raise ConfigError("hit tolerance must be positive and finite")
 
 
 @dataclass
@@ -542,24 +558,16 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
     module docstring).  The other lanes keep every output.
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
-    if np.any(z0 == 0):
-        raise ConfigError("tracked points must be nonzero")
-    if np.any(z0.imag < 0):
-        raise ConfigError("tracked points must lie in the closed upper half-plane")
-    if not 1.0 < beta <= 2.0:
-        raise ConfigError(f"beta must lie in (1,2], got {beta}")
-    if not horizon > 0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
-    if path.horizon < horizon - 1e-12:
-        raise ConfigError(f"path horizon {path.horizon} shorter than requested {horizon}")
-
     n = z0.size
     if hit_tolerance is None:
         delta = default_hit_tolerance(z0)
     else:
         delta = np.broadcast_to(np.asarray(hit_tolerance, dtype=float), (n,)).copy()
-    if not np.all((0.0 < delta) & (delta < np.inf)):
-        raise ConfigError("hit tolerance must be positive and finite")
+    _check_start(z0, delta, beta)
+    if not horizon > 0:
+        raise ConfigError(f"horizon must be positive, got {horizon}")
+    if path.horizon < horizon - 1e-12:
+        raise ConfigError(f"path horizon {path.horizon} shorter than requested {horizon}")
     zeta_only = np.asarray(zeta_only)
     if zeta_only.dtype != bool or zeta_only.shape not in ((), (n,)):
         raise ConfigError("zeta_only must be a bool or one bool per lane")
@@ -778,10 +786,12 @@ class Cell(NamedTuple):
     hit_tolerance: float | None = None
 
 
-def run_adaptive_mc(spec: DriverSpec, z0, n: int, horizon: float, *, master_seed: int,
-                    tag, hit_tolerance: float | None = None, beta: float = 2.0,
-                    dt_safety: float = 0.1, exit_radius: float | None = None) -> LaneResult:
-    """n independent replicas of the evolution of z0 under fresh driver paths.
+def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed: int,
+                       beta: float = 2.0, dt_safety: float = 0.1,
+                       exit_radius: float | None = None) -> list[LaneResult]:
+    """n independent replicas of the evolution of each :class:`Cell`'s z0
+    under fresh driver paths, advanced in one lockstep loop; returns one
+    result per cell, in order.
 
     Each replica's driver is realized on the fly along an adaptive grid:
     dt = dt_safety * min(|h|^beta / (2 beta), tau_1(|h|), ...) with
@@ -790,21 +800,12 @@ def run_adaptive_mc(spec: DriverSpec, z0, n: int, horizon: float, *, master_seed
     time left before the horizon; increments are exact marginal draws per
     step.  A compound Poisson part ends a lane's step at its next jump (a
     fresh exponential wait per step), so its jumps land at their exact event
-    times.  Replicas are grouped in blocks of :data:`BLOCK`, block b drawing
-    from the stream (master_seed, *tag, "block", b); all blocks advance
-    together, and each replica's outcome depends only on its own block's
-    stream.  This is the one-cell case of :func:`run_adaptive_cells`.
-    """
-    return run_adaptive_cells([Cell(spec, z0, tag, hit_tolerance)], n, horizon,
-                              master_seed=master_seed, beta=beta, dt_safety=dt_safety,
-                              exit_radius=exit_radius)[0]
-
-
-def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed: int,
-                       beta: float = 2.0, dt_safety: float = 0.1,
-                       exit_radius: float | None = None) -> list[LaneResult]:
-    """:func:`run_adaptive_mc` for n replicas of each :class:`Cell`, advanced
-    in one lockstep loop; returns one result per cell, in order.
+    times.  Replicas are grouped in blocks of :data:`BLOCK`, block b of a
+    cell drawing from the stream (master_seed, *tag, "block", b); all blocks
+    advance together, and each replica's outcome depends only on its own
+    block's stream.  A lane that reaches |h| >= ``exit_radius`` records that
+    time as its exit_time.  One cell's result is ``run_adaptive_cells([cell],
+    ...)[0]``.
 
     The cells' drivers may differ in Brownian kappa and stable theta only
     (:func:`_loop_key`); the loop holds those coefficients, z0 and the hit
@@ -813,8 +814,6 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     lanes never leave the real axis, and the loop runs real-axis kernels to
     the same bits; the live blocks and mask are rebuilt only after a death.
     """
-    if not 1.0 < beta <= 2.0:
-        raise ConfigError(f"beta must lie in (1,2], got {beta}")
     if n < 1:
         raise ConfigError("n must be at least 1")
     if not 0 < horizon < np.inf:
@@ -826,14 +825,9 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     if len({_loop_key(c.spec) for c in cells}) != 1:
         raise ConfigError("the cells of one loop may differ in Brownian kappa and stable theta only")
     z0 = np.array([complex(c.z0) for c in cells])
-    if np.any(z0 == 0):
-        raise ConfigError("z0 must be nonzero")
-    if np.any(z0.imag < 0):
-        raise ConfigError("z0 must lie in the closed upper half-plane")
     tol = np.array([float(default_hit_tolerance(z) if c.hit_tolerance is None else c.hit_tolerance)
                     for z, c in zip(z0, cells)])
-    if not np.all((0.0 < tol) & (tol < np.inf)):
-        raise ConfigError("hit tolerance must be positive and finite")
+    _check_start(z0, tol, beta)
     floor = [d ** beta / 16.0 for d in tol.tolist()]
     if min(floor) < 1e-14 * horizon:
         raise NumericalError(f"hit tolerance {tol.min()} gives step floor {min(floor)} below 1e-14*T; "

@@ -48,7 +48,7 @@ from .drivers import (
     sample_driver,
 )
 from .engine import (BLOCK, Cell, _axis_drift, _draw_plan, _live_draws, _loop_key,
-                     default_hit_tolerance, run_adaptive_cells, run_adaptive_mc)
+                     default_hit_tolerance, run_adaptive_cells)
 from .errors import ConfigError, StatisticalError
 from .loewner import EvolutionConfig, connected_components, raster_cluster
 from .rng import stream
@@ -590,6 +590,8 @@ def scaling_check(kappa: float, alpha: float, theta: float, a: float, statistic:
         raise ConfigError("statistic must be hit_indicator, im_h or exit_time")
     if n < 500:
         raise ConfigError("scaling checks need n >= 500")
+    if not 0 < a < np.inf:
+        raise ConfigError(f"scale factor a must be positive and finite, got {a}")
     if theta_tilde is None:
         theta_tilde = a ** (alpha / 2.0 - 1.0) * theta if theta > 0 else 0.0
     z = complex(z)
@@ -599,12 +601,11 @@ def scaling_check(kappa: float, alpha: float, theta: float, a: float, statistic:
 
     spec_a = PhaseParams(z=z, kappa=kappa, alpha=alpha, theta=theta).driver_spec()
     spec_b = PhaseParams(z=z, kappa=kappa, alpha=alpha, theta=theta_tilde).driver_spec()
-    res_a = run_adaptive_mc(spec_a, z / sq, n, horizon / a, master_seed=seed,
-                            tag=("scale", "A", statistic), hit_tolerance=delta / sq,
-                            exit_radius=rho / sq)
-    res_b = run_adaptive_mc(spec_b, z, n, horizon, master_seed=seed,
-                            tag=("scale", "B", statistic), hit_tolerance=delta,
-                            exit_radius=rho)
+    # one engine call per sample: their horizons and exit radii differ
+    res_a = run_adaptive_cells([Cell(spec_a, z / sq, ("scale", "A", statistic), delta / sq)], n,
+                               horizon / a, master_seed=seed, exit_radius=rho / sq)[0]
+    res_b = run_adaptive_cells([Cell(spec_b, z, ("scale", "B", statistic), delta)], n, horizon,
+                               master_seed=seed, exit_radius=rho)[0]
 
     if statistic == "hit_indicator":
         sa = res_a.hit.astype(float)

@@ -26,7 +26,7 @@ from levyloewner.drivers import (
     sample_stable,
     uniform_grid,
 )
-from levyloewner.engine import run_adaptive_mc
+from levyloewner.engine import Cell, run_adaptive_cells
 from levyloewner.experiments import (
     PhaseParams,
     area_fraction,
@@ -164,8 +164,8 @@ def test_criterion_05b_kappa_phase_supercritical():
     est = hitting_probability(PhaseParams(z=1.0, kappa=8.0, alpha=1.5, theta=1.0),
                               2000, 100.0, SEED, tag=("acc5", "k8"))
     spec = DriverSpec((Brownian(8.0), Stable(1.5, 1.0)))
-    res_long = run_adaptive_mc(spec, 1.0, 2000, 5000.0, master_seed=SEED,
-                               tag=("acc5", "k8-long"))
+    res_long = run_adaptive_cells([Cell(spec, 1.0, ("acc5", "k8-long"))], 2000, 5000.0,
+                                  master_seed=SEED)[0]
     frac_long = float(res_long.hit.mean())
     elapsed = time.time() - t0
     ok = est.hit_fraction >= 0.95 and est.horizon_flag == "stable" and elapsed < 900
@@ -343,8 +343,8 @@ def test_engine_validated_against_exact_bessel_law():
     and the engine reproduces that law within Monte Carlo error."""
     kappa, x, n = 8.0, 1.0, 4000
     spec = DriverSpec((Brownian(kappa),))
-    res = run_adaptive_mc(spec, x, n, 200.0, master_seed=SEED, tag=("bessel",),
-                          dt_safety=0.05)
+    res = run_adaptive_cells([Cell(spec, x, ("bessel",))], n, 200.0, master_seed=SEED,
+                             dt_safety=0.05)[0]
     ok = True
     details = []
     for t in (1.0, 25.0, 100.0, 200.0):

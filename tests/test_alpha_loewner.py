@@ -6,7 +6,7 @@ import pytest
 
 from levyloewner.alpha_loewner import closed_form_null_driver, scaled_path
 from levyloewner.drivers import DriverSpec, Stable, compose_drivers, sample_brownian, sample_stable, uniform_grid
-from levyloewner.engine import run_adaptive_mc
+from levyloewner.engine import Cell, run_adaptive_cells
 from levyloewner.errors import ConfigError
 from levyloewner.experiments import ks_two_sample
 from levyloewner.loewner import EvolutionConfig, evolve_point
@@ -109,11 +109,10 @@ class TestScaledPath:
         n = 2000
         horizon = 200.0
         x = 0.5
-        res1 = run_adaptive_mc(spec, x, n, horizon, master_seed=901, tag=("ss", 1),
-                               beta=alpha, hit_tolerance=1e-5)
-        res2 = run_adaptive_mc(spec, a ** (1.0 / alpha) * x, n, a * horizon,
-                               master_seed=902, tag=("ss", 2), beta=alpha,
-                               hit_tolerance=a ** (1.0 / alpha) * 1e-5)
+        res1 = run_adaptive_cells([Cell(spec, x, ("ss", 1), 1e-5)], n, horizon,
+                                  master_seed=901, beta=alpha)[0]
+        res2 = run_adaptive_cells([Cell(spec, a ** (1.0 / alpha) * x, ("ss", 2), a ** (1.0 / alpha) * 1e-5)],
+                                  n, a * horizon, master_seed=902, beta=alpha)[0]
         s1 = a * np.where(np.isnan(res1.zeta), horizon, res1.zeta)
         s2 = np.where(np.isnan(res2.zeta), a * horizon, res2.zeta)
         dist, crit, passed = ks_two_sample(s1, s2)

@@ -16,7 +16,7 @@ import pytest
 from levyloewner import engine
 from levyloewner.drivers import (Brownian, CompoundPoisson, DriverPath, DriverSpec, JumpLaw, Stable,
                                  TruncatedStable, _stable_map, sample_driver)
-from levyloewner.engine import BLOCK, Cell, LaneResult, evolve_lanes_on_path, run_adaptive_cells, run_adaptive_mc
+from levyloewner.engine import BLOCK, Cell, LaneResult, evolve_lanes_on_path, run_adaptive_cells
 from levyloewner.errors import ConfigError
 from levyloewner.experiments import _annulus_exit_positions
 
@@ -34,10 +34,10 @@ FIELDS = ("zeta", "x", "y", "min_abs", "steps")
 @pytest.mark.parametrize("beta", [2.0, 1.5])
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_first_block_does_not_depend_on_later_blocks(driver, beta, exit_radius):
-    kw = dict(master_seed=5, tag=("indep", driver), beta=beta, hit_tolerance=1e-2,
-              exit_radius=exit_radius)
-    many = run_adaptive_mc(DRIVERS[driver], 0.5 + 0.3j, BLOCK + 588, 0.5, **kw)
-    one = run_adaptive_mc(DRIVERS[driver], 0.5 + 0.3j, BLOCK, 0.5, **kw)
+    cell = Cell(DRIVERS[driver], 0.5 + 0.3j, ("indep", driver), 1e-2)
+    kw = dict(master_seed=5, beta=beta, exit_radius=exit_radius)
+    many = run_adaptive_cells([cell], BLOCK + 588, 0.5, **kw)[0]
+    one = run_adaptive_cells([cell], BLOCK, 0.5, **kw)[0]
     fields = FIELDS + (("exit_time",) if exit_radius is not None else ())
     for f in fields:
         np.testing.assert_array_equal(getattr(many, f)[:BLOCK], getattr(one, f), err_msg=f)
@@ -69,8 +69,7 @@ def test_cells_of_one_call_equal_cells_run_alone(family, beta, exit_radius):
     together = run_adaptive_cells(cells, n, 0.5, **kw)
     assert len(together) == len(cells)
     for cell, res in zip(cells, together):
-        alone = run_adaptive_mc(cell.spec, cell.z0, n, 0.5, tag=cell.tag,
-                                hit_tolerance=cell.hit_tolerance, **kw)
+        alone = run_adaptive_cells([cell], n, 0.5, **kw)[0]
         for f in dataclasses.fields(LaneResult):
             a, b = getattr(res, f.name), getattr(alone, f.name)
             if b is None:
@@ -125,9 +124,9 @@ PINNED = {
 
 @pytest.mark.parametrize("beta", sorted(PINNED))
 def test_composite_driver_output_bytes_pinned(beta):
-    res = run_adaptive_mc(COMPOSITE, 0.5 + 0.3j, 600, 0.5, master_seed=2026, tag=("pin", beta),
-                          beta=beta, hit_tolerance=1e-2,
-                          exit_radius=2.0 if beta == 2.0 else None)
+    res = run_adaptive_cells([Cell(COMPOSITE, 0.5 + 0.3j, ("pin", beta), 1e-2)], 600, 0.5,
+                             master_seed=2026, beta=beta,
+                             exit_radius=2.0 if beta == 2.0 else None)[0]
     assert {f: _sha(getattr(res, f)) for f in PINNED[beta]} == PINNED[beta]
 
 
@@ -209,22 +208,21 @@ def _axis_run(case):
         cells = [Cell(DriverSpec((Brownian(k), Stable(1.5, 1.0))), 1.0, ("pin-axis", k)) for k in (2.0, 8.0)]
         return _digest(run_adaptive_cells(cells, 700, 20.0, master_seed=2028))
     if case == "bessel":
-        res = run_adaptive_mc(DriverSpec((Brownian(8.0),)), 1.0, 700, 20.0, master_seed=2028,
-                              tag="pin-bessel", exit_radius=4.0)
-        return _digest([res], FIELDS + ("exit_time",))
+        res = run_adaptive_cells([Cell(DriverSpec((Brownian(8.0),)), 1.0, "pin-bessel")], 700, 20.0,
+                                 master_seed=2028, exit_radius=4.0)
+        return _digest(res, FIELDS + ("exit_time",))
     if case == "mixed_z0":
         cells = [Cell(DriverSpec((Brownian(8.0), Stable(1.5, 1.0))), 1.0, ("pin-mixed", 0)),
                  Cell(DriverSpec((Brownian(4.0), Stable(1.5, 0.5))), 0.5 + 0.3j, ("pin-mixed", 1))]
         return _digest(run_adaptive_cells(cells, 700, 20.0, master_seed=2028))
     if case == "composite":
-        res = run_adaptive_mc(COMPOSITE, 1.0, 700, 5.0, master_seed=2028, tag="pin-axis-composite",
-                              exit_radius=4.0)
-        return _digest([res], FIELDS + ("exit_time",))
+        res = run_adaptive_cells([Cell(COMPOSITE, 1.0, "pin-axis-composite")], 700, 5.0,
+                                 master_seed=2028, exit_radius=4.0)
+        return _digest(res, FIELDS + ("exit_time",))
     if case.startswith("stable_first"):
         beta = 1.5 if case.endswith("beta1_5") else 2.0
-        res = run_adaptive_mc(DriverSpec((Stable(1.5, 1.0), Brownian(2.0))), 0.3 + 0.01j, 700, 2.0,
-                              master_seed=2029, tag=("pin-order", beta), hit_tolerance=1e-2, beta=beta)
-        return _digest([res])
+        cell = Cell(DriverSpec((Stable(1.5, 1.0), Brownian(2.0))), 0.3 + 0.01j, ("pin-order", beta), 1e-2)
+        return _digest(run_adaptive_cells([cell], 700, 2.0, master_seed=2029, beta=beta))
     if case == "kappa_stable_beta1_5":
         cells = [Cell(DriverSpec((Brownian(k), Stable(1.5, 1.0))), 1.0, ("pin-axis-beta", k)) for k in (2.0, 8.0)]
         return _digest(run_adaptive_cells(cells, 700, 20.0, master_seed=2028, beta=1.5))
@@ -331,7 +329,7 @@ def test_compound_poisson_jumps_at_exact_event_times():
     # Kolmogorov distance must stay below its 1% critical value 1.628/sqrt(n).
     spec = DriverSpec((CompoundPoisson(1.0, JumpLaw("two_point", {"size": 50.0})),))
     n, horizon = 50_000, 2.0
-    res = run_adaptive_mc(spec, 10j, n, horizon, master_seed=7, tag="clock", exit_radius=20.0)
+    res = run_adaptive_cells([Cell(spec, 10j, "clock")], n, horizon, master_seed=7, exit_radius=20.0)[0]
     t = np.sort(res.exit_time[~np.isnan(res.exit_time)])
     cdf = -np.expm1(-t)
     i = np.arange(1, t.size + 1)
@@ -368,8 +366,8 @@ EXIT_PINNED = {
 
 @pytest.mark.parametrize("beta", sorted(EXIT_PINNED))
 def test_off_axis_exit_time_bytes_pinned(beta):
-    res = run_adaptive_mc(DriverSpec((Brownian(2.0), Stable(1.5, 1.0))), 0.5 + 0.5j, 600, 2.0,
-                          master_seed=2026, tag=("pin-exit", beta), beta=beta, exit_radius=1.5)
+    cell = Cell(DriverSpec((Brownian(2.0), Stable(1.5, 1.0))), 0.5 + 0.5j, ("pin-exit", beta))
+    res = run_adaptive_cells([cell], 600, 2.0, master_seed=2026, beta=beta, exit_radius=1.5)[0]
     assert {f: _sha(getattr(res, f)) for f in EXIT_PINNED[beta]} == EXIT_PINNED[beta]
 
 
@@ -701,26 +699,42 @@ def test_path_rejects_bad_hit_tolerance(tol):
 @pytest.mark.parametrize("tol", BAD_TOLERANCES)
 def test_mc_rejects_bad_hit_tolerance(tol):
     with pytest.raises(ConfigError):
-        run_adaptive_mc(DRIVERS["brownian"], 1.0, 16, 1.0, master_seed=1, tag="bad", hit_tolerance=tol)
+        run_adaptive_cells([Cell(DRIVERS["brownian"], 1.0, "bad", tol)], 16, 1.0, master_seed=1)
+
+
+@pytest.mark.parametrize("z0", [complex(np.nan, 1.0), complex(np.inf, 1.0), complex(1.0, np.inf),
+                                complex(1.0, np.nan)])
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_engines_reject_non_finite_start_point(which, z0):
+    # a given tolerance leaves only the start point to refuse; unchecked, such
+    # a lane came back censored or with a NaN outcome
+    with pytest.raises(ConfigError, match="z0 must be finite"):
+        if which == "A":
+            evolve_lanes_on_path([z0], sample_driver(DRIVERS["brownian"], 1.0, 1, dt=0.01), 1.0,
+                                 hit_tolerance=0.01)
+        else:
+            run_adaptive_cells([Cell(DRIVERS["brownian"], z0, "bad", 0.01)], 16, 1.0, master_seed=1)
 
 
 @pytest.mark.parametrize("exit_radius", [0.0, -1.0, np.nan])
 def test_mc_rejects_bad_exit_radius(exit_radius):
     # 0 or below would mark every lane as exited at its first step, NaN none
     with pytest.raises(ConfigError, match="exit_radius"):
-        run_adaptive_mc(DRIVERS["brownian"], 1.0, 16, 1.0, master_seed=1, tag="bad", exit_radius=exit_radius)
+        run_adaptive_cells([Cell(DRIVERS["brownian"], 1.0, "bad")], 16, 1.0, master_seed=1,
+                           exit_radius=exit_radius)
 
 
 @pytest.mark.parametrize("horizon", [np.inf, 0.0, -1.0, np.nan])
 def test_mc_rejects_bad_horizon(horizon):
     with pytest.raises(ConfigError, match="horizon"):
-        run_adaptive_mc(DRIVERS["brownian"], 1.0, 16, horizon, master_seed=1, tag="bad")
+        run_adaptive_cells([Cell(DRIVERS["brownian"], 1.0, "bad")], 16, horizon, master_seed=1)
 
 
 @pytest.mark.parametrize("dt_safety", [0.0, -0.1, 1.0, np.nan])
 def test_mc_rejects_dt_safety_outside_zero_one(dt_safety):
     with pytest.raises(ConfigError, match="dt_safety"):
-        run_adaptive_mc(DRIVERS["brownian"], 1.0, 16, 1e-6, master_seed=1, tag="bad", dt_safety=dt_safety)
+        run_adaptive_cells([Cell(DRIVERS["brownian"], 1.0, "bad")], 16, 1e-6, master_seed=1,
+                           dt_safety=dt_safety)
 
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan])

@@ -252,13 +252,12 @@ class TestReproducibility:
 
 class TestNumericalGuards:
     def test_step_underflow_reported(self):
-        from levyloewner.engine import run_adaptive_mc
+        from levyloewner.engine import Cell, run_adaptive_cells
         from levyloewner.errors import NumericalError
 
         spec = DriverSpec((Brownian(8.0),))
         with pytest.raises(NumericalError, match="refusing to underflow"):
-            run_adaptive_mc(spec, 1.0, 100, 1.0, master_seed=1, tag=("uf",),
-                            hit_tolerance=1e-8)
+            run_adaptive_cells([Cell(spec, 1.0, ("uf",), 1e-8)], 100, 1.0, master_seed=1)
 
 
 class TestScalingCheck:
@@ -293,3 +292,9 @@ class TestScalingCheck:
         assert a.size == b.size == 500
         assert tuple(hashlib.sha256(np.ascontiguousarray(s).tobytes()).hexdigest()
                      for s in (a, b)) == self.PINNED[statistic]
+
+    @pytest.mark.parametrize("a", [0.0, -2.0, np.inf, np.nan])
+    def test_rejects_bad_scale_factor(self, a):
+        # a = 0 divided by zero and a = -2 made theta_tilde complex
+        with pytest.raises(ConfigError, match="scale factor"):
+            experiments.scaling_check(4.0, 1.5, 1.0, a, "im_h", 1j, 4.0, 500, 31)
