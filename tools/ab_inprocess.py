@@ -11,14 +11,15 @@ cover several inputs.  Every artifact but ``manifest.json`` must be byte-
 identical between the sides; the script stops at the first difference.  It
 prints, per op, the median process CPU time of each side, the median of the
 per-round ratios head / base, the rounds the head won, and each side's
-engine-A lane-steps over all rounds: the sum of ``LaneResult.steps`` over the
-op's ``evolve_lanes_on_path`` calls, a deterministic count.
+engine-A and engine-B lane-steps over all rounds: the sum of
+``LaneResult.steps`` over the op's ``evolve_lanes_on_path`` and
+``run_adaptive_cells`` calls, deterministic counts that a byte-neutral change
+leaves equal.
 
 ``--stream-change`` times a deliberate change of the random streams: it skips
-the byte check and prints, per op, each side's engine-B lane-steps over all
-rounds (the sum of ``LaneResult.steps`` over its ``run_adaptive_cells``
-calls) and its CPU ns per engine-B lane-step.  A new stream moves the work
-with the sample, so time alone does not compare the sides.
+the byte check and also prints each side's CPU ns per engine-B lane-step.  A
+new stream moves the work with the sample, so time alone does not compare
+the sides.
 
 Interleaving the sides in one process makes a paired comparison that machine
 drift moves much less than separate benchmark runs do.
@@ -119,12 +120,12 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--stream-change", action="store_true",
-                    help="skip the byte check; print engine-B lane-steps and CPU ns per lane-step")
+                    help="skip the byte check; also print CPU ns per engine-B lane-step")
     args = ap.parse_args(argv)
 
-    engine = "B" if args.stream_change else "A"
     sides = {"base": load(args.base.resolve()), "head": load(args.head.resolve())}
-    counters = {side: count_lane_steps(mods, *ENGINES[engine]) for side, mods in sides.items()}
+    counters = {side: {e: count_lane_steps(mods, *ENGINES[e]) for e in ENGINES}
+                for side, mods in sides.items()}
     activate(sides["head"])
     sys.path.insert(0, str(args.head.resolve() / "perfbench"))
     import ops  # the op lists; imports the head's package
@@ -136,7 +137,7 @@ def main(argv=None) -> int:
     names = [f"{i}-{a[0]}" for i, a in enumerate(op_list)]
 
     cpu = {side: {n: [] for n in names} for side in sides}
-    lane_steps = {side: dict.fromkeys(names, 0) for side in sides}
+    lane_steps = {side: {(n, e): 0 for n in names for e in ENGINES} for side in sides}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         work = Path(tmp)
         for side, mods in sides.items():  # lazy imports and first-call costs, untimed
@@ -148,10 +149,11 @@ def main(argv=None) -> int:
             for name, a in zip(names, op_list):
                 got = {}
                 for side in order:
-                    before = counters[side][0]
+                    before = {e: c[0] for e, c in counters[side].items()}
                     t, got[side] = run_op(sides[side], a, seed, work / side / str(r) / name)
                     cpu[side][name].append(t)
-                    lane_steps[side][name] += counters[side][0] - before
+                    for e, c in counters[side].items():
+                        lane_steps[side][name, e] += c[0] - before[e]
                 if not args.stream_change and got["base"] != got["head"]:
                     diff = sorted(k for k in got["base"].keys() | got["head"].keys()
                                   if got["base"].get(k) != got["head"].get(k))
@@ -159,7 +161,7 @@ def main(argv=None) -> int:
             print(f"round {r} (seed {seed}): "
                   + ("timed" if args.stream_change else "artifacts identical"), flush=True)
 
-    extra = "".join(f" {side + ' ' + engine + ' lane-steps':>18}" for side in sides)
+    extra = "".join(f" {side + ' ' + e + ' lane-steps':>18}" for e in ENGINES for side in sides)
     if args.stream_change:
         extra += "".join(f" {side + ' ns/step':>13}" for side in sides)
     print(f"\n{'op':<20} {'base s':>9} {'head s':>9} {'ratio':>7} {'wins':>7}{extra}")
@@ -167,9 +169,9 @@ def main(argv=None) -> int:
         b, h = cpu["base"][name], cpu["head"][name]
         ratios = [y / x for x, y in zip(b, h)]
         wins = sum(y < x for x, y in zip(b, h))
-        steps = {side: lane_steps[side][name] for side in sides}
-        extra = "".join(f" {steps[side]:>18,}" for side in sides)
+        extra = "".join(f" {lane_steps[side][name, e]:>18,}" for e in ENGINES for side in sides)
         if args.stream_change:
+            steps = {side: lane_steps[side][name, "B"] for side in sides}
             extra += "".join(f" {1e9 * sum(cpu[side][name]) / steps[side] if steps[side] else float('nan'):>13.1f}"
                              for side in sides)
         print(f"{name:<20} {statistics.median(b):9.3f} {statistics.median(h):9.3f} "
