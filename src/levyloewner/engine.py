@@ -803,9 +803,9 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     times.  Replicas are grouped in blocks of :data:`BLOCK`, block b of a
     cell drawing from the stream (master_seed, *tag, "block", b); all blocks
     advance together, and each replica's outcome depends only on its own
-    block's stream.  A lane that reaches |h| >= ``exit_radius`` records that
-    time as its exit_time.  One cell's result is ``run_adaptive_cells([cell],
-    ...)[0]``.
+    block's stream.  Given ``exit_radius``, a lane's exit_time is the end of
+    its first step with |h| >= exit_radius.  One cell's result is
+    ``run_adaptive_cells([cell], ...)[0]``.
 
     The cells' drivers may differ in Brownian kappa and stable theta only
     (:func:`_loop_key`); the loop holds those coefficients, z0 and the hit

@@ -708,10 +708,10 @@ def test_mc_rejects_bad_hit_tolerance(tol):
 def test_engines_reject_non_finite_start_point(which, z0):
     # a given tolerance leaves only the start point to refuse; unchecked, such
     # a lane came back censored or with a NaN outcome
+    path = sample_driver(DRIVERS["brownian"], 1.0, 1, dt=0.01)
     with pytest.raises(ConfigError, match="z0 must be finite"):
         if which == "A":
-            evolve_lanes_on_path([z0], sample_driver(DRIVERS["brownian"], 1.0, 1, dt=0.01), 1.0,
-                                 hit_tolerance=0.01)
+            evolve_lanes_on_path([z0], path, 1.0, hit_tolerance=0.01)
         else:
             run_adaptive_cells([Cell(DRIVERS["brownian"], z0, "bad", 0.01)], 16, 1.0, master_seed=1)
 
