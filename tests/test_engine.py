@@ -44,7 +44,9 @@ def test_first_block_does_not_depend_on_later_blocks(driver, beta, exit_radius):
 
 
 # Cells of multi-cell calls: Brownian+stable cells that differ in kappa, theta,
-# z0 and hit tolerance, and composite cells that differ in kappa and z0.
+# z0 and hit tolerance, composite cells that differ in kappa and z0, and a
+# real-axis stable cell beside an off-axis one, which runs the real-axis
+# kernels alone and the general drift in the shared loop.
 CELL_FAMILIES = {
     "brownian_stable": [
         Cell(DriverSpec((Brownian(2.0), Stable(1.5, 1.0))), 0.5 + 0.3j, ("cell", 0), 1e-2),
@@ -54,6 +56,10 @@ CELL_FAMILIES = {
     "composite": [
         Cell(COMPOSITE, 0.5 + 0.3j, ("cell", 0), 1e-2),
         Cell(DriverSpec((Brownian(6.0),) + COMPOSITE.components[1:]), 0.2 + 0.4j, ("cell", 1), 2e-2),
+    ],
+    "real_and_off_axis": [
+        Cell(DriverSpec((Stable(1.5, 1.0),)), -0.5, ("cell", 0), 1e-3),
+        Cell(DriverSpec((Stable(1.5, 2.0),)), 0.3 + 0.2j, ("cell", 1), 1e-2),
     ],
 }
 
@@ -426,6 +432,42 @@ def test_slit_root_near_the_limits():
     u_r, c_r, x_r = _root_states(rng, 500, 1.0)
     for i in range(0, u.size, 37):  # one such state among ordinary ones
         _assert_root_is_complex_sqrt(np.append(u_r, u[i]), np.append(c_r, c[i]), np.append(x_r, x[i]))
+
+
+# ---------------------------------------------------------------------------
+# the real-axis drift
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("per_lane_dt", [True, False])
+@pytest.mark.parametrize("beta", [1.2, 1.5, 1.9])
+def test_real_axis_lanes_take_one_drift_form(beta, per_lane_dt):
+    # a real-axis lane gets the same bits from the real-axis kernel, from the
+    # general drift when every lane is on the real axis, and from the general
+    # drift beside off-axis and imaginary-axis lanes
+    rng = np.random.default_rng(int(10 * beta))
+    n = 3000
+    x0 = np.where(rng.random(n) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-5.0, 3.0, n)
+    delta = 1e-5
+    dt = (delta ** beta / 16.0 * 10.0 ** rng.uniform(0.0, 12.0, n)) if per_lane_dt else np.float64(0.01)
+
+    def general(x, y, dt):
+        m = x.size
+        engine._drift_advance(x, y, dt, beta, 0.0, delta, np.full(m, np.nan), np.abs(x + 1j * y),
+                              np.ones(m, dtype=bool))
+
+    axis = x0.copy()
+    engine._axis_drift(axis, dt, beta)
+    x, y = x0.copy(), np.zeros(n)
+    general(x, y, dt)
+    np.testing.assert_array_equal(x.view(np.int64), axis.view(np.int64))
+    np.testing.assert_array_equal(y.view(np.int64), np.zeros(n).view(np.int64))
+    # the same lanes among off-axis lanes and imaginary-axis lanes
+    off = np.array([0.3 + 0.2j, -0.1 + 2.0j, 0.0 + 1.5j, 4.0 + 1e-3j])
+    x = np.concatenate([off.real, x0])
+    y = np.concatenate([off.imag, np.zeros(n)])
+    general(x, y, np.concatenate([np.full(off.size, 0.01), dt]) if per_lane_dt else dt)
+    np.testing.assert_array_equal(x[off.size:].view(np.int64), axis.view(np.int64))
+    np.testing.assert_array_equal(y[off.size:].view(np.int64), np.zeros(n).view(np.int64))
 
 
 # ---------------------------------------------------------------------------
