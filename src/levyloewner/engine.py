@@ -14,8 +14,12 @@ the axes have the closed form |h|^beta linear in t and each off-axis lane
 takes its own number of Runge-Kutta substeps on u.  The new h is then the
 square root of u + 2ic on the upper branch, which at beta = 2 is exactly the
 slit map h -> sqrt(h^2 + 4 dt); it is taken in real arithmetic, to the bits
-of the complex square root.  A lane is swallowed within a drift interval
-exactly when u crosses 0 with sqrt(2|c|) <= delta.
+of the complex square root.  A real-axis lane at beta < 2 instead sets x
+from the closed form with one power, x (1 + 2 beta dt / |x|^beta)^(1/beta),
+in :func:`_axis_drift`, which every drift path runs on those lanes; engine
+B's real-axis loops hand it the |x|^beta of their step rule.  A lane is
+swallowed within a drift interval exactly when u crosses 0 with
+sqrt(2|c|) <= delta.
 
 Driver increments shift x at the end of a step, one sub-increment per part
 of the driver, the continuous (Brownian) part first.  A hit is declared when
@@ -280,6 +284,7 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
     u0 = x * x - y * y
     c = x * y
     crossings = []  # (lanes, time into the step at which u crosses 0)
+    x_ra = None  # the new x of the real-axis lanes among others
 
     if beta == 2.0:
         u1 = u0 + 4.0 * dt
@@ -295,23 +300,25 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
         real = False
     else:
         on_axis = c == 0.0
-        # real axis: |x|^beta grows linearly at rate 2 beta
+        # real axis: the closed form of _axis_drift, which sets x directly
         ra = (on_axis & (u0 > 0)).nonzero()[0]
-        real = ra.size == u0.size
-        if real:
-            u1 = (u0 ** (beta / 2.0) + 2.0 * beta * dt) ** (2.0 / beta)
-        else:
-            u1 = _rk4_drift(u0, c, dt, beta, (~on_axis).nonzero()[0], crossings)
-            if ra.size:
-                u1[ra] = (u0[ra] ** (beta / 2.0) + 2.0 * beta * _at(dt, ra)) ** (2.0 / beta)
-            # imaginary axis: y^beta shrinks linearly; crossing time is exact
-            ia = (on_axis & (u0 < 0)).nonzero()[0]
-            if ia.size:
-                m0 = (-u0[ia]) ** (beta / 2.0)
-                m = m0 - 2.0 * beta * _at(dt, ia)
-                hit_ax = m <= 0.0
-                u1[ia] = np.where(hit_ax, 0.0, -np.maximum(m, 0.0) ** (2.0 / beta))
-                crossings.append((ia[hit_ax], m0[hit_ax] / (2.0 * beta)))
+        if ra.size == u0.size:
+            _axis_drift(x, dt, beta)
+            y[:] = 0.0
+            return
+        u1 = _rk4_drift(u0, c, dt, beta, (~on_axis).nonzero()[0], crossings)  # u0 on the axes
+        real = False
+        if ra.size:
+            x_ra = x[ra]
+            _axis_drift(x_ra, _at(dt, ra), beta)
+        # imaginary axis: y^beta shrinks linearly; crossing time is exact
+        ia = (on_axis & (u0 < 0)).nonzero()[0]
+        if ia.size:
+            m0 = (-u0[ia]) ** (beta / 2.0)
+            m = m0 - 2.0 * beta * _at(dt, ia)
+            hit_ax = m <= 0.0
+            u1[ia] = np.where(hit_ax, 0.0, -np.maximum(m, 0.0) ** (2.0 / beta))
+            crossings.append((ia[hit_ax], m0[hit_ax] / (2.0 * beta)))
 
     dead = None
     if crossings:
@@ -325,20 +332,49 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
             zeta[dead] = _at(t, dead) + s_cr[swallowed]
             alive[dead] = False
             x_dead, y_dead = x[dead], y[dead]
-    _slit_root(u1, c, x, y, real)
+    _slit_root(u1, c, x, y, real)  # c = 0 gives y = 0 on the real axis
+    if x_ra is not None:
+        x[ra] = x_ra
     if dead is not None:
         x[dead], y[dead] = x_dead, y_dead
 
 
-def _axis_drift(x, dt, beta):
-    """:func:`_drift_advance` on the real axis, where x*x > 0 and c = 0: u
-    takes the real closed form, no lane is swallowed and only x moves."""
-    u = x * x
+def _axis_drift(x, dt, beta, xb=None):
+    """:func:`_drift_advance` on the real axis, where x*x > 0 and c = 0: x
+    takes the real closed form, no lane is swallowed and only x moves.
+
+    At beta = 2, u = x*x grows by 4 dt and x is its root.  At beta < 2,
+    |x|^beta grows linearly at rate 2 beta, so with w = 2 beta dt
+
+        x <- copysign((|x|^beta + w)^(1/beta), x) = x (1 + w / |x|^beta)^(1/beta),
+
+    one power, whose base ``xb``, |x|^beta to the bits of
+    ``np.power(|x|, beta)``, the caller may pass (it is overwritten).  The
+    rounding of the exponent 1/beta adds a relative error that grows with
+    |ln| of the base, so the lanes with w <= |x|^beta, as on every step of
+    engine B's step rule, take the factored form, whose base lies in [1, 2]
+    (within about 2 ulp of the exact flow), and the others take the sum,
+    which also serves where |x|^beta underflows.  The general drift runs its
+    real-axis lanes through this function too, so a lane's bits do not depend
+    on the drift path."""
     if beta == 2.0:
+        u = x * x
         u += 4.0 * dt
-    else:  # |x|^beta grows linearly at rate 2 beta
-        u = (u ** (beta / 2.0) + 2.0 * beta * dt) ** (2.0 / beta)
-    np.copysign(np.sqrt(u, out=u), x, out=x)
+        np.copysign(np.sqrt(u, out=u), x, out=x)
+        return
+    if xb is None:
+        xb = np.power(np.abs(x), beta)
+    w = 2.0 * beta * dt
+    far = (xb < w).nonzero()[0]
+    if far.size:
+        x_far = np.copysign(np.power(xb[far] + _at(w, far), 1.0 / beta), x[far])
+        xb[far] = _at(w, far)  # a finite factored base; x is set below
+    np.divide(w, xb, out=xb)
+    xb += 1.0
+    np.power(xb, 1.0 / beta, out=xb)
+    x *= xb
+    if far.size:
+        x[far] = x_far
 
 
 def _rk4_drift(u0, c, dt, beta, sub, crossings):
@@ -759,16 +795,16 @@ def _loop_key(spec: DriverSpec) -> str:
                  for c in spec.components])
 
 
-def _adaptive_tau(habs, beta, incs, coef, div):
+def _adaptive_tau(habs, hb, beta, incs, coef, div):
     """Local timescale min(|h|^beta / (2 beta), tau_1(|h|), ...), where tau_j
     is the time over which component j's increment grows to the order of |h|
-    (``coef[j]`` holds its coefficient per lane; ``div`` folds the terms in
-    |h|^beta, see run_adaptive_cells).  The adaptive step is dt_safety times
-    this, which keeps every per-step displacement a fixed fraction of |h| at
-    all scales.  A compound Poisson part has no timescale: its jump clock ends
-    a step at the exact time of the jump."""
-    tau = np.power(habs, beta)  # the bits of habs ** beta, which maps only 0.5 to sqrt
-    tau /= div
+    (``hb`` is |h|^beta; ``coef[j]`` holds component j's coefficient per lane;
+    ``div`` folds the terms in |h|^beta, see run_adaptive_cells).  The
+    adaptive step is dt_safety times this, which keeps every per-step
+    displacement a fixed fraction of |h| at all scales.  A compound Poisson
+    part has no timescale: its jump clock ends a step at the exact time of
+    the jump."""
+    tau = np.divide(hb, div)
     for inc, c in zip(incs, coef):
         if inc.tau_pow != beta:
             np.minimum(tau, habs ** inc.tau_pow / c, out=tau)
@@ -895,7 +931,8 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
             alive = np.ones(lane.size, dtype=bool)
         # hypot(x, 0) is |x| to the bit, and far dearer
         habs = np.abs(x) if axis or not np.count_nonzero(y) else np.hypot(x, y)
-        dt = _adaptive_tau(habs, beta, incs, coef, tau_div)
+        hb = np.power(habs, beta)  # the bits of habs ** beta, which maps only 0.5 to sqrt
+        dt = _adaptive_tau(habs, hb, beta, incs, coef, tau_div)
         dt *= dt_safety
         np.maximum(dt, dt_floor, out=dt)
         np.minimum(dt, horizon - t, out=dt)
@@ -909,7 +946,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         raws = iter(_live_draws(plan, dt))
 
         if axis:
-            _axis_drift(x, dt, beta)
+            _axis_drift(x, dt, beta, hb)  # on the axis hb is |x|^beta
         else:
             _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive)
         t += dt  # the increments land at the step's end

@@ -470,6 +470,46 @@ def test_real_axis_lanes_take_one_drift_form(beta, per_lane_dt):
     np.testing.assert_array_equal(y[off.size:].view(np.int64), np.zeros(n).view(np.int64))
 
 
+def _old_axis_form(x, dt, beta):
+    """The real-axis drift as it was taken before one power: through
+    u = x*x, two powers and a root."""
+    return np.copysign(np.sqrt(((x * x) ** (beta / 2.0) + 2.0 * beta * dt) ** (2.0 / beta)), x)
+
+
+@pytest.mark.parametrize("steps", ["step_rule", "wide"])
+def test_real_axis_drift_accuracy(steps):
+    # against the flow |x|^beta + 2 beta dt at 200 bits: 1,200 lanes per beta
+    # with |x| from 1e-5 to 1e3 (100 of them within 3 delta of delta = 1e-5)
+    # and 100 steps at the floor delta^beta / 16.  "step_rule" steps lie
+    # below |x|^beta / (2 beta), as every step of engine B does, and must be
+    # within 8 ulp; "wide" steps run up to 10, as a grid step of engine A may
+    # beside a small |x|.  Neither may err by more than the former form.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 200
+    rng = np.random.default_rng(2 if steps == "wide" else 1)
+    delta, n = 1e-5, 1200
+    worst = {"new": 0.0, "old": 0.0}
+    for beta in (1.2, 1.5, 1.9):
+        x = np.where(rng.random(n) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-5.0, 3.0, n)
+        x[:100] = np.copysign(delta * 10.0 ** rng.uniform(0.0, 0.5, 100), x[:100])
+        floor = delta ** beta / 16.0
+        top = np.maximum(np.abs(x) ** beta / (2.0 * beta), floor) if steps == "step_rule" else 10.0
+        dt = np.exp(rng.uniform(np.log(floor), np.log(top), n))
+        dt[100:200] = floor
+        new = x.copy()
+        engine._axis_drift(new, dt, beta)
+        b = mpmath.mpf(beta)
+        exact = [mpmath.sign(xi) * (abs(mpmath.mpf(xi)) ** b + 2 * b * mpmath.mpf(d)) ** (1 / b)
+                 for xi, d in zip(x.tolist(), dt.tolist())]
+        for name, got in (("new", new), ("old", _old_axis_form(x, dt, beta))):
+            ulps = max(float(abs(mpmath.mpf(g) - e) / np.spacing(abs(g)))
+                       for g, e in zip(got.tolist(), exact))
+            if name == "new" and steps == "step_rule":
+                assert ulps <= 8.0, (beta, ulps)
+            worst[name] = max(worst[name], ulps)
+    assert worst["new"] <= worst["old"], worst
+
+
 # ---------------------------------------------------------------------------
 # engine A: lanes sharing one sampled path
 # ---------------------------------------------------------------------------
