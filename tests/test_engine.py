@@ -173,11 +173,13 @@ def test_stable_cells_output_bytes_pinned(alpha, beta):
 # lane stays, like every lane of `phase`, `hitprob` and `theta0-bracket`
 # (x86-64, numpy 2.4): the flip rule of a Brownian part, the real-axis root at
 # beta = 2 and the beta < 2 real-axis drift.  700 replicas per cell, one
-# 2048-replica block.
+# 2048-replica block.  theta0 and kappa_stable_beta1_5 were re-recorded when
+# the beta < 2 real-axis drift took one power (hits and steps per cell
+# unchanged: 0, 0, 25 and 225, 510 hits).
 AXIS_PINNED = {
     "kappa_stable": "3d7685b53073944d67cfc532cc01548c38fb944f60289169acd792284a18b228",
     "bessel": "dd696fa9d724ae32e2907ad5f9d790c07d36f83a602406bff29e44a67af671e5",
-    "theta0": "1e12ca7f5376756db8446dcbf22f652e1763d56bdc00fee0214c243188724929",
+    "theta0": "f6447ebf4031eadab7c635edcf574bd0356a56664e6f186d0e2da609143ec342",
 }
 
 # More runs that start on the real axis (x86-64, numpy 2.4): a loop whose cells
@@ -187,7 +189,7 @@ AXIS_PINNED = {
 AXIS_PINNED.update({
     "mixed_z0": "ea1fbd6c27dcfd861a18c8f091c162973760a8c89b685ac9142a9cf3e0fd2803",
     "composite": "3ef46a35665221ab622f052e5f41a6ca0a3b53e8b672265efde21e36aa366029",
-    "kappa_stable_beta1_5": "ac38ab2774e4def9d19ced0899ec235f43cd6c41df7722e5e2648e635a26c8eb",
+    "kappa_stable_beta1_5": "f99a60ec026142024a1514d95d175753be6c43cfc09977d7a4dc2b33b3c15f1b",
 })
 
 # Two cells of two blocks each, the second partial (x86-64, numpy 2.4): the
