@@ -460,8 +460,7 @@ def _run_overshoot(cfg: RunConfig, out: Path) -> list[str]:
 def _run_area(cfg: RunConfig, out: Path) -> list[str]:
     p = cfg.params
     res = area_fraction(p["kappa"], p["alpha"], p["theta"], p["r_list"], p["resolution"],
-                        p["horizon"], p["replicas"], cfg.seed, path_dt=p["path_dt"],
-                        workers=cfg.workers)
+                        p["horizon"], p["replicas"], cfg.seed, path_dt=p["path_dt"])
     write_csv(out / "area.csv", ["r", "fraction", "se", "T", "cells_across_min_r"],
               ((r, f, s, res.horizon, res.cells_across_min_r)
                for r, f, s in zip(res.r_list, res.fractions, res.se)))
@@ -488,7 +487,7 @@ def _run_disconnect(cfg: RunConfig, out: Path) -> list[str]:
     spec = _driver_spec_from(p)
     res = disconnection_frequency(spec, p["t"], p["n"], cfg.seed,
                                   window=tuple(p["window"]), resolution=tuple(p["resolution"]),
-                                  path_dt=p["path_dt"], workers=cfg.workers)
+                                  path_dt=p["path_dt"])
     write_csv(out / "components.csv", ["replica", "components"],
               enumerate(res.component_counts.tolist()))
     json_dump({
@@ -563,9 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", type=str, default=None, help="JSON config file")
         sp.add_argument("--seed", type=str, default=None, help="64-bit master seed")
         sp.add_argument("--workers", type=str, default=None,
-                        help="threads for the per-replica rasters of area and "
-                             "disconnect (default env LL_WORKERS or 1); other "
-                             "subcommands run on one thread.  Outputs never depend on it")
+                        help="accepted and echoed in the manifest (default env "
+                             "LL_WORKERS or 1); every subcommand runs on one thread")
         sp.add_argument("--out", type=str, default=None, help="output directory")
         for key, (kind, _default, _validator) in SCHEMAS[name].items():
             flag = "--" + key.replace("_", "-")

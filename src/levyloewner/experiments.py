@@ -23,16 +23,14 @@ hold 2048 replicas, so that each cell at the default n of 2000 is one block
 and draws each kind of variate in one generator call per iteration (the
 annulus-exit loop's 10,000 replicas take five); the first block's replicas do
 not depend on n.
-Estimators run on the calling thread, except the per-replica raster loops of
-:func:`area_fraction` and :func:`disconnection_frequency`, which fan out over
-``workers`` threads; the thread count only changes scheduling, never
-results.
+Every estimator runs on the calling thread: :func:`area_fraction` and
+:func:`disconnection_frequency` loop over their replicas' rasters, and no
+estimator takes a worker count.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -497,19 +495,6 @@ def overshoot_histogram(kappa: float, alpha: float, theta: float, a: float, b: f
 # cluster area fractions
 # ---------------------------------------------------------------------------
 
-def _per_replica(job, n: int, workers: int) -> list:
-    """[job(0), ..., job(n-1)], on up to ``workers`` threads.
-
-    Threads pay off only here, where each replica is one long raster run of
-    the path engine.  Each replica samples its own driver path, so results
-    do not depend on ``workers``.
-    """
-    if workers > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(job, range(n)))
-    return [job(i) for i in range(n)]
-
-
 @dataclass(frozen=True)
 class AreaFractionResult:
     r_list: tuple[float, ...]
@@ -522,13 +507,15 @@ class AreaFractionResult:
 
 def area_fraction(kappa: float, alpha: float, theta: float, r_list, resolution: int,
                   horizon: float, n_replicas: int, seed: int,
-                  path_dt: float = 5e-3, workers: int = 1) -> AreaFractionResult:
+                  path_dt: float = 5e-3) -> AreaFractionResult:
     """Fraction of the half-disk B(0,r) covered by the cluster at time T.
 
     Raster-based: one shared window raster per replica at the resolution of
     the smallest radius; finite T stands proxy for the full cluster and must
     be reported alongside (trend checks, not limits).
     """
+    if n_replicas < 1:
+        raise ConfigError("n_replicas must be at least 1")
     r_list = tuple(sorted(float(r) for r in r_list))
     if not r_list or r_list[0] <= 0:
         raise ConfigError("r_list must be positive ascending")
@@ -551,7 +538,7 @@ def area_fraction(kappa: float, alpha: float, theta: float, r_list, resolution: 
         hit = raster.cells_hit_by(horizon)
         return [float(hit[rr <= r].mean()) for r in r_list]
 
-    arr = np.asarray(_per_replica(job, n_replicas, workers))
+    arr = np.asarray([job(rep) for rep in range(n_replicas)])
     return AreaFractionResult(
         r_list=r_list, cells_across_min_r=resolution, horizon=horizon,
         n_replicas=n_replicas, fractions=arr.mean(axis=0),
@@ -636,10 +623,11 @@ class DisconnectionResult:
 
 
 def disconnection_frequency(spec: DriverSpec, t: float, n: int, seed: int,
-                            window=None, resolution=None, path_dt: float = 2e-3,
-                            workers: int = 1) -> DisconnectionResult:
+                            window=None, resolution=None, path_dt: float = 2e-3) -> DisconnectionResult:
     """Fraction of replicas whose cluster raster at time t has >= 2 connected
     components (8-neighbor, no merging through the real axis)."""
+    if n < 1:
+        raise ConfigError("n must be at least 1")
     if window is None or resolution is None:
         raise ConfigError("disconnection_frequency needs an explicit window and resolution")
     cfg = EvolutionConfig(horizon=t)
@@ -650,7 +638,7 @@ def disconnection_frequency(spec: DriverSpec, t: float, n: int, seed: int,
         raster = raster_cluster(window, resolution, path, cfg)
         return connected_components(raster, t)
 
-    counts = np.asarray(_per_replica(job, n, workers))
+    counts = np.asarray([job(rep) for rep in range(n)])
     k = int((counts >= 2).sum())
     return DisconnectionResult(t=t, n=n, fraction=k / n, wilson=wilson_ci(k, n),
                                component_counts=counts)

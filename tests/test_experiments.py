@@ -12,6 +12,7 @@ from levyloewner.errors import ConfigError, StatisticalError
 from levyloewner.experiments import (
     PhaseParams,
     _annulus_exit_positions,
+    area_fraction,
     composite_driver_phase,
     disconnection_frequency,
     hitting_probability,
@@ -192,6 +193,21 @@ class TestDisconnection:
                                       window=(-40, 40, 0, 3.0), resolution=(320, 12),
                                       path_dt=2e-3)
         assert res.wilson[0] > 0.0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_replicas_rejected(self, n):
+        # zero replicas divided by zero
+        spec = DriverSpec((Brownian(4.0),))
+        with pytest.raises(ConfigError, match="n must be at least 1"):
+            disconnection_frequency(spec, 1.0, n, seed=14, window=(-3, 3, 0, 2.5), resolution=(72, 30))
+
+
+class TestAreaFraction:
+    @pytest.mark.parametrize("n_replicas", [0, -1])
+    def test_no_replicas_rejected(self, n_replicas):
+        # zero replicas gave NaN fractions from the mean of an empty slice
+        with pytest.raises(ConfigError, match="n_replicas must be at least 1"):
+            area_fraction(2.0, 1.5, 1.0, (0.5, 1.0), 32, 1.0, n_replicas, seed=3)
 
 
 class TestTheta0Bracket:
