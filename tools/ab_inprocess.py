@@ -16,10 +16,12 @@ engine-A and engine-B lane-steps over all rounds: the sum of
 ``run_adaptive_cells`` calls, deterministic counts that a byte-neutral change
 leaves equal.
 
-``--stream-change`` times a deliberate change of the random streams: it skips
-the byte check and also prints each side's CPU ns per engine-B lane-step.  A
-new stream moves the work with the sample, so time alone does not compare
-the sides.
+``--stream-change`` times a deliberate change of the random streams: instead
+of stopping at a difference it prints, per op, how many artifacts differed
+between the sides over all rounds, so the output shows where bytes moved and
+where they did not; it also prints each side's CPU ns per engine-B
+lane-step.  A new stream moves the work with the sample, so time alone does
+not compare the sides.
 
 Interleaving the sides in one process makes a paired comparison that machine
 drift moves much less than separate benchmark runs do.
@@ -120,7 +122,8 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--stream-change", action="store_true",
-                    help="skip the byte check; also print CPU ns per engine-B lane-step")
+                    help="count differing artifacts per op instead of stopping at one; "
+                         "also print CPU ns per engine-B lane-step")
     args = ap.parse_args(argv)
 
     sides = {"base": load(args.base.resolve()), "head": load(args.head.resolve())}
@@ -138,6 +141,7 @@ def main(argv=None) -> int:
 
     cpu = {side: {n: [] for n in names} for side in sides}
     lane_steps = {side: {(n, e): 0 for n in names for e in ENGINES} for side in sides}
+    differ = {n: [0, 0] for n in names}  # artifacts that differed, artifacts compared
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         work = Path(tmp)
         for side, mods in sides.items():  # lazy imports and first-call costs, untimed
@@ -154,16 +158,18 @@ def main(argv=None) -> int:
                     cpu[side][name].append(t)
                     for e, c in counters[side].items():
                         lane_steps[side][name, e] += c[0] - before[e]
-                if not args.stream_change and got["base"] != got["head"]:
-                    diff = sorted(k for k in got["base"].keys() | got["head"].keys()
-                                  if got["base"].get(k) != got["head"].get(k))
+                keys = got["base"].keys() | got["head"].keys()
+                diff = sorted(k for k in keys if got["base"].get(k) != got["head"].get(k))
+                if diff and not args.stream_change:
                     raise SystemExit(f"round {r} (seed {seed}) {name}: artifacts differ: {diff}")
+                differ[name][0] += len(diff)
+                differ[name][1] += len(keys)
             print(f"round {r} (seed {seed}): "
                   + ("timed" if args.stream_change else "artifacts identical"), flush=True)
 
     extra = "".join(f" {side + ' ' + e + ' lane-steps':>18}" for e in ENGINES for side in sides)
     if args.stream_change:
-        extra += "".join(f" {side + ' ns/step':>13}" for side in sides)
+        extra += "".join(f" {side + ' ns/step':>13}" for side in sides) + f" {'differ':>9}"
     print(f"\n{'op':<20} {'base s':>9} {'head s':>9} {'ratio':>7} {'wins':>7}{extra}")
     for name in names:
         b, h = cpu["base"][name], cpu["head"][name]
@@ -174,6 +180,7 @@ def main(argv=None) -> int:
             steps = {side: lane_steps[side][name, "B"] for side in sides}
             extra += "".join(f" {1e9 * sum(cpu[side][name]) / steps[side] if steps[side] else float('nan'):>13.1f}"
                              for side in sides)
+            extra += f" {'/'.join(map(str, differ[name])):>9}"
         print(f"{name:<20} {statistics.median(b):9.3f} {statistics.median(h):9.3f} "
               f"{statistics.median(ratios):7.3f} {wins:>3}/{len(b):<3}{extra}")
     return 0
