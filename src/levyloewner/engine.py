@@ -348,13 +348,13 @@ def _axis_drift(x, dt, beta, xb=None):
 
         x <- copysign((|x|^beta + w)^(1/beta), x) = x (1 + w / |x|^beta)^(1/beta),
 
-    one power, whose base ``xb``, |x|^beta to the bits of
-    ``np.power(|x|, beta)``, the caller may pass (it is overwritten).  The
-    rounding of the exponent 1/beta adds a relative error that grows with
-    |ln| of the base, so the lanes with w <= |x|^beta, as on every step of
-    engine B's step rule, take the factored form, whose base lies in [1, 2]
-    (within about 2 ulp of the exact flow), and the others take the sum,
-    which also serves where |x|^beta underflows.  The general drift runs its
+    one power besides |x|^beta, which a caller that has it (engine B's step
+    rule) passes as ``xb``, to the bits of ``np.power(|x|, beta)``; ``xb`` is
+    overwritten.  The rounding of the exponent 1/beta adds a relative error
+    that grows with |ln| of the power's base, so the lanes with
+    w <= |x|^beta, as on every step of engine B, take the factored form,
+    whose base lies in [1, 2] (within about 2 ulp of the exact flow), and the
+    others take the sum, which also serves where |x|^beta underflows.  The general drift runs its
     real-axis lanes through this function too, so a lane's bits do not depend
     on the drift path."""
     if beta == 2.0:
