@@ -348,32 +348,34 @@ def _axis_drift(x, dt, beta, xb=None):
 
         x <- copysign((|x|^beta + w)^(1/beta), x) = x (1 + w / |x|^beta)^(1/beta),
 
-    one power besides |x|^beta, which a caller that has it (engine B's step
-    rule) passes as ``xb``, to the bits of ``np.power(|x|, beta)``; ``xb`` is
-    overwritten.  The rounding of the exponent 1/beta adds a relative error
-    that grows with |ln| of the power's base, so the lanes with
-    w <= |x|^beta, as on every step of engine B, take the factored form,
-    whose base lies in [1, 2] (within about 2 ulp of the exact flow), and the
-    others take the sum, which also serves where |x|^beta underflows.  The general drift runs its
-    real-axis lanes through this function too, so a lane's bits do not depend
-    on the drift path."""
+    one power besides |x|^beta.  The rounding of the exponent 1/beta adds a
+    relative error that grows with |ln| of the power's base, so the lanes
+    with w <= 2 |x|^beta take the factored form, whose base lies in [1, 3]
+    (within about 2 ulp of the exact flow), and the others take the sum,
+    which also serves where |x|^beta underflows.  A caller that knows that
+    no lane has w > 2 |x|^beta passes ``xb``, |x|^beta to the bits of
+    ``np.power(|x|, beta)`` (it is overwritten), and skips that test: engine
+    B's real-axis loops, whose step rule has taken the power.  The general
+    drift runs its real-axis lanes through this function too, so a lane's
+    bits do not depend on the drift path."""
     if beta == 2.0:
         u = x * x
         u += 4.0 * dt
         np.copysign(np.sqrt(u, out=u), x, out=x)
         return
+    w = 2.0 * beta * dt
+    far = None
     if xb is None:
         xb = np.power(np.abs(x), beta)
-    w = 2.0 * beta * dt
-    far = (xb < w).nonzero()[0]
-    if far.size:
-        x_far = np.copysign(np.power(xb[far] + _at(w, far), 1.0 / beta), x[far])
-        xb[far] = _at(w, far)  # a finite factored base; x is set below
+        far = (2.0 * xb < w).nonzero()[0]
+        if far.size:
+            x_far = np.copysign(np.power(xb[far] + _at(w, far), 1.0 / beta), x[far])
+            xb[far] = _at(w, far)  # a finite factored base; x is set below
     np.divide(w, xb, out=xb)
     xb += 1.0
     np.power(xb, 1.0 / beta, out=xb)
     x *= xb
-    if far.size:
+    if far is not None and far.size:
         x[far] = x_far
 
 
@@ -887,6 +889,13 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
 
     # real-axis kernels need x*x > 0: a live lane has |x| > delta, or |z0|
     axis = not z0.imag.any() and min(np.abs(z0).min(), tol.min()) ** 2 > 0
+    # The drift may take the step rule's |x|^beta and skip its far-lane test
+    # (_axis_drift) when every drift of the loop has 2 beta dt <= 2 |x|^beta.
+    # It has when each z0 lies beyond its tolerance and each step checks
+    # |x| <= delta after a sub-increment: then every drift sees |x| > delta,
+    # and dt is at most dt_safety |x|^beta / (2 beta) (to rounding) or the
+    # floor delta^beta / 16.
+    near = axis and bool(incs or clocks) and bool((np.abs(z0) > tol).all())
 
     # state of the live lanes, in lane order (see _retire): the rows of out,
     # exit_time among them only when it is tracked, then the lane and its inputs
@@ -946,7 +955,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         raws = iter(_live_draws(plan, dt))
 
         if axis:
-            _axis_drift(x, dt, beta, hb)  # on the axis hb is |x|^beta
+            _axis_drift(x, dt, beta, hb if near else None)  # on the axis hb is |x|^beta
         else:
             _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive)
         t += dt  # the increments land at the step's end

@@ -44,8 +44,8 @@ def test_first_block_does_not_depend_on_later_blocks(driver, beta, exit_radius):
 
 
 # Cells of multi-cell calls: Brownian+stable cells that differ in kappa, theta,
-# z0 and hit tolerance, composite cells that differ in kappa and z0, and a
-# real-axis stable cell beside an off-axis one, which runs the real-axis
+# z0 and hit tolerance, composite cells that differ in kappa and z0, and
+# real-axis stable cells beside an off-axis one, which run the real-axis
 # kernels alone and the general drift in the shared loop.
 CELL_FAMILIES = {
     "brownian_stable": [
@@ -60,6 +60,9 @@ CELL_FAMILIES = {
     "real_and_off_axis": [
         Cell(DriverSpec((Stable(1.5, 1.0),)), -0.5, ("cell", 0), 1e-3),
         Cell(DriverSpec((Stable(1.5, 2.0),)), 0.3 + 0.2j, ("cell", 1), 1e-2),
+        # within its tolerance: the first drift's step is the floor, far
+        # above |z0|^beta
+        Cell(DriverSpec((Stable(1.5, 0.5),)), 2e-4, ("cell", 2), 1e-3),
     ],
 }
 
@@ -459,6 +462,13 @@ def test_real_axis_lanes_take_one_drift_form(beta, per_lane_dt):
 
     axis = x0.copy()
     engine._axis_drift(axis, dt, beta)
+    # given |x|^beta, on the lanes with 2 beta dt <= 2 |x|^beta, as engine B's
+    # real-axis loops give it
+    xb = np.power(np.abs(x0), beta)
+    near = (2.0 * beta * dt <= 2.0 * xb).nonzero()[0]
+    x = x0[near]
+    engine._axis_drift(x, engine._at(dt, near), beta, xb[near])
+    np.testing.assert_array_equal(x.view(np.int64), axis[near].view(np.int64))
     x, y = x0.copy(), np.zeros(n)
     general(x, y, dt)
     np.testing.assert_array_equal(x.view(np.int64), axis.view(np.int64))
