@@ -364,18 +364,18 @@ def _axis_drift(x, dt, beta, xb=None):
         np.copysign(np.sqrt(u, out=u), x, out=x)
         return
     w = 2.0 * beta * dt
-    far = None
+    far = ()
     if xb is None:
         xb = np.power(np.abs(x), beta)
         far = (2.0 * xb < w).nonzero()[0]
-        if far.size:
+        if len(far):
             x_far = np.copysign(np.power(xb[far] + _at(w, far), 1.0 / beta), x[far])
             xb[far] = _at(w, far)  # a finite factored base; x is set below
     np.divide(w, xb, out=xb)
     xb += 1.0
     np.power(xb, 1.0 / beta, out=xb)
     x *= xb
-    if far is not None and far.size:
+    if len(far):
         x[far] = x_far
 
 
