@@ -28,6 +28,9 @@ DRIVERS = {
     "composite": COMPOSITE,
 }
 FIELDS = ("zeta", "x", "y", "min_abs", "steps")
+# The outputs engine B computes (exit_time aside): its lanes keep no running
+# minimum of |h|.
+B_FIELDS = ("zeta", "x", "y", "steps")
 
 
 @pytest.mark.parametrize("exit_radius", [None, 3.0])
@@ -38,7 +41,7 @@ def test_first_block_does_not_depend_on_later_blocks(driver, beta, exit_radius):
     kw = dict(master_seed=5, beta=beta, exit_radius=exit_radius)
     many = run_adaptive_cells([cell], BLOCK + 588, 0.5, **kw)[0]
     one = run_adaptive_cells([cell], BLOCK, 0.5, **kw)[0]
-    fields = FIELDS + (("exit_time",) if exit_radius is not None else ())
+    fields = B_FIELDS + (("exit_time",) if exit_radius is not None else ())
     for f in fields:
         np.testing.assert_array_equal(getattr(many, f)[:BLOCK], getattr(one, f), err_msg=f)
 
@@ -117,7 +120,6 @@ PINNED = {
         "zeta": "8eb0ef944fb6becc9248043ef09bab2b1487d8319a3966852ae12c0e0e131dc2",
         "x": "f33c6f2e448ecd71f26a083940eb906abb3b0139ee53bb99752f2abe514a2c5a",
         "y": "289920b4aa3e1d7de016a172d80e96da574d9f7b3f308f2f1d976310c449ef87",
-        "min_abs": "58600b04e5ec8dea7b570adff72a460fa718bbfccd69dd8943d2f5b3c26a2e1e",
         "steps": "a2499e60d33d40bc2c59f14be164189171830cb43ec22b87b724b05ff2923528",
         "exit_time": "dc07e76db2dfc0f19872dd965f09001e50e2c732afb5306f417f74bf73478acb",
     },
@@ -125,7 +127,6 @@ PINNED = {
         "zeta": "8de29ad80816624285fc4e884311b0a97eb6bb13a38f2c073deedc37234e3cea",
         "x": "0317962826b123a8cc424ad94fe9ef2f73abc4db258cee8f6b3b3fe4cdaeac7b",
         "y": "3dc79807d72e878af657679074929c792319d49edd030bccfb7f04fe265929dc",
-        "min_abs": "1a15da6f2834a0c0f975ad73da8badfe1e5f0f88932e717deefee8617a909219",
         "steps": "de2dfb788f4f31ab6c151375a9358af8db2a30e758b27cc1e6b59d24ad700954",
     },
 }
@@ -142,18 +143,19 @@ def test_composite_driver_output_bytes_pinned(beta):
 # SHA-256 over the output arrays of a two-cell pure-stable run whose cells
 # differ in theta, 700 replicas each (x86-64, numpy 2.4).  alpha = 1, 1.5 and
 # 2 take the tan, CMS and Gaussian branches of the stable map.  Recorded at
-# 2048-replica blocks, one per cell.
+# 2048-replica blocks, one per cell; re-recorded over B_FIELDS, without the
+# running minimum of |h| that engine B no longer keeps.
 STABLE_PINNED = {
-    (1.0, 2.0): "a2e28c46838d376619bb2c1c3b7952e3d854cd87882a773b23c1841297d3b220",
-    (1.0, 1.5): "59aade8e8ad1089ee3b912288e45147a725645d61523ffabf0948c6bdde2c066",
-    (1.5, 2.0): "9a82fa35a9369d15e60a201b577e53a1fe1686bce8afb4b36484dbeda3677df4",
-    (1.5, 1.5): "106a9a55b19503bf934322d600ea3262c855017132945c61be2d6d7624f1275e",
-    (2.0, 2.0): "20f199d7c3277451c403565ca84efd77ad670dbb5933a4e587a06ac8060450b3",
-    (2.0, 1.5): "596df517d99b47e23699ff9f19932d1212c7cdba08b4eeab503bacd47eb4bdcc",
+    (1.0, 2.0): "2411e65bf96c394592f93a22cdc7a26605ed921c33d334b545260b3ebc0d0559",
+    (1.0, 1.5): "b6d9db78a623e25a4bed912398625c5bc2b49b897e096ed4823272a694791490",
+    (1.5, 2.0): "20dd423fbe50306e2fe431ffc0f35ac6a645d423a200c8ea7b72b8294a4c7039",
+    (1.5, 1.5): "b03d41587907910f55bd09d83e0a360b08b0bb229551987bc8a5a8d691710379",
+    (2.0, 2.0): "f52b9f374532694e0f52ce4a1a67bc78e7b058393d2d585cbdf4d89facd0418a",
+    (2.0, 1.5): "1b23c6bc26df1d7ca55166071e5ea6f6d268ed4845586dcdca4b6cf2ef67fe55",
 }
 
 
-def _digest(results, fields=FIELDS) -> str:
+def _digest(results, fields=B_FIELDS) -> str:
     digest = hashlib.sha256()
     for res in results:
         for f in fields:
@@ -178,11 +180,12 @@ def test_stable_cells_output_bytes_pinned(alpha, beta):
 # beta = 2 and the beta < 2 real-axis drift.  700 replicas per cell, one
 # 2048-replica block.  theta0 and kappa_stable_beta1_5 were re-recorded when
 # the beta < 2 real-axis drift took one power (hits and steps per cell
-# unchanged: 0, 0, 25 and 225, 510 hits).
+# unchanged: 0, 0, 25 and 225, 510 hits).  Every AXIS_PINNED digest was
+# re-recorded over B_FIELDS, without the running minimum of |h|.
 AXIS_PINNED = {
-    "kappa_stable": "3d7685b53073944d67cfc532cc01548c38fb944f60289169acd792284a18b228",
-    "bessel": "dd696fa9d724ae32e2907ad5f9d790c07d36f83a602406bff29e44a67af671e5",
-    "theta0": "f6447ebf4031eadab7c635edcf574bd0356a56664e6f186d0e2da609143ec342",
+    "kappa_stable": "728b5d8151092a754472ded8db6da75de5c5b2af99ac9e4643bd5423b1ed46bf",
+    "bessel": "d029135679fd743a77ee7142230f1f9ea5a17c8fa1bbfee0cf8313c28016a4f4",
+    "theta0": "b5b6144ae33597133baabec2d34ef1800dfd2f40d380ca0fa7deb9170209e52d",
 }
 
 # More runs that start on the real axis (x86-64, numpy 2.4): a loop whose cells
@@ -190,15 +193,15 @@ AXIS_PINNED = {
 # composite cell, whose jump clock lands its jumps on the axis; and the flip
 # rule at beta = 1.5.  700 replicas each.
 AXIS_PINNED.update({
-    "mixed_z0": "ea1fbd6c27dcfd861a18c8f091c162973760a8c89b685ac9142a9cf3e0fd2803",
-    "composite": "3ef46a35665221ab622f052e5f41a6ca0a3b53e8b672265efde21e36aa366029",
-    "kappa_stable_beta1_5": "f99a60ec026142024a1514d95d175753be6c43cfc09977d7a4dc2b33b3c15f1b",
+    "mixed_z0": "2747742606a235236f30a891f3d6eacb7e54b43e642b353b38e3ac43dcadb41e",
+    "composite": "6ece9155318efff426f4fdd28759059bfde0dce124952da8be63e074d2124fa2",
+    "kappa_stable_beta1_5": "da081ca4bd6d380dacd51300d884f83b68c8a658935be9ae930b7c689be01e1b",
 })
 
 # Two cells of two blocks each, the second partial (x86-64, numpy 2.4): the
 # block bookkeeping of cells larger than one block, which every other pin and
 # every engine-B subcommand's default n leave out.
-AXIS_PINNED["two_blocks"] = "45098f1145492c7bf40ff9cad361ec04c6c583e1a46e7ebb83b50f1b86d1a310"
+AXIS_PINNED["two_blocks"] = "c41334ab0e21e7d3e30182485c9cf104cba371e9667f12380014286827076287"
 
 # Off-axis runs from just above the axis (y = delta) whose driver lists its
 # stable part before its Brownian part (x86-64, numpy 2.4): the flip rule at a
@@ -206,8 +209,8 @@ AXIS_PINNED["two_blocks"] = "45098f1145492c7bf40ff9cad361ec04c6c583e1a46e7ebb83b
 # times at beta = 2 and 134 times at beta = 1.5, and by |h| <= delta 86 and
 # 245 times.
 AXIS_PINNED.update({
-    "stable_first": "d4ae8942da124aeef10c0d463fb57d89c34ebbdbed462dd316aee1813f0609d5",
-    "stable_first_beta1_5": "ba78f3be4e3f394276f6bd11bca3036f0ca7eaa8eed70c47c0b8f18882189275",
+    "stable_first": "a91714b522fa816fe4dc3430d168546949812e1d07e08a4fd1fcdf356539ab42",
+    "stable_first_beta1_5": "c84c458bd8239797a7dfe318ef26f042b61370804c8ad8a09c9cfdaab97a30dd",
 })
 
 
@@ -221,7 +224,7 @@ def _axis_run(case):
     if case == "bessel":
         res = run_adaptive_cells([Cell(DriverSpec((Brownian(8.0),)), 1.0, "pin-bessel")], 700, 20.0,
                                  master_seed=2028, exit_radius=4.0)
-        return _digest(res, FIELDS + ("exit_time",))
+        return _digest(res, B_FIELDS + ("exit_time",))
     if case == "mixed_z0":
         cells = [Cell(DriverSpec((Brownian(8.0), Stable(1.5, 1.0))), 1.0, ("pin-mixed", 0)),
                  Cell(DriverSpec((Brownian(4.0), Stable(1.5, 0.5))), 0.5 + 0.3j, ("pin-mixed", 1))]
@@ -229,7 +232,7 @@ def _axis_run(case):
     if case == "composite":
         res = run_adaptive_cells([Cell(COMPOSITE, 1.0, "pin-axis-composite")], 700, 5.0,
                                  master_seed=2028, exit_radius=4.0)
-        return _digest(res, FIELDS + ("exit_time",))
+        return _digest(res, B_FIELDS + ("exit_time",))
     if case.startswith("stable_first"):
         beta = 1.5 if case.endswith("beta1_5") else 2.0
         cell = Cell(DriverSpec((Stable(1.5, 1.0), Brownian(2.0))), 0.3 + 0.01j, ("pin-order", beta), 1e-2)
@@ -357,19 +360,34 @@ def test_annulus_exit_output_bytes_pinned():
     assert _sha(pos) == "69ad557fe18601e971a0f73c663fbc1c6f9ca91e6b28d43f755ce856b285e63a"
 
 
+# (kappa, alpha, theta) of more annulus-exit runs (x86-64, numpy 2.4), as
+# above: the Cauchy map alone (alpha = 1, one uniform per draw) and a Brownian
+# part beside the alpha > 1 map.
+ANNULUS_PINNED = {
+    (0.0, 1.0, 1.0): ("0821ccaa14e746fd881afa21b6bd4a46660b4961b628e3f1b9f8612de89e36af",
+                      "9385618f21bdd05ba3495836b80593ea4e8ef66d55c9c46c9a304139ee0ec72e"),
+    (2.0, 1.5, 0.5): ("1f127ea5c5847e4b80b27d1c54906e3c97a47e4cd50cd42cc21d6621c496c94d",
+                      "a0264a8ee62967dfaff0f1413d8701a8ee8804f3961077a63a765e68854e512a"),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(ANNULUS_PINNED))
+def test_annulus_exit_driver_bytes_pinned(driver):
+    sides, pos = _annulus_exit_positions(*driver, 1.5, 1.0, 2.0, 1300, 50.0, 11)
+    assert (_sha(sides), _sha(pos)) == ANNULUS_PINNED[driver]
+
+
 # Off-axis lanes that cross exit_radius = 1.5 in the band max(|x|, y) < 1.5 <=
 # |x| + y, where only hypot decides (x86-64, numpy 2.4).
 EXIT_PINNED = {
     2.0: {"zeta": "ddaa54f2400dd0b0d9654c9f32cb2c41f1d7bd2b7abcafc4a65ecd89a0fa15a6",
           "x": "8477b1c8604024e317bef5d44e8225c263103aab0f10135c75035198fa2e764f",
           "y": "1515adfef1090fcc0c81e009328989edef72598de9c21e9259b017fd7d8802fb",
-          "min_abs": "7aa78811888646c0d2e9dea8048b30b6466ce15501e9021e208dea5ff21b4009",
           "steps": "0cce803cf687dddcebff392d33bbe53b76ba1e7a243556b5185c4f564c95d94b",
           "exit_time": "3ff2e1ac857036136c3359db68648ab93ba0d7e364f1313e3c1aa56837aa412c"},
     1.5: {"zeta": "06a3d55e7d28eb162052ba80df5040aad91dbe1a8238615b821004bc927a624a",
           "x": "43ccf6da58ae22830d6ec590d65970f7548c13317bfe919f09cac5e6105a296c",
           "y": "a00dd87f9023ef5d413bbfe7ac0ff0ac4acdabe4fc3be1b9875b616c726298d3",
-          "min_abs": "8c43aadfda1da3cb04819e11ff39b3aff7dfa33058d86c02a5e4c6dadb8bd616",
           "steps": "466ab4f796a0dd159704e32b95786cbe35fed4d3b10a0f0eaa2b381166cb7b1d",
           "exit_time": "51191f9de24ed16ba88181fb4ea150e4c1e5b415964ded2ffd5cae16bff8fc4c"},
 }
