@@ -74,11 +74,12 @@ test right after the drift.  The step's sub-increments move a lane's x by at
 most the sum of their |d| (a scalar in engine A, one per lane in engine B),
 so a lane outside max(|x|, y) <= (max(min_abs, delta) + sum |d|) * 1.000001
 can fail no hit check and no flip rule of the step, and takes the subtracts
-only.  A lane that reports zeta only (``zeta_only``, as raster cells do)
-keeps no running minimum of |h| and holds min_abs = 0, so its box reaches
-only its tolerance plus the step's shifts.  The gathered candidates take the
-step's check points in one elementwise pass each, with no further box test
-or index set: a candidate outside a check's near box
+only.  A lane that reports zeta only (every engine-B lane, and engine A's
+``zeta_only`` lanes, as raster cells are) keeps no running minimum of |h|
+and holds min_abs = 0, so its box reaches only its tolerance plus the
+step's shifts.  The gathered candidates take the step's check points in one
+elementwise pass each, with no further box test or index set: a candidate
+outside a check's near box
 max(|x|, y) <= max(min_abs, delta) has hypot(x, y) >= that box, so folding
 its |h| into min_abs changes nothing and cannot hit.  An engine-B loop whose
 cells all start on the real axis keeps every lane there until it dies (the
@@ -188,7 +189,7 @@ class LaneResult:
     zeta: np.ndarray        # hit time; NaN when censored
     x: np.ndarray           # final h (meaningful for censored lanes; NaN once retired)
     y: np.ndarray
-    min_abs: np.ndarray     # running minimum of |h|; 0 on zeta-only lanes
+    min_abs: np.ndarray     # running minimum of |h|; 0 on zeta-only lanes and in engine B
     steps: np.ndarray       # grid or loop steps the lane took
     hit_tolerance: np.ndarray
     exit_time: np.ndarray | None = None  # first |h| >= exit_radius, if tracked
@@ -451,22 +452,20 @@ def _rk4_drift(u0, c, dt, beta, sub, crossings):
     return u1
 
 
-def _axis_increment(x, du, is_continuous, t_now, delta, zeta, min_abs, alive, died):
-    """One check point of :func:`_land_step` on the real axis: shift x by -du
-    on the live lanes and run the checks at t_now, given whether a lane died
-    earlier in the step (it keeps its x, min_abs <= |x| and zeta at t_now, so
-    one pass of |h| = hypot(x, 0) = |x| checks all lanes); returns whether one
-    has.  As y = 0 <= delta, x * sign(x before) <= delta is the flip rule or
-    |x| <= delta."""
+def _axis_increment(x, du, is_continuous, t_now, delta, zeta, alive, died):
+    """One check point of :func:`_land_step` on the real axis, for zeta-only
+    lanes: shift x by -du on the live lanes and run the checks at t_now, given
+    whether a lane died earlier in the step (it keeps its x and zeta at t_now,
+    so one pass of |h| = hypot(x, 0) = |x| checks all lanes); returns whether
+    one has.  As y = 0 <= delta, x * sign(x before) <= delta is the flip rule
+    or |x| <= delta."""
     if is_continuous:
         s = np.sign(x)
     if died:
         np.subtract(x, du, out=x, where=alive)
     else:
         x -= du
-    ax = np.abs(x)
-    np.minimum(min_abs, ax, out=min_abs)
-    hit = (x * s if is_continuous else ax) <= delta
+    hit = (x * s if is_continuous else np.abs(x)) <= delta
     if not np.count_nonzero(hit):
         return died
     np.copyto(zeta, t_now, where=hit)
@@ -851,6 +850,8 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     every cell's result is the one it gets alone.  When every z0 is real the
     lanes never leave the real axis, and the loop runs real-axis kernels to
     the same bits; the live blocks and mask are rebuilt only after a death.
+    Every lane is zeta-only: it keeps no running minimum of |h|, and min_abs
+    reads 0.
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
@@ -860,6 +861,8 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         raise ConfigError(f"dt_safety must lie in (0,1), got {dt_safety}")
     if exit_radius is not None and not exit_radius > 0:
         raise ConfigError(f"exit_radius must be positive, got {exit_radius}")
+    if not cells:
+        raise ConfigError("run_adaptive_cells needs at least one cell")
     if len({_loop_key(c.spec) for c in cells}) != 1:
         raise ConfigError("the cells of one loop may differ in Brownian kappa and stable theta only")
     z0 = np.array([complex(c.z0) for c in cells])
@@ -900,19 +903,20 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     # state of the live lanes, in lane order (see _retire): the rows of out,
     # exit_time among them only when it is tracked, then the lane and its inputs
     track = exit_radius is not None
-    out = np.empty((4 + track, k * stride))  # zeta, x, y, min_abs[, exit_time]
+    out = np.empty((3 + track, k * stride))  # zeta, x, y[, exit_time]
     state = np.empty((len(out) + 6 + len(incs), k * n))
 
     def rows(state):
-        return (*state[:4], state[4] if track else None, *state[len(out):])
+        return (*state[:3], state[3] if track else None, *state[len(out):])
 
-    zeta, x, y, min_abs, exit_time, lane, t, delta, dt_floor, tau_div, *coef = rows(state)
+    zeta, x, y, exit_time, lane, t, delta, dt_floor, tau_div, *coef = rows(state)
     zeta[:] = np.nan
     if track:
         exit_time[:] = np.nan
     x[:] = np.repeat(z0.real, n)
     y[:] = 0.0 if axis else np.repeat(z0.imag, n)  # a first drift turns -0.0 into +0.0
-    min_abs[:] = np.repeat([abs(z) for z in z0.tolist()], n)
+    # the shared kernels' min_abs of zeta-only lanes: zeros that they keep
+    zero = None if axis else np.zeros(k * n)
     t[:] = 0.0
     delta[:] = np.repeat(tol, n)
     dt_floor[:] = np.repeat(floor, n)
@@ -957,7 +961,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         if axis:
             _axis_drift(x, dt, beta, hb if near else None)  # on the axis hb is |x|^beta
         else:
-            _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive)
+            _drift_advance(x, y, dt, beta, t, delta, zeta, zero[:lane.size], alive)
         t += dt  # the increments land at the step's end
         # the sub-increments, then a jump where a lane's wait ended its step
         subs = [(inc.increments([next(raws) for _ in inc.draws], dt, c), inc.is_continuous)
@@ -966,9 +970,9 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         if axis:
             died = False
             for du, is_continuous in subs:
-                died = _axis_increment(x, du, is_continuous, t, delta, zeta, min_abs, alive, died)
+                died = _axis_increment(x, du, is_continuous, t, delta, zeta, alive, died)
         else:
-            _land_step(x, y, subs, t, delta, zeta, min_abs, alive)
+            _land_step(x, y, subs, t, delta, zeta, zero[:lane.size], alive)
         if track:
             fresh = (alive & np.isnan(exit_time) & (np.hypot(x, y) >= exit_radius)).nonzero()[0]
             exit_time[fresh] = t[fresh]
@@ -979,9 +983,9 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
             state, done = _retire(state, alive, out)
             # a hit lane stopped inside this iteration, a censored one after it
             steps[done] = it - 1 + np.isnan(out[0, done])
-            zeta, x, y, min_abs, exit_time, lane, t, delta, dt_floor, tau_div, *coef = rows(state)
+            zeta, x, y, exit_time, lane, t, delta, dt_floor, tau_div, *coef = rows(state)
 
     z0s, tols = np.repeat(z0, stride), np.repeat(tol, stride)
-    return [LaneResult(z0s[sl], *out[:4, sl], steps[sl], tols[sl],
-                       out[4, sl] if track else None)
+    return [LaneResult(z0s[sl], *out[:3, sl], np.zeros(n), steps[sl], tols[sl],
+                       out[3, sl] if track else None)
             for sl in (slice(c * stride, c * stride + n) for c in range(k))]

@@ -97,6 +97,23 @@ def test_cells_of_other_driver_families_rejected(other):
         run_adaptive_cells(cells, 100, 0.5, master_seed=9)
 
 
+def test_no_cells_rejected():
+    with pytest.raises(ConfigError, match="at least one cell"):
+        run_adaptive_cells([], 100, 0.5, master_seed=9)
+
+
+@pytest.mark.parametrize("beta", [2.0, 1.5])
+@pytest.mark.parametrize("z0", [1.0, 0.5 + 0.3j])
+def test_engine_b_lanes_are_zeta_only(z0, beta):
+    # engine B keeps no running minimum of |h|: min_abs reads 0 on every lane,
+    # hit or censored, on the real axis and off it
+    cell = Cell(DriverSpec((Brownian(2.0), Stable(1.5, 1.0))), z0, ("zeta-only", beta), 1e-2)
+    res = run_adaptive_cells([cell], 300, 1.0, master_seed=3, beta=beta)[0]
+    assert 0 < res.hit.sum() < 300
+    assert res.min_abs.shape == (300,)
+    assert not res.min_abs.any()
+
+
 def test_annulus_exit_first_block_does_not_depend_on_later_blocks():
     args = (1.0, 0.5, 1.0, 1.5, 1.0, 2.0)
     sides_many, pos_many = _annulus_exit_positions(*args, BLOCK + 788, 50.0, 11)
