@@ -41,12 +41,10 @@ from .drivers import (
     DriverSpec,
     JumpLaw,
     TruncatedStable,
-    _stable_draws,
-    _stable_map,
     sample_driver,
 )
-from .engine import (BLOCK, Cell, _axis_drift, _draw_plan, _live_draws, _loop_key,
-                     default_hit_tolerance, run_adaptive_cells)
+from .engine import (BLOCK, Cell, _axis_drift, _compile_increments, _draw_plan, _live_draws,
+                     _loop_key, default_hit_tolerance, run_adaptive_cells)
 from .errors import ConfigError, StatisticalError
 from .loewner import EvolutionConfig, connected_components, raster_cluster
 from .rng import stream
@@ -342,15 +340,13 @@ class OvershootReport:
 def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
                             a: float, b: float, n: int, horizon: float, seed: int):
     """First exit of the real flow from {a < |x| < b}: per-replica exit side
-    and position.  Continuous sub-crossings (drift, Brownian) stop exactly at
+    and position.  The driver's parts take engine B's draws, timescales and
+    increments.  Continuous sub-crossings (drift, Brownian) stop exactly at
     the boundary (atoms); jump sub-crossings record the landed position."""
     if not (b > a > 0 and a < abs(x0) < b):
         raise ConfigError("need b > a > 0 and a < |x0| < b")
-    draws = []
-    if kappa > 0:
-        draws.append((np.random.Generator.standard_normal, False))
-    if theta > 0:
-        draws += [(d, False) for d in _stable_draws(alpha)]
+    incs, _ = _compile_increments(DriverSpec.from_params(kappa, alpha, theta))
+    draws = [d for inc in incs for d in inc.draws]
     blocks = [(stream(seed, "overshoot", blk, float(a), float(b)), draws) for blk in range(-(-n // BLOCK))]
     bounds = BLOCK * np.arange(len(blocks) + 1)
     sides = np.zeros(n, dtype=np.int8)  # 0 censored, 1 inner, 2 outer
@@ -376,10 +372,8 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
         ax = np.abs(x)
         d = np.minimum(ax - a, b - ax)
         tau = ax * np.maximum(b - ax, 1e-12) / 2.0  # drift time to reach b
-        if kappa > 0:
-            tau = np.minimum(tau, d * d / kappa)
-        if theta > 0:
-            tau = np.minimum(tau, d ** alpha / theta)
+        for inc in incs:  # and each part's time to move x by d
+            tau = np.minimum(tau, d ** inc.tau_pow / inc.coef)
         # horizon - t, positive for a live replica, caps dt below horizon too
         dt = np.maximum(0.1 * tau, dt_floor)
         np.minimum(dt, horizon - t, out=dt)
@@ -392,24 +386,19 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
             leave(out, 2, np.copysign(b, x[out]))
             active[out] = False
 
-        if kappa > 0:
-            xb = x - np.sqrt(kappa * dt) * next(raws)
-            inner = (np.abs(xb) <= a) | (np.sign(xb) != np.sign(x))
-            out = ((inner | (np.abs(xb) >= b)) & active).nonzero()[0]
-            if out.size:
-                inner = inner[out]
-                leave(out, np.where(inner, 1, 2), np.sign(x[out]) * np.where(inner, a, b))
-                active[out] = False
-            x = xb
-
-        if theta > 0:
-            x = x - (theta * dt) ** (1.0 / alpha) * _stable_map(alpha, *raws)
-            ax = np.abs(x)
+        for inc in incs:
+            xb = x - inc.increments([next(raws) for _ in inc.draws], dt, inc.coef)
+            ax = np.abs(xb)
             inner = ax <= a
+            if inc.is_continuous:  # a continuous path that crossed 0 passed |x| = a
+                inner |= np.sign(xb) != np.sign(x)
             out = ((inner | (ax >= b)) & active).nonzero()[0]
             if out.size:
-                leave(out, np.where(inner[out], 1, 2), x[out])
+                inner = inner[out]
+                leave(out, np.where(inner, 1, 2),
+                      np.sign(x[out]) * np.where(inner, a, b) if inc.is_continuous else xb[out])
                 active[out] = False
+            x = xb
 
         t += dt
         active &= t < horizon * (1 - 1e-12)
