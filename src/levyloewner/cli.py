@@ -85,6 +85,12 @@ def _beta_check(v):
     return v
 
 
+def _theta_tilde_check(v):
+    if not (v == -1.0 or v >= 0):
+        raise ConfigError(f"theta_tilde must be -1 (derive) or nonnegative, got {v}")
+    return v
+
+
 def _count(name, count):
     def check(v):
         if len(v) != count:
@@ -249,7 +255,7 @@ SCHEMAS: dict[str, dict] = {
         "z": ("point", [0.0, 1.0], None),
         "horizon": ("float", 4.0, _positive("horizon")),
         "n": ("int", 2000, _positive("n")),
-        "theta_tilde": ("float", -1.0, None),  # -1 = derive the matching rescaled strength
+        "theta_tilde": ("float", -1.0, _theta_tilde_check),  # -1 = derive the rescaled strength
         "exit_radius": ("float", 0.0, _nonneg("exit_radius")),
     },
     "disconnect": {
@@ -472,7 +478,7 @@ def _run_scalecheck(cfg: RunConfig, out: Path) -> list[str]:
     z = complex(p["z"][0], p["z"][1])
     res = scaling_check(p["kappa"], p["alpha"], p["theta"], p["a"], p["statistic"], z,
                         p["horizon"], p["n"], cfg.seed,
-                        theta_tilde=(None if p["theta_tilde"] < 0 else p["theta_tilde"]),
+                        theta_tilde=(None if p["theta_tilde"] == -1.0 else p["theta_tilde"]),
                         exit_radius=(p["exit_radius"] or None))
     json_dump({
         "statistic": res.statistic, "a": res.a, "theta_tilde": res.theta_tilde,

@@ -176,11 +176,11 @@ class DriverSpec:
                     cpp_class: str = "unspecified") -> DriverSpec:
         """sqrt(kappa) B + theta^(1/alpha) S (truncated at trunc_cutoff when
         positive) + a two-point CPP(cpp_rate, +-cpp_size), keeping the parts
-        with positive strength; U == 0 (Brownian(0)) when none is.  A NaN or
-        infinite strength is an error, not a part dropped."""
+        with positive strength; U == 0 (Brownian(0)) when none is.  A
+        negative, NaN or infinite strength is an error, not a part dropped."""
         for name, v in (("kappa", kappa), ("theta", theta), ("cpp_rate", cpp_rate)):
-            if not -np.inf < v < np.inf:
-                raise ConfigError(f"{name} must be finite, got {v}")
+            if not 0 <= v < np.inf:
+                raise ConfigError(f"{name} must be nonnegative and finite, got {v}")
         comps: list = []
         if kappa > 0:
             comps.append(Brownian(kappa))

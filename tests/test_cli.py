@@ -204,6 +204,18 @@ class TestDispatch:
     def test_non_finite_value_exit_2(self, tmp_path, argv):
         assert run_cli(tmp_path, *argv) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["phase", "--grid", "theta=-1", "--n", "200"],
+        ["phase", "--grid", "kappa=2,-8", "--n", "200"],
+        ["theta0-bracket", "--grid-mults=-0.5,1", "--n", "200"],
+        ["scalecheck", "--theta-tilde=-2", "--n", "500"],
+        ["scalecheck", "--theta-tilde=-0.5", "--n", "500"],
+    ])
+    def test_negative_strength_exit_2(self, tmp_path, argv):
+        # a negative strength ran the null driver, and scalecheck took any
+        # negative theta_tilde for -1 (derive it)
+        assert run_cli(tmp_path, *argv, "--horizon", "1") == 2
+
     def test_non_finite_config_value_exit_2(self, tmp_path):
         cfg_file = tmp_path / "c.json"
         cfg_file.write_text(json.dumps({"kappa": float("nan")}))

@@ -284,6 +284,12 @@ class TestSpecInvariants:
         with pytest.raises(ConfigError):
             DriverSpec.from_params(**strength)
 
+    @pytest.mark.parametrize("name", ["kappa", "theta", "cpp_rate"])
+    def test_from_params_rejects_negative_strength(self, name):
+        # a negative strength failed "> 0" and was dropped: U == 0 without a word
+        with pytest.raises(ConfigError, match=name):
+            DriverSpec.from_params(**{name: -1.0})
+
     def test_stationarity_of_increments(self):
         # same-size increment samples from disjoint windows agree in law
         spec = DriverSpec((Brownian(1.0), Stable(1.3, 0.5)))

@@ -103,6 +103,11 @@ class TestHittingProbability:
         with pytest.raises(ConfigError):
             hitting_probability(PhaseParams(z=0.0, kappa=8.0), 200, 1.0, seed=6)
 
+    def test_negative_strength_rejected(self):
+        # kappa = -8 ran the null driver U == 0 and reported no hit
+        with pytest.raises(ConfigError, match="kappa"):
+            hitting_probability(PhaseParams(z=1.0, kappa=-8.0), 200, 1.0, seed=6)
+
 
 class TestPhaseScan:
     def test_single_cell_matches_hitting_probability(self):
@@ -224,6 +229,11 @@ class TestTheta0Bracket:
         th0 = theta0(alpha)
         with pytest.raises(StatisticalError):
             theta0_bracket(alpha, [0.1 * th0, 0.2 * th0], 0.5, 200, 50.0, seed=17)
+
+    def test_negative_strength_rejected(self):
+        th0 = theta0(1.5)
+        with pytest.raises(ConfigError, match="theta"):
+            theta0_bracket(1.5, [-0.5 * th0, th0], 0.5, 200, 50.0, seed=17)
 
 
 class TestCompositeDrivers:
