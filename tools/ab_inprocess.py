@@ -14,7 +14,8 @@ per-round ratios head / base, the rounds the head won, and each side's
 engine-A and engine-B lane-steps over all rounds: the sum of
 ``LaneResult.steps`` over the op's ``evolve_lanes_on_path`` and
 ``run_adaptive_cells`` calls, deterministic counts that a byte-neutral change
-leaves equal.
+leaves equal.  It first prints each side's ``src/`` line count, as ``wc -l``
+counts it, the size that ROADMAP.md tracks.
 
 ``--stream-change`` times a deliberate change of the random streams: instead
 of stopping at a difference it prints, per op, how many artifacts differed
@@ -64,6 +65,11 @@ def load(root: Path) -> dict:
     if not Path(mods[PKG].__file__).is_relative_to(root / "src"):
         raise SystemExit(f"{PKG} was not loaded from {root / 'src'}")
     return mods
+
+
+def src_lines(root: Path) -> int:
+    """Newlines in the Python files under ``root/src``."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src").rglob("*.py"))
 
 
 def count_lane_steps(mods: dict, name: str, results) -> list[int]:
@@ -126,7 +132,9 @@ def main(argv=None) -> int:
                          "also print CPU ns per engine-B lane-step")
     args = ap.parse_args(argv)
 
-    sides = {"base": load(args.base.resolve()), "head": load(args.head.resolve())}
+    roots = {"base": args.base.resolve(), "head": args.head.resolve()}
+    print("src lines: " + ", ".join(f"{side} {src_lines(root):,}" for side, root in roots.items()))
+    sides = {side: load(root) for side, root in roots.items()}
     counters = {side: {e: count_lane_steps(mods, *ENGINES[e]) for e in ENGINES}
                 for side, mods in sides.items()}
     activate(sides["head"])
