@@ -79,15 +79,15 @@ only.  A lane that reports zeta only (every engine-B lane, and engine A's
 and holds min_abs = 0, so its box reaches only its tolerance plus the
 step's shifts.  The gathered candidates take the step's check points in one
 elementwise pass each, with no further box test or index set: a candidate
-outside a check's near box
-max(|x|, y) <= max(min_abs, delta) has hypot(x, y) >= that box, so folding
-its |h| into min_abs changes nothing and cannot hit.  An engine-B loop whose
-cells all start on the real axis keeps every lane there until it dies (the
-drift keeps c = 0, and each sub-increment moves x only), so it runs the
-real-axis kernels :func:`_axis_drift` and :func:`_axis_increment` with the
-same bits; engine B rebuilds its block bookkeeping only after a lane died.
-Both engines hold the live state in one array, one row per quantity, so that
-dropping the lanes that died is one call.
+outside a check's near box max(|x|, y) <= max(min_abs, delta) has
+hypot(x, y) >= that box, so folding its |h| into min_abs changes nothing and
+cannot hit.  An engine-B loop whose cells all start on the real axis keeps
+every lane there until it dies (the drift keeps c = 0, and each
+sub-increment moves x only), so it runs the real-axis kernels
+:func:`_axis_drift` and :func:`_axis_increment` with the same bits; engine B
+rebuilds its block bookkeeping only after a lane died.  Both engines hold
+the live state in one array, one row per quantity, so that dropping the
+lanes that died is one call.
 
 Engine A holds the whole path in advance, so it also retires the zeta-only
 lanes that the rest of the path can no longer hit.  For x > 0 every drift
@@ -915,8 +915,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         exit_time[:] = np.nan
     x[:] = np.repeat(z0.real, n)
     y[:] = 0.0 if axis else np.repeat(z0.imag, n)  # a first drift turns -0.0 into +0.0
-    # the shared kernels' min_abs of zeta-only lanes: zeros that they keep
-    zero = None if axis else np.zeros(k * n)
+    zero = None if axis else np.zeros(k * n)  # the shared kernels' min_abs: zeros they keep
     t[:] = 0.0
     delta[:] = np.repeat(tol, n)
     dt_floor[:] = np.repeat(floor, n)
