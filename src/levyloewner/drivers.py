@@ -78,8 +78,8 @@ class JumpLaw:
                 f"jump law {self.name!r}: missing params {missing}, unknown params {extra}"
             )
         for k, v in self.params.items():
-            if not v > 0:
-                raise ConfigError(f"jump law parameter {k} must be positive, got {v}")
+            if not 0 < v < np.inf:
+                raise ConfigError(f"jump law parameter {k} must be positive and finite, got {v}")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n == 0:
@@ -134,8 +134,8 @@ class TruncatedStable:
             raise ConfigError(f"truncated stable needs alpha in (0,2), got {self.alpha}")
         if not 0 < self.theta < np.inf:
             raise ConfigError(f"theta must be positive and finite, got {self.theta}")
-        if not self.cutoff > 0:
-            raise ConfigError(f"jump cutoff must be positive, got {self.cutoff}")
+        if not 0 < self.cutoff < np.inf:
+            raise ConfigError(f"jump cutoff must be positive and finite, got {self.cutoff}")
         if self.small_jump_eps is not None and not 0 < self.small_jump_eps < self.cutoff:
             raise ConfigError("small_jump_eps must lie in (0, cutoff)")
 
@@ -177,8 +177,10 @@ class DriverSpec:
         """sqrt(kappa) B + theta^(1/alpha) S (truncated at trunc_cutoff when
         positive) + a two-point CPP(cpp_rate, +-cpp_size), keeping the parts
         with positive strength; U == 0 (Brownian(0)) when none is.  A
-        negative, NaN or infinite strength is an error, not a part dropped."""
-        for name, v in (("kappa", kappa), ("theta", theta), ("cpp_rate", cpp_rate)):
+        negative, NaN or infinite strength or cutoff is an error, not a part
+        or a truncation dropped."""
+        for name, v in (("kappa", kappa), ("theta", theta), ("trunc_cutoff", trunc_cutoff),
+                        ("cpp_rate", cpp_rate)):
             if not 0 <= v < np.inf:
                 raise ConfigError(f"{name} must be nonnegative and finite, got {v}")
         comps: list = []

@@ -290,6 +290,28 @@ class TestSpecInvariants:
         with pytest.raises(ConfigError, match=name):
             DriverSpec.from_params(**{name: -1.0})
 
+    @pytest.mark.parametrize("cutoff", [-1.0, np.nan, np.inf])
+    def test_from_params_rejects_bad_cutoff(self, cutoff):
+        # a negative or NaN cutoff failed "> 0" and dropped the truncation
+        with pytest.raises(ConfigError, match="trunc_cutoff"):
+            DriverSpec.from_params(theta=1.0, trunc_cutoff=cutoff)
+
+    def test_from_params_zero_cutoff_is_untruncated(self):
+        assert DriverSpec.from_params(theta=1.0, trunc_cutoff=0.0).components == (Stable(1.5, 1.0),)
+
+    def test_truncated_stable_rejects_infinite_cutoff(self):
+        # an infinite cutoff sampled path values [0, -inf, -inf, nan]
+        with pytest.raises(ConfigError, match="cutoff"):
+            TruncatedStable(1.5, 1.0, np.inf)
+
+    @pytest.mark.parametrize("name, params", [
+        ("two_point", {"size": np.inf}), ("gaussian", {"scale": np.inf}),
+        ("uniform", {"half_width": np.inf}), ("pareto", {"tail_index": np.inf, "scale": 1.0}),
+    ])
+    def test_jump_law_rejects_infinite_parameter(self, name, params):
+        with pytest.raises(ConfigError, match=next(k for k, v in params.items() if v == np.inf)):
+            JumpLaw(name, params)
+
     def test_stationarity_of_increments(self):
         # same-size increment samples from disjoint windows agree in law
         spec = DriverSpec((Brownian(1.0), Stable(1.3, 0.5)))
