@@ -9,7 +9,9 @@ through ``levyloewner.cli.main`` on each, alternating which side runs first.
 Round r runs every op at seed ``--seed + r`` on both sides, so the rounds
 cover several inputs.  Every artifact but ``manifest.json`` must be byte-
 identical between the sides; the script stops at the first difference.  It
-prints, per op, the median process CPU time of each side, the median of the
+prints, per op, the median process CPU time of each side with its first and
+third quartiles beside it (so one run shows whether the gap between the
+medians exceeds the base's spread between quartiles), the median of the
 per-round ratios head / base, the rounds the head won, and each side's
 engine-A and engine-B lane-steps over all rounds: the sum of
 ``LaneResult.steps`` over the op's ``evolve_lanes_on_path`` and
@@ -120,6 +122,15 @@ def run_op(mods: dict, argv: list[str], seed: int, out: Path) -> tuple[float, di
     return cpu, digests(out)
 
 
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile of ``xs`` (inclusive method,
+    whose middle value is ``statistics.median``)."""
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", type=Path, required=True, help="checkout to compare against")
@@ -178,9 +189,14 @@ def main(argv=None) -> int:
     extra = "".join(f" {side + ' ' + e + ' lane-steps':>18}" for e in ENGINES for side in sides)
     if args.stream_change:
         extra += "".join(f" {side + ' ns/step':>13}" for side in sides) + f" {'differ':>9}"
-    print(f"\n{'op':<20} {'base s':>9} {'head s':>9} {'ratio':>7} {'wins':>7}{extra}")
+    side_cols = "".join(f" {side + ' s':>9} {'(q1':>7} {'q3)':>7}" for side in sides)
+    print(f"\n{'op':<20}{side_cols} {'ratio':>7} {'wins':>7}{extra}")
     for name in names:
         b, h = cpu["base"][name], cpu["head"][name]
+        spread = ""
+        for xs in (b, h):
+            q1, med, q3 = quartiles(xs)
+            spread += f" {med:9.3f} ({q1:6.3f} {q3:6.3f})"
         ratios = [y / x for x, y in zip(b, h)]
         wins = sum(y < x for x, y in zip(b, h))
         extra = "".join(f" {lane_steps[side][name, e]:>18,}" for e in ENGINES for side in sides)
@@ -189,8 +205,7 @@ def main(argv=None) -> int:
             extra += "".join(f" {1e9 * sum(cpu[side][name]) / steps[side] if steps[side] else float('nan'):>13.1f}"
                              for side in sides)
             extra += f" {'/'.join(map(str, differ[name])):>9}"
-        print(f"{name:<20} {statistics.median(b):9.3f} {statistics.median(h):9.3f} "
-              f"{statistics.median(ratios):7.3f} {wins:>3}/{len(b):<3}{extra}")
+        print(f"{name:<20}{spread} {statistics.median(ratios):7.3f} {wins:>3}/{len(b):<3}{extra}")
     return 0
 
 
