@@ -45,9 +45,10 @@ cells whose drivers differ only in Brownian kappa and stable theta share it,
 holding those coefficients, z0 and the tolerance per lane.  In each iteration
 every block that has a live lane draws its live lanes' raw variates (uniforms,
 exponentials, normals) from its own stream, in lane order, and each map from
-raw variates to increments (the Chambers-Mallows-Stuck map of a stable part)
-then runs once over all live lanes; a truncated stable part, whose draw count
-depends on the data and on dt, draws its increments whole.  A replica's
+raw variates to increments then runs once over all live lanes (a stable
+part's is the Chambers-Mallows-Stuck map, taken from the two tangents tan V
+and tan(alpha V / 2) with no sine or cosine); a truncated stable part, whose
+draw count depends on the data and on dt, draws its increments whole.  A replica's
 result therefore depends only on its own state and its block's stream, never
 on the other blocks or cells.  A generator call costs microseconds whatever
 its width, so blocks are wide: BLOCK is 2048, and a cell of every engine-B
@@ -742,7 +743,9 @@ class _IncStable:
         self.draws = tuple((d, False) for d in _stable_draws(comp.alpha))
 
     def increments(self, raw, dt, theta):
-        return (theta * dt) ** (1.0 / self.alpha) * _stable_map(self.alpha, *raw)
+        x = _stable_map(self.alpha, *raw)
+        x *= (theta * dt) ** (1.0 / self.alpha)
+        return x
 
 
 class _IncTruncatedStable:

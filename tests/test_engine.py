@@ -159,10 +159,12 @@ def test_composite_driver_output_bytes_pinned(beta):
 
 # SHA-256 over the output arrays of a two-cell pure-stable run whose cells
 # differ in theta, 700 replicas each (x86-64, numpy 2.4).  alpha = 1, 1.5 and
-# 2 take the tan, CMS and Gaussian branches of the stable map.  Recorded at
-# 2048-replica blocks, one per cell; re-recorded over B_FIELDS, without the
-# running minimum of |h| that engine B no longer keeps.
+# 2 take the tan, CMS and Gaussian branches of the stable map, and alpha = 0.5
+# the CMS branch below 1, where the power's exponent (1 - alpha)/alpha is
+# positive.  Recorded at 2048-replica blocks, one per cell; re-recorded over
+# B_FIELDS, without the running minimum of |h| that engine B no longer keeps.
 STABLE_PINNED = {
+    (0.5, 2.0): "e66a642fae0ef34c1ecb0b76a55ff71a61810a36ceee31cf51856ca132c53fc0",
     (1.0, 2.0): "2411e65bf96c394592f93a22cdc7a26605ed921c33d334b545260b3ebc0d0559",
     (1.0, 1.5): "b6d9db78a623e25a4bed912398625c5bc2b49b897e096ed4823272a694791490",
     (1.5, 2.0): "20dd423fbe50306e2fe431ffc0f35ac6a645d423a200c8ea7b72b8294a4c7039",
