@@ -167,8 +167,8 @@ STABLE_PINNED = {
     (0.5, 2.0): "e66a642fae0ef34c1ecb0b76a55ff71a61810a36ceee31cf51856ca132c53fc0",
     (1.0, 2.0): "2411e65bf96c394592f93a22cdc7a26605ed921c33d334b545260b3ebc0d0559",
     (1.0, 1.5): "b6d9db78a623e25a4bed912398625c5bc2b49b897e096ed4823272a694791490",
-    (1.5, 2.0): "20dd423fbe50306e2fe431ffc0f35ac6a645d423a200c8ea7b72b8294a4c7039",
-    (1.5, 1.5): "b03d41587907910f55bd09d83e0a360b08b0bb229551987bc8a5a8d691710379",
+    (1.5, 2.0): "8d32c48057d7c1d10a6d8ea49d77d33353e39880a8b503af2c930c2347dfd864",
+    (1.5, 1.5): "497ad958fb18dbf684dd355a372ad9bb3a4a90d7ddfd33fe9290746d0461a708",
     (2.0, 2.0): "f52b9f374532694e0f52ce4a1a67bc78e7b058393d2d585cbdf4d89facd0418a",
     (2.0, 1.5): "1b23c6bc26df1d7ca55166071e5ea6f6d268ed4845586dcdca4b6cf2ef67fe55",
 }
@@ -202,9 +202,9 @@ def test_stable_cells_output_bytes_pinned(alpha, beta):
 # unchanged: 0, 0, 25 and 225, 510 hits).  Every AXIS_PINNED digest was
 # re-recorded over B_FIELDS, without the running minimum of |h|.
 AXIS_PINNED = {
-    "kappa_stable": "728b5d8151092a754472ded8db6da75de5c5b2af99ac9e4643bd5423b1ed46bf",
+    "kappa_stable": "890231534abbed99f41b22c3d8d7770c165a3ee0ca742294740a5003388dec89",
     "bessel": "d029135679fd743a77ee7142230f1f9ea5a17c8fa1bbfee0cf8313c28016a4f4",
-    "theta0": "b5b6144ae33597133baabec2d34ef1800dfd2f40d380ca0fa7deb9170209e52d",
+    "theta0": "56669eb2a98db6980a306aba173bc022dd636c76eb6ca28b91c2be3b3e96dea4",
 }
 
 # More runs that start on the real axis (x86-64, numpy 2.4): a loop whose cells
@@ -212,15 +212,15 @@ AXIS_PINNED = {
 # composite cell, whose jump clock lands its jumps on the axis; and the flip
 # rule at beta = 1.5.  700 replicas each.
 AXIS_PINNED.update({
-    "mixed_z0": "2747742606a235236f30a891f3d6eacb7e54b43e642b353b38e3ac43dcadb41e",
+    "mixed_z0": "9ff2f43ed6c2346551be116ec63e76807f69725288033816c4f0bcc0735bf4ad",
     "composite": "6ece9155318efff426f4fdd28759059bfde0dce124952da8be63e074d2124fa2",
-    "kappa_stable_beta1_5": "da081ca4bd6d380dacd51300d884f83b68c8a658935be9ae930b7c689be01e1b",
+    "kappa_stable_beta1_5": "53301493a393cc6d934ac089f9ff0ee9c6ca77e11f34f76c5bf3f52a13af80fc",
 })
 
 # Two cells of two blocks each, the second partial (x86-64, numpy 2.4): the
 # block bookkeeping of cells larger than one block, which every other pin and
 # every engine-B subcommand's default n leave out.
-AXIS_PINNED["two_blocks"] = "c41334ab0e21e7d3e30182485c9cf104cba371e9667f12380014286827076287"
+AXIS_PINNED["two_blocks"] = "7859116a852d14a6efbc97de1ce0add2053b998a00e111e0a6cc5ed81cb3106e"
 
 # Off-axis runs from just above the axis (y = delta) whose driver lists its
 # stable part before its Brownian part (x86-64, numpy 2.4): the flip rule at a
@@ -228,8 +228,8 @@ AXIS_PINNED["two_blocks"] = "c41334ab0e21e7d3e30182485c9cf104cba371e9667f1238001
 # times at beta = 2 and 134 times at beta = 1.5, and by |h| <= delta 86 and
 # 245 times.
 AXIS_PINNED.update({
-    "stable_first": "a91714b522fa816fe4dc3430d168546949812e1d07e08a4fd1fcdf356539ab42",
-    "stable_first_beta1_5": "c84c458bd8239797a7dfe318ef26f042b61370804c8ad8a09c9cfdaab97a30dd",
+    "stable_first": "80ac5a3c317396039010e5d79398eae34f0f096597a45d553a1f04bf03109a5b",
+    "stable_first_beta1_5": "a913a9937e255378dc8d4945abf3364fb2c1d66df13f81acb66d615d472fed3e",
 })
 
 
@@ -376,7 +376,7 @@ def test_annulus_exit_output_bytes_pinned():
     # replicas are one block.
     sides, pos = _annulus_exit_positions(1.0, 0.5, 1.0, 1.5, 1.0, 2.0, 1300, 50.0, 11)
     assert _sha(sides) == "9181507a9db99584563067e75f4df1df5b548053e20856ecf7655f213ef7c703"
-    assert _sha(pos) == "69ad557fe18601e971a0f73c663fbc1c6f9ca91e6b28d43f755ce856b285e63a"
+    assert _sha(pos) == "a1a50c4fe3248423a5769a0e14d9133d91796115b08ffb020e6441febc8bffe4"
 
 
 # (kappa, alpha, theta) of more annulus-exit runs (x86-64, numpy 2.4), as
@@ -386,7 +386,7 @@ ANNULUS_PINNED = {
     (0.0, 1.0, 1.0): ("0821ccaa14e746fd881afa21b6bd4a46660b4961b628e3f1b9f8612de89e36af",
                       "9385618f21bdd05ba3495836b80593ea4e8ef66d55c9c46c9a304139ee0ec72e"),
     (2.0, 1.5, 0.5): ("1f127ea5c5847e4b80b27d1c54906e3c97a47e4cd50cd42cc21d6621c496c94d",
-                      "a0264a8ee62967dfaff0f1413d8701a8ee8804f3961077a63a765e68854e512a"),
+                      "72254f1347881344335862f387ff2854148fec19dc79d20533503011999a5c5f"),
 }
 
 
@@ -399,16 +399,16 @@ def test_annulus_exit_driver_bytes_pinned(driver):
 # Off-axis lanes that cross exit_radius = 1.5 in the band max(|x|, y) < 1.5 <=
 # |x| + y, where only hypot decides (x86-64, numpy 2.4).
 EXIT_PINNED = {
-    2.0: {"zeta": "ddaa54f2400dd0b0d9654c9f32cb2c41f1d7bd2b7abcafc4a65ecd89a0fa15a6",
-          "x": "8477b1c8604024e317bef5d44e8225c263103aab0f10135c75035198fa2e764f",
-          "y": "1515adfef1090fcc0c81e009328989edef72598de9c21e9259b017fd7d8802fb",
+    2.0: {"zeta": "7e2394968c7001e73dd873d47459de7c3fd4c618e9218d594fcc2a56aa0ca304",
+          "x": "ff6bcc3cf998aee3e01aadd559d45f196a9326c797139d08aed474a59b14b433",
+          "y": "346368b3d4b9777293a3faa5bd92b3e1addf02350ac5add62bece7ebf0a1d04d",
           "steps": "0cce803cf687dddcebff392d33bbe53b76ba1e7a243556b5185c4f564c95d94b",
-          "exit_time": "3ff2e1ac857036136c3359db68648ab93ba0d7e364f1313e3c1aa56837aa412c"},
-    1.5: {"zeta": "06a3d55e7d28eb162052ba80df5040aad91dbe1a8238615b821004bc927a624a",
-          "x": "43ccf6da58ae22830d6ec590d65970f7548c13317bfe919f09cac5e6105a296c",
-          "y": "a00dd87f9023ef5d413bbfe7ac0ff0ac4acdabe4fc3be1b9875b616c726298d3",
+          "exit_time": "0f0029013a0010cfcd0d16eef57ce1a26700801bd963f8083a69beed77a2b166"},
+    1.5: {"zeta": "34d3ef74c857388b5101b131f5e63d668312bfcf94fd9986e47816a2f84affeb",
+          "x": "e845eca12de1bc6ed5d5b78efa38ff1557427f571797e4f1a3a5902df91218b0",
+          "y": "22fc7c587ade43ad74a3bc58689e30a9e098c0c9452b33363fd57c9ee4d86421",
           "steps": "466ab4f796a0dd159704e32b95786cbe35fed4d3b10a0f0eaa2b381166cb7b1d",
-          "exit_time": "51191f9de24ed16ba88181fb4ea150e4c1e5b415964ded2ffd5cae16bff8fc4c"},
+          "exit_time": "81a411634db299d41a15322d9f8b7f6bd9f663d79058d0e88bf98cfedfadad5f"},
 }
 
 
@@ -612,7 +612,9 @@ def _path_run(case, keep=slice(None), record_trajectory=True):
 # all of its hit checks.  The x (and, where it moved, min_abs) digests of the
 # beta = 1.5 cases were re-recorded when the beta < 2 real-axis drift took one
 # power: only real-axis lanes (of 0.3, -0.7 and 1.5) changed, in their last
-# bits, with their zeta and steps and lane 0's trajectory unchanged.
+# bits, with their zeta and steps and lane 0's trajectory unchanged.  The four
+# stable-driven cases were re-recorded when the stable map took two tangents
+# (a rounding change of every variate): their steps are unchanged.
 PATH_PINNED = {
     "brownian_beta2": {
         "zeta": "3e720f238650f79309515889537152524ae41e57019a105b477ed45079f051a4",
@@ -624,27 +626,27 @@ PATH_PINNED = {
     },
     "stable_beta1_5": {
         "zeta": "504da7f069f2ce1d1b7352e2af6c97b6596340a2d4cac3600cfa45bf262902e1",
-        "x": "85e6b93fc81774985cb94028b0d924602ba79b30bd29a2a27efafd8c992ef6e6",
-        "y": "f9a8b4cd0529d321b7635b405d1e6138956dfef0b34db94bbbee6d9f94b4ba12",
-        "min_abs": "d389530ad2569a54c0be32086ecb3e4f4c419271cc4b7abdead474ea6bde59a6",
+        "x": "c9425809bb8a11e136f2b01ac66948e3996dd341253d150a86b0060a823b0b34",
+        "y": "9866d3b1afb34c8f1cee8e53852fdf9232f2a385217b4cc3fe428e860fd0f080",
+        "min_abs": "64e7d97c0e569214c3fbb1908fa33545dc082aa0cc02d0964f3ee3c5f8ebdf27",
         "steps": "3c7ae0d179c595639946b17e42c5b346b328f1ca2a46bc60fed2fc851649eb4b",
-        "trajectory": "dba9119cc34bfb1e478499d32eb5e1f0a6c9ff3f299b2ff86558275bb75887c8",
+        "trajectory": "611efa037314a5a81bfe23767332ffe6411a2a18c2cfcd6a506c2e1a80fe92a5",
     },
     "bs_beta2": {
-        "zeta": "178285fac54b664e1f7a0243ac41c0e2418928a64222e9bb907705c266656ccf",
-        "x": "2d4c4654b7694166b75a8a082f89577ad1c9a4bf5a8f808e835ac5f552de2d0c",
-        "y": "3eb89463b9fec05eed7fe818dad76a771b6ee6bcc0220d295660212893bf8de0",
-        "min_abs": "8cc2a56dd1985afa55f2c1f872cccd926f1e3b798b1d3ff098f580ab75673dc6",
+        "zeta": "2f1d490a483a835fae817bd58fd36835094e53c0df132b90fd5cc7b654895e7d",
+        "x": "cd99ababd150f7361cab2b98bddadea8551221f67e181fc6ec4127d10e3a694e",
+        "y": "133b605be8665e5188839793e0d35dc3dc0107c5670602d2b6fc412ec2fe19b4",
+        "min_abs": "233afb4df1c4b34c1e77cb9cd1608419452bdff85b59567100b3436c91b86577",
         "steps": "a4e722ec820161109765735ad085ce5da840bb3eb3b472862598a37f5ad58032",
-        "trajectory": "8e7f2afad2333a7cce647026e9abd42184c0a4847535a3c07bdb84f2e317657e",
+        "trajectory": "20829e0182a58cd82ba1e3f2b1c19a9068a40dfe914d0a2cfd9e9354dedc3798",
     },
     "bs_beta1_5": {
-        "zeta": "cb06b9ec2b8296936ab301a946beb8b41640d0719ebd685041633f0be07613f0",
-        "x": "f46120f25faf67ab1222bd3ae8af99ecaa96801f7dfe7eef7b33476b8325d0fd",
-        "y": "5e7743f718f3d2e783096623f1c0228d1bf36953fc842aca627353fef4ef7a11",
-        "min_abs": "ab92265da719c0e9fac962610113c2f302866880caa692965f65fe22b22c668e",
+        "zeta": "8afa1f821131de566e224ae1e8df7d1af4bbff0575f9474dabbb31266c415ad7",
+        "x": "04060a9f35de3be8946bad6cd06adb47a0844ed2ff3da83f61a2136e476d5da7",
+        "y": "9f9e93261dc7b214f20827a7bb6bbc75276c51598332ff031b8a58137af2985d",
+        "min_abs": "c79590fa821a887ce38208089a8f5d111cef163831c839d86ba9966173881849",
         "steps": "b747e2543c3cd5b8d441aafd0acf241951588f01ca2d03a6d3251dc05a7feb89",
-        "trajectory": "d268c0b55eaae2bc77d2a5b9df33b7c6b5506e2e646c193dac2972b02ac848ff",
+        "trajectory": "91ff421a527056878404483baac561d593d09c44e862094782e7a940d8e6bd91",
     },
     "cpp_beta2": {
         "zeta": "559d239794bd19b9474c47c56a05f7b2c4aeec07b98079b549e4a02bb6969241",
@@ -655,12 +657,12 @@ PATH_PINNED = {
         "trajectory": "978cf40868f3edd990c420e94651cfb774871c82df43c3c9217f66f497f62445",
     },
     "k4_stable_beta1_5": {
-        "zeta": "4c9d43977b3f79283bcd88375135951cdf1b1fbc80db55163c3fc0e6b320e3a4",
-        "x": "a22d05125b1052c03deb2dab804f6b214a87c6c4df16d180f5664b512334b889",
-        "y": "6f69a89a220235239da0f976eb0567e1a34795cf5bab4f220a4fdc59ec55ae49",
-        "min_abs": "212a63d03efdddd4fe3e04f7a1b06f2588de2a00ecf549092a8e75b8037f071d",
+        "zeta": "958476af9ff9f91991b59525162bc6bfe5c01d86cacef96b5adf269ea5807958",
+        "x": "b36eee40c8aa25c0536a2565df59c357796c0cda90e889eb5b232176d2f50e23",
+        "y": "10e798302223c04cbd4328667ddabceb22abbc589a99b33a08fe6dd63c6453ff",
+        "min_abs": "3236f0596f84c9d2dfa625a8ef98d884e1b8208d5e0aa5d7bdade7e841e35ea5",
         "steps": "fc21d2a4c9bbca55976b471e97fcbb08baa39d85b6746d11765e927b371bb9c1",
-        "trajectory": "2bf33e234b8f49aee6437b3d54bc50b27b72e68a3dc9179af0b1bdbe09d53dac",
+        "trajectory": "7efca52af23eca30eff260807f7eed6f455375c54928fd5232e89dda0505cd43",
     },
     "big_steps_beta2": {
         "zeta": "311064ee62afb80b0cccf210f9adbcc1d227dc08abded4039159c4bbda244fbf",

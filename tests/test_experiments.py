@@ -296,10 +296,10 @@ class TestScalingCheck:
         "exit_time": ((4.0, 0.5, 1.0, 2.0, "exit_time", 1j, 8.0, 500, 31), {"exit_radius": 3.0}),
     }
     PINNED = {
-        "im_h": ("9af1698750f067df2bbc370b26ef23f68dc09fa514d10918ade7247339e93076",
-                 "3e86e21006cf10367f035747d716cbd3a30c76081cc2d4ff12dedbc699d8068b"),
-        "exit_time": ("c22b7f4fc85d69b978c93b996fba3c577b76aafc054f02e21c66c506a42c1c72",
-                      "93e32e624c6db5e179e3d82250aae4cec3895af4183a114bfb01b1d6c3c1b6b1"),
+        "im_h": ("a15c5656dd876b737d1e219a267258c1447c9a57667d5cc970f01466100757d5",
+                 "596651b38de57ec0002b40ae34a4174b27e8f613ac099313e395b7ba61204bc1"),
+        "exit_time": ("2cbcf02d6c700a53b7f9a57ce14ac50b0f3993fab9890133cfe65e8dae122ad5",
+                      "cb1ef31241ac0f9edc8233df2c0a4777fdf89937b10701d8babd8c1c49c4a68e"),
     }
 
     @pytest.mark.parametrize("statistic", sorted(CASES))
