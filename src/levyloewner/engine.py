@@ -48,13 +48,14 @@ exponentials, normals) from its own stream, in lane order, and each map from
 raw variates to increments then runs once over all live lanes (a stable
 part's is the Chambers-Mallows-Stuck map, taken from the two tangents tan V
 and tan(alpha V / 2) with no sine or cosine); a truncated stable part, whose
-draw count depends on the data and on dt, draws its increments whole.  A replica's
-result therefore depends only on its own state and its block's stream, never
-on the other blocks or cells.  A generator call costs microseconds whatever
-its width, so blocks are wide: BLOCK is 2048, and a cell of every engine-B
-subcommand's default n (2000) is one block, which draws each kind of variate
-in one call per iteration.  Prefix stability holds at block granularity: the
-first BLOCK replicas of a cell are the same for every n >= BLOCK.
+draw count depends on the data and on dt, draws its increments whole.  A
+replica's result therefore depends only on its own state and its block's
+stream, never on the other blocks or cells.  A generator call costs
+microseconds whatever its width, so blocks are wide: BLOCK is 2048, and a
+cell of every engine-B subcommand's default n (2000) is one block, which
+draws each kind of variate in one call per iteration.  Prefix stability
+holds at block granularity: the first BLOCK replicas of a cell are the same
+for every n >= BLOCK.
 
 Both engines apply the hit rule above and differ in two ways only.  Engine
 A also checks |h| <= delta after the drift, as the exact composer

@@ -127,8 +127,7 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     whose middle value is ``statistics.median``)."""
     if len(xs) < 2:
         return xs[0], xs[0], xs[0]
-    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return q1, q2, q3
+    return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
 
 
 def main(argv=None) -> int:
@@ -193,10 +192,7 @@ def main(argv=None) -> int:
     print(f"\n{'op':<20}{side_cols} {'ratio':>7} {'wins':>7}{extra}")
     for name in names:
         b, h = cpu["base"][name], cpu["head"][name]
-        spread = ""
-        for xs in (b, h):
-            q1, med, q3 = quartiles(xs)
-            spread += f" {med:9.3f} ({q1:6.3f} {q3:6.3f})"
+        spread = "".join(f" {med:9.3f} ({q1:6.3f} {q3:6.3f})" for q1, med, q3 in map(quartiles, (b, h)))
         ratios = [y / x for x, y in zip(b, h)]
         wins = sum(y < x for x, y in zip(b, h))
         extra = "".join(f" {lane_steps[side][name, e]:>18,}" for e in ENGINES for side in sides)
