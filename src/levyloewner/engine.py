@@ -42,20 +42,23 @@ them on the grid, and engine B ends a lane's step at its next jump.  A cell
 blocks of :data:`BLOCK` lanes with one RNG stream per (cell tag, block), and
 one loop advances every block of every cell of an experiment in lockstep;
 cells whose drivers differ only in Brownian kappa and stable theta share it,
-holding those coefficients, z0 and the tolerance per lane.  In each iteration
-every block that has a live lane draws its live lanes' raw variates (uniforms,
-exponentials, normals) from its own stream, in lane order, and each map from
-raw variates to increments then runs once over all live lanes (a stable
-part's is the Chambers-Mallows-Stuck map, taken from the two tangents tan V
-and tan(alpha V / 2) with no sine or cosine); a truncated stable part, whose
-draw count depends on the data and on dt, draws its increments whole.  A
-replica's result therefore depends only on its own state and its block's
-stream, never on the other blocks or cells.  A generator call costs
-microseconds whatever its width, so blocks are wide: BLOCK is 2048, and a
-cell of every engine-B subcommand's default n (2000) is one block, which
-draws each kind of variate in one call per iteration.  Prefix stability
-holds at block granularity: the first BLOCK replicas of a cell are the same
-for every n >= BLOCK.
+holding those coefficients, z0 and the tolerance per lane.  Each block keeps
+a pool of finished variates per draw kind (normals, exponential waits, jump
+sizes, and stable variates from ``standard_stable_sample``), which takes
+POOL fresh variates of each kind from one call each on the block's own
+stream when it holds fewer than the block has live lanes.  In each
+iteration every block that has a live lane takes its live lanes' next
+variates, in lane order, and each increment scales them over all live lanes
+at once; a truncated stable part, whose draw count depends on the data and
+on dt, draws its increments whole in every iteration.  A replica's result
+therefore depends only on its own state and its block's stream, never on
+the other blocks or cells.  A generator call and the stable map cost
+microseconds whatever their width, so blocks are wide (BLOCK is 2048, and a
+cell of every engine-B subcommand's default n (2000) is one block) and
+pools wider: POOL is 8192, so most iterations, the narrow ones at the end
+of a run among them, make no generator call.  Prefix stability holds at
+block granularity: the first BLOCK replicas of a cell are the same for
+every n >= BLOCK.
 
 Both engines apply the hit rule above and differ in two ways only.  Engine
 A also checks |h| <= delta after the drift, as the exact composer
@@ -125,6 +128,7 @@ test's own rounding counted: 1.4e-10 of V + D at 2,400 steps.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -137,9 +141,8 @@ from .drivers import (
     DriverSpec,
     Stable,
     TruncatedStable,
-    _stable_draws,
-    _stable_map,
     _truncated_stable_steps,
+    standard_stable_sample,
     truncated_stable_variance_rate,
 )
 from .errors import ConfigError, NumericalError
@@ -148,6 +151,9 @@ from .rng import stream
 # Replicas per stream block: one block per cell at the default n of 2000 (see
 # the module docstring).
 BLOCK = 2048
+# Variates per refill of a block's pool of one draw kind (see _Pool); at
+# least BLOCK, so that one refill serves any take.
+POOL = 8192
 # Lockstep iterations per Monte Carlo call, which last as long as its slowest
 # lane in any block; guards against a stuck adaptive loop.
 _MAX_STEPS = 20_000_000
@@ -191,7 +197,7 @@ class LaneResult:
     zeta: np.ndarray        # hit time; NaN when censored
     x: np.ndarray           # final h (meaningful for censored lanes; NaN once retired)
     y: np.ndarray
-    min_abs: np.ndarray     # running minimum of |h|; 0 on zeta-only lanes and in engine B
+    min_abs: np.ndarray | None  # running minimum of |h|; 0 on zeta-only lanes; None from engine B
     steps: np.ndarray       # grid or loop steps the lane took
     hit_tolerance: np.ndarray
     exit_time: np.ndarray | None = None  # first |h| >= exit_radius, if tracked
@@ -684,42 +690,76 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
 # engine B: independent-replica adaptive Monte Carlo
 # ---------------------------------------------------------------------------
 
+class _Pool:
+    """The variates of one block's draws, one row per draw, in draw order.
+
+    A draw is a pair (draw, whole).  A pooled draw, ``draw(rng, size)``,
+    makes finished variates ahead: when the pool holds fewer than a take asks
+    for, it keeps what is left and appends :data:`POOL` fresh variates of
+    each pooled draw, in draw order, from one call each on the block's
+    stream.  A ``whole`` draw, ``draw(rng, dt)``, makes the variates of the
+    block's live lanes from their dt at every take instead."""
+
+    def __init__(self, rng, draws):
+        self.rng, self.size = rng, len(draws)
+        self.rows = [j for j, (_, whole) in enumerate(draws) if not whole]
+        self.pooled = [draw for draw, whole in draws if not whole]
+        self.whole = [(j, draw) for j, (draw, whole) in enumerate(draws) if whole]
+        self.buf, self.pos = np.empty((len(self.rows), 0)), 0
+
+    def take(self, m, dt):
+        """The next m variates of each draw; a view of the pool when every
+        draw is pooled."""
+        pos = self.pos
+        if self.buf.shape[1] - pos < m:
+            left = self.buf.shape[1] - pos
+            buf = np.empty((len(self.rows), left + POOL))
+            buf[:, :left] = self.buf[:, pos:]
+            for row, draw in zip(buf[:, left:], self.pooled):
+                row[:] = draw(self.rng, POOL)
+            self.buf, pos = buf, 0
+        self.pos = pos + m
+        raw = self.buf[:, pos:pos + m]
+        if self.whole:
+            out = np.empty((self.size, m))
+            out[self.rows] = raw
+            for j, draw in self.whole:
+                out[j] = draw(self.rng, dt)
+            raw = out
+        return raw
+
+
 def _draw_plan(blocks, lane, bounds):
     """What :func:`_live_draws` draws for the ascending live lanes ``lane``:
-    their count, the draws per block, and a call (j, draw, whole, stream, lo,
-    hi) for draw j of each block b (of lanes [bounds[b], bounds[b + 1]), with
-    stream and draws ``blocks[b]``) whose live lanes ``lane[lo:hi]`` exist."""
+    their count, and (pool, lo, hi) for each block b (of lanes
+    [bounds[b], bounds[b + 1]), with the :class:`_Pool` ``blocks[b]``) whose
+    live lanes ``lane[lo:hi]`` exist."""
     cut = lane.searchsorted(bounds).tolist()
-    return lane.size, len(blocks[0][1]), [
-        (j, draw, whole, rng, lo, hi)
-        for (rng, draws), lo, hi in zip(blocks, cut[:-1], cut[1:]) if lo < hi
-        for j, (draw, whole) in enumerate(draws)]
+    return lane.size, [(pool, lo, hi) for pool, lo, hi in zip(blocks, cut[:-1], cut[1:]) if lo < hi]
 
 
 def _live_draws(plan, dt=None):
-    """Per-lane raw variates of the live lanes, drawn block by block as
-    ``plan`` (:func:`_draw_plan`) lists.
+    """The variates of the live lanes, one row per draw, taken block by block
+    from the pools that ``plan`` (:func:`_draw_plan`) lists.
 
-    Each draw has one buffer over all live lanes, and every block with a live
-    lane fills its slice of each buffer once, in draw order, so one map can
-    then turn the variates into increments for all live lanes at once, while
-    a block's stream advances by its own live lanes only.  A draw is a pair
-    (draw, whole): a generator method that fills its ``out=`` slice, or, when
-    ``whole``, a function ``draw(rng, m, dt_block)`` that returns the m
-    variates of a block with m live lanes from its slice of ``dt``.
+    Each live block takes its live lanes' next variates from its pool, so a
+    block's stream advances by its own live lanes only, and a generator call
+    comes only with a refill of POOL variates.  When one block is live its
+    take is returned as it is (a view of its pool); otherwise each block's
+    take is copied into its columns of one array over all live lanes.
+    ``dt`` is the live lanes' step, which a whole draw reads.
     """
-    m, k, calls = plan
-    out = [np.empty(m) for _ in range(k)]
-    for j, draw, whole, rng, lo, hi in calls:
-        if whole:
-            out[j][lo:hi] = draw(rng, hi - lo, None if dt is None else dt[lo:hi])
-        else:
-            draw(rng, out=out[j][lo:hi])
+    m, live = plan
+    if len(live) == 1:
+        return live[0][0].take(m, dt)
+    out = np.empty((live[0][0].size, m))
+    for pool, lo, hi in live:
+        out[:, lo:hi] = pool.take(hi - lo, None if dt is None else dt[lo:hi])
     return out
 
 
-# An increment declares its per-block raw ``draws`` (see _live_draws) and maps
-# their variates over all live lanes once per iteration.  Its timescale is
+# An increment declares one ``draw`` (see _Pool) and maps the variates of all
+# live lanes to increments once per iteration.  Its timescale is
 # |h|^tau_pow / coef; a loop holds coef per lane and passes it back to
 # ``increments``.
 
@@ -729,10 +769,10 @@ class _IncBrownian:
 
     def __init__(self, comp: Brownian):
         self.coef = comp.kappa
-        self.draws = ((np.random.Generator.standard_normal, False),)
+        self.draw = (np.random.Generator.standard_normal, False)
 
     def increments(self, raw, dt, kappa):
-        return np.sqrt(kappa * dt) * raw[0]
+        return np.sqrt(kappa * dt) * raw
 
 
 class _IncStable:
@@ -741,36 +781,37 @@ class _IncStable:
     def __init__(self, comp: Stable):
         self.alpha = self.tau_pow = comp.alpha
         self.coef = comp.theta
-        self.draws = tuple((d, False) for d in _stable_draws(comp.alpha))
+        # the module's binding, read when the increment is compiled, so a
+        # wrapper bound in its place sees every refill
+        self.draw = (functools.partial(standard_stable_sample, comp.alpha), False)
 
     def increments(self, raw, dt, theta):
-        x = _stable_map(self.alpha, *raw)
-        x *= (theta * dt) ** (1.0 / self.alpha)
+        x = (theta * dt) ** (1.0 / self.alpha)
+        x *= raw
         return x
 
 
 class _IncTruncatedStable:
-    """Its draw count depends on the data and on dt: drawn whole per block,
-    from each live lane's dt."""
+    """Its draw count depends on the data and on dt: drawn whole per block in
+    every iteration, from each live lane's dt."""
 
     is_continuous = False
     tau_pow = 2.0
 
     def __init__(self, comp: TruncatedStable):
         self.coef = truncated_stable_variance_rate(comp.alpha, comp.theta, comp.cutoff)
-        self.draws = ((lambda rng, m, dt: _truncated_stable_steps(comp, rng, dt)[0], True),)
+        self.draw = (lambda rng, dt: _truncated_stable_steps(comp, rng, dt)[0], True)
 
     def increments(self, raw, dt, coef):
-        return raw[0]
+        return raw
 
 
 def _jump_clock(comp: CompoundPoisson):
-    """The draws of a compound Poisson part.  Each iteration draws every live
+    """The draws of a compound Poisson part.  Each iteration takes every live
     lane a fresh Exp(rate) wait (exact, as the law is memoryless; a standard
     exponential the loop scales by 1 / rate) and a jump size; a wait shorter
     than the lane's step ends the step with the jump."""
-    return ((np.random.Generator.standard_exponential, False),
-            (lambda rng, m, dt: comp.jump_law.sample(rng, m), True))
+    return ((np.random.Generator.standard_exponential, False), (comp.jump_law.sample, False))
 
 
 def _compile_increments(spec: DriverSpec):
@@ -855,7 +896,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     lanes never leave the real axis, and the loop runs real-axis kernels to
     the same bits; the live blocks and mask are rebuilt only after a death.
     Every lane is zeta-only: it keeps no running minimum of |h|, and min_abs
-    reads 0.
+    is None.
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
@@ -887,11 +928,12 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     compiled = [_compile_increments(c.spec) for c in cells]
     incs, clocks = compiled[0]
     tags = [tuple(c.tag) if isinstance(c.tag, (tuple, list)) else (c.tag,) for c in cells]
-    blocks = [(stream(master_seed, *tag, "block", b), [d for inc in ci for d in inc.draws])
-              for tag, (ci, _) in zip(tags, compiled) for b in range(nb)]
-    # per iteration each clock draws a (wait, jump size) pair per live lane from
-    # the lane's block stream, before the draws that depend on the step
-    clock_blocks = [(rng, [d for comp in clocks for d in _jump_clock(comp)]) for rng, _ in blocks]
+    streams = [(stream(master_seed, *tag, "block", b), ci) for tag, (ci, _) in zip(tags, compiled)
+               for b in range(nb)]
+    blocks = [_Pool(rng, [inc.draw for inc in ci]) for rng, ci in streams]
+    # per iteration each clock takes a (wait, jump size) pair per live lane
+    # from a pool on the lane's block stream, before the draws of the step
+    clock_blocks = [_Pool(rng, [d for comp in clocks for d in _jump_clock(comp)]) for rng, _ in streams]
     wait_scales = [1.0 / comp.rate for comp in clocks]
 
     # real-axis kernels need x*x > 0: a live lane has |x| > delta, or |z0|
@@ -959,7 +1001,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         for wait, scale in zip(waits, wait_scales):
             wait *= scale  # as Generator.exponential scales its variates
             np.minimum(dt, wait, out=dt)
-        raws = iter(_live_draws(plan, dt))
+        raws = _live_draws(plan, dt)
 
         if axis:
             _axis_drift(x, dt, beta, hb if near else None)  # on the axis hb is |x|^beta
@@ -967,8 +1009,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
             _drift_advance(x, y, dt, beta, t, delta, zeta, zero[:lane.size], alive)
         t += dt  # the increments land at the step's end
         # the sub-increments, then a jump where a lane's wait ended its step
-        subs = [(inc.increments([next(raws) for _ in inc.draws], dt, c), inc.is_continuous)
-                for inc, c in zip(incs, coef)]
+        subs = [(inc.increments(raw, dt, c), inc.is_continuous) for inc, c, raw in zip(incs, coef, raws)]
         subs += [(np.where(wait == dt, size, 0.0), False) for wait, size in zip(waits, sizes)]
         if axis:
             died = False
@@ -989,6 +1030,6 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
             zeta, x, y, exit_time, lane, t, delta, dt_floor, tau_div, *coef = rows(state)
 
     z0s, tols = np.repeat(z0, stride), np.repeat(tol, stride)
-    return [LaneResult(z0s[sl], *out[:3, sl], np.zeros(n), steps[sl], tols[sl],
+    return [LaneResult(z0s[sl], *out[:3, sl], None, steps[sl], tols[sl],
                        out[3, sl] if track else None)
             for sl in (slice(c * stride, c * stride + n) for c in range(k))]

@@ -15,14 +15,13 @@ annulus-exit loop of :func:`overshoot_histogram` advance all blocks of
 only, and the cells of one experiment (the theta grid of
 :func:`theta0_bracket`, the cells of :func:`phase_scan`, the start points of
 the slope fits and of :func:`composite_driver_phase`) share that loop; each
-block draws its live replicas' raw variates from its own (cell tag, block)
-stream, and each map from raw variates to increments (the stable part's
-Chambers-Mallows-Stuck map) runs once per iteration over all live replicas,
-so a replica's result never depends on the other blocks or cells.  Blocks
-hold 2048 replicas, so that each cell at the default n of 2000 is one block
-and draws each kind of variate in one generator call per iteration (the
-annulus-exit loop's 10,000 replicas take five); the first block's replicas do
-not depend on n.
+block takes its live replicas' variates from pools of finished variates
+(stable ones included) that it refills from its own (cell tag, block)
+stream, :data:`~levyloewner.engine.POOL` variates of each kind per
+generator call, so a replica's result never depends on the other blocks or
+cells.  Blocks hold 2048 replicas, so that each cell at the default n of
+2000 is one block (the annulus-exit loop's 10,000 replicas take five); the
+first block's replicas do not depend on n.
 Every estimator runs on the calling thread: :func:`area_fraction` and
 :func:`disconnection_frequency` loop over their replicas' rasters, and no
 estimator takes a worker count.
@@ -44,7 +43,7 @@ from .drivers import (
     sample_driver,
 )
 from .engine import (BLOCK, Cell, _axis_drift, _compile_increments, _draw_plan, _live_draws,
-                     _loop_key, default_hit_tolerance, run_adaptive_cells)
+                     _loop_key, _Pool, default_hit_tolerance, run_adaptive_cells)
 from .errors import ConfigError, StatisticalError
 from .loewner import EvolutionConfig, connected_components, raster_cluster
 from .rng import stream
@@ -346,8 +345,8 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
     if not (b > a > 0 and a < abs(x0) < b):
         raise ConfigError("need b > a > 0 and a < |x0| < b")
     incs, _ = _compile_increments(DriverSpec.from_params(kappa, alpha, theta))
-    draws = [d for inc in incs for d in inc.draws]
-    blocks = [(stream(seed, "overshoot", blk, float(a), float(b)), draws) for blk in range(-(-n // BLOCK))]
+    blocks = [_Pool(stream(seed, "overshoot", blk, float(a), float(b)), [inc.draw for inc in incs])
+              for blk in range(-(-n // BLOCK))]
     bounds = BLOCK * np.arange(len(blocks) + 1)
     sides = np.zeros(n, dtype=np.int8)  # 0 censored, 1 inner, 2 outer
     positions = np.full(n, np.nan)
@@ -377,7 +376,7 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
         # horizon - t, positive for a live replica, caps dt below horizon too
         dt = np.maximum(0.1 * tau, dt_floor)
         np.minimum(dt, horizon - t, out=dt)
-        raws = iter(_live_draws(plan))
+        raws = _live_draws(plan)
 
         # drift: |x| grows, may cross b continuously -> atom at sign(x)*b
         _axis_drift(x, dt, 2.0)
@@ -386,8 +385,8 @@ def _annulus_exit_positions(kappa: float, alpha: float, theta: float, x0: float,
             leave(out, 2, np.copysign(b, x[out]))
             active[out] = False
 
-        for inc in incs:
-            xb = x - inc.increments([next(raws) for _ in inc.draws], dt, inc.coef)
+        for inc, raw in zip(incs, raws):
+            xb = x - inc.increments(raw, dt, inc.coef)
             ax = np.abs(xb)
             inner = ax <= a
             if inc.is_continuous:  # a continuous path that crossed 0 passed |x| = a

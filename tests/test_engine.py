@@ -1,7 +1,7 @@
 """Monte Carlo engine: block and cell independence of the replica streams,
 pinned output bytes on the pure-stable, composite-driver and real-axis paths
-that the golden CLI artifacts do not reach, and one stable map per lockstep
-iteration."""
+that the golden CLI artifacts do not reach, and the pools engine B takes its
+variates from."""
 
 import dataclasses
 import gc
@@ -15,10 +15,11 @@ import pytest
 
 from levyloewner import engine
 from levyloewner.drivers import (Brownian, CompoundPoisson, DriverPath, DriverSpec, JumpLaw, Stable,
-                                 TruncatedStable, _stable_map, sample_driver)
+                                 TruncatedStable, sample_driver, standard_stable_sample)
 from levyloewner.engine import BLOCK, Cell, LaneResult, evolve_lanes_on_path, run_adaptive_cells
 from levyloewner.errors import ConfigError
 from levyloewner.experiments import _annulus_exit_positions
+from levyloewner.rng import stream
 
 COMPOSITE = DriverSpec((Brownian(3.0), TruncatedStable(1.5, 1.0, 1.0),
                         CompoundPoisson(1.0, JumpLaw("two_point", {"size": 0.5}))))
@@ -105,13 +106,12 @@ def test_no_cells_rejected():
 @pytest.mark.parametrize("beta", [2.0, 1.5])
 @pytest.mark.parametrize("z0", [1.0, 0.5 + 0.3j])
 def test_engine_b_lanes_are_zeta_only(z0, beta):
-    # engine B keeps no running minimum of |h|: min_abs reads 0 on every lane,
-    # hit or censored, on the real axis and off it
+    # engine B keeps no running minimum of |h|, on the real axis and off it,
+    # so its results hold none to be read as one
     cell = Cell(DriverSpec((Brownian(2.0), Stable(1.5, 1.0))), z0, ("zeta-only", beta), 1e-2)
     res = run_adaptive_cells([cell], 300, 1.0, master_seed=3, beta=beta)[0]
     assert 0 < res.hit.sum() < 300
-    assert res.min_abs.shape == (300,)
-    assert not res.min_abs.any()
+    assert res.min_abs is None
 
 
 def test_annulus_exit_first_block_does_not_depend_on_later_blocks():
@@ -268,59 +268,110 @@ def test_real_axis_output_bytes_pinned(case):
     assert _axis_run(case) == AXIS_PINNED[case]
 
 
-def test_stable_map_runs_once_per_iteration(monkeypatch):
-    # 3 cells of one block each: the map runs once per lockstep iteration over
-    # every live lane, not once per live block
-    calls = []
-
-    def counted(alpha, *raw):
-        calls.append(raw[0].size)
-        return _stable_map(alpha, *raw)
-
-    monkeypatch.setattr(engine, "_stable_map", counted)
-    res = run_adaptive_cells(_stable_cells(1.5, (0.5, 1.0, 2.0)), 700, 1.0, master_seed=3)
-    iterations = max(int((r.steps + r.hit).max()) for r in res)
-    assert len(calls) == iterations
-    assert calls[0] == 3 * 700
+def _lane_iterations(res, b):
+    """Lane-iterations of block b of a result: each lane is live for steps + hit
+    lockstep iterations."""
+    sl = slice(b * BLOCK, (b + 1) * BLOCK)
+    return int((res.steps[sl] + res.hit[sl]).sum())
 
 
-def test_one_generator_call_per_draw_kind_per_live_cell(monkeypatch):
-    # Two real-axis cells at the engine-B subcommands' default n, which fits in
-    # one block: each lockstep iteration makes at most one generator call per
-    # draw kind (a normal, and the stable part's uniform and exponential) per
-    # cell that still has a live lane.
+def test_stable_sample_runs_once_per_pool_refill(monkeypatch):
+    # Two pure-stable cells of two blocks each, the second partial.  A block's
+    # stable variates come from standard_stable_sample, called through the
+    # engine's binding with POOL variates on the block's own stream, which
+    # nothing else draws from; a call comes only when the pool holds fewer
+    # variates than the block has live lanes, so a block makes
+    # ceil(lane-iterations / POOL) of them.
+    calls = {}  # the calls on each stream, in the order of their first call
+
+    def counted(alpha, rng, size):
+        sample = standard_stable_sample(alpha, rng, size)
+        calls.setdefault(id(rng), []).append((size, sample))
+        return sample
+
+    monkeypatch.setattr(engine, "standard_stable_sample", counted)
+    cells = _stable_cells(1.5, (0.5, 2.0))
+    res = run_adaptive_cells(cells, BLOCK + 188, 1.0, master_seed=3)
+    assert len(calls) == 4
+    for made, (cell, r, b) in zip(calls.values(), [(c, r, b) for c, r in zip(cells, res) for b in range(2)]):
+        rng = stream(3, *cell.tag, "block", b)
+        assert len(made) == -(-_lane_iterations(r, b) // engine.POOL)
+        for size, sample in made:
+            assert size == engine.POOL
+            np.testing.assert_array_equal(sample, standard_stable_sample(1.5, rng, engine.POOL))
+    assert max(map(len, calls.values())) >= 3
+
+
+def test_generator_calls_come_with_pool_refills(monkeypatch):
+    # Two real-axis cells at the engine-B subcommands' default n, one block
+    # each, with a normal and a stable draw kind.  Each lockstep iteration
+    # makes one _live_draws call, and a draw kind's generator call comes only
+    # when its pool refills, with POOL variates: ceil(lane-iterations / POOL)
+    # calls per kind and block, and none in most iterations.
     n = 2000
-    calls = []  # (draw kinds, generator calls) of each _live_draws call
+    refills = []  # per draw kind of each block: the sizes of its generator calls
+    per_iteration = []  # generator calls made in each _live_draws call
 
-    def counted(plan, dt=None, live_draws=engine._live_draws):
-        calls.append((plan[1], len(plan[2])))
-        return live_draws(plan, dt)
+    def counted(draw, sizes):
+        def call(rng, size):
+            sizes.append(size)
+            return draw(rng, size)
+        return call
 
-    monkeypatch.setattr(engine, "_live_draws", counted)
+    class Counted(engine._Pool):
+        def __init__(self, rng, draws):
+            refills.extend([] for _ in draws)
+            super().__init__(rng, [(counted(d, sizes), whole) for (d, whole), sizes
+                                   in zip(draws, refills[-len(draws):])])
+
+    def live_draws(plan, dt=None, live_draws=engine._live_draws):
+        before = sum(map(len, refills))
+        out = live_draws(plan, dt)
+        per_iteration.append(sum(map(len, refills)) - before)
+        return out
+
+    monkeypatch.setattr(engine, "_Pool", Counted)
+    monkeypatch.setattr(engine, "_live_draws", live_draws)
     cells = [Cell(DriverSpec((Brownian(k), Stable(1.5, 1.0))), 1.0, ("draw-budget", k)) for k in (2.0, 8.0)]
     res = run_adaptive_cells(cells, n, 5.0, master_seed=4)
     last = [int((r.steps + r.hit).max()) for r in res]  # a cell's last live iteration
-    assert len(calls) == max(last) > 100
-    for i, (kinds, made) in enumerate(calls, start=1):
-        assert kinds == 3
-        assert made <= kinds * sum(i <= m for m in last), f"iteration {i}"
+    assert len(per_iteration) == max(last) > 100
+    assert len(refills) == 2 * len(cells)  # a normal and a stable draw per block
+    for r, kinds in zip(res, (refills[:2], refills[2:])):
+        for sizes in kinds:
+            assert sizes == [engine.POOL] * -(-_lane_iterations(r, 0) // engine.POOL)
+    assert sum(map(bool, per_iteration)) <= sum(map(len, refills)) < len(per_iteration) / 10
+
+
+def test_pool_size_keeps_single_draw_bytes(monkeypatch):
+    # A pure-Brownian cell of three blocks: a block with one draw kind takes
+    # its normals in the same stream order whatever the pool size, so its
+    # bytes do not depend on POOL.
+    cell = Cell(DriverSpec((Brownian(8.0),)), 1.0, "pool-size")
+    digests = []
+    for size in (BLOCK, 3 * BLOCK + 5):
+        monkeypatch.setattr(engine, "POOL", size)
+        digests.append(_digest(run_adaptive_cells([cell], 4100, 5.0, master_seed=6)))
+    assert digests[0] == digests[1]
 
 
 def _death_free_calls(z0):
     """Python-level calls (profiler "call" and "c_call" events) of each
     lockstep iteration in which no lane dies, on one block of 256 replicas of
-    kappa = 8 + S(1.5, 1) from z0.  An iteration runs from one _live_draws
-    call to the next."""
-    iterations, calls, died = [], 0, False
+    kappa = 8 + S(1.5, 1) from z0, with whether the iteration refilled the
+    block's pools.  An iteration runs from one _live_draws call to the
+    next."""
+    iterations, calls, died, refill = [], 0, False, False
 
     def profile(frame, event, arg):
-        nonlocal calls, died
+        nonlocal calls, died, refill
         if event == "call" and frame.f_code is engine._live_draws.__code__:
-            iterations.append((calls, died))
-            calls, died = 0, False
+            iterations.append((calls, died, refill))
+            calls, died, refill = 0, False, False
         if event in ("call", "c_call"):
             calls += 1
             died = died or (event == "call" and frame.f_code is engine._retire.__code__)
+            refill = refill or (event == "call" and frame.f_code is standard_stable_sample.__code__)
 
     cell = Cell(DriverSpec((Brownian(8.0), Stable(1.5, 1.0))), z0, "budget")
     gc.collect()  # no finalizer of another test's garbage runs inside the count
@@ -331,7 +382,7 @@ def _death_free_calls(z0):
     finally:
         sys.setprofile(None)
         gc.enable()
-    return [c for c, d in iterations[1:] if not d]
+    return [(c, r) for c, d, r in iterations[1:] if not d]
 
 
 def test_death_free_iteration_call_budget():
@@ -341,18 +392,24 @@ def test_death_free_iteration_call_budget():
     # on the numpy version, as the byte pins do (numpy 2.4); ufunc operators
     # do not show.  On the real axis it read 47-53 (53 at most) before
     # real-axis loops took real-axis arithmetic and rebuilt their block
-    # bookkeeping only after a death, and 31 while a step made its
-    # sub-increments one at a time as they landed; it reads 29 since a step
-    # makes them in one list.
+    # bookkeeping only after a death, 31 while a step made its sub-increments
+    # one at a time as they landed, and 29 once a step made them in one list.
+    # Since the draws come from pools it reads 20 in an iteration that
+    # refills none, and 28 in one that refills them.  A refill does the
+    # generator calls and the stable map of many iterations at once, so its
+    # iteration is barred only through the mean.
     axis = _death_free_calls(1.0)
-    assert len(axis) > 100
-    assert max(axis) <= 31
+    plain = [c for c, refill in axis if not refill]
+    assert len(plain) > 100
+    assert max(plain) <= 22
+    assert sum(c for c, _ in axis) / len(axis) < 29
     # Off the axis it read 58-72 (mean 63.7) while each sub-increment ran its
-    # own box test and index sets, and reads 50-61 (mean 54.5) since a step
-    # lands through engine A's kernel, one box test per step.
-    off_axis = _death_free_calls(0.5 + 0.3j)
+    # own box test and index sets, 50-61 (mean 54.5) once a step landed
+    # through engine A's kernel, one box test per step, and reads 41-52
+    # (mean 44.7) in an iteration that refills no pool.
+    off_axis = [c for c, refill in _death_free_calls(0.5 + 0.3j) if not refill]
     assert len(off_axis) > 100
-    assert max(off_axis) <= 62
+    assert max(off_axis) <= 54
 
 
 def test_compound_poisson_jumps_at_exact_event_times():

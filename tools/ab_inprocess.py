@@ -15,8 +15,12 @@ medians exceeds the base's spread between quartiles), the median of the
 per-round ratios head / base, the rounds the head won, and each side's
 engine-A and engine-B lane-steps over all rounds: the sum of
 ``LaneResult.steps`` over the op's ``evolve_lanes_on_path`` and
-``run_adaptive_cells`` calls, deterministic counts that a byte-neutral change
-leaves equal.  It first prints each side's ``src/`` line count, as ``wc -l``
+``run_adaptive_cells`` calls, and beside them each side's engine-B lockstep
+iterations: the sum over the op's ``run_adaptive_cells`` calls of the most
+iterations a lane of the call was live, max(steps + hit).  These are
+deterministic counts that a byte-neutral change leaves equal; under a stream
+change they show whether time per iteration or the number of iterations
+moved.  It first prints each side's ``src/`` line count, as ``wc -l``
 counts it, the size that ROADMAP.md tracks.
 
 ``--stream-change`` times a deliberate change of the random streams: instead
@@ -76,16 +80,18 @@ def src_lines(root: Path) -> int:
 
 def count_lane_steps(mods: dict, name: str, results) -> list[int]:
     """Bind a counting wrapper of the engine function ``name`` in every module
-    of ``mods`` that binds it; returns the one-item list to which each call
+    of ``mods`` that binds it; returns the two-item list to which each call
     adds the steps taken by the lanes of the ``LaneResult``s that
-    ``results(returned value)`` lists."""
+    ``results(returned value)`` lists, and their most lockstep iterations,
+    max(steps + hit) (engine B's count)."""
     fn = getattr(mods[f"{PKG}.engine"], name)
-    total = [0]
+    total = [0, 0]
 
     @functools.wraps(fn)
     def counted(*args, **kwargs):
         res = fn(*args, **kwargs)
         total[0] += sum(int(r.steps.sum()) for r in results(res))
+        total[1] += max(int((r.steps + r.hit).max()) for r in results(res))
         return res
 
     for mod in mods.values():
@@ -159,6 +165,7 @@ def main(argv=None) -> int:
 
     cpu = {side: {n: [] for n in names} for side in sides}
     lane_steps = {side: {(n, e): 0 for n in names for e in ENGINES} for side in sides}
+    iterations = {side: {n: 0 for n in names} for side in sides}  # engine B's
     differ = {n: [0, 0] for n in names}  # artifacts that differed, artifacts compared
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         work = Path(tmp)
@@ -171,11 +178,12 @@ def main(argv=None) -> int:
             for name, a in zip(names, op_list):
                 got = {}
                 for side in order:
-                    before = {e: c[0] for e, c in counters[side].items()}
+                    before = {e: list(c) for e, c in counters[side].items()}
                     t, got[side] = run_op(sides[side], a, seed, work / side / str(r) / name)
                     cpu[side][name].append(t)
                     for e, c in counters[side].items():
-                        lane_steps[side][name, e] += c[0] - before[e]
+                        lane_steps[side][name, e] += c[0] - before[e][0]
+                    iterations[side][name] += counters[side]["B"][1] - before["B"][1]
                 keys = got["base"].keys() | got["head"].keys()
                 diff = sorted(k for k in keys if got["base"].get(k) != got["head"].get(k))
                 if diff and not args.stream_change:
@@ -186,6 +194,7 @@ def main(argv=None) -> int:
                   + ("timed" if args.stream_change else "artifacts identical"), flush=True)
 
     extra = "".join(f" {side + ' ' + e + ' lane-steps':>18}" for e in ENGINES for side in sides)
+    extra += "".join(f" {side + ' B iterations':>17}" for side in sides)
     if args.stream_change:
         extra += "".join(f" {side + ' ns/step':>13}" for side in sides) + f" {'differ':>9}"
     side_cols = "".join(f" {side + ' s':>9} {'(q1':>7} {'q3)':>7}" for side in sides)
@@ -196,6 +205,7 @@ def main(argv=None) -> int:
         ratios = [y / x for x, y in zip(b, h)]
         wins = sum(y < x for x, y in zip(b, h))
         extra = "".join(f" {lane_steps[side][name, e]:>18,}" for e in ENGINES for side in sides)
+        extra += "".join(f" {iterations[side][name]:>17,}" for side in sides)
         if args.stream_change:
             steps = {side: lane_steps[side][name, "B"] for side in sides}
             extra += "".join(f" {1e9 * sum(cpu[side][name]) / steps[side] if steps[side] else float('nan'):>13.1f}"
