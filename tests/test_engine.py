@@ -134,17 +134,17 @@ def _sha(arr) -> str:
 # at 2048-replica blocks, where the run is one block.
 PINNED = {
     2.0: {
-        "zeta": "8eb0ef944fb6becc9248043ef09bab2b1487d8319a3966852ae12c0e0e131dc2",
-        "x": "f33c6f2e448ecd71f26a083940eb906abb3b0139ee53bb99752f2abe514a2c5a",
-        "y": "289920b4aa3e1d7de016a172d80e96da574d9f7b3f308f2f1d976310c449ef87",
-        "steps": "a2499e60d33d40bc2c59f14be164189171830cb43ec22b87b724b05ff2923528",
-        "exit_time": "dc07e76db2dfc0f19872dd965f09001e50e2c732afb5306f417f74bf73478acb",
+        "zeta": "c7dff718fb505c4e8d5996a05fe238db2442a3dfb54e6ba4763f927320a43faa",
+        "x": "7d776773f2d2a21bb37f25c5194ff3730ad2dc95c84b4901a0c2330b42054cdc",
+        "y": "872ff0b70865a1ad5bd0f99b2c3285c0bdd815b993daedcf24d1953797456424",
+        "steps": "887ad676391f67c250c5d49cc404b130470b34073d84914501fdd3780b098bde",
+        "exit_time": "570b52726d39c7e7fb3c1bce0ac1da88c232cfed2fbcf7ca1a59765270f73621",
     },
     1.5: {
-        "zeta": "8de29ad80816624285fc4e884311b0a97eb6bb13a38f2c073deedc37234e3cea",
-        "x": "0317962826b123a8cc424ad94fe9ef2f73abc4db258cee8f6b3b3fe4cdaeac7b",
-        "y": "3dc79807d72e878af657679074929c792319d49edd030bccfb7f04fe265929dc",
-        "steps": "de2dfb788f4f31ab6c151375a9358af8db2a30e758b27cc1e6b59d24ad700954",
+        "zeta": "3853456b2e640dd7ff01b40a17666c3b19babe55c6d047408d18c20edeb04cfe",
+        "x": "0a9b5ab508980641ee373ebc0ff2dfd00efefaee8329da8bd1af4ccc5c72c8eb",
+        "y": "fad476929018c3b3d9b3812adb185c175b7f2e3db840e3a8ac11bf8f927dd688",
+        "steps": "ba7b27e04e98ca48fc6a112b96f88bcd25a0b4dd9386741588dfdd2dc96e16d7",
     },
 }
 
@@ -164,11 +164,11 @@ def test_composite_driver_output_bytes_pinned(beta):
 # positive.  Recorded at 2048-replica blocks, one per cell; re-recorded over
 # B_FIELDS, without the running minimum of |h| that engine B no longer keeps.
 STABLE_PINNED = {
-    (0.5, 2.0): "e66a642fae0ef34c1ecb0b76a55ff71a61810a36ceee31cf51856ca132c53fc0",
+    (0.5, 2.0): "e3a106992d5cc7ad5810f3cf9cae242f318f0670e868e758146ccf9528707ecf",
     (1.0, 2.0): "2411e65bf96c394592f93a22cdc7a26605ed921c33d334b545260b3ebc0d0559",
     (1.0, 1.5): "b6d9db78a623e25a4bed912398625c5bc2b49b897e096ed4823272a694791490",
-    (1.5, 2.0): "8d32c48057d7c1d10a6d8ea49d77d33353e39880a8b503af2c930c2347dfd864",
-    (1.5, 1.5): "497ad958fb18dbf684dd355a372ad9bb3a4a90d7ddfd33fe9290746d0461a708",
+    (1.5, 2.0): "1d1d13fa63d13d9035623f1b6cf61b1b2be7a6ec4d485a9ccba1ea8060f42b6d",
+    (1.5, 1.5): "6e6c2191a92301cced810141c1b037ea6b7064d44c79b70e27f75866707187d1",
     (2.0, 2.0): "f52b9f374532694e0f52ce4a1a67bc78e7b058393d2d585cbdf4d89facd0418a",
     (2.0, 1.5): "1b23c6bc26df1d7ca55166071e5ea6f6d268ed4845586dcdca4b6cf2ef67fe55",
 }
@@ -202,9 +202,9 @@ def test_stable_cells_output_bytes_pinned(alpha, beta):
 # unchanged: 0, 0, 25 and 225, 510 hits).  Every AXIS_PINNED digest was
 # re-recorded over B_FIELDS, without the running minimum of |h|.
 AXIS_PINNED = {
-    "kappa_stable": "890231534abbed99f41b22c3d8d7770c165a3ee0ca742294740a5003388dec89",
+    "kappa_stable": "c79d48d7efb4971f69766c6f87b32c6ed9c82e2726face1a55e18c5ad352a180",
     "bessel": "d029135679fd743a77ee7142230f1f9ea5a17c8fa1bbfee0cf8313c28016a4f4",
-    "theta0": "56669eb2a98db6980a306aba173bc022dd636c76eb6ca28b91c2be3b3e96dea4",
+    "theta0": "303db693c4adafd78ffad0c54a479c146b2bd0f01ee3008c777ac254a9093e50",
 }
 
 # More runs that start on the real axis (x86-64, numpy 2.4): a loop whose cells
@@ -212,15 +212,15 @@ AXIS_PINNED = {
 # composite cell, whose jump clock lands its jumps on the axis; and the flip
 # rule at beta = 1.5.  700 replicas each.
 AXIS_PINNED.update({
-    "mixed_z0": "9ff2f43ed6c2346551be116ec63e76807f69725288033816c4f0bcc0735bf4ad",
-    "composite": "6ece9155318efff426f4fdd28759059bfde0dce124952da8be63e074d2124fa2",
-    "kappa_stable_beta1_5": "53301493a393cc6d934ac089f9ff0ee9c6ca77e11f34f76c5bf3f52a13af80fc",
+    "mixed_z0": "8efc4d12c68a205d8af328f156ccda3931daa7d065ddd8a4d2bcfb61dbc16a7d",
+    "composite": "979f09c2b0da33e90110fc5ccabb9fe3574a2d1546a80bde58956aff95515b4a",
+    "kappa_stable_beta1_5": "e3a0a9503b7070635c057abfd4b67086a366ef1ff62468a2d6a7f0135f270f39",
 })
 
 # Two cells of two blocks each, the second partial (x86-64, numpy 2.4): the
 # block bookkeeping of cells larger than one block, which every other pin and
 # every engine-B subcommand's default n leave out.
-AXIS_PINNED["two_blocks"] = "7859116a852d14a6efbc97de1ce0add2053b998a00e111e0a6cc5ed81cb3106e"
+AXIS_PINNED["two_blocks"] = "b05a9f1d612f39b344e760ef14016efe7f1fda525ca2d571f0b4e249532ba6f4"
 
 # Off-axis runs from just above the axis (y = delta) whose driver lists its
 # stable part before its Brownian part (x86-64, numpy 2.4): the flip rule at a
@@ -228,8 +228,8 @@ AXIS_PINNED["two_blocks"] = "7859116a852d14a6efbc97de1ce0add2053b998a00e111e0a6c
 # times at beta = 2 and 134 times at beta = 1.5, and by |h| <= delta 86 and
 # 245 times.
 AXIS_PINNED.update({
-    "stable_first": "80ac5a3c317396039010e5d79398eae34f0f096597a45d553a1f04bf03109a5b",
-    "stable_first_beta1_5": "a913a9937e255378dc8d4945abf3364fb2c1d66df13f81acb66d615d472fed3e",
+    "stable_first": "d35274df68249721765e0c5de4662dc00ad6e31e29e205cbffe12c8ec4f651a9",
+    "stable_first_beta1_5": "3f51993016af2e7722cf5b5dff54ee52a5534ec7b946623c2a5c58e6ed1fe1a5",
 })
 
 
@@ -432,8 +432,8 @@ def test_annulus_exit_output_bytes_pinned():
     # draws with engine B.  Recorded at 2048-replica blocks, where 1300
     # replicas are one block.
     sides, pos = _annulus_exit_positions(1.0, 0.5, 1.0, 1.5, 1.0, 2.0, 1300, 50.0, 11)
-    assert _sha(sides) == "9181507a9db99584563067e75f4df1df5b548053e20856ecf7655f213ef7c703"
-    assert _sha(pos) == "a1a50c4fe3248423a5769a0e14d9133d91796115b08ffb020e6441febc8bffe4"
+    assert _sha(sides) == "8859917de8164b088f43f77d8949791f3ea9069a879b2590d24d8a20eb4ebac8"
+    assert _sha(pos) == "4b38289d90e99176396b6cc368cbe030410214e5dbf412e13c054c302153f735"
 
 
 # (kappa, alpha, theta) of more annulus-exit runs (x86-64, numpy 2.4), as
@@ -442,8 +442,8 @@ def test_annulus_exit_output_bytes_pinned():
 ANNULUS_PINNED = {
     (0.0, 1.0, 1.0): ("0821ccaa14e746fd881afa21b6bd4a46660b4961b628e3f1b9f8612de89e36af",
                       "9385618f21bdd05ba3495836b80593ea4e8ef66d55c9c46c9a304139ee0ec72e"),
-    (2.0, 1.5, 0.5): ("1f127ea5c5847e4b80b27d1c54906e3c97a47e4cd50cd42cc21d6621c496c94d",
-                      "72254f1347881344335862f387ff2854148fec19dc79d20533503011999a5c5f"),
+    (2.0, 1.5, 0.5): ("a38fcab54f6c53fd93872d586d1d8c72b39f95284280c6a5ed741e0901f8d962",
+                      "5d1ecfc9f0a8980d6bd47df8ea17d6c450fdb83bdf6f163eeb3085f4cb024c5a"),
 }
 
 
@@ -456,16 +456,16 @@ def test_annulus_exit_driver_bytes_pinned(driver):
 # Off-axis lanes that cross exit_radius = 1.5 in the band max(|x|, y) < 1.5 <=
 # |x| + y, where only hypot decides (x86-64, numpy 2.4).
 EXIT_PINNED = {
-    2.0: {"zeta": "7e2394968c7001e73dd873d47459de7c3fd4c618e9218d594fcc2a56aa0ca304",
-          "x": "ff6bcc3cf998aee3e01aadd559d45f196a9326c797139d08aed474a59b14b433",
-          "y": "346368b3d4b9777293a3faa5bd92b3e1addf02350ac5add62bece7ebf0a1d04d",
-          "steps": "0cce803cf687dddcebff392d33bbe53b76ba1e7a243556b5185c4f564c95d94b",
-          "exit_time": "0f0029013a0010cfcd0d16eef57ce1a26700801bd963f8083a69beed77a2b166"},
-    1.5: {"zeta": "34d3ef74c857388b5101b131f5e63d668312bfcf94fd9986e47816a2f84affeb",
-          "x": "e845eca12de1bc6ed5d5b78efa38ff1557427f571797e4f1a3a5902df91218b0",
-          "y": "22fc7c587ade43ad74a3bc58689e30a9e098c0c9452b33363fd57c9ee4d86421",
-          "steps": "466ab4f796a0dd159704e32b95786cbe35fed4d3b10a0f0eaa2b381166cb7b1d",
-          "exit_time": "81a411634db299d41a15322d9f8b7f6bd9f663d79058d0e88bf98cfedfadad5f"},
+    2.0: {"zeta": "7a4e4f82ceffc7a9a2153d25d7563f1e001bc0d56d99cbd44d2bf07a051c8b23",
+          "x": "2eac930aae6c32e817400be7ac383fff4a0a25c95040cd9e10706c5a93669484",
+          "y": "5a22cd3a32130f1c815e436257448369ad4a7149e52a639cf17c9a79a4f6cd73",
+          "steps": "985311a204057d226a542a87a24b757b7f1b90e98b763a1a8960ce0947345ed9",
+          "exit_time": "600b797671d2c1185daf4f18634e3d3c9bcb34dca25c39b55b51e8084bf1c044"},
+    1.5: {"zeta": "8e42c30cb6c76bcf177fe1ce58ae37d4b609552b70a5a1b223e327307a8505b8",
+          "x": "8248b17afee648334209ff4e4f1ff4619ccf48c2ddf858e5568aca472c725100",
+          "y": "7875b6644ee6773eacab85e06ba5f1dc59d79a81e06ed97e1e5bbd358901c43c",
+          "steps": "e3ac4c125afda2e3d9c8bcbab53f0d80c913410ea31d62f6d0eca5b86ae38c9a",
+          "exit_time": "8dac1bf2be7f50be223290c32dbce2825990c1708e10b66fda5da2cd3f984a69"},
 }
 
 

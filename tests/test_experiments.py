@@ -296,10 +296,10 @@ class TestScalingCheck:
         "exit_time": ((4.0, 0.5, 1.0, 2.0, "exit_time", 1j, 8.0, 500, 31), {"exit_radius": 3.0}),
     }
     PINNED = {
-        "im_h": ("a15c5656dd876b737d1e219a267258c1447c9a57667d5cc970f01466100757d5",
-                 "596651b38de57ec0002b40ae34a4174b27e8f613ac099313e395b7ba61204bc1"),
-        "exit_time": ("2cbcf02d6c700a53b7f9a57ce14ac50b0f3993fab9890133cfe65e8dae122ad5",
-                      "cb1ef31241ac0f9edc8233df2c0a4777fdf89937b10701d8babd8c1c49c4a68e"),
+        "im_h": ("7c9a3f975ff9a0f649f11cea25528dd14489f0537d06b9a9e8c03be81d009fef",
+                 "5f1a98b1ede320f42e504f0c0090d98e140f7d7bf7730978ccaa1d5bbbe8c403"),
+        "exit_time": ("a8ce96b9ee1d091b74fbe38d5cfef92faaeffbc19fbc45db342bc4de13e70720",
+                      "b162142ca752974e50fbeb1efbe27d155990ae2787a4f6314f4d555980f4a2ea"),
     }
 
     @pytest.mark.parametrize("statistic", sorted(CASES))
