@@ -701,7 +701,7 @@ class _Pool:
     block's live lanes from their dt at every take instead."""
 
     def __init__(self, rng, draws):
-        self.rng, self.size = rng, len(draws)
+        self.rng, self.kinds = rng, len(draws)
         self.rows = [j for j, (_, whole) in enumerate(draws) if not whole]
         self.pooled = [draw for draw, whole in draws if not whole]
         self.whole = [(j, draw) for j, (draw, whole) in enumerate(draws) if whole]
@@ -721,7 +721,7 @@ class _Pool:
         self.pos = pos + m
         raw = self.buf[:, pos:pos + m]
         if self.whole:
-            out = np.empty((self.size, m))
+            out = np.empty((self.kinds, m))
             out[self.rows] = raw
             for j, draw in self.whole:
                 out[j] = draw(self.rng, dt)
@@ -752,7 +752,7 @@ def _live_draws(plan, dt=None):
     m, live = plan
     if len(live) == 1:
         return live[0][0].take(m, dt)
-    out = np.empty((live[0][0].size, m))
+    out = np.empty((live[0][0].kinds, m))
     for pool, lo, hi in live:
         out[:, lo:hi] = pool.take(hi - lo, None if dt is None else dt[lo:hi])
     return out
