@@ -623,15 +623,19 @@ def test_real_axis_drift_accuracy(steps):
 
 def _path_lanes(first):
     """A 24x16 raster of the window [-2,2]x[0,2.5] behind ``first``, plus
-    points on both axes (one with a negative-zero real part)."""
-    gx, gy = np.meshgrid(np.linspace(-2.0, 2.0, 24), np.linspace(0.05, 2.5, 16))
-    axes = [0.3, -0.7, 1.5, 0.4j, 1.1j, complex(-0.0, 0.8)]
-    z = np.concatenate([[first], (gx + 1j * gy).ravel(), axes])
+    points on both axes (one with a negative-zero real part); a tuple
+    ``first`` holds every lane instead."""
+    if isinstance(first, tuple):
+        z = np.array(first, dtype=complex)
+    else:
+        gx, gy = np.meshgrid(np.linspace(-2.0, 2.0, 24), np.linspace(0.05, 2.5, 16))
+        axes = [0.3, -0.7, 1.5, 0.4j, 1.1j, complex(-0.0, 0.8)]
+        z = np.concatenate([[first], (gx + 1j * gy).ravel(), axes])
     return z, 0.02 * (1.0 + np.abs(z))
 
 
-# spec, beta, path horizon, grid step, lane 0, run horizon (inside the last
-# grid step for the first case)
+# spec, beta, path horizon, grid step, lane 0 (or every lane), run horizon
+# (inside the last grid step for the first case)
 PATH_CASES = {
     "brownian_beta2": (DriverSpec((Brownian(4.0),)), 2.0, 1.5, 0.005, 0.1 + 0.1j, 1.4985),
     "stable_beta1_5": (DriverSpec((Stable(1.5, 1.0),)), 1.5, 1.0, 0.01, 1.5 + 1.0j, 1.0),
@@ -646,6 +650,12 @@ PATH_CASES = {
                         2.0, 1.0, 0.01, 0.3 + 0.2j, 1.0),
     "big_steps_beta1_5": (DriverSpec((Brownian(40.0), CompoundPoisson(10.0, JumpLaw("two_point", {"size": 1.0})))),
                           1.5, 1.0, 0.01, 0.3 + 0.2j, 1.0),
+    # every lane on the real axis, so every step's drift takes the real-axis
+    # closed form; 0.3 hits, -0.7 and -3.0 retire early as zeta-only lanes
+    "k4_stable_axis_beta2": (DriverSpec((Brownian(4.0), Stable(1.5, 1.0))), 2.0, 1.0, 0.01,
+                             (1.5, 0.3, -0.7, -3.0), 1.0),
+    "k4_stable_axis_beta1_5": (DriverSpec((Brownian(4.0), Stable(1.5, 1.0))), 1.5, 1.0, 0.01,
+                               (1.5, 0.3, -0.7, -3.0), 1.0),
 }
 
 
@@ -671,7 +681,9 @@ def _path_run(case, keep=slice(None), record_trajectory=True):
 # power: only real-axis lanes (of 0.3, -0.7 and 1.5) changed, in their last
 # bits, with their zeta and steps and lane 0's trajectory unchanged.  The four
 # stable-driven cases were re-recorded when the stable map took two tangents
-# (a rounding change of every variate): their steps are unchanged.
+# (a rounding change of every variate): their steps are unchanged.  The two
+# all-real-axis cases were recorded before the beta = 2 drift sent such a lane
+# set through the real-axis closed form instead of the slit-map root.
 PATH_PINNED = {
     "brownian_beta2": {
         "zeta": "3e720f238650f79309515889537152524ae41e57019a105b477ed45079f051a4",
@@ -736,6 +748,22 @@ PATH_PINNED = {
         "min_abs": "f8a5effde74f52ac51d270bede1768f58457d39aa2d1dcb3d222791e05a7e407",
         "steps": "eda0b5533f3e98db8e5d7c8a609a98b16f86cc54d43530003a847f046a911a89",
         "trajectory": "f30aa59f1d89fa26dab0b00294510c894859ca0baaaaab05734e5462a5d75bec",
+    },
+    "k4_stable_axis_beta2": {
+        "zeta": "0f5d5b73c3d144710d0359e6aaee99ec4da56a6cc6548fe099bc58a9a7636240",
+        "x": "da8922bd69d022c4b4552fec7b2ca526bf468a7b3667b98648694918bb5f8ce8",
+        "y": "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
+        "min_abs": "0656a5621bba5ae118fe6644e13801ae8a39c621a08171098d0944c87b853dae",
+        "steps": "480272b09fffdda72767382a72ce232f2a1384e78ec8cc0087317e6be250ccbf",
+        "trajectory": "2840973247dabbf8f65c93161ff7d3032bded22abc79dc9bd602173515c34463",
+    },
+    "k4_stable_axis_beta1_5": {
+        "zeta": "a17214612bdd29dcd85252c743e89779f49ba46e9d3e91f4bd612122e33c28b0",
+        "x": "51dd20cabc7a1092fd06d87746114fdf91afdf7fcb9d77e64f1d4b06dae55720",
+        "y": "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
+        "min_abs": "f349e3003dc6a1e792d977faa36b77b9e40941e69d5f8c3f8963f18598a71ba0",
+        "steps": "f0f70ef7c4f0bbb2c9e9b800c9d0cdd8a5281931c6837bda6c31e54aaea59eb1",
+        "trajectory": "e2392638f95e7376b5c382cf401350dc9941aa4b763d3fa21b11c975483ce974",
     },
 }
 
