@@ -14,7 +14,6 @@ from levyloewner.drivers import (
     JumpLaw,
     Stable,
     TruncatedStable,
-    _stable_draws,
     _stable_map,
     _truncated_stable_steps,
     compose_drivers,
@@ -111,18 +110,22 @@ class TestStable:
         assert slope == pytest.approx(-alpha, abs=0.15)
 
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
-    def test_sample_is_raw_draws_then_one_map(self, alpha):
-        # per-block samples equal per-block raw draws mapped once over their
-        # concatenation, bit for bit, and advance each stream alike
-        sizes = (1, 7, 9, 513)
-        whole = [standard_stable_sample(alpha, stream(9, "split", b), m) for b, m in enumerate(sizes)]
-        rngs = [stream(9, "split", b) for b in range(len(sizes))]
-        raw = [[draw(rng, m) for draw in _stable_draws(alpha)] for rng, m in zip(rngs, sizes)]
-        mapped = _stable_map(alpha, *(np.concatenate(parts) for parts in zip(*raw)))
-        assert np.concatenate(whole).tobytes() == mapped.tobytes()
-        for b, rng in enumerate(rngs):
-            ref = stream(9, "split", b)
-            standard_stable_sample(alpha, ref, sizes[b])
+    def test_sample_draw_order(self, alpha):
+        # a sample is, bit for bit, its generator draws in stream order mapped
+        # to the variate: sqrt(2) times a normal at alpha = 2, tan V of one
+        # uniform at alpha = 1, else _stable_map of a uniform and then an
+        # exponential; and it leaves the stream where those draws do
+        for m in (1, 7, 513):
+            rng, ref = stream(9, "order", m), stream(9, "order", m)
+            got = standard_stable_sample(alpha, rng, m)
+            if alpha == 2.0:
+                want = np.sqrt(2.0) * ref.standard_normal(m)
+            elif alpha == 1.0:
+                want = np.tan((ref.random(m) - 0.5) * np.pi)
+            else:
+                u = ref.random(m)
+                want = _stable_map(alpha, u, ref.standard_exponential(m))
+            assert got.tobytes() == want.tobytes()
             np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
     # Errors in ulp of the 200-bit variate over 2,400 samples per alpha
