@@ -291,48 +291,37 @@ def standard_stable_sample(alpha: float, rng: np.random.Generator, size) -> np.n
     """Draw S_1 with E exp(i lam S_1) = exp(-|lam|^alpha) (CMS inversion).
 
     alpha = 2 is the Gaussian edge case Var = 2 (sqrt(2) times a normal);
-    alpha = 1 is standard Cauchy (tan V).  Every other alpha takes the CMS
-    variate from tan V and tan(alpha V / 2), with no sine or cosine, by the
-    identity cos((1 - alpha) V) = cos V (cos(alpha V) + tan V sin(alpha V))
-    (:func:`_stable_map`): about 22 ns per element at 2,048 lanes against 33
-    for three sines and cosines (2-core Xeon, numpy 2.4).  Engine B's pools
-    call it for 8,192 variates at a time (``engine.POOL``), where a sample
-    takes about 30 ns per element, draws included, and the map 16.  The
-    sample is :func:`_stable_map` of the raw draws :func:`_stable_draws`,
-    taken in order from ``rng``; the map is elementwise, so raw draws of
-    several streams may be concatenated and mapped at once.  ``size=None``
-    draws one variate.
+    alpha = 1 is standard Cauchy (tan V of one uniform).  Every other alpha
+    draws a uniform and then an exponential, in that stream order, and maps
+    them by :func:`_stable_map`, which takes the CMS variate from tan V and
+    tan(alpha V / 2), with no sine or cosine: about 22 ns per element at
+    2,048 lanes against 33 for three sines and cosines (2-core Xeon, numpy
+    2.4).  At 8,192 variates a sample takes about 30 ns per element, draws
+    included, and the map 16.  ``size=None`` draws one variate.
     """
     if not 0 < alpha <= 2:
         raise ConfigError(f"alpha must lie in (0,2], got {alpha}")
     if size is None:  # one variate, from the draws of size 1
         return standard_stable_sample(alpha, rng, 1)[0]
-    return _stable_map(alpha, *(draw(rng, size) for draw in _stable_draws(alpha)))
-
-
-def _stable_draws(alpha: float) -> tuple:
-    """The generator draws of a standard stable sample, in stream order, each
-    called as ``draw(rng, size)``: a normal at alpha = 2, a uniform at
-    alpha = 1, else a uniform and then an exponential."""
     if alpha == 2.0:
-        return (np.random.Generator.standard_normal,)
+        return np.sqrt(2.0) * rng.standard_normal(size)
     if alpha == 1.0:
-        return (np.random.Generator.random,)
-    return (np.random.Generator.random, np.random.Generator.standard_exponential)
+        return np.tan((rng.random(size) - 0.5) * np.pi)
+    u = rng.random(size)
+    return _stable_map(alpha, u, rng.standard_exponential(size))
 
 
-def _stable_map(alpha: float, *raw: np.ndarray) -> np.ndarray:
-    """The Chambers-Mallows-Stuck map of the raw draws of :func:`_stable_draws`
-    to standard stable variates, elementwise.
+def _stable_map(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Chambers-Mallows-Stuck map of a uniform u and an exponential w to
+    a standard stable variate, elementwise, for alpha not in {1, 2}.
 
-    With V = (u - 1/2) pi and W the exponential, the variate
+    With V = (u - 1/2) pi, the variate
 
-        sin(alpha V) / cos(V)^(1/alpha) * (cos((1 - alpha) V) / W)^((1 - alpha)/alpha)
+        sin(alpha V) / cos(V)^(1/alpha) * (cos((1 - alpha) V) / w)^((1 - alpha)/alpha)
 
-    is taken for alpha not in {1, 2} from two tangents, one power and one
-    square root:
+    is taken from two tangents, one power and one square root:
 
-        sin(alpha V) sqrt(1 + tan^2 V) ((cos(alpha V) + tan V sin(alpha V)) / W)^((1 - alpha)/alpha),
+        sin(alpha V) sqrt(1 + tan^2 V) ((cos(alpha V) + tan V sin(alpha V)) / w)^((1 - alpha)/alpha),
 
     with sin(alpha V) = 2 tau / (1 + tau^2) and cos(alpha V) = 2 / (1 + tau^2) - 1,
     tau = tan(alpha V / 2).  It is the same law: cos((1 - alpha) V) =
@@ -344,13 +333,8 @@ def _stable_map(alpha: float, *raw: np.ndarray) -> np.ndarray:
     Xeon (numpy 2.4) the map reads about 22 ns per element at 2,048 lanes
     and 14 ns at 8,192, against 33 and 34 ns for the sine/cosine form.  The
     map holds at most four arrays of the input's size, as that form did.
-    alpha = 1 is tan V and alpha = 2 is sqrt(2) times the normal.
     """
-    if alpha == 2.0:
-        return np.sqrt(2.0) * raw[0]
-    if alpha == 1.0:
-        return np.tan((raw[0] - 0.5) * np.pi)
-    v = raw[0] - 0.5
+    v = u - 0.5
     v *= np.pi  # V
     tan_v = np.tan(v)
     v *= 0.5 * alpha
@@ -363,7 +347,7 @@ def _stable_map(alpha: float, *raw: np.ndarray) -> np.ndarray:
     cos_av -= 1.0  # cos(alpha V)
     base = tan_v * sin_av
     base += cos_av
-    base /= raw[1]
+    base /= w
     np.power(base, (1.0 - alpha) / alpha, out=base)
     tan_v *= tan_v
     tan_v += 1.0
