@@ -14,10 +14,11 @@ the axes have the closed form |h|^beta linear in t and each off-axis lane
 takes its own number of Runge-Kutta substeps on u.  The new h is then the
 square root of u + 2ic on the upper branch, which at beta = 2 is exactly the
 slit map h -> sqrt(h^2 + 4 dt); it is taken in real arithmetic, to the bits
-of the complex square root.  A real-axis lane at beta < 2 instead sets x
-from the closed form with one power, x (1 + 2 beta dt / |x|^beta)^(1/beta),
-in :func:`_axis_drift`, which every drift path runs on those lanes; engine
-B's real-axis loops hand it the |x|^beta of their step rule.  A lane is
+of the complex square root.  A drift whose lanes all lie on the real axis,
+at every beta, and a real-axis lane at beta < 2 instead set x from the
+closed form in :func:`_axis_drift`: the root of x^2 + 4 dt at beta = 2 and
+one power, x (1 + 2 beta dt / |x|^beta)^(1/beta), at beta < 2; engine B's
+real-axis loops hand it the |x|^beta of their step rule.  A lane is
 swallowed within a drift interval exactly when u crosses 0 with
 sqrt(2|c|) <= delta.
 
@@ -72,7 +73,7 @@ elementwise passes over the live lanes; past those, work scales with the
 lanes something happened to, held as index sets: the candidates of a step's
 box test (hit checks and flip rule) and the lanes whose u crosses 0 in the
 drift (swallow bookkeeping).  A step with no candidate and no crossing does
-no bookkeeping at all, and a step of real-axis lanes takes the real root.
+no bookkeeping at all, and a step of real-axis lanes takes the closed form.
 
 Both engines end a step in one kernel, :func:`_land_step`, which runs one box
 test right after the drift.  The step's sub-increments move a lane's x by at
@@ -215,7 +216,7 @@ class LaneResult:
 # drift kernel
 # ---------------------------------------------------------------------------
 
-def _slit_root(u, c, x, y, real=False):
+def _slit_root(u, c, x, y):
     """Set x + iy to the root of u + 2ic on the upper branch: y >= +0 and x
     keeps its sign.  At beta = 2 this is the slit map h -> sqrt(h^2 + 4 dt).
 
@@ -225,13 +226,7 @@ def _slit_root(u, c, x, y, real=False):
     the smaller (2|c| / big) / 2, and the real part is the larger one when
     u > 0.  Lanes with u = 0 take the complex root, and so does every lane
     when some |u| or 2|c| exceeds 2e307 or some d falls below 1e-300: that
-    root rescales near the limits.
-    ``real`` says that every c is 0 and every u positive: the root is then
-    sqrt(u) + 0i."""
-    if real:
-        np.copysign(np.sqrt(u), x, out=x)
-        y[:] = 0.0
-        return
+    root rescales near the limits."""
     a = np.abs(c)
     a *= 2.0
     lo = u.min()
@@ -301,12 +296,12 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
         if np.count_nonzero(neg):
             cr = (neg & (u1 >= 0)).nonzero()[0]
             crossings.append((cr, -u0[cr] * 0.25))
-            real = False
-        else:
-            real = not np.count_nonzero(c)
+        elif not np.count_nonzero(c):  # every lane on the real axis
+            _axis_drift(x, dt, beta)
+            y[:] = 0.0
+            return
     elif not np.count_nonzero(c == 0.0):  # every lane off the axes
         u1 = _rk4_drift(u0, c, dt, beta, None, crossings)
-        real = False
     else:
         on_axis = c == 0.0
         # real axis: the closed form of _axis_drift, which sets x directly
@@ -316,7 +311,6 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
             y[:] = 0.0
             return
         u1 = _rk4_drift(u0, c, dt, beta, (~on_axis).nonzero()[0], crossings)  # u0 on the axes
-        real = False
         if ra.size:
             x_ra = x[ra]
             _axis_drift(x_ra, _at(dt, ra), beta)
@@ -341,7 +335,7 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
             zeta[dead] = _at(t, dead) + s_cr[swallowed]
             alive[dead] = False
             x_dead, y_dead = x[dead], y[dead]
-    _slit_root(u1, c, x, y, real)  # c = 0 gives y = 0 on the real axis
+    _slit_root(u1, c, x, y)  # c = 0 gives y = 0 on the real axis
     if x_ra is not None:
         x[ra] = x_ra
     if dead is not None:
@@ -365,8 +359,9 @@ def _axis_drift(x, dt, beta, xb=None):
     no lane has w > 2 |x|^beta passes ``xb``, |x|^beta to the bits of
     ``np.power(|x|, beta)`` (it is overwritten), and skips that test: engine
     B's real-axis loops, whose step rule has taken the power.  The general
-    drift runs its real-axis lanes through this function too, so a lane's
-    bits do not depend on the drift path."""
+    drift runs every lane set that lies wholly on the real axis through this
+    function, at every beta, and its real-axis lanes among others at
+    beta < 2, so a lane's bits do not depend on the drift path."""
     if beta == 2.0:
         u = x * x
         u += 4.0 * dt
