@@ -45,7 +45,7 @@ from .drivers import (
 from .engine import (BLOCK, Cell, _axis_drift, _compile_increments, _draw_plan, _live_draws,
                      _loop_key, _Pool, default_hit_tolerance, run_adaptive_cells)
 from .errors import ConfigError, StatisticalError
-from .loewner import EvolutionConfig, connected_components, raster_cluster
+from .loewner import EvolutionConfig, _cell_count, connected_components, raster_cluster
 from .rng import stream
 from .stable_calculus import theta0
 
@@ -507,6 +507,7 @@ def area_fraction(kappa: float, alpha: float, theta: float, r_list, resolution: 
     r_list = tuple(sorted(float(r) for r in r_list))
     if not r_list or r_list[0] <= 0:
         raise ConfigError("r_list must be positive ascending")
+    resolution = _cell_count(resolution, "resolution")
     if resolution < 32:
         raise ConfigError("resolution too coarse: need >= 32 cells across the smallest r")
     cell = 2.0 * r_list[0] / resolution

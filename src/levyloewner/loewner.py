@@ -243,6 +243,13 @@ class ClusterRaster:
         return self.zeta <= t
 
 
+def _cell_count(v, name: str) -> int:
+    """``int(v)``; a bool or a non-integral value is an error, not truncated."""
+    if isinstance(v, (bool, np.bool_)) or not float(v).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig,
                    radius: float | None = None, track=None) -> ClusterRaster:
     """Evolve the center of every window cell along one path under cfg.beta.
@@ -265,7 +272,7 @@ def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig,
     tracked point keeps every output.
     """
     x0, x1, y0, y1 = map(float, window)
-    nx, ny = map(int, resolution)
+    nx, ny = (_cell_count(n, "resolution") for n in resolution)
     if not (x1 > x0 and y1 >= y0 >= 0 and nx > 0 and ny > 0):
         raise ConfigError("window must be a rectangle in the closed upper half-plane")
     cw = (x1 - x0) / nx

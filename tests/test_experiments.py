@@ -214,6 +214,12 @@ class TestAreaFraction:
         with pytest.raises(ConfigError, match="n_replicas must be at least 1"):
             area_fraction(2.0, 1.5, 1.0, (0.5, 1.0), 32, 1.0, n_replicas, seed=3)
 
+    @pytest.mark.parametrize("resolution", [32.9, 64.5, np.True_])
+    def test_non_integral_resolution_rejected(self, resolution):
+        # 32.9 ran and reported cells_across_min_r = 32.9
+        with pytest.raises(ConfigError, match="resolution must be an integer"):
+            area_fraction(2.0, 1.5, 1.0, (0.5, 1.0), resolution, 1.0, 1, seed=3)
+
 
 class TestTheta0Bracket:
     def test_bracket_contains_analytic(self):

@@ -190,6 +190,17 @@ class TestRaster:
                                 EvolutionConfig(horizon=1.0))
         assert connected_components(raster, 1.0) == 0
 
+    @pytest.mark.parametrize("resolution", [(8.9, 4.2), (True, 4), (8, np.float64(4.5)), (8, np.True_)])
+    def test_non_integral_resolution_rejected(self, resolution):
+        # (8.9, 4.2) gave an 8x4 raster and (True, 4) a 1x4 one
+        with pytest.raises(ConfigError, match="resolution must be an integer"):
+            raster_cluster((30.0, 32.0, 0.0, 1.0), resolution, null_path(1.0), EvolutionConfig(horizon=1.0))
+
+    def test_integral_float_resolution_accepted(self):
+        raster = raster_cluster((30.0, 32.0, 0.0, 1.0), (8.0, np.int64(4)), null_path(1.0),
+                                EvolutionConfig(horizon=1.0))
+        assert raster.resolution == (8, 4) and raster.zeta.shape == (4, 8)
+
     def test_scalar_hit_tolerance_used_for_every_cell(self):
         path = sample_driver(DriverSpec((Brownian(4.0),)), 1.0, 3, dt=1e-3)
         window = (-1.5, 1.5, 0.0, 2.5)
