@@ -291,13 +291,12 @@ def standard_stable_sample(alpha: float, rng: np.random.Generator, size) -> np.n
     """Draw S_1 with E exp(i lam S_1) = exp(-|lam|^alpha) (CMS inversion).
 
     alpha = 2 is the Gaussian edge case Var = 2 (sqrt(2) times a normal);
-    alpha = 1 is standard Cauchy (tan V of one uniform).  Every other alpha
-    draws a uniform and then an exponential, in that stream order, and maps
-    them by :func:`_stable_map`, which takes the CMS variate from tan V and
-    tan(alpha V / 2), with no sine or cosine: about 22 ns per element at
-    2,048 lanes against 33 for three sines and cosines (2-core Xeon, numpy
-    2.4).  At 8,192 variates a sample takes about 30 ns per element, draws
-    included, and the map 16.  ``size=None`` draws one variate.
+    alpha = 1 is standard Cauchy (tan V of one uniform u, V = (u - 1/2) pi).
+    Every other alpha draws a uniform and then an exponential, in that
+    stream order, and maps them by :func:`_stable_map`, with no sine or
+    cosine: at 8,192 variates a sample takes about 30 ns per element, draws
+    included, and the map 16 (2-core Xeon, numpy 2.4).  ``size=None`` draws
+    one variate.
     """
     if not 0 < alpha <= 2:
         raise ConfigError(f"alpha must lie in (0,2], got {alpha}")
