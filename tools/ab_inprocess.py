@@ -21,7 +21,8 @@ iterations a lane of the call was live, max(steps + hit).  These are
 deterministic counts that a byte-neutral change leaves equal; under a stream
 change they show whether time per iteration or the number of iterations
 moved.  It first prints each side's ``src/`` line count, as ``wc -l``
-counts it, the size that ROADMAP.md tracks.
+counts it, the size that ROADMAP.md tracks, per module and in total, with
+the change per module, so a table shows where the lines went.
 
 ``--stream-change`` times a deliberate change of the random streams: instead
 of stopping at a difference it prints, per op, how many artifacts differed
@@ -73,9 +74,23 @@ def load(root: Path) -> dict:
     return mods
 
 
-def src_lines(root: Path) -> int:
-    """Newlines in the Python files under ``root/src``."""
-    return sum(p.read_bytes().count(b"\n") for p in (root / "src").rglob("*.py"))
+def src_lines(root: Path) -> dict[str, int]:
+    """Newlines in each Python file under ``root/src``, keyed by its path
+    relative to it."""
+    src = root / "src"
+    return {p.relative_to(src).as_posix(): p.read_bytes().count(b"\n") for p in src.rglob("*.py")}
+
+
+def print_src_lines(roots: dict[str, Path]) -> None:
+    """Each side's ``src/`` line count per module and in total, and the
+    change from base to head (a module absent from a side counts 0)."""
+    lines = {side: src_lines(root) for side, root in roots.items()}
+    rows = [(m, *(lines[side].get(m, 0) for side in roots)) for m in sorted(set().union(*lines.values()))]
+    rows.append(("total", *(sum(lines[side].values()) for side in roots)))
+    width = max(len(m) for m, *_ in rows)
+    print(f"{'src lines':<{width}}" + "".join(f" {side:>7}" for side in roots) + f" {'change':>7}")
+    for m, base, head in rows:
+        print(f"{m:<{width}} {base:>7,} {head:>7,} {head - base:>+7,}")
 
 
 def count_lane_steps(mods: dict, name: str, results) -> list[int]:
@@ -149,7 +164,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     roots = {"base": args.base.resolve(), "head": args.head.resolve()}
-    print("src lines: " + ", ".join(f"{side} {src_lines(root):,}" for side, root in roots.items()))
+    print_src_lines(roots)
     sides = {side: load(root) for side, root in roots.items()}
     counters = {side: {e: count_lane_steps(mods, *ENGINES[e]) for e in ENGINES}
                 for side, mods in sides.items()}
