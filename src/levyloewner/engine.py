@@ -221,20 +221,27 @@ def _slit_root(u, c, x, y):
     keeps its sign.  At beta = 2 this is the slit map h -> sqrt(h^2 + 4 dt).
 
     The root is taken in real arithmetic, in the form of the platform's
-    complex square root, so its bits are those of ``np.sqrt`` of u + 2i|c|:
-    with d = hypot(u, 2|c|), the larger part is big = sqrt((d + |u|) / 2) and
-    the smaller (2|c| / big) / 2, and the real part is the larger one when
-    u > 0.  Lanes with u = 0 take the complex root, and so does every lane
-    when some |u| or 2|c| exceeds 2e307 or some d falls below 1e-300: that
-    root rescales near the limits."""
+    complex square root of u + 2i|c|: with d = sqrt(u*u + 4c^2), the larger
+    part is big = sqrt((d + |u|) / 2) and the smaller (2|c| / big) / 2, and
+    the real part is the larger one when u > 0.  d is not ``np.hypot``,
+    which rescales and corrects at four times the cost; each part stays
+    within 2 ulp of the exact root (checked against 200-bit arithmetic over
+    scales 1e-150 to 1e150, the complex root's own worst case), but may
+    differ from ``np.sqrt`` of u + 2i|c| in its last bits.  Lanes with u = 0
+    take the complex root, and so does every lane when some |u| or 2|c|
+    exceeds 1e150 or some d falls below 1e-140: inside those bounds no
+    square overflows, and a square that underflows is below the rounding of
+    d."""
     a = np.abs(c)
     a *= 2.0
     lo = u.min()
-    if not (-lo <= 2e307 and u.max() <= 2e307 and a.max() <= 2e307):
+    if not (-lo <= 1e150 and u.max() <= 1e150 and a.max() <= 1e150):
         _complex_root(u, c, x, y)
         return
-    big = np.hypot(u, a)
-    if not big.min() >= 1e-300:
+    big = u * u
+    big += np.square(a)
+    np.sqrt(big, out=big)
+    if not big.min() >= 1e-140:
         _complex_root(u, c, x, y)
         return
     pos = lo > 0.0

@@ -492,45 +492,79 @@ def _root_states(rng, n, scale):
     return u, c, x
 
 
-def _assert_root_is_complex_sqrt(u, c, x):
+def _complex_sqrt(u, c, x):
+    """``np.sqrt`` of u + 2i|c|, its real part with the sign of x."""
     w = np.empty(u.shape, dtype=complex)
     w.real = u
     w.imag = 2.0 * np.abs(c)
     ref = np.sqrt(w)
+    return np.copysign(ref.real, x), ref.imag
+
+
+def _beyond_the_guards(u, c):
+    """States that send every lane of a call to the complex root: some |u|
+    or 2|c| above 1e150, or sqrt(u^2 + 4c^2) below 1e-140, each by a margin
+    that leaves no doubt about the side (that root is at most sqrt(2) times
+    the larger of |u| and 2|c|)."""
+    big = np.maximum(np.abs(u), 2.0 * np.abs(c))
+    return (big > 1.01e150) | (big < 0.7e-140)
+
+
+def _assert_root(u, c, x, bits=False):
+    """The slit-map root of each state is within 2 ulp of the exact root of
+    u + 2i|c| at 200 bits in each part, with x's sign on the real part and
+    +0 or more as the imaginary part, and raises no warning; with ``bits``
+    (every lane takes the complex root), it equals ``np.sqrt``'s bit for
+    bit, as do the lanes with u = 0."""
+    mpmath = pytest.importorskip("mpmath")
     got_x, got_y = x.copy(), np.full(u.shape, np.nan)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         engine._slit_root(u, c, got_x, got_y)
-    # bit for bit, signed zeros included
-    np.testing.assert_array_equal(got_x.view(np.int64), np.copysign(ref.real, x).view(np.int64))
-    np.testing.assert_array_equal(got_y.view(np.int64), ref.imag.view(np.int64))
+    ref_x, ref_y = _complex_sqrt(u, c, x)
+    same = np.ones(u.shape, dtype=bool) if bits else u == 0.0
+    np.testing.assert_array_equal(got_x[same].view(np.int64), ref_x[same].view(np.int64))
+    np.testing.assert_array_equal(got_y[same].view(np.int64), ref_y[same].view(np.int64))
+    np.testing.assert_array_equal(np.signbit(got_x), np.signbit(x))
+    assert not np.signbit(got_y).any()
+    with mpmath.workprec(200):
+        for ui, ci, gx, gy in zip(u.tolist(), c.tolist(), np.abs(got_x).tolist(), got_y.tolist()):
+            exact = mpmath.sqrt(mpmath.mpc(ui, 2 * abs(mpmath.mpf(ci))))
+            for got, part in ((gx, exact.real), (gy, exact.imag)):
+                ulps = abs(mpmath.mpf(got) - part) / np.spacing(float(part))
+                assert ulps <= 2, (ui, ci, got, float(ulps))
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100, 1e150])
 def test_slit_root_is_the_complex_square_root(scale):
+    # to 2 ulp, signed zeros and u = 0 included; the outer scales reach
+    # beyond the guards, where the complex root takes every lane
     rng = np.random.default_rng(int(np.log10(scale)) + 200)
     u, c, x = _root_states(rng, 2000, scale)
-    _assert_root_is_complex_sqrt(u, c, x)  # mixed signs of u, and u = 0
+    _assert_root(u, c, x, bool(_beyond_the_guards(u, c).any()))  # mixed signs of u, and u = 0
     pos = u > 0
-    _assert_root_is_complex_sqrt(u[pos], c[pos], x[pos])  # every u > 0
+    _assert_root(u[pos], c[pos], x[pos], bool(_beyond_the_guards(u[pos], c[pos]).any()))  # every u > 0
 
 
 def test_slit_root_near_the_limits():
     # around the bounds where the real-arithmetic root hands over to the
-    # complex one: |u| or 2|c| near 2e307, hypot(u, 2|c|) near 1e-300, and
-    # subnormal parts
-    us = [0.0, 5e-324, 1e-310, 7e-301, 1e-300, 1.5e-300, 1.0, 1.9e307, 2e307, 2.1e307, 4e307, 1.7e308]
-    cs = [0.0, 5e-324, 1e-310, 3.5e-301, 5e-301, 1.0, 0.95e307, 1e307, 1.05e307, 8e307]
+    # complex one: |u| or 2|c| near 1e150, sqrt(u^2 + 4c^2) near 1e-140,
+    # the largest doubles and subnormal parts; a state beyond the guards
+    # gets the complex root's bits, alone or among ordinary states
+    us = [0.0, 5e-324, 1e-310, 1e-200, 7e-141, 1e-140, 1.5e-140, 1.0, 0.9e150, 1e150, 1.1e150, 1e300,
+          2.1e307, 1.7e308]
+    cs = [0.0, 5e-324, 1e-310, 3.5e-141, 5e-141, 1.0, 0.45e150, 0.5e150, 0.55e150, 1e307, 8e307]
     states = np.array([(su * u, c, sx) for u, c in itertools.product(us, cs)
                        for su in (1.0, -1.0) for sx in (0.5, -0.0)])
     u, c, x = states.T
+    beyond = _beyond_the_guards(u, c)
+    assert 0 < beyond.sum() < u.size
     for i in range(u.size):  # each state alone takes its own branch
-        _assert_root_is_complex_sqrt(u[i:i + 1], c[i:i + 1], x[i:i + 1])
-    _assert_root_is_complex_sqrt(u, c, x)
+        _assert_root(u[i:i + 1], c[i:i + 1], x[i:i + 1], bool(beyond[i]))
     rng = np.random.default_rng(3)
     u_r, c_r, x_r = _root_states(rng, 500, 1.0)
     for i in range(0, u.size, 37):  # one such state among ordinary ones
-        _assert_root_is_complex_sqrt(np.append(u_r, u[i]), np.append(c_r, c[i]), np.append(x_r, x[i]))
+        _assert_root(np.append(u_r, u[i]), np.append(c_r, c[i]), np.append(x_r, x[i]), bool(beyond[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -875,6 +909,20 @@ def test_retirement_edge_is_tolerance_plus_slack(beta, sign):
     assert full.hit.tolist() == [True, False, False]
     assert np.isnan(part.x).tolist() == [False, False, True]
     assert part.steps.tolist() == [2, 2, 1]
+
+
+@pytest.mark.parametrize("beta", [2.0, 1.5])
+def test_height_edge_on_the_imaginary_axis(beta):
+    # under a null driver a lane on the imaginary axis has y^beta falling at
+    # exactly 2 beta, so it is hit by T exactly when y0 < (delta^beta +
+    # 2 beta T)^(1/beta): the lane 1% below that height is hit, bit for bit
+    # as in the full run, and the one 1% above it is censored
+    path = DriverPath(np.linspace(0.0, 1.0, 101), np.zeros(101), "null")
+    delta = 0.05
+    edge = (delta ** beta + 2.0 * beta * path.horizon) ** (1.0 / beta)
+    full, part = _zeta_only_run(path, [0.99j * edge, 1.01j * edge], delta, beta=beta)
+    assert full.hit.tolist() == [True, False]
+    assert not np.isnan(part.x[0]) and part.steps[0] == full.steps[0]
 
 
 def test_retirement_with_the_horizon_inside_the_last_grid_step():
