@@ -131,19 +131,20 @@ def _sha(arr) -> str:
 # compound Poisson part is a jump clock: each live lane draws a fresh
 # exponential wait and a jump size per iteration, the step ends at the wait
 # when it comes first, and the jump lands at its exact event time.  Recorded
-# at 2048-replica blocks, where the run is one block.
+# at 2048-replica blocks, where the run is one block; re-recorded when the
+# slit-map root took its modulus from one square root instead of hypot.
 PINNED = {
     2.0: {
-        "zeta": "c7dff718fb505c4e8d5996a05fe238db2442a3dfb54e6ba4763f927320a43faa",
-        "x": "7d776773f2d2a21bb37f25c5194ff3730ad2dc95c84b4901a0c2330b42054cdc",
-        "y": "872ff0b70865a1ad5bd0f99b2c3285c0bdd815b993daedcf24d1953797456424",
+        "zeta": "90a4421f75e04cc7ecfc6509654855f3178a0a8bd40cd50ece60f4713e9398c8",
+        "x": "d261da6b7253963a4c8912ed82f75121d8c9c2dbfeffa9ea08d442d7911e3f66",
+        "y": "b3596e3aeca592fba6cf2c53a337cc637f22953778100cec73dc851e622e5139",
         "steps": "887ad676391f67c250c5d49cc404b130470b34073d84914501fdd3780b098bde",
-        "exit_time": "570b52726d39c7e7fb3c1bce0ac1da88c232cfed2fbcf7ca1a59765270f73621",
+        "exit_time": "a736046dcfea5c5cdf2bdbb2db39013eaf6a34312bab4218fef891fe2e680edc",
     },
     1.5: {
-        "zeta": "3853456b2e640dd7ff01b40a17666c3b19babe55c6d047408d18c20edeb04cfe",
-        "x": "0a9b5ab508980641ee373ebc0ff2dfd00efefaee8329da8bd1af4ccc5c72c8eb",
-        "y": "fad476929018c3b3d9b3812adb185c175b7f2e3db840e3a8ac11bf8f927dd688",
+        "zeta": "df0ab9765516049c966ec9032a1b6666a7beaa14a5cbb079906f1f428e9cc70d",
+        "x": "da35a64fced1a218a0fa6c0fa9af647c23288fb3b5f24042960ad2a95ec577b0",
+        "y": "c2b06c370e2cfd858d6d5739d18d7d2132c5a2d5e304dff938478bbf1e784d7e",
         "steps": "ba7b27e04e98ca48fc6a112b96f88bcd25a0b4dd9386741588dfdd2dc96e16d7",
     },
 }
@@ -162,15 +163,17 @@ def test_composite_driver_output_bytes_pinned(beta):
 # 2 take the tan, CMS and Gaussian branches of the stable map, and alpha = 0.5
 # the CMS branch below 1, where the power's exponent (1 - alpha)/alpha is
 # positive.  Recorded at 2048-replica blocks, one per cell; re-recorded over
-# B_FIELDS, without the running minimum of |h| that engine B no longer keeps.
+# B_FIELDS, without the running minimum of |h| that engine B no longer keeps,
+# and when the slit-map root took its modulus from one square root instead of
+# hypot.
 STABLE_PINNED = {
-    (0.5, 2.0): "e3a106992d5cc7ad5810f3cf9cae242f318f0670e868e758146ccf9528707ecf",
-    (1.0, 2.0): "2411e65bf96c394592f93a22cdc7a26605ed921c33d334b545260b3ebc0d0559",
-    (1.0, 1.5): "b6d9db78a623e25a4bed912398625c5bc2b49b897e096ed4823272a694791490",
-    (1.5, 2.0): "1d1d13fa63d13d9035623f1b6cf61b1b2be7a6ec4d485a9ccba1ea8060f42b6d",
-    (1.5, 1.5): "6e6c2191a92301cced810141c1b037ea6b7064d44c79b70e27f75866707187d1",
-    (2.0, 2.0): "f52b9f374532694e0f52ce4a1a67bc78e7b058393d2d585cbdf4d89facd0418a",
-    (2.0, 1.5): "1b23c6bc26df1d7ca55166071e5ea6f6d268ed4845586dcdca4b6cf2ef67fe55",
+    (0.5, 2.0): "c5e543bcd85e6277754617fc5557e36fc4daa4da07a4038b21cbe9553b97b9bf",
+    (1.0, 2.0): "281ac30f3d0e3cd3e17cecc936479f447119722e2af5de440433767f34b2aa9a",
+    (1.0, 1.5): "3056cada6761eb2f5bf2269ab449c4b82cfc8d880236c104ad41df3837e6e84e",
+    (1.5, 2.0): "dfc9afcc76e7816b5e1e73ebb406740ec1c4dfb5444516b78d6b53875158ece7",
+    (1.5, 1.5): "65c737a04f0fd80cc65823b45fca1110611740ae97ad8ee9c9b316e9b2cf3bb8",
+    (2.0, 2.0): "e0b6c02069879c01130902a0c2430ec3cf20954cefec911541b30f5880b78fc2",
+    (2.0, 1.5): "05067e2cc72ab5218126c80f426d65db1cb3b818bb5d574a78798501609644a9",
 }
 
 
@@ -212,7 +215,7 @@ AXIS_PINNED = {
 # composite cell, whose jump clock lands its jumps on the axis; and the flip
 # rule at beta = 1.5.  700 replicas each.
 AXIS_PINNED.update({
-    "mixed_z0": "8efc4d12c68a205d8af328f156ccda3931daa7d065ddd8a4d2bcfb61dbc16a7d",
+    "mixed_z0": "e0c8bad55a0ffee44523a210369c1fc54a9f63c72f69a0d5ffee093be8619996",
     "composite": "979f09c2b0da33e90110fc5ccabb9fe3574a2d1546a80bde58956aff95515b4a",
     "kappa_stable_beta1_5": "e3a0a9503b7070635c057abfd4b67086a366ef1ff62468a2d6a7f0135f270f39",
 })
@@ -226,10 +229,11 @@ AXIS_PINNED["two_blocks"] = "b05a9f1d612f39b344e760ef14016efe7f1fda525ca2d571f0b
 # stable part before its Brownian part (x86-64, numpy 2.4): the flip rule at a
 # sub-increment that is not the step's first.  Lanes die by the flip rule 55
 # times at beta = 2 and 134 times at beta = 1.5, and by |h| <= delta 86 and
-# 245 times.
+# 245 times.  mixed_z0 and both stable_first digests were re-recorded when the
+# slit-map root took its modulus from one square root instead of hypot.
 AXIS_PINNED.update({
-    "stable_first": "d35274df68249721765e0c5de4662dc00ad6e31e29e205cbffe12c8ec4f651a9",
-    "stable_first_beta1_5": "3f51993016af2e7722cf5b5dff54ee52a5534ec7b946623c2a5c58e6ed1fe1a5",
+    "stable_first": "f496a402512c5941e86aa1e0f9c4d2834aa67d653d8fbf0f4580a815bce7e322",
+    "stable_first_beta1_5": "c008d532ce92aceb22ea766c2a143591bb51653346ce008a0543b2c6d50cb4c7",
 })
 
 
@@ -454,18 +458,19 @@ def test_annulus_exit_driver_bytes_pinned(driver):
 
 
 # Off-axis lanes that cross exit_radius = 1.5 in the band max(|x|, y) < 1.5 <=
-# |x| + y, where only hypot decides (x86-64, numpy 2.4).
+# |x| + y, where only hypot decides (x86-64, numpy 2.4); re-recorded when the
+# slit-map root took its modulus from one square root instead of hypot.
 EXIT_PINNED = {
     2.0: {"zeta": "7a4e4f82ceffc7a9a2153d25d7563f1e001bc0d56d99cbd44d2bf07a051c8b23",
-          "x": "2eac930aae6c32e817400be7ac383fff4a0a25c95040cd9e10706c5a93669484",
-          "y": "5a22cd3a32130f1c815e436257448369ad4a7149e52a639cf17c9a79a4f6cd73",
+          "x": "8e28e9ac4022957084f4844576e9aedccfd38f98a17ed090e06072f82370b524",
+          "y": "49d4e11248c856e043d70d20019d58866f28b99c5964fb33780a67b8c74bc3c0",
           "steps": "985311a204057d226a542a87a24b757b7f1b90e98b763a1a8960ce0947345ed9",
-          "exit_time": "600b797671d2c1185daf4f18634e3d3c9bcb34dca25c39b55b51e8084bf1c044"},
-    1.5: {"zeta": "8e42c30cb6c76bcf177fe1ce58ae37d4b609552b70a5a1b223e327307a8505b8",
-          "x": "8248b17afee648334209ff4e4f1ff4619ccf48c2ddf858e5568aca472c725100",
-          "y": "7875b6644ee6773eacab85e06ba5f1dc59d79a81e06ed97e1e5bbd358901c43c",
+          "exit_time": "66e711a3be5d2a13b820a4f9c6455662954cda00a627415a28d823c301a4e84d"},
+    1.5: {"zeta": "9597b8994dbbecb8f408440309d750dd8a976b77d7aa366c1873927a79cca04e",
+          "x": "713c34960a2e3e43316a07541b13aa32052c961626eac177f57408fd384eeaa4",
+          "y": "2f37388bdf1c19d950025edc93734c1f8696ca6153e129c4b82cdf159f604ad8",
           "steps": "e3ac4c125afda2e3d9c8bcbab53f0d80c913410ea31d62f6d0eca5b86ae38c9a",
-          "exit_time": "8dac1bf2be7f50be223290c32dbce2825990c1708e10b66fda5da2cd3f984a69"},
+          "exit_time": "2f070c2db1bfb7cfda7a92a6073c7184c47e92a1131a21a53f834f1f9e6be4f3"},
 }
 
 
@@ -717,71 +722,74 @@ def _path_run(case, keep=slice(None), record_trajectory=True):
 # stable-driven cases were re-recorded when the stable map took two tangents
 # (a rounding change of every variate): their steps are unchanged.  The two
 # all-real-axis cases were recorded before the beta = 2 drift sent such a lane
-# set through the real-axis closed form instead of the slit-map root.
+# set through the real-axis closed form instead of the slit-map root.  Every
+# case with off-axis lanes was re-recorded when that root took its modulus
+# from one square root instead of hypot: last bits of zeta, x, y and min_abs
+# moved, and no lane's steps or hit.
 PATH_PINNED = {
     "brownian_beta2": {
         "zeta": "3e720f238650f79309515889537152524ae41e57019a105b477ed45079f051a4",
-        "x": "36a80fb0422ba38ad89e9c3afeffb1dee3dacc65b4264ec0206a11c180de72c7",
-        "y": "b023b817fd3be944949f5d6306edb5c2de30f72e8e87f161b665c3f6f3652667",
-        "min_abs": "576abf3eb3219a9513fdd364663816663d0c13d45d3ec589807f077dccc3c87d",
+        "x": "f945d67e5e32c54520c88227169e023874c32c6f7c51e14e578108b99ad724b4",
+        "y": "7c42f0c729067f66331f475846b4e9d36e5cdbc51c19924879c6b46128913248",
+        "min_abs": "2c305a20a6844c98fdb21094c092987b5673abda458eb1c388ebc336f89bd1df",
         "steps": "8121ae4bf3a0bd3a608b50a3a582581a8b3bd06aebdf5d082af5608c1601c683",
-        "trajectory": "8542913eefe6cf7aafa4767365f12d92dd93d6e10229fc2937a209789e7c5f19",
+        "trajectory": "22cf462eaba412dba7ea263bb3a22ed3356013597a65f7722ff4f5d611780946",
     },
     "stable_beta1_5": {
         "zeta": "504da7f069f2ce1d1b7352e2af6c97b6596340a2d4cac3600cfa45bf262902e1",
-        "x": "c9425809bb8a11e136f2b01ac66948e3996dd341253d150a86b0060a823b0b34",
-        "y": "9866d3b1afb34c8f1cee8e53852fdf9232f2a385217b4cc3fe428e860fd0f080",
-        "min_abs": "64e7d97c0e569214c3fbb1908fa33545dc082aa0cc02d0964f3ee3c5f8ebdf27",
+        "x": "44d23ca1e8df2a16bb00b0b1ed63719a80c80b850290ad2937644ff6a48d58a7",
+        "y": "44d53c6ffd4e054105c49554ea705a533efc77d1233930a2139fa1f3c197d3e9",
+        "min_abs": "619822d146c19a55d41b51705453593ac69822a0dfbb21fc941022773b8bf034",
         "steps": "3c7ae0d179c595639946b17e42c5b346b328f1ca2a46bc60fed2fc851649eb4b",
-        "trajectory": "611efa037314a5a81bfe23767332ffe6411a2a18c2cfcd6a506c2e1a80fe92a5",
+        "trajectory": "8c68f0ad39daa1e142b2bd35db6fdd5b47a5166fd76478fa9e279307f9d021b4",
     },
     "bs_beta2": {
-        "zeta": "2f1d490a483a835fae817bd58fd36835094e53c0df132b90fd5cc7b654895e7d",
-        "x": "cd99ababd150f7361cab2b98bddadea8551221f67e181fc6ec4127d10e3a694e",
-        "y": "133b605be8665e5188839793e0d35dc3dc0107c5670602d2b6fc412ec2fe19b4",
-        "min_abs": "233afb4df1c4b34c1e77cb9cd1608419452bdff85b59567100b3436c91b86577",
+        "zeta": "178285fac54b664e1f7a0243ac41c0e2418928a64222e9bb907705c266656ccf",
+        "x": "33e7a9e92dda2f5c41d432629211b3d5ab12e3ba8bfae7514b8eb8db9c9e59b4",
+        "y": "c69e70d192f7d8eaffa49c6f2f3591ec859cb3e6bf8e718fb44774ec897e23ce",
+        "min_abs": "9db88b777e54af66bf18ce61580b68de71cc117a8b2349dcd417bfda620e9ccd",
         "steps": "a4e722ec820161109765735ad085ce5da840bb3eb3b472862598a37f5ad58032",
-        "trajectory": "20829e0182a58cd82ba1e3f2b1c19a9068a40dfe914d0a2cfd9e9354dedc3798",
+        "trajectory": "06d8af26410ea014fba84c520c9d91815ce2376605c379d101cc127f5e5397f1",
     },
     "bs_beta1_5": {
-        "zeta": "8afa1f821131de566e224ae1e8df7d1af4bbff0575f9474dabbb31266c415ad7",
-        "x": "04060a9f35de3be8946bad6cd06adb47a0844ed2ff3da83f61a2136e476d5da7",
-        "y": "9f9e93261dc7b214f20827a7bb6bbc75276c51598332ff031b8a58137af2985d",
-        "min_abs": "c79590fa821a887ce38208089a8f5d111cef163831c839d86ba9966173881849",
+        "zeta": "d3494521bb22a87c464dadd4be4938add79559aed89bc0b98b5b1b666619d76c",
+        "x": "714d5604cd1c661d22cd162e614cf09de1ae8e29d44522b2d2959a6f1ff65d7f",
+        "y": "7df8bca351b7b3143f6955bff55e36c77837f2c2604e52b7ab0bb4ca7d33e025",
+        "min_abs": "2a9ed999cb0ec57ffa7338e60f32380f287c9e29ae80cb16e93374d77af5831e",
         "steps": "b747e2543c3cd5b8d441aafd0acf241951588f01ca2d03a6d3251dc05a7feb89",
-        "trajectory": "91ff421a527056878404483baac561d593d09c44e862094782e7a940d8e6bd91",
+        "trajectory": "b4d7733ec339161c18200da24dedd9dfe6bef7441b63c92db571055b95919ca5",
     },
     "cpp_beta2": {
         "zeta": "559d239794bd19b9474c47c56a05f7b2c4aeec07b98079b549e4a02bb6969241",
-        "x": "935991703cb4a84a02108a73c9791798ab3e287949f7ff57aca7df797b61590a",
-        "y": "f4b97a4d349f0662c3beffd9f74e1d6b5c33b47c57f429178fb516cd81b363a3",
-        "min_abs": "4435f659d3dbdf44739846f7c62b4e47dfbb0cadc46c550e73e04ddde042b4cb",
+        "x": "2f169d4233d420fab2a4ec3e18e2f4e474e30116d5b62db102e4f1f824679bc8",
+        "y": "146c18b038de45dfe36b1c9f936fc0c8512f853a0bc3badf010cdb55a5d1d980",
+        "min_abs": "a87bd8347c2d731abd7412f87f55c99c768bcae7558a7c5682e381043f5824ae",
         "steps": "719b2fcb47e8a05e257453c651af9da49d8ada008ff4318e54f75a6a386843fc",
-        "trajectory": "978cf40868f3edd990c420e94651cfb774871c82df43c3c9217f66f497f62445",
+        "trajectory": "42209a45256470cf07c8db2352a04fd5a293b8661b00b758c5b5a57ce5749377",
     },
     "k4_stable_beta1_5": {
-        "zeta": "958476af9ff9f91991b59525162bc6bfe5c01d86cacef96b5adf269ea5807958",
-        "x": "b36eee40c8aa25c0536a2565df59c357796c0cda90e889eb5b232176d2f50e23",
-        "y": "10e798302223c04cbd4328667ddabceb22abbc589a99b33a08fe6dd63c6453ff",
-        "min_abs": "3236f0596f84c9d2dfa625a8ef98d884e1b8208d5e0aa5d7bdade7e841e35ea5",
+        "zeta": "91f86fa030c18fd2acf07ec1751cd436a7e69327e69143d47bd823c43a1d2f39",
+        "x": "a49c81b51bf12ee5727b57810223d230e1d43911898785e959165645427c6ea6",
+        "y": "4b983d9f12baaaa25bd8d54dd9349b721e1632d6670e453d40d6d1919cb42022",
+        "min_abs": "931cc95752101b969ade29a0fc248686efb14faed864548d5c9c407d5694d039",
         "steps": "fc21d2a4c9bbca55976b471e97fcbb08baa39d85b6746d11765e927b371bb9c1",
-        "trajectory": "7efca52af23eca30eff260807f7eed6f455375c54928fd5232e89dda0505cd43",
+        "trajectory": "5368afc8c3d25fbab95b5adfad403988cca6404e42bd97a2bd487ab59b15cdb2",
     },
     "big_steps_beta2": {
-        "zeta": "311064ee62afb80b0cccf210f9adbcc1d227dc08abded4039159c4bbda244fbf",
-        "x": "d415ead2901e10425d86d4a7b72bb226eb48ab1aef325d4316e0cd683873b55c",
-        "y": "5dc7bd224fc412ddc6e2ad8115c172d55163c360cbb5331862c6e95e71007401",
-        "min_abs": "475da19cb5a2d4b552ef47fa8370b7bd58b382ea166c7775dd77109a57169761",
+        "zeta": "df7b44740fdf012af9e94b49051f3e0a8e21a6d3ee48a4d00e4b429a5ccf89d7",
+        "x": "41be5c85c1d9f2743ca05c5f06f0c59b71d0118df2206c992d6254d0a33a1992",
+        "y": "c3b779314de94954a668c123feeb4f02088c536100722e968c6d7a537aae7de4",
+        "min_abs": "9520b730777cda965bb73a7a48a2a41ac59b85b8b067c8e1a041a1758b99e50b",
         "steps": "45d0018831b190b1b71bf695999004b2cbb5d0ea5d9dfd939416b7591defe4a8",
-        "trajectory": "5821914161c39401e56561530d04dc95d7a0a2d1fe3aa018fec8e792110c04be",
+        "trajectory": "80de2ae8f69243c733a78fd5c80b959cfd2efe9bc040e31c7defb28868255a7c",
     },
     "big_steps_beta1_5": {
-        "zeta": "f4c0ff8e18d8150510991263c7058015f56309a50efcc79df82f769268a55456",
-        "x": "37fe3ff13a5734314a53f699bfdf75d95bbbbb12e39ebd8671be417087277e9e",
-        "y": "8716b55bbfb8340eca58c0a4ff4c24859746672d53c6cebd99b3feba1079a051",
-        "min_abs": "f8a5effde74f52ac51d270bede1768f58457d39aa2d1dcb3d222791e05a7e407",
+        "zeta": "7b472652c93320008341df3feeffde86869b3d2d33b36d5338d60fe280f6b25c",
+        "x": "3b050f42e24202a495b70044e16b080ab9ec82a4a003994dac2f027dcced12bf",
+        "y": "fa282ea16f7888f8c0b90e9faff95ed165744e85cfed6a7ec6c36d685a90e803",
+        "min_abs": "3945e23b93b1698a463909bf9d3aee51908faa70d7577c13e44e98b6172b9c8c",
         "steps": "eda0b5533f3e98db8e5d7c8a609a98b16f86cc54d43530003a847f046a911a89",
-        "trajectory": "f30aa59f1d89fa26dab0b00294510c894859ca0baaaaab05734e5462a5d75bec",
+        "trajectory": "b80f5d3307a3c4ffee6a7ad177d8a0aedde76b74c406d1bbf52415260acf5252",
     },
     "k4_stable_axis_beta2": {
         "zeta": "0f5d5b73c3d144710d0359e6aaee99ec4da56a6cc6548fe099bc58a9a7636240",
