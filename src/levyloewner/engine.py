@@ -13,8 +13,9 @@ For beta = 2 this integrates exactly (u -> u + 4 dt); for beta < 2 lanes on
 the axes have the closed form |h|^beta linear in t and each off-axis lane
 takes its own number of Runge-Kutta substeps on u.  The new h is then the
 square root of u + 2ic on the upper branch, which at beta = 2 is exactly the
-slit map h -> sqrt(h^2 + 4 dt); it is taken in real arithmetic, to the bits
-of the complex square root.  A drift whose lanes all lie on the real axis,
+slit map h -> sqrt(h^2 + 4 dt); it is taken in real arithmetic, from one
+square root of u^2 + 4c^2 rather than hypot, within 2 ulp of the exact root
+in each part (:func:`_slit_root`).  A drift whose lanes all lie on the real axis,
 at every beta, and a real-axis lane at beta < 2 instead set x from the
 closed form in :func:`_axis_drift`: the root of x^2 + 4 dt at beta = 2 and
 one power, x (1 + 2 beta dt / |x|^beta)^(1/beta), at beta < 2; engine B's
@@ -114,14 +115,43 @@ midpoint and half-width of [lo_i, hi_i]) is therefore retired as censored:
 its zeta is NaN, as the full run gives it, and its x and y read NaN, as its
 final h was not computed.
 
-The slack covers rounding, in units u = 2^-53.  A later grid step lowers x
-by at most 16 u of x (the drift's squares, hypot, root and division about
-12; each subtract 1), and the path's own differences (d_cont, d_jump, the
-range, the midpoint) shift the reference by at most 8 u V per step, V the
-largest |values| or |continuous| of the steps run.  Over N steps left, with
-s = 16 N u, K <= 4 V bounding |lo_i| and |hi_i|, and D the largest
-tolerance, a margin of 4 s (K + D) + 8 N u V suffices: it exceeds
-s (x + K) + 8 N u V while x <= 3 (K + D), and beyond that
+A zeta-only lane is retired the same way once it sits too high to reach its
+tolerance by the horizon T.  It can die only at a check point with
+y <= delta: |h| <= delta needs it, the flip rule asks for it, and a swallow
+needs sqrt(2|c|) = sqrt(2) y <= delta where u = 0.  A sub-increment moves x
+only, and the drift lowers y^beta at rate 2 beta (y/|h|)^beta <= 2 beta,
+with equality on the imaginary axis.  So a lane with y^beta > delta^beta +
+2 beta (T - t) at the end of a grid step never dies.  The test takes one
+scalar cap per step, from the largest tolerance D: after each full grid
+step i but the last, a zeta-only lane with y > cap_i, where
+
+    cap_i^beta = (D^beta + (1 + 2^-5) 2 beta (T - t_i)) (1 + (N + 1) 2^-44),
+
+N the steps left, is retired as censored.  It runs only from the first cap
+below the highest zeta-only start height, as y never rises.  The factor
+1 + 2^-5 covers RK4 at beta < 2.  A lane above the cap has |h|^beta >=
+y^beta > 2 beta dt at the start of every later step, so its relative motion
+rel is below 2 / beta and it takes at most 40 substeps, under the cap of 64.
+Over such a step RK4 lowers y^beta by at most 1.0083 times 2 beta dt: the
+worst, measured over beta from 1 + 1e-6 to 2, y^beta from 1 to 1e4 times
+2 beta dt and angles from 1e-300 to pi/2 - 1e-15 off the imaginary axis,
+sits next to that axis at beta near 1, where RK4 carries u through 0 too
+fast; 2^-5 is 3.8 times that excess.  A step whose y ends above delta
+swallows nothing either: past a crossing of u = 0, y^2 <= |c|, so
+sqrt(2|c|) > delta there.  At beta = 2 the drift is exact up to rounding.
+The factor 1 + (N + 1) 2^-44 covers rounding: a step lowers y^beta by at
+most about 32 u of itself beyond the bound (u0 and c within an ulp each,
+the slit-map root's parts within 2), and a relative margin of 2 N 32 u on
+cap^beta keeps y^beta above delta^beta through N steps.
+
+The slack of the range test covers rounding, in units u = 2^-53.  A later
+grid step lowers x by at most 16 u of x (the drift's squares, sum, roots and
+division about 12; each subtract 1), and the path's own differences
+(d_cont, d_jump, the range, the midpoint) shift the reference by at most
+8 u V per step, V the largest |values| or |continuous| of the steps run.
+Over N steps left, with s = 16 N u, K <= 4 V bounding |lo_i| and |hi_i|,
+and D the largest tolerance, a margin of 4 s (K + D) + 8 N u V suffices:
+it exceeds s (x + K) + 8 N u V while x <= 3 (K + D), and beyond that
 x - hi_i - delta > 2x/3 does.  That margin is at most
 N (264 u V + 64 u D) <= N 2^-44 (V + D); slack_i takes N + 1 steps, the
 test's own rounding counted: 1.4e-10 of V + D at 2,400 steps.
@@ -160,6 +190,10 @@ POOL = 8192
 _MAX_STEPS = 20_000_000
 # Upper clip of the adaptive Monte Carlo step.
 _DT_MAX = 1e6
+# Relative rate by which a grid step's drift may lower y^beta faster than
+# 2 beta, the exact flow's bound, at beta < 2 (RK4's error; see the module
+# docstring).
+_RK4_LOSS = 2.0 ** -5
 
 __all__ = ["BLOCK", "Cell", "LaneResult", "default_hit_tolerance", "evolve_lanes_on_path",
            "run_adaptive_cells"]
@@ -565,11 +599,12 @@ def _retire(state, alive, out):
 # engine A: lanes sharing one concrete path
 # ---------------------------------------------------------------------------
 
-def _reach_bounds(path: DriverPath, horizon: float, n_steps: int, tol_max: float):
+def _reach_bounds(path: DriverPath, horizon: float, n_steps: int, tol_max: float, beta: float):
     """Per grid step i < n_steps - 1 of a run, the midpoint m_i and the
     half-width plus slack w_i + slack_i of the range [lo_i, hi_i], relative
     to U at the end of step i, of the driver at every later check point of
-    the run (see the module docstring)."""
+    the run, and the height cap above which a lane can no longer reach its
+    tolerance (see the module docstring)."""
     values, d_cont = path.values[:n_steps + 1], path.increments()[0][:n_steps]
     after = values[:-1] + d_cont  # the driver after a continuous sub-increment
     hi = np.maximum(np.maximum(values[:-1], values[1:]), after)
@@ -579,8 +614,11 @@ def _reach_bounds(path: DriverPath, horizon: float, n_steps: int, tol_max: float
     hi = np.maximum.accumulate(hi[:0:-1])[::-1]  # over the steps after step i
     lo = np.minimum.accumulate(lo[:0:-1])[::-1]
     size = max(np.abs(values).max(), np.abs(path.continuous[:n_steps + 1]).max()) + tol_max
-    slack = np.arange(n_steps, 1, -1) * (2.0 ** -44 * size)
-    return 0.5 * (hi + lo) - values[1:-1], 0.5 * (hi - lo) + slack
+    left = np.arange(n_steps, 1, -1)  # the steps after step i, plus one
+    slack = left * (2.0 ** -44 * size)
+    fall = (1.0 + _RK4_LOSS) * 2.0 * beta * (horizon - path.grid[1:n_steps])
+    cap = ((tol_max ** beta + fall) * (1.0 + left * 2.0 ** -44)) ** (1.0 / beta)
+    return 0.5 * (hi + lo) - values[1:-1], 0.5 * (hi - lo) + slack, cap
 
 
 def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=None,
@@ -600,9 +638,11 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
     is read.  Their zeta and hits equal the full run's bit for bit, but they
     keep no running minimum of |h| (min_abs reads 0), so they enter a grid
     step's box test only within their tolerance plus the step's reach; and
-    once the rest of the path can no longer hit one, it is retired as
-    censored, with x and y NaN and ``steps`` the steps it took (see the
-    module docstring).  The other lanes keep every output.
+    once the rest of the path can no longer hit one (it lies beyond the
+    driver's later range, or too high to fall to its tolerance by the
+    horizon), it is retired as censored, with x and y NaN and ``steps`` the
+    steps it took (see the module docstring).  The other lanes keep every
+    output.
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
     n = z0.size
@@ -626,8 +666,11 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
     n_steps = int(np.count_nonzero(grid[:-1] < horizon - 1e-15))
     retiring = zeta_only.any() and n_steps > 1
     if retiring:
-        mid, half = _reach_bounds(path, horizon, n_steps, delta.max())
-        dist, near = np.empty(n), np.empty(n, dtype=bool)  # the test's buffers
+        mid, half, cap = _reach_bounds(path, horizon, n_steps, delta.max(), beta)
+        # y never rises, so the height test runs from the first cap below
+        # the highest zeta-only start on (the caps fall with i)
+        high = int(np.count_nonzero(cap >= z0.imag[zeta_only].max()))
+        dist, near = np.empty(n), np.empty(n, dtype=bool)  # the tests' buffers
 
     # state of the live lanes, in lane order (see _retire); with a last row
     # when only some lanes are zeta-only: their reach, delta or +inf
@@ -673,6 +716,11 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
             d -= reach[0] if reach else tol
             np.less_equal(d, half[i], out=keep)
             alive &= keep
+            if i >= high:  # y > cap_i: too high to reach the tolerance by T
+                np.less_equal(y, cap[i], out=keep)
+                if reach:  # the lanes that are not zeta-only stay
+                    keep |= reach[0] == np.inf
+                alive &= keep
         if not alive.all():
             state, done = _retire(state, alive, out)
             steps[done] = it

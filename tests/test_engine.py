@@ -924,13 +924,47 @@ def test_height_edge_on_the_imaginary_axis(beta):
     # under a null driver a lane on the imaginary axis has y^beta falling at
     # exactly 2 beta, so it is hit by T exactly when y0 < (delta^beta +
     # 2 beta T)^(1/beta): the lane 1% below that height is hit, bit for bit
-    # as in the full run, and the one 1% above it is censored
+    # as in the full run, and the one 1% above it is censored and retired by
+    # the height cap, which the driver's range (every value 0) never does
     path = DriverPath(np.linspace(0.0, 1.0, 101), np.zeros(101), "null")
     delta = 0.05
     edge = (delta ** beta + 2.0 * beta * path.horizon) ** (1.0 / beta)
     full, part = _zeta_only_run(path, [0.99j * edge, 1.01j * edge], delta, beta=beta)
     assert full.hit.tolist() == [True, False]
     assert not np.isnan(part.x[0]) and part.steps[0] == full.steps[0]
+    assert np.isnan(part.x[1]) and np.isnan(part.y[1]) and part.steps[1] < full.steps[1]
+
+
+@pytest.mark.parametrize("beta", [1.01, 1.5, 1.9])
+def test_rk4_lowers_y_beta_within_the_cap_margin(beta):
+    # one drift step of dt from y^beta = (1 + f) 2 beta dt, f from 1e-7 to 3,
+    # at angles from 1e-300 to 1 off the imaginary axis: the exact flow ends
+    # at y^beta >= f 2 beta dt, and RK4 may end lower by a small share of
+    # 2 beta dt (at most 0.0083 measured, next to the axis at beta near 1),
+    # which the cap's margin exceeds more than threefold
+    f, angle = (g.ravel() for g in np.meshgrid(10.0 ** np.linspace(-7.0, 0.5, 60),
+                                               10.0 ** np.linspace(-300.0, 0.0, 61)))
+    dt = 0.37
+    y = ((1.0 + f) * 2.0 * beta * dt) ** (1.0 / beta)
+    x = y * np.tan(angle)
+    xn, yn, alive = x.copy(), y.copy(), np.ones(x.size, dtype=bool)
+    engine._drift_advance(xn, yn, dt, beta, 0.0, 1e-300, np.full(x.size, np.nan), np.zeros(x.size), alive)
+    assert alive.all()
+    excess = (f * 2.0 * beta * dt - yn ** beta) / (2.0 * beta * dt)
+    assert excess.max() <= engine._RK4_LOSS / 3.0
+
+
+def test_height_cap_covers_the_rk4_error():
+    # at beta < 2, RK4 carries a lane just right of the imaginary axis through
+    # u = 0 faster than the exact flow, so some lanes above the exact edge
+    # height are hit in the full run; the cap's RK4 margin keeps every one of
+    # them from retiring, while lanes further up still retire
+    path = DriverPath(np.linspace(0.0, 1.0, 201), np.zeros(201), "null")
+    beta, delta = 1.5, 1e-3
+    edge = (delta ** beta + 2.0 * beta * path.horizon) ** (1.0 / beta)
+    x, above = np.meshgrid(10.0 ** np.arange(-12.0, 0.0), 10.0 ** np.arange(-8.0, -1.0, 0.5))
+    full, part = _zeta_only_run(path, x.ravel() + 1j * edge * (1.0 + above.ravel()), delta, beta=beta)
+    assert full.hit.any() and np.isnan(part.x).any()
 
 
 def test_retirement_with_the_horizon_inside_the_last_grid_step():
