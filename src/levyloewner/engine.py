@@ -204,6 +204,13 @@ def default_hit_tolerance(z0) -> np.ndarray:
     return 1e-4 * (1.0 + np.abs(z0))
 
 
+def _integral_count(v, name: str) -> int:
+    """``int(v)``; a bool or a non-integral value is an error, not truncated."""
+    if isinstance(v, (bool, np.bool_)) or not float(v).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _check_start(z0, delta, beta):
     """Refuse what neither engine can evolve: beta outside (1, 2], a start
     point z0 that is not finite, is 0 or lies below the real axis, and a hit
@@ -948,6 +955,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     Every lane is zeta-only: it keeps no running minimum of |h|, and min_abs
     is None.
     """
+    n = _integral_count(n, "n")
     if n < 1:
         raise ConfigError("n must be at least 1")
     if not 0 < horizon < np.inf:

@@ -42,10 +42,10 @@ from .drivers import (
     TruncatedStable,
     sample_driver,
 )
-from .engine import (BLOCK, Cell, _axis_drift, _compile_increments, _draw_plan, _live_draws,
-                     _loop_key, _Pool, default_hit_tolerance, run_adaptive_cells)
+from .engine import (BLOCK, Cell, _axis_drift, _compile_increments, _draw_plan, _integral_count,
+                     _live_draws, _loop_key, _Pool, default_hit_tolerance, run_adaptive_cells)
 from .errors import ConfigError, StatisticalError
-from .loewner import EvolutionConfig, _cell_count, connected_components, raster_cluster
+from .loewner import EvolutionConfig, connected_components, raster_cluster
 from .rng import stream
 from .stable_calculus import theta0
 
@@ -502,12 +502,13 @@ def area_fraction(kappa: float, alpha: float, theta: float, r_list, resolution: 
     the smallest radius; finite T stands proxy for the full cluster and must
     be reported alongside (trend checks, not limits).
     """
+    n_replicas = _integral_count(n_replicas, "n_replicas")
     if n_replicas < 1:
         raise ConfigError("n_replicas must be at least 1")
     r_list = tuple(sorted(float(r) for r in r_list))
     if not r_list or r_list[0] <= 0:
         raise ConfigError("r_list must be positive ascending")
-    resolution = _cell_count(resolution, "resolution")
+    resolution = _integral_count(resolution, "resolution")
     if resolution < 32:
         raise ConfigError("resolution too coarse: need >= 32 cells across the smallest r")
     cell = 2.0 * r_list[0] / resolution
@@ -615,6 +616,7 @@ def disconnection_frequency(spec: DriverSpec, t: float, n: int, seed: int,
                             window=None, resolution=None, path_dt: float = 2e-3) -> DisconnectionResult:
     """Fraction of replicas whose cluster raster at time t has >= 2 connected
     components (8-neighbor, no merging through the real axis)."""
+    n = _integral_count(n, "n")
     if n < 1:
         raise ConfigError("n must be at least 1")
     if window is None or resolution is None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import DriverPath
-from .engine import default_hit_tolerance, evolve_lanes_on_path
+from .engine import _integral_count, default_hit_tolerance, evolve_lanes_on_path
 from .errors import ConfigError
 
 __all__ = [
@@ -243,13 +243,6 @@ class ClusterRaster:
         return self.zeta <= t
 
 
-def _cell_count(v, name: str) -> int:
-    """``int(v)``; a bool or a non-integral value is an error, not truncated."""
-    if isinstance(v, (bool, np.bool_)) or not float(v).is_integer():
-        raise ConfigError(f"{name} must be an integer, got {v!r}")
-    return int(v)
-
-
 def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig,
                    radius: float | None = None, track=None) -> ClusterRaster:
     """Evolve the center of every window cell along one path under cfg.beta.
@@ -257,8 +250,9 @@ def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig,
     Cells within the hit tolerance of the origin are marked hit at 0+ by
     convention.  cfg.hit_tolerance=None gives each cell the geometry-aware
     :func:`raster_cell_tolerance`; a number is used for every cell.  With a
-    ``radius``, only the cells whose center has ``np.hypot(x, y) <= radius``
-    are evolved; the others read NaN, hit at no time.
+    ``radius`` (positive and finite), only the cells whose center has
+    ``np.hypot(x, y) <= radius`` are evolved; the others read NaN, hit at no
+    time.
 
     ``track`` = (z0, hit tolerance or None) evolves z0 in the same engine
     call, as one more lane with that tolerance (None: the per-point default),
@@ -272,9 +266,11 @@ def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig,
     tracked point keeps every output.
     """
     x0, x1, y0, y1 = map(float, window)
-    nx, ny = (_cell_count(n, "resolution") for n in resolution)
+    nx, ny = (_integral_count(n, "resolution") for n in resolution)
     if not (x1 > x0 and y1 >= y0 >= 0 and nx > 0 and ny > 0):
         raise ConfigError("window must be a rectangle in the closed upper half-plane")
+    if radius is not None and not 0 < radius < np.inf:
+        raise ConfigError(f"radius must be positive and finite, got {radius}")
     cw = (x1 - x0) / nx
     ch = (y1 - y0) / ny
     xs = x0 + cw * (np.arange(nx) + 0.5)

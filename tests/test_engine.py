@@ -103,6 +103,21 @@ def test_no_cells_rejected():
         run_adaptive_cells([], 100, 0.5, master_seed=9)
 
 
+@pytest.mark.parametrize("n", [True, np.True_, 1.5, 2.5])
+def test_non_integral_replica_count_rejected(n):
+    # True ran one replica and 1.5 failed with a bare TypeError
+    with pytest.raises(ConfigError, match="n must be an integer"):
+        run_adaptive_cells([Cell(DRIVERS["brownian"], 1.0, "n")], n, 0.5, master_seed=9)
+
+
+def test_integral_float_replica_count_accepted():
+    cell = Cell(DRIVERS["brownian"], 1.0, "n")
+    got, = run_adaptive_cells([cell], 3.0, 0.5, master_seed=9)
+    want, = run_adaptive_cells([cell], 3, 0.5, master_seed=9)
+    for f in B_FIELDS:
+        np.testing.assert_array_equal(getattr(got, f), getattr(want, f), err_msg=f)
+
+
 @pytest.mark.parametrize("beta", [2.0, 1.5])
 @pytest.mark.parametrize("z0", [1.0, 0.5 + 0.3j])
 def test_engine_b_lanes_are_zeta_only(z0, beta):

@@ -206,6 +206,13 @@ class TestDisconnection:
         with pytest.raises(ConfigError, match="n must be at least 1"):
             disconnection_frequency(spec, 1.0, n, seed=14, window=(-3, 3, 0, 2.5), resolution=(72, 30))
 
+    @pytest.mark.parametrize("n", [True, np.True_, 1.5, 2.5])
+    def test_non_integral_replica_count_rejected(self, n):
+        # True ran one replica and 1.5 failed with a bare TypeError
+        spec = DriverSpec((Brownian(4.0),))
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            disconnection_frequency(spec, 1.0, n, seed=14, window=(-3, 3, 0, 2.5), resolution=(72, 30))
+
 
 class TestAreaFraction:
     @pytest.mark.parametrize("n_replicas", [0, -1])
@@ -219,6 +226,17 @@ class TestAreaFraction:
         # 32.9 ran and reported cells_across_min_r = 32.9
         with pytest.raises(ConfigError, match="resolution must be an integer"):
             area_fraction(2.0, 1.5, 1.0, (0.5, 1.0), resolution, 1.0, 1, seed=3)
+
+    @pytest.mark.parametrize("n_replicas", [True, np.True_, 1.5, 2.5])
+    def test_non_integral_replica_count_rejected(self, n_replicas):
+        # True ran one replica and reported n_replicas = True; 1.5 failed
+        # with a bare TypeError
+        with pytest.raises(ConfigError, match="n_replicas must be an integer"):
+            area_fraction(2.0, 1.5, 1.0, (0.5, 1.0), 32, 1.0, n_replicas, seed=3)
+
+    def test_integral_float_replica_count_accepted(self):
+        res = area_fraction(2.0, 1.5, 1.0, (0.5,), 32, 0.5, 2.0, seed=3)
+        assert res.n_replicas == 2 and type(res.n_replicas) is int
 
 
 class TestTheta0Bracket:

@@ -222,6 +222,13 @@ class TestRaster:
         assert np.isnan(trimmed.zeta[~inside]).all() and (~inside).any()
         assert full.cells_hit_by(1.0)[inside].any()
 
+    @pytest.mark.parametrize("radius", [np.nan, 0.0, -1.0, np.inf])
+    def test_bad_radius_rejected(self, radius):
+        # nan evolved every cell, and 0 or -1 returned an all-NaN raster
+        with pytest.raises(ConfigError, match="radius must be positive and finite"):
+            raster_cluster((-1.0, 1.0, 0.0, 1.0), (8, 4), null_path(1.0), EvolutionConfig(horizon=1.0),
+                           radius=radius)
+
     @pytest.mark.parametrize("beta", [2.0, 1.5])
     @pytest.mark.parametrize("z0, tol, hit", [(0.6j, 0.02, True), (2.5 + 2.0j, None, False)])
     def test_tracked_point_equals_evolve_point(self, beta, z0, tol, hit):
