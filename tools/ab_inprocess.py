@@ -27,9 +27,10 @@ the change per module, so a table shows where the lines went.
 ``--stream-change`` times a deliberate change of the random streams: instead
 of stopping at a difference it prints, per op, how many artifacts differed
 between the sides over all rounds, so the output shows where bytes moved and
-where they did not; it also prints each side's CPU ns per engine-B
-lane-step.  A new stream moves the work with the sample, so time alone does
-not compare the sides.
+where they did not; it also prints each side's CPU ns per engine-A and per
+engine-B lane-step, the op's CPU time over that engine's lane-steps (nan
+where the op runs no lane of that engine).  A new stream moves the work with
+the sample, so time alone does not compare the sides.
 
 Interleaving the sides in one process makes a paired comparison that machine
 drift moves much less than separate benchmark runs do.
@@ -160,7 +161,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--stream-change", action="store_true",
                     help="count differing artifacts per op instead of stopping at one; "
-                         "also print CPU ns per engine-B lane-step")
+                         "also print CPU ns per engine-A and per engine-B lane-step")
     args = ap.parse_args(argv)
 
     roots = {"base": args.base.resolve(), "head": args.head.resolve()}
@@ -211,7 +212,8 @@ def main(argv=None) -> int:
     extra = "".join(f" {side + ' ' + e + ' lane-steps':>18}" for e in ENGINES for side in sides)
     extra += "".join(f" {side + ' B iterations':>17}" for side in sides)
     if args.stream_change:
-        extra += "".join(f" {side + ' ns/step':>13}" for side in sides) + f" {'differ':>9}"
+        extra += "".join(f" {side + ' ' + e + ' ns/step':>15}" for e in ENGINES for side in sides)
+        extra += f" {'differ':>9}"
     side_cols = "".join(f" {side + ' s':>9} {'(q1':>7} {'q3)':>7}" for side in sides)
     print(f"\n{'op':<20}{side_cols} {'ratio':>7} {'wins':>7}{extra}")
     for name in names:
@@ -222,9 +224,10 @@ def main(argv=None) -> int:
         extra = "".join(f" {lane_steps[side][name, e]:>18,}" for e in ENGINES for side in sides)
         extra += "".join(f" {iterations[side][name]:>17,}" for side in sides)
         if args.stream_change:
-            steps = {side: lane_steps[side][name, "B"] for side in sides}
-            extra += "".join(f" {1e9 * sum(cpu[side][name]) / steps[side] if steps[side] else float('nan'):>13.1f}"
-                             for side in sides)
+            for e in ENGINES:
+                steps = {side: lane_steps[side][name, e] for side in sides}
+                extra += "".join(f" {1e9 * sum(cpu[side][name]) / steps[side] if steps[side] else float('nan'):>15.1f}"
+                                 for side in sides)
             extra += f" {'/'.join(map(str, differ[name])):>9}"
         print(f"{name:<20}{spread} {statistics.median(ratios):7.3f} {wins:>3}/{len(b):<3}{extra}")
     return 0
