@@ -115,34 +115,28 @@ midpoint and half-width of [lo_i, hi_i]) is therefore retired as censored:
 its zeta is NaN, as the full run gives it, and its x and y read NaN, as its
 final h was not computed.
 
-A zeta-only lane is retired the same way once it sits too high to reach its
+A zeta-only lane is also retired once it sits too high to reach its
 tolerance by the horizon T.  It can die only at a check point with
-y <= delta: |h| <= delta needs it, the flip rule asks for it, and a swallow
-needs sqrt(2|c|) = sqrt(2) y <= delta where u = 0.  A sub-increment moves x
-only, and the drift lowers y^beta at rate 2 beta (y/|h|)^beta <= 2 beta,
-with equality on the imaginary axis.  So a lane with y^beta > delta^beta +
-2 beta (T - t) at the end of a grid step never dies.  The test takes one
-scalar cap per step, from the largest tolerance D: after each full grid
-step i but the last, a zeta-only lane with y > cap_i, where
+y <= delta (a swallow needs sqrt(2|c|) = sqrt(2) y <= delta where u = 0), a
+sub-increment moves x only, and the drift lowers y^beta at rate
+2 beta (y/|h|)^beta <= 2 beta, with equality on the imaginary axis.  So
+after each full grid step i but the last, a zeta-only lane with y > cap_i,
 
     cap_i^beta = (D^beta + (1 + 2^-5) 2 beta (T - t_i)) (1 + (N + 1) 2^-44),
 
-N the steps left, is retired as censored.  It runs only from the first cap
-below the highest zeta-only start height, as y never rises.  The factor
-1 + 2^-5 covers RK4 at beta < 2.  A lane above the cap has |h|^beta >=
-y^beta > 2 beta dt at the start of every later step, so its relative motion
-rel is below 2 / beta and it takes at most 40 substeps, under the cap of 64.
-Over such a step RK4 lowers y^beta by at most 1.0083 times 2 beta dt: the
-worst, measured over beta from 1 + 1e-6 to 2, y^beta from 1 to 1e4 times
-2 beta dt and angles from 1e-300 to pi/2 - 1e-15 off the imaginary axis,
-sits next to that axis at beta near 1, where RK4 carries u through 0 too
-fast; 2^-5 is 3.8 times that excess.  A step whose y ends above delta
-swallows nothing either: past a crossing of u = 0, y^2 <= |c|, so
-sqrt(2|c|) > delta there.  At beta = 2 the drift is exact up to rounding.
-The factor 1 + (N + 1) 2^-44 covers rounding: a step lowers y^beta by at
-most about 32 u of itself beyond the bound (u0 and c within an ulp each,
-the slit-map root's parts within 2), and a relative margin of 2 N 32 u on
-cap^beta keeps y^beta above delta^beta through N steps.
+D the largest tolerance and N the steps left, is retired as censored; the
+test runs from the first cap below the highest zeta-only start height on,
+as y never rises.  The 2^-5 covers RK4 at beta < 2: such a lane has
+|h|^beta > 2 beta dt at every later step's start, so 4 dt / |h|^beta <
+2 / beta and it takes at most 40 substeps (the cap is 64); over such a
+step RK4 lowers y^beta by at most 1.0083 times 2 beta dt (measured over
+beta in (1, 2], y^beta from 1 to 1e4 times 2 beta dt and every angle to the
+imaginary axis; the worst sits next to that axis at beta near 1, where RK4
+carries u through 0 too fast).  A step whose y ends above delta swallows nothing:
+past a crossing of u = 0, y^2 <= |c|.  The last factor covers rounding: a
+step lowers y^beta by at most about 32 u of itself (u = 2^-53) beyond the
+bound, and a relative margin of 64 N u keeps y^beta above delta^beta for
+N steps.
 
 The slack of the range test covers rounding, in units u = 2^-53.  A later
 grid step lowers x by at most 16 u of x (the drift's squares, sum, roots and
