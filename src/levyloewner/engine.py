@@ -15,8 +15,8 @@ takes its own number of Runge-Kutta substeps on u.  The new h is then the
 square root of u + 2ic on the upper branch, which at beta = 2 is exactly the
 slit map h -> sqrt(h^2 + 4 dt); it is taken in real arithmetic, from one
 square root of u^2 + 4c^2 rather than hypot, within 2 ulp of the exact root
-in each part (:func:`_slit_root`).  A drift whose lanes all lie on the real axis,
-at every beta, and a real-axis lane at beta < 2 instead set x from the
+in each part (:func:`_slit_root`).  A drift whose lanes all lie on the real
+axis, at every beta, and a real-axis lane at beta < 2 instead set x from the
 closed form in :func:`_axis_drift`: the root of x^2 + 4 dt at beta = 2 and
 one power, x (1 + 2 beta dt / |x|^beta)^(1/beta), at beta < 2; engine B's
 real-axis loops hand it the |x|^beta of their step rule.  A lane is
@@ -132,11 +132,11 @@ as y never rises.  The 2^-5 covers RK4 at beta < 2: such a lane has
 step RK4 lowers y^beta by at most 1.0083 times 2 beta dt (measured over
 beta in (1, 2], y^beta from 1 to 1e4 times 2 beta dt and every angle to the
 imaginary axis; the worst sits next to that axis at beta near 1, where RK4
-carries u through 0 too fast).  A step whose y ends above delta swallows nothing:
-past a crossing of u = 0, y^2 <= |c|.  The last factor covers rounding: a
-step lowers y^beta by at most about 32 u of itself (u = 2^-53) beyond the
-bound, and a relative margin of 64 N u keeps y^beta above delta^beta for
-N steps.
+carries u through 0 too fast).  A step whose y ends above delta swallows
+nothing: past a crossing of u = 0, y^2 <= |c|.  The last factor covers
+rounding: a step lowers y^beta by at most about 32 u of itself (u = 2^-53)
+beyond the bound, and a relative margin of 64 N u keeps y^beta above
+delta^beta for N steps.
 
 The slack of the range test covers rounding, in units u = 2^-53.  A later
 grid step lowers x by at most 16 u of x (the drift's squares, sum, roots and
@@ -261,7 +261,7 @@ def _slit_root(u, c, x, y):
     the real part is the larger one when u > 0.  d is not ``np.hypot``,
     which rescales and corrects at four times the cost; each part stays
     within 2 ulp of the exact root (checked against 200-bit arithmetic over
-    scales 1e-150 to 1e150, the complex root's own worst case), but may
+    scales 1e-150 to 1e150, where the complex root errs as much), but may
     differ from ``np.sqrt`` of u + 2i|c| in its last bits.  Lanes with u = 0
     take the complex root, and so does every lane when some |u| or 2|c|
     exceeds 1e150 or some d falls below 1e-140: inside those bounds no
