@@ -68,6 +68,15 @@ CELL_FAMILIES = {
         # above |z0|^beta
         Cell(DriverSpec((Stable(1.5, 0.5),)), 2e-4, ("cell", 2), 1e-3),
     ],
+    # real-axis loops whose cells differ in exactly one input (kappa, theta
+    # or the hit tolerance), and one whose cells share every input: the loop
+    # holds an input that its cells share as a scalar, and the others per lane
+    "axis_kappa": [Cell(DriverSpec((Brownian(k), Stable(1.5, 1.0))), 1.0, ("cell", k)) for k in (2.0, 8.0)],
+    "axis_theta": [Cell(DriverSpec((Stable(1.5, th),)), -0.7, ("cell", th), 1e-3) for th in (0.5, 4.0)],
+    "axis_tolerance": [Cell(DriverSpec((Brownian(4.0), Stable(1.5, 1.0))), 0.8, ("cell", d), d)
+                       for d in (1e-3, 1e-2)],
+    "axis_shared": [Cell(DriverSpec((Brownian(4.0), Stable(1.5, 1.0))), 0.8, ("cell", i), 1e-3)
+                    for i in range(3)],
 }
 
 
@@ -252,7 +261,17 @@ AXIS_PINNED.update({
 })
 
 
+# A real-axis loop of pure-stable cells that differ in theta at beta = 1.5, as
+# in `theta0-bracket`, with the exit time tracked (x86-64, numpy 2.4): on the
+# real axis |h| = |x| decides the exit.
+AXIS_PINNED["theta_exit"] = "28db71a9680432df1ad0d19f18a8ef26c9108bd31d9d18f8de72979e11bf786c"
+
+
 def _axis_run(case):
+    if case == "theta_exit":
+        cells = [Cell(DriverSpec((Stable(1.5, th),)), 0.5, ("pin-theta-exit", th), 1e-4) for th in (0.5, 4.0)]
+        res = run_adaptive_cells(cells, 700, 20.0, master_seed=2030, beta=1.5, exit_radius=3.0)
+        return _digest(res, B_FIELDS + ("exit_time",))
     if case == "two_blocks":
         cells = [Cell(DriverSpec((Brownian(k), Stable(1.5, 1.0))), 1.0, ("pin-blocks", k)) for k in (2.0, 8.0)]
         return _digest(run_adaptive_cells(cells, BLOCK + 188, 20.0, master_seed=2028))
