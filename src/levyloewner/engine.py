@@ -285,12 +285,13 @@ def _slit_root(u, c, x, y):
     np.sqrt(big, out=big)
     small = np.divide(a, big, out=a)
     small *= 0.5
-    if not pos:  # the imaginary part is the larger one where u < 0
-        neg = (u < 0.0).nonzero()[0]
-        big[neg], small[neg] = small[neg], big[neg]
-    np.copysign(big, x, out=x)
-    y[:] = small
-    if not pos:
+    if pos:
+        np.copysign(big, x, out=x)
+        y[:] = small
+    else:  # the imaginary part is the larger one where u < 0
+        neg = u < 0.0
+        np.copysign(np.where(neg, small, big), x, out=x)
+        y[:] = np.where(neg, big, small)
         zero = (u == 0.0).nonzero()[0]
         if zero.size:
             x_zero, y_zero = x[zero], y[zero]
