@@ -421,8 +421,12 @@ def overshoot_histogram(kappa: float, alpha: float, theta: float, a: float, b: f
     with three standard errors of slack.  Atom mass at +-a / +-b (continuous
     creeping) is separated out.
     """
+    n = _integral_count(n, "n")
     if n < 10_000:
         raise ConfigError("overshoot histograms need n >= 1e4")
+    bins = _integral_count(bins, "bins")
+    if bins < 1:
+        raise ConfigError("bins must be at least 1")
     if not theta > 0:
         raise ConfigError("the overshoot check needs a jump component (theta > 0)")
     sides, pos = _annulus_exit_positions(kappa, alpha, theta, float(z), a, b, n, horizon, seed)

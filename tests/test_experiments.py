@@ -1,6 +1,7 @@
 """Monte Carlo estimator plumbing: confidence intervals, KS helper,
 estimator invariants, scan/bracket logic, and reproducibility."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -153,6 +154,32 @@ class TestOvershoot:
     def test_needs_enough_replicas(self):
         with pytest.raises(ConfigError):
             overshoot_histogram(1.0, 0.5, 1.0, 1.0, 2.0, 1.5, 100, 50.0, seed=13)
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_bins_below_one_rejected(self, bins):
+        # 0 raised a bare IndexError and -3 numpy's ValueError
+        with pytest.raises(ConfigError, match="bins must be at least 1"):
+            overshoot_histogram(1.0, 0.5, 1.0, 1.0, 2.0, 1.5, 10_000, 50.0, seed=11, bins=bins)
+
+    @pytest.mark.parametrize("bins", [2.5, True, np.True_])
+    def test_non_integral_bins_rejected(self, bins):
+        # 2.5 raised a TypeError and True ran one bin
+        with pytest.raises(ConfigError, match="bins must be an integer"):
+            overshoot_histogram(1.0, 0.5, 1.0, 1.0, 2.0, 1.5, 10_000, 50.0, seed=11, bins=bins)
+
+    @pytest.mark.parametrize("n", [10_000.5, True])
+    def test_non_integral_replica_count_rejected(self, n):
+        # 10000.5 raised a TypeError from numpy
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            overshoot_histogram(1.0, 0.5, 1.0, 1.0, 2.0, 1.5, n, 50.0, seed=11)
+
+    def test_integral_floats_accepted(self):
+        # n = 10000.0 raised a TypeError
+        got = overshoot_histogram(1.0, 0.5, 1.0, 1.0, 2.0, 1.5, 10_000.0, 50.0, seed=11, bins=4.0)
+        want = overshoot_histogram(1.0, 0.5, 1.0, 1.0, 2.0, 1.5, 10_000, 50.0, seed=11, bins=4)
+        assert type(got.n) is int
+        for f in dataclasses.fields(want):
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name), err_msg=f.name)
 
     def test_inner_exit_fraction_matches_the_bessel_scale_function(self):
         # At theta = 0 the real flow is a Bessel process, so it leaves
