@@ -17,10 +17,13 @@ engine-A and engine-B lane-steps over all rounds: the sum of
 ``LaneResult.steps`` over the op's ``evolve_lanes_on_path`` and
 ``run_adaptive_cells`` calls, and beside them each side's engine-B lockstep
 iterations: the sum over the op's ``run_adaptive_cells`` calls of the most
-iterations a lane of the call was live, max(steps + hit).  These are
+iterations a lane of the call was live, max(steps + hit), and its death
+iterations: the sum over those calls of the number of iterations in which a
+lane of the call died, the distinct values of steps + hit.  These are
 deterministic counts that a byte-neutral change leaves equal; under a stream
 change they show whether time per iteration or the number of iterations
-moved.  It first prints each side's ``src/`` line count, as ``wc -l``
+moved.  ``--op NAME`` (repeatable) times only the ops of the workload whose
+subcommand is NAME.  It first prints each side's ``src/`` line count, as ``wc -l``
 counts it, the size that ROADMAP.md tracks, per module and in total, with
 the change per module, so a table shows where the lines went.
 
@@ -96,18 +99,20 @@ def print_src_lines(roots: dict[str, Path]) -> None:
 
 def count_lane_steps(mods: dict, name: str, results) -> list[int]:
     """Bind a counting wrapper of the engine function ``name`` in every module
-    of ``mods`` that binds it; returns the two-item list to which each call
+    of ``mods`` that binds it; returns the three-item list to which each call
     adds the steps taken by the lanes of the ``LaneResult``s that
-    ``results(returned value)`` lists, and their most lockstep iterations,
-    max(steps + hit) (engine B's count)."""
+    ``results(returned value)`` lists, their most lockstep iterations,
+    max(steps + hit), and the iterations in which one of them died, the
+    distinct values of steps + hit (engine B's counts)."""
     fn = getattr(mods[f"{PKG}.engine"], name)
-    total = [0, 0]
+    total = [0, 0, 0]
 
     @functools.wraps(fn)
     def counted(*args, **kwargs):
         res = fn(*args, **kwargs)
         total[0] += sum(int(r.steps.sum()) for r in results(res))
         total[1] += max(int((r.steps + r.hit).max()) for r in results(res))
+        total[2] += len(set().union(*((r.steps + r.hit).tolist() for r in results(res))))
         return res
 
     for mod in mods.values():
@@ -162,6 +167,8 @@ def main(argv=None) -> int:
     ap.add_argument("--stream-change", action="store_true",
                     help="count differing artifacts per op instead of stopping at one; "
                          "also print CPU ns per engine-A and per engine-B lane-step")
+    ap.add_argument("--op", action="append", metavar="NAME",
+                    help="time only the workload's ops whose subcommand is NAME (repeatable)")
     args = ap.parse_args(argv)
 
     roots = {"base": args.base.resolve(), "head": args.head.resolve()}
@@ -178,10 +185,16 @@ def main(argv=None) -> int:
     else:
         op_list, warm = ops.WORKLOADS[args.workload], ops.WARMUP[args.workload]
     names = [f"{i}-{a[0]}" for i, a in enumerate(op_list)]
+    if args.op:
+        unknown = set(args.op) - {a[0] for a in op_list}
+        if unknown:
+            raise SystemExit(f"no op {sorted(unknown)} in {args.workload}")
+        names, op_list = zip(*[(n, a) for n, a in zip(names, op_list) if a[0] in args.op])
 
     cpu = {side: {n: [] for n in names} for side in sides}
     lane_steps = {side: {(n, e): 0 for n in names for e in ENGINES} for side in sides}
     iterations = {side: {n: 0 for n in names} for side in sides}  # engine B's
+    deaths = {side: {n: 0 for n in names} for side in sides}  # engine B's
     differ = {n: [0, 0] for n in names}  # artifacts that differed, artifacts compared
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         work = Path(tmp)
@@ -200,6 +213,7 @@ def main(argv=None) -> int:
                     for e, c in counters[side].items():
                         lane_steps[side][name, e] += c[0] - before[e][0]
                     iterations[side][name] += counters[side]["B"][1] - before["B"][1]
+                    deaths[side][name] += counters[side]["B"][2] - before["B"][2]
                 keys = got["base"].keys() | got["head"].keys()
                 diff = sorted(k for k in keys if got["base"].get(k) != got["head"].get(k))
                 if diff and not args.stream_change:
@@ -211,6 +225,7 @@ def main(argv=None) -> int:
 
     extra = "".join(f" {side + ' ' + e + ' lane-steps':>18}" for e in ENGINES for side in sides)
     extra += "".join(f" {side + ' B iterations':>17}" for side in sides)
+    extra += "".join(f" {side + ' B deaths':>13}" for side in sides)
     if args.stream_change:
         extra += "".join(f" {side + ' ' + e + ' ns/step':>15}" for e in ENGINES for side in sides)
         extra += f" {'differ':>9}"
@@ -223,6 +238,7 @@ def main(argv=None) -> int:
         wins = sum(y < x for x, y in zip(b, h))
         extra = "".join(f" {lane_steps[side][name, e]:>18,}" for e in ENGINES for side in sides)
         extra += "".join(f" {iterations[side][name]:>17,}" for side in sides)
+        extra += "".join(f" {deaths[side][name]:>13,}" for side in sides)
         if args.stream_change:
             for e in ENGINES:
                 steps = {side: lane_steps[side][name, e] for side in sides}
