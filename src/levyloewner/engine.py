@@ -44,11 +44,12 @@ them on the grid, and engine B ends a lane's step at its next jump.  A cell
 blocks of :data:`BLOCK` lanes with one RNG stream per (cell tag, block), and
 one loop advances every block of every cell of an experiment in lockstep;
 cells whose drivers differ only in Brownian kappa and stable theta share it,
-holding those coefficients, z0 and the tolerance per lane.  Each block keeps
-a pool of finished variates per draw kind (normals, exponential waits, jump
-sizes, and stable variates from ``standard_stable_sample``), which takes
-POOL fresh variates of each kind from one call each on the block's own
-stream when it holds fewer than the block has live lanes.  In each
+holding per lane each such coefficient, and the hit tolerance, where its
+cells differ.  Each block keeps a pool of finished variates per draw kind
+(normals, exponential waits, jump sizes, and stable variates from
+``standard_stable_sample``), which takes POOL fresh variates of each kind
+from one call each on the block's own stream when it holds fewer than the
+block has live lanes.  In each
 iteration every block that has a live lane takes its live lanes' next
 variates, in lane order, and each increment scales them over all live lanes
 at once; a truncated stable part, whose draw count depends on the data and
@@ -93,8 +94,12 @@ every lane there until it dies (the drift keeps c = 0, and each
 sub-increment moves x only), so it runs the real-axis kernels
 :func:`_axis_drift` and :func:`_axis_increment` with the same bits; engine B
 rebuilds its block bookkeeping only after a lane died.  Both engines hold
-the live state in one array, one row per quantity, so that dropping the
-lanes that died is one call.
+the live state in one array, one row per quantity that differs between
+lanes, so that dropping the lanes that died is one call, and write their
+outcome from one gather of their columns.  Engine B holds a per-cell input
+that every cell of the loop shares (the hit tolerance, the step floor, the
+timescale divisor, an increment coefficient) as a scalar, and a real-axis
+loop keeps no y, which stays +0.0 there.
 
 Engine A holds the whole path in advance, so it also retires the zeta-only
 lanes that the rest of the path can no longer hit.  For x > 0 every drift
@@ -312,7 +317,7 @@ def _complex_root(u, c, x, y):
 
 def _at(a, idx):
     """``a[idx]`` for a per-lane array, ``a`` itself for a scalar."""
-    return a[idx] if np.ndim(a) else a
+    return a[idx] if isinstance(a, np.ndarray) else a
 
 
 def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
@@ -524,7 +529,8 @@ def _land_step(x, y, subs, t1, delta, zeta, min_abs, alive):
     order, each a pair (d, continuous).  d None checks |h| where it is;
     otherwise d, a numpy scalar or one value per lane, is a sub-increment that
     moves x by -d before its check, with the flip rule when ``continuous``.
-    t1 is a scalar or one value per lane.  Mutates x, zeta, min_abs, alive.
+    t1 and delta are scalars or one value per lane.  Mutates x, zeta,
+    min_abs, alive.
 
     One box test finds the candidates, the lanes that a check of the step can
     touch (see the module docstring), and every other lane takes the
@@ -544,7 +550,7 @@ def _land_step(x, y, subs, t1, delta, zeta, min_abs, alive):
     cand = (box <= wide).nonzero()[0]
     del box, wide, reach  # freed before the gathers
     if cand.size:
-        cx, cy, cm, ct, was = x[cand], y[cand], min_abs[cand], delta[cand], alive[cand]
+        cx, cy, cm, ct, was = x[cand], y[cand], min_abs[cand], _at(delta, cand), alive[cand]
     # lanes swallowed in the drift keep their place
     where = True if alive.all() else alive
     for d, _ in subs:
@@ -586,15 +592,14 @@ def _retire(state, alive, out):
 
     ``state`` holds the live lanes, one row per quantity and one column per
     lane: first the rows of ``out``, then the lane index (exact as a float).
-    Copies the outcome rows of the columns where ``alive`` is False into
-    ``out`` at their lane index; returns the state of the live lanes and the
-    lane indices of the dead ones."""
+    One gather takes the dead lanes' columns of those rows, whose outcome
+    rows go into ``out`` at their lane index; returns the state of the live
+    lanes, the lane indices of the dead ones and their outcome columns."""
     k = len(out)
-    dead = (~alive).nonzero()[0]
-    done = state[k].take(dead).astype(np.intp)
-    for row, outcome in zip(out, state[:k].take(dead, axis=1)):
-        row[done] = outcome
-    return state.take(alive.nonzero()[0], axis=1), done
+    dead = state[:k + 1].take((~alive).nonzero()[0], axis=1)
+    done = dead[k].astype(np.intp)
+    out[:, done] = dead[:k]
+    return state.compress(alive, axis=1), done, dead[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -724,12 +729,12 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
                     keep |= reach[0] == np.inf
                 alive &= keep
         if not alive.all():
-            state, done = _retire(state, alive, out)
+            state, done, dead = _retire(state, alive, out)
             steps[done] = it
             if retiring:  # the retired lanes are the censored ones that died
-                out[1:3, done[np.isnan(out[0, done])]] = np.nan
+                out[1:3, done[np.isnan(dead[0])]] = np.nan
             zeta, x, y, min_abs, lane, tol, *reach = state
-    _, done = _retire(state, np.zeros(lane.size, dtype=bool), out)
+    _, done, _ = _retire(state, np.zeros(lane.size, dtype=bool), out)
     steps[done] = it
     res = LaneResult(z0, *out, steps, delta)
 
@@ -942,11 +947,17 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     ``run_adaptive_cells([cell], ...)[0]``.
 
     The cells' drivers may differ in Brownian kappa and stable theta only
-    (:func:`_loop_key`); the loop holds those coefficients, z0 and the hit
-    tolerance per lane.  Each block keeps its (cell tag, block) stream, so
-    every cell's result is the one it gets alone.  When every z0 is real the
-    lanes never leave the real axis, and the loop runs real-axis kernels to
-    the same bits; the live blocks and mask are rebuilt only after a death.
+    (:func:`_loop_key`).  Each block keeps its (cell tag, block) stream, so
+    every cell's result is the one it gets alone.  The loop's state holds one
+    row per lane quantity: zeta, x, y, exit_time when it is tracked, the lane
+    index and t, and each per-cell input that differs between the cells (the
+    hit tolerance, the step floor hit_tol^beta/16, the divisor of
+    :func:`_adaptive_tau` and each increment coefficient); an input that every
+    cell shares is a scalar.  When every z0 is real the lanes never leave the
+    real axis: the loop runs real-axis kernels to the same bits and keeps no
+    y row (y is +0.0, and |h| = hypot(x, 0) = |x|); the live blocks and mask
+    are rebuilt only after a death, whose lanes' outcome is written from one
+    gather (:func:`_retire`).
     Every lane is zeta-only: it keeps no running minimum of |h|, and min_abs
     is None.
     """
@@ -999,33 +1010,43 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     # floor delta^beta / 16.
     near = axis and bool(incs or clocks) and bool((np.abs(z0) > tol).all())
 
-    # state of the live lanes, in lane order (see _retire): the rows of out,
-    # exit_time among them only when it is tracked, then the lane and its inputs
+    # the per-cell inputs delta, dt_floor, tau_div and the coefficients, each
+    # a scalar when every cell holds the same value and a state row otherwise;
+    # min(h / a, h / b) = h / max(a, b): rounded division is monotone in b
+    coefs = [[inc.coef for inc in ci] for ci, _ in compiled]
+    divs = [max([2.0 * beta] + [c for inc, c in zip(incs, cc) if inc.tau_pow == beta]) for cc in coefs]
+    inputs = [tol.tolist(), floor, divs, *zip(*coefs)]
+    varied = [j for j, v in enumerate(inputs) if len(set(v)) > 1]
+
+    # state of the live lanes, in lane order (see _retire): the rows of out
+    # but y on the real axis, where it stays +0.0, then the lane, t and the
+    # inputs that vary
     track = exit_radius is not None
-    out = np.empty((3 + track, k * stride))  # zeta, x, y[, exit_time]
-    state = np.empty((len(out) + 6 + len(incs), k * n))
+    out = np.empty((3 + track, k * stride))  # zeta, x[, exit_time], y
+    kept = out[:len(out) - axis]  # the rows of out that the state holds
+    m = len(kept)
+    state = np.empty((m + 2 + len(varied), k * n))
 
     def rows(state):
-        return (*state[:3], state[3] if track else None, *state[len(out):])
+        ins = [v[0] for v in inputs]
+        for j, row in zip(varied, state[m + 2:]):
+            ins[j] = row
+        return (*state[:2], state[2] if track else None, None if axis else state[m - 1], *state[m:m + 2], *ins)
 
-    zeta, x, y, exit_time, lane, t, delta, dt_floor, tau_div, *coef = rows(state)
+    for j, row in zip(varied, state[m + 2:]):
+        row[:] = np.repeat(inputs[j], n)
+    zeta, x, exit_time, y, lane, t, delta, dt_floor, tau_div, *coef = rows(state)
     zeta[:] = np.nan
     if track:
         exit_time[:] = np.nan
     x[:] = np.repeat(z0.real, n)
-    y[:] = 0.0 if axis else np.repeat(z0.imag, n)  # a first drift turns -0.0 into +0.0
+    if axis:
+        out[-1] = 0.0
+    else:
+        y[:] = np.repeat(z0.imag, n)  # a first drift turns -0.0 into +0.0
     zero = None if axis else np.zeros(k * n)  # the shared kernels' min_abs: zeros they keep
     t[:] = 0.0
-    delta[:] = np.repeat(tol, n)
-    dt_floor[:] = np.repeat(floor, n)
     lane[:] = (stride * np.arange(k)[:, None] + np.arange(n)).ravel()
-    for row, c in zip(coef, zip(*([inc.coef for inc in ci] for ci, _ in compiled))):
-        row[:] = np.repeat(c, n)
-    # min(h / a, h / b) = h / max(a, b): rounded division is monotone in b
-    tau_div[:] = 2.0 * beta
-    for inc, row in zip(incs, coef):
-        if inc.tau_pow == beta:
-            np.maximum(tau_div, row, out=tau_div)
     steps = np.empty(k * stride, dtype=np.int64)
     t_end = horizon * (1.0 - 1e-12)
 
@@ -1071,18 +1092,19 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         else:
             _land_step(x, y, subs, t, delta, zeta, zero[:lane.size], alive)
         if track:
-            fresh = (alive & np.isnan(exit_time) & (np.hypot(x, y) >= exit_radius)).nonzero()[0]
+            h_end = np.abs(x) if axis else np.hypot(x, y)  # hypot(x, 0) = |x|, as above
+            fresh = (alive & np.isnan(exit_time) & (h_end >= exit_radius)).nonzero()[0]
             exit_time[fresh] = t[fresh]
         alive &= t < t_end
 
         died = np.count_nonzero(alive) < lane.size
         if died:
-            state, done = _retire(state, alive, out)
+            state, done, dead = _retire(state, alive, kept)
             # a hit lane stopped inside this iteration, a censored one after it
-            steps[done] = it - 1 + np.isnan(out[0, done])
-            zeta, x, y, exit_time, lane, t, delta, dt_floor, tau_div, *coef = rows(state)
+            steps[done] = it - 1 + np.isnan(dead[0])
+            zeta, x, exit_time, y, lane, t, delta, dt_floor, tau_div, *coef = rows(state)
 
     z0s, tols = np.repeat(z0, stride), np.repeat(tol, stride)
-    return [LaneResult(z0s[sl], *out[:3, sl], None, steps[sl], tols[sl],
-                       out[3, sl] if track else None)
+    return [LaneResult(z0s[sl], out[0, sl], out[1, sl], out[-1, sl], None, steps[sl], tols[sl],
+                       out[2, sl] if track else None)
             for sl in (slice(c * stride, c * stride + n) for c in range(k))]
