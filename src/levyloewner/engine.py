@@ -1027,8 +1027,10 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     m = len(kept)
     state = np.empty((m + 2 + len(varied), k * n))
 
+    shared = [v[0] for v in inputs]
+
     def rows(state):
-        ins = [v[0] for v in inputs]
+        ins = shared.copy()
         for j, row in zip(varied, state[m + 2:]):
             ins[j] = row
         return (*state[:2], state[2] if track else None, None if axis else state[m - 1], *state[m:m + 2], *ins)
