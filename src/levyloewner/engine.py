@@ -598,7 +598,8 @@ def _retire(state, alive, out):
     k = len(out)
     dead = state[:k + 1].take((~alive).nonzero()[0], axis=1)
     done = dead[k].astype(np.intp)
-    out[:, done] = dead[:k]
+    for row, outcome in zip(out, dead):
+        row[done] = outcome
     return state.compress(alive, axis=1), done, dead[:k]
 
 
