@@ -94,12 +94,12 @@ every lane there until it dies (the drift keeps c = 0, and each
 sub-increment moves x only), so it runs the real-axis kernels
 :func:`_axis_drift` and :func:`_axis_increment` with the same bits; engine B
 rebuilds its block bookkeeping only after a lane died.  Both engines hold
-the live state in one array, one row per quantity that differs between
-lanes, so that dropping the lanes that died is one call, and write their
-outcome from one gather of their columns.  Engine B holds a per-cell input
-that every cell of the loop shares (the hit tolerance, the step floor, the
-timescale divisor, an increment coefficient) as a scalar, and a real-axis
-loop keeps no y, which stays +0.0 there.
+the live state in one array, one row per lane quantity, so that dropping
+the lanes that died is one call, and write their outcome from one gather
+of their columns.  Engine B holds a per-cell input that every cell of the
+loop shares (the hit tolerance, the step floor, the timescale divisor, an
+increment coefficient) as a scalar, and a real-axis loop keeps no y, which
+stays +0.0 there.
 
 Engine A holds the whole path in advance, so it also retires the zeta-only
 lanes that the rest of the path can no longer hit.  For x > 0 every drift
@@ -902,8 +902,9 @@ def _loop_key(spec: DriverSpec) -> str:
 def _adaptive_tau(habs, hb, beta, incs, coef, div):
     """Local timescale min(|h|^beta / (2 beta), tau_1(|h|), ...), where tau_j
     is the time over which component j's increment grows to the order of |h|
-    (``hb`` is |h|^beta; ``coef[j]`` holds component j's coefficient per lane;
-    ``div`` folds the terms in |h|^beta, see run_adaptive_cells).  The
+    (``hb`` is |h|^beta; ``coef[j]`` is component j's coefficient and ``div``
+    folds the terms in |h|^beta, see run_adaptive_cells, each a scalar or one
+    value per lane).  The
     adaptive step is dt_safety times this, which keeps every per-step
     displacement a fixed fraction of |h| at all scales.  A compound Poisson
     part has no timescale: its jump clock ends a step at the exact time of
