@@ -22,8 +22,7 @@ iterations: the sum over those calls of the number of iterations in which a
 lane of the call died, the distinct values of steps + hit.  These are
 deterministic counts that a byte-neutral change leaves equal; under a stream
 change they show whether time per iteration or the number of iterations
-moved.  ``--op NAME`` (repeatable) times only the ops of the workload whose
-subcommand is NAME.  It first prints each side's ``src/`` line count, as ``wc -l``
+moved.  It first prints each side's ``src/`` line count, as ``wc -l``
 counts it, the size that ROADMAP.md tracks, per module and in total, with
 the change per module, so a table shows where the lines went.
 
@@ -167,8 +166,6 @@ def main(argv=None) -> int:
     ap.add_argument("--stream-change", action="store_true",
                     help="count differing artifacts per op instead of stopping at one; "
                          "also print CPU ns per engine-A and per engine-B lane-step")
-    ap.add_argument("--op", action="append", metavar="NAME",
-                    help="time only the workload's ops whose subcommand is NAME (repeatable)")
     args = ap.parse_args(argv)
 
     roots = {"base": args.base.resolve(), "head": args.head.resolve()}
@@ -185,11 +182,6 @@ def main(argv=None) -> int:
     else:
         op_list, warm = ops.WORKLOADS[args.workload], ops.WARMUP[args.workload]
     names = [f"{i}-{a[0]}" for i, a in enumerate(op_list)]
-    if args.op:
-        unknown = set(args.op) - {a[0] for a in op_list}
-        if unknown:
-            raise SystemExit(f"no op {sorted(unknown)} in {args.workload}")
-        names, op_list = zip(*[(n, a) for n, a in zip(names, op_list) if a[0] in args.op])
 
     cpu = {side: {n: [] for n in names} for side in sides}
     lane_steps = {side: {(n, e): 0 for n in names for e in ENGINES} for side in sides}
