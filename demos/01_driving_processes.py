@@ -32,7 +32,7 @@ families = {
     "mixed (Cor. composite)": DriverSpec((
         Brownian(8.0),
         TruncatedStable(1.5, 1.0, 1.0),
-        CompoundPoisson(1.0, JumpLaw("two_point", {"size": 1.0}), "recurrent"),
+        CompoundPoisson(1.0, JumpLaw("two_point", {"size": 1.0})),
     )),
 }
 

@@ -11,8 +11,6 @@ this module holds the null-driver oracle and the rescaled driver path.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .drivers import DriverPath
 from .errors import ConfigError
 
@@ -35,7 +33,7 @@ def closed_form_null_driver(x: float, beta: float, t: float) -> float:
     return (x ** beta + 2.0 * beta * t) ** (1.0 / beta)
 
 
-def scaled_path(path: DriverPath, a: float, alpha: float, new_horizon: float | None = None) -> DriverPath:
+def scaled_path(path: DriverPath, a: float, alpha: float) -> DriverPath:
     """The rescaled driver t -> a^(-1/alpha) U(a t) on the shrunk grid.
 
     For an alpha-stable driver this has the same law as U itself, which is
@@ -46,21 +44,6 @@ def scaled_path(path: DriverPath, a: float, alpha: float, new_horizon: float | N
         raise ConfigError("a must be positive")
     if not 0 < alpha <= 2:
         raise ConfigError(f"alpha must lie in (0,2], got {alpha}")
-    if new_horizon is None:
-        new_horizon = path.horizon / a
-    if path.horizon < a * new_horizon - 1e-12:
-        raise ConfigError(
-            f"path horizon {path.horizon} too short for a={a} and new horizon {new_horizon}"
-        )
-    keep = path.grid <= a * new_horizon * (1.0 + 1e-15)
-    grid = path.grid[keep] / a
-    values = path.values[keep] * a ** (-1.0 / alpha)
-    cont = path.continuous[keep] * a ** (-1.0 / alpha)
-    if grid[-1] < new_horizon:
-        grid = np.append(grid, new_horizon)
-        values = np.append(values, values[-1])
-        cont = np.append(cont, cont[-1])
-    return DriverPath(
-        grid, values, f"{path.seed_tag}|scaled(a={a},alpha={alpha})", cont,
-        is_piecewise_constant=path.is_piecewise_constant,
-    )
+    scale = a ** (-1.0 / alpha)
+    return DriverPath(path.grid / a, path.values * scale, path.continuous * scale,
+                      is_piecewise_constant=path.is_piecewise_constant)

@@ -47,11 +47,6 @@ from .output import (
 )
 from .stable_calculus import classify_power, frac_constant, gamma_coeff, theta0 as theta0_value
 
-SUBCOMMANDS = (
-    "gamma", "theta0", "trace", "phase", "hitprob", "slopes", "overshoot",
-    "area", "scalecheck", "disconnect", "theta0-bracket",
-)
-
 
 # ---------------------------------------------------------------------------
 # parameter schemas
@@ -176,7 +171,6 @@ _DRIVER_KEYS = {
     "trunc_cutoff": ("float", 0.0, _nonneg("trunc_cutoff")),
     "cpp_rate": ("float", 0.0, _nonneg("cpp_rate")),
     "cpp_size": ("float", 1.0, _positive("cpp_size")),
-    "cpp_class": ("str", "unspecified", _choice("cpp_class", ("recurrent", "transient", "unspecified"))),
 }
 
 SCHEMAS: dict[str, dict] = {
@@ -275,6 +269,8 @@ SCHEMAS: dict[str, dict] = {
         "hit_tolerance": ("float", 1e-5, _positive("hit_tolerance")),
     },
 }
+
+SUBCOMMANDS = tuple(SCHEMAS)
 
 _GLOBAL_DEFAULTS = {"seed": 20260809, "workers": None, "out": None}
 

@@ -2,9 +2,8 @@
 compound Poisson, and sums of these.
 
 A :class:`DriverSpec` describes the process; sampling it on a time grid
-yields an immutable :class:`DriverPath` carrying the grid values, the values
-of its continuous (Brownian) part, and the identifier of the RNG stream that
-produced it.
+yields an immutable :class:`DriverPath` carrying the grid values and the
+values of its continuous (Brownian) part.
 
 Conventions
 -----------
@@ -16,8 +15,8 @@ Conventions
   truncation error.
 * The truncated stable process keeps jumps of the standard stable process
   with magnitude in (eps, cutoff] as a compound Poisson cloud and replaces
-  the sub-eps dust by its Gaussian second-moment approximation
-  (eps = cutoff/100 by default).
+  the sub-eps dust by its Gaussian second-moment approximation, with
+  eps = cutoff/100.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .rng import seed_tag, stream
+from .rng import stream
 from .stable_calculus import frac_constant
 
 __all__ = [
@@ -127,7 +126,6 @@ class TruncatedStable:
     alpha: float
     theta: float
     cutoff: float
-    small_jump_eps: float | None = None  # default cutoff/100
 
     def __post_init__(self):
         if not 0 < self.alpha < 2:
@@ -136,27 +134,16 @@ class TruncatedStable:
             raise ConfigError(f"theta must be positive and finite, got {self.theta}")
         if not 0 < self.cutoff < np.inf:
             raise ConfigError(f"jump cutoff must be positive and finite, got {self.cutoff}")
-        if self.small_jump_eps is not None and not 0 < self.small_jump_eps < self.cutoff:
-            raise ConfigError("small_jump_eps must lie in (0, cutoff)")
-
-    @property
-    def eps(self) -> float:
-        return self.small_jump_eps if self.small_jump_eps is not None else self.cutoff / 100.0
 
 
 @dataclass(frozen=True)
 class CompoundPoisson:
     rate: float
     jump_law: JumpLaw
-    declared_class: str = "unspecified"  # user metadata, never inferred
 
     def __post_init__(self):
         if not 0 < self.rate < np.inf:
             raise ConfigError(f"rate must be positive and finite, got {self.rate}")
-        if self.declared_class not in ("recurrent", "transient", "unspecified"):
-            raise ConfigError(
-                f"declared_class must be recurrent/transient/unspecified, got {self.declared_class!r}"
-            )
 
 
 Component = Brownian | Stable | TruncatedStable | CompoundPoisson
@@ -172,8 +159,8 @@ class DriverSpec:
 
     @classmethod
     def from_params(cls, kappa: float = 0.0, alpha: float = 1.5, theta: float = 0.0,
-                    trunc_cutoff: float = 0.0, cpp_rate: float = 0.0, cpp_size: float = 1.0,
-                    cpp_class: str = "unspecified") -> DriverSpec:
+                    trunc_cutoff: float = 0.0, cpp_rate: float = 0.0,
+                    cpp_size: float = 1.0) -> DriverSpec:
         """sqrt(kappa) B + theta^(1/alpha) S (truncated at trunc_cutoff when
         positive) + a two-point CPP(cpp_rate, +-cpp_size), keeping the parts
         with positive strength; U == 0 (Brownian(0)) when none is.  A
@@ -190,8 +177,7 @@ class DriverSpec:
             comps.append(TruncatedStable(alpha, theta, trunc_cutoff) if trunc_cutoff > 0
                          else Stable(alpha, theta))
         if cpp_rate > 0:
-            comps.append(CompoundPoisson(cpp_rate, JumpLaw("two_point", {"size": cpp_size}),
-                                         cpp_class))
+            comps.append(CompoundPoisson(cpp_rate, JumpLaw("two_point", {"size": cpp_size})))
         return cls(tuple(comps) or (Brownian(0.0),))
 
     @property
@@ -226,7 +212,6 @@ class DriverPath:
 
     grid: np.ndarray
     values: np.ndarray
-    seed_tag: str
     continuous: np.ndarray | None = None
     is_piecewise_constant: bool = False
 
@@ -295,13 +280,10 @@ def standard_stable_sample(alpha: float, rng: np.random.Generator, size) -> np.n
     Every other alpha draws a uniform and then an exponential, in that
     stream order, and maps them by :func:`_stable_map`, with no sine or
     cosine: at 8,192 variates a sample takes about 30 ns per element, draws
-    included, and the map 16 (2-core Xeon, numpy 2.4).  ``size=None`` draws
-    one variate.
+    included, and the map 16 (2-core Xeon, numpy 2.4).
     """
     if not 0 < alpha <= 2:
         raise ConfigError(f"alpha must lie in (0,2], got {alpha}")
-    if size is None:  # one variate, from the draws of size 1
-        return standard_stable_sample(alpha, rng, 1)[0]
     if alpha == 2.0:
         return np.sqrt(2.0) * rng.standard_normal(size)
     if alpha == 1.0:
@@ -355,8 +337,7 @@ def _stable_map(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return sin_av
 
 
-def sample_brownian(kappa: float, grid: np.ndarray, rng: np.random.Generator,
-                    tag: str = "brownian") -> DriverPath:
+def sample_brownian(kappa: float, grid: np.ndarray, rng: np.random.Generator) -> DriverPath:
     """Brownian driver sqrt(kappa) B on the given grid (exact increments)."""
     if kappa < 0:
         raise ConfigError(f"kappa must be nonnegative, got {kappa}")
@@ -364,11 +345,11 @@ def sample_brownian(kappa: float, grid: np.ndarray, rng: np.random.Generator,
     dt = np.diff(grid)
     inc = np.sqrt(kappa * dt) * rng.standard_normal(dt.size) if kappa > 0 else np.zeros(dt.size)
     values = np.concatenate(([0.0], np.cumsum(inc)))
-    return DriverPath(grid, values, tag, continuous=values, is_piecewise_constant=kappa == 0)
+    return DriverPath(grid, values, continuous=values, is_piecewise_constant=kappa == 0)
 
 
-def sample_stable(alpha: float, theta: float, grid: np.ndarray, rng: np.random.Generator,
-                  tag: str = "stable") -> DriverPath:
+def sample_stable(alpha: float, theta: float, grid: np.ndarray,
+                  rng: np.random.Generator) -> DriverPath:
     """theta^(1/alpha) S on the grid; increments exact from the marginal law."""
     if not 0 < alpha <= 2:
         raise ConfigError(f"alpha must lie in (0,2], got {alpha}")
@@ -377,29 +358,29 @@ def sample_stable(alpha: float, theta: float, grid: np.ndarray, rng: np.random.G
     grid = _check_grid(grid)
     dt = np.diff(grid)
     inc = (theta * dt) ** (1.0 / alpha) * standard_stable_sample(alpha, rng, dt.size)
-    return DriverPath(grid, np.concatenate(([0.0], np.cumsum(inc))), tag)
+    return DriverPath(grid, np.concatenate(([0.0], np.cumsum(inc))))
 
 
 def sample_truncated_stable(alpha: float, theta: float, cutoff: float, grid: np.ndarray,
-                            rng: np.random.Generator, small_jump_eps: float | None = None,
-                            tag: str = "truncated_stable") -> DriverPath:
+                            rng: np.random.Generator) -> DriverPath:
     """theta^(1/alpha) S^c: the stable process with jumps |x| > cutoff removed.
 
-    Jumps of the standard process with |x| in (eps, cutoff] are simulated as a
-    compound Poisson cloud with Levy density A(alpha)|x|^{-alpha-1}; the
-    sub-eps dust is replaced by a Gaussian with the matching second moment.
+    Jumps of the standard process with |x| in (eps, cutoff], eps = cutoff/100,
+    are simulated as a compound Poisson cloud with Levy density
+    A(alpha)|x|^{-alpha-1}; the sub-eps dust is replaced by a Gaussian with
+    the matching second moment.
     The whole process, dust included, is the path's jump part.
     """
-    comp = TruncatedStable(alpha, theta, cutoff, small_jump_eps)
+    comp = TruncatedStable(alpha, theta, cutoff)
     grid = _check_grid(grid)
     inc = _truncated_stable_steps(comp, rng, np.diff(grid))[0]
-    return DriverPath(grid, np.concatenate(([0.0], np.cumsum(inc))), tag)
+    return DriverPath(grid, np.concatenate(([0.0], np.cumsum(inc))))
 
 
 def _truncated_stable_steps(comp: TruncatedStable, rng: np.random.Generator, dt: np.ndarray):
     """Increments of ``comp`` over steps of length dt, with the step index and
     size of each simulated cloud jump: (inc, step_of_jump, jumps)."""
-    alpha, eps = comp.alpha, comp.eps
+    alpha, eps = comp.alpha, comp.cutoff / 100.0
     a_const = frac_constant(alpha)
     scale = comp.theta ** (1.0 / alpha)
 
@@ -423,7 +404,7 @@ def _truncated_stable_steps(comp: TruncatedStable, rng: np.random.Generator, dt:
 
 
 def sample_compound_poisson(rate: float, jump_law: JumpLaw, horizon: float,
-                            rng: np.random.Generator, tag: str = "cpp") -> DriverPath:
+                            rng: np.random.Generator) -> DriverPath:
     """Exact event-driven compound Poisson path: Poisson(rate*horizon) jumps at
     uniform times, each entered into the grid."""
     if not rate > 0:
@@ -446,7 +427,7 @@ def sample_compound_poisson(rate: float, jump_law: JumpLaw, horizon: float,
         sizes = agg[1:-1]
     values = np.concatenate(([0.0], np.cumsum(sizes)))
     values = np.concatenate((values, [values[-1]]))  # flat to the horizon
-    return DriverPath(grid, values, tag, is_piecewise_constant=True)
+    return DriverPath(grid, values, is_piecewise_constant=True)
 
 
 def compose_drivers(paths: list[DriverPath]) -> DriverPath:
@@ -470,10 +451,8 @@ def compose_drivers(paths: list[DriverPath]) -> DriverPath:
         idx = np.searchsorted(p.grid, grid, side="right") - 1
         values += p.values[idx]
         cont += p.continuous[idx]
-    return DriverPath(
-        grid, values, "+".join(p.seed_tag for p in paths), cont,
-        is_piecewise_constant=all(p.is_piecewise_constant for p in paths),
-    )
+    return DriverPath(grid, values, cont,
+                      is_piecewise_constant=all(p.is_piecewise_constant for p in paths))
 
 
 def sample_driver(spec: DriverSpec, horizon: float, master_seed: int, replica: int = 0,
@@ -489,16 +468,14 @@ def sample_driver(spec: DriverSpec, horizon: float, master_seed: int, replica: i
     parts = []
     for j, comp in enumerate(spec.components):
         rng = stream(master_seed, "driver", replica, j)
-        tag = seed_tag(master_seed, "driver", replica, j)
         if isinstance(comp, Brownian):
-            parts.append(sample_brownian(comp.kappa, grid, rng, tag))
+            parts.append(sample_brownian(comp.kappa, grid, rng))
         elif isinstance(comp, Stable):
-            parts.append(sample_stable(comp.alpha, comp.theta, grid, rng, tag))
+            parts.append(sample_stable(comp.alpha, comp.theta, grid, rng))
         elif isinstance(comp, TruncatedStable):
-            parts.append(sample_truncated_stable(comp.alpha, comp.theta, comp.cutoff, grid, rng,
-                                                 comp.small_jump_eps, tag))
+            parts.append(sample_truncated_stable(comp.alpha, comp.theta, comp.cutoff, grid, rng))
         elif isinstance(comp, CompoundPoisson):
-            parts.append(sample_compound_poisson(comp.rate, comp.jump_law, horizon, rng, tag))
+            parts.append(sample_compound_poisson(comp.rate, comp.jump_law, horizon, rng))
         else:  # pragma: no cover
             raise ConfigError(f"unknown component {comp!r}")
     return compose_drivers(parts)

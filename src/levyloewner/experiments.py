@@ -80,10 +80,13 @@ __all__ = [
 _Z95 = 1.959963984540054
 
 
-def wilson_ci(hits: int, n: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_ci(hits: int, n: int) -> tuple[float, float]:
+    """Wilson score interval, at 95%, for a binomial proportion."""
     if n < 1:
         raise ConfigError("n must be at least 1")
+    if not 0 <= hits <= n:
+        raise ConfigError(f"hits must lie in [0, n] = [0, {n}], got {hits}")
+    z = _Z95
     p = hits / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -144,7 +147,6 @@ class PhaseEstimate:
     wilson: tuple[float, float]
     hit_fraction_2t: float
     horizon_flag: str  # "stable" | "drifting"
-    declared_class: str = "n/a"
 
     def row(self) -> dict:
         p = self.params
@@ -175,8 +177,8 @@ def hitting_probability(params: PhaseParams, n: int, horizon: float, seed: int,
     return _estimates([(params.driver_spec(), params, tag)], n, horizon, seed, hit_tolerance)[0]
 
 
-def _estimates(cells, n: int, horizon: float, seed: int, hit_tolerance: float | None,
-               declared_class: str = "n/a") -> list[PhaseEstimate]:
+def _estimates(cells, n: int, horizon: float, seed: int,
+               hit_tolerance: float | None) -> list[PhaseEstimate]:
     """Run n replicas of each cell (spec, params, tag) to 2T and count hits by
     T and by 2T; one engine call per beta and loop key, estimates in input
     order."""
@@ -199,7 +201,6 @@ def _estimates(cells, n: int, horizon: float, seed: int, hit_tolerance: float | 
                 params=cells[i][1], n=n, horizon=horizon, seed=seed,
                 hit_fraction=frac_t, wilson=wilson_ci(hits_t, n),
                 hit_fraction_2t=frac_2t, horizon_flag=_flag(frac_t, frac_2t, n),
-                declared_class=declared_class,
             )
     return out
 
@@ -299,8 +300,8 @@ def slope_near_zero(kappa: float, alpha: float, theta: float, x_grid, n: int,
                     horizon: float, seed: int) -> ExponentFit:
     """log-log fit of the survival fraction P(zeta > T) on x in (0,1];
     expected slope 1 - 4/kappa."""
-    if max(x_grid) > 1.0:
-        raise ConfigError("near-zero grid must lie in (0, 1]")
+    if not all(0.0 < x <= 1.0 for x in x_grid):
+        raise ConfigError(f"near-zero grid must lie in (0, 1], got {list(x_grid)}")
     return _exponent_fit("near_zero", kappa, alpha, theta, x_grid, n, horizon,
                          seed, expected=1.0 - 4.0 / kappa, use_survival=True)
 
@@ -429,6 +430,8 @@ def overshoot_histogram(kappa: float, alpha: float, theta: float, a: float, b: f
         raise ConfigError("bins must be at least 1")
     if not theta > 0:
         raise ConfigError("the overshoot check needs a jump component (theta > 0)")
+    if not horizon > 0:
+        raise ConfigError(f"horizon must be positive, got {horizon}")
     sides, pos = _annulus_exit_positions(kappa, alpha, theta, float(z), a, b, n, horizon, seed)
     n_inner = int((sides == 1).sum())
     n_outer = int((sides == 2).sum())
@@ -510,8 +513,8 @@ def area_fraction(kappa: float, alpha: float, theta: float, r_list, resolution: 
     if n_replicas < 1:
         raise ConfigError("n_replicas must be at least 1")
     r_list = tuple(sorted(float(r) for r in r_list))
-    if not r_list or r_list[0] <= 0:
-        raise ConfigError("r_list must be positive ascending")
+    if not r_list or not all(0 < r < np.inf for r in r_list):
+        raise ConfigError(f"r_list must be nonempty, positive and finite, got {list(r_list)}")
     resolution = _integral_count(resolution, "resolution")
     if resolution < 32:
         raise ConfigError("resolution too coarse: need >= 32 cells across the smallest r")
@@ -617,14 +620,12 @@ class DisconnectionResult:
 
 
 def disconnection_frequency(spec: DriverSpec, t: float, n: int, seed: int,
-                            window=None, resolution=None, path_dt: float = 2e-3) -> DisconnectionResult:
+                            window, resolution, path_dt: float = 2e-3) -> DisconnectionResult:
     """Fraction of replicas whose cluster raster at time t has >= 2 connected
     components (8-neighbor, no merging through the real axis)."""
     n = _integral_count(n, "n")
     if n < 1:
         raise ConfigError("n must be at least 1")
-    if window is None or resolution is None:
-        raise ConfigError("disconnection_frequency needs an explicit window and resolution")
     cfg = EvolutionConfig(horizon=t)
 
     def job(rep):
@@ -695,20 +696,20 @@ def theta0_bracket(alpha: float, theta_grid, z: complex, n: int, horizon: float,
 # ---------------------------------------------------------------------------
 
 def composite_driver_phase(alpha: float, kappa: float, cutoff: float,
-                           cpp_rate: float, cpp_law: JumpLaw, declared_class: str,
+                           cpp_rate: float, cpp_law: JumpLaw,
                            z_list, n: int, horizon: float, seed: int,
                            theta: float = 1.0) -> list[PhaseEstimate]:
     """Phase estimates for U = sqrt(kappa) B + theta^(1/alpha) S^cutoff + CPP.
 
-    declared_class is user metadata echoed into the estimates (never
-    inferred); pass z_list as a geometric sequence toward 0 to expose the
+    The jump law cpp_law decides whether the driver is recurrent or
+    transient; pass z_list as a geometric sequence toward 0 to expose the
     transient driver's z -> 0 limit."""
     comps = []
     if kappa > 0:
         comps.append(Brownian(kappa))
     comps.append(TruncatedStable(alpha, theta, cutoff))
-    comps.append(CompoundPoisson(cpp_rate, cpp_law, declared_class))
+    comps.append(CompoundPoisson(cpp_rate, cpp_law))
     spec = DriverSpec(tuple(comps))
     cells = [(spec, PhaseParams(z=complex(z), kappa=kappa, alpha=alpha, theta=theta), ("cor", i))
              for i, z in enumerate(z_list)]
-    return _estimates(cells, n, horizon, seed, None, declared_class)
+    return _estimates(cells, n, horizon, seed, None)

@@ -172,11 +172,10 @@ def compose_piecewise_constant(z: complex, path: DriverPath, hit_tolerance: floa
     return w, None
 
 
-def estimate_hcap(path: DriverPath, t: float, probe_radius: float | None = None,
-                  n_probes: int = 8) -> float:
+def estimate_hcap(path: DriverPath, t: float, probe_radius: float | None = None) -> float:
     """Half-plane capacity estimate of K_t from the expansion of g_t at infinity.
 
-    Evaluates w = g_t(z) at probe points on the semicircle |z| = R and
+    Evaluates w = g_t(z) at eight probe points on the semicircle |z| = R and
     averages z*(w - z); with the hcap(K_t) = 2t normalization the result
     converges to 2t as R grows.
     """
@@ -187,7 +186,7 @@ def estimate_hcap(path: DriverPath, t: float, probe_radius: float | None = None,
     if probe_radius is None:
         umax = float(np.max(np.abs(path.values))) if path.values.size else 0.0
         probe_radius = 100.0 * (1.0 + np.sqrt(t) + umax)
-    angles = np.pi * (np.arange(n_probes) + 0.5) / n_probes
+    angles = np.pi * (np.arange(8) + 0.5) / 8
     probes = probe_radius * np.exp(1j * angles)
     res = evolve_lanes_on_path(probes, path, t, hit_tolerance=1e-12 * probe_radius)
     if res.hit.any() or res.min_abs.min() < 0.7 * probe_radius:
@@ -265,9 +264,14 @@ def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig,
     being evolved once the rest of the path can no longer hit them.  The
     tracked point keeps every output.
     """
-    x0, x1, y0, y1 = map(float, window)
-    nx, ny = (_integral_count(n, "resolution") for n in resolution)
-    if not (x1 > x0 and y1 >= y0 >= 0 and nx > 0 and ny > 0):
+    try:
+        x0, x1, y0, y1 = map(float, window)
+        nx, ny = (_integral_count(n, "resolution") for n in resolution)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"window must be four numbers and resolution two counts, got "
+                          f"{window!r} and {resolution!r}") from exc
+    if not (np.isfinite([x0, x1, y0, y1]).all() and x1 > x0 and y1 >= y0 >= 0
+            and nx > 0 and ny > 0):
         raise ConfigError("window must be a rectangle in the closed upper half-plane")
     if radius is not None and not 0 < radius < np.inf:
         raise ConfigError(f"radius must be positive and finite, got {radius}")

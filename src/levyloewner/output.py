@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .drivers import DriverPath
+from .errors import NumericalError
 from .loewner import ClusterRaster
 
 __all__ = [
@@ -40,10 +41,12 @@ def _json_default(o):
 
 
 def json_dump(obj, path) -> None:
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n",
-        encoding="ascii",
-    )
+    """Write obj as JSON; a NaN or infinite number is an error, not written."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{Path(path).name}: {exc}") from exc
+    Path(path).write_text(text + "\n", encoding="ascii")
 
 
 def fmt(v) -> str:
@@ -117,15 +120,13 @@ def _svg_document(x0, x1, y0, y1, body: list[str]) -> str:
     return head + axis + "".join(body) + "</svg>\n"
 
 
-def render_raster_svg(raster: ClusterRaster, t: float | None = None) -> str:
-    """Cells with zeta <= t filled, color-mapped by the percentile of zeta."""
-    if t is None:
-        t = raster.horizon
+def render_raster_svg(raster: ClusterRaster) -> str:
+    """Cells hit by the horizon filled, color-mapped by the percentile of zeta."""
     x0, x1, y0, y1 = raster.window
     nx, ny = raster.resolution
     cw = (x1 - x0) / nx
     ch = (y1 - y0) / ny
-    mask = raster.zeta <= t
+    mask = raster.cells_hit_by(raster.horizon)
     body = []
     if mask.any():
         vals = raster.zeta[mask]

@@ -40,8 +40,3 @@ def seed_sequence(master_seed: int, *path) -> np.random.SeedSequence:
 def stream(master_seed: int, *path) -> np.random.Generator:
     """Return the Generator for a labeled position in the run tree."""
     return np.random.Generator(np.random.Philox(seed_sequence(master_seed, *path)))
-
-
-def seed_tag(master_seed: int, *path) -> str:
-    """Human-readable identifier of a stream, stored on sampled paths."""
-    return f"{int(master_seed) & _MASK64}/" + "/".join(str(p) for p in path)

@@ -98,10 +98,10 @@ def frac_constant(alpha: float) -> float:
     )
 
 
-def _endpoint_quads(pieces, tol: float, what: str) -> float:
+def _endpoint_quads(pieces, what: str) -> float:
     """Sum adaptive quadratures of stretched endpoint pieces, each given as
     (fn, hi); raise with diagnostics when the estimated error exceeds the
-    budget tol * max(1, |value|)."""
+    budget DEFAULT_TOL * max(1, |value|)."""
     from scipy import integrate
 
     total = 0.0
@@ -109,11 +109,11 @@ def _endpoint_quads(pieces, tol: float, what: str) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         for fn, hi in pieces:
-            val, err = integrate.quad(fn, 0.0, hi, epsabs=tol / (2 * len(pieces)),
+            val, err = integrate.quad(fn, 0.0, hi, epsabs=DEFAULT_TOL / (2 * len(pieces)),
                                       epsrel=1e-13, limit=400)
             total += val
             err_total += err
-    budget = tol * max(1.0, abs(total))
+    budget = DEFAULT_TOL * max(1.0, abs(total))
     if not np.isfinite(total) or err_total > budget:
         raise NumericalError(
             f"quadrature for {what} did not converge: value={total}, abserr={err_total}, requested {budget}"
@@ -151,7 +151,7 @@ def gamma_coeff(alpha: float, p: float) -> float:
     return _a_gamma(alpha, p) / frac_constant(alpha)
 
 
-def gamma_coeff_alt(alpha: float, p: float, tol: float = DEFAULT_TOL) -> float:
+def gamma_coeff_alt(alpha: float, p: float) -> float:
     """Coefficient integral, alternative representation on (0,1).
 
     For p != 1:
@@ -162,13 +162,11 @@ def gamma_coeff_alt(alpha: float, p: float, tol: float = DEFAULT_TOL) -> float:
     Near u = 1 the doubly-vanishing product is evaluated through expm1
     against the (1-u)^(-1-alpha) blow-up; near u = 0 the product is expanded
     into explicit powers of u.  The estimated quadrature error must stay
-    within tol * max(1, |gamma|): relative to the value once |gamma| > 1,
-    since gamma grows like 1/(alpha+1-p) as p -> alpha+1.
+    within DEFAULT_TOL * max(1, |gamma|): relative to the value once
+    |gamma| > 1, since gamma grows like 1/(alpha+1-p) as p -> alpha+1.
     """
     _check_alpha(alpha)
     _check_p(alpha, p)
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
     r = min(2.0 - alpha, 1.0)
     hi_r = 0.5 ** r
 
@@ -189,8 +187,7 @@ def gamma_coeff_alt(alpha: float, p: float, tol: float = DEFAULT_TOL) -> float:
             return (p_over_s2 * w ** ((2.0 - alpha) / r - 1.0)
                     + (-np.expm1((alpha - 1.0) * lnu)) * lnu * tail * w ** (1.0 / r - 1.0)) / r
 
-        return _endpoint_quads([(left, 0.5 ** m), (right, hi_r)], tol,
-                               f"gamma_alt({alpha},1)")
+        return _endpoint_quads([(left, 0.5 ** m), (right, hi_r)], f"gamma_alt({alpha},1)")
 
     m = min(p, alpha, 1.0, 1.0 + alpha - p)
 
@@ -211,8 +208,7 @@ def gamma_coeff_alt(alpha: float, p: float, tol: float = DEFAULT_TOL) -> float:
         return ((f1 / s) * (f2 / s) * w ** ((2.0 - alpha) / r - 1.0)
                 + f1 * f2 * tail * w ** (1.0 / r - 1.0)) / r
 
-    return _endpoint_quads([(left, 0.5 ** m), (right, hi_r)], tol,
-                           f"gamma_alt({alpha},{p})")
+    return _endpoint_quads([(left, 0.5 ** m), (right, hi_r)], f"gamma_alt({alpha},{p})")
 
 
 def frac_laplacian_power(alpha: float, p: float, x: float) -> float:

@@ -94,11 +94,6 @@ class TestScaledPath:
         for got, want in zip(q.increments(), path.increments()):
             assert np.allclose(got, want * a ** (-1.0 / 0.8))
 
-    def test_horizon_shortfall(self):
-        path = sample_stable(1.5, 1.0, uniform_grid(1.0, 0.05), stream(7, "sph"))
-        with pytest.raises(ConfigError):
-            scaled_path(path, 2.0, 1.5, new_horizon=1.0)
-
     def test_zeta_self_similarity_ks(self):
         # alpha = beta: zeta(a^(1/alpha) z) =law= a * zeta(z), checked on
         # censoring-consistent samples at theta above the critical strength
@@ -138,7 +133,7 @@ class TestDriftInvariants:
             mids = 0.5 * (path.grid[:-1] + path.grid[1:])
             grid2 = np.sort(np.concatenate([path.grid, mids]))
             vals2 = path.values_at(grid2)
-            fine = DriverPath(grid2, vals2, "refined", is_piecewise_constant=True)
+            fine = DriverPath(grid2, vals2, is_piecewise_constant=True)
             cfg = EvolutionConfig(horizon=2.0, beta=1.6, hit_tolerance=tol)
             a = evolve_point(0.5 + 0.7j, path, cfg)
             b = evolve_point(0.5 + 0.7j, fine, cfg)

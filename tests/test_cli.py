@@ -17,9 +17,9 @@ import levyloewner
 from levyloewner import cli
 from levyloewner.cli import main, parse_config
 from levyloewner.drivers import JumpLaw, sample_brownian, sample_compound_poisson, uniform_grid
-from levyloewner.errors import ConfigError
+from levyloewner.errors import ConfigError, NumericalError
 from levyloewner.loewner import ClusterRaster
-from levyloewner.output import driver_path_rows, fmt, raster_rows, write_csv
+from levyloewner.output import driver_path_rows, fmt, json_dump, raster_rows, write_csv
 from levyloewner.rng import stream
 
 
@@ -216,10 +216,36 @@ class TestDispatch:
         # negative theta_tilde for -1 (derive it)
         assert run_cli(tmp_path, *argv, "--horizon", "1") == 2
 
+    @pytest.mark.parametrize("sub", ["trace", "disconnect"])
+    def test_cpp_class_gone_exit_2(self, tmp_path, sub, capsys):
+        # the compound Poisson class label was echoed and never read
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, sub, "--cpp-class", "recurrent")
+        assert exc.value.code == 2
+        cfg_file = tmp_path / "cls.json"
+        cfg_file.write_text(json.dumps({"cpp_class": "recurrent"}))
+        assert main([sub, "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+        assert "unknown config key 'cpp_class'" in capsys.readouterr().err
+
+    def test_near_zero_grid_below_zero_exit_2(self, tmp_path):
+        # exited 0 with "slope": NaN, "se": NaN in fit_summary.json
+        assert run_cli(tmp_path, "slopes", "--side", "near-zero",
+                       "--x-grid-zero=-0.3,0.05,0.1,0.2,0.4,0.8", "--n", "200",
+                       "--horizon", "20") == 2
+        assert not (tmp_path / "fit_summary.json").exists()
+
     def test_non_finite_config_value_exit_2(self, tmp_path):
         cfg_file = tmp_path / "c.json"
         cfg_file.write_text(json.dumps({"kappa": float("nan")}))
         assert main(["hitprob", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_json_dump_refuses_non_finite_numbers(tmp_path, value):
+    # json.dumps wrote NaN and Infinity, which are not JSON
+    with pytest.raises(NumericalError, match="out.json"):
+        json_dump({"slope": value}, tmp_path / "out.json")
+    assert not (tmp_path / "out.json").exists()
 
 
 class TestDeterminism:

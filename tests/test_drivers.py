@@ -400,7 +400,6 @@ class TestSpecInvariants:
         assert np.array_equal(p1.values, p2.values)
         assert np.array_equal(p1.grid, p2.grid)
         assert np.array_equal(p1.continuous, p2.continuous)
-        assert p1.seed_tag == p2.seed_tag
         p3 = sample_driver(spec, 3.0, 777, replica=6, dt=0.01)
         assert not np.array_equal(p1.values, p3.values)
 
@@ -417,13 +416,13 @@ class TestSpecInvariants:
 
         grid, values = np.array([0.0, 1.0]), np.array([0.0, 1.0])
         with pytest.raises(ConfigError):
-            DriverPath(grid, np.array([0.5, 1.0]), "t")
+            DriverPath(grid, np.array([0.5, 1.0]))
         with pytest.raises(ConfigError):
-            DriverPath(np.empty(0), np.empty(0), "t")  # empty grid
+            DriverPath(np.empty(0), np.empty(0))  # empty grid
         with pytest.raises(ConfigError):
-            DriverPath(grid, values, "t", continuous=np.zeros(3))  # wrong shape
+            DriverPath(grid, values, continuous=np.zeros(3))  # wrong shape
         with pytest.raises(ConfigError):
-            DriverPath(grid, values, "t", continuous=np.array([0.5, 1.0]))  # nonzero start
-        path = DriverPath(grid, values, "t")
+            DriverPath(grid, values, continuous=np.array([0.5, 1.0]))  # nonzero start
+        path = DriverPath(grid, values)
         assert np.array_equal(path.continuous, np.zeros(2))
         assert not path.continuous.flags.writeable

@@ -862,7 +862,7 @@ def test_path_output_bytes_pinned(case):
 @pytest.mark.parametrize("d_cont, d_jump, hit, x_end", [(1.0, -0.9, True, -0.5),
                                                         (0.05, 0.9, False, -0.45)])
 def test_only_the_continuous_part_crosses_zero(d_cont, d_jump, hit, x_end, beta):
-    path = DriverPath(np.array([0.0, 1e-6]), np.array([0.0, d_cont + d_jump]), "one-step",
+    path = DriverPath(np.array([0.0, 1e-6]), np.array([0.0, d_cont + d_jump]),
                       continuous=np.array([0.0, d_cont]))
     res = evolve_lanes_on_path([0.5 + 0.001j], path, path.horizon, hit_tolerance=0.01, beta=beta)
     assert res.hit[0] == hit
@@ -922,7 +922,7 @@ def test_retirement_sees_a_continuous_excursion_the_jump_undoes(beta):
     # back to 0: every grid value is 0, but x = 0.5 flips sign at y <= delta,
     # a hit; only the value after the continuous sub-increment keeps that lane
     # from retiring after the first step, while x = 1.5 stays right of 1 + delta
-    path = DriverPath(np.array([0.0, 1e-6, 2e-6]), np.zeros(3), "excursion",
+    path = DriverPath(np.array([0.0, 1e-6, 2e-6]), np.zeros(3),
                       continuous=np.array([0.0, 0.0, 1.0]))
     full, part = _zeta_only_run(path, [0.5 + 0.01j, 1.5 + 0.01j], 0.02, beta=beta)
     assert full.hit.tolist() == [True, False]
@@ -934,7 +934,7 @@ def _edge_path(sign):
     and the jump part to 1 (mirrored for sign -1), so a lane's x takes the
     ulp of 2^40 once; the range after the first step is [-2^40, 1] and the
     slack (1 step left + 1) 2^-44 (V + D) with V = 2^40 and D = 1/4."""
-    path = DriverPath(np.array([0.0, 1e-9, 2e-9]), np.array([0.0, 0.0, 1.0]), "edge",
+    path = DriverPath(np.array([0.0, 1e-9, 2e-9]), np.array([0.0, 0.0, 1.0]),
                       continuous=np.array([0.0, 0.0, -2.0 ** 40]))
     return (path if sign > 0 else path.negated()), 2.0 * 2.0 ** -44 * (2.0 ** 40 + 0.25)
 
@@ -962,7 +962,7 @@ def test_height_edge_on_the_imaginary_axis(beta):
     # 2 beta T)^(1/beta): the lane 1% below that height is hit, bit for bit
     # as in the full run, and the one 1% above it is censored and retired by
     # the height cap, which the driver's range (every value 0) never does
-    path = DriverPath(np.linspace(0.0, 1.0, 101), np.zeros(101), "null")
+    path = DriverPath(np.linspace(0.0, 1.0, 101), np.zeros(101))
     delta = 0.05
     edge = (delta ** beta + 2.0 * beta * path.horizon) ** (1.0 / beta)
     full, part = _zeta_only_run(path, [0.99j * edge, 1.01j * edge], delta, beta=beta)
@@ -995,7 +995,7 @@ def test_height_cap_covers_the_rk4_error():
     # u = 0 faster than the exact flow, so some lanes above the exact edge
     # height are hit in the full run; the cap's RK4 margin keeps every one of
     # them from retiring, while lanes further up still retire
-    path = DriverPath(np.linspace(0.0, 1.0, 201), np.zeros(201), "null")
+    path = DriverPath(np.linspace(0.0, 1.0, 201), np.zeros(201))
     beta, delta = 1.5, 1e-3
     edge = (delta ** beta + 2.0 * beta * path.horizon) ** (1.0 / beta)
     x, above = np.meshgrid(10.0 ** np.arange(-12.0, 0.0), 10.0 ** np.arange(-8.0, -1.0, 0.5))
@@ -1008,7 +1008,7 @@ def test_retirement_with_the_horizon_inside_the_last_grid_step():
     # 3 never lands: after the first step every later value is 0, and lanes
     # at x = 1 and x = 3 (beyond the unused value) retire there; the one on
     # the imaginary axis is swallowed at t = 0.0225, in the partial step
-    path = DriverPath(np.array([0.0, 0.01, 0.02, 0.03]), np.array([0.0, 0.0, 0.0, 3.0]), "partial")
+    path = DriverPath(np.array([0.0, 0.01, 0.02, 0.03]), np.array([0.0, 0.0, 0.0, 3.0]))
     full, part = _zeta_only_run(path, [1.0 + 0.1j, 3.0 + 0.01j, 1e-4 + 0.3j], 0.02, horizon=0.025)
     assert full.hit.tolist() == [False, False, True]
     assert full.zeta[2] == pytest.approx(0.0225)
@@ -1019,7 +1019,7 @@ def test_retirement_with_the_horizon_inside_the_last_grid_step():
 def test_retiring_every_lane_ends_the_run():
     # a null driver on 100 steps leaves no lane within reach of the origin:
     # all retire after the first step, where the loop ends
-    path = DriverPath(np.linspace(0.0, 1.0, 101), np.zeros(101), "null")
+    path = DriverPath(np.linspace(0.0, 1.0, 101), np.zeros(101))
     z0 = [2.0 + 0.5j, -2.0 + 0.5j, 3.0, -0.5 + 0.1j]
     full, part = _zeta_only_run(path, z0, 0.01)
     assert not full.hit.any() and (full.steps == 100).all()
@@ -1096,7 +1096,7 @@ def _one_step(z0, dt, d_cont, d_jump, tol):
     """One grid step [0, dt] of one lane at beta = 2: the engine's outcome
     and, in the documented order, the drift's end state and the step's
     exact sub-increments."""
-    path = DriverPath(np.array([0.0, dt]), np.array([0.0, d_cont + d_jump]), "one-step",
+    path = DriverPath(np.array([0.0, dt]), np.array([0.0, d_cont + d_jump]),
                       continuous=np.array([0.0, d_cont]))
     dc, dj = (float(d[0]) for d in path.increments())
     res = evolve_lanes_on_path([z0], path, dt, hit_tolerance=tol)

@@ -20,6 +20,7 @@ from levyloewner.experiments import (
     ks_two_sample,
     overshoot_histogram,
     phase_scan,
+    slope_near_zero,
     theta0_bracket,
     wilson_ci,
 )
@@ -53,6 +54,12 @@ class TestWilson:
     def test_saturated_rows_lie_inside_their_interval(self, n):
         assert wilson_ci(0, n)[0] == 0.0
         assert wilson_ci(n, n)[1] == 1.0
+
+    @pytest.mark.parametrize("hits", [4, 5, -1, np.nan])
+    def test_hits_outside_zero_to_n_rejected(self, hits):
+        # wilson_ci(5, 3) returned (0.0, 1.0)
+        with pytest.raises(ConfigError, match=r"hits must lie in \[0, n\]"):
+            wilson_ci(hits, 3)
 
 
 class TestKS:
@@ -154,6 +161,12 @@ class TestOvershoot:
     def test_needs_enough_replicas(self):
         with pytest.raises(ConfigError):
             overshoot_histogram(1.0, 0.5, 1.0, 1.0, 2.0, 1.5, 100, 50.0, seed=13)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan])
+    def test_bad_horizon_rejected(self, horizon):
+        # each ran every replica to "no exits observed" (exit 4)
+        with pytest.raises(ConfigError, match="horizon must be positive"):
+            overshoot_histogram(1.0, 0.5, 1.0, 1.0, 2.0, 1.5, 10_000, horizon, seed=13)
 
     @pytest.mark.parametrize("bins", [0, -3])
     def test_bins_below_one_rejected(self, bins):
@@ -265,6 +278,22 @@ class TestAreaFraction:
         res = area_fraction(2.0, 1.5, 1.0, (0.5,), 32, 0.5, 2.0, seed=3)
         assert res.n_replicas == 2 and type(res.n_replicas) is int
 
+    @pytest.mark.parametrize("r_list", [(np.nan, 1.0), (0.5, np.inf), (), (-0.5, 1.0)])
+    def test_bad_radius_rejected(self, r_list):
+        # a NaN radius raised a bare ValueError and an infinite one OverflowError
+        with pytest.raises(ConfigError, match="r_list must be nonempty, positive and finite"):
+            area_fraction(2.0, 1.5, 1.0, r_list, 32, 1.0, 1, seed=3)
+
+
+class TestSlopeGrids:
+    @pytest.mark.parametrize("grid", [[-0.3, 0.05, 0.1, 0.2, 0.4, 0.8],
+                                      [0.0, 0.1, 0.2, 0.4, 0.8, 1.0],
+                                      [np.nan, 0.1, 0.2, 0.4, 0.8, 1.0]])
+    def test_near_zero_grid_outside_unit_interval_rejected(self, grid):
+        # a point <= 0 or NaN passed the max(x_grid) <= 1 check and gave a NaN slope
+        with pytest.raises(ConfigError, match=r"near-zero grid must lie in \(0, 1\]"):
+            slope_near_zero(8.0, 0.5, 1.0, grid, 200, 20.0, seed=5)
+
 
 class TestTheta0Bracket:
     def test_bracket_contains_analytic(self):
@@ -288,33 +317,30 @@ class TestTheta0Bracket:
 
 
 class TestCompositeDrivers:
-    """Composite drivers: truncated stable plus a declared recurrent or
-    transient compound Poisson part."""
+    """Composite drivers: truncated stable plus a recurrent or transient
+    compound Poisson part, the class set by its jump law."""
 
     def test_recurrent_supercritical_hits(self):
         rec = JumpLaw("two_point", {"size": 1.0})
-        ests = composite_driver_phase(1.5, 8.0, 1.0, 1.0, rec, "recurrent",
-                                      [1.0], 1000, 300.0, seed=61)
+        ests = composite_driver_phase(1.5, 8.0, 1.0, 1.0, rec, [1.0], 1000, 300.0, seed=61)
         assert ests[0].hit_fraction >= 0.9
-        assert ests[0].declared_class == "recurrent"
 
     def test_transient_far_bounded_near_full(self):
         trans = JumpLaw("pareto", {"tail_index": 0.5, "scale": 1.0})
-        far, near = composite_driver_phase(1.5, 8.0, 1.0, 1.0, trans, "transient",
-                                           [10.0, 0.01], 1000, 100.0, seed=62)
+        far, near = composite_driver_phase(1.5, 8.0, 1.0, 1.0, trans, [10.0, 0.01], 1000, 100.0,
+                                           seed=62)
         assert far.wilson[1] < 0.95 and far.wilson[0] > 0.0
         assert near.hit_fraction >= 0.9
 
     def test_subcritical_control(self):
         rec = JumpLaw("two_point", {"size": 1.0})
-        ests = composite_driver_phase(1.5, 2.0, 1.0, 1.0, rec, "recurrent",
-                                      [1.0], 1000, 100.0, seed=63)
+        ests = composite_driver_phase(1.5, 2.0, 1.0, 1.0, rec, [1.0], 1000, 100.0, seed=63)
         assert ests[0].hit_fraction <= 0.05
 
     def test_n_too_small_rejected(self):
         rec = JumpLaw("two_point", {"size": 1.0})
         with pytest.raises(ConfigError):
-            composite_driver_phase(1.5, 8.0, 1.0, 1.0, rec, "recurrent", [1.0], 10, 1.0, seed=64)
+            composite_driver_phase(1.5, 8.0, 1.0, 1.0, rec, [1.0], 10, 1.0, seed=64)
 
 
 class TestReproducibility:

@@ -115,8 +115,8 @@ class TestComposition:
         from levyloewner.drivers import DriverPath
 
         grid = np.array([0.0, 0.5, 1.0, 1.5])
-        two = DriverPath(grid, np.array([0.0, 1.0, 2.0, 2.0]), "two", is_piecewise_constant=True)
-        one = DriverPath(grid, np.array([0.0, 0.0, 2.0, 2.0]), "one", is_piecewise_constant=True)
+        two = DriverPath(grid, np.array([0.0, 1.0, 2.0, 2.0]), is_piecewise_constant=True)
+        one = DriverPath(grid, np.array([0.0, 0.0, 2.0, 2.0]), is_piecewise_constant=True)
         z = 0.8 + 0.9j
         g2, _ = compose_piecewise_constant(z, two)
         g1, _ = compose_piecewise_constant(z, one)
@@ -178,7 +178,7 @@ class TestRaster:
 
         # hold at 0 for t in [0,1), jump to 30, grow there until t=2
         grid = np.array([0.0, 1.0, 2.0])
-        path = DriverPath(grid, np.array([0.0, 30.0, 30.0]), "jump", is_piecewise_constant=True)
+        path = DriverPath(grid, np.array([0.0, 30.0, 30.0]), is_piecewise_constant=True)
         raster = raster_cluster((-3.0, 33.0, 0.0, 2.5), (144, 10), path,
                                 EvolutionConfig(horizon=2.0))
         assert connected_components(raster, 2.0) == 2
@@ -195,6 +195,25 @@ class TestRaster:
         # (8.9, 4.2) gave an 8x4 raster and (True, 4) a 1x4 one
         with pytest.raises(ConfigError, match="resolution must be an integer"):
             raster_cluster((30.0, 32.0, 0.0, 1.0), resolution, null_path(1.0), EvolutionConfig(horizon=1.0))
+
+    @pytest.mark.parametrize("window, resolution", [
+        ((30.0, 32.0, 0.0), (8, 4)),
+        ((30.0, 32.0, 0.0, 1.0, 2.0), (8, 4)),
+        (("a", 32.0, 0.0, 1.0), (8, 4)),
+        ((30.0, 32.0, 0.0, 1.0), (8, 4, 4)),
+        ((30.0, 32.0, 0.0, 1.0), (8,)),
+        ((30.0, 32.0, 0.0, 1.0), 8),
+    ])
+    def test_window_or_resolution_of_wrong_shape_rejected(self, window, resolution):
+        # each raised a bare ValueError or TypeError while unpacking
+        with pytest.raises(ConfigError, match="window must be four numbers and resolution two"):
+            raster_cluster(window, resolution, null_path(1.0), EvolutionConfig(horizon=1.0))
+
+    @pytest.mark.parametrize("window", [(30.0, np.inf, 0.0, 1.0), (30.0, 32.0, 0.0, np.inf)])
+    def test_non_finite_window_rejected(self, window):
+        # an infinite edge ran on infinite and NaN cell centers
+        with pytest.raises(ConfigError, match="window must be a rectangle"):
+            raster_cluster(window, (8, 4), null_path(1.0), EvolutionConfig(horizon=1.0))
 
     def test_integral_float_resolution_accepted(self):
         raster = raster_cluster((30.0, 32.0, 0.0, 1.0), (8.0, np.int64(4)), null_path(1.0),
