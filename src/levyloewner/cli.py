@@ -381,7 +381,6 @@ def _run_trace(cfg: RunConfig, out: Path) -> list[str]:
         "z0": [z0.real, z0.imag],
         "zeta": outcome.zeta,
         "censored_at": outcome.censored_at,
-        "min_abs_h": outcome.min_abs_h,
     }
     json_dump(summary, out / "outcome.json")
     return ["trajectory.csv", "trajectory.svg", "driver.csv", "cluster.csv", "cluster.svg", "outcome.json"]

@@ -80,26 +80,20 @@ no bookkeeping at all, and a step of real-axis lanes takes the closed form.
 Both engines end a step in one kernel, :func:`_land_step`, which runs one box
 test right after the drift.  The step's sub-increments move a lane's x by at
 most the sum of their |d| (a scalar in engine A, one per lane in engine B),
-so a lane outside max(|x|, y) <= (max(min_abs, delta) + sum |d|) * 1.000001
-can fail no hit check and no flip rule of the step, and takes the subtracts
-only.  A lane that reports zeta only (every engine-B lane, and engine A's
-``zeta_only`` lanes, as raster cells are) keeps no running minimum of |h|
-and holds min_abs = 0, so its box reaches only its tolerance plus the
-step's shifts.  The gathered candidates take the step's check points in one
-elementwise pass each, with no further box test or index set: a candidate
-outside a check's near box max(|x|, y) <= max(min_abs, delta) has
-hypot(x, y) >= that box, so folding its |h| into min_abs changes nothing and
-cannot hit.  An engine-B loop whose cells all start on the real axis keeps
-every lane there until it dies (the drift keeps c = 0, and each
-sub-increment moves x only), so it runs the real-axis kernels
-:func:`_axis_drift` and :func:`_axis_increment` with the same bits; engine B
-rebuilds its block bookkeeping only after a lane died.  Both engines hold
-the live state in one array, one row per lane quantity, so that dropping
-the lanes that died is one call, and write their outcome from one gather
-of their columns.  Engine B holds a per-cell input that every cell of the
-loop shares (the hit tolerance, the step floor, the timescale divisor, an
-increment coefficient) as a scalar, and a real-axis loop keeps no y, which
-stays +0.0 there.
+so outside max(|x|, y) <= delta + sum |d| no check can hit (the box is
+widened by 1.000001 for the rounding of the subtracts), and a lane there
+takes the subtracts only.  The gathered candidates take the step's check
+points in one elementwise pass each, with no further box test or index set.
+An engine-B loop whose cells all start on the real axis keeps every lane
+there until it dies (the drift keeps c = 0, and each sub-increment moves x
+only), so it runs the real-axis kernels :func:`_axis_drift` and
+:func:`_axis_increment` with the same bits; engine B rebuilds its block
+bookkeeping only after a lane died.  Both engines hold the live state in
+one array, one row per lane quantity, so that dropping the lanes that died
+is one call, and write their outcome from one gather of their columns.
+Engine B holds a per-cell input that every cell of the loop shares (the hit
+tolerance, the step floor, the timescale divisor, an increment coefficient)
+as a scalar, and a real-axis loop keeps no y, which stays +0.0 there.
 
 Engine A holds the whole path in advance, so it also retires the zeta-only
 lanes that the rest of the path can no longer hit.  For x > 0 every drift
@@ -204,8 +198,13 @@ def default_hit_tolerance(z0) -> np.ndarray:
 
 
 def _integral_count(v, name: str) -> int:
-    """``int(v)``; a bool or a non-integral value is an error, not truncated."""
-    if isinstance(v, (bool, np.bool_)) or not float(v).is_integer():
+    """``int(v)``; a bool, a string or a value that is not a whole number is
+    an error, not truncated or parsed."""
+    try:
+        whole = not isinstance(v, (bool, np.bool_, str, bytes)) and float(v).is_integer()
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
         raise ConfigError(f"{name} must be an integer, got {v!r}")
     return int(v)
 
@@ -228,7 +227,8 @@ def _check_start(z0, delta, beta):
 
 @dataclass
 class LaneResult:
-    """Per-lane outcome arrays of one evolution run.
+    """Per-lane outcome arrays of one evolution run: in either engine, a
+    lane's zeta, its final h as x and y, and its step count.
 
     A zeta-only lane of engine A that the rest of the path could no longer
     hit was retired early: its zeta is NaN, its x and y read NaN (its final
@@ -238,7 +238,6 @@ class LaneResult:
     zeta: np.ndarray        # hit time; NaN when censored
     x: np.ndarray           # final h (meaningful for censored lanes; NaN once retired)
     y: np.ndarray
-    min_abs: np.ndarray | None  # running minimum of |h|; 0 on zeta-only lanes; None from engine B
     steps: np.ndarray       # grid or loop steps the lane took
     hit_tolerance: np.ndarray
     exit_time: np.ndarray | None = None  # first |h| >= exit_radius, if tracked
@@ -320,12 +319,12 @@ def _at(a, idx):
     return a[idx] if isinstance(a, np.ndarray) else a
 
 
-def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
+def _drift_advance(x, y, dt, beta, t, delta, zeta, alive):
     """Advance the drift of every lane by dt > 0 from time t; mark swallowed
     lanes dead.
 
     Every lane must be live on entry; dt, t and delta are per-lane arrays or
-    scalars.  Mutates x, y, zeta, min_abs, alive (a swallowed lane keeps its
+    scalars.  Mutates x, y, zeta, alive (a swallowed lane keeps its
     pre-drift x, y).  For beta < 2 each off-axis lane takes its own RK4
     substep count, so its result depends on its own state only.  Beyond the
     elementwise update, work scales with the lanes that cross u = 0: the
@@ -376,9 +375,7 @@ def _drift_advance(x, y, dt, beta, t, delta, zeta, min_abs, alive):
         cr, s_cr = crossings[0] if len(crossings) == 1 else map(np.concatenate, zip(*crossings))
         if cr.size:
             # a lane whose u crosses 0 passes |h| = sqrt(2|c|) inside the step
-            dip = np.sqrt(2.0 * np.abs(c[cr]))
-            min_abs[cr] = np.minimum(min_abs[cr], dip)
-            swallowed = dip <= _at(delta, cr)
+            swallowed = np.sqrt(2.0 * np.abs(c[cr])) <= _at(delta, cr)
             dead = cr[swallowed]
             zeta[dead] = _at(t, dead) + s_cr[swallowed]
             alive[dead] = False
@@ -504,12 +501,12 @@ def _rk4_drift(u0, c, dt, beta, sub, crossings):
 
 
 def _axis_increment(x, du, is_continuous, t_now, delta, zeta, alive, died):
-    """One check point of :func:`_land_step` on the real axis, for zeta-only
-    lanes: shift x by -du on the live lanes and run the checks at t_now, given
-    whether a lane died earlier in the step (it keeps its x and zeta at t_now,
-    so one pass of |h| = hypot(x, 0) = |x| checks all lanes); returns whether
-    one has.  As y = 0 <= delta, x * sign(x before) <= delta is the flip rule
-    or |x| <= delta."""
+    """One check point of :func:`_land_step` on the real axis: shift x by -du
+    on the live lanes and run the checks at t_now, given whether a lane died
+    earlier in the step (it keeps its x and zeta at t_now, so one pass of
+    |h| = hypot(x, 0) = |x| checks all lanes); returns whether one has.  As
+    y = 0 <= delta, x * sign(x before) <= delta is the flip rule or
+    |x| <= delta."""
     if is_continuous:
         s = np.sign(x)
     if died:
@@ -524,33 +521,31 @@ def _axis_increment(x, du, is_continuous, t_now, delta, zeta, alive, died):
     return True
 
 
-def _land_step(x, y, subs, t1, delta, zeta, min_abs, alive):
+def _land_step(x, y, subs, t1, delta, zeta, alive):
     """The end of a step at t1, after the drift: the check points ``subs`` in
     order, each a pair (d, continuous).  d None checks |h| where it is;
     otherwise d, a numpy scalar or one value per lane, is a sub-increment that
     moves x by -d before its check, with the flip rule when ``continuous``.
-    t1 and delta are scalars or one value per lane.  Mutates x, zeta,
-    min_abs, alive.
+    t1 and delta are scalars or one value per lane.  Mutates x, zeta, alive.
 
-    One box test finds the candidates, the lanes that a check of the step can
-    touch (see the module docstring), and every other lane takes the
-    subtracts only.  The candidates take the check points in turn, one pass
-    each: |h| is folded into min_abs on the lanes still live, which die at
+    One box test finds the candidates, the lanes within
+    max(|x|, y) <= (delta + sum |d|) * 1.000001 (see the module docstring),
+    and every other lane takes the subtracts only.  The candidates take the
+    check points in turn, one pass each: the lanes still live die at
     |h| <= delta (or by the flip rule) and keep the x of the check that
     stopped them."""
     box = np.abs(x)
     np.maximum(box, y, out=box)
-    wide = np.maximum(min_abs, delta)
     reach = 0.0  # how far the step's sub-increments move x
     for d, _ in subs:
         if d is not None:
             reach = reach + abs(d)
-    wide += reach
+    wide = delta + reach  # a new value: delta is the caller's, never written
     wide *= 1.000001  # covers the rounding of the subtracts
     cand = (box <= wide).nonzero()[0]
     del box, wide, reach  # freed before the gathers
     if cand.size:
-        cx, cy, cm, ct, was = x[cand], y[cand], min_abs[cand], _at(delta, cand), alive[cand]
+        cx, cy, ct, was = x[cand], y[cand], _at(delta, cand), alive[cand]
     # lanes swallowed in the drift keep their place
     where = True if alive.all() else alive
     for d, _ in subs:
@@ -572,15 +567,12 @@ def _land_step(x, y, subs, t1, delta, zeta, min_abs, alive):
                           else (0.0, d) if d > 0.0 else (d, 0.0))
                 no_flip = (cx <= lo) | (cx >= hi) | (cy > ct)
             np.subtract(cx, d, out=cx, where=live)
-        # a lane outside the near box max(|x|, y) <= max(min_abs, delta) has
-        # hypot >= that box, so the fold and the test leave it as it is
         np.hypot(cx, cy, out=habs)
-        np.minimum(cm, habs, out=cm, where=live)
         np.greater(habs, ct, out=keep)
         if continuous:
             keep &= no_flip
         live &= keep
-    x[cand], min_abs[cand] = cx, cm
+    x[cand] = cx
     dead = cand[was != live]
     if dead.size:
         zeta[dead] = _at(t1, dead)
@@ -642,15 +634,12 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
     :class:`LaneResult` (and a trajectory array when requested: columns
     t, Re h, Im h, U for the first lane, frozen once it dies).
 
-    ``zeta_only`` (a bool, or one per lane) marks the lanes whose zeta alone
-    is read.  Their zeta and hits equal the full run's bit for bit, but they
-    keep no running minimum of |h| (min_abs reads 0), so they enter a grid
-    step's box test only within their tolerance plus the step's reach; and
-    once the rest of the path can no longer hit one (it lies beyond the
-    driver's later range, or too high to fall to its tolerance by the
-    horizon), it is retired as censored, with x and y NaN and ``steps`` the
-    steps it took (see the module docstring).  The other lanes keep every
-    output.
+    ``zeta_only`` (a bool, or one per lane) marks the lanes whose final h
+    nobody reads.  Once the rest of the path can no longer hit one (it lies
+    beyond the driver's later range, or too high to fall to its tolerance by
+    the horizon), it is retired as censored, with x and y NaN and ``steps``
+    the steps it took (see the module docstring); its zeta and hit equal the
+    full run's bit for bit.  The other lanes keep every output.
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
     n = z0.size
@@ -682,17 +671,16 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
 
     # state of the live lanes, in lane order (see _retire); with a last row
     # when only some lanes are zeta-only: their reach, delta or +inf
-    state = np.empty((6 + (retiring and not zeta_only.all()), n))
-    zeta, x, y, min_abs, lane, tol, *reach = state
+    state = np.empty((5 + (retiring and not zeta_only.all()), n))
+    zeta, x, y, lane, tol, *reach = state
     zeta[:] = np.nan
     x[:] = z0.real
     y[:] = z0.imag
-    min_abs[:] = np.where(zeta_only, 0.0, np.abs(z0))
     tol[:] = delta
     lane[:] = np.arange(n)
     if reach:
         reach[0][:] = np.where(zeta_only, delta, np.inf)
-    out = np.empty((4, n))
+    out = np.empty((3, n))
     steps = np.empty(n, dtype=np.int64)
     traj = [(0.0, x[0], y[0], 0.0)] if record_trajectory else None
 
@@ -705,14 +693,14 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
         t1 = min(grid[i + 1], horizon)
         full_step = grid[i + 1] <= horizon + 1e-15
         alive = np.ones(lane.size, dtype=bool)
-        _drift_advance(x, y, t1 - t0, beta, t0, tol, zeta, min_abs, alive)
+        _drift_advance(x, y, t1 - t0, beta, t0, tol, zeta, alive)
         subs = [(None, False)]  # the check after the drift, then the sub-increments that move x
         if full_step:
             if d_cont[i] != 0.0:
                 subs.append((d_cont[i], True))
             if d_jump[i] != 0.0:
                 subs.append((d_jump[i], False))
-        _land_step(x, y, subs, t1, tol, zeta, min_abs, alive)
+        _land_step(x, y, subs, t1, tol, zeta, alive)
         if record_trajectory:
             h = (x[0], y[0]) if lane[0] == 0 else (out[1, 0], out[2, 0])
             traj.append((t1, *h, values[i + 1] if full_step else values[i]))
@@ -734,7 +722,7 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
             steps[done] = it
             if retiring:  # the retired lanes are the censored ones that died
                 out[1:3, done[np.isnan(dead[0])]] = np.nan
-            zeta, x, y, min_abs, lane, tol, *reach = state
+            zeta, x, y, lane, tol, *reach = state
     _, done, _ = _retire(state, np.zeros(lane.size, dtype=bool), out)
     steps[done] = it
     res = LaneResult(z0, *out, steps, delta)
@@ -959,9 +947,8 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
     real axis: the loop runs real-axis kernels to the same bits and keeps no
     y row (y is +0.0, and |h| = hypot(x, 0) = |x|); the live blocks and mask
     are rebuilt only after a death, whose lanes' outcome is written from one
-    gather (:func:`_retire`).
-    Every lane is zeta-only: it keeps no running minimum of |h|, and min_abs
-    is None.
+    gather (:func:`_retire`).  A lane keeps the state of an engine-A lane,
+    zeta, x, y and its step count, and no lane is retired early.
     """
     n = _integral_count(n, "n")
     if n < 1:
@@ -1048,7 +1035,6 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         out[-1] = 0.0
     else:
         y[:] = np.repeat(z0.imag, n)  # a first drift turns -0.0 into +0.0
-    zero = None if axis else np.zeros(k * n)  # the shared kernels' min_abs: zeros they keep
     t[:] = 0.0
     lane[:] = (stride * np.arange(k)[:, None] + np.arange(n)).ravel()
     steps = np.empty(k * stride, dtype=np.int64)
@@ -1084,7 +1070,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         if axis:
             _axis_drift(x, dt, beta, hb if near else None)  # on the axis hb is |x|^beta
         else:
-            _drift_advance(x, y, dt, beta, t, delta, zeta, zero[:lane.size], alive)
+            _drift_advance(x, y, dt, beta, t, delta, zeta, alive)
         t += dt  # the increments land at the step's end
         # the sub-increments, then a jump where a lane's wait ended its step
         subs = [(inc.increments(raw, dt, c), inc.is_continuous) for inc, c, raw in zip(incs, coef, raws)]
@@ -1094,7 +1080,7 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
             for du, is_continuous in subs:
                 died = _axis_increment(x, du, is_continuous, t, delta, zeta, alive, died)
         else:
-            _land_step(x, y, subs, t, delta, zeta, zero[:lane.size], alive)
+            _land_step(x, y, subs, t, delta, zeta, alive)
         if track:
             h_end = np.abs(x) if axis else np.hypot(x, y)  # hypot(x, 0) = |x|, as above
             fresh = (alive & np.isnan(exit_time) & (h_end >= exit_radius)).nonzero()[0]
@@ -1109,6 +1095,6 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
             zeta, x, exit_time, y, lane, t, delta, dt_floor, tau_div, *coef = rows(state)
 
     z0s, tols = np.repeat(z0, stride), np.repeat(tol, stride)
-    return [LaneResult(z0s[sl], out[0, sl], out[1, sl], out[-1, sl], None, steps[sl], tols[sl],
+    return [LaneResult(z0s[sl], out[0, sl], out[1, sl], out[-1, sl], steps[sl], tols[sl],
                        out[2, sl] if track else None)
             for sl in (slice(c * stride, c * stride + n) for c in range(k))]

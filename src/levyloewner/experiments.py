@@ -273,6 +273,8 @@ def _exponent_fit(side: str, kappa: float, alpha: float, theta: float,
     if not 0 < alpha < 1:
         raise ConfigError("exponent fits require alpha in (0,1)")
     x_grid = np.asarray(sorted(float(v) for v in x_grid))
+    if x_grid.size < 5:  # the fit below needs 5 usable points
+        raise ConfigError(f"a slope grid needs at least 5 points, got {x_grid.size}")
     params = [PhaseParams(z=x, kappa=kappa, alpha=alpha, theta=theta) for x in x_grid]
     ests = _estimates([(p.driver_spec(), p, ("slope", side, i)) for i, p in enumerate(params)],
                       n, horizon, seed, None)
@@ -309,8 +311,8 @@ def slope_near_zero(kappa: float, alpha: float, theta: float, x_grid, n: int,
 def slope_near_infinity(kappa: float, alpha: float, theta: float, x_grid, n: int,
                         horizon: float, seed: int) -> ExponentFit:
     """log-log fit of the hit fraction on x in [2, inf); expected slope alpha-1."""
-    if min(x_grid) < 2.0:
-        raise ConfigError("near-infinity grid must lie in [2, inf)")
+    if not all(2.0 <= x < np.inf for x in x_grid):
+        raise ConfigError(f"near-infinity grid must lie in [2, inf), got {list(x_grid)}")
     return _exponent_fit("near_infinity", kappa, alpha, theta, x_grid, n, horizon,
                          seed, expected=alpha - 1.0, use_survival=False)
 

@@ -65,7 +65,6 @@ class HittingOutcome:
     zeta: float | None
     censored_at: float | None
     steps_taken: int
-    min_abs_h: float
     h_final: complex | None = None
     trajectory: np.ndarray | None = None  # rows (t, Re h, Im h, U)
 
@@ -103,7 +102,6 @@ def _lane0_outcome(res, traj, horizon: float) -> HittingOutcome:
         zeta=float(res.zeta[0]) if hit else None,
         censored_at=None if hit else horizon,
         steps_taken=int(res.steps[0]),
-        min_abs_h=float(res.min_abs[0]),
         h_final=None if hit else complex(res.x[0], res.y[0]),
         trajectory=traj[:res.steps[0] + 1],
     )
@@ -178,20 +176,33 @@ def estimate_hcap(path: DriverPath, t: float, probe_radius: float | None = None)
     Evaluates w = g_t(z) at eight probe points on the semicircle |z| = R and
     averages z*(w - z); with the hcap(K_t) = 2t normalization the result
     converges to 2t as R grows.
+
+    R must be at least 50 M, with M = max(sqrt(t), |U| at every check point
+    of the run to t: the grid values and the values after a continuous
+    sub-increment); the default is the larger of 50 M and
+    100 (1 + sqrt(t) + max |U|).  Then rad(K_t) <= 4 M and |g_t(z) - z| <= 3 rad(K_t)
+    (Lawler, *Conformally Invariant Processes in the Plane*, Lemma 4.13 and
+    Prop. 3.46) keep every probe at |h| >= R - 13 M >= 0.7 R, clear of the
+    growth region.
     """
     if not 0 <= t <= path.horizon + 1e-12:
         raise ConfigError("t must lie within the path horizon")
     if t == 0:
         return 0.0
+    n = int(np.count_nonzero(path.grid[:-1] < t - 1e-15))  # the steps of the run
+    checks = [path.values[:n + 1], path.values[:n] + path.increments()[0][:n]]
+    if path.grid[n] > t + 1e-15:  # a partial last step lands nothing
+        checks = [c[:-1] for c in checks]
+    least = 50.0 * max(np.sqrt(t), *(np.abs(c).max(initial=0.0) for c in checks))
     if probe_radius is None:
-        umax = float(np.max(np.abs(path.values))) if path.values.size else 0.0
-        probe_radius = 100.0 * (1.0 + np.sqrt(t) + umax)
+        probe_radius = max(100.0 * (1.0 + np.sqrt(t) + np.abs(path.values).max()), least)
+    if not probe_radius >= least:
+        raise ConfigError("probe_radius must be at least 50 max(sqrt(t), |U| at every check point)")
     angles = np.pi * (np.arange(8) + 0.5) / 8
     probes = probe_radius * np.exp(1j * angles)
     res = evolve_lanes_on_path(probes, path, t, hit_tolerance=1e-12 * probe_radius)
-    if res.hit.any() or res.min_abs.min() < 0.7 * probe_radius:
-        raise ConfigError("a probe point was swallowed or entered the growth region; "
-                          "increase probe_radius")
+    if res.hit.any():
+        raise ConfigError("a probe point was swallowed; increase probe_radius")
     u_t = float(path.values_at(np.asarray([t]))[0])
     g = res.h_final + u_t
     return float(np.mean((probes * (g - probes)).real))
@@ -259,10 +270,8 @@ def raster_cluster(window, resolution, path: DriverPath, cfg: EvolutionConfig,
     ``evolve_point(z0, path, EvolutionConfig(cfg.horizon, tolerance,
     cfg.beta))``, since a lane's result depends on its own point and
     tolerance only.  The cells report zeta only (``zeta_only`` of
-    :func:`evolve_lanes_on_path`): they keep no running minimum of |h|,
-    which spares their hit checks at a new minimum near the hull, and stop
-    being evolved once the rest of the path can no longer hit them.  The
-    tracked point keeps every output.
+    :func:`evolve_lanes_on_path`): they stop being evolved once the rest of
+    the path can no longer hit them.  The tracked point keeps its final h.
     """
     try:
         x0, x1, y0, y1 = map(float, window)

@@ -28,10 +28,8 @@ DRIVERS = {
     "stable": DriverSpec((Stable(1.5, 2.0),)),
     "composite": COMPOSITE,
 }
-FIELDS = ("zeta", "x", "y", "min_abs", "steps")
-# The outputs engine B computes (exit_time aside): its lanes keep no running
-# minimum of |h|.
-B_FIELDS = ("zeta", "x", "y", "steps")
+# The outputs of a lane in either engine (engine B's exit_time aside).
+FIELDS = ("zeta", "x", "y", "steps")
 
 
 @pytest.mark.parametrize("exit_radius", [None, 3.0])
@@ -42,7 +40,7 @@ def test_first_block_does_not_depend_on_later_blocks(driver, beta, exit_radius):
     kw = dict(master_seed=5, beta=beta, exit_radius=exit_radius)
     many = run_adaptive_cells([cell], BLOCK + 588, 0.5, **kw)[0]
     one = run_adaptive_cells([cell], BLOCK, 0.5, **kw)[0]
-    fields = B_FIELDS + (("exit_time",) if exit_radius is not None else ())
+    fields = FIELDS + (("exit_time",) if exit_radius is not None else ())
     for f in fields:
         np.testing.assert_array_equal(getattr(many, f)[:BLOCK], getattr(one, f), err_msg=f)
 
@@ -123,19 +121,17 @@ def test_integral_float_replica_count_accepted():
     cell = Cell(DRIVERS["brownian"], 1.0, "n")
     got, = run_adaptive_cells([cell], 3.0, 0.5, master_seed=9)
     want, = run_adaptive_cells([cell], 3, 0.5, master_seed=9)
-    for f in B_FIELDS:
+    for f in FIELDS:
         np.testing.assert_array_equal(getattr(got, f), getattr(want, f), err_msg=f)
 
 
 @pytest.mark.parametrize("beta", [2.0, 1.5])
 @pytest.mark.parametrize("z0", [1.0, 0.5 + 0.3j])
 def test_engine_b_lanes_are_zeta_only(z0, beta):
-    # engine B keeps no running minimum of |h|, on the real axis and off it,
-    # so its results hold none to be read as one
+    # engine B hits and censors lanes on the real axis and off it
     cell = Cell(DriverSpec((Brownian(2.0), Stable(1.5, 1.0))), z0, ("zeta-only", beta), 1e-2)
     res = run_adaptive_cells([cell], 300, 1.0, master_seed=3, beta=beta)[0]
     assert 0 < res.hit.sum() < 300
-    assert res.min_abs is None
 
 
 def test_annulus_exit_first_block_does_not_depend_on_later_blocks():
@@ -187,7 +183,7 @@ def test_composite_driver_output_bytes_pinned(beta):
 # 2 take the tan, CMS and Gaussian branches of the stable map, and alpha = 0.5
 # the CMS branch below 1, where the power's exponent (1 - alpha)/alpha is
 # positive.  Recorded at 2048-replica blocks, one per cell; re-recorded over
-# B_FIELDS, without the running minimum of |h| that engine B no longer keeps,
+# FIELDS, without the running minimum of |h| that engine B no longer keeps,
 # and when the slit-map root took its modulus from one square root instead of
 # hypot.
 STABLE_PINNED = {
@@ -201,7 +197,7 @@ STABLE_PINNED = {
 }
 
 
-def _digest(results, fields=B_FIELDS) -> str:
+def _digest(results, fields=FIELDS) -> str:
     digest = hashlib.sha256()
     for res in results:
         for f in fields:
@@ -227,7 +223,7 @@ def test_stable_cells_output_bytes_pinned(alpha, beta):
 # 2048-replica block.  theta0 and kappa_stable_beta1_5 were re-recorded when
 # the beta < 2 real-axis drift took one power (hits and steps per cell
 # unchanged: 0, 0, 25 and 225, 510 hits).  Every AXIS_PINNED digest was
-# re-recorded over B_FIELDS, without the running minimum of |h|.
+# re-recorded over FIELDS, without the running minimum of |h|.
 AXIS_PINNED = {
     "kappa_stable": "c79d48d7efb4971f69766c6f87b32c6ed9c82e2726face1a55e18c5ad352a180",
     "bessel": "d029135679fd743a77ee7142230f1f9ea5a17c8fa1bbfee0cf8313c28016a4f4",
@@ -271,7 +267,7 @@ def _axis_run(case):
     if case == "theta_exit":
         cells = [Cell(DriverSpec((Stable(1.5, th),)), 0.5, ("pin-theta-exit", th), 1e-4) for th in (0.5, 4.0)]
         res = run_adaptive_cells(cells, 700, 20.0, master_seed=2030, beta=1.5, exit_radius=3.0)
-        return _digest(res, B_FIELDS + ("exit_time",))
+        return _digest(res, FIELDS + ("exit_time",))
     if case == "two_blocks":
         cells = [Cell(DriverSpec((Brownian(k), Stable(1.5, 1.0))), 1.0, ("pin-blocks", k)) for k in (2.0, 8.0)]
         return _digest(run_adaptive_cells(cells, BLOCK + 188, 20.0, master_seed=2028))
@@ -281,7 +277,7 @@ def _axis_run(case):
     if case == "bessel":
         res = run_adaptive_cells([Cell(DriverSpec((Brownian(8.0),)), 1.0, "pin-bessel")], 700, 20.0,
                                  master_seed=2028, exit_radius=4.0)
-        return _digest(res, B_FIELDS + ("exit_time",))
+        return _digest(res, FIELDS + ("exit_time",))
     if case == "mixed_z0":
         cells = [Cell(DriverSpec((Brownian(8.0), Stable(1.5, 1.0))), 1.0, ("pin-mixed", 0)),
                  Cell(DriverSpec((Brownian(4.0), Stable(1.5, 0.5))), 0.5 + 0.3j, ("pin-mixed", 1))]
@@ -289,7 +285,7 @@ def _axis_run(case):
     if case == "composite":
         res = run_adaptive_cells([Cell(COMPOSITE, 1.0, "pin-axis-composite")], 700, 5.0,
                                  master_seed=2028, exit_radius=4.0)
-        return _digest(res, B_FIELDS + ("exit_time",))
+        return _digest(res, FIELDS + ("exit_time",))
     if case.startswith("stable_first"):
         beta = 1.5 if case.endswith("beta1_5") else 2.0
         cell = Cell(DriverSpec((Stable(1.5, 1.0), Brownian(2.0))), 0.3 + 0.01j, ("pin-order", beta), 1e-2)
@@ -626,8 +622,7 @@ def test_real_axis_lanes_take_one_drift_form(beta, per_lane_dt):
 
     def general(x, y, dt):
         m = x.size
-        engine._drift_advance(x, y, dt, beta, 0.0, delta, np.full(m, np.nan), np.abs(x + 1j * y),
-                              np.ones(m, dtype=bool))
+        engine._drift_advance(x, y, dt, beta, 0.0, delta, np.full(m, np.nan), np.ones(m, dtype=bool))
 
     axis = x0.copy()
     engine._axis_drift(axis, dt, beta)
@@ -751,8 +746,7 @@ def _path_run(case, keep=slice(None), record_trajectory=True):
 # mixed bs_* cases were re-recorded then (hit lanes: bs_beta2 31 -> 36,
 # bs_beta1_5 22 -> 25).  k4_stable_beta1_5 and the big_steps cases (hit lanes
 # 37, 73, 53) were recorded before each grid step ran one box test that gates
-# all of its hit checks.  The x (and, where it moved, min_abs) digests of the
-# beta = 1.5 cases were re-recorded when the beta < 2 real-axis drift took one
+# all of its hit checks.  The x digests of the beta = 1.5 cases were re-recorded when the beta < 2 real-axis drift took one
 # power: only real-axis lanes (of 0.3, -0.7 and 1.5) changed, in their last
 # bits, with their zeta and steps and lane 0's trajectory unchanged.  The four
 # stable-driven cases were re-recorded when the stable map took two tangents
@@ -760,14 +754,14 @@ def _path_run(case, keep=slice(None), record_trajectory=True):
 # all-real-axis cases were recorded before the beta = 2 drift sent such a lane
 # set through the real-axis closed form instead of the slit-map root.  Every
 # case with off-axis lanes was re-recorded when that root took its modulus
-# from one square root instead of hypot: last bits of zeta, x, y and min_abs
-# moved, and no lane's steps or hit.
+# from one square root instead of hypot: last bits of zeta, x and y moved, and
+# no lane's steps or hit.  The min_abs digests went with the running minimum
+# of |h|; no other digest moved.
 PATH_PINNED = {
     "brownian_beta2": {
         "zeta": "3e720f238650f79309515889537152524ae41e57019a105b477ed45079f051a4",
         "x": "f945d67e5e32c54520c88227169e023874c32c6f7c51e14e578108b99ad724b4",
         "y": "7c42f0c729067f66331f475846b4e9d36e5cdbc51c19924879c6b46128913248",
-        "min_abs": "2c305a20a6844c98fdb21094c092987b5673abda458eb1c388ebc336f89bd1df",
         "steps": "8121ae4bf3a0bd3a608b50a3a582581a8b3bd06aebdf5d082af5608c1601c683",
         "trajectory": "22cf462eaba412dba7ea263bb3a22ed3356013597a65f7722ff4f5d611780946",
     },
@@ -775,7 +769,6 @@ PATH_PINNED = {
         "zeta": "504da7f069f2ce1d1b7352e2af6c97b6596340a2d4cac3600cfa45bf262902e1",
         "x": "44d23ca1e8df2a16bb00b0b1ed63719a80c80b850290ad2937644ff6a48d58a7",
         "y": "44d53c6ffd4e054105c49554ea705a533efc77d1233930a2139fa1f3c197d3e9",
-        "min_abs": "619822d146c19a55d41b51705453593ac69822a0dfbb21fc941022773b8bf034",
         "steps": "3c7ae0d179c595639946b17e42c5b346b328f1ca2a46bc60fed2fc851649eb4b",
         "trajectory": "8c68f0ad39daa1e142b2bd35db6fdd5b47a5166fd76478fa9e279307f9d021b4",
     },
@@ -783,7 +776,6 @@ PATH_PINNED = {
         "zeta": "178285fac54b664e1f7a0243ac41c0e2418928a64222e9bb907705c266656ccf",
         "x": "33e7a9e92dda2f5c41d432629211b3d5ab12e3ba8bfae7514b8eb8db9c9e59b4",
         "y": "c69e70d192f7d8eaffa49c6f2f3591ec859cb3e6bf8e718fb44774ec897e23ce",
-        "min_abs": "9db88b777e54af66bf18ce61580b68de71cc117a8b2349dcd417bfda620e9ccd",
         "steps": "a4e722ec820161109765735ad085ce5da840bb3eb3b472862598a37f5ad58032",
         "trajectory": "06d8af26410ea014fba84c520c9d91815ce2376605c379d101cc127f5e5397f1",
     },
@@ -791,7 +783,6 @@ PATH_PINNED = {
         "zeta": "d3494521bb22a87c464dadd4be4938add79559aed89bc0b98b5b1b666619d76c",
         "x": "714d5604cd1c661d22cd162e614cf09de1ae8e29d44522b2d2959a6f1ff65d7f",
         "y": "7df8bca351b7b3143f6955bff55e36c77837f2c2604e52b7ab0bb4ca7d33e025",
-        "min_abs": "2a9ed999cb0ec57ffa7338e60f32380f287c9e29ae80cb16e93374d77af5831e",
         "steps": "b747e2543c3cd5b8d441aafd0acf241951588f01ca2d03a6d3251dc05a7feb89",
         "trajectory": "b4d7733ec339161c18200da24dedd9dfe6bef7441b63c92db571055b95919ca5",
     },
@@ -799,7 +790,6 @@ PATH_PINNED = {
         "zeta": "559d239794bd19b9474c47c56a05f7b2c4aeec07b98079b549e4a02bb6969241",
         "x": "2f169d4233d420fab2a4ec3e18e2f4e474e30116d5b62db102e4f1f824679bc8",
         "y": "146c18b038de45dfe36b1c9f936fc0c8512f853a0bc3badf010cdb55a5d1d980",
-        "min_abs": "a87bd8347c2d731abd7412f87f55c99c768bcae7558a7c5682e381043f5824ae",
         "steps": "719b2fcb47e8a05e257453c651af9da49d8ada008ff4318e54f75a6a386843fc",
         "trajectory": "42209a45256470cf07c8db2352a04fd5a293b8661b00b758c5b5a57ce5749377",
     },
@@ -807,7 +797,6 @@ PATH_PINNED = {
         "zeta": "91f86fa030c18fd2acf07ec1751cd436a7e69327e69143d47bd823c43a1d2f39",
         "x": "a49c81b51bf12ee5727b57810223d230e1d43911898785e959165645427c6ea6",
         "y": "4b983d9f12baaaa25bd8d54dd9349b721e1632d6670e453d40d6d1919cb42022",
-        "min_abs": "931cc95752101b969ade29a0fc248686efb14faed864548d5c9c407d5694d039",
         "steps": "fc21d2a4c9bbca55976b471e97fcbb08baa39d85b6746d11765e927b371bb9c1",
         "trajectory": "5368afc8c3d25fbab95b5adfad403988cca6404e42bd97a2bd487ab59b15cdb2",
     },
@@ -815,7 +804,6 @@ PATH_PINNED = {
         "zeta": "df7b44740fdf012af9e94b49051f3e0a8e21a6d3ee48a4d00e4b429a5ccf89d7",
         "x": "41be5c85c1d9f2743ca05c5f06f0c59b71d0118df2206c992d6254d0a33a1992",
         "y": "c3b779314de94954a668c123feeb4f02088c536100722e968c6d7a537aae7de4",
-        "min_abs": "9520b730777cda965bb73a7a48a2a41ac59b85b8b067c8e1a041a1758b99e50b",
         "steps": "45d0018831b190b1b71bf695999004b2cbb5d0ea5d9dfd939416b7591defe4a8",
         "trajectory": "80de2ae8f69243c733a78fd5c80b959cfd2efe9bc040e31c7defb28868255a7c",
     },
@@ -823,7 +811,6 @@ PATH_PINNED = {
         "zeta": "7b472652c93320008341df3feeffde86869b3d2d33b36d5338d60fe280f6b25c",
         "x": "3b050f42e24202a495b70044e16b080ab9ec82a4a003994dac2f027dcced12bf",
         "y": "fa282ea16f7888f8c0b90e9faff95ed165744e85cfed6a7ec6c36d685a90e803",
-        "min_abs": "3945e23b93b1698a463909bf9d3aee51908faa70d7577c13e44e98b6172b9c8c",
         "steps": "eda0b5533f3e98db8e5d7c8a609a98b16f86cc54d43530003a847f046a911a89",
         "trajectory": "b80f5d3307a3c4ffee6a7ad177d8a0aedde76b74c406d1bbf52415260acf5252",
     },
@@ -831,7 +818,6 @@ PATH_PINNED = {
         "zeta": "0f5d5b73c3d144710d0359e6aaee99ec4da56a6cc6548fe099bc58a9a7636240",
         "x": "da8922bd69d022c4b4552fec7b2ca526bf468a7b3667b98648694918bb5f8ce8",
         "y": "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
-        "min_abs": "0656a5621bba5ae118fe6644e13801ae8a39c621a08171098d0944c87b853dae",
         "steps": "480272b09fffdda72767382a72ce232f2a1384e78ec8cc0087317e6be250ccbf",
         "trajectory": "2840973247dabbf8f65c93161ff7d3032bded22abc79dc9bd602173515c34463",
     },
@@ -839,7 +825,6 @@ PATH_PINNED = {
         "zeta": "a17214612bdd29dcd85252c743e89779f49ba46e9d3e91f4bd612122e33c28b0",
         "x": "51dd20cabc7a1092fd06d87746114fdf91afdf7fcb9d77e64f1d4b06dae55720",
         "y": "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
-        "min_abs": "f349e3003dc6a1e792d977faa36b77b9e40941e69d5f8c3f8963f18598a71ba0",
         "steps": "f0f70ef7c4f0bbb2c9e9b800c9d0cdd8a5281931c6837bda6c31e54aaea59eb1",
         "trajectory": "e2392638f95e7376b5c382cf401350dc9941aa4b763d3fa21b11c975483ce974",
     },
@@ -880,11 +865,11 @@ def test_path_lanes_do_not_depend_on_other_lanes(case):
 
 @pytest.mark.parametrize("case", sorted(PATH_CASES))
 def test_lanes_without_a_running_minimum_keep_their_hits(case):
-    # zeta-only lanes keep no minimum of |h| and are retired once the rest of
-    # the path can no longer hit them: zeta and hits equal the full run's bit
-    # for bit; a lane not retired keeps x, y and its step count, a retired one
-    # reads NaN x and y, took fewer steps and was censored in the full run;
-    # the other lanes keep their minima, and lane 0 its trajectory
+    # zeta-only lanes are retired once the rest of the path can no longer hit
+    # them: zeta and hits equal the full run's bit for bit; a lane not retired
+    # keeps x, y and its step count, a retired one reads NaN x and y, took
+    # fewer steps and was censored in the full run; lane 0 keeps its
+    # trajectory
     full, traj = _path_run(case)
     spec, beta, path_horizon, dt, first, horizon = PATH_CASES[case]
     z, tol = _path_lanes(first)
@@ -901,8 +886,6 @@ def test_lanes_without_a_running_minimum_keep_their_hits(case):
     for f in ("x", "y", "steps"):
         np.testing.assert_array_equal(getattr(part, f)[~retired], getattr(full, f)[~retired], err_msg=f)
     np.testing.assert_array_equal(part_traj, traj)
-    assert part.min_abs[keep].tobytes() == full.min_abs[keep].tobytes()
-    assert not part.min_abs[~keep].any()
 
 
 def _zeta_only_run(path, z0, tol, horizon=None, beta=2.0):
@@ -984,7 +967,7 @@ def test_rk4_lowers_y_beta_within_the_cap_margin(beta):
     y = ((1.0 + f) * 2.0 * beta * dt) ** (1.0 / beta)
     x = y * np.tan(angle)
     xn, yn, alive = x.copy(), y.copy(), np.ones(x.size, dtype=bool)
-    engine._drift_advance(xn, yn, dt, beta, 0.0, 1e-300, np.full(x.size, np.nan), np.zeros(x.size), alive)
+    engine._drift_advance(xn, yn, dt, beta, 0.0, 1e-300, np.full(x.size, np.nan), alive)
     assert alive.all()
     excess = (f * 2.0 * beta * dt - yn ** beta) / (2.0 * beta * dt)
     assert excess.max() <= engine._RK4_LOSS / 3.0
@@ -1024,7 +1007,6 @@ def test_retiring_every_lane_ends_the_run():
     full, part = _zeta_only_run(path, z0, 0.01)
     assert not full.hit.any() and (full.steps == 100).all()
     assert (part.steps == 1).all() and np.isnan(part.x).all() and np.isnan(part.y).all()
-    assert not part.min_abs.any()
 
 
 @pytest.mark.parametrize("flag", ["yes", 1, None, [True], np.ones(3, dtype=bool), np.ones((2, 1), dtype=bool)])
@@ -1107,7 +1089,7 @@ def _one_step(z0, dt, d_cont, d_jump, tol):
 
 
 def _lane(res):
-    return float(res.zeta[0]), float(res.x[0]), float(res.min_abs[0])
+    return float(res.zeta[0]), float(res.x[0])
 
 
 def test_landing_order_swallowed_in_the_drift():
@@ -1116,7 +1098,8 @@ def test_landing_order_swallowed_in_the_drift():
     z0 = 0.001 + 0.05j
     res, *_ = _one_step(z0, 1e-3, 0.3, 0.2, 0.02)
     u, c = z0.real ** 2 - z0.imag ** 2, z0.real * z0.imag
-    assert _lane(res) == (-u * 0.25, z0.real, min(abs(z0), np.sqrt(2.0 * abs(c))))
+    assert np.sqrt(2.0 * abs(c)) <= 0.02
+    assert _lane(res) == (-u * 0.25, z0.real)
 
 
 def test_landing_order_hit_right_after_the_drift():
@@ -1125,7 +1108,7 @@ def test_landing_order_hit_right_after_the_drift():
     z0 = 0.001 + 0.03j
     res, x1, y1, _, _ = _one_step(z0, 2e-4, 0.5, 0.2, 0.02)
     assert np.hypot(x1, y1) <= 0.02
-    assert _lane(res) == (2e-4, x1, min(abs(z0), np.hypot(x1, y1)))
+    assert _lane(res) == (2e-4, x1)
 
 
 def test_landing_order_continuous_flip_that_the_jump_undoes():
@@ -1135,7 +1118,7 @@ def test_landing_order_continuous_flip_that_the_jump_undoes():
     res, x1, y1, dc, dj = _one_step(z0, 1e-6, 1.0, -0.9, 0.01)
     x2 = x1 - dc
     assert x1 > 0 > x2 and x2 - dj > 0
-    assert _lane(res) == (1e-6, x2, min(abs(z0), np.hypot(x1, y1), np.hypot(x2, y1)))
+    assert _lane(res) == (1e-6, x2)
 
 
 def test_landing_order_hit_only_after_the_jump():
@@ -1144,8 +1127,7 @@ def test_landing_order_hit_only_after_the_jump():
     x2 = x1 - dc
     x3 = x2 - dj
     assert min(np.hypot(x1, y1), np.hypot(x2, y1)) > 0.01 >= np.hypot(x3, y1)
-    assert _lane(res) == (1e-6, x3, min(abs(z0), np.hypot(x1, y1), np.hypot(x2, y1),
-                                        np.hypot(x3, y1)))
+    assert _lane(res) == (1e-6, x3)
 
 
 def test_landing_order_new_minimum_without_a_hit():
@@ -1153,9 +1135,9 @@ def test_landing_order_new_minimum_without_a_hit():
     res, x1, y1, dc, dj = _one_step(z0, 1e-6, 0.2, 0.25, 0.01)
     x3 = x1 - dc - dj
     assert np.hypot(x3, y1) < np.hypot(x1 - dc, y1) < abs(z0) < np.hypot(x1, y1)
-    zeta, x, min_abs = _lane(res)
+    zeta, x = _lane(res)
     assert np.isnan(zeta)
-    assert (x, min_abs) == (x3, np.hypot(x3, y1))
+    assert x == x3
 
 
 def test_path_grid_step_call_budget():

@@ -20,6 +20,7 @@ from levyloewner.experiments import (
     ks_two_sample,
     overshoot_histogram,
     phase_scan,
+    slope_near_infinity,
     slope_near_zero,
     theta0_bracket,
     wilson_ci,
@@ -246,9 +247,12 @@ class TestDisconnection:
         with pytest.raises(ConfigError, match="n must be at least 1"):
             disconnection_frequency(spec, 1.0, n, seed=14, window=(-3, 3, 0, 2.5), resolution=(72, 30))
 
-    @pytest.mark.parametrize("n", [True, np.True_, 1.5, 2.5])
+    @pytest.mark.parametrize("n", [True, np.True_, 1.5, 2.5, "x", "3", None, 3j,
+                                   pytest.param(10 ** 400, id="10**400")])
     def test_non_integral_replica_count_rejected(self, n):
-        # True ran one replica and 1.5 failed with a bare TypeError
+        # True ran one replica and 1.5 failed with a bare TypeError; "x" raised
+        # a bare ValueError, None a bare TypeError and 10**400 a bare
+        # OverflowError, and "3" ran three replicas
         spec = DriverSpec((Brownian(4.0),))
         with pytest.raises(ConfigError, match="n must be an integer"):
             disconnection_frequency(spec, 1.0, n, seed=14, window=(-3, 3, 0, 2.5), resolution=(72, 30))
@@ -293,6 +297,28 @@ class TestSlopeGrids:
         # a point <= 0 or NaN passed the max(x_grid) <= 1 check and gave a NaN slope
         with pytest.raises(ConfigError, match=r"near-zero grid must lie in \(0, 1\]"):
             slope_near_zero(8.0, 0.5, 1.0, grid, 200, 20.0, seed=5)
+
+    @pytest.mark.parametrize("fit, grid", [(slope_near_zero, []), (slope_near_zero, [0.1, 0.2, 0.4, 0.8]),
+                                           (slope_near_infinity, []),
+                                           (slope_near_infinity, [2.0, 4.0, 8.0, 16.0])])
+    def test_grid_of_fewer_than_five_points_rejected(self, fit, grid, monkeypatch):
+        # near zero the grid was sampled and then refused with a
+        # StatisticalError; near infinity the empty grid raised a bare
+        # ValueError from min()
+        monkeypatch.setattr(experiments, "_estimates", _no_sampling)
+        with pytest.raises(ConfigError, match="at least 5 points"):
+            fit(8.0, 0.5, 1.0, grid, 200, 20.0, seed=5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_near_infinity_grid_point_not_finite_rejected(self, bad, monkeypatch):
+        # a NaN or infinite point passed the min(x_grid) < 2 check
+        monkeypatch.setattr(experiments, "_estimates", _no_sampling)
+        with pytest.raises(ConfigError, match=r"near-infinity grid must lie in \[2, inf\)"):
+            slope_near_infinity(8.0, 0.5, 1.0, [2.0, 4.0, bad, 16.0, 32.0], 200, 20.0, seed=5)
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("a refused slope grid was sampled")
 
 
 class TestTheta0Bracket:

@@ -8,6 +8,7 @@ import pytest
 
 from levyloewner.drivers import (
     Brownian,
+    DriverPath,
     DriverSpec,
     JumpLaw,
     Stable,
@@ -145,6 +146,29 @@ class TestHcap:
     def test_small_radius_usage_error(self):
         with pytest.raises(ConfigError):
             estimate_hcap(null_path(1.0), 1.0, probe_radius=1.0)
+
+    # (path, t, M): M = max(sqrt(t), |U| at every check point of the run to
+    # t).  The continuous part of the first two paths reaches 3 or 10 inside
+    # their steps while every value is 0 (10 lies beyond the default radius's
+    # 2 (1 + sqrt(t) + max |U|) = 4); the third path's value 10 lands at t = 1
+    # only, so the partial step of a run to 0.75 never reaches it; and the
+    # null path's M is sqrt(t).
+    @pytest.mark.parametrize("path, t, m", [
+        (DriverPath(np.array([0.0, 0.5, 1.0]), np.zeros(3), continuous=np.array([0.0, 3.0, 0.0])), 1.0, 3.0),
+        (DriverPath(np.array([0.0, 0.5, 1.0]), np.zeros(3), continuous=np.array([0.0, 10.0, 0.0])), 1.0, 10.0),
+        (DriverPath(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.0, 10.0]),
+                    continuous=np.array([0.0, 3.0, 3.0])), 0.75, 3.0),
+        (DriverPath(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.0, 10.0]),
+                    continuous=np.array([0.0, 3.0, 3.0])), 1.0, 10.0),
+        (null_path(1.0, dt=0.01), 0.64, 0.8),
+    ])
+    def test_radius_bound_from_the_path(self, path, t, m):
+        # R below 50 M is refused before any probe is evolved; R above it, and
+        # the default R, run
+        with pytest.raises(ConfigError, match="at least 50"):
+            estimate_hcap(path, t, probe_radius=50.0 * m * (1.0 - 1e-9))
+        assert estimate_hcap(path, t, probe_radius=50.0 * m * (1.0 + 1e-9)) == pytest.approx(2.0 * t, rel=0.05)
+        assert estimate_hcap(path, t) == pytest.approx(2.0 * t, rel=0.05)
 
 
 class TestRaster:

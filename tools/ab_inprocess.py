@@ -28,7 +28,8 @@ the change per module, so a table shows where the lines went.
 
 ``--stream-change`` times a deliberate change of the random streams: instead
 of stopping at a difference it prints, per op, how many artifacts differed
-between the sides over all rounds, so the output shows where bytes moved and
+between the sides over all rounds and, below the table, the sorted names of
+those that differed in any round, so the output shows where bytes moved and
 where they did not; it also prints each side's CPU ns per engine-A and per
 engine-B lane-step, the op's CPU time over that engine's lane-steps (nan
 where the op runs no lane of that engine).  A new stream moves the work with
@@ -188,6 +189,7 @@ def main(argv=None) -> int:
     iterations = {side: {n: 0 for n in names} for side in sides}  # engine B's
     deaths = {side: {n: 0 for n in names} for side in sides}  # engine B's
     differ = {n: [0, 0] for n in names}  # artifacts that differed, artifacts compared
+    changed = {n: set() for n in names}  # the names of those that differed
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         work = Path(tmp)
         for side, mods in sides.items():  # lazy imports and first-call costs, untimed
@@ -211,6 +213,7 @@ def main(argv=None) -> int:
                 if diff and not args.stream_change:
                     raise SystemExit(f"round {r} (seed {seed}) {name}: artifacts differ: {diff}")
                 differ[name][0] += len(diff)
+                changed[name].update(diff)
                 differ[name][1] += len(keys)
             print(f"round {r} (seed {seed}): "
                   + ("timed" if args.stream_change else "artifacts identical"), flush=True)
@@ -238,6 +241,10 @@ def main(argv=None) -> int:
                                  for side in sides)
             extra += f" {'/'.join(map(str, differ[name])):>9}"
         print(f"{name:<20}{spread} {statistics.median(ratios):7.3f} {wins:>3}/{len(b):<3}{extra}")
+    if args.stream_change:
+        print("\nartifacts that differed in any round:")
+        for name in names:
+            print(f"{name:<20} {' '.join(sorted(changed[name])) or '-'}")
     return 0
 
 
