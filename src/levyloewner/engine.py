@@ -209,6 +209,17 @@ def _integral_count(v, name: str) -> int:
     return int(v)
 
 
+def _real_number(v, name: str) -> float:
+    """``float(v)``; a bool, a string or a value that is not a real number is
+    an error, not parsed."""
+    try:
+        if not isinstance(v, (bool, np.bool_, str, bytes, complex, np.complexfloating)):
+            return float(v)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{name} must be a real number, got {v!r}")
+
+
 def _check_start(z0, delta, beta):
     """Refuse what neither engine can evolve: beta outside (1, 2], a start
     point z0 that is not finite, is 0 or lies below the real axis, and a hit
@@ -632,7 +643,8 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
     the live lanes only; a lane's outcome is written when it dies, and depends
     on its own point and tolerance only, at every beta.  Returns a
     :class:`LaneResult` (and a trajectory array when requested: columns
-    t, Re h, Im h, U for the first lane, frozen once it dies).
+    t, Re h, Im h, U for the first lane, one row at the start and one per
+    step it took, so it too depends on that lane alone).
 
     ``zeta_only`` (a bool, or one per lane) marks the lanes whose final h
     nobody reads.  Once the rest of the path can no longer hit one (it lies
@@ -701,9 +713,8 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
             if d_jump[i] != 0.0:
                 subs.append((d_jump[i], False))
         _land_step(x, y, subs, t1, tol, zeta, alive)
-        if record_trajectory:
-            h = (x[0], y[0]) if lane[0] == 0 else (out[1, 0], out[2, 0])
-            traj.append((t1, *h, values[i + 1] if full_step else values[i]))
+        if record_trajectory and lane[0] == 0:  # lane 0 took this step
+            traj.append((t1, x[0], y[0], values[i + 1] if full_step else values[i]))
         if retiring and i < n_steps - 1:
             # |x - m_i| - delta > w_i + slack_i: out of reach of the later path
             d, keep = dist[:lane.size], near[:lane.size]

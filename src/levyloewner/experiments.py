@@ -43,7 +43,7 @@ from .drivers import (
     sample_driver,
 )
 from .engine import (BLOCK, Cell, _axis_drift, _compile_increments, _draw_plan, _integral_count,
-                     _live_draws, _loop_key, _Pool, default_hit_tolerance, run_adaptive_cells)
+                     _live_draws, _loop_key, _Pool, _real_number, default_hit_tolerance, run_adaptive_cells)
 from .errors import ConfigError, StatisticalError
 from .loewner import EvolutionConfig, connected_components, raster_cluster
 from .rng import stream
@@ -272,7 +272,6 @@ def _exponent_fit(side: str, kappa: float, alpha: float, theta: float,
         raise ConfigError("exponent fits require kappa > 4")
     if not 0 < alpha < 1:
         raise ConfigError("exponent fits require alpha in (0,1)")
-    x_grid = np.asarray(sorted(float(v) for v in x_grid))
     if x_grid.size < 5:  # the fit below needs 5 usable points
         raise ConfigError(f"a slope grid needs at least 5 points, got {x_grid.size}")
     params = [PhaseParams(z=x, kappa=kappa, alpha=alpha, theta=theta) for x in x_grid]
@@ -298,12 +297,23 @@ def _exponent_fit(side: str, kappa: float, alpha: float, theta: float,
                        slope=slope, slope_se=slope_se, expected=expected)
 
 
+def _slope_grid(x_grid) -> np.ndarray:
+    """The points of a slope grid as sorted floats; a point that is not a
+    real number is refused before anything is sampled."""
+    try:
+        points = list(x_grid)
+    except TypeError as exc:
+        raise ConfigError(f"a slope grid must be a sequence of numbers, got {x_grid!r}") from exc
+    return np.sort([_real_number(x, "a slope grid point") for x in points])
+
+
 def slope_near_zero(kappa: float, alpha: float, theta: float, x_grid, n: int,
                     horizon: float, seed: int) -> ExponentFit:
     """log-log fit of the survival fraction P(zeta > T) on x in (0,1];
     expected slope 1 - 4/kappa."""
+    x_grid = _slope_grid(x_grid)
     if not all(0.0 < x <= 1.0 for x in x_grid):
-        raise ConfigError(f"near-zero grid must lie in (0, 1], got {list(x_grid)}")
+        raise ConfigError(f"near-zero grid must lie in (0, 1], got {x_grid.tolist()}")
     return _exponent_fit("near_zero", kappa, alpha, theta, x_grid, n, horizon,
                          seed, expected=1.0 - 4.0 / kappa, use_survival=True)
 
@@ -311,8 +321,9 @@ def slope_near_zero(kappa: float, alpha: float, theta: float, x_grid, n: int,
 def slope_near_infinity(kappa: float, alpha: float, theta: float, x_grid, n: int,
                         horizon: float, seed: int) -> ExponentFit:
     """log-log fit of the hit fraction on x in [2, inf); expected slope alpha-1."""
+    x_grid = _slope_grid(x_grid)
     if not all(2.0 <= x < np.inf for x in x_grid):
-        raise ConfigError(f"near-infinity grid must lie in [2, inf), got {list(x_grid)}")
+        raise ConfigError(f"near-infinity grid must lie in [2, inf), got {x_grid.tolist()}")
     return _exponent_fit("near_infinity", kappa, alpha, theta, x_grid, n, horizon,
                          seed, expected=alpha - 1.0, use_survival=False)
 

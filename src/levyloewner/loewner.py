@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import DriverPath
-from .engine import _integral_count, default_hit_tolerance, evolve_lanes_on_path
+from .engine import _integral_count, _real_number, default_hit_tolerance, evolve_lanes_on_path
 from .errors import ConfigError
 
 __all__ = [
@@ -93,9 +93,8 @@ def evolve_point(z0: complex, path: DriverPath, cfg: EvolutionConfig) -> Hitting
 
 
 def _lane0_outcome(res, traj, horizon: float) -> HittingOutcome:
-    """The outcome of lane 0 of an engine-A run that recorded its trajectory:
-    the rows up to the step that stopped the lane, as a run of lane 0 alone
-    records them."""
+    """The outcome of lane 0 of an engine-A run that recorded its trajectory,
+    whose rows end with that lane's last step."""
     hit = not np.isnan(res.zeta[0])
     return HittingOutcome(
         z0=complex(res.z0[0]),
@@ -103,7 +102,7 @@ def _lane0_outcome(res, traj, horizon: float) -> HittingOutcome:
         censored_at=None if hit else horizon,
         steps_taken=int(res.steps[0]),
         h_final=None if hit else complex(res.x[0], res.y[0]),
-        trajectory=traj[:res.steps[0] + 1],
+        trajectory=traj,
     )
 
 
@@ -185,6 +184,7 @@ def estimate_hcap(path: DriverPath, t: float, probe_radius: float | None = None)
     Prop. 3.46) keep every probe at |h| >= R - 13 M >= 0.7 R, clear of the
     growth region.
     """
+    t = _real_number(t, "t")
     if not 0 <= t <= path.horizon + 1e-12:
         raise ConfigError("t must lie within the path horizon")
     if t == 0:
@@ -196,6 +196,7 @@ def estimate_hcap(path: DriverPath, t: float, probe_radius: float | None = None)
     least = 50.0 * max(np.sqrt(t), *(np.abs(c).max(initial=0.0) for c in checks))
     if probe_radius is None:
         probe_radius = max(100.0 * (1.0 + np.sqrt(t) + np.abs(path.values).max()), least)
+    probe_radius = _real_number(probe_radius, "probe_radius")
     if not probe_radius >= least:
         raise ConfigError("probe_radius must be at least 50 max(sqrt(t), |U| at every check point)")
     angles = np.pi * (np.arange(8) + 0.5) / 8

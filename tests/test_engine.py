@@ -341,7 +341,8 @@ def test_generator_calls_come_with_pool_refills(monkeypatch):
     # each, with a normal and a stable draw kind.  Each lockstep iteration
     # makes one _live_draws call, and a draw kind's generator call comes only
     # when its pool refills, with POOL variates: ceil(lane-iterations / POOL)
-    # calls per kind and block, and none in most iterations.
+    # calls per kind and block, exactly in the iterations where the block's
+    # live lanes ask for more variates than its pool holds.
     n = 2000
     refills = []  # per draw kind of each block: the sizes of its generator calls
     per_iteration = []  # generator calls made in each _live_draws call
@@ -374,7 +375,16 @@ def test_generator_calls_come_with_pool_refills(monkeypatch):
     for r, kinds in zip(res, (refills[:2], refills[2:])):
         for sizes in kinds:
             assert sizes == [engine.POOL] * -(-_lane_iterations(r, 0) // engine.POOL)
-    assert sum(map(bool, per_iteration)) <= sum(map(len, refills)) < len(per_iteration) / 10
+    expected = [0] * len(per_iteration)
+    for r in res:
+        held = 0  # the variates of each kind left in the block's pool
+        for j in range(len(expected)):
+            live = int(np.count_nonzero(r.steps + r.hit > j))  # live in its first steps + hit iterations
+            if live > held:
+                held += engine.POOL
+                expected[j] += 2  # one call per draw kind
+            held -= live
+    assert per_iteration == expected
 
 
 def test_pool_size_keeps_single_draw_bytes(monkeypatch):
@@ -756,7 +766,10 @@ def _path_run(case, keep=slice(None), record_trajectory=True):
 # case with off-axis lanes was re-recorded when that root took its modulus
 # from one square root instead of hypot: last bits of zeta, x and y moved, and
 # no lane's steps or hit.  The min_abs digests went with the running minimum
-# of |h|; no other digest moved.
+# of |h|; no other digest moved.  The trajectory digests of big_steps_beta2 and
+# bs_beta2, whose lane 0 dies before the last lane, were re-recorded when lane
+# 0's rows came to end with its last step: each equals the old trajectory's
+# first steps + 1 rows.
 PATH_PINNED = {
     "brownian_beta2": {
         "zeta": "3e720f238650f79309515889537152524ae41e57019a105b477ed45079f051a4",
@@ -777,7 +790,7 @@ PATH_PINNED = {
         "x": "33e7a9e92dda2f5c41d432629211b3d5ab12e3ba8bfae7514b8eb8db9c9e59b4",
         "y": "c69e70d192f7d8eaffa49c6f2f3591ec859cb3e6bf8e718fb44774ec897e23ce",
         "steps": "a4e722ec820161109765735ad085ce5da840bb3eb3b472862598a37f5ad58032",
-        "trajectory": "06d8af26410ea014fba84c520c9d91815ce2376605c379d101cc127f5e5397f1",
+        "trajectory": "dadc3a27f0b5d9188a45694b6fcad5bd85146fcb9952fb230e2b4e1ee2294475",
     },
     "bs_beta1_5": {
         "zeta": "d3494521bb22a87c464dadd4be4938add79559aed89bc0b98b5b1b666619d76c",
@@ -805,7 +818,7 @@ PATH_PINNED = {
         "x": "41be5c85c1d9f2743ca05c5f06f0c59b71d0118df2206c992d6254d0a33a1992",
         "y": "c3b779314de94954a668c123feeb4f02088c536100722e968c6d7a537aae7de4",
         "steps": "45d0018831b190b1b71bf695999004b2cbb5d0ea5d9dfd939416b7591defe4a8",
-        "trajectory": "80de2ae8f69243c733a78fd5c80b959cfd2efe9bc040e31c7defb28868255a7c",
+        "trajectory": "6eb31c37c9a634af4c6a33881135093abbff67f2d5634c72b010ddb8145d9219",
     },
     "big_steps_beta1_5": {
         "zeta": "7b472652c93320008341df3feeffde86869b3d2d33b36d5338d60fe280f6b25c",
@@ -861,6 +874,20 @@ def test_path_lanes_do_not_depend_on_other_lanes(case):
     part = _path_run(case, keep, record_trajectory=False)
     for f in FIELDS:
         np.testing.assert_array_equal(getattr(full, f)[keep], getattr(part, f), err_msg=f)
+
+
+def test_lane0_trajectory_does_not_depend_on_other_lanes():
+    # lane 0 hits in the first step; a far lane beside it lives to the
+    # horizon, or is retired after one step as zeta-only: lane 0's rows end
+    # with its own last step in all three runs
+    path = sample_driver(DriverSpec((Brownian(4.0),)), 1.0, 3, dt=0.01)
+    runs = [evolve_lanes_on_path(z, path, 1.0, hit_tolerance=0.2, record_trajectory=True, zeta_only=only)
+            for z, only in (([0.05j], False), ([0.05j, 50 + 1j], False), ([0.05j, 50 + 1j], [False, True]))]
+    assert [int(res.steps[1]) for res, _ in runs[1:]] == [100, 1]
+    alone = runs[0][1]
+    assert alone.shape == (2, 4) and runs[0][0].hit[0]
+    for _, traj in runs[1:]:
+        assert traj.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(PATH_CASES))

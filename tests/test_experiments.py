@@ -316,6 +316,17 @@ class TestSlopeGrids:
         with pytest.raises(ConfigError, match=r"near-infinity grid must lie in \[2, inf\)"):
             slope_near_infinity(8.0, 0.5, 1.0, [2.0, 4.0, bad, 16.0, 32.0], 200, 20.0, seed=5)
 
+    @pytest.mark.parametrize("fit, grid", [(slope_near_zero, ['0.1', 0.2, 0.3, 0.4, 0.5]),
+                                           (slope_near_zero, [0.1, 0.2, True, 0.4, 0.5]),
+                                           (slope_near_zero, 0.5),
+                                           (slope_near_infinity, [2.0, '2', 8.0, 16.0, 32.0]),
+                                           (slope_near_infinity, [2.0, 4.0, 8.0, 16.0, 32.0 + 0j])])
+    def test_grid_point_not_a_real_number_rejected(self, fit, grid, monkeypatch):
+        # a string point raised a bare TypeError from the range check
+        monkeypatch.setattr(experiments, "_estimates", _no_sampling)
+        with pytest.raises(ConfigError, match="slope grid"):
+            fit(8.0, 0.5, 1.0, grid, 200, 20.0, seed=5)
+
 
 def _no_sampling(*args, **kwargs):
     raise AssertionError("a refused slope grid was sampled")

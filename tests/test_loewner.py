@@ -147,6 +147,12 @@ class TestHcap:
         with pytest.raises(ConfigError):
             estimate_hcap(null_path(1.0), 1.0, probe_radius=1.0)
 
+    @pytest.mark.parametrize("t, radius", [(1.0, "x"), (1.0, "500"), (1.0, 500j), ("1", None), (True, None)])
+    def test_input_not_a_real_number_rejected(self, t, radius):
+        # a string radius raised numpy's UFuncTypeError, a string t a bare TypeError
+        with pytest.raises(ConfigError, match="must be a real number"):
+            estimate_hcap(null_path(1.0), t, probe_radius=radius)
+
     # (path, t, M): M = max(sqrt(t), |U| at every check point of the run to
     # t).  The continuous part of the first two paths reaches 3 or 10 inside
     # their steps while every value is 0 (10 lies beyond the default radius's
@@ -273,11 +279,14 @@ class TestRaster:
                            radius=radius)
 
     @pytest.mark.parametrize("beta", [2.0, 1.5])
-    @pytest.mark.parametrize("z0, tol, hit", [(0.6j, 0.02, True), (2.5 + 2.0j, None, False)])
+    @pytest.mark.parametrize("z0, tol, hit", [(0.03j, 0.02, True), (2.5 + 2.0j, None, False)])
     def test_tracked_point_equals_evolve_point(self, beta, z0, tol, hit):
         # the tracked point is one more lane of the raster's engine call; a
         # lane depends on its own point and tolerance only, so the raster
-        # keeps its bytes and the point gets evolve_point's outcome
+        # keeps its bytes and the point gets evolve_point's outcome.  The hit
+        # point starts on the imaginary axis so near 0 that the first step's
+        # drift takes it within its tolerance before any increment lands, on
+        # every sample
         path = sample_driver(DriverSpec((Brownian(4.0), Stable(1.5, 1.0))), 1.0, 5, dt=2e-3)
         window, cfg = (-1.5, 1.5, 0.0, 2.5), EvolutionConfig(horizon=1.0, beta=beta)
         plain = raster_cluster(window, (30, 25), path, cfg)

@@ -15,7 +15,10 @@ medians exceeds the base's spread between quartiles), the median of the
 per-round ratios head / base, the rounds the head won, and each side's
 engine-A and engine-B lane-steps over all rounds: the sum of
 ``LaneResult.steps`` over the op's ``evolve_lanes_on_path`` and
-``run_adaptive_cells`` calls, and beside them each side's engine-B lockstep
+``run_adaptive_cells`` calls, and the annulus-exit loop's replica-steps
+(column X): the sum over its iterations of the live replicas, which the
+loop's ``_live_draws`` calls in ``experiments`` take variates for, and
+beside them each side's engine-B lockstep
 iterations: the sum over the op's ``run_adaptive_cells`` calls of the most
 iterations a lane of the call was live, max(steps + hit), and its death
 iterations: the sum over those calls of the number of iterations in which a
@@ -31,8 +34,8 @@ of stopping at a difference it prints, per op, how many artifacts differed
 between the sides over all rounds and, below the table, the sorted names of
 those that differed in any round, so the output shows where bytes moved and
 where they did not; it also prints each side's CPU ns per engine-A and per
-engine-B lane-step, the op's CPU time over that engine's lane-steps (nan
-where the op runs no lane of that engine).  A new stream moves the work with
+engine-B lane-step and per annulus-exit replica-step, the op's CPU time over
+that kernel's steps (nan where the op runs no step of that kernel).  A new stream moves the work with
 the sample, so time alone does not compare the sides.
 
 Interleaving the sides in one process makes a paired comparison that machine
@@ -127,6 +130,26 @@ ENGINES = {  # engine: (entry point, its LaneResults)
 }
 
 
+def count_replica_steps(mods: dict) -> list[int]:
+    """Bind a counting wrapper of ``_live_draws`` in the experiments module,
+    whose one caller there is the annulus-exit loop; returns the three-item
+    list (as :func:`count_lane_steps`) whose first item each call adds its
+    live replicas to, ``plan[0]``."""
+    exp = mods[f"{PKG}.experiments"]
+    fn, total = exp._live_draws, [0, 0, 0]
+
+    @functools.wraps(fn)
+    def counted(plan, *args, **kwargs):
+        total[0] += plan[0]
+        return fn(plan, *args, **kwargs)
+
+    exp._live_draws = counted
+    return total
+
+
+STEPS = (*ENGINES, "X")  # the kernels whose steps are counted: engines A and B, the annulus-exit loop
+
+
 def activate(mods: dict) -> None:
     """Make ``mods`` the package seen by imports made while an op runs."""
     for name in [m for m in sys.modules if _owned(m)]:
@@ -172,7 +195,8 @@ def main(argv=None) -> int:
     roots = {"base": args.base.resolve(), "head": args.head.resolve()}
     print_src_lines(roots)
     sides = {side: load(root) for side, root in roots.items()}
-    counters = {side: {e: count_lane_steps(mods, *ENGINES[e]) for e in ENGINES}
+    counters = {side: {**{e: count_lane_steps(mods, *ENGINES[e]) for e in ENGINES},
+                       "X": count_replica_steps(mods)}
                 for side, mods in sides.items()}
     activate(sides["head"])
     sys.path.insert(0, str(args.head.resolve() / "perfbench"))
@@ -185,7 +209,7 @@ def main(argv=None) -> int:
     names = [f"{i}-{a[0]}" for i, a in enumerate(op_list)]
 
     cpu = {side: {n: [] for n in names} for side in sides}
-    lane_steps = {side: {(n, e): 0 for n in names for e in ENGINES} for side in sides}
+    lane_steps = {side: {(n, e): 0 for n in names for e in STEPS} for side in sides}
     iterations = {side: {n: 0 for n in names} for side in sides}  # engine B's
     deaths = {side: {n: 0 for n in names} for side in sides}  # engine B's
     differ = {n: [0, 0] for n in names}  # artifacts that differed, artifacts compared
@@ -219,10 +243,11 @@ def main(argv=None) -> int:
                   + ("timed" if args.stream_change else "artifacts identical"), flush=True)
 
     extra = "".join(f" {side + ' ' + e + ' lane-steps':>18}" for e in ENGINES for side in sides)
+    extra += "".join(f" {side + ' X replica-steps':>20}" for side in sides)
     extra += "".join(f" {side + ' B iterations':>17}" for side in sides)
     extra += "".join(f" {side + ' B deaths':>13}" for side in sides)
     if args.stream_change:
-        extra += "".join(f" {side + ' ' + e + ' ns/step':>15}" for e in ENGINES for side in sides)
+        extra += "".join(f" {side + ' ' + e + ' ns/step':>15}" for e in STEPS for side in sides)
         extra += f" {'differ':>9}"
     side_cols = "".join(f" {side + ' s':>9} {'(q1':>7} {'q3)':>7}" for side in sides)
     print(f"\n{'op':<20}{side_cols} {'ratio':>7} {'wins':>7}{extra}")
@@ -232,10 +257,11 @@ def main(argv=None) -> int:
         ratios = [y / x for x, y in zip(b, h)]
         wins = sum(y < x for x, y in zip(b, h))
         extra = "".join(f" {lane_steps[side][name, e]:>18,}" for e in ENGINES for side in sides)
+        extra += "".join(f" {lane_steps[side][name, 'X']:>20,}" for side in sides)
         extra += "".join(f" {iterations[side][name]:>17,}" for side in sides)
         extra += "".join(f" {deaths[side][name]:>13,}" for side in sides)
         if args.stream_change:
-            for e in ENGINES:
+            for e in STEPS:
                 steps = {side: lane_steps[side][name, e] for side in sides}
                 extra += "".join(f" {1e9 * sum(cpu[side][name]) / steps[side] if steps[side] else float('nan'):>15.1f}"
                                  for side in sides)
