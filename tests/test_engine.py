@@ -152,20 +152,21 @@ def _sha(arr) -> str:
 # exponential wait and a jump size per iteration, the step ends at the wait
 # when it comes first, and the jump lands at its exact event time.  Recorded
 # at 2048-replica blocks, where the run is one block; re-recorded when the
-# slit-map root took its modulus from one square root instead of hypot.
+# slit-map root took its modulus from one square root instead of hypot, and
+# when every stream moved from Philox to SFC64.
 PINNED = {
     2.0: {
-        "zeta": "90a4421f75e04cc7ecfc6509654855f3178a0a8bd40cd50ece60f4713e9398c8",
-        "x": "d261da6b7253963a4c8912ed82f75121d8c9c2dbfeffa9ea08d442d7911e3f66",
-        "y": "b3596e3aeca592fba6cf2c53a337cc637f22953778100cec73dc851e622e5139",
-        "steps": "887ad676391f67c250c5d49cc404b130470b34073d84914501fdd3780b098bde",
-        "exit_time": "a736046dcfea5c5cdf2bdbb2db39013eaf6a34312bab4218fef891fe2e680edc",
+        "zeta": "f66eba2a7258cf97befdaff6b54d9742604e12f2e156a2c9bad82ed6b7c2ea3a",
+        "x": "eff3c0ad373ad3715512ccb49de2a9d25bca9edeb6fcbd0adb20700ed87056c5",
+        "y": "eca906f8601073692ed8082f3dfeac57cbf0b4d413f36e40f0323383f720b378",
+        "steps": "bd4af95b9b49fdff2584d1a0ffa211a010f8bf051897257092c4a72b8df5ad9a",
+        "exit_time": "268e69090833de103ca1493fdb17f7d43dfb793c42034794335745a05d30d1af",
     },
     1.5: {
-        "zeta": "df0ab9765516049c966ec9032a1b6666a7beaa14a5cbb079906f1f428e9cc70d",
-        "x": "da35a64fced1a218a0fa6c0fa9af647c23288fb3b5f24042960ad2a95ec577b0",
-        "y": "c2b06c370e2cfd858d6d5739d18d7d2132c5a2d5e304dff938478bbf1e784d7e",
-        "steps": "ba7b27e04e98ca48fc6a112b96f88bcd25a0b4dd9386741588dfdd2dc96e16d7",
+        "zeta": "6ed23225c089ffb795260eba75e380675c2a06d610bf943b1f36fcd02beecd76",
+        "x": "a90598b96e64802f43e99b46874db3aa98fb523d6df4ec350497fbc9fc904856",
+        "y": "64067c78b92dd30693566c891a05a345d9187eac0f700bf8f833304d32b8c32f",
+        "steps": "a9f7bd9cefd385a08f1f586565b7ba803463f9d9b791bb045363589997fa3c7d",
     },
 }
 
@@ -184,16 +185,16 @@ def test_composite_driver_output_bytes_pinned(beta):
 # the CMS branch below 1, where the power's exponent (1 - alpha)/alpha is
 # positive.  Recorded at 2048-replica blocks, one per cell; re-recorded over
 # FIELDS, without the running minimum of |h| that engine B no longer keeps,
-# and when the slit-map root took its modulus from one square root instead of
-# hypot.
+# when the slit-map root took its modulus from one square root instead of
+# hypot, and when every stream moved from Philox to SFC64.
 STABLE_PINNED = {
-    (0.5, 2.0): "c5e543bcd85e6277754617fc5557e36fc4daa4da07a4038b21cbe9553b97b9bf",
-    (1.0, 2.0): "281ac30f3d0e3cd3e17cecc936479f447119722e2af5de440433767f34b2aa9a",
-    (1.0, 1.5): "3056cada6761eb2f5bf2269ab449c4b82cfc8d880236c104ad41df3837e6e84e",
-    (1.5, 2.0): "dfc9afcc76e7816b5e1e73ebb406740ec1c4dfb5444516b78d6b53875158ece7",
-    (1.5, 1.5): "65c737a04f0fd80cc65823b45fca1110611740ae97ad8ee9c9b316e9b2cf3bb8",
-    (2.0, 2.0): "e0b6c02069879c01130902a0c2430ec3cf20954cefec911541b30f5880b78fc2",
-    (2.0, 1.5): "05067e2cc72ab5218126c80f426d65db1cb3b818bb5d574a78798501609644a9",
+    (0.5, 2.0): "7964da4b3850df01cdfa9088a2a2abdb443d1431cc250413cd01d51ae8d50602",
+    (1.0, 2.0): "94837ba5ae6675ee7f2f124446a8d4150cba699d356296cba8e31e07bccdcc25",
+    (1.0, 1.5): "7cad81c3ce373535dda3e2528f2ad58afff363512d3660a8019f2b8c816071cc",
+    (1.5, 2.0): "90a32b6f05f1f588ee360183a59e366add4654845a537f257136527abb84fe50",
+    (1.5, 1.5): "59a135fe5d9d0d0d0fe6e9887843ba658643ce6c9150efa102f85305aa24b299",
+    (2.0, 2.0): "d6068aaf37126a7123ec2c6c4f7c4a8c1c1ffef12ede5bb5ac96ef3167e662cc",
+    (2.0, 1.5): "4d260fc27a052f7a37024606d393862f154d573dff94472b9b400c3ff7f842d6",
 }
 
 
@@ -223,11 +224,12 @@ def test_stable_cells_output_bytes_pinned(alpha, beta):
 # 2048-replica block.  theta0 and kappa_stable_beta1_5 were re-recorded when
 # the beta < 2 real-axis drift took one power (hits and steps per cell
 # unchanged: 0, 0, 25 and 225, 510 hits).  Every AXIS_PINNED digest was
-# re-recorded over FIELDS, without the running minimum of |h|.
+# re-recorded over FIELDS, without the running minimum of |h|, and again when
+# every stream moved from Philox to SFC64.
 AXIS_PINNED = {
-    "kappa_stable": "c79d48d7efb4971f69766c6f87b32c6ed9c82e2726face1a55e18c5ad352a180",
-    "bessel": "d029135679fd743a77ee7142230f1f9ea5a17c8fa1bbfee0cf8313c28016a4f4",
-    "theta0": "303db693c4adafd78ffad0c54a479c146b2bd0f01ee3008c777ac254a9093e50",
+    "kappa_stable": "03893e825f983e24e405ea844b8ab26f74ec2435e2d35ef3fb91d4bb7ba8d914",
+    "bessel": "126b3bf003ebb1410c7d3149a6ac2e6f0497813e26c1120b89ac76238d160c4c",
+    "theta0": "efda6f17315ea7fda61df75dfe8c316ca3bb2081c6172608ed663a8afcf3fb4a",
 }
 
 # More runs that start on the real axis (x86-64, numpy 2.4): a loop whose cells
@@ -235,32 +237,33 @@ AXIS_PINNED = {
 # composite cell, whose jump clock lands its jumps on the axis; and the flip
 # rule at beta = 1.5.  700 replicas each.
 AXIS_PINNED.update({
-    "mixed_z0": "e0c8bad55a0ffee44523a210369c1fc54a9f63c72f69a0d5ffee093be8619996",
-    "composite": "979f09c2b0da33e90110fc5ccabb9fe3574a2d1546a80bde58956aff95515b4a",
-    "kappa_stable_beta1_5": "e3a0a9503b7070635c057abfd4b67086a366ef1ff62468a2d6a7f0135f270f39",
+    "mixed_z0": "a1f052af73f27013963941c79730dba862a34d67f1446e71a764363f922645ca",
+    "composite": "700ee14a70976745ecf221eb8e4d4b08782db86ca3a8642cb06a8f5426c1034a",
+    "kappa_stable_beta1_5": "467d474b1c5b97a15764f3f97845a674ac8329482a3eb2af011543793060439e",
 })
 
 # Two cells of two blocks each, the second partial (x86-64, numpy 2.4): the
 # block bookkeeping of cells larger than one block, which every other pin and
 # every engine-B subcommand's default n leave out.
-AXIS_PINNED["two_blocks"] = "b05a9f1d612f39b344e760ef14016efe7f1fda525ca2d571f0b4e249532ba6f4"
+AXIS_PINNED["two_blocks"] = "fd2d8b9aa0e600d1bab09994b64186408adc5f56ebf6212f0f651f7ff1d70a4f"
 
 # Off-axis runs from just above the axis (y = delta) whose driver lists its
 # stable part before its Brownian part (x86-64, numpy 2.4): the flip rule at a
-# sub-increment that is not the step's first.  Lanes die by the flip rule 55
-# times at beta = 2 and 134 times at beta = 1.5, and by |h| <= delta 86 and
-# 245 times.  mixed_z0 and both stable_first digests were re-recorded when the
-# slit-map root took its modulus from one square root instead of hypot.
+# sub-increment that is not the step's first.  Of the hit lanes, 46 at beta =
+# 2 and 58 at beta = 1.5 end farther than delta from 0, which only the flip
+# rule allows, and 122 and 340 end within delta (SFC64 streams).  mixed_z0 and
+# both stable_first digests were re-recorded when the slit-map root took its
+# modulus from one square root instead of hypot.
 AXIS_PINNED.update({
-    "stable_first": "f496a402512c5941e86aa1e0f9c4d2834aa67d653d8fbf0f4580a815bce7e322",
-    "stable_first_beta1_5": "c008d532ce92aceb22ea766c2a143591bb51653346ce008a0543b2c6d50cb4c7",
+    "stable_first": "68cebbe7d46b2214a8e3e5343e771c02e87a2fa7cfa993ecdbefc39df3809073",
+    "stable_first_beta1_5": "80251807698f7ac35f0b4536241573162eee361087b83b35db0e37e696fdf768",
 })
 
 
 # A real-axis loop of pure-stable cells that differ in theta at beta = 1.5, as
 # in `theta0-bracket`, with the exit time tracked (x86-64, numpy 2.4): on the
 # real axis |h| = |x| decides the exit.
-AXIS_PINNED["theta_exit"] = "28db71a9680432df1ad0d19f18a8ef26c9108bd31d9d18f8de72979e11bf786c"
+AXIS_PINNED["theta_exit"] = "9f02619df2f430dca9101885ddd958fdab4efbd1d3f2ba306e2ded84e1519682"
 
 
 def _axis_run(case):
@@ -476,20 +479,21 @@ def test_compound_poisson_jumps_at_exact_event_times():
 def test_annulus_exit_output_bytes_pinned():
     # Brownian and stable parts (x86-64, numpy 2.4); the loop shares its block
     # draws with engine B.  Recorded at 2048-replica blocks, where 1300
-    # replicas are one block.
+    # replicas are one block; re-recorded when every stream moved from Philox
+    # to SFC64, as were ANNULUS_PINNED and EXIT_PINNED.
     sides, pos = _annulus_exit_positions(1.0, 0.5, 1.0, 1.5, 1.0, 2.0, 1300, 50.0, 11)
-    assert _sha(sides) == "8859917de8164b088f43f77d8949791f3ea9069a879b2590d24d8a20eb4ebac8"
-    assert _sha(pos) == "4b38289d90e99176396b6cc368cbe030410214e5dbf412e13c054c302153f735"
+    assert _sha(sides) == "60d67e3ae369e5d467aea4625e09e02a7264e7f223ef45c56fa7aab75ae92528"
+    assert _sha(pos) == "5e8338bf23a8ed2a423eff7784976bbea56e9d5f6bcc4095cd18b84a15f68e5d"
 
 
 # (kappa, alpha, theta) of more annulus-exit runs (x86-64, numpy 2.4), as
 # above: the Cauchy map alone (alpha = 1, one uniform per draw) and a Brownian
 # part beside the alpha > 1 map.
 ANNULUS_PINNED = {
-    (0.0, 1.0, 1.0): ("0821ccaa14e746fd881afa21b6bd4a46660b4961b628e3f1b9f8612de89e36af",
-                      "9385618f21bdd05ba3495836b80593ea4e8ef66d55c9c46c9a304139ee0ec72e"),
-    (2.0, 1.5, 0.5): ("a38fcab54f6c53fd93872d586d1d8c72b39f95284280c6a5ed741e0901f8d962",
-                      "5d1ecfc9f0a8980d6bd47df8ea17d6c450fdb83bdf6f163eeb3085f4cb024c5a"),
+    (0.0, 1.0, 1.0): ("bd9fb4928fad8d1294eb175f4d9f557959bdbbd8c1456a44d514f151d8d38680",
+                      "4703f7a09d4955347ebb3dbc789e52ec80e2c52daa8691a2a39bff4364f5002d"),
+    (2.0, 1.5, 0.5): ("55b14d9db2d369ac475a744d1d29c33090d1ef07d7de8970fbfe769e0ed3d235",
+                      "1b1485d88003cea74439ad74db0d18ed8233d918f9b007dc65caec2f3d334392"),
 }
 
 
@@ -503,16 +507,16 @@ def test_annulus_exit_driver_bytes_pinned(driver):
 # |x| + y, where only hypot decides (x86-64, numpy 2.4); re-recorded when the
 # slit-map root took its modulus from one square root instead of hypot.
 EXIT_PINNED = {
-    2.0: {"zeta": "7a4e4f82ceffc7a9a2153d25d7563f1e001bc0d56d99cbd44d2bf07a051c8b23",
-          "x": "8e28e9ac4022957084f4844576e9aedccfd38f98a17ed090e06072f82370b524",
-          "y": "49d4e11248c856e043d70d20019d58866f28b99c5964fb33780a67b8c74bc3c0",
-          "steps": "985311a204057d226a542a87a24b757b7f1b90e98b763a1a8960ce0947345ed9",
-          "exit_time": "66e711a3be5d2a13b820a4f9c6455662954cda00a627415a28d823c301a4e84d"},
-    1.5: {"zeta": "9597b8994dbbecb8f408440309d750dd8a976b77d7aa366c1873927a79cca04e",
-          "x": "713c34960a2e3e43316a07541b13aa32052c961626eac177f57408fd384eeaa4",
-          "y": "2f37388bdf1c19d950025edc93734c1f8696ca6153e129c4b82cdf159f604ad8",
-          "steps": "e3ac4c125afda2e3d9c8bcbab53f0d80c913410ea31d62f6d0eca5b86ae38c9a",
-          "exit_time": "2f070c2db1bfb7cfda7a92a6073c7184c47e92a1131a21a53f834f1f9e6be4f3"},
+    2.0: {"zeta": "a49efbaf83865755682446c40390a2451fc35c0e93eb56331585ae23733e154b",
+          "x": "42f2b32efcff605fc2cbcf99892cc0e5be5bb320d71892e93ea41b1bce9acbb1",
+          "y": "de54e49cf289754d4a07105fa4232d2e9fe938839f6637e6a866a91109d635e0",
+          "steps": "3eb2749226667755b6753289307c55e99cfef857588d463ad3ecfd3872470cbd",
+          "exit_time": "cd89123c82b856b4b6412701e97df4c7146b6920bd3b67258383947946b1b9be"},
+    1.5: {"zeta": "22055dd1d3aae328e43181ffb3f537935ddd761e135dfd2cce092340f61775d5",
+          "x": "1dabd0935c764902854fea1b2dfc2600ebd465f503c7865291d972f7f8c31ab4",
+          "y": "15980585ab5b9272c843d0d679739111f15d4a15cf9286ee3c9863d993579bcd",
+          "steps": "804d70db806897d1816c8ebf7618983e36ec7a9e4546c6803e00c7585e1a1153",
+          "exit_time": "04700912712f058036334c423df36787f8dd755a41812949005ad01226c03df0"},
 }
 
 
@@ -769,77 +773,78 @@ def _path_run(case, keep=slice(None), record_trajectory=True):
 # of |h|; no other digest moved.  The trajectory digests of big_steps_beta2 and
 # bs_beta2, whose lane 0 dies before the last lane, were re-recorded when lane
 # 0's rows came to end with its last step: each equals the old trajectory's
-# first steps + 1 rows.
+# first steps + 1 rows.  Every digest but the y of the two all-real-axis cases
+# was re-recorded when every stream moved from Philox to SFC64.
 PATH_PINNED = {
     "brownian_beta2": {
-        "zeta": "3e720f238650f79309515889537152524ae41e57019a105b477ed45079f051a4",
-        "x": "f945d67e5e32c54520c88227169e023874c32c6f7c51e14e578108b99ad724b4",
-        "y": "7c42f0c729067f66331f475846b4e9d36e5cdbc51c19924879c6b46128913248",
-        "steps": "8121ae4bf3a0bd3a608b50a3a582581a8b3bd06aebdf5d082af5608c1601c683",
-        "trajectory": "22cf462eaba412dba7ea263bb3a22ed3356013597a65f7722ff4f5d611780946",
+        "zeta": "3e61de02d74eba5dbb4f298f548fcd6d56737ab2ec5dbc945b9b4e06568798f2",
+        "x": "8007edf052fbc070a8ac5f78704a009f0c9b6a56c6fb2224cc715e0557e8d3b9",
+        "y": "7e31bfabd6b243bab25f07905c42f71294b1f5b4fe4928200badb487bd941711",
+        "steps": "4d2987b902e8b2dc59b3870556ef15af89f3a480f3c41e611b47c2d1f943b6e0",
+        "trajectory": "72fa0b475b6a5379cd35eba66dae574e42962a7d736ac57094718b769c8b1c64",
     },
     "stable_beta1_5": {
-        "zeta": "504da7f069f2ce1d1b7352e2af6c97b6596340a2d4cac3600cfa45bf262902e1",
-        "x": "44d23ca1e8df2a16bb00b0b1ed63719a80c80b850290ad2937644ff6a48d58a7",
-        "y": "44d53c6ffd4e054105c49554ea705a533efc77d1233930a2139fa1f3c197d3e9",
-        "steps": "3c7ae0d179c595639946b17e42c5b346b328f1ca2a46bc60fed2fc851649eb4b",
-        "trajectory": "8c68f0ad39daa1e142b2bd35db6fdd5b47a5166fd76478fa9e279307f9d021b4",
+        "zeta": "d80ac03b9a85926aae28766dc43525fb6159c724544296348d3bb696f7a96a7e",
+        "x": "bbf00082a9612ac8b47ce5958c8353ef3b67027735a293fe719e6dd609175b20",
+        "y": "65e8f32e079a4dfa2e8ab641ed8184936a798746c715809f62c8b53ea7a17af7",
+        "steps": "22b4a3428f0921af9bee7e5b4b9373249514a630b655054c42601a45b0a86974",
+        "trajectory": "03b75465b7d7ac951a0c2c6a304c2762d24d4d0294b1d60f26819d63c7c4dd0f",
     },
     "bs_beta2": {
-        "zeta": "178285fac54b664e1f7a0243ac41c0e2418928a64222e9bb907705c266656ccf",
-        "x": "33e7a9e92dda2f5c41d432629211b3d5ab12e3ba8bfae7514b8eb8db9c9e59b4",
-        "y": "c69e70d192f7d8eaffa49c6f2f3591ec859cb3e6bf8e718fb44774ec897e23ce",
-        "steps": "a4e722ec820161109765735ad085ce5da840bb3eb3b472862598a37f5ad58032",
-        "trajectory": "dadc3a27f0b5d9188a45694b6fcad5bd85146fcb9952fb230e2b4e1ee2294475",
+        "zeta": "8a91ab0a5b374afffad2165f09335156f02fc69a018b5faad41d5b80dae71b2b",
+        "x": "3548a62fe046a5122683ddf7ae444d9d26593d1c408246f2e10c088a7992d308",
+        "y": "624bd4e84d57a36be18022332ef8eef446f5b58e13ed19045b5dcd6ed833c385",
+        "steps": "09cbfb51a8f7015ff100cc4ff1f704d84fe515c5bf1ffc4b857cabef100494aa",
+        "trajectory": "10ccf57f572e26b550a0a9bec58475ecea3732d31bf47696a713bf7c78143146",
     },
     "bs_beta1_5": {
-        "zeta": "d3494521bb22a87c464dadd4be4938add79559aed89bc0b98b5b1b666619d76c",
-        "x": "714d5604cd1c661d22cd162e614cf09de1ae8e29d44522b2d2959a6f1ff65d7f",
-        "y": "7df8bca351b7b3143f6955bff55e36c77837f2c2604e52b7ab0bb4ca7d33e025",
-        "steps": "b747e2543c3cd5b8d441aafd0acf241951588f01ca2d03a6d3251dc05a7feb89",
-        "trajectory": "b4d7733ec339161c18200da24dedd9dfe6bef7441b63c92db571055b95919ca5",
+        "zeta": "5c5d0ef4407c9dafba2e7a62e2bebbecee98973ec1b28df018ee2a3df5543413",
+        "x": "f43f7f32b70ce828c48d2892aa827116026d7228c9657a6e0f1f5cf9538c9506",
+        "y": "13a426bbccd1e2eeb16404bd8c323a696544e7efffa737133606097be80ce5d1",
+        "steps": "f791f991f63cc5b39a361c283f331c13beabc7662e6a9c3be023eceeb7ed47da",
+        "trajectory": "4505a2a990cda484a76cddfcf910ec378e2a133a1de9516d22222395de7ae034",
     },
     "cpp_beta2": {
-        "zeta": "559d239794bd19b9474c47c56a05f7b2c4aeec07b98079b549e4a02bb6969241",
-        "x": "2f169d4233d420fab2a4ec3e18e2f4e474e30116d5b62db102e4f1f824679bc8",
-        "y": "146c18b038de45dfe36b1c9f936fc0c8512f853a0bc3badf010cdb55a5d1d980",
-        "steps": "719b2fcb47e8a05e257453c651af9da49d8ada008ff4318e54f75a6a386843fc",
-        "trajectory": "42209a45256470cf07c8db2352a04fd5a293b8661b00b758c5b5a57ce5749377",
+        "zeta": "352ee789f858ff24e6a501c28f73d657d7a96a7bcad891b7d71e6f236806b287",
+        "x": "ed278d9c271a80d560d4dd3eb66b7af46be52cc156b538f6a4318555cb0303ef",
+        "y": "ad26dc0ac4c1b3f8832a206562a9189f2a9ff26247e83d3474a98aeacccb53e9",
+        "steps": "d3ae530060c2493e29ef6591f58371ab0ade147e0bd04b9645dd1a06aa7aab7a",
+        "trajectory": "c5f08e7d9fde2bc5237859ccfc06fbd1a05063da23618d6136b258e7d359a21b",
     },
     "k4_stable_beta1_5": {
-        "zeta": "91f86fa030c18fd2acf07ec1751cd436a7e69327e69143d47bd823c43a1d2f39",
-        "x": "a49c81b51bf12ee5727b57810223d230e1d43911898785e959165645427c6ea6",
-        "y": "4b983d9f12baaaa25bd8d54dd9349b721e1632d6670e453d40d6d1919cb42022",
-        "steps": "fc21d2a4c9bbca55976b471e97fcbb08baa39d85b6746d11765e927b371bb9c1",
-        "trajectory": "5368afc8c3d25fbab95b5adfad403988cca6404e42bd97a2bd487ab59b15cdb2",
+        "zeta": "3810a785984de7c84284e09d30e1577ab56fa65e363aea56c5c477b1f508cf2d",
+        "x": "0e2497926916858653d7f6bc5525175a03f9fa6496ded18994685306fa4bff0b",
+        "y": "6d4ce37cae2533aef0fe5ac8a547a7b896597cb39413d426f0510e2ac35875c1",
+        "steps": "29d9023effd9d44c4fcbfd1dc0b82190076d797d7959d9c6ff2bafd8ef0abe1b",
+        "trajectory": "d21d541b662cd36ff64e808a4af8b631f62089b5f7948426610fd1580c7d5628",
     },
     "big_steps_beta2": {
-        "zeta": "df7b44740fdf012af9e94b49051f3e0a8e21a6d3ee48a4d00e4b429a5ccf89d7",
-        "x": "41be5c85c1d9f2743ca05c5f06f0c59b71d0118df2206c992d6254d0a33a1992",
-        "y": "c3b779314de94954a668c123feeb4f02088c536100722e968c6d7a537aae7de4",
-        "steps": "45d0018831b190b1b71bf695999004b2cbb5d0ea5d9dfd939416b7591defe4a8",
-        "trajectory": "6eb31c37c9a634af4c6a33881135093abbff67f2d5634c72b010ddb8145d9219",
+        "zeta": "78d53c9acc6b5ac5e76c9c52be0dc9e8f02045c0dedc133f9a8183b7a216ffd8",
+        "x": "a3b4652e97f5124554d727d249a1945b5e05a3827d383ef30c5a8feb6d15de37",
+        "y": "c429a384c80b53b989823fd585536134eda3421d45e7b76feb28f2b148abb7fd",
+        "steps": "a05823b11dea567b3ff1b2368351943722ad70ccf05c9ac4d7ffc24c057aef16",
+        "trajectory": "19a259b997789a7a63aa73d872beb55e429e9ef6b4086ffdb4a59f528688003f",
     },
     "big_steps_beta1_5": {
-        "zeta": "7b472652c93320008341df3feeffde86869b3d2d33b36d5338d60fe280f6b25c",
-        "x": "3b050f42e24202a495b70044e16b080ab9ec82a4a003994dac2f027dcced12bf",
-        "y": "fa282ea16f7888f8c0b90e9faff95ed165744e85cfed6a7ec6c36d685a90e803",
-        "steps": "eda0b5533f3e98db8e5d7c8a609a98b16f86cc54d43530003a847f046a911a89",
-        "trajectory": "b80f5d3307a3c4ffee6a7ad177d8a0aedde76b74c406d1bbf52415260acf5252",
+        "zeta": "66abbd81d5f830af0f0bc418ef7ef9fca9b6472def892e01a1b700d992fd3940",
+        "x": "38aa01563089605ddbc2ef267fc1db85310d9eac3c1b535b9321ed61a7f42768",
+        "y": "75faf7132d4130e660404ebb0ec1e0691f96181c9b7d9d93bc4cc55b93408d2a",
+        "steps": "f9b05e749ff7cf7f7ae4e6c71aa1b9c084c831484639349b51acaa91d17d2143",
+        "trajectory": "9ff7b8aa7087bb4adb899d0164d2efc73987462d1a23c74dcbb0d08395c1ba8d",
     },
     "k4_stable_axis_beta2": {
-        "zeta": "0f5d5b73c3d144710d0359e6aaee99ec4da56a6cc6548fe099bc58a9a7636240",
-        "x": "da8922bd69d022c4b4552fec7b2ca526bf468a7b3667b98648694918bb5f8ce8",
+        "zeta": "e3d74723a58b43d8299903cf842434d56032fdf98b0b0ca57a957f1c38c4c9ca",
+        "x": "6c80f06972e65c75127cbf40edfb9f95b08dce5cb6e10f38f38779a4130f1996",
         "y": "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
-        "steps": "480272b09fffdda72767382a72ce232f2a1384e78ec8cc0087317e6be250ccbf",
-        "trajectory": "2840973247dabbf8f65c93161ff7d3032bded22abc79dc9bd602173515c34463",
+        "steps": "3f10fec79e6924186d370bcd21d664b6888fdd8ec0db0be04418affc8536bcb8",
+        "trajectory": "82490ee843215416ce63fcb8ae3cc3f28730ba80ff3a8df8938b35251ebc26b6",
     },
     "k4_stable_axis_beta1_5": {
-        "zeta": "a17214612bdd29dcd85252c743e89779f49ba46e9d3e91f4bd612122e33c28b0",
-        "x": "51dd20cabc7a1092fd06d87746114fdf91afdf7fcb9d77e64f1d4b06dae55720",
+        "zeta": "34ab9ef45521f1286b379854d9d9f486676c368ec5c4d9757321690586f0f4b0",
+        "x": "e6ac6667c3d51a6f8077fc6384d866e85defef32a8d7de8cd525759d5d2ee7a6",
         "y": "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
-        "steps": "f0f70ef7c4f0bbb2c9e9b800c9d0cdd8a5281931c6837bda6c31e54aaea59eb1",
-        "trajectory": "e2392638f95e7376b5c382cf401350dc9941aa4b763d3fa21b11c975483ce974",
+        "steps": "76cb0c250a26ff2fad5c6d0e747e22ef5e9afb85b7deee4c7e56c5684e6adef7",
+        "trajectory": "fc06bfc100d62e38aa9bffa9a689ccf8c2146948c272ab23e5a113ac3569d39e",
     },
 }
 

@@ -406,16 +406,16 @@ class TestScalingCheck:
     # sample A's start z/sqrt(a), tolerance delta/sqrt(a), exit radius
     # rho/sqrt(a) and horizon T/a, and the rescaling of its statistic.
     # Re-recorded when the slit-map root took its modulus from one square root
-    # instead of hypot.
+    # instead of hypot, and when every stream moved from Philox to SFC64.
     CASES = {
         "im_h": ((4.0, 1.5, 1.0, 3.0, "im_h", 0.5 + 1j, 4.0, 500, 31), {}),
         "exit_time": ((4.0, 0.5, 1.0, 2.0, "exit_time", 1j, 8.0, 500, 31), {"exit_radius": 3.0}),
     }
     PINNED = {
-        "im_h": ("6f22939d7c26d3da49a0077e53768afaa16afa84ac72845624833b854681fdf7",
-                 "83e677bd34035b07e4d548a45f6ca7f7e3bd516c1e95d956a2328bd5801d3b5d"),
-        "exit_time": ("da81e3fcb75709f970503bef5365afaf2f5e0c004e32f22e758711e438e008d6",
-                      "3538f61cc3c33ae4a5f29065002f786c7a9329b99b45d0fbc3ec24938b70fa8a"),
+        "im_h": ("d3f2b244fb3a77ed1414f3fcc801815969f128bfb068d7ea2428aba650816d4c",
+                 "4e99deea933632661d1d31f8c5deae41bd7a2fcbf8032c1a84c85dafffc7edc8"),
+        "exit_time": ("843dcab7a9596bece8ee14c4f1d43d0b66aa4ef6200fc37cdbcc106b54f5f520",
+                      "0f50a116e333c644122f206f3140ea6502516aaf76e24f7acca238d8381d5b55"),
     }
 
     @pytest.mark.parametrize("statistic", sorted(CASES))
