@@ -16,11 +16,11 @@ per-round ratios head / base, the rounds the head won, and each side's
 engine-A and engine-B lane-steps over all rounds: the sum of
 ``LaneResult.steps`` over the op's ``evolve_lanes_on_path`` and
 ``run_adaptive_cells`` calls, and the annulus-exit loop's replica-steps
-(column X): the sum over its iterations of the live replicas, which the
-loop's ``_live_draws`` calls in ``experiments`` take variates for, and
-beside them each side's engine-B lockstep
-iterations: the sum over the op's ``run_adaptive_cells`` calls of the most
-iterations a lane of the call was live, max(steps + hit), and its death
+(column X): the sum over its iterations of the live replicas, for which its
+``_live_draws`` calls in ``experiments`` take variates; and beside them each
+side's engine-B lockstep iterations: the sum over the op's
+``run_adaptive_cells`` calls of the most iterations a lane of the call was
+live, max(steps + hit), and its death
 iterations: the sum over those calls of the number of iterations in which a
 lane of the call died, the distinct values of steps + hit.  These are
 deterministic counts that a byte-neutral change leaves equal; under a stream
@@ -35,8 +35,9 @@ between the sides over all rounds and, below the table, the sorted names of
 those that differed in any round, so the output shows where bytes moved and
 where they did not; it also prints each side's CPU ns per engine-A and per
 engine-B lane-step and per annulus-exit replica-step, the op's CPU time over
-that kernel's steps (nan where the op runs no step of that kernel).  A new stream moves the work with
-the sample, so time alone does not compare the sides.
+that kernel's steps (nan where the op runs no step of that kernel).  A new
+stream moves the work with the sample, so time alone does not compare the
+sides.
 
 Interleaving the sides in one process makes a paired comparison that machine
 drift moves much less than separate benchmark runs do.
