@@ -9,12 +9,11 @@ Subpackages by concern:
   sampled path (beta in :class:`EvolutionConfig`), hitting detection, slit
   maps, capacity, rasters
 * :mod:`levyloewner.alpha_loewner` -- the index-beta null-driver closed form
-  and driver-path rescaling
 * :mod:`levyloewner.experiments` -- Monte Carlo phase estimators
 * :mod:`levyloewner.cli` -- command-line front end and file outputs
 """
 
-from .alpha_loewner import closed_form_null_driver, scaled_path
+from .alpha_loewner import closed_form_null_driver
 from .drivers import (
     Brownian,
     CompoundPoisson,
@@ -47,7 +46,6 @@ from .stable_calculus import (
     HarmonicClass,
     classify_power,
     frac_constant,
-    frac_laplacian_power,
     gamma_coeff,
     gamma_coeff_alt,
     phi,

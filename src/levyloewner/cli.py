@@ -2,9 +2,10 @@
 
 Subcommands: gamma, theta0, trace, phase, hitprob, slopes, overshoot, area,
 scalecheck, disconnect, theta0-bracket.  Global flags --config/--seed/
---workers/--out; per-subcommand flags mirror config keys in kebab-case and
-override the config file.  Exit codes: 0 ok, 2 config error, 3 numerical
-error, 4 statistical error.
+--workers/--out, where --workers must be a positive integer and is ignored
+(every subcommand runs on one thread); per-subcommand flags mirror config
+keys in kebab-case and override the config file.  Exit codes: 0 ok, 2 config
+error, 3 numerical error, 4 statistical error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -272,7 +272,7 @@ SCHEMAS: dict[str, dict] = {
 
 SUBCOMMANDS = tuple(SCHEMAS)
 
-_GLOBAL_DEFAULTS = {"seed": 20260809, "workers": None, "out": None}
+_GLOBAL_DEFAULTS = {"seed": 20260809, "out": None}
 
 
 @dataclass(frozen=True)
@@ -280,14 +280,12 @@ class RunConfig:
     subcommand: str
     params: dict
     seed: int
-    workers: int
     out: str
 
     def serialize(self) -> dict:
         return {
             "subcommand": self.subcommand,
             "seed": self.seed,
-            "workers": self.workers,
             "out": self.out,
             **self.params,
         }
@@ -319,18 +317,14 @@ def parse_config(subcommand: str, mapping: dict) -> RunConfig:
         seed = _as_int(seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"seed must be an integer, got {seed!r}") from exc
-    if workers is None:
-        workers = os.environ.get("LL_WORKERS", "1")
-    try:
-        workers = _as_int(workers)
+    try:  # accepted for old configs and checked, but nothing reads it
+        if workers is not None and _as_int(workers) < 1:
+            raise ValueError("expected a positive integer")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"workers must be a positive integer, got {workers!r}") from exc
-    if workers < 1:
-        raise ConfigError(f"workers must be a positive integer, got {workers}")
     if out is None:
         out = f"ll-out-{subcommand}"
-    return RunConfig(subcommand=subcommand, params=params, seed=seed,
-                     workers=workers, out=str(out))
+    return RunConfig(subcommand=subcommand, params=params, seed=seed, out=str(out))
 
 
 def _driver_spec_from(params: dict) -> DriverSpec:
@@ -563,8 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", type=str, default=None, help="JSON config file")
         sp.add_argument("--seed", type=str, default=None, help="64-bit master seed")
         sp.add_argument("--workers", type=str, default=None,
-                        help="accepted and echoed in the manifest (default env "
-                             "LL_WORKERS or 1); every subcommand runs on one thread")
+                        help="accepted if a positive integer, and ignored: every "
+                             "subcommand runs on one thread")
         sp.add_argument("--out", type=str, default=None, help="output directory")
         for key, (kind, _default, _validator) in SCHEMAS[name].items():
             flag = "--" + key.replace("_", "-")

@@ -97,9 +97,9 @@ def wilson_ci(hits: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-def ks_two_sample(a: np.ndarray, b: np.ndarray, level: float = 0.01):
+def ks_two_sample(a: np.ndarray, b: np.ndarray):
     """Two-sample Kolmogorov-Smirnov distance against the asymptotic critical
-    value at the given level; returns (distance, critical, passed)."""
+    value at the 1% level; returns (distance, critical, passed)."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     n, m = a.size, b.size
@@ -109,7 +109,7 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray, level: float = 0.01):
     fa = np.searchsorted(a, pooled, side="right") / n
     fb = np.searchsorted(b, pooled, side="right") / m
     dist = float(np.max(np.abs(fa - fb)))
-    c_level = float(np.sqrt(-np.log(level / 2.0) / 2.0))
+    c_level = float(np.sqrt(-np.log(0.01 / 2.0) / 2.0))
     crit = float(c_level * np.sqrt((n + m) / (n * m)))
     return dist, crit, bool(dist < crit)
 
@@ -184,6 +184,7 @@ def _estimates(cells, n: int, horizon: float, seed: int,
     order."""
     if n < 100:
         raise ConfigError("n >= 100 required for CI validity")
+    horizon = _real_number(horizon, "horizon")
     groups: dict[tuple, list[int]] = {}
     for i, (spec, params, _) in enumerate(cells):
         groups.setdefault((params.beta, _loop_key(spec)), []).append(i)
@@ -217,7 +218,7 @@ def phase_scan(grid: dict, z: complex, n: int, horizon: float, seed: int,
     unknown = set(grid) - set(axes)
     if unknown:
         raise ConfigError(f"unknown grid axes {sorted(unknown)}; allowed {axes}")
-    lists = [list(grid.get(k, [None])) for k in axes]
+    lists = [[_real_number(v, k) for v in grid[k]] if k in grid else [None] for k in axes]
     cells = list(itertools.product(*lists))
     if not cells or all(len(v) == 0 for v in lists):
         raise ConfigError("empty phase grid")
@@ -441,11 +442,12 @@ def overshoot_histogram(kappa: float, alpha: float, theta: float, a: float, b: f
     bins = _integral_count(bins, "bins")
     if bins < 1:
         raise ConfigError("bins must be at least 1")
+    a, b = _real_number(a, "a"), _real_number(b, "b")
     if not theta > 0:
         raise ConfigError("the overshoot check needs a jump component (theta > 0)")
-    if not horizon > 0:
+    if not _real_number(horizon, "horizon") > 0:
         raise ConfigError(f"horizon must be positive, got {horizon}")
-    sides, pos = _annulus_exit_positions(kappa, alpha, theta, float(z), a, b, n, horizon, seed)
+    sides, pos = _annulus_exit_positions(kappa, alpha, theta, _real_number(z, "z"), a, b, n, horizon, seed)
     n_inner = int((sides == 1).sum())
     n_outer = int((sides == 2).sum())
     n_cens = int((sides == 0).sum())
@@ -525,7 +527,7 @@ def area_fraction(kappa: float, alpha: float, theta: float, r_list, resolution: 
     n_replicas = _integral_count(n_replicas, "n_replicas")
     if n_replicas < 1:
         raise ConfigError("n_replicas must be at least 1")
-    r_list = tuple(sorted(float(r) for r in r_list))
+    r_list = tuple(sorted(_real_number(r, "a radius of r_list") for r in r_list))
     if not r_list or not all(0 < r < np.inf for r in r_list):
         raise ConfigError(f"r_list must be nonempty, positive and finite, got {list(r_list)}")
     resolution = _integral_count(resolution, "resolution")
@@ -587,6 +589,7 @@ def scaling_check(kappa: float, alpha: float, theta: float, a: float, statistic:
         raise ConfigError("statistic must be hit_indicator, im_h or exit_time")
     if n < 500:
         raise ConfigError("scaling checks need n >= 500")
+    a = _real_number(a, "scale factor a")
     if not 0 < a < np.inf:
         raise ConfigError(f"scale factor a must be positive and finite, got {a}")
     if theta_tilde is None:
@@ -684,7 +687,7 @@ def theta0_bracket(alpha: float, theta_grid, z: complex, n: int, horizon: float,
     """
     if not 1 < alpha < 2:
         raise ConfigError(f"theta0 bracket requires alpha in (1,2), got {alpha}")
-    thetas = tuple(sorted(float(v) for v in theta_grid))
+    thetas = tuple(sorted(_real_number(v, "a theta grid point") for v in theta_grid))
     if len(thetas) < 2:
         raise ConfigError("theta grid needs at least two points")
     params = [PhaseParams(z=z, kappa=0.0, alpha=alpha, theta=th, beta=alpha) for th in thetas]
@@ -710,9 +713,8 @@ def theta0_bracket(alpha: float, theta_grid, z: complex, n: int, horizon: float,
 
 def composite_driver_phase(alpha: float, kappa: float, cutoff: float,
                            cpp_rate: float, cpp_law: JumpLaw,
-                           z_list, n: int, horizon: float, seed: int,
-                           theta: float = 1.0) -> list[PhaseEstimate]:
-    """Phase estimates for U = sqrt(kappa) B + theta^(1/alpha) S^cutoff + CPP.
+                           z_list, n: int, horizon: float, seed: int) -> list[PhaseEstimate]:
+    """Phase estimates for U = sqrt(kappa) B + S^cutoff + CPP (theta = 1).
 
     The jump law cpp_law decides whether the driver is recurrent or
     transient; pass z_list as a geometric sequence toward 0 to expose the
@@ -720,9 +722,9 @@ def composite_driver_phase(alpha: float, kappa: float, cutoff: float,
     comps = []
     if kappa > 0:
         comps.append(Brownian(kappa))
-    comps.append(TruncatedStable(alpha, theta, cutoff))
+    comps.append(TruncatedStable(alpha, 1.0, cutoff))
     comps.append(CompoundPoisson(cpp_rate, cpp_law))
     spec = DriverSpec(tuple(comps))
-    cells = [(spec, PhaseParams(z=complex(z), kappa=kappa, alpha=alpha, theta=theta), ("cor", i))
+    cells = [(spec, PhaseParams(z=complex(z), kappa=kappa, alpha=alpha, theta=1.0), ("cor", i))
              for i, z in enumerate(z_list)]
     return _estimates(cells, n, horizon, seed, None)

@@ -49,11 +49,12 @@ class EvolutionConfig:
     beta: float = 2.0
 
     def __post_init__(self):
-        if not self.horizon > 0:
+        if not _real_number(self.horizon, "horizon") > 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
-        if self.hit_tolerance is not None and not 0 < self.hit_tolerance < np.inf:
+        tol = self.hit_tolerance
+        if tol is not None and not 0 < _real_number(tol, "hit_tolerance") < np.inf:
             raise ConfigError("hit_tolerance must be positive and finite")
-        if not 1.0 < self.beta <= 2.0:
+        if not 1.0 < _real_number(self.beta, "beta") <= 2.0:
             raise ConfigError(f"beta must lie in (1,2], got {self.beta}")
 
 

@@ -127,22 +127,14 @@ def render_raster_svg(raster: ClusterRaster) -> str:
     cw = (x1 - x0) / nx
     ch = (y1 - y0) / ny
     mask = raster.cells_hit_by(raster.horizon)
+    vals = raster.zeta[mask]
+    pct = np.argsort(np.argsort(vals)) / max(vals.size - 1, 1)
     body = []
-    if mask.any():
-        vals = raster.zeta[mask]
-        order = np.argsort(np.argsort(vals))
-        pct = order / max(vals.size - 1, 1)
-        k = 0
-        for j in range(ny):
-            for i in range(nx):
-                if mask[j, i]:
-                    cx = x0 + i * cw
-                    cy = y0 + (j + 1) * ch
-                    body.append(
-                        f'<rect x="{fmt(cx)}" y="{fmt(-cy)}" width="{fmt(cw)}" '
-                        f'height="{fmt(ch)}" fill="{_color(pct[k])}"/>\n'
-                    )
-                    k += 1
+    for k, (j, i) in enumerate(zip(*mask.nonzero())):  # row-major, as vals
+        cx = x0 + i * cw
+        cy = y0 + (j + 1) * ch
+        body.append(f'<rect x="{fmt(cx)}" y="{fmt(-cy)}" width="{fmt(cw)}" '
+                    f'height="{fmt(ch)}" fill="{_color(pct[k])}"/>\n')
     return _svg_document(x0, x1, y0, y1, body)
 
 

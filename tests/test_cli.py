@@ -28,7 +28,6 @@ class TestParseConfig:
         cfg = parse_config("hitprob", {})
         assert cfg.params["n"] == 2000
         assert cfg.params["kappa"] == 0.0
-        assert cfg.workers == 1
         assert cfg.out == "ll-out-hitprob"
 
     def test_unknown_key_rejected(self):
@@ -62,10 +61,6 @@ class TestParseConfig:
             mapping["n"] = n
         cfg = parse_config(sub, mapping)
         assert parse_config(sub, cfg.serialize()) == cfg
-
-    def test_env_workers_default(self, monkeypatch):
-        monkeypatch.setenv("LL_WORKERS", "6")
-        assert parse_config("gamma", {}).workers == 6
 
 
 def run_cli(tmp_path, *args):
@@ -134,6 +129,11 @@ class TestDispatch:
     @pytest.mark.parametrize("workers", ["0", "x"])
     def test_bad_worker_count_exit_2(self, tmp_path, workers):
         assert run_cli(tmp_path, "gamma", "--workers", workers) == 2
+
+    def test_worker_variable_not_read(self, tmp_path, monkeypatch):
+        # LL_WORKERS=0 was refused with exit 2; nothing reads the variable now
+        monkeypatch.setenv("LL_WORKERS", "0")
+        assert run_cli(tmp_path, "gamma") == 0
 
     def test_exit_code_statistical_error(self, tmp_path):
         # no 1/2-crossing on a grid entirely below the critical strength
@@ -272,14 +272,21 @@ class TestDeterminism:
         ["trace", "--kappa", "4", "--horizon", "0.3", "--path-dt", "0.005",
          "--resolution", "16,12", "--seed", "9"],
     ])
-    def test_byte_identical_across_workers(self, tmp_path, argv):
-        a, b = tmp_path / "w1", tmp_path / "w2"
-        assert main(argv + ["--workers", "1", "--out", str(a)]) == 0
-        assert main(argv + ["--workers", "4", "--out", str(b)]) == 0
-        blob_a, blob_b = self._collect(a), self._collect(b)
-        blob_a.pop("manifest:config")
-        blob_b.pop("manifest:config")  # differ in the workers field only
-        assert blob_a == blob_b
+    def test_byte_identical_across_workers(self, tmp_path, argv, monkeypatch):
+        # --workers is checked and ignored, and LL_WORKERS is not read: the
+        # runs differ in their output directory only
+        blobs = []
+        for name, flags, env in (("w1", ["--workers", "1"], None), ("w4", ["--workers", "4"], None),
+                                 ("env6", [], "6")):
+            if env is not None:
+                monkeypatch.setenv("LL_WORKERS", env)
+            out = tmp_path / name
+            assert main(argv + flags + ["--out", str(out)]) == 0
+            blob = self._collect(out)
+            assert "workers" not in blob["manifest:config"]
+            assert blob["manifest:config"].pop("out") == str(out)
+            blobs.append(blob)
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_same_config_twice_identical(self, tmp_path):
         argv = ["hitprob", "--kappa", "2", "--theta", "1", "--n", "300",

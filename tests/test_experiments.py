@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from levyloewner import experiments
+from levyloewner import drivers, engine, experiments
 from levyloewner.drivers import DriverSpec, JumpLaw, CompoundPoisson, Brownian, Stable
 from levyloewner.errors import ConfigError, StatisticalError
 from levyloewner.experiments import (
@@ -20,11 +20,13 @@ from levyloewner.experiments import (
     ks_two_sample,
     overshoot_histogram,
     phase_scan,
+    scaling_check,
     slope_near_infinity,
     slope_near_zero,
     theta0_bracket,
     wilson_ci,
 )
+from levyloewner.loewner import EvolutionConfig
 from levyloewner.rng import stream
 from levyloewner.stable_calculus import theta0
 
@@ -330,6 +332,33 @@ class TestSlopeGrids:
 
 def _no_sampling(*args, **kwargs):
     raise AssertionError("a refused slope grid was sampled")
+
+
+class TestRealNumberInputs:
+    # each call raised a bare TypeError, or parsed its strings and sampled
+    CALLS = {
+        "evolution_config": lambda: EvolutionConfig(horizon='1'),
+        "phase_scan": lambda: phase_scan({"kappa": ['2']}, 1.0, 100, 1.0, 1),
+        "overshoot_histogram": lambda: overshoot_histogram(1.0, 0.5, 1.0, '1', 2.0, 1.5, 10000, 1.0, 1),
+        "hitting_probability": lambda: hitting_probability(PhaseParams(z=1.0, kappa=8.0), 100, '1', 1),
+        "scaling_check": lambda: scaling_check(4.0, 1.5, 1.0, '2', 'im_h', 1j, 1.0, 500, 1),
+        "area_fraction": lambda: area_fraction(8.0, 0.5, 1.0, ['0.5'], 32, 0.05, 1, 1),
+        "theta0_bracket": lambda: theta0_bracket(1.5, ['1', '2'], 0.5, 100, 1.0, 1),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_string_refused_before_sampling(self, entry, monkeypatch):
+        drawn = []
+
+        def no_stream(*path):
+            drawn.append(path)
+            raise AssertionError(f"a refused input drew the stream {path}")
+
+        for module in (drivers, engine, experiments):
+            monkeypatch.setattr(module, "stream", no_stream)
+        with pytest.raises(ConfigError, match="must be a real number"):
+            self.CALLS[entry]()
+        assert drawn == []
 
 
 class TestTheta0Bracket:

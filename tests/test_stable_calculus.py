@@ -12,7 +12,6 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import levyloewner
 from levyloewner.errors import ConfigError
@@ -22,7 +21,6 @@ from levyloewner.stable_calculus import (
     HarmonicClass,
     classify_power,
     frac_constant,
-    frac_laplacian_power,
     gamma_coeff,
     gamma_coeff_alt,
     phi,
@@ -152,29 +150,6 @@ class TestMpmathOracle:
         assert _rel(phi(alpha, p), want) <= 1e-13
 
 
-class TestFracLaplacianPower:
-    def test_harmonic_case_zero(self):
-        for x in (0.5, 1.0, 3.0, -2.0):
-            assert frac_laplacian_power(1.2, 1.2, x) == pytest.approx(0.0, abs=1e-8)
-
-    @given(st.floats(0.3, 1.9), st.floats(0.2, 0.95), st.floats(0.05, 20.0))
-    @settings(max_examples=30, deadline=None)
-    def test_power_law_scaling(self, alpha, frac, x):
-        p = frac * (alpha + 1.0)
-        v1 = frac_laplacian_power(alpha, p, x)
-        v2 = frac_laplacian_power(alpha, p, 2.0 * x)
-        if abs(v1) > 1e-12:
-            assert v2 / v1 == pytest.approx(2.0 ** (p - alpha - 1.0), rel=1e-6)
-
-    def test_composition_of_oracles(self):
-        expected = frac_constant(1.5) * gamma_coeff(1.5, 1.0)
-        assert frac_laplacian_power(1.5, 1.0, 1.0) == pytest.approx(expected, rel=1e-10)
-
-    def test_x_zero_rejected(self):
-        with pytest.raises(ConfigError):
-            frac_laplacian_power(1.5, 1.0, 0.0)
-
-
 class TestClassification:
     def test_harmonic_at_alpha(self):
         for a in (0.4, 1.0, 1.6):
@@ -189,7 +164,7 @@ class TestClassification:
     def test_sign_consistent_with_operator(self):
         for a, p in ((1.5, 0.6), (1.5, 1.3), (0.7, 0.8), (1.1, 1.9)):
             cls = classify_power(a, p)
-            val = frac_laplacian_power(a, p, 1.0)
+            val = frac_constant(a) * gamma_coeff(a, p)  # the generator applied to w_p at x = 1
             if cls is HarmonicClass.SUBHARMONIC:
                 assert val > 0
             elif cls is HarmonicClass.SUPERHARMONIC:
@@ -252,7 +227,7 @@ class TestGeneratorLink:
         diff = (w - np.abs(x) ** (p - 1.0)) / t
         est = diff.mean()
         se = diff.std(ddof=1) / np.sqrt(n)
-        expected = th * frac_laplacian_power(alpha, p, x)
+        expected = th * frac_constant(alpha) * gamma_coeff(alpha, p) * abs(x) ** (p - alpha - 1.0)
         # 3 combined standard errors plus the O(t) Taylor remainder
         assert abs(est - expected) <= 3.0 * se + 0.5 * t * abs(expected) + 5e-4 * abs(expected)
 

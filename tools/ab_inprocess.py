@@ -27,7 +27,9 @@ deterministic counts that a byte-neutral change leaves equal; under a stream
 change they show whether time per iteration or the number of iterations
 moved.  It first prints each side's ``src/`` line count, as ``wc -l``
 counts it, the size that ROADMAP.md tracks, per module and in total, with
-the change per module, so a table shows where the lines went.
+the change per module, so a table shows where the lines went.  Below the
+table it lists, per op, the keys of the two sides' manifest config echoes
+that differed in any round, leaving out ``out`` (the output directory).
 
 ``--stream-change`` times a deliberate change of the random streams: instead
 of stopping at a difference it prints, per op, how many artifacts differed
@@ -49,6 +51,7 @@ import argparse
 import functools
 import hashlib
 import importlib
+import json
 import statistics
 import sys
 import tempfile
@@ -163,14 +166,22 @@ def digests(out: Path) -> dict[str, str]:
             for p in sorted(out.iterdir()) if p.name != "manifest.json"}
 
 
-def run_op(mods: dict, argv: list[str], seed: int, out: Path) -> tuple[float, dict[str, str]]:
+def echo_diff(a: dict, b: dict) -> set[str]:
+    """The keys of two manifest config echoes whose values differ, a key on
+    one side only included and ``out`` left out."""
+    return {k for k in a.keys() | b.keys() if k != "out" and (k not in a or k not in b or a[k] != b[k])}
+
+
+def run_op(mods: dict, argv: list[str], seed: int, out: Path) -> tuple[float, dict[str, str], dict]:
+    """Run one op; return its CPU time, its artifacts' digests and the config
+    echo of its manifest."""
     activate(mods)
     c0 = time.process_time()
     rc = mods[f"{PKG}.cli"].main(argv + ["--seed", str(seed), "--out", str(out)])
     cpu = time.process_time() - c0
     if rc:
         raise SystemExit(f"{' '.join(argv)} returned {rc}")
-    return cpu, digests(out)
+    return cpu, digests(out), json.loads((out / "manifest.json").read_text())["config"]
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -215,6 +226,7 @@ def main(argv=None) -> int:
     deaths = {side: {n: 0 for n in names} for side in sides}  # engine B's
     differ = {n: [0, 0] for n in names}  # artifacts that differed, artifacts compared
     changed = {n: set() for n in names}  # the names of those that differed
+    echo_keys = {n: set() for n in names}  # manifest config keys that differed
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         work = Path(tmp)
         for side, mods in sides.items():  # lazy imports and first-call costs, untimed
@@ -224,10 +236,10 @@ def main(argv=None) -> int:
             seed = args.seed + r
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for name, a in zip(names, op_list):
-                got = {}
+                got, echo = {}, {}
                 for side in order:
                     before = {e: list(c) for e, c in counters[side].items()}
-                    t, got[side] = run_op(sides[side], a, seed, work / side / str(r) / name)
+                    t, got[side], echo[side] = run_op(sides[side], a, seed, work / side / str(r) / name)
                     cpu[side][name].append(t)
                     for e, c in counters[side].items():
                         lane_steps[side][name, e] += c[0] - before[e][0]
@@ -237,6 +249,7 @@ def main(argv=None) -> int:
                 diff = sorted(k for k in keys if got["base"].get(k) != got["head"].get(k))
                 if diff and not args.stream_change:
                     raise SystemExit(f"round {r} (seed {seed}) {name}: artifacts differ: {diff}")
+                echo_keys[name] |= echo_diff(echo["base"], echo["head"])
                 differ[name][0] += len(diff)
                 changed[name].update(diff)
                 differ[name][1] += len(keys)
@@ -268,6 +281,9 @@ def main(argv=None) -> int:
                                  for side in sides)
             extra += f" {'/'.join(map(str, differ[name])):>9}"
         print(f"{name:<20}{spread} {statistics.median(ratios):7.3f} {wins:>3}/{len(b):<3}{extra}")
+    print("\nmanifest config keys that differed in any round (out left out):")
+    for name in names:
+        print(f"{name:<20} {' '.join(sorted(echo_keys[name])) or '-'}")
     if args.stream_change:
         print("\nartifacts that differed in any round:")
         for name in names:
