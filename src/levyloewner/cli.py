@@ -11,6 +11,7 @@ error, 3 numerical error, 4 statistical error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -380,14 +381,10 @@ def _run_trace(cfg: RunConfig, out: Path) -> list[str]:
     return ["trajectory.csv", "trajectory.svg", "driver.csv", "cluster.csv", "cluster.svg", "outcome.json"]
 
 
-_PHASE_HEADER = ["kappa", "alpha", "theta", "beta", "re_z", "im_z", "n", "T",
-                 "hit_frac", "ci_lo", "ci_hi", "horizon_flag"]
-
-
-def _phase_rows(estimates):
-    for e in estimates:
-        r = e.row()
-        yield tuple(r[k] for k in _PHASE_HEADER)
+def _write_phase_csv(path: Path, estimates) -> None:
+    """One row per phase estimate, in the columns of ``PhaseEstimate.row``."""
+    rows = [e.row() for e in estimates]
+    write_csv(path, list(rows[0]), (r.values() for r in rows))
 
 
 def _run_phase(cfg: RunConfig, out: Path) -> list[str]:
@@ -395,7 +392,7 @@ def _run_phase(cfg: RunConfig, out: Path) -> list[str]:
     z = complex(p["z"][0], p["z"][1])
     ests = phase_scan(p["grid"], z, p["n"], p["horizon"], cfg.seed,
                       hit_tolerance=p["hit_tolerance"] or None)
-    write_csv(out / "phase.csv", _PHASE_HEADER, _phase_rows(ests))
+    _write_phase_csv(out / "phase.csv", ests)
     return ["phase.csv"]
 
 
@@ -405,7 +402,7 @@ def _run_hitprob(cfg: RunConfig, out: Path) -> list[str]:
     params = PhaseParams(z=z, kappa=p["kappa"], alpha=p["alpha"], theta=p["theta"], beta=p["beta"])
     est = hitting_probability(params, p["n"], p["horizon"], cfg.seed,
                               hit_tolerance=p["hit_tolerance"] or None)
-    write_csv(out / "hitprob.csv", _PHASE_HEADER, _phase_rows([est]))
+    _write_phase_csv(out / "hitprob.csv", [est])
     return ["hitprob.csv"]
 
 
@@ -440,15 +437,8 @@ def _run_overshoot(cfg: RunConfig, out: Path) -> list[str]:
     header = ["lo", "hi", "density", "se", "bound"]
     write_csv(out / "overshoot_inner.csv", header, map(tuple, rep.inner_bins.tolist()))
     write_csv(out / "overshoot_outer.csv", header, map(tuple, rep.outer_bins.tolist()))
-    summary = {
-        "a": rep.a, "b": rep.b, "alpha": rep.alpha, "n": rep.n,
-        "inner_fraction": rep.inner_fraction, "outer_fraction": rep.outer_fraction,
-        "censored_fraction": rep.censored_fraction,
-        "atom_inner": rep.atom_inner, "atom_outer": rep.atom_outer,
-        "total_probability": rep.total_probability,
-        "all_below_bound": rep.all_below_bound,
-    }
-    json_dump(summary, out / "overshoot.json")
+    json_dump({f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)
+               if f.name not in ("inner_bins", "outer_bins")}, out / "overshoot.json")
     return ["overshoot_inner.csv", "overshoot_outer.csv", "overshoot.json"]
 
 
@@ -469,11 +459,7 @@ def _run_scalecheck(cfg: RunConfig, out: Path) -> list[str]:
                         p["horizon"], p["n"], cfg.seed,
                         theta_tilde=(None if p["theta_tilde"] == -1.0 else p["theta_tilde"]),
                         exit_radius=(p["exit_radius"] or None))
-    json_dump({
-        "statistic": res.statistic, "a": res.a, "theta_tilde": res.theta_tilde,
-        "ks_distance": res.ks_distance, "ks_critical": res.ks_critical,
-        "passed": bool(res.passed), "n": res.n,
-    }, out / "scalecheck.json")
+    json_dump(dataclasses.asdict(res), out / "scalecheck.json")
     return ["scalecheck.json"]
 
 
@@ -499,7 +485,7 @@ def _run_theta0_bracket(cfg: RunConfig, out: Path) -> list[str]:
     z = complex(p["z"][0], p["z"][1])
     res = theta0_bracket(p["alpha"], grid, z, p["n"], p["horizon"], cfg.seed,
                          hit_tolerance=p["hit_tolerance"])
-    write_csv(out / "theta0_scan.csv", _PHASE_HEADER, _phase_rows(res.estimates))
+    _write_phase_csv(out / "theta0_scan.csv", res.estimates)
     json_dump({
         "alpha": res.alpha, "theta_lo": res.theta_lo, "theta_hi": res.theta_hi,
         "analytic_theta0": res.analytic, "contains_analytic": bool(res.contains_analytic),

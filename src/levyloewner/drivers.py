@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _real_number
 from .rng import stream
 from .stable_calculus import frac_constant
 
@@ -165,10 +165,13 @@ class DriverSpec:
         positive) + a two-point CPP(cpp_rate, +-cpp_size), keeping the parts
         with positive strength; U == 0 (Brownian(0)) when none is.  A
         negative, NaN or infinite strength or cutoff is an error, not a part
-        or a truncation dropped."""
+        or a truncation dropped, and so is a parameter that is not a real
+        number."""
+        for name, v in (("alpha", alpha), ("cpp_size", cpp_size)):  # their parts check their ranges
+            _real_number(v, name)
         for name, v in (("kappa", kappa), ("theta", theta), ("trunc_cutoff", trunc_cutoff),
                         ("cpp_rate", cpp_rate)):
-            if not 0 <= v < np.inf:
+            if not 0 <= _real_number(v, name) < np.inf:
                 raise ConfigError(f"{name} must be nonnegative and finite, got {v}")
         comps: list = []
         if kappa > 0:
@@ -339,8 +342,7 @@ def _stable_map(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def sample_brownian(kappa: float, grid: np.ndarray, rng: np.random.Generator) -> DriverPath:
     """Brownian driver sqrt(kappa) B on the given grid (exact increments)."""
-    if kappa < 0:
-        raise ConfigError(f"kappa must be nonnegative, got {kappa}")
+    Brownian(kappa)  # checks kappa
     grid = _check_grid(grid)
     dt = np.diff(grid)
     inc = np.sqrt(kappa * dt) * rng.standard_normal(dt.size) if kappa > 0 else np.zeros(dt.size)
@@ -351,10 +353,7 @@ def sample_brownian(kappa: float, grid: np.ndarray, rng: np.random.Generator) ->
 def sample_stable(alpha: float, theta: float, grid: np.ndarray,
                   rng: np.random.Generator) -> DriverPath:
     """theta^(1/alpha) S on the grid; increments exact from the marginal law."""
-    if not 0 < alpha <= 2:
-        raise ConfigError(f"alpha must lie in (0,2], got {alpha}")
-    if not theta > 0:
-        raise ConfigError(f"theta must be positive, got {theta}")
+    Stable(alpha, theta)  # checks alpha and theta
     grid = _check_grid(grid)
     dt = np.diff(grid)
     inc = (theta * dt) ** (1.0 / alpha) * standard_stable_sample(alpha, rng, dt.size)
@@ -407,8 +406,7 @@ def sample_compound_poisson(rate: float, jump_law: JumpLaw, horizon: float,
                             rng: np.random.Generator) -> DriverPath:
     """Exact event-driven compound Poisson path: Poisson(rate*horizon) jumps at
     uniform times, each entered into the grid."""
-    if not rate > 0:
-        raise ConfigError(f"rate must be positive, got {rate}")
+    CompoundPoisson(rate, jump_law)  # checks the rate
     if not horizon > 0:
         raise ConfigError(f"horizon must be positive, got {horizon}")
     n = int(rng.poisson(rate * horizon))

@@ -169,7 +169,7 @@ from .drivers import (
     standard_stable_sample,
     truncated_stable_variance_rate,
 )
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _integral_count, _real_number
 from .rng import stream
 
 # Replicas per stream block: one block per cell at the default n of 2000 (see
@@ -197,34 +197,11 @@ def default_hit_tolerance(z0) -> np.ndarray:
     return 1e-4 * (1.0 + np.abs(z0))
 
 
-def _integral_count(v, name: str) -> int:
-    """``int(v)``; a bool, a string or a value that is not a whole number is
-    an error, not truncated or parsed."""
-    try:
-        whole = not isinstance(v, (bool, np.bool_, str, bytes)) and float(v).is_integer()
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise ConfigError(f"{name} must be an integer, got {v!r}")
-    return int(v)
-
-
-def _real_number(v, name: str) -> float:
-    """``float(v)``; a bool, a string or a value that is not a real number is
-    an error, not parsed."""
-    try:
-        if not isinstance(v, (bool, np.bool_, str, bytes, complex, np.complexfloating)):
-            return float(v)
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{name} must be a real number, got {v!r}")
-
-
 def _check_start(z0, delta, beta):
     """Refuse what neither engine can evolve: beta outside (1, 2], a start
     point z0 that is not finite, is 0 or lies below the real axis, and a hit
     tolerance delta (resolved per lane) that is not positive and finite."""
-    if not 1.0 < beta <= 2.0:
+    if not 1.0 < _real_number(beta, "beta") <= 2.0:
         raise ConfigError(f"beta must lie in (1,2], got {beta}")
     if not np.isfinite(z0).all():
         raise ConfigError("z0 must be finite")
@@ -245,12 +222,10 @@ class LaneResult:
     hit was retired early: its zeta is NaN, its x and y read NaN (its final
     h was not computed) and ``steps`` counts the steps it took."""
 
-    z0: np.ndarray
     zeta: np.ndarray        # hit time; NaN when censored
     x: np.ndarray           # final h (meaningful for censored lanes; NaN once retired)
     y: np.ndarray
     steps: np.ndarray       # grid or loop steps the lane took
-    hit_tolerance: np.ndarray
     exit_time: np.ndarray | None = None  # first |h| >= exit_radius, if tracked
 
     @property
@@ -736,7 +711,7 @@ def evolve_lanes_on_path(z0, path: DriverPath, horizon: float, hit_tolerance=Non
             zeta, x, y, lane, tol, *reach = state
     _, done, _ = _retire(state, np.zeros(lane.size, dtype=bool), out)
     steps[done] = it
-    res = LaneResult(z0, *out, steps, delta)
+    res = LaneResult(*out, steps)
 
     if record_trajectory:
         return res, np.asarray(traj)
@@ -974,9 +949,12 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
         raise ConfigError("run_adaptive_cells needs at least one cell")
     if len({_loop_key(c.spec) for c in cells}) != 1:
         raise ConfigError("the cells of one loop may differ in Brownian kappa and stable theta only")
+    for c in cells:  # complex() would parse it
+        if isinstance(c.z0, str):
+            raise ConfigError(f"z0 must be a number, got {c.z0!r}")
     z0 = np.array([complex(c.z0) for c in cells])
-    tol = np.array([float(default_hit_tolerance(z) if c.hit_tolerance is None else c.hit_tolerance)
-                    for z, c in zip(z0, cells)])
+    tol = np.array([_real_number(default_hit_tolerance(z) if c.hit_tolerance is None else c.hit_tolerance,
+                                 "hit tolerance") for z, c in zip(z0, cells)])
     _check_start(z0, tol, beta)
     floor = [d ** beta / 16.0 for d in tol.tolist()]
     if min(floor) < 1e-14 * horizon:
@@ -1105,7 +1083,5 @@ def run_adaptive_cells(cells: list[Cell], n: int, horizon: float, *, master_seed
             steps[done] = it - 1 + np.isnan(dead[0])
             zeta, x, exit_time, y, lane, t, delta, dt_floor, tau_div, *coef = rows(state)
 
-    z0s, tols = np.repeat(z0, stride), np.repeat(tol, stride)
-    return [LaneResult(z0s[sl], out[0, sl], out[1, sl], out[-1, sl], steps[sl], tols[sl],
-                       out[2, sl] if track else None)
+    return [LaneResult(out[0, sl], out[1, sl], out[-1, sl], steps[sl], out[2, sl] if track else None)
             for sl in (slice(c * stride, c * stride + n) for c in range(k))]

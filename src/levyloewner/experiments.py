@@ -42,9 +42,9 @@ from .drivers import (
     TruncatedStable,
     sample_driver,
 )
-from .engine import (BLOCK, Cell, _axis_drift, _compile_increments, _draw_plan, _integral_count,
-                     _live_draws, _loop_key, _Pool, _real_number, default_hit_tolerance, run_adaptive_cells)
-from .errors import ConfigError, StatisticalError
+from .engine import (BLOCK, Cell, _axis_drift, _compile_increments, _draw_plan, _live_draws, _loop_key,
+                     _Pool, default_hit_tolerance, run_adaptive_cells)
+from .errors import ConfigError, StatisticalError, _integral_count, _real_number
 from .loewner import EvolutionConfig, connected_components, raster_cluster
 from .rng import stream
 from .stable_calculus import theta0
@@ -142,13 +142,13 @@ class PhaseEstimate:
     params: PhaseParams
     n: int
     horizon: float
-    seed: int
     hit_fraction: float
     wilson: tuple[float, float]
     hit_fraction_2t: float
     horizon_flag: str  # "stable" | "drifting"
 
     def row(self) -> dict:
+        """The estimate's row of a phase CSV, keyed by column in column order."""
         p = self.params
         return {
             "kappa": p.kappa, "alpha": p.alpha, "theta": p.theta, "beta": p.beta,
@@ -182,6 +182,7 @@ def _estimates(cells, n: int, horizon: float, seed: int,
     """Run n replicas of each cell (spec, params, tag) to 2T and count hits by
     T and by 2T; one engine call per beta and loop key, estimates in input
     order."""
+    n = _integral_count(n, "n")
     if n < 100:
         raise ConfigError("n >= 100 required for CI validity")
     horizon = _real_number(horizon, "horizon")
@@ -199,7 +200,7 @@ def _estimates(cells, n: int, horizon: float, seed: int,
             frac_t = hits_t / n
             frac_2t = int(res.hit.sum()) / n
             out[i] = PhaseEstimate(
-                params=cells[i][1], n=n, horizon=horizon, seed=seed,
+                params=cells[i][1], n=n, horizon=horizon,
                 hit_fraction=frac_t, wilson=wilson_ci(hits_t, n),
                 hit_fraction_2t=frac_2t, horizon_flag=_flag(frac_t, frac_2t, n),
             )
@@ -239,7 +240,6 @@ def phase_scan(grid: dict, z: complex, n: int, horizon: float, seed: int,
 
 @dataclass(frozen=True)
 class ExponentFit:
-    side: str                     # "near_zero" | "near_infinity"
     x: np.ndarray
     p_hat: np.ndarray
     ci_lo: np.ndarray
@@ -294,7 +294,7 @@ def _exponent_fit(side: str, kappa: float, alpha: float, theta: float,
     xs, ps, los, his = map(np.asarray, zip(*rows))
     ses = np.maximum((his - los) / (2 * _Z95), 1e-12)
     slope, slope_se = _wls_loglog(xs, ps, ses)
-    return ExponentFit(side=side, x=xs, p_hat=ps, ci_lo=los, ci_hi=his,
+    return ExponentFit(x=xs, p_hat=ps, ci_lo=los, ci_hi=his,
                        slope=slope, slope_se=slope_se, expected=expected)
 
 
@@ -346,7 +346,6 @@ class OvershootReport:
     atom_outer: float
     inner_bins: np.ndarray       # columns: lo, hi, density, se, bound
     outer_bins: np.ndarray
-    inner_bound: float
     total_probability: float
     all_below_bound: bool
 
@@ -443,7 +442,7 @@ def overshoot_histogram(kappa: float, alpha: float, theta: float, a: float, b: f
     if bins < 1:
         raise ConfigError("bins must be at least 1")
     a, b = _real_number(a, "a"), _real_number(b, "b")
-    if not theta > 0:
+    if not _real_number(theta, "theta") > 0:
         raise ConfigError("the overshoot check needs a jump component (theta > 0)")
     if not _real_number(horizon, "horizon") > 0:
         raise ConfigError(f"horizon must be positive, got {horizon}")
@@ -495,7 +494,6 @@ def overshoot_histogram(kappa: float, alpha: float, theta: float, a: float, b: f
         censored_fraction=n_cens / n,
         atom_inner=atom_inner, atom_outer=atom_outer,
         inner_bins=inner_bins, outer_bins=outer_bins,
-        inner_bound=inner_bound,
         total_probability=(n_inner + n_outer + n_cens) / n,
         all_below_bound=ok,
     )
@@ -510,7 +508,6 @@ class AreaFractionResult:
     r_list: tuple[float, ...]
     cells_across_min_r: int
     horizon: float
-    n_replicas: int
     fractions: np.ndarray     # shape (len(r_list),): replica means
     se: np.ndarray
 
@@ -552,8 +549,7 @@ def area_fraction(kappa: float, alpha: float, theta: float, r_list, resolution: 
 
     arr = np.asarray([job(rep) for rep in range(n_replicas)])
     return AreaFractionResult(
-        r_list=r_list, cells_across_min_r=resolution, horizon=horizon,
-        n_replicas=n_replicas, fractions=arr.mean(axis=0),
+        r_list=r_list, cells_across_min_r=resolution, horizon=horizon, fractions=arr.mean(axis=0),
         se=arr.std(axis=0, ddof=1) / np.sqrt(n_replicas) if n_replicas > 1 else np.zeros(len(r_list)),
     )
 
@@ -587,11 +583,15 @@ def scaling_check(kappa: float, alpha: float, theta: float, a: float, statistic:
     """
     if statistic not in ("hit_indicator", "im_h", "exit_time"):
         raise ConfigError("statistic must be hit_indicator, im_h or exit_time")
+    n = _integral_count(n, "n")
     if n < 500:
         raise ConfigError("scaling checks need n >= 500")
     a = _real_number(a, "scale factor a")
     if not 0 < a < np.inf:
         raise ConfigError(f"scale factor a must be positive and finite, got {a}")
+    horizon = _real_number(horizon, "horizon")
+    # the spec checks the driver parameters before theta_tilde reads them
+    spec_a = PhaseParams(z=z, kappa=kappa, alpha=alpha, theta=theta).driver_spec()
     if theta_tilde is None:
         theta_tilde = a ** (alpha / 2.0 - 1.0) * theta if theta > 0 else 0.0
     z = complex(z)
@@ -599,7 +599,6 @@ def scaling_check(kappa: float, alpha: float, theta: float, a: float, statistic:
     rho = exit_radius if exit_radius is not None else 4.0 * abs(z)
     delta = default_hit_tolerance(z)
 
-    spec_a = PhaseParams(z=z, kappa=kappa, alpha=alpha, theta=theta).driver_spec()
     spec_b = PhaseParams(z=z, kappa=kappa, alpha=alpha, theta=theta_tilde).driver_spec()
     # one engine call per sample: their horizons and exit radii differ
     res_a = run_adaptive_cells([Cell(spec_a, z / sq, ("scale", "A", statistic), delta / sq)], n,
@@ -663,7 +662,6 @@ def disconnection_frequency(spec: DriverSpec, t: float, n: int, seed: int,
 @dataclass(frozen=True)
 class Theta0BracketResult:
     alpha: float
-    theta_grid: tuple[float, ...]
     estimates: tuple[PhaseEstimate, ...]
     theta_lo: float
     theta_hi: float
@@ -685,7 +683,7 @@ def theta0_bracket(alpha: float, theta_grid, z: complex, n: int, horizon: float,
     gives survival on the line, so the empirical crossing sits at or above
     the analytic value and tightens only logarithmically in T.
     """
-    if not 1 < alpha < 2:
+    if not 1 < _real_number(alpha, "alpha") < 2:
         raise ConfigError(f"theta0 bracket requires alpha in (1,2), got {alpha}")
     thetas = tuple(sorted(_real_number(v, "a theta grid point") for v in theta_grid))
     if len(thetas) < 2:
@@ -702,7 +700,7 @@ def theta0_bracket(alpha: float, theta_grid, z: complex, n: int, horizon: float,
     widened = last_below > first_above  # noisy, non-monotone crossing
     lo = thetas[max(first_above - 1, 0)]
     hi = thetas[min(last_below + 1, len(thetas) - 1)]
-    return Theta0BracketResult(alpha=alpha, theta_grid=thetas, estimates=tuple(ests),
+    return Theta0BracketResult(alpha=alpha, estimates=tuple(ests),
                                theta_lo=lo, theta_hi=hi, analytic=theta0(alpha),
                                widened=widened)
 

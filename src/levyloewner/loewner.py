@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import DriverPath
-from .engine import _integral_count, _real_number, default_hit_tolerance, evolve_lanes_on_path
-from .errors import ConfigError
+from .engine import default_hit_tolerance, evolve_lanes_on_path
+from .errors import ConfigError, _integral_count, _real_number
 
 __all__ = [
     "EvolutionConfig",
@@ -62,7 +62,6 @@ class EvolutionConfig:
 class HittingOutcome:
     """Result of tracking one point: hit at zeta, or censored at the horizon."""
 
-    z0: complex
     zeta: float | None
     censored_at: float | None
     steps_taken: int
@@ -98,7 +97,6 @@ def _lane0_outcome(res, traj, horizon: float) -> HittingOutcome:
     whose rows end with that lane's last step."""
     hit = not np.isnan(res.zeta[0])
     return HittingOutcome(
-        z0=complex(res.z0[0]),
         zeta=float(res.zeta[0]) if hit else None,
         censored_at=None if hit else horizon,
         steps_taken=int(res.steps[0]),

@@ -1,6 +1,7 @@
 """CLI: config validation, round-trips, dispatch, artifact determinism,
 exit codes, and SVG well-formedness."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -295,13 +296,31 @@ class TestDeterminism:
         assert main(argv + ["--out", str(b)]) == 0
         assert (a / "hitprob.csv").read_bytes() == (b / "hitprob.csv").read_bytes()
 
+    @pytest.mark.parametrize("argv, name, digest", [
+        (["phase", "--grid", "kappa=2,8", "--n", "200", "--horizon", "4"], "phase.csv",
+         "cb430effd50eb23fb7dcfae4debffa6889229e3736e0c74f2a18aee3f0b0db6b"),
+        (["hitprob", "--kappa", "8", "--theta", "1", "--n", "200", "--horizon", "4"], "hitprob.csv",
+         "b77632df5a694d4c19e8af82beeda652bec6a510eaa036dc6d0096eba7f9f274"),
+        (["theta0-bracket", "--grid-mults", "0.5,1.0,1.5", "--n", "300", "--horizon", "500"],
+         "theta0_scan.csv", "d8a245d5efd72f07ce99ca149877262bcc6bb833b520fa694e3e68475e63d078"),
+        (["overshoot", "--n", "10000", "--horizon", "20"], "overshoot.json",
+         "25a329f59ad1e3c04ff40d7c63f3551dba7348f2edf842ebf68ebc03ec7d8dbf"),
+        (["scalecheck", "--alpha", "0.5", "--statistic", "exit_time", "--n", "500",
+          "--horizon", "4", "--exit-radius", "4"], "scalecheck.json",
+         "81cf29f9103abf0d2ff05f3251e35fde2e490f444be459bee5318198538ba769"),
+    ])
+    def test_summary_bytes_pinned(self, tmp_path, argv, name, digest):
+        # the criterion-13 cases at seed 99: the phase CSVs and the two JSON
+        # summaries that are written from the fields of their result types
+        assert main(argv + ["--seed", "99", "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
     def test_manifest_lists_all_outputs_with_checksums(self, tmp_path):
         out = tmp_path / "m"
         assert run_cli(out, "gamma", "--alphas", "1.5") == 0
         manifest = json.loads((out / "manifest.json").read_text())
         files = {f.name for f in out.iterdir()} - {"manifest.json"}
         assert set(manifest["outputs"]) == files
-        import hashlib
         for name, digest in manifest["outputs"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 

@@ -325,6 +325,12 @@ class TestSpecInvariants:
     @pytest.mark.parametrize("make", [
         lambda v: Brownian(v), lambda v: Stable(1.5, v), lambda v: TruncatedStable(1.5, v, 1.0),
         lambda v: CompoundPoisson(v, JumpLaw("two_point", {"size": 1.0})),
+        # the samplers check their strengths as the component types do: NaN
+        # gave an all-zero Brownian path, infinity inf or NaN values, and an
+        # infinite rate numpy's bare ValueError
+        lambda v: sample_brownian(v, uniform_grid(1.0, 0.5), stream(1, "bad")),
+        lambda v: sample_stable(1.5, v, uniform_grid(1.0, 0.5), stream(1, "bad")),
+        lambda v: sample_compound_poisson(v, JumpLaw("two_point", {"size": 1.0}), 1.0, stream(1, "bad")),
     ])
     @pytest.mark.parametrize("strength", [np.nan, np.inf, -1.0])
     def test_component_rejects_bad_strength(self, make, strength):

@@ -154,7 +154,7 @@ class TestOvershoot:
         assert rep.total_probability == pytest.approx(1.0, abs=1e-12)
         assert rep.censored_fraction < 0.01
         assert rep.inner_fraction > 0.02 and rep.outer_fraction > 0.5
-        assert rep.inner_bound == pytest.approx(3.0 * 2.0 ** 5)
+        assert rep.inner_bins[:, 4] == pytest.approx(3.0 * 2.0 ** 5)
         assert rep.all_below_bound
 
     def test_needs_jumps(self):
@@ -281,8 +281,10 @@ class TestAreaFraction:
             area_fraction(2.0, 1.5, 1.0, (0.5, 1.0), 32, 1.0, n_replicas, seed=3)
 
     def test_integral_float_replica_count_accepted(self):
-        res = area_fraction(2.0, 1.5, 1.0, (0.5,), 32, 0.5, 2.0, seed=3)
-        assert res.n_replicas == 2 and type(res.n_replicas) is int
+        got = area_fraction(2.0, 1.5, 1.0, (0.5,), 32, 0.5, 2.0, seed=3)
+        want = area_fraction(2.0, 1.5, 1.0, (0.5,), 32, 0.5, 2, seed=3)
+        np.testing.assert_array_equal(got.fractions, want.fractions)
+        np.testing.assert_array_equal(got.se, want.se)
 
     @pytest.mark.parametrize("r_list", [(np.nan, 1.0), (0.5, np.inf), (), (-0.5, 1.0)])
     def test_bad_radius_rejected(self, r_list):
@@ -336,18 +338,38 @@ def _no_sampling(*args, **kwargs):
 
 class TestRealNumberInputs:
     # each call raised a bare TypeError, or parsed its strings and sampled
+    # (a string hit tolerance through float()); DriverSpec.from_params(kappa=True)
+    # gave kappa = 1
     CALLS = {
         "evolution_config": lambda: EvolutionConfig(horizon='1'),
         "phase_scan": lambda: phase_scan({"kappa": ['2']}, 1.0, 100, 1.0, 1),
         "overshoot_histogram": lambda: overshoot_histogram(1.0, 0.5, 1.0, '1', 2.0, 1.5, 10000, 1.0, 1),
+        "overshoot_histogram_theta": lambda: overshoot_histogram(1.0, 0.5, '1', 1.0, 2.0, 1.5, 10000, 1.0, 1),
         "hitting_probability": lambda: hitting_probability(PhaseParams(z=1.0, kappa=8.0), 100, '1', 1),
+        "hitting_probability_kappa": lambda: hitting_probability(PhaseParams(z=1.0, kappa='8'), 100, 100, 1),
+        "hitting_probability_alpha": lambda: hitting_probability(PhaseParams(z=1.0, theta=1.0, alpha='1.5'),
+                                                                 100, 1.0, 1),
+        "hitting_probability_beta": lambda: hitting_probability(PhaseParams(z=1.0, kappa=8.0, beta='2'),
+                                                                100, 1.0, 1),
+        "hitting_probability_tolerance": lambda: hitting_probability(PhaseParams(z=1.0, kappa=8.0), 100, 1.0, 1,
+                                                                     hit_tolerance='1e-3'),
         "scaling_check": lambda: scaling_check(4.0, 1.5, 1.0, '2', 'im_h', 1j, 1.0, 500, 1),
+        "scaling_check_horizon": lambda: scaling_check(4.0, 1.5, 1.0, 2.0, 'im_h', 1j, '1', 500, 1),
+        "scaling_check_theta": lambda: scaling_check(4.0, 1.5, '1', 2.0, 'im_h', 1j, 1.0, 500, 1),
         "area_fraction": lambda: area_fraction(8.0, 0.5, 1.0, ['0.5'], 32, 0.05, 1, 1),
         "theta0_bracket": lambda: theta0_bracket(1.5, ['1', '2'], 0.5, 100, 1.0, 1),
+        "theta0_bracket_alpha": lambda: theta0_bracket('1.5', [1, 2], 0.5, 100, 1.0, 1),
+        "driver_spec_bool": lambda: DriverSpec.from_params(kappa=True),
+        "driver_spec_cpp_size": lambda: DriverSpec.from_params(cpp_rate=1.0, cpp_size='2'),
+    }
+    # each parsed its string start point with complex() and sampled
+    START_POINTS = {
+        "hitting_probability": lambda: hitting_probability(PhaseParams(z='1', kappa=8.0), 100, 1.0, 1),
+        "phase_scan": lambda: phase_scan({"kappa": [2.0]}, '1', 100, 1.0, 1),
     }
 
-    @pytest.mark.parametrize("entry", sorted(CALLS))
-    def test_string_refused_before_sampling(self, entry, monkeypatch):
+    @staticmethod
+    def _refused_before_sampling(call, match, monkeypatch):
         drawn = []
 
         def no_stream(*path):
@@ -356,9 +378,25 @@ class TestRealNumberInputs:
 
         for module in (drivers, engine, experiments):
             monkeypatch.setattr(module, "stream", no_stream)
-        with pytest.raises(ConfigError, match="must be a real number"):
-            self.CALLS[entry]()
+        with pytest.raises(ConfigError, match=match):
+            call()
         assert drawn == []
+
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_string_refused_before_sampling(self, entry, monkeypatch):
+        self._refused_before_sampling(self.CALLS[entry], "must be a real number", monkeypatch)
+
+    @pytest.mark.parametrize("entry", sorted(START_POINTS))
+    def test_string_start_point_refused_before_sampling(self, entry, monkeypatch):
+        self._refused_before_sampling(self.START_POINTS[entry], "z0 must be a number", monkeypatch)
+
+    @pytest.mark.parametrize("call", [
+        lambda: hitting_probability(PhaseParams(z=1.0, kappa=8.0), '100', 1.0, 1),
+        lambda: scaling_check(4.0, 1.5, 1.0, 2.0, 'im_h', 1j, 1.0, '500', 1),
+    ], ids=["hitting_probability", "scaling_check"])
+    def test_string_replica_count_refused_before_sampling(self, call, monkeypatch):
+        # the n < 100 and n < 500 checks raised a bare TypeError
+        self._refused_before_sampling(call, "n must be an integer", monkeypatch)
 
 
 class TestTheta0Bracket:

@@ -27,7 +27,11 @@ deterministic counts that a byte-neutral change leaves equal; under a stream
 change they show whether time per iteration or the number of iterations
 moved.  It first prints each side's ``src/`` line count, as ``wc -l``
 counts it, the size that ROADMAP.md tracks, per module and in total, with
-the change per module, so a table shows where the lines went.  Below the
+the change per module, so a table shows where the lines went; beside it
+stands each side's count of settable values per module, as ROADMAP.md also
+tracks it: the parameters of every public function and method (``self``
+and ``cls`` left out), the fields of every public dataclass, and in
+``cli.py`` the config keys of every subcommand.  Below the
 table it lists, per op, the keys of the two sides' manifest config echoes
 that differed in any round, leaving out ``out`` (the output directory).
 
@@ -48,9 +52,11 @@ drift moves much less than separate benchmark runs do.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import importlib
+import inspect
 import json
 import statistics
 import sys
@@ -92,16 +98,46 @@ def src_lines(root: Path) -> dict[str, int]:
     return {p.relative_to(src).as_posix(): p.read_bytes().count(b"\n") for p in src.rglob("*.py")}
 
 
-def print_src_lines(roots: dict[str, Path]) -> None:
-    """Each side's ``src/`` line count per module and in total, and the
-    change from base to head (a module absent from a side counts 0)."""
+def settable_values(root: Path, mods: dict) -> dict[str, int]:
+    """Settable values of each loaded module (see the module docstring),
+    keyed by its path relative to ``root/src``, as :func:`src_lines` keys it."""
+    counts = {}
+    for name, mod in mods.items():
+        n = 0
+        for attr, obj in vars(mod).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != name:
+                continue
+            if inspect.isfunction(obj):
+                n += len(inspect.signature(obj).parameters)
+            elif inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj):
+                    n += len(dataclasses.fields(obj))
+                for meth, m in vars(obj).items():
+                    fn = getattr(m, "__func__", m)  # a classmethod's or staticmethod's function
+                    if not meth.startswith("_") and inspect.isfunction(fn):  # less self or cls
+                        n += len(inspect.signature(fn).parameters) - (not isinstance(m, staticmethod))
+        if name == f"{PKG}.cli":
+            n += sum(map(len, mod.SCHEMAS.values()))
+        counts[Path(mod.__file__).relative_to(root / "src").as_posix()] = n
+    return counts
+
+
+def print_src_lines(roots: dict[str, Path], sides: dict[str, dict]) -> None:
+    """Each side's ``src/`` line count and settable values per module and in
+    total, each with the change from base to head (a module absent from a
+    side, or not loaded, counts 0)."""
     lines = {side: src_lines(root) for side, root in roots.items()}
-    rows = [(m, *(lines[side].get(m, 0) for side in roots)) for m in sorted(set().union(*lines.values()))]
-    rows.append(("total", *(sum(lines[side].values()) for side in roots)))
+    values = {side: settable_values(roots[side], mods) for side, mods in sides.items()}
+    rows = [(m, *(lines[side].get(m, 0) for side in roots), *(values[side].get(m, 0) for side in roots))
+            for m in sorted(set().union(*lines.values()))]
+    rows.append(("total", *(sum(lines[side].values()) for side in roots),
+                 *(sum(values[side].values()) for side in roots)))
     width = max(len(m) for m, *_ in rows)
-    print(f"{'src lines':<{width}}" + "".join(f" {side:>7}" for side in roots) + f" {'change':>7}")
-    for m, base, head in rows:
-        print(f"{m:<{width}} {base:>7,} {head:>7,} {head - base:>+7,}")
+    print(f"{'src':<{width}}" + "".join(f" {side + ' lines':>10}" for side in roots) + f" {'change':>7}"
+          + "".join(f" {side + ' settable':>13}" for side in roots) + f" {'change':>7}")
+    for m, base, head, base_values, head_values in rows:
+        print(f"{m:<{width}} {base:>10,} {head:>10,} {head - base:>+7,} "
+              f"{base_values:>13,} {head_values:>13,} {head_values - base_values:>+7,}")
 
 
 def count_lane_steps(mods: dict, name: str, results) -> list[int]:
@@ -205,8 +241,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     roots = {"base": args.base.resolve(), "head": args.head.resolve()}
-    print_src_lines(roots)
     sides = {side: load(root) for side, root in roots.items()}
+    print_src_lines(roots, sides)
     counters = {side: {**{e: count_lane_steps(mods, *ENGINES[e]) for e in ENGINES},
                        "X": count_replica_steps(mods)}
                 for side, mods in sides.items()}
